@@ -5,7 +5,7 @@
 //! from scratch").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mojave_grid::{run_grid, FailurePlan, GridConfig};
+use mojave_grid::{run_grid_with, FailurePlan, GridConfig, GridOptions};
 use std::time::Duration;
 
 fn base_config() -> GridConfig {
@@ -36,7 +36,8 @@ fn checkpoint_interval_sweep(c: &mut Criterion) {
                     ..base_config()
                 };
                 b.iter(|| {
-                    let report = run_grid(&config, None).expect("fault-free run");
+                    let report = run_grid_with(&config, None, GridOptions::default())
+                        .expect("fault-free run");
                     assert!(report.is_correct());
                     report.checkpoints
                 });
@@ -58,12 +59,13 @@ fn recovery_vs_restart(c: &mut Criterion) {
 
     group.bench_function("checkpoint_recovery", |b| {
         b.iter(|| {
-            let report = run_grid(
+            let report = run_grid_with(
                 &config,
                 Some(FailurePlan {
                     victim: 1,
                     after_checkpoints: 1,
                 }),
+                GridOptions::default(),
             )
             .expect("recovers");
             assert!(report.is_correct());
@@ -75,8 +77,8 @@ fn recovery_vs_restart(c: &mut Criterion) {
         b.iter(|| {
             // The failure-free run done twice: the work completed before the
             // failure is thrown away and the whole application re-runs.
-            let first = run_grid(&config, None).expect("first run");
-            let second = run_grid(&config, None).expect("re-run");
+            let first = run_grid_with(&config, None, GridOptions::default()).expect("first run");
+            let second = run_grid_with(&config, None, GridOptions::default()).expect("re-run");
             assert!(second.is_correct());
             first.checkpoints + second.checkpoints
         });

@@ -235,7 +235,7 @@ struct Inner {
     scheduled_failure: Mutex<Option<ScheduledFailure>>,
 }
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
+pub(crate) fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 

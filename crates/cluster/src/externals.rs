@@ -2,10 +2,15 @@
 //! grid application (Figure 2), plus node identity and failure observation.
 
 use crate::cluster::{Cluster, RecvOutcome};
+use crate::ops::{ClusterOps, LocalNode, Tick};
+use crate::transport::RemoteCluster;
 use mojave_core::{DefaultExternals, ExtCall, Externals, RuntimeError, MSG_OK, MSG_ROLL};
 use mojave_heap::{Heap, Word};
+use mojave_obs::{EventKind, Recorder};
+use mojave_wire::FrameError;
 
-/// Externals for a process running on a cluster node.
+/// Externals for a process running on a cluster node, over any
+/// [`ClusterOps`].
 ///
 /// `msg_send(dest, tag, data)` and `msg_recv(src, tag, buf)` move `float[]`
 /// payloads through the cluster mailboxes; `msg_recv` returns [`MSG_ROLL`]
@@ -13,153 +18,142 @@ use mojave_heap::{Heap, Word};
 /// main loop reacts to by rolling back its speculation.  All other externals
 /// delegate to [`DefaultExternals`].
 ///
-/// Failure injection: once the cluster marks this node failed, the *next*
-/// external call of any kind raises an error, which terminates the process —
-/// the moral equivalent of the machine going down.
+/// Every call starts with exactly one [`ClusterOps::tick`].  Failure
+/// injection: once the cluster marks this node failed, the *next* external
+/// call of any kind raises an error, which terminates the process — the
+/// moral equivalent of the machine going down.  Message send/receive and
+/// failure events flow into the flight recorder.
 ///
 /// In the cluster's deterministic simulation mode the RNG seed is derived
-/// from the cluster seed, every external call advances the node's seeded
-/// virtual clock, and `clock_us` reads that virtual clock instead of the
-/// host's — so a run's observable behaviour is a pure function of the seed.
+/// from the cluster seed, the tick advances the node's seeded virtual
+/// clock, and `clock_us` reads that virtual clock instead of the host's —
+/// so a run's observable behaviour is a pure function of the seed.
 #[derive(Debug)]
-pub struct ClusterExternals {
-    cluster: Cluster,
-    node: usize,
+pub struct NodeExternals<C> {
+    ops: C,
     inner: DefaultExternals,
-    recorder: mojave_obs::Recorder,
+    recorder: Recorder,
 }
+
+/// [`NodeExternals`] on the in-process simulation.
+pub type ClusterExternals = NodeExternals<LocalNode>;
+
+/// [`NodeExternals`] in a node process: every cluster-touching operation is
+/// one RPC to the hub.
+pub type RemoteExternals = NodeExternals<RemoteCluster>;
 
 impl ClusterExternals {
     /// Externals for `node` on `cluster`.
     pub fn new(cluster: Cluster, node: usize) -> Self {
-        let seed = cluster.node_seed(node);
-        ClusterExternals {
-            cluster,
-            node,
-            inner: DefaultExternals::new(seed),
-            recorder: mojave_obs::Recorder::disabled(),
-        }
-    }
-
-    /// Attach a flight recorder (builder style): message send/receive and
-    /// failure events flow into it.
-    pub fn with_recorder(mut self, recorder: mojave_obs::Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    fn killed(&self) -> RuntimeError {
-        RuntimeError::ExternError {
-            name: "node".into(),
-            message: format!("node {} has failed", self.node),
-        }
-    }
-
-    fn arg_int(call: &ExtCall<'_>, i: usize) -> Result<i64, RuntimeError> {
-        call.args
-            .get(i)
-            .and_then(|w| w.as_int())
-            .ok_or_else(|| RuntimeError::ExternError {
-                name: call.name.to_owned(),
-                message: format!("argument {i} must be an int"),
-            })
-    }
-
-    fn arg_array(call: &ExtCall<'_>, i: usize) -> Result<mojave_heap::PtrIdx, RuntimeError> {
-        call.args
-            .get(i)
-            .and_then(|w| w.as_ptr())
-            .ok_or_else(|| RuntimeError::ExternError {
-                name: call.name.to_owned(),
-                message: format!("argument {i} must be an array"),
-            })
+        NodeExternals::over(LocalNode::new(cluster, node), Recorder::disabled())
     }
 }
 
-impl Externals for ClusterExternals {
-    fn call(&mut self, call: ExtCall<'_>, heap: &mut Heap) -> Result<Word, RuntimeError> {
-        if self.cluster.is_failed(self.node) {
-            // The point where an externally injected failure (the
-            // coordinator's scheduled kill) becomes visible to this
-            // process — record it as observed (`b` = 1).
-            self.recorder.record(
-                mojave_obs::EventKind::Failure,
-                self.cluster.failure_epoch(self.node),
-                1,
-            );
-            return Err(self.killed());
+impl RemoteExternals {
+    /// Externals over an established connection.
+    pub fn new(remote: RemoteCluster) -> Self {
+        NodeExternals::over(remote, Recorder::disabled())
+    }
+}
+
+impl<C: ClusterOps> NodeExternals<C> {
+    /// Externals for the node `ops` speaks for, recording into `recorder`.
+    pub fn over(ops: C, recorder: Recorder) -> Self {
+        NodeExternals {
+            inner: DefaultExternals::new(ops.welcome().node_seed),
+            ops,
+            recorder,
         }
-        if self.cluster.is_deterministic() {
-            // Virtual time: every external call costs a seeded per-node
-            // tick, so `clock_us` readings replay exactly from the seed.
-            let now_us = self.cluster.tick_virtual_clock(self.node);
-            if call.name == "clock_us" {
+    }
+
+    fn killed(&self) -> RuntimeError {
+        extern_err("node", format!("node {} has failed", self.ops.node()))
+    }
+
+    /// A `dest`/`src` argument of `call`, checked against the cluster size.
+    fn peer(&self, call: &str, id: i64, role: &str) -> Result<usize, RuntimeError> {
+        if id < 0 || id >= self.ops.welcome().num_nodes as i64 {
+            return Err(extern_err(call, format!("{role} node {id} does not exist")));
+        }
+        Ok(id as usize)
+    }
+}
+
+fn extern_err(name: &str, message: String) -> RuntimeError {
+    RuntimeError::ExternError {
+        name: name.to_owned(),
+        message,
+    }
+}
+
+/// Argument `i` of `call`, through `get` (e.g. [`Word::as_int`]).
+fn arg<T>(
+    call: &ExtCall<'_>,
+    i: usize,
+    what: &str,
+    get: impl Fn(&Word) -> Option<T>,
+) -> Result<T, RuntimeError> {
+    let bad = || extern_err(call.name, format!("argument {i} must be {what}"));
+    call.args.get(i).and_then(get).ok_or_else(bad)
+}
+
+impl<C: ClusterOps> Externals for NodeExternals<C> {
+    fn call(&mut self, call: ExtCall<'_>, heap: &mut Heap) -> Result<Word, RuntimeError> {
+        let name = call.name;
+        let transport = |e: FrameError| extern_err(name, format!("transport: {e}"));
+        match self.ops.tick().map_err(transport)? {
+            Tick::Failed(epoch) => {
+                // The point where an externally injected failure (the
+                // coordinator's scheduled kill) becomes visible to this
+                // process — record it as observed (`b` = 1).
+                self.recorder.record(EventKind::Failure, epoch, 1);
+                return Err(self.killed());
+            }
+            Tick::Alive(now_us) if name == "clock_us" && self.ops.welcome().deterministic => {
                 return Ok(Word::Int(now_us as i64));
             }
+            Tick::Alive(_) => {}
         }
-        match call.name {
-            "node_id" => Ok(Word::Int(self.node as i64)),
-            "num_nodes" => Ok(Word::Int(self.cluster.num_nodes() as i64)),
+        match name {
+            "node_id" => Ok(Word::Int(self.ops.node() as i64)),
+            "num_nodes" => Ok(Word::Int(self.ops.welcome().num_nodes as i64)),
             "inject_failure" => {
-                self.cluster.fail_node(self.node);
-                self.recorder.record(
-                    mojave_obs::EventKind::Failure,
-                    self.cluster.failure_epoch(self.node),
-                    0,
-                );
+                let epoch = self.ops.fail().map_err(transport)?;
+                self.recorder.record(EventKind::Failure, epoch, 0);
                 Err(self.killed())
             }
             "msg_send" => {
-                let dest = Self::arg_int(&call, 0)?;
-                let tag = Self::arg_int(&call, 1)?;
-                let ptr = Self::arg_array(&call, 2)?;
+                let dest = arg(&call, 0, "an int", Word::as_int)?;
+                let tag = arg(&call, 1, "an int", Word::as_int)?;
+                let ptr = arg(&call, 2, "an array", Word::as_ptr)?;
                 let len = heap.block_len(ptr)?;
                 let mut data = Vec::with_capacity(len);
                 for i in 0..len {
                     data.push(heap.load(ptr, i as i64)?.as_float().unwrap_or(0.0));
                 }
-                if dest < 0 || dest as usize >= self.cluster.num_nodes() {
-                    return Err(RuntimeError::ExternError {
-                        name: "msg_send".into(),
-                        message: format!("destination node {dest} does not exist"),
-                    });
-                }
-                let len = data.len() as u64;
-                self.cluster.send(self.node, dest as usize, tag, data);
+                let dest = self.peer(name, dest, "destination")?;
+                self.ops.send(dest, tag, data).map_err(transport)?;
                 self.recorder
-                    .record(mojave_obs::EventKind::Send, dest as u64, len);
+                    .record(EventKind::Send, dest as u64, len as u64);
                 Ok(Word::Int(MSG_OK))
             }
             "msg_recv" => {
-                let src = Self::arg_int(&call, 0)?;
-                let tag = Self::arg_int(&call, 1)?;
-                let ptr = Self::arg_array(&call, 2)?;
-                if src < 0 || src as usize >= self.cluster.num_nodes() {
-                    return Err(RuntimeError::ExternError {
-                        name: "msg_recv".into(),
-                        message: format!("source node {src} does not exist"),
-                    });
-                }
-                match self.cluster.recv(self.node, src as usize, tag) {
+                let src = arg(&call, 0, "an int", Word::as_int)?;
+                let tag = arg(&call, 1, "an int", Word::as_int)?;
+                let ptr = arg(&call, 2, "an array", Word::as_ptr)?;
+                let src = self.peer(name, src, "source")?;
+                match self.ops.recv(src, tag).map_err(transport)? {
                     RecvOutcome::Data(data) => {
                         let len = heap.block_len(ptr)?;
                         for (i, value) in data.iter().take(len).enumerate() {
                             heap.store(ptr, i as i64, Word::Float(*value))?;
                         }
-                        self.recorder.record(
-                            mojave_obs::EventKind::Recv,
-                            src as u64,
-                            data.len() as u64,
-                        );
+                        self.recorder
+                            .record(EventKind::Recv, src as u64, data.len() as u64);
                         Ok(Word::Int(MSG_OK))
                     }
-                    // Deterministic mode has no receive timeouts:
-                    // `Cluster::recv` panics with a deadlock diagnostic
-                    // before ever returning `Timeout` there, so a `Timeout`
-                    // here is always a genuine wall-clock expiry.
                     RecvOutcome::PeerFailed | RecvOutcome::Timeout => {
-                        self.recorder
-                            .record(mojave_obs::EventKind::Recv, src as u64, u64::MAX);
+                        self.recorder.record(EventKind::Recv, src as u64, u64::MAX);
                         Ok(Word::Int(MSG_ROLL))
                     }
                 }

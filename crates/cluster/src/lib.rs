@@ -21,12 +21,18 @@
 //!   [`ClusterConfig::deterministic`] the cluster runs in a seeded
 //!   virtual-time mode in which whole runs (failure injection included)
 //!   replay bit-identically from the seed.
-//! * [`ClusterExternals`] — an [`mojave_core::Externals`] implementation that
+//! * [`ClusterOps`] — the per-node seam between a worker and its cluster:
+//!   identity plus the six operations `tick`/`send`/`recv`/`fail`/
+//!   `deliver`/`has_base`.  [`LocalNode`] runs them on the shared
+//!   [`Cluster`]; [`RemoteCluster`] sends each as one RPC to a
+//!   [`ClusterServer`], which runs it on the node's [`LocalNode`].
+//! * [`NodeExternals`] — the one [`mojave_core::Externals`] over that seam:
 //!   wires `msg_send` / `msg_recv` / `node_id` / `num_nodes` to the cluster
 //!   and delegates everything else to the standard externals.
-//! * [`ClusterSink`] — a [`mojave_core::MigrationSink`] that writes
-//!   checkpoints to the shared store and routes `migrate://node<k>` images to
-//!   the target node's migration daemon.
+//! * [`NodeSink`] — the one [`mojave_core::MigrationSink`] over it:
+//!   checkpoints go to the shared store, `migrate://node<k>` images to the
+//!   target node's migration daemon.  ([`ClusterExternals`]/[`ClusterSink`]
+//!   and [`RemoteExternals`]/[`RemoteSink`] name the two instantiations.)
 //! * [`MigrationDaemon`] — accepts inbound images, verifies and recompiles
 //!   them, and runs them (the paper's "migration server").  Daemons and
 //!   sinks negotiate **delta checkpoints**: [`ClusterSink`] reports whether
@@ -51,14 +57,14 @@ mod cluster;
 mod costmodel;
 mod externals;
 mod network;
+mod ops;
 mod sink;
 mod transport;
 
 pub use cluster::{Cluster, ClusterConfig, MigrationDaemon, NodeStatus, RecvOutcome};
 pub use costmodel::CostModel;
-pub use externals::ClusterExternals;
+pub use externals::{ClusterExternals, NodeExternals, RemoteExternals};
 pub use network::NetworkModel;
-pub use sink::ClusterSink;
-pub use transport::{
-    ClusterServer, JobSpec, NodeStats, RemoteCluster, RemoteExternals, RemoteSink,
-};
+pub use ops::{ClusterOps, LocalNode, Tick};
+pub use sink::{ClusterSink, NodeSink, RemoteSink};
+pub use transport::{ClusterServer, JobSpec, NodeStats, RemoteCluster, Resume};

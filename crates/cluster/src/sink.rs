@@ -2,102 +2,61 @@
 //! to the target node's migration daemon.
 
 use crate::cluster::Cluster;
-use mojave_core::{DeliveryOutcome, MigrationImage, MigrationSink, PackedProcess};
+use crate::ops::{ClusterOps, LocalNode};
+use crate::transport::RemoteCluster;
+use mojave_core::{DeliveryOutcome, MigrationImage, MigrationSink};
 use mojave_fir::MigrateProtocol;
 use mojave_wire::CodecSet;
 
-/// [`MigrationSink`] for a process running on a cluster node.
+/// [`MigrationSink`] for a process running on a cluster node, over any
+/// [`ClusterOps`]: what happens to an image is the cluster's business
+/// ([`ClusterOps::deliver`]); this adapter only turns a transport failure
+/// into an answer the process can act on.
 #[derive(Debug, Clone)]
-pub struct ClusterSink {
-    cluster: Cluster,
-    node: usize,
-}
+pub struct NodeSink<C>(pub C);
+
+/// [`NodeSink`] on the in-process simulation.
+pub type ClusterSink = NodeSink<LocalNode>;
+
+/// [`NodeSink`] in a node process: images are encoded locally (in the
+/// negotiated codec set) and shipped to the hub, which stores or routes
+/// them with the same accounting the in-process run performs.
+pub type RemoteSink = NodeSink<RemoteCluster>;
 
 impl ClusterSink {
     /// A sink for `node` on `cluster`.
     pub fn new(cluster: Cluster, node: usize) -> Self {
-        ClusterSink { cluster, node }
-    }
-
-    /// The node this sink belongs to.
-    pub fn node(&self) -> usize {
-        self.node
-    }
-
-    fn parse_node(&self, target: &str) -> Option<usize> {
-        let name = target.trim();
-        let id = name
-            .strip_prefix("node")
-            .unwrap_or(name)
-            .parse::<usize>()
-            .ok()?;
-        if id < self.cluster.num_nodes() {
-            Some(id)
-        } else {
-            None
-        }
+        NodeSink(LocalNode::new(cluster, node))
     }
 }
 
-impl MigrationSink for ClusterSink {
+impl RemoteSink {
+    /// A sink over an established connection.
+    pub fn new(remote: RemoteCluster) -> Self {
+        NodeSink(remote)
+    }
+}
+
+impl<C: ClusterOps> MigrationSink for NodeSink<C> {
     fn deliver(
         &mut self,
         protocol: MigrateProtocol,
         target: &str,
         image: &MigrationImage,
     ) -> DeliveryOutcome {
-        match protocol {
-            MigrateProtocol::Checkpoint | MigrateProtocol::Suspend => {
-                // Writing to the reliable store crosses the network too; the
-                // cluster accounts it as a message to the storage server.
-                let bytes = image.to_bytes();
-                self.cluster
-                    .send(self.node, self.node, -1, vec![bytes.len() as f64]);
-                self.cluster.store().put(target, bytes);
-                // Checkpoint-event hook: wakes coordinators blocked on
-                // "node has written k checkpoints" and fires any scheduled
-                // failure injection synchronously in this thread (the
-                // deterministic-mode replay guarantee).
-                self.cluster.note_checkpoint(self.node);
-                DeliveryOutcome::Stored
-            }
-            MigrateProtocol::Migrate => {
-                let Some(dest) = self.parse_node(target) else {
-                    return DeliveryOutcome::Failed(format!("unknown node `{target}`"));
-                };
-                if dest == self.node {
-                    return DeliveryOutcome::Failed(
-                        "refusing to migrate a process onto its own node".to_owned(),
-                    );
-                }
-                let packed = PackedProcess {
-                    protocol,
-                    target: target.to_owned(),
-                    bytes: image.to_bytes(),
-                };
-                if self.cluster.push_inbound(dest, packed) {
-                    DeliveryOutcome::Migrated
-                } else {
-                    DeliveryOutcome::Failed(format!("node {dest} is not accepting migrations"))
-                }
-            }
-        }
+        self.0
+            .deliver(protocol, target, image)
+            .unwrap_or_else(|e| DeliveryOutcome::Failed(format!("transport: {e}")))
     }
 
-    /// Base-image negotiation: deltas are resolvable as long as the base
-    /// checkpoint is still on the shared reliable store — with the heap
-    /// content the writer remembers, not merely the same name — which
-    /// every node (and the resurrection daemon) can reach.
+    /// Base-image negotiation.  A transport failure answers "no": the
+    /// worker falls back to a full image, which is always resolvable.
     fn has_base(&self, base: &str, base_fingerprint: u64) -> bool {
-        self.cluster.store().heap_fingerprint(base) == Some(base_fingerprint)
+        self.0.has_base(base, base_fingerprint).unwrap_or(false)
     }
 
-    /// Codec negotiation: every in-tree daemon decodes every slab codec,
-    /// so cluster senders compress freely.  A sink wrapping a pre-v5
-    /// daemon would narrow this (the trait default is
-    /// [`CodecSet::raw_only`]) and senders would fall back to Raw.
     fn accepted_codecs(&self) -> CodecSet {
-        CodecSet::all()
+        CodecSet::from_bits(self.0.welcome().codec_bits)
     }
 }
 
@@ -105,9 +64,7 @@ impl MigrationSink for ClusterSink {
 mod tests {
     use super::*;
     use crate::cluster::{ClusterConfig, MigrationDaemon};
-    use mojave_core::{
-        BackendKind, CheckpointStore, InMemorySink, Process, ProcessConfig, RunOutcome,
-    };
+    use mojave_core::{BackendKind, Process, ProcessConfig, RunOutcome};
     use mojave_fir::builder::{term, ProgramBuilder};
     use mojave_fir::{Atom, Ty};
 
@@ -166,10 +123,6 @@ mod tests {
         assert_eq!(p.stats().migration_failures, 1);
 
         let mut sink = ClusterSink::new(cluster, 0);
-        let store = CheckpointStore::new();
-        let _ = store; // silence unused in this scope
-        let image_sink = InMemorySink::new();
-        let _ = image_sink;
         assert!(matches!(
             sink.deliver(MigrateProtocol::Migrate, "node9", &dummy_image()),
             DeliveryOutcome::Failed(_)

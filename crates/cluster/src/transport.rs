@@ -11,18 +11,20 @@
 //!
 //! A [`ClusterServer`] owns the one true [`Cluster`] — mailboxes, the
 //! checkpoint store, failure epochs, the seeded virtual clock.  Each node
-//! process dials in with a [`RemoteCluster`] connection and drives its
-//! worker through [`RemoteExternals`] and [`RemoteSink`], which forward
-//! every cluster-touching operation to the hub as a small framed RPC
-//! (see `mojave_wire::FrameKind`).  The hub plays the role the paper's
-//! NFS server + network played: the shared substrate all nodes reach.
+//! process dials in with a [`RemoteCluster`] connection, which is a
+//! [`ClusterOps`]: the worker's externals and sink are the very same
+//! generic types the in-process run uses, and each operation they issue
+//! becomes one small framed RPC (see `mojave_wire::FrameKind`).  The hub
+//! plays the role the paper's NFS server + network played: the shared
+//! substrate all nodes reach.
 //!
 //! Hub-and-spoke is what makes **digest parity with the in-process
-//! simulation hold by construction**: all cluster state transitions
-//! (epoch stamping, virtual-clock ticks, traffic counters, synchronous
-//! failure injection inside checkpoint delivery) execute in exactly one
-//! place — the same code the in-process run uses — while the image bytes
-//! genuinely cross a socket.
+//! simulation hold by construction**: the hub answers every operation
+//! frame by calling the same [`ClusterOps`] method on its [`LocalNode`]
+//! that an in-process worker calls directly, so all cluster state
+//! transitions (epoch stamping, virtual-clock ticks, traffic counters,
+//! synchronous failure injection inside checkpoint delivery) execute in
+//! exactly one place while the image bytes genuinely cross a socket.
 //!
 //! ## Connection lifecycle
 //!
@@ -37,15 +39,11 @@
 //! checkpoint-*count* accounting can inflate, and only on a connection
 //! loss — which deterministic runs never produce.
 
-use crate::cluster::{Cluster, RecvOutcome};
-use crate::sink::ClusterSink;
-use mojave_core::{
-    DefaultExternals, DeliveryOutcome, ExtCall, Externals, MigrationImage, MigrationSink,
-    RuntimeError, MSG_OK, MSG_ROLL,
-};
+use crate::cluster::{lock, Cluster, RecvOutcome};
+use crate::ops::{ClusterOps, LocalNode, Tick};
+use mojave_core::{DeliveryOutcome, MigrationImage};
 use mojave_fir::MigrateProtocol;
-use mojave_heap::{Heap, Word};
-use mojave_obs::NodeObs;
+use mojave_obs::{ClockSource, NodeObs, Recorder, WallClock};
 use mojave_wire::{
     decode_error, read_frame, read_frame_counted, send_error, write_frame_counted, CodecSet,
     FrameError, FrameKind, Hello, LinkStats, Welcome, WireError, WireReader, WireWriter,
@@ -69,10 +67,6 @@ const RECONNECT_ATTEMPTS: u32 = 3;
 
 /// Initial dial attempts (children may briefly race server startup).
 const DIAL_ATTEMPTS: u32 = 40;
-
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 // ---------------------------------------------------------------------------
 // RPC payload encodings
@@ -98,7 +92,18 @@ pub struct JobSpec {
     pub obs_level: u8,
 }
 
-fn encode_job(job: &JobSpec, resume: Option<&[u8]>) -> Vec<u8> {
+/// The checkpoint a respawned node restarts from instead of `main` (the
+/// resurrection path), shipped alongside the job.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Resume {
+    /// The timestep the checkpoint was taken at (what the node's
+    /// `Resurrect` event reports).
+    pub step: u64,
+    /// The checkpoint's wire image.
+    pub image: Vec<u8>,
+}
+
+fn encode_job(job: &JobSpec, resume: Option<&Resume>) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.write_str(&job.source);
     match job.step_budget {
@@ -117,15 +122,16 @@ fn encode_job(job: &JobSpec, resume: Option<&[u8]>) -> Vec<u8> {
     w.write_u8(job.obs_level);
     match resume {
         None => w.write_u8(0),
-        Some(bytes) => {
+        Some(resume) => {
             w.write_u8(1);
-            w.write_bytes(bytes);
+            w.write_u64(resume.step);
+            w.write_bytes(&resume.image);
         }
     }
     w.into_bytes()
 }
 
-fn decode_job(payload: &[u8]) -> Result<(JobSpec, Option<Vec<u8>>), WireError> {
+fn decode_job(payload: &[u8]) -> Result<(JobSpec, Option<Resume>), WireError> {
     let mut r = WireReader::new(payload);
     let source = r.read_str()?.to_owned();
     let step_budget = match r.read_u8()? {
@@ -141,7 +147,10 @@ fn decode_job(payload: &[u8]) -> Result<(JobSpec, Option<Vec<u8>>), WireError> {
     let obs_level = r.read_u8()?;
     let resume = match r.read_u8()? {
         0 => None,
-        _ => Some(r.read_bytes()?.to_vec()),
+        _ => Some(Resume {
+            step: r.read_u64()?,
+            image: r.read_bytes()?.to_vec(),
+        }),
     };
     Ok((
         JobSpec {
@@ -270,8 +279,7 @@ fn decode_protocol(byte: u8) -> Result<MigrateProtocol, WireError> {
     }
 }
 
-fn encode_outcome(outcome: &DeliveryOutcome) -> Vec<u8> {
-    let mut w = WireWriter::new();
+fn write_outcome(w: &mut WireWriter, outcome: &DeliveryOutcome) {
     match outcome {
         DeliveryOutcome::Stored => w.write_u8(0),
         DeliveryOutcome::Migrated => w.write_u8(1),
@@ -281,7 +289,6 @@ fn encode_outcome(outcome: &DeliveryOutcome) -> Vec<u8> {
             w.write_str(msg);
         }
     }
-    w.into_bytes()
 }
 
 fn decode_outcome(payload: &[u8]) -> Result<DeliveryOutcome, WireError> {
@@ -298,6 +305,23 @@ fn decode_outcome(payload: &[u8]) -> Result<DeliveryOutcome, WireError> {
     }
 }
 
+fn write_floats(w: &mut WireWriter, data: &[f64]) {
+    w.write_uvarint(data.len() as u64);
+    for v in data {
+        w.write_f64(*v);
+    }
+}
+
+fn read_floats(r: &mut WireReader<'_>) -> Result<Vec<f64>, WireError> {
+    let len = r.read_len()?;
+    // The length is peer input: cap the reservation, let reads fail first.
+    let mut data = Vec::with_capacity(len.min(1 << 16));
+    for _ in 0..len {
+        data.push(r.read_f64()?);
+    }
+    Ok(data)
+}
+
 // ---------------------------------------------------------------------------
 // Server
 // ---------------------------------------------------------------------------
@@ -306,7 +330,7 @@ struct ServerState {
     job: Option<JobSpec>,
     /// Per-node resume image (set by the coordinator before it respawns a
     /// failed node; served once in that node's next `Job` reply).
-    resume: HashMap<u32, Vec<u8>>,
+    resume: HashMap<u32, Resume>,
     /// Node run reports, in arrival order.
     stats: VecDeque<NodeStats>,
     /// Codec set negotiated with each node's most recent connection.
@@ -314,8 +338,10 @@ struct ServerState {
     /// Frame/byte counters, shared across all of a node's connections
     /// (control + sink), so the hub sees per-node totals.
     traffic: HashMap<u32, Arc<LinkStats>>,
-    /// The most recent observability report each node pushed.
-    obs: HashMap<u32, NodeObs>,
+    /// Every observability report pushed, kept sorted by node id with one
+    /// node's reports in arrival order (a resurrected node contributes one
+    /// per incarnation).
+    obs: Vec<NodeObs>,
 }
 
 struct ServerShared {
@@ -360,7 +386,7 @@ impl ClusterServer {
                 stats: VecDeque::new(),
                 negotiated: HashMap::new(),
                 traffic: HashMap::new(),
-                obs: HashMap::new(),
+                obs: Vec::new(),
             }),
             stats_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -403,10 +429,10 @@ impl ClusterServer {
     }
 
     /// Arm a one-shot resume image for `node`: its next `Job` request is
-    /// answered with the job *plus* this checkpoint image, and the node
-    /// restarts from it instead of from `main` (the resurrection path).
-    pub fn set_resume(&self, node: u32, image_bytes: Vec<u8>) {
-        lock(&self.shared.state).resume.insert(node, image_bytes);
+    /// answered with the job *plus* this checkpoint, and the node restarts
+    /// from it instead of from `main` (the resurrection path).
+    pub fn set_resume(&self, node: u32, resume: Resume) {
+        lock(&self.shared.state).resume.insert(node, resume);
     }
 
     /// Pop the next node run report, blocking up to `timeout`.
@@ -445,13 +471,11 @@ impl ClusterServer {
         lock(&self.shared.state).traffic.get(&node).cloned()
     }
 
-    /// The most recent observability report each node pushed
-    /// ([`FrameKind::ObsPush`]), sorted by node id.
+    /// Every observability report the nodes pushed
+    /// ([`FrameKind::ObsPush`]), sorted by node id; one node's reports stay
+    /// in arrival order (a resurrected node's pre-failure run first).
     pub fn obs_reports(&self) -> Vec<NodeObs> {
-        let state = lock(&self.shared.state);
-        let mut out: Vec<_> = state.obs.values().cloned().collect();
-        out.sort_by_key(|o| o.node);
-        out
+        lock(&self.shared.state).obs.clone()
     }
 }
 
@@ -526,19 +550,16 @@ fn handle_connection(shared: Arc<ServerShared>, mut stream: TcpStream) {
     // The Hello frame arrived before we knew which node's counters to
     // charge; account for it retroactively so both ends agree.
     traffic.note_received(hello.to_payload().len());
-    // Codec negotiation: what the client encodes ∩ what the hub's sink
-    // accepts.  Unknown advertised bits were already dropped by
+    // The node's identity is what an in-process worker on the same node
+    // sees, except for codec negotiation: what the client encodes ∩ what
+    // the hub accepts.  Unknown advertised bits were already dropped by
     // `from_bits`; Raw always survives.
+    let local = LocalNode::new(shared.cluster.clone(), node as usize);
     let negotiated = CodecSet::from_bits(hello.codec_bits)
-        .intersect(ClusterSink::new(shared.cluster.clone(), node as usize).accepted_codecs());
+        .intersect(CodecSet::from_bits(local.welcome().codec_bits));
     let welcome = Welcome {
-        transport_version: TRANSPORT_VERSION,
-        format_version: FORMAT_VERSION,
-        num_nodes: shared.cluster.num_nodes() as u32,
-        deterministic: shared.cluster.is_deterministic(),
-        node_seed: shared.cluster.node_seed(node as usize),
-        arch: shared.cluster.arch(node as usize),
         codec_bits: negotiated.bits(),
+        ..local.welcome().clone()
     };
     // Register the negotiated set *before* the Welcome goes out: the
     // client treats receiving Welcome as "the hub knows about me", so
@@ -566,7 +587,7 @@ fn handle_connection(shared: Arc<ServerShared>, mut stream: TcpStream) {
                 return;
             }
         };
-        match serve_request(&shared, node, kind, &payload) {
+        match serve_request(&shared, &local, kind, &payload) {
             Ok(None) => return, // Bye
             Ok(Some((reply_kind, reply))) => {
                 if write_frame_counted(&mut stream, reply_kind, &reply, &traffic).is_err() {
@@ -583,98 +604,96 @@ fn handle_connection(shared: Arc<ServerShared>, mut stream: TcpStream) {
 
 /// Dispatch one request frame.  `Ok(None)` ends the connection cleanly;
 /// `Err` carries the message for a final `Error` frame.
+///
+/// The six operation frames decode their payload and call the
+/// [`ClusterOps`] method of the same name on the node's [`LocalNode`] —
+/// the very call an in-process worker makes.
 fn serve_request(
     shared: &ServerShared,
-    node: u32,
+    local: &LocalNode,
     kind: FrameKind,
     payload: &[u8],
 ) -> Result<Option<(FrameKind, Vec<u8>)>, String> {
-    let cluster = &shared.cluster;
-    let node_us = node as usize;
+    let node = local.node() as u32;
     let decode = |e: WireError| format!("bad {kind} payload: {e}");
-    match kind {
+    let failed = |e: FrameError| e.to_string();
+    // A peer id from the wire, checked against the cluster size.
+    let peer = |id: u32, role: &str| {
+        if id < local.welcome().num_nodes {
+            Ok(id as usize)
+        } else {
+            Err(format!("{role} node {id} does not exist"))
+        }
+    };
+    // A node reports only about itself.
+    let own = |what: &str, reporter: u32| {
+        if reporter == node {
+            Ok(())
+        } else {
+            Err(format!(
+                "{what} report for node {reporter} arrived on node {node}'s connection"
+            ))
+        }
+    };
+    let mut r = WireReader::new(payload);
+    let mut w = WireWriter::new();
+    let reply_kind = match kind {
         FrameKind::Tick => {
-            // Mirrors the head of `ClusterExternals::call`: the failure
-            // check gates the tick, and the tick only exists in
-            // deterministic mode.
-            let failed = cluster.is_failed(node_us);
-            let now_us = if !failed && cluster.is_deterministic() {
-                cluster.tick_virtual_clock(node_us)
-            } else {
-                0
+            let (is_failed, word) = match local.tick().map_err(failed)? {
+                Tick::Failed(epoch) => (true, epoch),
+                Tick::Alive(now_us) => (false, now_us),
             };
-            let mut w = WireWriter::new();
-            w.write_bool(failed);
-            w.write_u64(now_us);
-            Ok(Some((FrameKind::TickReply, w.into_bytes())))
+            w.write_bool(is_failed);
+            w.write_u64(word);
+            FrameKind::TickReply
         }
         FrameKind::Send => {
-            let mut r = WireReader::new(payload);
-            let dest = r.read_u32().map_err(decode)? as usize;
+            let dest = r.read_u32().map_err(decode)?;
             let tag = r.read_i64().map_err(decode)?;
-            let len = r.read_len().map_err(decode)?;
-            let mut data = Vec::with_capacity(len.min(1 << 16));
-            for _ in 0..len {
-                data.push(r.read_f64().map_err(decode)?);
-            }
-            if dest >= cluster.num_nodes() {
-                return Err(format!("destination node {dest} does not exist"));
-            }
-            cluster.send(node_us, dest, tag, data);
-            Ok(Some((FrameKind::SendAck, Vec::new())))
+            let data = read_floats(&mut r).map_err(decode)?;
+            local
+                .send(peer(dest, "destination")?, tag, data)
+                .map_err(failed)?;
+            FrameKind::SendAck
         }
         FrameKind::Recv => {
-            let mut r = WireReader::new(payload);
-            let src = r.read_u32().map_err(decode)? as usize;
+            let src = r.read_u32().map_err(decode)?;
             let tag = r.read_i64().map_err(decode)?;
-            if src >= cluster.num_nodes() {
-                return Err(format!("source node {src} does not exist"));
-            }
             // Blocks this handler thread exactly as it would block a
             // worker thread in-process.
-            let outcome = cluster.recv(node_us, src, tag);
-            let mut w = WireWriter::new();
-            match outcome {
+            match local.recv(peer(src, "source")?, tag).map_err(failed)? {
                 RecvOutcome::Data(data) => {
                     w.write_u8(0);
-                    w.write_uvarint(data.len() as u64);
-                    for v in data {
-                        w.write_f64(v);
-                    }
+                    write_floats(&mut w, &data);
                 }
                 RecvOutcome::PeerFailed => w.write_u8(1),
                 RecvOutcome::Timeout => w.write_u8(2),
             }
-            Ok(Some((FrameKind::RecvReply, w.into_bytes())))
+            FrameKind::RecvReply
         }
         FrameKind::Fail => {
-            cluster.fail_node(node_us);
-            Ok(Some((FrameKind::FailAck, Vec::new())))
+            w.write_u64(local.fail().map_err(failed)?);
+            FrameKind::FailAck
         }
         FrameKind::Deliver => {
-            let mut r = WireReader::new(payload);
             let protocol = decode_protocol(r.read_u8().map_err(decode)?).map_err(decode)?;
-            let target = r.read_str().map_err(decode)?.to_owned();
+            let target = r.read_str().map_err(decode)?;
             let bytes = r.read_bytes().map_err(decode)?;
             // Image bytes are *application* input, not protocol framing:
             // hostile bytes here produce a Failed outcome on a healthy
             // connection, never a closed one.
             let outcome = match MigrationImage::from_bytes(bytes) {
-                Ok(image) => {
-                    ClusterSink::new(cluster.clone(), node_us).deliver(protocol, &target, &image)
-                }
+                Ok(image) => local.deliver(protocol, target, &image).map_err(failed)?,
                 Err(e) => DeliveryOutcome::Failed(format!("image rejected: {e}")),
             };
-            Ok(Some((FrameKind::DeliverAck, encode_outcome(&outcome))))
+            write_outcome(&mut w, &outcome);
+            FrameKind::DeliverAck
         }
         FrameKind::HasBase => {
-            let mut r = WireReader::new(payload);
             let base = r.read_str().map_err(decode)?;
             let fingerprint = r.read_u64().map_err(decode)?;
-            let answer = ClusterSink::new(cluster.clone(), node_us).has_base(base, fingerprint);
-            let mut w = WireWriter::new();
-            w.write_bool(answer);
-            Ok(Some((FrameKind::HasBaseReply, w.into_bytes())))
+            w.write_bool(local.has_base(base, fingerprint).map_err(failed)?);
+            FrameKind::HasBaseReply
         }
         FrameKind::Job => {
             let mut state = lock(&shared.state);
@@ -682,51 +701,37 @@ fn serve_request(
                 return Err("no job configured on this server".to_owned());
             };
             let resume = state.resume.remove(&node);
-            Ok(Some((FrameKind::Job, encode_job(&job, resume.as_deref()))))
+            return Ok(Some((FrameKind::Job, encode_job(&job, resume.as_ref()))));
         }
         FrameKind::Stats => {
             let stats = decode_stats(payload).map_err(decode)?;
-            if stats.node != node {
-                return Err(format!(
-                    "stats report for node {} arrived on node {node}'s connection",
-                    stats.node
-                ));
-            }
+            own("stats", stats.node)?;
             lock(&shared.state).stats.push_back(stats);
             shared.stats_ready.notify_all();
-            Ok(Some((FrameKind::StatsAck, Vec::new())))
+            FrameKind::StatsAck
         }
         FrameKind::ObsPush => {
             let report =
                 NodeObs::from_bytes(payload).map_err(|e| format!("bad ObsPush payload: {e}"))?;
-            if report.node != node {
-                return Err(format!(
-                    "obs report for node {} arrived on node {node}'s connection",
-                    report.node
-                ));
-            }
-            lock(&shared.state).obs.insert(report.node, report);
-            Ok(Some((FrameKind::ObsAck, Vec::new())))
+            own("obs", report.node)?;
+            let obs = &mut lock(&shared.state).obs;
+            obs.insert(obs.partition_point(|o| o.node <= report.node), report);
+            FrameKind::ObsAck
         }
         FrameKind::ObsQuery => {
-            // Scrape: every stored per-node report, sorted by node id so
-            // the reply is deterministic, each length-prefixed.
-            let reports = {
-                let state = lock(&shared.state);
-                let mut out: Vec<_> = state.obs.values().cloned().collect();
-                out.sort_by_key(|o| o.node);
-                out
-            };
-            let mut w = WireWriter::new();
+            // Scrape: every stored report (sorted by node id, so the reply
+            // is deterministic), each length-prefixed.
+            let reports = lock(&shared.state).obs.clone();
             w.write_u32(reports.len() as u32);
             for report in &reports {
                 w.write_bytes(&report.to_bytes());
             }
-            Ok(Some((FrameKind::ObsReply, w.into_bytes())))
+            FrameKind::ObsReply
         }
-        FrameKind::Bye => Ok(None),
-        other => Err(format!("unexpected {other} frame from a client")),
-    }
+        FrameKind::Bye => return Ok(None),
+        other => return Err(format!("unexpected {other} frame from a client")),
+    };
+    Ok(Some((reply_kind, w.into_bytes())))
 }
 
 // ---------------------------------------------------------------------------
@@ -746,7 +751,7 @@ struct ClientShared {
     /// frames included), mirroring the hub's per-node accounting.
     traffic: LinkStats,
     /// Optional flight recorder: reconnects show up as events.
-    recorder: std::sync::OnceLock<mojave_obs::Recorder>,
+    recorder: std::sync::OnceLock<Recorder>,
 }
 
 /// A node process's connection to the [`ClusterServer`].
@@ -824,13 +829,6 @@ impl RemoteCluster {
         })
     }
 
-    /// Attach a flight recorder: connection losses that lead to a
-    /// successful reconnect are recorded as [`mojave_obs::EventKind::Reconnect`]
-    /// events.  Only the first recorder sticks.
-    pub fn set_recorder(&self, recorder: mojave_obs::Recorder) {
-        let _ = self.shared.recorder.set(recorder);
-    }
-
     /// This connection's client-side frame/byte counters (handshake
     /// included; both directions).
     pub fn link_stats(&self) -> &LinkStats {
@@ -841,11 +839,6 @@ impl RemoteCluster {
     /// negotiated codecs.
     pub fn welcome(&self) -> &Welcome {
         &self.shared.welcome
-    }
-
-    /// The codec set both ends agreed on.
-    pub fn negotiated_codecs(&self) -> CodecSet {
-        CodecSet::from_bits(self.shared.welcome.codec_bits)
     }
 
     /// One request/response round trip, reconnecting (with a fresh
@@ -914,58 +907,18 @@ impl RemoteCluster {
         Err(last)
     }
 
-    /// The per-external-call probe: `(own node failed?, virtual µs)`.
-    pub fn tick(&self) -> Result<(bool, u64), FrameError> {
+    /// The per-external-call probe (see [`ClusterOps::tick`]).
+    pub fn tick(&self) -> Result<Tick, FrameError> {
         let reply = self.rpc(FrameKind::Tick, &[], FrameKind::TickReply)?;
         let mut r = WireReader::new(&reply);
-        Ok((r.read_bool()?, r.read_u64()?))
+        Ok(match (r.read_bool()?, r.read_u64()?) {
+            (true, epoch) => Tick::Failed(epoch),
+            (false, now_us) => Tick::Alive(now_us),
+        })
     }
 
-    /// `msg_send`: ship a tagged float payload to `dest`'s mailbox.
-    pub fn send_msg(&self, dest: u32, tag: i64, data: &[f64]) -> Result<(), FrameError> {
-        let mut w = WireWriter::new();
-        w.write_u32(dest);
-        w.write_i64(tag);
-        w.write_uvarint(data.len() as u64);
-        for v in data {
-            w.write_f64(*v);
-        }
-        self.rpc(FrameKind::Send, &w.into_bytes(), FrameKind::SendAck)?;
-        Ok(())
-    }
-
-    /// `msg_recv`: block on the hub until data, peer failure or timeout.
-    pub fn recv_msg(&self, src: u32, tag: i64) -> Result<RecvOutcome, FrameError> {
-        let mut w = WireWriter::new();
-        w.write_u32(src);
-        w.write_i64(tag);
-        let reply = self.rpc(FrameKind::Recv, &w.into_bytes(), FrameKind::RecvReply)?;
-        let mut r = WireReader::new(&reply);
-        match r.read_u8()? {
-            0 => {
-                let len = r.read_len()?;
-                let mut data = Vec::with_capacity(len.min(1 << 16));
-                for _ in 0..len {
-                    data.push(r.read_f64()?);
-                }
-                Ok(RecvOutcome::Data(data))
-            }
-            1 => Ok(RecvOutcome::PeerFailed),
-            2 => Ok(RecvOutcome::Timeout),
-            tag => Err(FrameError::Wire(WireError::BadTag {
-                context: "RecvReply",
-                tag: tag as u64,
-            })),
-        }
-    }
-
-    /// Mark this connection's node failed on the hub.
-    pub fn inject_failure(&self) -> Result<(), FrameError> {
-        self.rpc(FrameKind::Fail, &[], FrameKind::FailAck)?;
-        Ok(())
-    }
-
-    /// Ship a wire image for hub-side delivery (store or migrate).
+    /// Ship wire-image bytes for hub-side delivery (store or migrate) —
+    /// [`ClusterOps::deliver`] below the image encoder.
     pub fn deliver(
         &self,
         protocol: MigrateProtocol,
@@ -980,18 +933,9 @@ impl RemoteCluster {
         Ok(decode_outcome(&reply)?)
     }
 
-    /// Ask whether the hub store still holds `base` with this content.
-    pub fn has_base(&self, base: &str, fingerprint: u64) -> Result<bool, FrameError> {
-        let mut w = WireWriter::new();
-        w.write_str(base);
-        w.write_u64(fingerprint);
-        let reply = self.rpc(FrameKind::HasBase, &w.into_bytes(), FrameKind::HasBaseReply)?;
-        Ok(WireReader::new(&reply).read_bool()?)
-    }
-
     /// Fetch the job this node should run (plus a resume image, when the
     /// coordinator armed one — the resurrection path).
-    pub fn fetch_job(&self) -> Result<(JobSpec, Option<Vec<u8>>), FrameError> {
+    pub fn fetch_job(&self) -> Result<(JobSpec, Option<Resume>), FrameError> {
         let reply = self.rpc(FrameKind::Job, &[], FrameKind::Job)?;
         Ok(decode_job(&reply)?)
     }
@@ -1009,7 +953,7 @@ impl RemoteCluster {
         Ok(())
     }
 
-    /// Scrape every node's most recent observability report from the hub.
+    /// Scrape every observability report the hub holds, sorted by node.
     pub fn query_obs(&self) -> Result<Vec<NodeObs>, FrameError> {
         let reply = self.rpc(FrameKind::ObsQuery, &[], FrameKind::ObsReply)?;
         let mut r = WireReader::new(&reply);
@@ -1032,197 +976,82 @@ impl RemoteCluster {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Remote externals + sink: the node-process twins of ClusterExternals /
-// ClusterSink.
-// ---------------------------------------------------------------------------
+/// A connection *is* its node's view of the cluster: identity comes from
+/// the handshake, and each operation is one RPC to the hub, which runs it
+/// on the node's [`LocalNode`].
+impl ClusterOps for RemoteCluster {
+    fn node(&self) -> usize {
+        self.shared.hello.node as usize
+    }
 
-/// [`Externals`] for a worker in a node process: the exact semantics of
-/// [`crate::ClusterExternals`], with every cluster-touching operation
-/// forwarded to the hub.  Node identity and the RNG seed are answered
-/// locally from the handshake; everything else that the in-process
-/// externals answer from shared state becomes one RPC.
-#[derive(Debug)]
-pub struct RemoteExternals {
-    remote: RemoteCluster,
-    node: u32,
-    num_nodes: u32,
-    deterministic: bool,
-    inner: DefaultExternals,
-}
+    fn welcome(&self) -> &Welcome {
+        &self.shared.welcome
+    }
 
-impl RemoteExternals {
-    /// Externals over an established connection.
-    pub fn new(remote: RemoteCluster) -> RemoteExternals {
-        let welcome = remote.welcome().clone();
-        let node = remote.shared.hello.node;
-        RemoteExternals {
-            remote,
-            node,
-            num_nodes: welcome.num_nodes,
-            deterministic: welcome.deterministic,
-            inner: DefaultExternals::new(welcome.node_seed),
+    /// A node process always runs on the wall clock: its events are
+    /// scraped, not replayed (replay determinism of timestamps is the
+    /// in-process simulation's contract).
+    fn clock_source(&self) -> Arc<dyn ClockSource> {
+        Arc::new(WallClock::new())
+    }
+
+    /// Connection losses that lead to a successful reconnect are recorded
+    /// as [`mojave_obs::EventKind::Reconnect`] events.  Only the first
+    /// recorder sticks.
+    fn attach_recorder(&self, recorder: &Recorder) {
+        let _ = self.shared.recorder.set(recorder.clone());
+    }
+
+    fn tick(&self) -> Result<Tick, FrameError> {
+        RemoteCluster::tick(self)
+    }
+
+    fn send(&self, dest: usize, tag: i64, data: Vec<f64>) -> Result<(), FrameError> {
+        let mut w = WireWriter::new();
+        w.write_u32(dest as u32);
+        w.write_i64(tag);
+        write_floats(&mut w, &data);
+        self.rpc(FrameKind::Send, &w.into_bytes(), FrameKind::SendAck)?;
+        Ok(())
+    }
+
+    fn recv(&self, src: usize, tag: i64) -> Result<RecvOutcome, FrameError> {
+        let mut w = WireWriter::new();
+        w.write_u32(src as u32);
+        w.write_i64(tag);
+        let reply = self.rpc(FrameKind::Recv, &w.into_bytes(), FrameKind::RecvReply)?;
+        let mut r = WireReader::new(&reply);
+        match r.read_u8()? {
+            0 => Ok(RecvOutcome::Data(read_floats(&mut r)?)),
+            1 => Ok(RecvOutcome::PeerFailed),
+            2 => Ok(RecvOutcome::Timeout),
+            tag => Err(FrameError::Wire(WireError::BadTag {
+                context: "RecvReply",
+                tag: tag as u64,
+            })),
         }
     }
 
-    fn killed(&self) -> RuntimeError {
-        RuntimeError::ExternError {
-            name: "node".into(),
-            message: format!("node {} has failed", self.node),
-        }
+    fn fail(&self) -> Result<u64, FrameError> {
+        let reply = self.rpc(FrameKind::Fail, &[], FrameKind::FailAck)?;
+        Ok(WireReader::new(&reply).read_u64()?)
     }
 
-    fn transport_err(&self, call: &str, e: FrameError) -> RuntimeError {
-        RuntimeError::ExternError {
-            name: call.to_owned(),
-            message: format!("transport: {e}"),
-        }
-    }
-
-    fn arg_int(call: &ExtCall<'_>, i: usize) -> Result<i64, RuntimeError> {
-        call.args
-            .get(i)
-            .and_then(|w| w.as_int())
-            .ok_or_else(|| RuntimeError::ExternError {
-                name: call.name.to_owned(),
-                message: format!("argument {i} must be an int"),
-            })
-    }
-
-    fn arg_array(call: &ExtCall<'_>, i: usize) -> Result<mojave_heap::PtrIdx, RuntimeError> {
-        call.args
-            .get(i)
-            .and_then(|w| w.as_ptr())
-            .ok_or_else(|| RuntimeError::ExternError {
-                name: call.name.to_owned(),
-                message: format!("argument {i} must be an array"),
-            })
-    }
-}
-
-impl Externals for RemoteExternals {
-    fn call(&mut self, call: ExtCall<'_>, heap: &mut Heap) -> Result<Word, RuntimeError> {
-        // One probe per external call, mirroring the in-process order:
-        // the failure check gates everything, and in deterministic mode
-        // the probe *is* the virtual-clock tick (exactly one per call, so
-        // remote clock readings replay identically to in-process ones).
-        let (failed, now_us) = self
-            .remote
-            .tick()
-            .map_err(|e| self.transport_err(call.name, e))?;
-        if failed {
-            return Err(self.killed());
-        }
-        if self.deterministic && call.name == "clock_us" {
-            return Ok(Word::Int(now_us as i64));
-        }
-        match call.name {
-            "node_id" => Ok(Word::Int(self.node as i64)),
-            "num_nodes" => Ok(Word::Int(self.num_nodes as i64)),
-            "inject_failure" => {
-                self.remote
-                    .inject_failure()
-                    .map_err(|e| self.transport_err(call.name, e))?;
-                Err(self.killed())
-            }
-            "msg_send" => {
-                let dest = Self::arg_int(&call, 0)?;
-                let tag = Self::arg_int(&call, 1)?;
-                let ptr = Self::arg_array(&call, 2)?;
-                let len = heap.block_len(ptr)?;
-                let mut data = Vec::with_capacity(len);
-                for i in 0..len {
-                    data.push(heap.load(ptr, i as i64)?.as_float().unwrap_or(0.0));
-                }
-                if dest < 0 || dest as u32 >= self.num_nodes {
-                    return Err(RuntimeError::ExternError {
-                        name: "msg_send".into(),
-                        message: format!("destination node {dest} does not exist"),
-                    });
-                }
-                self.remote
-                    .send_msg(dest as u32, tag, &data)
-                    .map_err(|e| self.transport_err(call.name, e))?;
-                Ok(Word::Int(MSG_OK))
-            }
-            "msg_recv" => {
-                let src = Self::arg_int(&call, 0)?;
-                let tag = Self::arg_int(&call, 1)?;
-                let ptr = Self::arg_array(&call, 2)?;
-                if src < 0 || src as u32 >= self.num_nodes {
-                    return Err(RuntimeError::ExternError {
-                        name: "msg_recv".into(),
-                        message: format!("source node {src} does not exist"),
-                    });
-                }
-                match self
-                    .remote
-                    .recv_msg(src as u32, tag)
-                    .map_err(|e| self.transport_err(call.name, e))?
-                {
-                    RecvOutcome::Data(data) => {
-                        let len = heap.block_len(ptr)?;
-                        for (i, value) in data.iter().take(len).enumerate() {
-                            heap.store(ptr, i as i64, Word::Float(*value))?;
-                        }
-                        Ok(Word::Int(MSG_OK))
-                    }
-                    RecvOutcome::PeerFailed | RecvOutcome::Timeout => Ok(Word::Int(MSG_ROLL)),
-                }
-            }
-            _ => self.inner.call(call, heap),
-        }
-    }
-
-    fn roots(&self) -> Vec<Word> {
-        self.inner.roots()
-    }
-
-    fn output(&self) -> &[String] {
-        self.inner.output()
-    }
-}
-
-/// [`MigrationSink`] for a worker in a node process: images are encoded
-/// locally (in the negotiated codec set) and shipped to the hub, where
-/// the real [`ClusterSink`] stores or routes them with the same
-/// accounting the in-process run performs.
-#[derive(Debug)]
-pub struct RemoteSink {
-    remote: RemoteCluster,
-}
-
-impl RemoteSink {
-    /// A sink over an established connection.
-    pub fn new(remote: RemoteCluster) -> RemoteSink {
-        RemoteSink { remote }
-    }
-}
-
-impl MigrationSink for RemoteSink {
     fn deliver(
-        &mut self,
+        &self,
         protocol: MigrateProtocol,
         target: &str,
         image: &MigrationImage,
-    ) -> DeliveryOutcome {
-        let bytes = image.to_bytes();
-        match self.remote.deliver(protocol, target, &bytes) {
-            Ok(outcome) => outcome,
-            Err(e) => DeliveryOutcome::Failed(format!("transport: {e}")),
-        }
+    ) -> Result<DeliveryOutcome, FrameError> {
+        RemoteCluster::deliver(self, protocol, target, &image.to_bytes())
     }
 
-    fn has_base(&self, base: &str, base_fingerprint: u64) -> bool {
-        // A transport failure answers "no": the worker falls back to a
-        // full image, which is always resolvable.
-        self.remote
-            .has_base(base, base_fingerprint)
-            .unwrap_or(false)
-    }
-
-    fn accepted_codecs(&self) -> CodecSet {
-        self.remote.negotiated_codecs()
+    fn has_base(&self, base: &str, fingerprint: u64) -> Result<bool, FrameError> {
+        let mut w = WireWriter::new();
+        w.write_str(base);
+        w.write_u64(fingerprint);
+        let reply = self.rpc(FrameKind::HasBase, &w.into_bytes(), FrameKind::HasBaseReply)?;
+        Ok(WireReader::new(&reply).read_bool()?)
     }
 }
 
@@ -1246,7 +1075,7 @@ mod tests {
         assert_eq!(welcome.num_nodes, 3);
         assert!(welcome.deterministic);
         assert_eq!(welcome.node_seed, server.cluster().node_seed(2));
-        assert_eq!(remote.negotiated_codecs(), CodecSet::all());
+        assert_eq!(welcome.codec_bits, CodecSet::all().bits());
         let negotiated = server.negotiated_codecs();
         assert_eq!(negotiated, vec![(2, CodecSet::all())]);
 
@@ -1254,7 +1083,7 @@ mod tests {
         let narrow = RemoteCluster::connect(&addr, 1, CodecSet::only(mojave_wire::CodecId::Lz))
             .expect("connect");
         assert_eq!(
-            narrow.negotiated_codecs(),
+            CodecSet::from_bits(narrow.welcome().codec_bits),
             CodecSet::only(mojave_wire::CodecId::Lz)
         );
     }
@@ -1274,9 +1103,9 @@ mod tests {
         let (server, addr) = served_cluster(2);
         let a = RemoteCluster::connect(&addr, 0, CodecSet::all()).expect("connect");
         let b = RemoteCluster::connect(&addr, 1, CodecSet::all()).expect("connect");
-        a.send_msg(1, 7, &[1.5, 2.5]).expect("send");
+        a.send(1, 7, vec![1.5, 2.5]).expect("send");
         assert_eq!(
-            b.recv_msg(0, 7).expect("recv"),
+            b.recv(0, 7).expect("recv"),
             RecvOutcome::Data(vec![1.5, 2.5])
         );
         assert_eq!(server.cluster().messages_sent(), 1);
@@ -1288,13 +1117,16 @@ mod tests {
     fn ticks_advance_the_hub_virtual_clock_and_see_failures() {
         let (server, addr) = served_cluster(2);
         let remote = RemoteCluster::connect(&addr, 0, CodecSet::all()).expect("connect");
-        let (failed, t1) = remote.tick().expect("tick");
-        assert!(!failed);
-        let (_, t2) = remote.tick().expect("tick");
+        let Tick::Alive(t1) = remote.tick().expect("tick") else {
+            panic!("node 0 is alive");
+        };
+        let Tick::Alive(t2) = remote.tick().expect("tick") else {
+            panic!("node 0 is alive");
+        };
         assert!(t2 > t1, "virtual clock must advance: {t1} -> {t2}");
         server.cluster().fail_node(0);
-        let (failed, _) = remote.tick().expect("tick");
-        assert!(failed);
+        // The failed probe carries the hub's failure epoch.
+        assert_eq!(remote.tick().expect("tick"), Tick::Failed(1));
     }
 
     #[test]
@@ -1314,9 +1146,13 @@ mod tests {
         assert_eq!(job.step_budget, Some(1000));
         assert!(resume.is_none());
 
-        server.set_resume(1, vec![1, 2, 3]);
+        let armed = Resume {
+            step: 40,
+            image: vec![1, 2, 3],
+        };
+        server.set_resume(1, armed.clone());
         let (_, resume) = remote.fetch_job().expect("job");
-        assert_eq!(resume, Some(vec![1, 2, 3]));
+        assert_eq!(resume, Some(armed));
         // The resume image is one-shot.
         let (_, resume) = remote.fetch_job().expect("job");
         assert!(resume.is_none());
@@ -1333,7 +1169,7 @@ mod tests {
     }
 
     #[test]
-    fn hub_side_delivery_uses_the_real_cluster_sink() {
+    fn hub_side_delivery_rejects_hostile_images_on_a_healthy_connection() {
         let (server, addr) = served_cluster(2);
         let remote = RemoteCluster::connect(&addr, 0, CodecSet::all()).expect("connect");
         // Hostile image bytes: precise Failed outcome, connection healthy.
@@ -1346,6 +1182,6 @@ mod tests {
         );
         // The connection is still good and the store is still empty.
         assert!(server.cluster().store().names().is_empty());
-        assert!(!remote.has_base("ck", 1).expect("rpc"));
+        assert!(!ClusterOps::has_base(&remote, "ck", 1).expect("rpc"));
     }
 }

@@ -8,7 +8,9 @@
 //! — and the server keeps serving other connections.  Never a panic,
 //! never a hang.
 
-use mojave_cluster::{Cluster, ClusterConfig, ClusterServer, RecvOutcome, RemoteCluster};
+use mojave_cluster::{
+    Cluster, ClusterConfig, ClusterOps, ClusterServer, RecvOutcome, RemoteCluster,
+};
 use mojave_core::DeliveryOutcome;
 use mojave_fir::MigrateProtocol;
 use mojave_wire::{
@@ -50,9 +52,9 @@ fn served(nodes: usize) -> (ClusterServer, String) {
 fn assert_server_alive(server: &ClusterServer, addr: &str) {
     let a = RemoteCluster::connect(addr, 0, CodecSet::all()).expect("healthy connect");
     let b = RemoteCluster::connect(addr, 1, CodecSet::all()).expect("healthy connect");
-    a.send_msg(1, 99, &[4.5]).expect("healthy send");
+    a.send(1, 99, vec![4.5]).expect("healthy send");
     assert_eq!(
-        b.recv_msg(0, 99).expect("healthy recv"),
+        b.recv(0, 99).expect("healthy recv"),
         RecvOutcome::Data(vec![4.5])
     );
     let outcome = a
@@ -157,7 +159,7 @@ fn handshake_mismatches_get_precise_error_frames() {
     // to the shared subset (Raw always survives).
     let remote = RemoteCluster::connect(&addr, 0, CodecSet::from_bits(0b1010_0000))
         .expect("garbage codec bits still handshake");
-    assert_eq!(remote.negotiated_codecs(), CodecSet::raw_only());
+    assert_eq!(remote.welcome().codec_bits, CodecSet::raw_only().bits());
     remote.bye();
 
     assert_server_alive(&server, &addr);
@@ -188,7 +190,7 @@ fn malformed_rpc_payloads_error_without_killing_the_server() {
 
     // Same for a server-only frame kind sent by a client.
     let remote = RemoteCluster::connect(&addr, 1, CodecSet::all()).expect("connect");
-    let err = remote.send_msg(9, 1, &[]).unwrap_err();
+    let err = remote.send(9, 1, Vec::new()).unwrap_err();
     assert!(
         matches!(&err, FrameError::Protocol(msg) if msg.contains("node 9")),
         "got {err:?}"

@@ -3,17 +3,16 @@
 
 use crate::reference::reference_checksums;
 use crate::source::worker_source;
+use crate::worker::run_worker;
 use crate::GridConfig;
 use mojave_cluster::{
-    Cluster, ClusterConfig, ClusterExternals, ClusterServer, ClusterSink, JobSpec,
+    Cluster, ClusterConfig, ClusterServer, JobSpec, LocalNode, NodeStats, Resume,
 };
-use mojave_core::{MigrationSink, Process, ProcessConfig, ProcessStats, RunOutcome, RuntimeError};
-use mojave_obs::{EventKind, Level, NodeObs, Recorder};
-use mojave_runtime::{AsyncSink, PipelineConfig};
+use mojave_obs::{Level, NodeObs};
 use mojave_wire::CodecId;
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -28,7 +27,7 @@ pub struct FailurePlan {
 }
 
 /// Outcome of a grid run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GridReport {
     /// Checksum each worker reported (scaled by 100 in the exit code).
     pub worker_checksums: Vec<f64>,
@@ -100,8 +99,8 @@ impl GridReport {
 
     /// A stable digest of every **replay-deterministic** field of the
     /// report: checksum bit patterns, rollback/checkpoint/speculation
-    /// counters, recovery flag and message count.  Two
-    /// [`run_grid_deterministic`] runs with the same configuration, failure
+    /// counters, recovery flag and message count.  Two seeded
+    /// ([`GridOptions::seed`]) runs with the same configuration, failure
     /// plan and seed produce bit-identical digests.  Deliberately
     /// excluded: `wall_time` (it measures the host, not the run) and the
     /// byte counters (`network_bytes`, checkpoint sizes) — those depend on
@@ -186,41 +185,30 @@ impl GridReport {
 /// Errors from a grid run.
 #[derive(Debug)]
 pub enum GridError {
-    /// The worker source failed to compile.
-    Compile(mojave_lang::CompileError),
-    /// A worker failed at runtime for a reason other than injected failure.
+    /// A worker failed for a reason other than injected failure: its source
+    /// did not compile, a runtime error, or an unexpected outcome
+    /// (migrated/suspended).
     Worker {
         /// Which worker.
         worker: usize,
-        /// The error.
-        error: RuntimeError,
-    },
-    /// A worker ended with an unexpected outcome (migrated/suspended).
-    UnexpectedOutcome {
-        /// Which worker.
-        worker: usize,
-        /// The outcome.
-        outcome: RunOutcome,
+        /// The worker's own description of what went wrong.
+        error: String,
     },
     /// The victim failed but no checkpoint was available to resurrect from.
     NoCheckpoint {
         /// The victim worker.
         worker: usize,
     },
-    /// The socket-transport harness failed outside any one worker's
-    /// runtime: a node process could not be spawned, died without
-    /// reporting, or reported a non-runtime failure.
+    /// The harness failed outside any one worker: the workers stopped
+    /// reporting, a node process could not be spawned, or the hub's cluster
+    /// does not fit the grid.
     Transport(String),
 }
 
 impl fmt::Display for GridError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            GridError::Compile(e) => write!(f, "worker source failed to compile: {e}"),
             GridError::Worker { worker, error } => write!(f, "worker {worker} failed: {error}"),
-            GridError::UnexpectedOutcome { worker, outcome } => {
-                write!(f, "worker {worker} ended unexpectedly: {outcome:?}")
-            }
             GridError::NoCheckpoint { worker } => {
                 write!(f, "worker {worker} failed before writing any checkpoint")
             }
@@ -231,101 +219,49 @@ impl fmt::Display for GridError {
 
 impl std::error::Error for GridError {}
 
-struct WorkerResult {
-    worker: usize,
-    outcome: Result<RunOutcome, RuntimeError>,
-    stats: ProcessStats,
-    obs: Option<NodeObs>,
+/// Per-run knobs orthogonal to the grid shape: deterministic seeding,
+/// checkpoint codec, and the asynchronous checkpoint pipeline.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GridOptions {
+    /// `Some(seed)` runs the cluster in deterministic simulation mode
+    /// ([`ClusterConfig::deterministic`]): seeded virtual time, no
+    /// wall-clock receive timeouts, and failure injection fired
+    /// synchronously inside the victim's `after_checkpoints`-th checkpoint
+    /// delivery, so the whole run replays bit-identically from the seed.
+    /// `None` uses wall-clock mode.
+    pub seed: Option<u64>,
+    /// Slab-compression codec for worker checkpoints: `None` auto-chooses
+    /// per slab, `Some(CodecId::Raw)` disables compression.  The codec only
+    /// changes checkpoint *bytes*, never control flow.
+    pub heap_codec: Option<CodecId>,
+    /// Route worker checkpoints through the asynchronous pipeline
+    /// (`mojave-runtime`).  In deterministic mode the pipeline runs with
+    /// drain barriers, so the replay digest is identical to the
+    /// synchronous run's; in wall-clock mode checkpoints overlap the
+    /// computation and the mutator pause shrinks to the heap freeze.
+    pub async_checkpoints: bool,
+    /// Observability level workers run their flight recorders at.
+    /// [`Level::Off`] (the default) compiles down to one relaxed atomic
+    /// load per would-be event; [`Level::Trace`] additionally fills
+    /// [`GridReport::node_obs`].  Never affects
+    /// [`GridReport::replay_digest`].
+    pub obs: Level,
 }
 
-/// The worker-side process configuration: delta checkpoints on (the
-/// stencil's home turf) and the negotiated slab-compression codec
-/// (`None` = auto-choose per slab, the production default).
-fn worker_config(cluster: &Cluster, worker: usize, options: GridOptions) -> ProcessConfig {
-    ProcessConfig {
-        machine: mojave_core::Machine::new(cluster.arch(worker)),
+/// The job every worker of a run executes — the one place worker settings
+/// are decided, for threads and node processes alike.
+fn job_spec(config: &GridConfig, options: GridOptions) -> JobSpec {
+    JobSpec {
+        source: worker_source(config),
         step_budget: Some(500_000_000),
         // Periodic checkpoints of a stencil worker are the delta
         // pipeline's home turf: between checkpoints only the field rows
         // and loop state mutate, so deltas stay small.
         delta_checkpoints: true,
-        heap_codec: options.heap_codec,
+        heap_codec: options.heap_codec.map(|c| c as u8),
         async_checkpoints: options.async_checkpoints,
-        ..ProcessConfig::default()
+        obs_level: options.obs as u8,
     }
-}
-
-/// The worker-side migration sink: the cluster sink, wrapped in the
-/// asynchronous checkpoint pipeline when the run opted in.  In the
-/// cluster's deterministic simulation mode the pipeline runs with the
-/// **drain barrier** ([`PipelineConfig::drain_after_submit`]): every
-/// checkpoint's side effects (store write, network accounting, scheduled
-/// failure injection) land at exactly the point in the worker's execution
-/// the synchronous path would produce them, which is what makes replay
-/// digests identical with the pipeline on or off.
-fn worker_sink(
-    cluster: &Cluster,
-    worker: usize,
-    options: GridOptions,
-    recorder: &Recorder,
-) -> Box<dyn MigrationSink> {
-    let inner = ClusterSink::new(cluster.clone(), worker);
-    if options.async_checkpoints {
-        let sink = AsyncSink::new(
-            Box::new(inner),
-            PipelineConfig {
-                drain_after_submit: cluster.is_deterministic(),
-                ..PipelineConfig::default()
-            },
-        );
-        sink.set_recorder(recorder.clone());
-        Box::new(sink)
-    } else {
-        Box::new(inner)
-    }
-}
-
-/// The flight recorder a worker runs with: the node's identity, the
-/// run's [`GridOptions::obs`] level, and — in deterministic mode — the
-/// cluster's seeded virtual clock, so event timestamps replay exactly.
-fn worker_recorder(cluster: &Cluster, worker: usize, options: GridOptions) -> Recorder {
-    Recorder::with_clock(worker as u32, options.obs, cluster.clock_source(worker))
-}
-
-fn spawn_worker(
-    cluster: &Cluster,
-    program: mojave_fir::Program,
-    worker: usize,
-    options: GridOptions,
-    tx: mpsc::Sender<WorkerResult>,
-) {
-    let cluster = cluster.clone();
-    thread::spawn(move || {
-        let config = worker_config(&cluster, worker, options);
-        let recorder = worker_recorder(&cluster, worker, options);
-        let result = Process::new(program, config).map(|p| {
-            p.with_externals(Box::new(
-                ClusterExternals::new(cluster.clone(), worker).with_recorder(recorder.clone()),
-            ))
-            .with_sink(worker_sink(&cluster, worker, options, &recorder))
-            .with_recorder(recorder.clone())
-        });
-        let (outcome, stats, obs) = match result {
-            Ok(mut process) => {
-                let outcome = process.run();
-                process.export_metrics();
-                let obs = (options.obs > Level::Off).then(|| process.recorder().snapshot());
-                (outcome, process.stats(), obs)
-            }
-            Err(e) => (Err(e), ProcessStats::default(), None),
-        };
-        let _ = tx.send(WorkerResult {
-            worker,
-            outcome,
-            stats,
-            obs,
-        });
-    });
 }
 
 /// Latest checkpoint name and step for a worker, if any.
@@ -343,89 +279,104 @@ fn latest_checkpoint(cluster: &Cluster, worker: usize) -> Option<(String, u64)> 
         .max_by_key(|(_, step)| *step)
 }
 
-/// Resurrect a failed worker from its latest checkpoint on a replacement
-/// machine for the same node slot (the paper resurrects the computation
-/// thread on a remote node; the node identity is what the neighbours address
-/// their messages to).
-fn resurrect(
+/// How long [`drive`] waits for the next worker report before giving up.
+const REPORT_DEADLINE: Duration = Duration::from_secs(120);
+
+/// The one collect loop, over workers that are threads of this process or
+/// node processes behind a hub: launch them, inject the planned failure,
+/// fold reports until every worker has exited — resurrecting the victim
+/// from its latest checkpoint — and verify against the sequential
+/// reference.
+///
+/// `launch(worker, resume)` starts a worker from `main`, or (resurrection)
+/// from a checkpoint; `reports(deadline)` yields the next finished worker's
+/// report, or `None` after `deadline`.  The caller fills in
+/// [`GridReport::node_obs`].
+fn drive(
     cluster: &Cluster,
-    worker: usize,
-    options: GridOptions,
-    tx: mpsc::Sender<WorkerResult>,
-) -> Result<(), GridError> {
-    let (name, step) =
-        latest_checkpoint(cluster, worker).ok_or(GridError::NoCheckpoint { worker })?;
-    let image = cluster
-        .store()
-        .load(&name)
-        .map_err(|error| GridError::Worker { worker, error })?;
-    cluster.revive_node(worker);
-    let cluster = cluster.clone();
-    thread::spawn(move || {
-        let config = worker_config(&cluster, worker, options);
-        let recorder = worker_recorder(&cluster, worker, options);
-        recorder.record(EventKind::Resurrect, step, 0);
-        let result = Process::from_image(image, config).map(|p| {
-            p.with_externals(Box::new(
-                ClusterExternals::new(cluster.clone(), worker).with_recorder(recorder.clone()),
-            ))
-            .with_sink(worker_sink(&cluster, worker, options, &recorder))
-            .with_recorder(recorder.clone())
-        });
-        let (outcome, stats, obs) = match result {
-            Ok(mut process) => {
-                let outcome = process.run();
-                process.export_metrics();
-                let obs = (options.obs > Level::Off).then(|| process.recorder().snapshot());
-                (outcome, process.stats(), obs)
-            }
-            Err(e) => (Err(e), ProcessStats::default(), None),
-        };
-        let _ = tx.send(WorkerResult {
-            worker,
-            outcome,
-            stats,
-            obs,
-        });
-    });
-    Ok(())
-}
-
-/// Per-run knobs orthogonal to the grid shape: deterministic seeding,
-/// checkpoint codec, and the asynchronous checkpoint pipeline.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GridOptions {
-    /// `Some(seed)` runs the cluster in deterministic simulation mode
-    /// ([`ClusterConfig::deterministic`]); `None` uses wall-clock mode.
-    pub seed: Option<u64>,
-    /// Slab-compression codec for worker checkpoints: `None` auto-chooses
-    /// per slab, `Some(CodecId::Raw)` disables compression.
-    pub heap_codec: Option<CodecId>,
-    /// Route worker checkpoints through the asynchronous pipeline
-    /// (`mojave-runtime`).  In deterministic mode the pipeline runs with
-    /// drain barriers, so the replay digest is identical to the
-    /// synchronous run's; in wall-clock mode checkpoints overlap the
-    /// computation and the mutator pause shrinks to the heap freeze.
-    pub async_checkpoints: bool,
-    /// Observability level workers run their flight recorders at.
-    /// [`Level::Off`] (the default) compiles down to one relaxed atomic
-    /// load per would-be event; [`Level::Trace`] additionally fills
-    /// [`GridReport::node_obs`].  Never affects
-    /// [`GridReport::replay_digest`].
-    pub obs: Level,
-}
-
-/// Run the grid computation on a simulated cluster, optionally injecting a
-/// node failure, and verify against the sequential reference.
-pub fn run_grid(
     config: &GridConfig,
     failure: Option<FailurePlan>,
+    deadline: Duration,
+    mut launch: impl FnMut(usize, Option<Resume>) -> Result<(), GridError>,
+    mut reports: impl FnMut(Duration) -> Option<NodeStats>,
 ) -> Result<GridReport, GridError> {
-    run_grid_with(config, failure, GridOptions::default())
+    // Deterministic mode arms the failure *before* any worker runs: the
+    // victim is then marked failed inside its own k-th checkpoint delivery,
+    // independent of scheduling.
+    if let Some(plan) = failure.filter(|_| cluster.is_deterministic()) {
+        cluster.schedule_failure(plan.victim, plan.after_checkpoints as u64);
+    }
+    let start = Instant::now();
+    for worker in 0..config.workers {
+        launch(worker, None)?;
+    }
+    // Wall-clock failure injection: block on the cluster's checkpoint
+    // events (no sleep-polling) until the victim has written enough
+    // checkpoints, then mark its node failed.
+    if let Some(plan) = failure.filter(|_| !cluster.is_deterministic()) {
+        cluster.wait_for_node_checkpoints(
+            plan.victim,
+            plan.after_checkpoints as u64,
+            Duration::from_secs(60),
+        );
+        cluster.fail_node(plan.victim);
+    }
+
+    let mut report = GridReport {
+        worker_checksums: vec![f64::NAN; config.workers],
+        reference_checksums: reference_checksums(config),
+        ..GridReport::default()
+    };
+    let mut finished = 0;
+    while finished < config.workers {
+        let stats = reports(deadline).ok_or_else(|| {
+            GridError::Transport(format!("workers did not report within {deadline:?}"))
+        })?;
+        let worker = stats.node as usize;
+        report.rollbacks += stats.rollbacks;
+        report.checkpoints += stats.checkpoints;
+        report.delta_checkpoints += stats.delta_checkpoints;
+        report.speculations += stats.speculations;
+        report.checkpoint_pause_ns += stats.checkpoint_pause_ns;
+        report.checkpoint_encode_ns += stats.checkpoint_encode_ns;
+        if let Some(code) = stats.exit_code {
+            report.worker_checksums[worker] = code as f64 / 100.0;
+            finished += 1;
+        } else if failure.map(|p| p.victim) == Some(worker) && cluster.is_failed(worker) {
+            // The paper's resurrection daemon: restart the failed
+            // computation from its last checkpoint on a replacement machine
+            // for the same node slot (the node identity is what the
+            // neighbours address their messages to).
+            let (name, step) =
+                latest_checkpoint(cluster, worker).ok_or(GridError::NoCheckpoint { worker })?;
+            let image = cluster.store().load(&name).map_err(|e| GridError::Worker {
+                worker,
+                error: e.to_string(),
+            })?;
+            cluster.revive_node(worker);
+            let image = image.to_bytes();
+            launch(worker, Some(Resume { step, image }))?;
+            report.recovered_from_failure = true;
+        } else {
+            return Err(GridError::Worker {
+                worker,
+                error: stats.error.unwrap_or_else(|| "no error reported".into()),
+            });
+        }
+    }
+
+    let store_stats = cluster.store().stats();
+    report.wall_time = start.elapsed();
+    report.network_bytes = cluster.bytes_transferred();
+    report.network_messages = cluster.messages_sent();
+    report.checkpoint_raw_bytes = store_stats.raw_bytes;
+    report.checkpoint_stored_bytes = store_stats.stored_bytes;
+    Ok(report)
 }
 
-/// [`run_grid`] with explicit [`GridOptions`] — the fully general entry
-/// point the other `run_grid*` functions are shorthands for.
+/// Run the grid computation on a simulated cluster inside this process —
+/// one thread per worker, each on its [`LocalNode`] — optionally injecting
+/// a node failure, and verify against the sequential reference.
 pub fn run_grid_with(
     config: &GridConfig,
     failure: Option<FailurePlan>,
@@ -439,52 +390,30 @@ pub fn run_grid_with(
             Cluster::new(cluster_config)
         }
     };
-    run_grid_on(cluster, config, failure, options)
-}
-
-/// Run the grid computation in the cluster's **deterministic simulation
-/// mode** ([`ClusterConfig::deterministic`]): seeded virtual time, no
-/// wall-clock receive timeouts, and failure injection fired synchronously
-/// inside the victim's `after_checkpoints`-th checkpoint delivery.  The
-/// whole run — worker checksums, rollback/checkpoint counters, network
-/// traffic, recovery — replays bit-identically from `seed`; compare
-/// [`GridReport::replay_digest`]s to prove it.
-pub fn run_grid_deterministic(
-    config: &GridConfig,
-    failure: Option<FailurePlan>,
-    seed: u64,
-) -> Result<GridReport, GridError> {
-    run_grid_with(
-        config,
-        failure,
-        GridOptions {
-            seed: Some(seed),
-            ..GridOptions::default()
-        },
-    )
-}
-
-/// [`run_grid_deterministic`] with an explicit slab-compression codec for
-/// worker checkpoints: `None` auto-chooses per slab (the production
-/// default), `Some(CodecId::Raw)` disables compression.  The codec only
-/// changes checkpoint *bytes*, never control flow — the same
-/// configuration, failure plan and seed produce the same
-/// [`GridReport::replay_digest`] under every codec.
-pub fn run_grid_deterministic_with_codec(
-    config: &GridConfig,
-    failure: Option<FailurePlan>,
-    seed: u64,
-    heap_codec: Option<CodecId>,
-) -> Result<GridReport, GridError> {
-    run_grid_with(
-        config,
-        failure,
-        GridOptions {
-            seed: Some(seed),
-            heap_codec,
-            ..GridOptions::default()
-        },
-    )
+    let job = Arc::new(job_spec(config, options));
+    let (tx, rx) = mpsc::channel();
+    let mut node_obs = Vec::new();
+    let launch = |worker, resume| {
+        let node = LocalNode::new(cluster.clone(), worker);
+        let (job, tx) = (Arc::clone(&job), tx.clone());
+        thread::spawn(move || {
+            let _ = tx.send(run_worker(&job, resume, node.clone(), node));
+        });
+        Ok(())
+    };
+    let reports = |deadline| {
+        let (stats, obs): (NodeStats, Option<NodeObs>) = rx.recv_timeout(deadline).ok()?;
+        node_obs.extend(obs);
+        Some(stats)
+    };
+    let mut report = drive(&cluster, config, failure, REPORT_DEADLINE, launch, reports)?;
+    // Arrival order across nodes depends on thread scheduling; a stable
+    // sort by node id makes the report deterministic (a resurrected
+    // victim's pre-failure report necessarily arrived before its
+    // post-resurrection one, and stability preserves that).
+    node_obs.sort_by_key(|o| o.node);
+    report.node_obs = node_obs;
+    Ok(report)
 }
 
 /// Run the grid computation across **real node processes** over the
@@ -492,13 +421,12 @@ pub fn run_grid_deterministic_with_codec(
 /// deterministic or wall-clock cluster) and supplies a closure that
 /// spawns one OS process per worker — normally `mcc node <addr> <id>`.
 ///
-/// The server hands every node the same job (worker source + options),
-/// collects per-node statistics frames, and resurrects a failed victim by
-/// arming its latest checkpoint as a resume image and respawning it.  The
-/// [`GridReport`] is assembled from exactly the same hub-side state the
-/// in-process [`run_grid_with`] uses, so for a deterministic cluster the
-/// [`GridReport::replay_digest`] matches the in-process run's — that is
-/// the transport's correctness oracle.
+/// The server hands every node the same job [`run_grid_with`]'s threads
+/// run, and the same loop collects the reports, resurrects a failed victim
+/// (here by arming its latest checkpoint as a resume image and respawning
+/// it) and assembles the [`GridReport`] from the same hub-side state — so
+/// for a deterministic cluster the [`GridReport::replay_digest`] matches
+/// the in-process run's.  That is the transport's correctness oracle.
 pub fn run_grid_served(
     server: &ClusterServer,
     config: &GridConfig,
@@ -514,235 +442,40 @@ pub fn run_grid_served(
             config.workers
         )));
     }
-    server.set_job(JobSpec {
-        source: worker_source(config),
-        step_budget: Some(500_000_000),
-        delta_checkpoints: true,
-        heap_codec: options.heap_codec.map(|c| c as u8),
-        async_checkpoints: options.async_checkpoints,
-        obs_level: options.obs as u8,
-    });
-    if let Some(plan) = failure {
-        if cluster.is_deterministic() {
-            cluster.schedule_failure(plan.victim, plan.after_checkpoints as u64);
-        }
-    }
-
-    let start = Instant::now();
+    server.set_job(job_spec(config, options));
     let mut children = Vec::new();
-    for worker in 0..config.workers {
-        children.push(
-            spawn(worker)
-                .map_err(|e| GridError::Transport(format!("cannot spawn node {worker}: {e}")))?,
-        );
-    }
-    if let Some(plan) = failure {
-        if !cluster.is_deterministic() {
-            cluster.wait_for_node_checkpoints(
-                plan.victim,
-                plan.after_checkpoints as u64,
-                Duration::from_secs(60),
-            );
-            cluster.fail_node(plan.victim);
+    let launch = |worker, resume| {
+        // The resurrection daemon, process edition: arm the checkpoint as
+        // the node's resume image, then respawn it.
+        if let Some(resume) = resume {
+            server.set_resume(worker as u32, resume);
         }
-    }
-
-    let mut checksums = vec![f64::NAN; config.workers];
-    let mut rollbacks = 0u64;
-    let mut checkpoints = 0u64;
-    let mut delta_checkpoints = 0u64;
-    let mut speculations = 0u64;
-    let mut checkpoint_pause_ns = 0u64;
-    let mut checkpoint_encode_ns = 0u64;
-    let mut finished = 0usize;
-    let mut recovered = false;
-
-    while finished < config.workers {
-        let stats = server.next_stats(Duration::from_secs(120)).ok_or_else(|| {
-            GridError::Transport("node processes did not report within the deadline".into())
-        })?;
-        let worker = stats.node as usize;
-        rollbacks += stats.rollbacks;
-        checkpoints += stats.checkpoints;
-        delta_checkpoints += stats.delta_checkpoints;
-        speculations += stats.speculations;
-        checkpoint_pause_ns += stats.checkpoint_pause_ns;
-        checkpoint_encode_ns += stats.checkpoint_encode_ns;
-        match stats.exit_code {
-            Some(code) => {
-                checksums[worker] = code as f64 / 100.0;
-                finished += 1;
-            }
-            None => {
-                let message = stats.error.unwrap_or_else(|| "no error reported".into());
-                let injected =
-                    failure.map(|p| p.victim) == Some(worker) && cluster.is_failed(worker);
-                if injected {
-                    // The resurrection daemon, process edition: arm the
-                    // latest checkpoint as the node's resume image and
-                    // respawn it.
-                    let (name, _step) = latest_checkpoint(&cluster, worker)
-                        .ok_or(GridError::NoCheckpoint { worker })?;
-                    let image = cluster
-                        .store()
-                        .load(&name)
-                        .map_err(|error| GridError::Worker { worker, error })?;
-                    cluster.revive_node(worker);
-                    server.set_resume(worker as u32, image.to_bytes());
-                    children.push(spawn(worker).map_err(|e| {
-                        GridError::Transport(format!("cannot respawn node {worker}: {e}"))
-                    })?);
-                    recovered = true;
-                } else {
-                    return Err(GridError::Transport(format!(
-                        "worker {worker} failed: {message}"
-                    )));
-                }
-            }
-        }
-    }
+        let child = spawn(worker)
+            .map_err(|e| GridError::Transport(format!("cannot spawn node {worker}: {e}")))?;
+        children.push(child);
+        Ok(())
+    };
+    let reports = |deadline| server.next_stats(deadline);
+    let mut report = drive(&cluster, config, failure, REPORT_DEADLINE, launch, reports)?;
     for mut child in children {
         let _ = child.wait();
     }
-
-    let store_stats = cluster.store().stats();
-    Ok(GridReport {
-        worker_checksums: checksums,
-        reference_checksums: reference_checksums(config),
-        recovered_from_failure: recovered,
-        rollbacks,
-        checkpoints,
-        delta_checkpoints,
-        speculations,
-        wall_time: start.elapsed(),
-        network_bytes: cluster.bytes_transferred(),
-        network_messages: cluster.messages_sent(),
-        checkpoint_raw_bytes: store_stats.raw_bytes,
-        checkpoint_stored_bytes: store_stats.stored_bytes,
-        checkpoint_pause_ns,
-        checkpoint_encode_ns,
-        node_obs: server.obs_reports(),
-    })
-}
-
-fn run_grid_on(
-    cluster: Cluster,
-    config: &GridConfig,
-    failure: Option<FailurePlan>,
-    options: GridOptions,
-) -> Result<GridReport, GridError> {
-    let source = worker_source(config);
-    let program = mojave_lang::compile_source(&source).map_err(GridError::Compile)?;
-
-    // Deterministic mode arms the failure *before* any worker runs: the
-    // victim is then marked failed inside its own k-th checkpoint delivery,
-    // independent of thread scheduling.
-    if let Some(plan) = failure {
-        if cluster.is_deterministic() {
-            cluster.schedule_failure(plan.victim, plan.after_checkpoints as u64);
-        }
-    }
-
-    let start = Instant::now();
-    let (tx, rx) = mpsc::channel();
-    for worker in 0..config.workers {
-        spawn_worker(&cluster, program.clone(), worker, options, tx.clone());
-    }
-
-    // Wall-clock failure injection: block on the cluster's checkpoint
-    // events (no sleep-polling) until the victim has written enough
-    // checkpoints, then mark its node failed.
-    if let Some(plan) = failure {
-        if !cluster.is_deterministic() {
-            cluster.wait_for_node_checkpoints(
-                plan.victim,
-                plan.after_checkpoints as u64,
-                Duration::from_secs(60),
-            );
-            cluster.fail_node(plan.victim);
-        }
-    }
-
-    let mut checksums = vec![f64::NAN; config.workers];
-    let mut rollbacks = 0u64;
-    let mut checkpoints = 0u64;
-    let mut delta_checkpoints = 0u64;
-    let mut speculations = 0u64;
-    let mut checkpoint_pause_ns = 0u64;
-    let mut checkpoint_encode_ns = 0u64;
-    let mut finished = 0usize;
-    let mut recovered = false;
-    let mut node_obs: Vec<NodeObs> = Vec::new();
-
-    while finished < config.workers {
-        let result = rx
-            .recv_timeout(Duration::from_secs(120))
-            .expect("worker threads report within the deadline");
-        rollbacks += result.stats.rollbacks;
-        checkpoints += result.stats.checkpoints;
-        delta_checkpoints += result.stats.delta_checkpoints;
-        speculations += result.stats.speculations;
-        checkpoint_pause_ns += result.stats.checkpoint_pause_ns;
-        checkpoint_encode_ns += result.stats.checkpoint_encode_ns;
-        node_obs.extend(result.obs);
-        match result.outcome {
-            Ok(RunOutcome::Exit(code)) => {
-                checksums[result.worker] = code as f64 / 100.0;
-                finished += 1;
-            }
-            Ok(other) => {
-                return Err(GridError::UnexpectedOutcome {
-                    worker: result.worker,
-                    outcome: other,
-                })
-            }
-            Err(error) => {
-                let injected = failure.map(|p| p.victim) == Some(result.worker)
-                    && cluster.is_failed(result.worker);
-                if injected {
-                    // The paper's resurrection daemon: restart the failed
-                    // computation from its last checkpoint.
-                    resurrect(&cluster, result.worker, options, tx.clone())?;
-                    recovered = true;
-                } else {
-                    return Err(GridError::Worker {
-                        worker: result.worker,
-                        error,
-                    });
-                }
-            }
-        }
-    }
-
-    // Arrival order across nodes depends on thread scheduling; a stable
-    // sort by node id makes the report deterministic (a resurrected
-    // victim's pre-failure report necessarily arrived before its
-    // post-resurrection one, and stability preserves that).
-    node_obs.sort_by_key(|o| o.node);
-
-    let store_stats = cluster.store().stats();
-    Ok(GridReport {
-        worker_checksums: checksums,
-        reference_checksums: reference_checksums(config),
-        recovered_from_failure: recovered,
-        rollbacks,
-        checkpoints,
-        delta_checkpoints,
-        speculations,
-        wall_time: start.elapsed(),
-        network_bytes: cluster.bytes_transferred(),
-        network_messages: cluster.messages_sent(),
-        checkpoint_raw_bytes: store_stats.raw_bytes,
-        checkpoint_stored_bytes: store_stats.stored_bytes,
-        checkpoint_pause_ns,
-        checkpoint_encode_ns,
-        node_obs,
-    })
+    report.node_obs = server.obs_reports();
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mojave_obs::EventKind;
+
+    /// Deterministic simulation mode from `seed`, everything else default.
+    fn seeded(seed: u64) -> GridOptions {
+        GridOptions {
+            seed: Some(seed),
+            ..GridOptions::default()
+        }
+    }
 
     #[test]
     fn fault_free_run_matches_reference() {
@@ -753,7 +486,8 @@ mod tests {
             timesteps: 12,
             checkpoint_interval: 4,
         };
-        let report = run_grid(&config, None).expect("grid run succeeds");
+        let report =
+            run_grid_with(&config, None, GridOptions::default()).expect("grid run succeeds");
         assert!(
             report.is_correct(),
             "checksums {:?} vs reference {:?}",
@@ -791,10 +525,10 @@ mod tests {
             victim: 2,
             after_checkpoints: 1,
         });
-        let a = run_grid_deterministic(&config, failure, 0xD5EED).expect("first run");
+        let a = run_grid_with(&config, failure, seeded(0xD5EED)).expect("first run");
         assert!(a.is_correct(), "max error {}", a.max_error());
         assert!(a.recovered_from_failure);
-        let b = run_grid_deterministic(&config, failure, 0xD5EED).expect("replay");
+        let b = run_grid_with(&config, failure, seeded(0xD5EED)).expect("replay");
         assert_eq!(a.replay_digest(), b.replay_digest());
         // The digest is wire-size-independent by design; byte determinism
         // for a fixed codec is asserted separately here.
@@ -821,10 +555,12 @@ mod tests {
             victim: 1,
             after_checkpoints: 1,
         });
-        let compressed =
-            run_grid_deterministic_with_codec(&config, failure, 0xC0DEC, None).expect("compressed");
-        let raw = run_grid_deterministic_with_codec(&config, failure, 0xC0DEC, Some(CodecId::Raw))
-            .expect("raw");
+        let with_codec = |heap_codec| GridOptions {
+            heap_codec,
+            ..seeded(0xC0DEC)
+        };
+        let compressed = run_grid_with(&config, failure, with_codec(None)).expect("compressed");
+        let raw = run_grid_with(&config, failure, with_codec(Some(CodecId::Raw))).expect("raw");
         assert!(compressed.is_correct() && raw.is_correct());
         assert_eq!(compressed.replay_digest(), raw.replay_digest());
         // And the codec demonstrably did something: same logical run,
@@ -849,15 +585,7 @@ mod tests {
             victim: 2,
             after_checkpoints: 1,
         });
-        let sync = run_grid_with(
-            &config,
-            failure,
-            GridOptions {
-                seed: Some(0xBEEF),
-                ..GridOptions::default()
-            },
-        )
-        .expect("sync run");
+        let sync = run_grid_with(&config, failure, seeded(0xBEEF)).expect("sync run");
         let asynchronous = run_grid_with(
             &config,
             failure,
@@ -1024,8 +752,53 @@ mod tests {
             timesteps: 8,
             checkpoint_interval: 3,
         };
-        let report = run_grid(&config, None).expect("grid run succeeds");
+        let report =
+            run_grid_with(&config, None, GridOptions::default()).expect("grid run succeeds");
         assert!(report.is_correct(), "max error {}", report.max_error());
         assert_eq!(report.rollbacks, 0);
+    }
+
+    #[test]
+    fn silent_workers_are_an_error_not_a_panic() {
+        // The collect loop's deadline, with workers that launch fine and
+        // then never report: the loop gives up with an error — on the
+        // thread path too, where it used to panic.
+        let config = GridConfig::default();
+        let cluster = Cluster::new(ClusterConfig::deterministic(config.workers, 1));
+        let deadline = Duration::from_millis(5);
+        let (_silent, reports) = mpsc::channel::<NodeStats>();
+        let mut launched = 0;
+        let err = drive(
+            &cluster,
+            &config,
+            None,
+            deadline,
+            |_, _| {
+                launched += 1;
+                Ok(())
+            },
+            |wait| reports.recv_timeout(wait).ok(),
+        )
+        .expect_err("nobody reports");
+        assert_eq!(launched, config.workers);
+        assert!(
+            matches!(&err, GridError::Transport(m) if m.contains("did not report within 5ms")),
+            "got {err}"
+        );
+    }
+
+    #[test]
+    fn a_worker_whose_source_does_not_compile_fails_the_run_precisely() {
+        let cluster = Cluster::new(ClusterConfig::deterministic(1, 1));
+        let job = JobSpec {
+            source: "int main( {".into(),
+            ..job_spec(&GridConfig::default(), GridOptions::default())
+        };
+        let node = LocalNode::new(cluster, 0);
+        let (stats, obs) = run_worker(&job, None, node.clone(), node);
+        assert_eq!(stats.exit_code, None);
+        assert!(obs.is_none());
+        let message = stats.error.expect("reported");
+        assert!(message.contains("failed to compile"), "got {message}");
     }
 }

@@ -46,13 +46,14 @@
 pub mod coordinator;
 pub mod reference;
 pub mod source;
+pub mod worker;
 
 pub use coordinator::{
-    run_grid, run_grid_deterministic, run_grid_deterministic_with_codec, run_grid_served,
-    run_grid_with, FailurePlan, GridError, GridOptions, GridReport,
+    run_grid_served, run_grid_with, FailurePlan, GridError, GridOptions, GridReport,
 };
 pub use reference::reference_checksums;
 pub use source::worker_source;
+pub use worker::run_worker;
 
 /// Parameters of the grid computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -9,8 +9,8 @@
 //!   executor).
 //! * `mcc inspect <checkpoint.img>` — describe a checkpoint/migration image.
 //! * `mcc node <addr> <node-id>` — join a `ClusterServer` over TCP as one
-//!   node process: handshake, fetch the job, run the worker with remote
-//!   externals + sink, report stats (the multi-process cluster harness).
+//!   node process: handshake, fetch the job, run the worker over the hub
+//!   connection, report stats (the multi-process cluster harness).
 //! * `mcc stats <addr>` — scrape every node's metrics from a running
 //!   cluster server and print them.
 //! * `mcc trace <addr> [out.json]` — scrape every node's flight-recorder
@@ -21,13 +21,13 @@
 //! written as `<name>.img` files in the current directory so they can be
 //! resumed later with `mcc resume`.
 
-use mojave_cluster::{NodeStats, RemoteCluster, RemoteExternals, RemoteSink};
+use mojave_cluster::{NodeStats, RemoteCluster};
 use mojave_core::{
     BackendKind, DeliveryOutcome, MigrationImage, MigrationSink, Process, ProcessConfig, RunOutcome,
 };
 use mojave_fir::MigrateProtocol;
-use mojave_obs::{export_chrome_trace, validate_chrome_trace, Level, NodeObs, Recorder};
-use mojave_runtime::{AsyncSink, PipelineConfig};
+use mojave_grid::run_worker;
+use mojave_obs::{export_chrome_trace, validate_chrome_trace, NodeObs};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -80,15 +80,12 @@ fn usage() -> ExitCode {
 }
 
 /// `mcc node <addr> <node-id>`: the node-process half of the socket
-/// transport.  Dials the cluster server, fetches the job, runs the worker
-/// with [`RemoteExternals`] and a [`RemoteSink`] (wrapped in the
-/// asynchronous checkpoint pipeline when the job asks for it), and
-/// reports final statistics before the orderly goodbye.
+/// transport.  Dials the cluster server, fetches the job, hands it to the
+/// same [`run_worker`] bootstrap the in-process coordinator's threads use —
+/// with the hub connections as the worker's cluster — and reports final
+/// statistics (or why it could not start) before the orderly goodbye.
 fn serve_node(addr: &str, node: u32) -> ExitCode {
     let codecs = mojave_wire::CodecSet::all();
-    // Two connections on purpose: checkpoint deliveries (which may run on
-    // a pipeline worker thread) must not queue behind a blocking
-    // `msg_recv` RPC on the externals connection.
     let control = match RemoteCluster::connect(addr, node, codecs) {
         Ok(conn) => conn,
         Err(e) => {
@@ -96,122 +93,45 @@ fn serve_node(addr: &str, node: u32) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let report_failure = |message: String| {
+    let run = control
+        .fetch_job()
+        .map_err(|e| format!("cannot fetch job: {e}"))
+        .and_then(|(job, resume)| {
+            // Two connections on purpose: checkpoint deliveries (which may
+            // run on a pipeline worker thread) must not queue behind a
+            // blocking `msg_recv` RPC on the externals connection.
+            let sink_conn = RemoteCluster::connect(addr, node, codecs)
+                .map_err(|e| format!("cannot open sink connection: {e}"))?;
+            let run = run_worker(&job, resume, control.clone(), sink_conn.clone());
+            sink_conn.bye();
+            Ok(run)
+        });
+    let (mut report, obs) = run.unwrap_or_else(|message| {
         eprintln!("mcc: node {node}: {message}");
         let report = NodeStats {
             node,
             error: Some(message),
             ..NodeStats::default()
         };
-        if control.report_stats(&report).is_err() {
-            return ExitCode::FAILURE;
-        }
-        control.bye();
-        ExitCode::SUCCESS
-    };
-    let welcome = control.welcome().clone();
-    let (job, resume) = match control.fetch_job() {
-        Ok(job) => job,
-        Err(e) => return report_failure(format!("cannot fetch job: {e}")),
-    };
-    let config = ProcessConfig {
-        machine: mojave_core::Machine::new(welcome.arch.clone()),
-        step_budget: job.step_budget,
-        delta_checkpoints: job.delta_checkpoints,
-        heap_codec: job.heap_codec.and_then(mojave_wire::CodecId::from_u8),
-        async_checkpoints: job.async_checkpoints,
-        ..ProcessConfig::default()
-    };
-    // The job decides the observability level; a node process always
-    // runs on the wall clock (its events are scraped, not replayed —
-    // replay determinism is the in-process simulation's contract).
-    let obs_level = Level::from_u8(job.obs_level);
-    let recorder = Recorder::new(node, obs_level);
-    control.set_recorder(recorder.clone());
-    let sink_conn = match RemoteCluster::connect(addr, node, codecs) {
-        Ok(conn) => conn,
-        Err(e) => return report_failure(format!("cannot open sink connection: {e}")),
-    };
-    sink_conn.set_recorder(recorder.clone());
-    let sink: Box<dyn MigrationSink> = {
-        let inner = Box::new(RemoteSink::new(sink_conn.clone()));
-        if job.async_checkpoints {
-            // The deterministic drain barrier, exactly as the in-process
-            // coordinator configures it: replay digests must not depend on
-            // whether checkpoints ride the pipeline.
-            let pipeline = AsyncSink::new(
-                inner,
-                PipelineConfig {
-                    drain_after_submit: welcome.deterministic,
-                    ..PipelineConfig::default()
-                },
-            );
-            pipeline.set_recorder(recorder.clone());
-            Box::new(pipeline)
-        } else {
-            inner
-        }
-    };
-    // A resume image (the resurrection path) replaces compilation: the
-    // checkpoint carries its own code.
-    let built = match resume {
-        Some(bytes) => MigrationImage::from_bytes(&bytes)
-            .map_err(|e| format!("bad resume image: {e}"))
-            .and_then(|image| {
-                Process::from_image(image, config).map_err(|e| format!("resume failed: {e}"))
-            }),
-        None => mojave_lang::compile_source(&job.source)
-            .map_err(|e| format!("job source failed to compile: {e}"))
-            .and_then(|program| {
-                Process::new(program, config).map_err(|e| format!("process setup failed: {e}"))
-            }),
-    };
-    let mut process = match built {
-        Ok(p) => p
-            .with_externals(Box::new(RemoteExternals::new(control.clone())))
-            .with_sink(sink)
-            .with_recorder(recorder.clone()),
-        Err(message) => return report_failure(message),
-    };
-    let outcome = process.run();
-    process.export_metrics();
-    let stats = process.stats();
+        (report, None)
+    });
     // Push the observability report before the stats frame: the
     // coordinator treats stats as the node's last word, so by then the
     // hub must already hold this node's scrape-able report.
-    if obs_level > Level::Off {
-        if let Err(e) = control.push_obs(&recorder.snapshot()) {
+    if let Some(obs) = obs {
+        if let Err(e) = control.push_obs(&obs) {
             eprintln!("mcc: node {node} could not push obs report: {e}");
         }
     }
     let link = control.link_stats();
-    let mut report = NodeStats {
-        node,
-        rollbacks: stats.rollbacks,
-        checkpoints: stats.checkpoints,
-        delta_checkpoints: stats.delta_checkpoints,
-        speculations: stats.speculations,
-        checkpoint_pause_ns: stats.checkpoint_pause_ns,
-        checkpoint_encode_ns: stats.checkpoint_encode_ns,
-        frames_sent: link.frames_sent(),
-        frames_received: link.frames_received(),
-        bytes_sent: link.bytes_sent(),
-        bytes_received: link.bytes_received(),
-        ..NodeStats::default()
-    };
-    match outcome {
-        Ok(RunOutcome::Exit(code)) => report.exit_code = Some(code),
-        Ok(other) => report.error = Some(format!("unexpected outcome: {other:?}")),
-        Err(e) => report.error = Some(e.to_string()),
-    }
-    // `Process::run` flushed the sink, so every accepted checkpoint is
-    // already delivered; the stats report is the last word.
-    drop(process);
+    report.frames_sent = link.frames_sent();
+    report.frames_received = link.frames_received();
+    report.bytes_sent = link.bytes_sent();
+    report.bytes_received = link.bytes_received();
     if let Err(e) = control.report_stats(&report) {
         eprintln!("mcc: node {node} could not report stats: {e}");
         return ExitCode::FAILURE;
     }
-    sink_conn.bye();
     control.bye();
     ExitCode::SUCCESS
 }

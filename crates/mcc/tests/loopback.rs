@@ -6,10 +6,11 @@
 
 use mojave_cluster::{Cluster, ClusterConfig, ClusterServer, JobSpec};
 use mojave_grid::{
-    run_grid_deterministic, run_grid_served, run_grid_with, FailurePlan, GridConfig, GridOptions,
+    run_grid_served, run_grid_with, FailurePlan, GridConfig, GridOptions, GridReport,
 };
-use mojave_obs::{validate_chrome_trace, Level};
+use mojave_obs::{validate_chrome_trace, EventKind, Level};
 use mojave_wire::CodecSet;
+use std::collections::BTreeMap;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
@@ -21,6 +22,15 @@ fn spawn_node(addr: &str, node: usize) -> std::io::Result<Child> {
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
+}
+
+/// The in-process oracle's options: deterministic simulation mode from
+/// `seed`, everything else default.
+fn seeded(seed: u64) -> GridOptions {
+    GridOptions {
+        seed: Some(seed),
+        ..GridOptions::default()
+    }
 }
 
 fn small_grid(workers: usize) -> GridConfig {
@@ -92,8 +102,94 @@ fn three_process_loopback_run_matches_in_process_digest() {
 
     // The oracle: the same configuration and seed, one process, no
     // sockets.  The transport must be logically invisible.
-    let in_process = run_grid_deterministic(&config, None, seed).expect("in-process run");
+    let in_process = run_grid_with(&config, None, seeded(seed)).expect("in-process run");
     assert_eq!(served.replay_digest(), in_process.replay_digest());
+}
+
+/// Each node's message, failure and resurrection events as `(kind, a, b)`,
+/// in recording order.  Timestamps are left out: served nodes stay on the
+/// wall clock.
+fn cluster_events(report: &GridReport) -> BTreeMap<u32, Vec<(EventKind, u64, u64)>> {
+    let mut per_node: BTreeMap<u32, Vec<_>> = BTreeMap::new();
+    for obs in &report.node_obs {
+        let kept = obs.events.iter().filter(|e| {
+            matches!(
+                e.kind,
+                EventKind::Send | EventKind::Recv | EventKind::Failure | EventKind::Resurrect
+            )
+        });
+        per_node
+            .entry(obs.node)
+            .or_default()
+            .extend(kept.map(|e| (e.kind, e.a, e.b)));
+    }
+    per_node
+}
+
+#[test]
+fn served_nodes_record_the_same_cluster_events_as_in_process_workers() {
+    // A node process runs the very externals an in-process worker runs, so
+    // its flight recorder tells the same story — sends, receives (rolls
+    // included), the observed failure with the hub's epoch, and the
+    // respawned process's resurrection.
+    let config = small_grid(3);
+    let seed = 0x5EA_0B5;
+    let plan = FailurePlan {
+        victim: 1,
+        after_checkpoints: 1,
+    };
+    for failure in [None, Some(plan)] {
+        let cluster = Cluster::new(ClusterConfig::deterministic(config.workers, seed));
+        let server = ClusterServer::bind(cluster, "127.0.0.1:0").expect("bind loopback");
+        let addr = server.local_addr().to_string();
+        let traced = GridOptions {
+            obs: Level::Trace,
+            ..GridOptions::default()
+        };
+        let served = run_grid_served(&server, &config, failure, traced, |node| {
+            spawn_node(&addr, node)
+        })
+        .expect("served run succeeds");
+        let in_process = run_grid_with(
+            &config,
+            failure,
+            GridOptions {
+                obs: Level::Trace,
+                ..seeded(seed)
+            },
+        )
+        .expect("in-process run");
+        assert_eq!(served.replay_digest(), in_process.replay_digest());
+
+        let events = cluster_events(&served);
+        assert_eq!(
+            events,
+            cluster_events(&in_process),
+            "failure plan {failure:?}"
+        );
+        assert_eq!(events.len(), config.workers);
+        let recorded = |node: u32, kind| events[&node].iter().any(|e| e.0 == kind);
+        for node in 0..config.workers as u32 {
+            assert!(recorded(node, EventKind::Send), "node {node} sent nothing");
+            assert!(
+                recorded(node, EventKind::Recv),
+                "node {node} received nothing"
+            );
+        }
+        if failure.is_some() {
+            // Epoch 1, observed (not self-injected); then the respawned
+            // process resumes from the victim's first checkpoint.
+            let victim = &events[&(plan.victim as u32)];
+            assert!(
+                victim.contains(&(EventKind::Failure, 1, 1)),
+                "victim: {victim:?}"
+            );
+            assert!(
+                victim.contains(&(EventKind::Resurrect, config.checkpoint_interval as u64, 0)),
+                "victim: {victim:?}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -115,7 +211,7 @@ fn loopback_failure_injection_resurrects_across_processes() {
     assert!(served.is_correct(), "max error {}", served.max_error());
     assert!(served.recovered_from_failure);
 
-    let in_process = run_grid_deterministic(&config, failure, seed).expect("in-process run");
+    let in_process = run_grid_with(&config, failure, seeded(seed)).expect("in-process run");
     assert_eq!(served.replay_digest(), in_process.replay_digest());
 }
 
@@ -145,9 +241,8 @@ fn loopback_async_pipeline_reuses_backpressure_and_keeps_the_digest() {
         &config,
         None,
         GridOptions {
-            seed: Some(seed),
             async_checkpoints: true,
-            ..GridOptions::default()
+            ..seeded(seed)
         },
     )
     .expect("in-process async run");

@@ -47,9 +47,11 @@ const READ_CHUNK: usize = 64 * 1024;
 
 /// Every message kind in transport v1, in protocol-number order.
 ///
-/// The split mirrors the trait surface it transports: `Send`/`Recv`/
-/// `Tick`/`Fail` carry `ClusterExternals` calls, `Deliver`/`HasBase`
-/// carry `MigrationSink` calls, and the rest is connection lifecycle.
+/// The split mirrors the trait surface it transports: `Tick`/`Send`/
+/// `Recv`/`Fail`/`Deliver`/`HasBase` are the six operations of the
+/// cluster crate's `ClusterOps` (the first four issued by a worker's
+/// externals, the last two by its migration sink), and the rest is
+/// connection lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FrameKind {
@@ -74,11 +76,12 @@ pub enum FrameKind {
     RecvReply = 8,
     /// Client → server: per-external-call failure/clock tick probe.
     Tick = 9,
-    /// Server → client: failure flag + virtual clock.
+    /// Server → client: failure flag, then the virtual clock (alive) or
+    /// the failure epoch (failed).
     TickReply = 10,
     /// Client → server: `inject_failure` RPC.
     Fail = 11,
-    /// Server → client: failure injected.
+    /// Server → client: failure injected, at this failure epoch.
     FailAck = 12,
     /// Client → server: a wire image delivery (`MigrationSink::deliver`).
     Deliver = 13,

@@ -13,7 +13,7 @@
 //! cargo run --example grid_checkpointing
 //! ```
 
-use mojave::grid::{run_grid, FailurePlan, GridConfig};
+use mojave::grid::{run_grid_with, FailurePlan, GridConfig, GridOptions};
 
 fn main() {
     let config = GridConfig {
@@ -25,7 +25,8 @@ fn main() {
     };
 
     println!("== fault-free run ==");
-    let clean = run_grid(&config, None).expect("fault-free run succeeds");
+    let clean =
+        run_grid_with(&config, None, GridOptions::default()).expect("fault-free run succeeds");
     println!(
         "workers: {}, checkpoints written: {}, rollbacks: {}, wall time: {:?}",
         config.workers, clean.checkpoints, clean.rollbacks, clean.wall_time
@@ -44,7 +45,8 @@ fn main() {
         victim: 1,
         after_checkpoints: 1,
     };
-    let faulty = run_grid(&config, Some(plan)).expect("faulty run recovers");
+    let faulty =
+        run_grid_with(&config, Some(plan), GridOptions::default()).expect("faulty run recovers");
     println!(
         "recovered: {}, checkpoints: {}, rollbacks: {}, wall time: {:?}",
         faulty.recovered_from_failure, faulty.checkpoints, faulty.rollbacks, faulty.wall_time

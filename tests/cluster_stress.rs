@@ -8,11 +8,16 @@
 //! (`cargo test --release --test cluster_stress -- --ignored`).
 
 use mojave::cluster::{Cluster, ClusterConfig};
-use mojave::grid::{
-    run_grid_deterministic, run_grid_deterministic_with_codec, run_grid_with, FailurePlan,
-    GridConfig, GridOptions, GridReport,
-};
+use mojave::grid::{run_grid_with, FailurePlan, GridConfig, GridOptions, GridReport};
 use mojave::wire::CodecId;
+
+/// Deterministic simulation mode from `seed`, everything else default.
+fn seeded(seed: u64) -> GridOptions {
+    GridOptions {
+        seed: Some(seed),
+        ..GridOptions::default()
+    }
+}
 
 fn stress_config(workers: usize) -> GridConfig {
     GridConfig {
@@ -31,8 +36,8 @@ fn assert_replays_bit_identically(
     failure: Option<FailurePlan>,
     seed: u64,
 ) -> GridReport {
-    let first = run_grid_deterministic(config, failure, seed).expect("first run succeeds");
-    let second = run_grid_deterministic(config, failure, seed).expect("replay succeeds");
+    let first = run_grid_with(config, failure, seeded(seed)).expect("first run succeeds");
+    let second = run_grid_with(config, failure, seeded(seed)).expect("replay succeeds");
     assert_eq!(
         first.replay_digest(),
         second.replay_digest(),
@@ -78,10 +83,14 @@ fn sixty_four_node_compressed_checkpoints_replay_like_raw() {
         victim: 40,
         after_checkpoints: 1,
     });
-    let compressed = run_grid_deterministic_with_codec(&config, failure, 0xC0DEC5, None)
-        .expect("compressed run succeeds");
-    let raw = run_grid_deterministic_with_codec(&config, failure, 0xC0DEC5, Some(CodecId::Raw))
-        .expect("raw run succeeds");
+    let with_codec = |heap_codec| GridOptions {
+        heap_codec,
+        ..seeded(0xC0DEC5)
+    };
+    let compressed =
+        run_grid_with(&config, failure, with_codec(None)).expect("compressed run succeeds");
+    let raw =
+        run_grid_with(&config, failure, with_codec(Some(CodecId::Raw))).expect("raw run succeeds");
     assert!(compressed.is_correct() && raw.is_correct());
     assert!(compressed.recovered_from_failure);
     assert_eq!(

@@ -3,7 +3,7 @@
 
 use mojave::cluster::{Cluster, ClusterConfig, ClusterSink, MigrationDaemon};
 use mojave::core::{BackendKind, Process, ProcessConfig, RunOutcome};
-use mojave::grid::{run_grid, FailurePlan, GridConfig};
+use mojave::grid::{run_grid_with, FailurePlan, GridConfig, GridOptions};
 use mojave::lang::compile_source;
 
 /// Figure 2 end to end with a node failure: the victim is resurrected from
@@ -22,7 +22,8 @@ fn grid_recovers_from_a_node_failure() {
         victim: 1,
         after_checkpoints: 1,
     };
-    let report = run_grid(&config, Some(plan)).expect("the run recovers");
+    let report =
+        run_grid_with(&config, Some(plan), GridOptions::default()).expect("the run recovers");
     assert!(report.recovered_from_failure);
     assert!(
         report.is_correct(),
