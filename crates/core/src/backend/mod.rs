@@ -15,9 +15,11 @@
 
 mod bytecode;
 mod compile;
+mod verify;
 
 pub use bytecode::{BcFun, BytecodeProgram, Const, Instr, Reg};
 pub use compile::{compile_program, CompileError};
+pub use verify::VerifyError;
 
 /// Which back-end a process uses to execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -1,7 +1,7 @@
 //! A running Mojave process: heap + code + speculation state + externals,
 //! with both execution back-ends and the migration/speculation control flow.
 
-use crate::backend::{compile_program, BackendKind, BytecodeProgram, Const, Instr};
+use crate::backend::{compile_program, BackendKind, BcFun, BytecodeProgram, Const, Instr, Reg};
 use crate::error::RuntimeError;
 use crate::externals::{DefaultExternals, ExtCall, Externals};
 use crate::machine::Machine;
@@ -17,6 +17,7 @@ use mojave_heap::{BlockKind, Heap, HeapConfig, Word};
 use mojave_obs::{EventKind, Recorder};
 use mojave_wire::{CodecId, CodecSet, WireWriter};
 use std::collections::HashMap;
+use std::mem::take;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -200,7 +201,12 @@ enum Transfer {
 /// A running Mojave process.
 pub struct Process {
     program: Option<Program>,
-    bytecode: Option<BytecodeProgram>,
+    /// Shared so the VM loop can hold the code while it mutates the process.
+    bytecode: Option<Arc<BytecodeProgram>>,
+    /// The VM's register file and call-argument staging buffer, reused by
+    /// every call so the loop allocates for neither.
+    vm_regs: Vec<Word>,
+    vm_args: Vec<Word>,
     heap: Heap,
     spec: SpeculationManager,
     externals: Box<dyn Externals>,
@@ -240,6 +246,15 @@ impl std::fmt::Debug for Process {
     }
 }
 
+/// Elaborate checked FIR for the bytecode back end.  The output satisfies
+/// [`BytecodeProgram::verify`] by construction; release builds do not re-check.
+fn compile_verified(program: &Program) -> Result<Arc<BytecodeProgram>, RuntimeError> {
+    let bytecode =
+        compile_program(program).map_err(|e| RuntimeError::MigrationRejected(e.to_string()))?;
+    debug_assert_eq!(bytecode.verify(), Ok(()), "compiler output must verify");
+    Ok(Arc::new(bytecode))
+}
+
 impl Process {
     /// Create a process from an FIR program with default configuration,
     /// externals and sink.
@@ -259,16 +274,15 @@ impl Process {
             typecheck(&program, &extern_env)?;
         }
         let bytecode = match config.backend {
-            BackendKind::Bytecode => Some(
-                compile_program(&program)
-                    .map_err(|e| RuntimeError::MigrationRejected(e.to_string()))?,
-            ),
+            BackendKind::Bytecode => Some(compile_verified(&program)?),
             BackendKind::Interp => None,
         };
         let entry = Word::Fun(program.entry.0);
         Ok(Process {
             program: Some(program),
             bytecode,
+            vm_regs: Vec::new(),
+            vm_args: Vec::new(),
             heap: Heap::with_config(config.heap),
             spec: SpeculationManager::new(),
             externals: Box::new(DefaultExternals::default()),
@@ -296,10 +310,7 @@ impl Process {
                 validate(program)?;
                 typecheck(program, &extern_env)?;
                 let bytecode = match config.backend {
-                    BackendKind::Bytecode => Some(
-                        compile_program(program)
-                            .map_err(|e| RuntimeError::MigrationRejected(e.to_string()))?,
-                    ),
+                    BackendKind::Bytecode => Some(compile_verified(program)?),
                     BackendKind::Interp => None,
                 };
                 (Some(program.clone()), bytecode)
@@ -319,7 +330,11 @@ impl Process {
                         "the interpreter backend needs FIR, but the image is binary".into(),
                     ));
                 }
-                (None, Some(bytecode.clone()))
+                // Foreign compiled code: check what the VM loop indexes by.
+                bytecode
+                    .verify()
+                    .map_err(|e| RuntimeError::MigrationRejected(format!("bad bytecode: {e}")))?;
+                (None, Some(Arc::new(BytecodeProgram::clone(bytecode))))
             }
         };
         let heap = image.decode_heap(config.heap)?;
@@ -337,6 +352,8 @@ impl Process {
         Ok(Process {
             program,
             bytecode,
+            vm_regs: Vec::new(),
+            vm_args: Vec::new(),
             heap,
             spec: SpeculationManager::new(),
             externals: Box::new(DefaultExternals::default()),
@@ -450,7 +467,7 @@ impl Process {
 
     /// The compiled bytecode, if the bytecode backend is in use.
     pub fn bytecode(&self) -> Option<&BytecodeProgram> {
-        self.bytecode.as_ref()
+        self.bytecode.as_deref()
     }
 
     /// Lines the program printed so far.
@@ -499,7 +516,7 @@ impl Process {
         loop {
             let transfer = match self.config.backend {
                 BackendKind::Interp => self.interp_call(fun, args)?,
-                BackendKind::Bytecode => self.vm_call(fun, args)?,
+                BackendKind::Bytecode => self.vm_run(fun, args)?,
             };
             match transfer {
                 Transfer::Call { target, args: a } => {
@@ -866,7 +883,7 @@ impl Process {
     fn packed_code(&self) -> Result<PackedCode, RuntimeError> {
         if self.config.binary_migration {
             let bytecode = match &self.bytecode {
-                Some(bc) => bc.clone(),
+                Some(bc) => BytecodeProgram::clone(bc),
                 None => {
                     let program = self
                         .program
@@ -972,23 +989,26 @@ impl Process {
         Ok(())
     }
 
-    fn gc_roots(&self, live: &[Word]) -> Vec<Word> {
-        let mut roots = Vec::with_capacity(live.len() + 16);
-        roots.extend_from_slice(live);
-        roots.extend(self.spec.roots());
-        roots.extend(self.externals.roots());
-        roots
+    /// Run the collection that is due, if one is; only then build the root
+    /// set: `live` (the mutator's registers), speculation roots, externals'
+    /// roots.  Out of line: the VM's dispatch loop keeps only the call.
+    #[inline(never)]
+    fn collect_if_due(&mut self, live: &[Word]) {
+        if self.heap.gc_due().is_some() {
+            let mut roots = live.to_vec();
+            roots.extend(self.spec.roots());
+            roots.extend(self.externals.roots());
+            self.heap.maybe_gc(&roots);
+        }
     }
 
-    /// Resolve a callee word into a function index plus the full argument
-    /// list (closures prepend themselves as the environment argument).
-    fn resolve_callee(
-        &self,
-        target: Word,
-        mut args: Vec<Word>,
-    ) -> Result<(u32, Vec<Word>), RuntimeError> {
+    /// Begin staging a call of `target`: `staged` is cleared and, for a
+    /// closure, receives the closure itself (the environment argument).
+    /// Returns the function index; the caller appends the explicit arguments.
+    fn stage_callee(&self, target: Word, staged: &mut Vec<Word>) -> Result<u32, RuntimeError> {
+        staged.clear();
         match target {
-            Word::Fun(id) => Ok((id, args)),
+            Word::Fun(id) => Ok(id),
             Word::Ptr(p) => {
                 let block = self.heap.block(p)?;
                 if block.header.kind != BlockKind::Closure {
@@ -997,46 +1017,24 @@ impl Process {
                         block.header.kind
                     )));
                 }
-                let fun = match block.as_words().and_then(|w| w.first()) {
-                    Some(Word::Fun(id)) => *id,
-                    _ => {
-                        return Err(RuntimeError::NotCallable(format!(
-                            "closure {p} has no function slot"
-                        )))
-                    }
+                let Some(Word::Fun(id)) = block.as_words().and_then(|w| w.first()) else {
+                    return Err(RuntimeError::NotCallable(format!(
+                        "closure {p} has no function slot"
+                    )));
                 };
-                let mut full = Vec::with_capacity(args.len() + 1);
-                full.push(Word::Ptr(p));
-                full.append(&mut args);
-                Ok((fun, full))
+                staged.push(target);
+                Ok(*id)
             }
             other => Err(RuntimeError::NotCallable(other.kind_name().to_owned())),
         }
     }
 
-    fn fun_arity(&self, fun: u32) -> Result<usize, RuntimeError> {
-        if let Some(program) = &self.program {
-            program
-                .fun(FunId(fun))
-                .map(|f| f.params.len())
-                .ok_or(RuntimeError::UnknownFunction(fun))
-        } else if let Some(bc) = &self.bytecode {
-            bc.funs
-                .get(fun as usize)
-                .map(|f| f.nparams as usize)
-                .ok_or(RuntimeError::UnknownFunction(fun))
-        } else {
-            Err(RuntimeError::UnknownFunction(fun))
-        }
-    }
-
-    fn check_arity(&self, fun: u32, name: &str, args: &[Word]) -> Result<(), RuntimeError> {
-        let expected = self.fun_arity(fun)?;
-        if expected != args.len() {
+    fn check_arity(fun: u32, name: &str, want: usize, got: usize) -> Result<(), RuntimeError> {
+        if want != got {
             return Err(RuntimeError::ArityMismatch {
                 callee: format!("{name} (f{fun})"),
-                expected,
-                found: args.len(),
+                expected: want,
+                found: got,
             });
         }
         Ok(())
@@ -1155,8 +1153,9 @@ impl Process {
     // ------------------------------------------------------------------
 
     fn interp_call(&mut self, target: Word, args: Vec<Word>) -> Result<Transfer, RuntimeError> {
-        let (fun_id, full_args) = self.resolve_callee(target, args)?;
-        self.check_arity(fun_id, "interp call", &full_args)?;
+        let mut full_args = Vec::with_capacity(args.len() + 1);
+        let fun_id = self.stage_callee(target, &mut full_args)?;
+        full_args.extend(args);
         let program = self
             .program
             .as_ref()
@@ -1166,6 +1165,7 @@ impl Process {
         let fun = program
             .fun(FunId(fun_id))
             .ok_or(RuntimeError::UnknownFunction(fun_id))?;
+        Self::check_arity(fun_id, "interp call", fun.params.len(), full_args.len())?;
         let mut env: HashMap<VarId, Word> = HashMap::with_capacity(full_args.len() * 2);
         for ((var, _ty), value) in fun.params.iter().zip(full_args) {
             env.insert(*var, value);
@@ -1400,190 +1400,214 @@ impl Process {
     }
 
     fn collect_if_needed(&mut self, env: &HashMap<VarId, Word>) {
-        let live: Vec<Word> = env.values().copied().collect();
-        let roots = self.gc_roots(&live);
-        self.heap.maybe_gc(&roots);
+        if self.heap.gc_due().is_some() {
+            let live: Vec<Word> = env.values().copied().collect();
+            self.collect_if_due(&live);
+        }
     }
 
     // ------------------------------------------------------------------
     // The bytecode VM backend
     // ------------------------------------------------------------------
 
-    fn vm_call(&mut self, target: Word, args: Vec<Word>) -> Result<Transfer, RuntimeError> {
-        let (fun_id, full_args) = self.resolve_callee(target, args)?;
-        self.check_arity(fun_id, "vm call", &full_args)?;
-        let bc = self
-            .bytecode
-            .as_ref()
-            .ok_or(RuntimeError::MigrationRejected(
+    /// Call `target` and execute bytecode — tail calls included — until an
+    /// effect only [`Process::run_loop`] can perform.
+    fn vm_run(&mut self, target: Word, args: Vec<Word>) -> Result<Transfer, RuntimeError> {
+        let bytecode = Arc::clone(self.bytecode.as_ref().ok_or_else(|| {
+            RuntimeError::MigrationRejected(
                 "bytecode backend selected but no compiled code present".into(),
-            ))?;
-        let fun = bc
-            .funs
-            .get(fun_id as usize)
-            .ok_or(RuntimeError::UnknownFunction(fun_id))?;
-        let nregs = fun.nregs as usize;
-        let code = fun.code.clone();
-        let mut regs: Vec<Word> = vec![Word::Unit; nregs.max(full_args.len())];
-        regs[..full_args.len()].copy_from_slice(&full_args);
-        self.vm_exec(&code, regs)
+            )
+        })?);
+        let (mut regs, mut staged) = (take(&mut self.vm_regs), take(&mut self.vm_args));
+        // Fuel is the number of instructions that may still start, plus one:
+        // the instruction that takes it to zero is the budget overrun, and
+        // counts as a step like every other.
+        let full = self.config.step_budget.map_or(u64::MAX, |budget| {
+            budget.saturating_sub(self.stats.steps).saturating_add(1)
+        });
+        let mut fuel = full;
+        let result = self.stage_callee(target, &mut staged).and_then(|fun| {
+            staged.extend(args);
+            self.vm_loop(&bytecode.funs, fun, &mut regs, &mut staged, &mut fuel)
+        });
+        (self.vm_regs, self.vm_args) = (regs, staged);
+        self.stats.steps += full - fuel;
+        result
     }
 
-    fn vm_exec(&mut self, code: &[Instr], mut regs: Vec<Word>) -> Result<Transfer, RuntimeError> {
-        let reg = |regs: &Vec<Word>, r: u32| -> Word { regs[r as usize] };
-        let gather = |regs: &Vec<Word>, rs: &[u32]| -> Vec<Word> {
-            rs.iter().map(|r| regs[*r as usize]).collect()
+    /// The VM proper.  Relies on [`BytecodeProgram::verify`]: register
+    /// operands and jump targets are in range and code cannot fall off its
+    /// end.  What only the running program decides — the callee behind a
+    /// word, the arity it is called with — is checked at each call.
+    fn vm_loop(
+        &mut self,
+        funs: &[BcFun],
+        mut fun_id: u32,
+        regs: &mut Vec<Word>,
+        staged: &mut Vec<Word>,
+        fuel: &mut u64,
+    ) -> Result<Transfer, RuntimeError> {
+        let gather = |file: &[Word], rs: &[Reg]| -> Vec<Word> {
+            rs.iter().map(|r| file[*r as usize]).collect()
         };
-        let mut pc = 0usize;
-        loop {
-            self.bump_step()?;
-            let instr = code.get(pc).ok_or(RuntimeError::MigrationRejected(
-                "program counter ran off the end of the function".into(),
-            ))?;
-            pc += 1;
-            match instr {
-                Instr::Const { dst, value } => {
-                    let w = match value {
-                        Const::Unit => Word::Unit,
-                        Const::Int(v) => Word::Int(*v),
-                        Const::Float(v) => Word::Float(*v),
-                        Const::Bool(v) => Word::Bool(*v),
-                        Const::Char(c) => Word::Char(*c),
-                        Const::Str(s) => Word::Ptr(self.heap.alloc_str(s)?),
-                    };
-                    regs[*dst as usize] = w;
+        'call: loop {
+            let fun = funs
+                .get(fun_id as usize)
+                .ok_or(RuntimeError::UnknownFunction(fun_id))?;
+            Self::check_arity(fun_id, "vm call", fun.nparams as usize, staged.len())?;
+            // A call replaces the whole register file: the arguments, then
+            // `Unit` up to `nregs` (>= the arity, by verification).  The file
+            // is the GC root set; a stale pointer would keep a dead block alive.
+            regs.clear();
+            regs.extend_from_slice(staged);
+            regs.resize(fun.nregs as usize, Word::Unit);
+            let file = regs.as_mut_slice();
+            let code = fun.code.as_slice();
+            let mut pc = 0usize;
+            loop {
+                *fuel -= 1;
+                if *fuel == 0 {
+                    let budget = self.config.step_budget.unwrap_or(u64::MAX);
+                    return Err(RuntimeError::StepBudgetExhausted { budget });
                 }
-                Instr::FunRef { dst, fun } => regs[*dst as usize] = Word::Fun(*fun),
-                Instr::Move { dst, src } => regs[*dst as usize] = reg(&regs, *src),
-                Instr::Unop { dst, op, src } => {
-                    regs[*dst as usize] = self.eval_unop(*op, reg(&regs, *src))?
-                }
-                Instr::Binop { dst, op, lhs, rhs } => {
-                    regs[*dst as usize] =
-                        self.eval_binop(*op, reg(&regs, *lhs), reg(&regs, *rhs))?
-                }
-                Instr::Alloc { dst, len, init } => {
-                    let len = Self::word_as_int(reg(&regs, *len), "alloc length")?;
-                    let init = reg(&regs, *init);
-                    let roots = self.gc_roots(&regs);
-                    self.heap.maybe_gc(&roots);
-                    regs[*dst as usize] = Word::Ptr(self.heap.alloc_array(len, init)?);
-                }
-                Instr::AllocRaw { dst, size } => {
-                    let size = Self::word_as_int(reg(&regs, *size), "raw alloc size")?;
-                    let roots = self.gc_roots(&regs);
-                    self.heap.maybe_gc(&roots);
-                    regs[*dst as usize] = Word::Ptr(self.heap.alloc_raw(size)?);
-                }
-                Instr::Tuple { dst, args } => {
-                    let words = gather(&regs, args);
-                    let roots = self.gc_roots(&regs);
-                    self.heap.maybe_gc(&roots);
-                    regs[*dst as usize] = Word::Ptr(self.heap.alloc_tuple(words)?);
-                }
-                Instr::Closure { dst, fun, captured } => {
-                    let words = gather(&regs, captured);
-                    let roots = self.gc_roots(&regs);
-                    self.heap.maybe_gc(&roots);
-                    regs[*dst as usize] = Word::Ptr(self.heap.alloc_closure(*fun, words)?);
-                }
-                Instr::Load { dst, ptr, index } => {
-                    let p = Self::word_as_ptr(reg(&regs, *ptr), "load pointer")?;
-                    let i = Self::word_as_int(reg(&regs, *index), "load index")?;
-                    regs[*dst as usize] = self.heap.load(p, i)?;
-                }
-                Instr::Store { ptr, index, value } => {
-                    let p = Self::word_as_ptr(reg(&regs, *ptr), "store pointer")?;
-                    let i = Self::word_as_int(reg(&regs, *index), "store index")?;
-                    self.heap.store(p, i, reg(&regs, *value))?;
-                }
-                Instr::LoadRaw {
-                    dst,
-                    width,
-                    ptr,
-                    offset,
-                } => {
-                    let p = Self::word_as_ptr(reg(&regs, *ptr), "raw load pointer")?;
-                    let o = Self::word_as_int(reg(&regs, *offset), "raw load offset")?;
-                    regs[*dst as usize] = Word::Int(self.heap.load_raw(p, o, *width)?);
-                }
-                Instr::StoreRaw {
-                    width,
-                    ptr,
-                    offset,
-                    value,
-                } => {
-                    let p = Self::word_as_ptr(reg(&regs, *ptr), "raw store pointer")?;
-                    let o = Self::word_as_int(reg(&regs, *offset), "raw store offset")?;
-                    let v = Self::word_as_int(reg(&regs, *value), "raw store value")?;
-                    self.heap.store_raw(p, o, *width, v)?;
-                }
-                Instr::Len { dst, ptr } => {
-                    let p = Self::word_as_ptr(reg(&regs, *ptr), "length pointer")?;
-                    regs[*dst as usize] = Word::Int(self.heap.block_len(p)? as i64);
-                }
-                Instr::Ext { dst, name, args } => {
-                    let words = gather(&regs, args);
-                    let name = name.clone();
-                    regs[*dst as usize] = self.call_extern(&name, &words)?;
-                }
-                Instr::JumpIfFalse { cond, target } => {
-                    let c = Self::word_as_bool(reg(&regs, *cond), "branch condition")?;
-                    if !c {
-                        pc = *target;
+                let instr = &code[pc];
+                pc += 1;
+                match instr {
+                    Instr::Const { dst, value } => {
+                        file[*dst as usize] = match value {
+                            Const::Unit => Word::Unit,
+                            Const::Int(v) => Word::Int(*v),
+                            Const::Float(v) => Word::Float(*v),
+                            Const::Bool(v) => Word::Bool(*v),
+                            Const::Char(c) => Word::Char(*c),
+                            Const::Str(s) => Word::Ptr(self.heap.alloc_str(s)?),
+                        };
                     }
-                }
-                Instr::Jump { target } => pc = *target,
-                Instr::TailCall { target, args } => {
-                    return Ok(Transfer::Call {
-                        target: reg(&regs, *target),
-                        args: gather(&regs, args),
-                    })
-                }
-                Instr::TailCallDirect { fun, args } => {
-                    return Ok(Transfer::Call {
-                        target: Word::Fun(*fun),
-                        args: gather(&regs, args),
-                    })
-                }
-                Instr::Halt { value } => {
-                    return Ok(Transfer::Halt(Self::word_as_int(
-                        reg(&regs, *value),
-                        "halt value",
-                    )?))
-                }
-                Instr::Migrate {
-                    label,
-                    target,
-                    fun,
-                    args,
-                } => {
-                    let target_str = self.word_as_str(reg(&regs, *target), "migrate target")?;
-                    return Ok(Transfer::Migrate {
-                        label: *label,
-                        target: target_str,
-                        fun: reg(&regs, *fun),
-                        args: gather(&regs, args),
-                    });
-                }
-                Instr::Speculate { fun, args } => {
-                    return Ok(Transfer::Speculate {
-                        fun: reg(&regs, *fun),
-                        args: gather(&regs, args),
-                    })
-                }
-                Instr::Commit { level, fun, args } => {
-                    return Ok(Transfer::Commit {
-                        level: Self::word_as_int(reg(&regs, *level), "commit level")?,
-                        fun: reg(&regs, *fun),
-                        args: gather(&regs, args),
-                    })
-                }
-                Instr::Rollback { level, code } => {
-                    return Ok(Transfer::Rollback {
-                        level: Self::word_as_int(reg(&regs, *level), "rollback level")?,
-                        code: Self::word_as_int(reg(&regs, *code), "rollback code")?,
-                    })
+                    Instr::FunRef { dst, fun } => file[*dst as usize] = Word::Fun(*fun),
+                    Instr::Move { dst, src } => file[*dst as usize] = file[*src as usize],
+                    Instr::Unop { dst, op, src } => {
+                        file[*dst as usize] = self.eval_unop(*op, file[*src as usize])?
+                    }
+                    Instr::Binop { dst, op, lhs, rhs } => {
+                        file[*dst as usize] =
+                            self.eval_binop(*op, file[*lhs as usize], file[*rhs as usize])?
+                    }
+                    Instr::Alloc { dst, len, init } => {
+                        let len = Self::word_as_int(file[*len as usize], "alloc length")?;
+                        let init = file[*init as usize];
+                        self.collect_if_due(file);
+                        file[*dst as usize] = Word::Ptr(self.heap.alloc_array(len, init)?);
+                    }
+                    Instr::AllocRaw { dst, size } => {
+                        let size = Self::word_as_int(file[*size as usize], "raw alloc size")?;
+                        self.collect_if_due(file);
+                        file[*dst as usize] = Word::Ptr(self.heap.alloc_raw(size)?);
+                    }
+                    Instr::Tuple { dst, args } => {
+                        let words = gather(file, args);
+                        self.collect_if_due(file);
+                        file[*dst as usize] = Word::Ptr(self.heap.alloc_tuple(words)?);
+                    }
+                    Instr::Closure { dst, fun, captured } => {
+                        let words = gather(file, captured);
+                        self.collect_if_due(file);
+                        file[*dst as usize] = Word::Ptr(self.heap.alloc_closure(*fun, words)?);
+                    }
+                    Instr::Load { dst, ptr, index } => {
+                        let p = Self::word_as_ptr(file[*ptr as usize], "load pointer")?;
+                        let i = Self::word_as_int(file[*index as usize], "load index")?;
+                        file[*dst as usize] = self.heap.load(p, i)?;
+                    }
+                    Instr::Store { ptr, index, value } => {
+                        let p = Self::word_as_ptr(file[*ptr as usize], "store pointer")?;
+                        let i = Self::word_as_int(file[*index as usize], "store index")?;
+                        self.heap.store(p, i, file[*value as usize])?;
+                    }
+                    Instr::LoadRaw {
+                        dst,
+                        width,
+                        ptr,
+                        offset,
+                    } => {
+                        let p = Self::word_as_ptr(file[*ptr as usize], "raw load pointer")?;
+                        let o = Self::word_as_int(file[*offset as usize], "raw load offset")?;
+                        file[*dst as usize] = Word::Int(self.heap.load_raw(p, o, *width)?);
+                    }
+                    Instr::StoreRaw {
+                        width,
+                        ptr,
+                        offset,
+                        value,
+                    } => {
+                        let p = Self::word_as_ptr(file[*ptr as usize], "raw store pointer")?;
+                        let o = Self::word_as_int(file[*offset as usize], "raw store offset")?;
+                        let v = Self::word_as_int(file[*value as usize], "raw store value")?;
+                        self.heap.store_raw(p, o, *width, v)?;
+                    }
+                    Instr::Len { dst, ptr } => {
+                        let p = Self::word_as_ptr(file[*ptr as usize], "length pointer")?;
+                        file[*dst as usize] = Word::Int(self.heap.block_len(p)? as i64);
+                    }
+                    Instr::Ext { dst, name, args } => {
+                        staged.clear();
+                        staged.extend(args.iter().map(|r| file[*r as usize]));
+                        file[*dst as usize] = self.call_extern(name, staged)?;
+                    }
+                    Instr::JumpIfFalse { cond, target } => {
+                        if !Self::word_as_bool(file[*cond as usize], "branch condition")? {
+                            pc = *target;
+                        }
+                    }
+                    Instr::Jump { target } => pc = *target,
+                    // Arguments are staged from the old registers before the
+                    // next iteration of `'call` overwrites any of them.
+                    Instr::TailCall { target, args } => {
+                        fun_id = self.stage_callee(file[*target as usize], staged)?;
+                        staged.extend(args.iter().map(|r| file[*r as usize]));
+                        continue 'call;
+                    }
+                    Instr::TailCallDirect { fun, args } => {
+                        fun_id = *fun;
+                        staged.clear();
+                        staged.extend(args.iter().map(|r| file[*r as usize]));
+                        continue 'call;
+                    }
+                    Instr::Halt { value } => {
+                        let v = Self::word_as_int(file[*value as usize], "halt value")?;
+                        return Ok(Transfer::Halt(v));
+                    }
+                    Instr::Migrate {
+                        label,
+                        target,
+                        fun,
+                        args,
+                    } => {
+                        return Ok(Transfer::Migrate {
+                            label: *label,
+                            target: self.word_as_str(file[*target as usize], "migrate target")?,
+                            fun: file[*fun as usize],
+                            args: gather(file, args),
+                        })
+                    }
+                    Instr::Speculate { fun, args } => {
+                        return Ok(Transfer::Speculate {
+                            fun: file[*fun as usize],
+                            args: gather(file, args),
+                        })
+                    }
+                    Instr::Commit { level, fun, args } => {
+                        return Ok(Transfer::Commit {
+                            level: Self::word_as_int(file[*level as usize], "commit level")?,
+                            fun: file[*fun as usize],
+                            args: gather(file, args),
+                        })
+                    }
+                    Instr::Rollback { level, code } => {
+                        return Ok(Transfer::Rollback {
+                            level: Self::word_as_int(file[*level as usize], "rollback level")?,
+                            code: Self::word_as_int(file[*code as usize], "rollback code")?,
+                        })
+                    }
                 }
             }
         }

@@ -500,8 +500,8 @@ fn failed_migrate_continues_locally() {
     assert_eq!(p.stats().migration_failures, 1);
 }
 
-#[test]
-fn binary_migration_images_check_architecture() {
+/// A binary (`suspend://bin`) image of `main() { migrate → after(123) }`.
+fn binary_image() -> mojave_core::MigrationImage {
     let mut pb = ProgramBuilder::new();
     let (after, aparams) = pb.declare("after", &[("x", Ty::Int)]);
     pb.define(after, term::halt(aparams[0]));
@@ -531,6 +531,12 @@ fn binary_migration_images_check_architecture() {
 
     let image = store.load("bin").unwrap();
     assert!(image.code.is_binary());
+    image
+}
+
+#[test]
+fn binary_migration_images_check_architecture() {
+    let image = binary_image();
 
     // Same architecture: resumes fine, no FIR needed.
     let mut ok = Process::from_image(image.clone(), config(BackendKind::Bytecode)).unwrap();
@@ -543,6 +549,37 @@ fn binary_migration_images_check_architecture() {
         ..config(BackendKind::Bytecode)
     };
     assert!(Process::from_image(image, risc).is_err());
+}
+
+#[test]
+fn binary_images_are_verified_before_they_run() {
+    use mojave_core::backend::Instr;
+    use mojave_core::migrate::PackedCode;
+    use mojave_core::RuntimeError;
+
+    // A hostile register count must be refused before it sizes anything,
+    // and a register operand the VM would index out of bounds before it runs.
+    type Breakage = fn(&mut mojave_core::BytecodeProgram);
+    let breakages: [(&str, Breakage); 2] = [
+        ("registers for", |bc| bc.funs[0].nregs = u32::MAX),
+        ("register r40", |bc| {
+            bc.funs[0].code[0] = Instr::Halt { value: 40 }
+        }),
+    ];
+    for (expected, breakage) in breakages {
+        let mut image = binary_image();
+        let PackedCode::Binary { bytecode, .. } = &mut image.code else {
+            unreachable!("binary_image() packs bytecode");
+        };
+        breakage(bytecode);
+        match Process::from_image(image, config(BackendKind::Bytecode)) {
+            Err(RuntimeError::MigrationRejected(msg)) => {
+                assert!(msg.contains("bad bytecode"), "{msg}");
+                assert!(msg.contains(expected), "{msg}");
+            }
+            other => panic!("expected a verifier rejection, got {other:?}"),
+        }
+    }
 }
 
 #[test]

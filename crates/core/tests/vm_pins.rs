@@ -1,0 +1,460 @@
+//! Behaviour pins for the bytecode VM.
+//!
+//! For a fixed set of programs — the repository's example programs plus
+//! fuzz-generator programs from fixed seeds — the table below records what
+//! the bytecode back end did **before** the VM loop was rewritten to run
+//! without allocating (PR 15): executed steps, exit value, printed output,
+//! and a fingerprint of every image the run packed.  The rewrite must not
+//! move any of them: one step per executed instruction, and — because the
+//! programs run under a tiny heap so collections happen mid-run — the same
+//! GC root set at every collection (a stale register kept as a root would
+//! keep a dead block's pointer-table index alive and shift every later
+//! image byte).
+//!
+//! Each program is also run as a chain of real migrations — every
+//! `migrate(…)` site ships the image through bytes and resumes in a fresh
+//! process — once with FIR images and once with binary (bytecode) images;
+//! both chains must reach the plain run's totals.
+
+use mojave_core::{
+    CheckpointStore, DeliveryOutcome, InMemorySink, MigrationImage, MigrationSink, Process,
+    ProcessConfig, RunOutcome,
+};
+use mojave_fir::{MigrateProtocol, Program};
+use mojave_fuzz::mutate::SplitMix64;
+use mojave_heap::HeapConfig;
+use mojave_wire::{fingerprint, CodecSet};
+use std::sync::{Arc, Mutex};
+
+const QUICKSTART: &str = r#"
+    int main() {
+        int n = 10;
+        int total = 0;
+        int specid = speculate();
+        for (int i = 0; i < n; i = i + 1) {
+            total = total + i * i;
+            if (i == 5) {
+                commit(specid);
+                checkpoint("quickstart-halfway");
+                specid = speculate();
+            }
+        }
+        commit(specid);
+        print_str("total:");
+        print_int(total);
+        return total;
+    }
+"#;
+
+const MIGRATION_CLUSTER: &str = r#"
+    int weigh(int n) {
+        int acc = 0;
+        for (int i = 1; i <= n; i = i + 1) { acc = acc + i * i; }
+        return acc;
+    }
+    int main() {
+        int before = weigh(50);
+        print_str("computed the first half; migrating to node1");
+        migrate("node1");
+        int after = weigh(25);
+        print_str("finished the second half");
+        return before + after;
+    }
+"#;
+
+const BUFFER_OVERFLOW_RX: &str = r#"
+    int main() {
+        int n = 100;
+        int guess = 16;
+        int filled = 0;
+        int attempts = 0;
+        int specid = speculate();
+        int capacity = guess;
+        if (specid == 0) { capacity = n; }
+        attempts = attempts + 1;
+        buffer data = alloc_buffer(capacity);
+        int ok = 1;
+        for (int i = 0; i < n; i = i + 1) {
+            if (i >= capacity) {
+                if (specid > 0) { abort(specid); }
+                ok = 0;
+            }
+            if (ok == 1) { poke(data, i, i % 256); }
+        }
+        if (specid > 0) { commit(specid); }
+        for (int i = 0; i < capacity; i = i + 1) {
+            if (i < n) { filled = filled + 1; }
+        }
+        print_str("bytes filled:");
+        print_int(filled);
+        print_str("attempts:");
+        print_int(attempts);
+        return filled;
+    }
+"#;
+
+const SMOKE: &str = r#"
+    int main() {
+        int acc = 0;
+        int id = speculate();
+        if (id > 0) {
+            commit(id);
+            for (int i = 1; i <= 4; i = i + 1) { acc = acc + i * i; }
+            checkpoint("mid");
+            return acc + 12;
+        }
+        return 0;
+    }
+"#;
+
+/// Allocation-heavy: string temporaries and short-lived arrays die every
+/// iteration, so the tiny heap collects many times with closures, loop
+/// state and call continuations in registers.
+const CHURN: &str = r#"
+    int fold(int[] xs, int n) {
+        int acc = 0;
+        for (int i = 0; i < n; i = i + 1) { acc = acc * 31 + xs[i]; }
+        return acc;
+    }
+    int main() {
+        int h = 7;
+        for (int round = 0; round < 40; round = round + 1) {
+            int[] xs = alloc_int(8);
+            for (int i = 0; i < 8; i = i + 1) { xs[i] = round * i + h % 13; }
+            h = h * 17 + fold(xs, 8);
+            if (round % 10 == 9) {
+                checkpoint(str_concat("churn-", int_to_str(round)));
+                print_int(h);
+            }
+            if (round == 19) { migrate("elsewhere"); }
+        }
+        return h;
+    }
+"#;
+
+/// What one execution (plain, or summed over a migration chain) did.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Totals {
+    steps: u64,
+    exit: i64,
+    output: Vec<String>,
+}
+
+/// Accepts every migration by capturing the image bytes, stores
+/// checkpoints, and folds every delivered image into one fingerprint.
+struct CaptureSink {
+    inner: InMemorySink,
+    accept_migrations: bool,
+    migrated: Arc<Mutex<Option<Vec<u8>>>>,
+    images: Arc<Mutex<Vec<u8>>>,
+}
+
+impl MigrationSink for CaptureSink {
+    fn deliver(
+        &mut self,
+        protocol: MigrateProtocol,
+        target: &str,
+        image: &MigrationImage,
+    ) -> DeliveryOutcome {
+        let bytes = image.to_bytes();
+        self.images
+            .lock()
+            .expect("images lock")
+            .extend_from_slice(&fingerprint(&bytes).to_le_bytes());
+        if protocol == MigrateProtocol::Migrate && self.accept_migrations {
+            *self.migrated.lock().expect("capture lock") = Some(bytes);
+            DeliveryOutcome::Migrated
+        } else {
+            self.inner.deliver(protocol, target, image)
+        }
+    }
+
+    fn has_base(&self, base: &str, base_fingerprint: u64) -> bool {
+        self.inner.has_base(base, base_fingerprint)
+    }
+
+    fn accepted_codecs(&self) -> CodecSet {
+        CodecSet::all()
+    }
+}
+
+fn config(binary_migration: bool) -> ProcessConfig {
+    ProcessConfig {
+        binary_migration,
+        step_budget: Some(10_000_000),
+        heap: HeapConfig {
+            minor_threshold_bytes: 256,
+            major_threshold_bytes: 4 * 1024,
+            ..HeapConfig::default()
+        },
+        ..ProcessConfig::default()
+    }
+}
+
+/// Run `program` to its exit, resuming through bytes at every accepted
+/// migration.  Returns the totals over all segments and the fingerprint of
+/// every image the run delivered, in order, and the collections it ran.
+fn run(program: &Program, binary_migration: bool, accept_migrations: bool) -> (Totals, u64, u64) {
+    let config = config(binary_migration);
+    let migrated = Arc::new(Mutex::new(None));
+    let images = Arc::new(Mutex::new(Vec::new()));
+    let sink = || {
+        Box::new(CaptureSink {
+            inner: InMemorySink::with_store(CheckpointStore::new()),
+            accept_migrations,
+            migrated: Arc::clone(&migrated),
+            images: Arc::clone(&images),
+        })
+    };
+    let mut p = Process::new(program.clone(), config.clone())
+        .expect("program verifies")
+        .with_sink(sink());
+    let mut totals = Totals {
+        steps: 0,
+        exit: 0,
+        output: Vec::new(),
+    };
+    let mut collections = 0;
+    for _segment in 0..64 {
+        let outcome = p.run().expect("program runs");
+        totals.steps += p.stats().steps;
+        let heap = p.heap().stats();
+        collections += heap.minor_collections + heap.major_collections;
+        totals.output.extend_from_slice(p.output());
+        match outcome {
+            RunOutcome::Exit(v) => {
+                totals.exit = v;
+                let fp = fingerprint(&images.lock().expect("images lock"));
+                return (totals, fp, collections);
+            }
+            RunOutcome::MigratedAway { .. } => {
+                let bytes = migrated
+                    .lock()
+                    .expect("capture lock")
+                    .take()
+                    .expect("a migration was captured");
+                let image = MigrationImage::from_bytes(&bytes).expect("image decodes");
+                assert_eq!(image.code.is_binary(), binary_migration);
+                p = Process::from_image(image, config.clone())
+                    .expect("image resumes")
+                    .with_sink(sink());
+            }
+            other => panic!("unexpected outcome {other:?}"),
+        }
+    }
+    panic!("still migrating after 64 segments");
+}
+
+fn fuzz_program(seed: u64) -> String {
+    let mut rng = SplitMix64::new(seed);
+    let tape: Vec<u32> = (0..mojave_fuzz::MAX_TAPE)
+        .map(|_| rng.below(1_000_000) as u32)
+        .collect();
+    mojave_fuzz::generate_program(&tape)
+}
+
+/// `(program, steps, exit, printed lines, output fingerprint, collections,
+/// FIR-chain image fingerprint, binary-chain image fingerprint)`.
+type Pin = (&'static str, u64, i64, usize, u64, u64, u64, u64);
+
+/// Recorded on commit e849cc9 (the parent of the VM rewrite).
+const PINS: &[Pin] = &[
+    (
+        "quickstart",
+        340,
+        285,
+        2,
+        2_976_469_528_843_563_422,
+        1,
+        16_030_706_101_639_846_405,
+        13_887_575_591_652_381_274,
+    ),
+    (
+        "migration_cluster",
+        1806,
+        48450,
+        2,
+        12_787_247_889_636_298_287,
+        1,
+        11_890_817_753_576_504_112,
+        14_047_552_945_533_481_625,
+    ),
+    (
+        "buffer_overflow_rx",
+        6802,
+        100,
+        4,
+        11_955_521_012_289_885_696,
+        1,
+        14_695_981_039_346_656_037,
+        14_695_981_039_346_656_037,
+    ),
+    (
+        "smoke",
+        128,
+        42,
+        0,
+        14_695_981_039_346_656_037,
+        1,
+        21_038_026_483_471_500,
+        6_626_132_588_056_879_120,
+    ),
+    (
+        "churn",
+        20113,
+        -7_921_361_806_761_573_449,
+        4,
+        9_711_047_249_202_521_300,
+        29,
+        3_872_680_820_842_325_040,
+        862_632_781_602_135_669,
+    ),
+    (
+        "fuzz-1",
+        841,
+        -1_644_338_948_666_297_274,
+        1,
+        574_368_414_772_627_185,
+        5,
+        7_334_981_190_100_802_644,
+        14_581_047_385_429_201_136,
+    ),
+    (
+        "fuzz-2",
+        598,
+        523_673_999_479,
+        0,
+        14_695_981_039_346_656_037,
+        4,
+        12_370_714_059_388_599_479,
+        2_956_082_068_646_669_940,
+    ),
+    (
+        "fuzz-3",
+        375,
+        16_008_302_579,
+        1,
+        12_638_136_623_020_744_290,
+        3,
+        3_779_944_649_852_898_942,
+        2_725_089_723_764_430_966,
+    ),
+    (
+        "fuzz-4",
+        776,
+        15_769_485_187_248_975,
+        1,
+        12_638_135_523_509_116_079,
+        5,
+        14_202_010_258_474_901_393,
+        1_175_913_653_593_842_486,
+    ),
+    (
+        "fuzz-5",
+        575,
+        14_696_606_249,
+        6,
+        17_314_319_034_295_629_427,
+        3,
+        2_749_952_909_006_086_476,
+        2_928_225_509_811_588_069,
+    ),
+    (
+        "fuzz-6",
+        1192,
+        5_385_051_258_408_164_497,
+        0,
+        14_695_981_039_346_656_037,
+        7,
+        6_739_671_213_128_543_268,
+        12_370_190_070_398_562_265,
+    ),
+    (
+        "fuzz-7",
+        758,
+        14_913_435_878_840,
+        0,
+        14_695_981_039_346_656_037,
+        5,
+        16_625_715_687_148_439_509,
+        14_173_388_478_936_426_600,
+    ),
+    (
+        "fuzz-8",
+        712,
+        460_223_917_329,
+        0,
+        14_695_981_039_346_656_037,
+        7,
+        17_352_805_795_264_573_714,
+        7_129_367_821_615_090_405,
+    ),
+    (
+        "fuzz-9",
+        1088,
+        6_133_904_372_031_272_257,
+        0,
+        14_695_981_039_346_656_037,
+        6,
+        9_500_361_706_874_324_705,
+        5_751_796_353_440_615_511,
+    ),
+    (
+        "fuzz-10",
+        760,
+        14_451_209_512_573_645,
+        1,
+        12_638_130_025_950_975_024,
+        5,
+        4_790_687_102_982_623_363,
+        6_436_187_509_050_121_124,
+    ),
+];
+
+#[test]
+fn bytecode_vm_steps_exit_output_and_images_are_pinned() {
+    let mut programs: Vec<(String, String)> = [
+        ("quickstart", QUICKSTART),
+        ("migration_cluster", MIGRATION_CLUSTER),
+        ("buffer_overflow_rx", BUFFER_OVERFLOW_RX),
+        ("smoke", SMOKE),
+        ("churn", CHURN),
+    ]
+    .into_iter()
+    .map(|(n, s)| (n.to_owned(), s.to_owned()))
+    .collect();
+    for seed in 1..=10u64 {
+        programs.push((format!("fuzz-{seed}"), fuzz_program(seed)));
+    }
+
+    let mut actual = Vec::new();
+    for (name, source) in &programs {
+        let program = mojave_lang::compile_source(source)
+            .unwrap_or_else(|e| panic!("{name} must compile: {e}"));
+        let (plain, _, collections) = run(&program, false, false);
+        let (fir, fir_images, _) = run(&program, false, true);
+        let (binary, binary_images, _) = run(&program, true, true);
+        assert_eq!(fir, plain, "{name}: FIR-migrated chain totals");
+        assert_eq!(binary, plain, "{name}: binary-migrated chain totals");
+        let out = plain.output.join("\n");
+        actual.push((
+            name.clone(),
+            plain.steps,
+            plain.exit,
+            plain.output.len(),
+            fingerprint(out.as_bytes()),
+            collections,
+            fir_images,
+            binary_images,
+        ));
+    }
+
+    let expected: Vec<_> = PINS
+        .iter()
+        .map(|&(n, s, e, l, o, c, f, b)| (n.to_owned(), s, e, l, o, c, f, b))
+        .collect();
+    assert_eq!(
+        actual, expected,
+        "VM behaviour moved; the table this run produced:\n{actual:#?}"
+    );
+}

@@ -7,7 +7,10 @@
 //! * **(b) kill-and-resurrect** — rerun under a tape-chosen step budget,
 //!   let the budget kill the process mid-flight, then resurrect the
 //!   highest checkpoint the recorder saw delivered (delta chains resolve
-//!   through the store) and run it to completion;
+//!   through the store) and run it to completion; short programs repeat
+//!   this at a seeded sample of further budgets across the whole run, so
+//!   kills land on tail calls, closure calls and the first instruction
+//!   after a call replaced the register file;
 //! * **(c) codec migration chains** — force each negotiated codec
 //!   (`Raw`, `Varint`, `Lz`, `VarintLz`) and let every `migrate(…)` site
 //!   really migrate: serialize the [`MigrationImage`] to bytes, decode it,
@@ -21,12 +24,14 @@
 //! [`ProcessStats`] invariants listed in the private `StatsView` helper.
 
 use crate::gen::generate_program;
+use crate::mutate::SplitMix64;
 use mojave_core::{
     BackendKind, CheckpointStore, DeliveryOutcome, InMemorySink, MigrationImage, MigrationSink,
     Process, ProcessConfig, ProcessStats, RunOutcome, RuntimeError,
 };
 use mojave_fir::{MigrateProtocol, Program};
 use mojave_wire::{CodecId, CodecSet};
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 /// Generous per-run step budget: a generated program runs for at most a
@@ -37,6 +42,18 @@ const SAFETY_BUDGET: u64 = 2_000_000;
 /// Upper bound on migrate-resume hops in mode (c); generated programs
 /// execute a bounded number of migrate sites, so exceeding this is a bug.
 const MAX_SEGMENTS: usize = 64;
+
+/// Mode (b) sweeps extra kill points only for programs at most this long
+/// (nearly every generated program is)…
+const BUDGET_SWEEP_MAX_STEPS: u64 = 3_000;
+
+/// …and only for one program in this many, chosen by the tape: a kill run
+/// costs about as much as a plain run, and the sweep must stay a small
+/// share of the tier-1 wall time.
+const BUDGET_SWEEP_ONE_IN: u64 = 4;
+
+/// Extra kill points mode (b) samples per swept program.
+const BUDGET_SWEEP_SAMPLES: u64 = 32;
 
 /// The codecs mode (c) forces through the wire.
 const CODECS: [CodecId; 4] = [
@@ -224,8 +241,9 @@ impl MigrationSink for RecorderSink {
     }
 }
 
-/// Mode (b): rerun under a tape-derived step budget, let the budget kill
-/// the process, resurrect the last delivered checkpoint and finish.
+/// Mode (b): kill the program at a tape-derived step budget — and, for
+/// short programs, at a seeded sample of budgets over the whole run —
+/// resurrect the last delivered checkpoint each time, and finish.
 fn check_kill_and_resurrect(
     program: &Program,
     tape: &[u32],
@@ -238,7 +256,61 @@ fn check_kill_and_resurrect(
     // lands in generated code rather than in the fixed prologue/epilogue.
     let frac = u64::from(tape.first().copied().unwrap_or(0) % 50 + 25);
     let kill = (bytecode.steps * frac / 100).max(5);
+    let resume_backend = if tape.get(1).copied().unwrap_or(0) % 2 == 0 {
+        BackendKind::Bytecode
+    } else {
+        BackendKind::Interp
+    };
+    let mut resurrected = HashSet::new();
+    kill_and_resurrect(
+        program,
+        kill,
+        None,
+        resume_backend,
+        bytecode,
+        &mut resurrected,
+    )?;
 
+    // The sample is a function of the tape alone, so a failure reproduces
+    // from the tape.  Any budget in 1..steps kills mid-flight.
+    let seed = tape.iter().fold(bytecode.steps, |h, w| {
+        h.wrapping_mul(0x100_0000_01b3) ^ u64::from(*w)
+    });
+    if bytecode.steps <= BUDGET_SWEEP_MAX_STEPS && seed % BUDGET_SWEEP_ONE_IN == 0 {
+        let mut rng = SplitMix64::new(seed);
+        for _ in 0..BUDGET_SWEEP_SAMPLES {
+            let kill = 1 + rng.below(bytecode.steps - 1);
+            // Raw images: what the sweep varies is the kill point, and
+            // trying every codec on every checkpoint would dominate it.
+            kill_and_resurrect(
+                program,
+                kill,
+                Some(CodecId::Raw),
+                BackendKind::Bytecode,
+                bytecode,
+                &mut resurrected,
+            )?;
+        }
+    }
+    Ok(())
+}
+
+/// Run under the step budget `kill` (below the plain run's step count),
+/// let the budget kill the process, resurrect the last delivered
+/// checkpoint on `resume_backend` and check it reaches the plain exit.
+///
+/// `resurrected` holds the `(backend, stored bytes)` already resumed to the
+/// right exit: a resumed run is a function of the image alone (a delta pins
+/// its base by fingerprint), so kills that leave the same last checkpoint
+/// share one resurrection.
+fn kill_and_resurrect(
+    program: &Program,
+    kill: u64,
+    heap_codec: Option<CodecId>,
+    resume_backend: BackendKind,
+    bytecode: &ModeResult,
+    resurrected: &mut HashSet<(bool, Vec<u8>)>,
+) -> Result<(), String> {
     let store = CheckpointStore::new();
     let delivered = Arc::new(Mutex::new(Vec::new()));
     let sink = RecorderSink {
@@ -248,6 +320,7 @@ fn check_kill_and_resurrect(
     let config = ProcessConfig {
         step_budget: Some(kill),
         delta_checkpoints: true,
+        heap_codec,
         ..base_config(BackendKind::Bytecode, false)
     };
     let mut p = Process::new(program.clone(), config)
@@ -264,19 +337,29 @@ fn check_kill_and_resurrect(
             ));
         }
         Ok(other) => return Err(format!("kill run: unexpected outcome {other:?}")),
-        Err(e) => return Err(format!("kill run: unexpected error: {e}")),
+        Err(e) => return Err(format!("kill run at budget {kill}: unexpected error: {e}")),
+    }
+    if p.stats().steps != kill + 1 {
+        return Err(format!(
+            "kill run at budget {kill} counted {} steps, expected the overrun step {}",
+            p.stats().steps,
+            kill + 1
+        ));
     }
 
     let names = delivered.lock().expect("recorder lock").clone();
-    let resume_backend = if tape.get(1).copied().unwrap_or(0) % 2 == 0 {
-        BackendKind::Bytecode
-    } else {
-        BackendKind::Interp
-    };
+    let stored = names.last().and_then(|last| store.get(last));
+    let key = (
+        resume_backend == BackendKind::Interp,
+        stored.unwrap_or_default(),
+    );
+    if !resurrected.insert(key) {
+        return Ok(());
+    }
     let Some(last) = names.last() else {
         // Killed before the first checkpoint delivery: nothing to
         // resurrect, so rerun from scratch instead (the generator's early
-        // checkpoint makes this rare).
+        // checkpoint makes this rare for mid-run kills).
         let rerun = run_plain(program, resume_backend, false)?;
         if rerun.exit != bytecode.exit {
             return Err(format!(
@@ -300,7 +383,9 @@ fn check_kill_and_resurrect(
             bytecode.exit
         )),
         Ok(other) => Err(format!("resurrect: unexpected outcome {other:?}")),
-        Err(e) => Err(format!("resurrect from {last}: runtime error: {e}")),
+        Err(e) => Err(format!(
+            "resurrect from {last} (killed at step {kill}): runtime error: {e}"
+        )),
     }
 }
 

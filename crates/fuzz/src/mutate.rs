@@ -13,8 +13,12 @@
 //! mutant: `MigrationImage::from_bytes` either succeeds or returns a
 //! precise [`WireError`](mojave_wire::WireError) — never a panic — and a
 //! successfully parsed mutant can be heap-decoded and re-encoded without
-//! panicking either.  Truncations must always fail: every layout ends
-//! with either a required section or a trailing-bytes check.
+//! panicking either.  A parsed mutant that carries **binary code** goes
+//! further: it is resumed (`Process::from_image`, which runs the bytecode
+//! verifier) and run under a short step budget — the outcome must be a
+//! clean run or a precise [`RuntimeError`](mojave_core::RuntimeError).
+//! Truncations must always fail: every layout ends with either a required
+//! section or a trailing-bytes check.
 
 use mojave_core::{
     BackendKind, CheckpointStore, InMemorySink, MigrationImage, Process, ProcessConfig, RunOutcome,
@@ -358,9 +362,16 @@ pub fn mutate(bytes: &[u8], seed: u64) -> (Vec<u8>, MutationKind) {
     }
 }
 
+/// Step budget for resuming a binary mutant: the pristine fixture runs for
+/// a few hundred steps, so this reaches every instruction a mutation can
+/// have touched while bounding a mutant that loops.
+const RESUME_BUDGET: u64 = 20_000;
+
 /// Decode a (possibly mutated) image the way the runtime would: parse,
-/// then heap-decode and re-encode on success.  Returns a description of
-/// the outcome; panics inside are the harness's job to catch.
+/// then heap-decode and re-encode on success; an image carrying binary
+/// code is also resumed and run for up to `RESUME_BUDGET` steps.
+/// Returns a description of the outcome (`"rejected"`, `"parsed"` or
+/// `"resumed"`); panics inside are the harness's job to catch.
 pub fn exercise_decoder(bytes: &[u8]) -> Result<&'static str, String> {
     match MigrationImage::from_bytes(bytes) {
         Err(e) => {
@@ -377,7 +388,27 @@ pub fn exercise_decoder(bytes: &[u8]) -> Result<&'static str, String> {
             // and re-encode.
             let _ = image.decode_heap(mojave_heap::HeapConfig::default());
             let _ = image.to_bytes();
-            Ok("parsed")
+            if !image.code.is_binary() {
+                return Ok("parsed");
+            }
+            // Binary code is the one section a receiver cannot re-derive:
+            // it runs what the verifier lets through.  The receiver's own
+            // allocation limit keeps a mutated length constant honest.
+            let config = ProcessConfig {
+                step_budget: Some(RESUME_BUDGET),
+                heap: mojave_heap::HeapConfig {
+                    max_alloc: 1 << 16,
+                    ..mojave_heap::HeapConfig::default()
+                },
+                ..ProcessConfig::default()
+            };
+            let outcome = Process::from_image(image, config).and_then(|mut p| p.run());
+            match outcome {
+                Err(e) if e.to_string().is_empty() => {
+                    Err("RuntimeError rendered to an empty message".to_owned())
+                }
+                _ => Ok("resumed"),
+            }
         }
     }
 }

@@ -4,6 +4,8 @@
 //! * `differential_smoke_slice` — 25 programs, always; the tier-1 gate.
 //! * `differential_sweep` — `MOJAVE_FUZZ_PROGRAMS` programs (default 200;
 //!   the nightly CI job sets 500).
+//! * `compiled_programs_pass_the_bytecode_verifier` — the same program
+//!   count through `compile_program` + `BytecodeProgram::verify` only.
 //!
 //! Failures shrink through the vendored proptest shrinker: a decision
 //! tape is a `Vec<u32>`, truncating or zeroing it yields a strictly
@@ -72,6 +74,31 @@ fn differential_smoke_slice() {
 #[test]
 fn differential_sweep() {
     sweep("differential-sweep", programs_from_env(200));
+}
+
+/// The VM loop runs compiler output without the load-time verifier having
+/// seen it (only binary images are verified, and debug builds assert it), so
+/// "whatever `compile_program` emits verifies" is a property of its own.
+#[test]
+fn compiled_programs_pass_the_bytecode_verifier() {
+    let strategy = collection::vec(0u32..1_000_000u32, 0..MAX_TAPE);
+    let verifies = |tape: &Vec<u32>| {
+        let program = mojave_lang::compile_source(&generate_program(tape)).expect("compiles");
+        let bytecode = mojave_core::backend::compile_program(&program).expect("elaborates");
+        bytecode.verify().is_ok()
+    };
+    let cases = programs_from_env(200);
+    if let Some((case, minimal)) = find_failure(&strategy, "bytecode-verifies", cases, verifies) {
+        let source = generate_program(&minimal);
+        let program = mojave_lang::compile_source(&source).expect("compiles");
+        let rejection = mojave_core::backend::compile_program(&program)
+            .expect("elaborates")
+            .verify();
+        panic!(
+            "compiler output failed verification: case {case}, {rejection:?}\n\
+             minimal tape: {minimal:?}\n--- generated program ---\n{source}"
+        );
+    }
 }
 
 /// The oracle must also *fail* when semantics genuinely differ: feed it a

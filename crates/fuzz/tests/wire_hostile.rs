@@ -7,7 +7,10 @@
 //! `mojave_fuzz::cap_alloc::CapAlloc` as the global allocator and asserts
 //! a high-water mark per mutation.  A length-field inflated to ~4 GiB must
 //! be rejected by `MAX_REASONABLE_LEN`-style guards *before* the decoder
-//! reserves memory for it.
+//! reserves memory for it.  Mutants that parse and carry binary code are
+//! resumed and run under a step budget inside the same panic and
+//! allocation guards, so a hostile `nregs`, register index, jump target or
+//! function id must be stopped by the bytecode verifier.
 //!
 //! `MOJAVE_FUZZ_MUTATIONS` scales the sweep (default 1000; nightly 2000).
 
@@ -38,6 +41,7 @@ fn mutated_wire_images_fail_precisely_never_panic() {
 
     let mut rejected = 0u64;
     let mut parsed = 0u64;
+    let mut resumed = 0u64;
     for seed in 0..total {
         let (name, pristine) = &corpus[(seed % corpus.len() as u64) as usize];
         let (mutant, kind) = mutate(pristine, seed);
@@ -73,6 +77,7 @@ fn mutated_wire_images_fail_precisely_never_panic() {
         }
         match verdict {
             "rejected" => rejected += 1,
+            "resumed" => resumed += 1,
             _ => parsed += 1,
         }
     }
@@ -84,4 +89,11 @@ fn mutated_wire_images_fail_precisely_never_panic() {
         "suspiciously few rejections ({rejected} of {total}, {parsed} parsed) — \
          is the mutator hitting the image at all?"
     );
+    // …and the resume path: the corpus holds binary-code images, and some
+    // of their mutants survive the parser.
+    assert!(
+        total < 1000 || resumed > 0,
+        "no binary mutant was resumed in {total} mutations"
+    );
+    eprintln!("{total} mutations: {rejected} rejected, {parsed} parsed, {resumed} resumed");
 }

@@ -42,11 +42,22 @@ impl Heap {
     /// `roots` are the mutator's registers (every live [`Word`] outside the
     /// heap).  Returns which collection ran, if any.
     pub fn maybe_gc(&mut self, roots: &[Word]) -> Option<GcKind> {
+        let kind = self.gc_due()?;
+        match kind {
+            GcKind::Major => self.gc_major(roots),
+            GcKind::Minor => self.gc_minor(roots),
+        }
+        Some(kind)
+    }
+
+    /// Which collection [`Heap::maybe_gc`] would run right now, if any — two
+    /// threshold compares, so a mutator can skip building its root set when
+    /// nothing is due.
+    #[inline]
+    pub fn gc_due(&self) -> Option<GcKind> {
         if self.live_bytes >= self.config.major_threshold_bytes {
-            self.gc_major(roots);
             Some(GcKind::Major)
         } else if self.young_bytes >= self.config.minor_threshold_bytes {
-            self.gc_minor(roots);
             Some(GcKind::Minor)
         } else {
             None
