@@ -84,7 +84,7 @@ fn recompilation_share(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
     let (mut process, roots) = process_with_heap(1024 * 1024, false);
     let image = process.pack(0, Word::Fun(0), &roots).expect("pack");
-    let program = match &image.code {
+    let program = match &*image.code {
         mojave_core::migrate::PackedCode::Fir(p) => p.clone(),
         _ => unreachable!("FIR image"),
     };

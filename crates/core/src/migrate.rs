@@ -54,6 +54,72 @@ impl PackedCode {
     pub fn is_binary(&self) -> bool {
         matches!(self, PackedCode::Binary { .. })
     }
+
+    /// The tag of the image section this code travels in.
+    fn section_tag(&self) -> SectionTag {
+        match self {
+            PackedCode::Fir(_) => SectionTag::FirProgram,
+            PackedCode::Binary { .. } => SectionTag::Bytecode,
+        }
+    }
+
+    /// Write that section's body: what follows its tag (and, in the framed
+    /// layout, its length).
+    fn encode_body(&self, w: &mut WireWriter) {
+        match self {
+            PackedCode::Fir(program) => program.encode(w),
+            PackedCode::Binary { arch, bytecode } => {
+                w.write_str(arch);
+                bytecode.encode(w);
+            }
+        }
+    }
+}
+
+/// The code section as an image carries it: one immutable [`PackedCode`],
+/// shared by every image a process packs, together with the body of the
+/// framed section it encodes to — produced by the first
+/// [`MigrationImage::to_bytes`] that needs it, spliced by every later one.
+///
+/// There is no mutable access: changed code is a new `CodeSection`
+/// (`PackedCode::into`) with nothing cached, so the cached bytes are the
+/// encoding of this code by construction.  Equality compares the code only.
+#[derive(Debug, Clone)]
+pub struct CodeSection(Arc<(PackedCode, OnceLock<Vec<u8>>)>);
+
+impl CodeSection {
+    /// Whether `a` and `b` are one shared section (as [`Arc::ptr_eq`]).
+    pub fn ptr_eq(a: &CodeSection, b: &CodeSection) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// The encoded section body, produced on first use.
+    fn body(&self) -> &[u8] {
+        self.0 .1.get_or_init(|| {
+            let mut w = WireWriter::new();
+            self.encode_body(&mut w);
+            w.into_bytes()
+        })
+    }
+}
+
+impl From<PackedCode> for CodeSection {
+    fn from(code: PackedCode) -> Self {
+        CodeSection(Arc::new((code, OnceLock::new())))
+    }
+}
+
+impl std::ops::Deref for CodeSection {
+    type Target = PackedCode;
+    fn deref(&self) -> &PackedCode {
+        &self.0 .0
+    }
+}
+
+impl PartialEq for CodeSection {
+    fn eq(&self, other: &Self) -> bool {
+        CodeSection::ptr_eq(self, other) || **self == **other
+    }
 }
 
 /// The heap payload of a migration image: a complete encoding of the live
@@ -130,7 +196,7 @@ pub struct MigrationImage {
     /// Architecture tag of the machine that packed the image.
     pub source_arch: String,
     /// The code section.
-    pub code: PackedCode,
+    pub code: CodeSection,
     /// Encoded heap (pointer table + blocks), full or delta.
     pub heap_image: HeapImage,
     /// Pointer to the `migrate_env` block holding the live variables.
@@ -193,17 +259,8 @@ impl MigrationImage {
         };
         let mut w = WireWriter::with_capacity(heap_bytes.len() + 1024);
         w.write_header_versioned(&self.source_arch, self.format_version);
-        match &self.code {
-            PackedCode::Fir(program) => {
-                w.write_section(SectionTag::FirProgram);
-                program.encode(&mut w);
-            }
-            PackedCode::Binary { arch, bytecode } => {
-                w.write_section(SectionTag::Bytecode);
-                w.write_str(arch);
-                bytecode.encode(&mut w);
-            }
-        }
+        w.write_section(self.code.section_tag());
+        self.code.encode_body(&mut w);
         w.write_section(SectionTag::HeapBlocks);
         w.write_bytes(heap_bytes);
         w.write_section(SectionTag::MigrateEnv);
@@ -220,7 +277,8 @@ impl MigrationImage {
     /// (tag + u32 length + body), so decoders can slice or skip sections
     /// without parsing them, and the heap payload may be a delta.
     fn to_bytes_v2(&self) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(self.heap_image.len() + 1024);
+        let code_body = self.code.body();
+        let mut w = WireWriter::with_capacity(code_body.len() + self.heap_image.len() + 1024);
         // A legacy-versioned image forced onto this path (delta payload)
         // must advertise a version its framed layout matches.
         let version = if self.is_legacy() {
@@ -229,17 +287,8 @@ impl MigrationImage {
             self.format_version
         };
         w.write_header_versioned(&self.source_arch, version);
-        match &self.code {
-            PackedCode::Fir(program) => {
-                let mut s = w.begin_section(SectionTag::FirProgram);
-                program.encode(&mut s);
-            }
-            PackedCode::Binary { arch, bytecode } => {
-                let mut s = w.begin_section(SectionTag::Bytecode);
-                s.write_str(arch);
-                bytecode.encode(&mut s);
-            }
-        }
+        w.begin_section(self.code.section_tag())
+            .write_raw(code_body);
         match &self.heap_image {
             HeapImage::Full(bytes) => {
                 let mut s = w.begin_section(SectionTag::HeapBlocks);
@@ -322,7 +371,7 @@ impl MigrationImage {
         Ok(MigrationImage {
             format_version,
             source_arch,
-            code,
+            code: code.into(),
             heap_image,
             migrate_env,
             resume_fun,
@@ -385,7 +434,7 @@ impl MigrationImage {
         Ok(MigrationImage {
             format_version,
             source_arch,
-            code,
+            code: code.into(),
             heap_image,
             migrate_env,
             resume_fun,
@@ -582,10 +631,9 @@ pub struct SnapshotPack {
     /// Architecture tag of the packing machine.
     pub source_arch: String,
     /// The code section (FIR or compiled bytecode), shared with the
-    /// process so freezing does not deep-clone the program on the mutator
-    /// — the owned clone [`MigrationImage`] needs is taken by
-    /// [`SnapshotPack::into_image`], off-thread.
-    pub code: Arc<PackedCode>,
+    /// process and with every image it packs: neither the freeze nor
+    /// [`SnapshotPack::into_image`] clones the program.
+    pub code: CodeSection,
     /// The frozen heap.
     pub heap: HeapSnapshot,
     /// `Some((base, fingerprint))` to encode an incremental delta against
@@ -664,7 +712,7 @@ impl SnapshotPack {
         Ok(MigrationImage {
             format_version: self.format_version,
             source_arch: self.source_arch,
-            code: (*self.code).clone(),
+            code: self.code,
             heap_image,
             migrate_env: self.migrate_env,
             resume_fun: self.resume_fun,
@@ -1134,7 +1182,7 @@ mod tests {
         MigrationImage {
             format_version: FORMAT_VERSION,
             source_arch: "ia32-sim".into(),
-            code: PackedCode::Fir(program),
+            code: PackedCode::Fir(program).into(),
             heap_image: HeapImage::Full(w.into_bytes()),
             migrate_env: env,
             resume_fun: Word::Fun(0),
@@ -1162,6 +1210,73 @@ mod tests {
         let back = MigrationImage::from_bytes(&bytes).unwrap();
         assert_eq!(back, image);
         assert_eq!(back.byte_size(), bytes.len());
+    }
+
+    /// The code section is encoded once per [`CodeSection`] and spliced from
+    /// then on.  For FIR and binary code, in the v5 and the v4 layout, the
+    /// bytes with the cached body equal the bytes without it, and both hold
+    /// exactly the frame a writer encoding in place produces.
+    #[test]
+    fn cached_code_section_splices_the_bytes_encoding_in_place_writes() {
+        let fir = tiny_image();
+        let PackedCode::Fir(program) = PackedCode::clone(&fir.code) else {
+            unreachable!("tiny_image packs FIR");
+        };
+        let binary = MigrationImage {
+            code: PackedCode::Binary {
+                arch: "ia32-sim".into(),
+                bytecode: crate::backend::compile_program(&program).unwrap(),
+            }
+            .into(),
+            ..fir.clone()
+        };
+        for image in [fir, binary] {
+            for version in [FORMAT_VERSION, BATCHED_VERSION] {
+                let mut image = MigrationImage {
+                    format_version: version,
+                    ..image.clone()
+                };
+                if version == BATCHED_VERSION {
+                    let heap = tiny_image().decode_heap(HeapConfig::default()).unwrap();
+                    let mut w = WireWriter::new();
+                    heap.encode_image(&mut w);
+                    image.heap_image = HeapImage::Full(w.into_bytes());
+                }
+                // What the writer produced before there was a cache.
+                let mut in_place = WireWriter::new();
+                in_place.write_header_versioned(&image.source_arch, version);
+                let header_len = in_place.len();
+                match &*image.code {
+                    PackedCode::Fir(program) => {
+                        let mut s = in_place.begin_section(SectionTag::FirProgram);
+                        program.encode(&mut s);
+                    }
+                    PackedCode::Binary { arch, bytecode } => {
+                        let mut s = in_place.begin_section(SectionTag::Bytecode);
+                        s.write_str(arch);
+                        bytecode.encode(&mut s);
+                    }
+                }
+                let in_place = in_place.into_bytes();
+                assert!(in_place.len() > header_len + 5);
+
+                let uncached = MigrationImage {
+                    code: PackedCode::clone(&image.code).into(),
+                    ..image.clone()
+                };
+                let first = image.to_bytes(); // encodes the body
+                let second = image.to_bytes(); // splices it
+                assert_eq!(first, second);
+                assert_eq!(first, uncached.to_bytes());
+                assert_eq!(first[..in_place.len()], in_place[..]);
+
+                let back = MigrationImage::from_bytes(&first).unwrap();
+                assert_eq!(back, image);
+                assert_eq!(back.to_bytes(), first);
+                assert!(!CodeSection::ptr_eq(&back.code, &image.code));
+                assert!(CodeSection::ptr_eq(&image.clone().code, &image.code));
+            }
+        }
     }
 
     #[test]

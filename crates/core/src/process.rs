@@ -6,8 +6,8 @@ use crate::error::RuntimeError;
 use crate::externals::{DefaultExternals, ExtCall, Externals};
 use crate::machine::Machine;
 use crate::migrate::{
-    DeliveryOutcome, HeapImage, InMemorySink, MigrationImage, MigrationSink, PackedCode,
-    SnapshotPack,
+    CodeSection, DeliveryOutcome, HeapImage, InMemorySink, MigrationImage, MigrationSink,
+    PackedCode, SnapshotPack,
 };
 use crate::speculate::SpeculationManager;
 use mojave_fir::{
@@ -226,10 +226,10 @@ pub struct Process {
     /// [`ProcessStats::checkpoint_encode_ns`], so repeated flushes add
     /// only the delta.
     encode_ns_reported: u64,
-    /// Cached code section for snapshot packs.  The code is immutable for
-    /// the process lifetime, so the (potentially large) program clone is
-    /// paid once; every subsequent zero-pause pack shares it.
-    packed_code_cache: Option<Arc<PackedCode>>,
+    /// The code section every pack ships.  The code is immutable for the
+    /// process lifetime, so the (potentially large) program clone and the
+    /// section's encoding are paid once; every later image shares both.
+    packed_code_cache: Option<CodeSection>,
     /// Flight recorder for checkpoint/deliver events (shared with the
     /// heap's recorder when set through [`Process::with_recorder`]).
     recorder: Recorder,
@@ -304,7 +304,7 @@ impl Process {
     /// execution resumes).
     pub fn from_image(image: MigrationImage, config: ProcessConfig) -> Result<Self, RuntimeError> {
         let extern_env = ExternEnv::standard();
-        let (program, bytecode) = match &image.code {
+        let (program, bytecode) = match &*image.code {
             PackedCode::Fir(program) => {
                 // The safety step: verify before running foreign code.
                 validate(program)?;
@@ -552,13 +552,10 @@ impl Process {
                 Transfer::Rollback { level, code } => {
                     let lvl = self.valid_level(level)?;
                     self.heap.spec_rollback(lvl)?;
-                    let entry =
-                        self.spec
-                            .rollback(lvl)
-                            .ok_or(RuntimeError::BadSpeculationLevel {
-                                level,
-                                open: self.spec.depth(),
-                            })?;
+                    let Some(entry) = self.spec.rollback(lvl) else {
+                        let open = self.spec.depth();
+                        return Err(RuntimeError::BadSpeculationLevel { level, open });
+                    };
                     self.stats.rollbacks += 1;
                     // Retry semantics: the level is immediately re-entered and
                     // the saved continuation called with the new code.
@@ -879,9 +876,13 @@ impl Process {
     }
 
     /// The code section a pack ships: the FIR program, or compiled
-    /// bytecode under [`ProcessConfig::binary_migration`].
-    fn packed_code(&self) -> Result<PackedCode, RuntimeError> {
-        if self.config.binary_migration {
+    /// bytecode under [`ProcessConfig::binary_migration`] — built by the
+    /// first pack of any kind and shared from then on.
+    fn packed_code(&mut self) -> Result<CodeSection, RuntimeError> {
+        if let Some(code) = &self.packed_code_cache {
+            return Ok(code.clone());
+        }
+        let code = CodeSection::from(if self.config.binary_migration {
             let bytecode = match &self.bytecode {
                 Some(bc) => BytecodeProgram::clone(bc),
                 None => {
@@ -893,18 +894,20 @@ impl Process {
                         .map_err(|e| RuntimeError::MigrationRejected(e.to_string()))?
                 }
             };
-            Ok(PackedCode::Binary {
+            PackedCode::Binary {
                 arch: self.config.machine.arch().to_owned(),
                 bytecode,
-            })
+            }
         } else {
             let program = self.program.as_ref().ok_or_else(|| {
                 RuntimeError::MigrationRejected(
                     "FIR migration requested but this process only carries bytecode".into(),
                 )
             })?;
-            Ok(PackedCode::Fir(program.clone()))
-        }
+            PackedCode::Fir(program.clone())
+        });
+        self.packed_code_cache = Some(code.clone());
+        Ok(code)
     }
 
     /// The asynchronous counterpart of [`Process::pack`]: capture the
@@ -943,14 +946,7 @@ impl Process {
             Some(_) => CodecSet::only(CodecId::Raw),
             None => accepted,
         };
-        let code = match &self.packed_code_cache {
-            Some(code) => Arc::clone(code),
-            None => {
-                let code = Arc::new(self.packed_code()?);
-                self.packed_code_cache = Some(Arc::clone(&code));
-                code
-            }
-        };
+        let code = self.packed_code()?;
         let freeze_start = Instant::now();
         let heap = self.heap.freeze();
         let freeze_ns = freeze_start.elapsed().as_nanos() as u64;
@@ -1040,12 +1036,14 @@ impl Process {
         Ok(())
     }
 
+    // The evaluation helpers below run once per instruction, so they follow
+    // the trap-free rule ("Execution: verify once, run fast" in
+    // `docs/ARCHITECTURE.md`): the success path computes a small value, and
+    // the `RuntimeError` of a trap is built by a `#[cold]` function from the
+    // same operands — never constructed, moved or dropped otherwise.
+
+    #[inline]
     fn eval_unop(&self, op: Unop, w: Word) -> Result<Word, RuntimeError> {
-        let mismatch = |expected: &'static str, found: Word| RuntimeError::KindMismatch {
-            expected,
-            found: found.kind_name(),
-            context: "unary operator",
-        };
         Ok(match (op, w) {
             (Unop::Neg, Word::Int(v)) => Word::Int(v.wrapping_neg()),
             (Unop::FNeg, Word::Float(v)) => Word::Float(-v),
@@ -1060,29 +1058,42 @@ impl Process {
                     .and_then(char::from_u32)
                     .unwrap_or('\u{FFFD}'),
             ),
-            (Unop::Neg | Unop::BNot | Unop::FloatOfInt | Unop::CharOfInt, w) => {
-                return Err(mismatch("int", w))
-            }
-            (Unop::FNeg | Unop::IntOfFloat, w) => return Err(mismatch("float", w)),
-            (Unop::Not, w) => return Err(mismatch("bool", w)),
-            (Unop::IntOfChar, w) => return Err(mismatch("char", w)),
+            _ => return Err(Self::unop_trap(op, w)),
         })
     }
 
-    fn eval_binop(&self, op: Binop, a: Word, b: Word) -> Result<Word, RuntimeError> {
-        use Binop::*;
-        let bad = || RuntimeError::KindMismatch {
-            expected: "matching numeric operands",
-            found: "mismatched operands",
-            context: "binary operator",
+    #[cold]
+    #[inline(never)]
+    fn unop_trap(op: Unop, found: Word) -> RuntimeError {
+        let expected = match op {
+            Unop::Neg | Unop::BNot | Unop::FloatOfInt | Unop::CharOfInt => "int",
+            Unop::FNeg | Unop::IntOfFloat => "float",
+            Unop::Not => "bool",
+            Unop::IntOfChar => "char",
         };
-        Ok(match (op, a, b) {
+        Self::kind_trap(expected, found, "unary operator")
+    }
+
+    #[inline]
+    fn eval_binop(&self, op: Binop, a: Word, b: Word) -> Result<Word, RuntimeError> {
+        match Self::binop_value(op, a, b) {
+            Some(value) => Ok(value),
+            None => Err(Self::binop_trap(op, a, b)),
+        }
+    }
+
+    /// The value of `a op b`, or `None` where the operation traps.  Always
+    /// inlined: `Word` is not a scalar pair, so out of line even this
+    /// 16-byte result returns through memory, tag and payload stored apart,
+    /// and the caller's one 16-byte reload stalls on them.
+    #[inline(always)]
+    fn binop_value(op: Binop, a: Word, b: Word) -> Option<Word> {
+        use Binop::*;
+        Some(match (op, a, b) {
             (Add, Word::Int(x), Word::Int(y)) => Word::Int(x.wrapping_add(y)),
             (Sub, Word::Int(x), Word::Int(y)) => Word::Int(x.wrapping_sub(y)),
             (Mul, Word::Int(x), Word::Int(y)) => Word::Int(x.wrapping_mul(y)),
-            (Div, Word::Int(_), Word::Int(0)) | (Rem, Word::Int(_), Word::Int(0)) => {
-                return Err(RuntimeError::DivisionByZero)
-            }
+            (Div | Rem, Word::Int(_), Word::Int(0)) => return None,
             (Div, Word::Int(x), Word::Int(y)) => Word::Int(x.wrapping_div(y)),
             (Rem, Word::Int(x), Word::Int(y)) => Word::Int(x.wrapping_rem(y)),
             (Add, Word::Float(x), Word::Float(y)) => Word::Float(x + y),
@@ -1111,36 +1122,61 @@ impl Process {
             (Le, Word::Char(x), Word::Char(y)) => Word::Bool(x <= y),
             (Gt, Word::Char(x), Word::Char(y)) => Word::Bool(x > y),
             (Ge, Word::Char(x), Word::Char(y)) => Word::Bool(x >= y),
-            _ => return Err(bad()),
+            _ => return None,
         })
+    }
+
+    /// Why [`Process::binop_value`] refused: integer division or remainder by
+    /// an integer zero, a kind mismatch for everything else.
+    #[cold]
+    #[inline(never)]
+    fn binop_trap(op: Binop, a: Word, b: Word) -> RuntimeError {
+        match (op, a, b) {
+            (Binop::Div | Binop::Rem, Word::Int(_), Word::Int(0)) => RuntimeError::DivisionByZero,
+            _ => RuntimeError::KindMismatch {
+                expected: "matching numeric operands",
+                found: "mismatched operands",
+                context: "binary operator",
+            },
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn kind_trap(expected: &'static str, found: Word, context: &'static str) -> RuntimeError {
+        RuntimeError::KindMismatch {
+            expected,
+            found: found.kind_name(),
+            context,
+        }
     }
 
     fn call_extern(&mut self, name: &str, args: &[Word]) -> Result<Word, RuntimeError> {
         self.externals.call(ExtCall { name, args }, &mut self.heap)
     }
 
+    #[inline]
     fn word_as_int(w: Word, context: &'static str) -> Result<i64, RuntimeError> {
-        w.as_int().ok_or(RuntimeError::KindMismatch {
-            expected: "int",
-            found: w.kind_name(),
-            context,
-        })
+        match w {
+            Word::Int(v) => Ok(v),
+            other => Err(Self::kind_trap("int", other, context)),
+        }
     }
 
+    #[inline]
     fn word_as_bool(w: Word, context: &'static str) -> Result<bool, RuntimeError> {
-        w.as_bool().ok_or(RuntimeError::KindMismatch {
-            expected: "bool",
-            found: w.kind_name(),
-            context,
-        })
+        match w {
+            Word::Bool(v) => Ok(v),
+            other => Err(Self::kind_trap("bool", other, context)),
+        }
     }
 
+    #[inline]
     fn word_as_ptr(w: Word, context: &'static str) -> Result<mojave_heap::PtrIdx, RuntimeError> {
-        w.as_ptr().ok_or(RuntimeError::KindMismatch {
-            expected: "ptr",
-            found: w.kind_name(),
-            context,
-        })
+        match w {
+            Word::Ptr(p) => Ok(p),
+            other => Err(Self::kind_trap("ptr", other, context)),
+        }
     }
 
     fn word_as_str(&self, w: Word, context: &'static str) -> Result<String, RuntimeError> {
@@ -1156,15 +1192,12 @@ impl Process {
         let mut full_args = Vec::with_capacity(args.len() + 1);
         let fun_id = self.stage_callee(target, &mut full_args)?;
         full_args.extend(args);
-        let program = self
-            .program
-            .as_ref()
-            .ok_or(RuntimeError::MigrationRejected(
-                "interpreter backend requires the FIR program".into(),
-            ))?;
-        let fun = program
-            .fun(FunId(fun_id))
-            .ok_or(RuntimeError::UnknownFunction(fun_id))?;
+        let program = self.program.as_ref().ok_or_else(|| {
+            RuntimeError::MigrationRejected("interpreter backend requires the FIR program".into())
+        })?;
+        let Some(fun) = program.fun(FunId(fun_id)) else {
+            return Err(RuntimeError::UnknownFunction(fun_id));
+        };
         Self::check_arity(fun_id, "interp call", fun.params.len(), full_args.len())?;
         let mut env: HashMap<VarId, Word> = HashMap::with_capacity(full_args.len() * 2);
         for ((var, _ty), value) in fun.params.iter().zip(full_args) {
@@ -1189,7 +1222,10 @@ impl Process {
             Atom::Bool(v) => Word::Bool(*v),
             Atom::Char(c) => Word::Char(*c),
             Atom::Str(s) => Word::Ptr(self.heap.alloc_str(s)?),
-            Atom::Var(v) => *env.get(v).ok_or(RuntimeError::UnboundVar(v.0))?,
+            Atom::Var(v) => match env.get(v) {
+                Some(word) => *word,
+                None => return Err(RuntimeError::UnboundVar(v.0)),
+            },
             Atom::Fun(f) => Word::Fun(f.0),
         })
     }
@@ -1451,9 +1487,9 @@ impl Process {
             rs.iter().map(|r| file[*r as usize]).collect()
         };
         'call: loop {
-            let fun = funs
-                .get(fun_id as usize)
-                .ok_or(RuntimeError::UnknownFunction(fun_id))?;
+            let Some(fun) = funs.get(fun_id as usize) else {
+                return Err(RuntimeError::UnknownFunction(fun_id));
+            };
             Self::check_arity(fun_id, "vm call", fun.nparams as usize, staged.len())?;
             // A call replaces the whole register file: the arguments, then
             // `Unit` up to `nregs` (>= the arity, by verification).  The file

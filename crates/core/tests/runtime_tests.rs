@@ -500,6 +500,39 @@ fn failed_migrate_continues_locally() {
     assert_eq!(p.stats().migration_failures, 1);
 }
 
+/// The code is immutable for a process's lifetime: every pack path ships
+/// one shared section (cloned and encoded once), FIR or binary, and the
+/// images still decode to equal, separately owned code.
+#[test]
+fn every_pack_path_shares_one_code_section() {
+    use mojave_core::migrate::CodeSection;
+    use mojave_core::MigrationImage;
+    use mojave_heap::Word;
+
+    for binary_migration in [false, true] {
+        let cfg = ProcessConfig {
+            binary_migration,
+            ..config(BackendKind::Bytecode)
+        };
+        let mut p = Process::new(loop_program(3), cfg).unwrap();
+        let entry = Word::Fun(0);
+        let full = p.pack(0, entry, &[]).unwrap();
+        p.heap_mut().mark_clean();
+        let delta = p
+            .pack_delta(1, entry, &[], "base", full.heap_image.fingerprint())
+            .unwrap();
+        let frozen = p.pack_snapshot(2, entry, &[], None).unwrap();
+        let deferred = frozen.into_image().unwrap();
+        assert_eq!(full.code.is_binary(), binary_migration);
+        for other in [&delta, &deferred] {
+            assert!(CodeSection::ptr_eq(&full.code, &other.code));
+        }
+        let received = MigrationImage::from_bytes(&deferred.to_bytes()).unwrap();
+        assert_eq!(received.code, full.code);
+        assert!(!CodeSection::ptr_eq(&received.code, &full.code));
+    }
+}
+
 /// A binary (`suspend://bin`) image of `main() { migrate → after(123) }`.
 fn binary_image() -> mojave_core::MigrationImage {
     let mut pb = ProgramBuilder::new();
@@ -568,10 +601,11 @@ fn binary_images_are_verified_before_they_run() {
     ];
     for (expected, breakage) in breakages {
         let mut image = binary_image();
-        let PackedCode::Binary { bytecode, .. } = &mut image.code else {
+        let PackedCode::Binary { arch, mut bytecode } = PackedCode::clone(&image.code) else {
             unreachable!("binary_image() packs bytecode");
         };
-        breakage(bytecode);
+        breakage(&mut bytecode);
+        image.code = PackedCode::Binary { arch, bytecode }.into();
         match Process::from_image(image, config(BackendKind::Bytecode)) {
             Err(RuntimeError::MigrationRejected(msg)) => {
                 assert!(msg.contains("bad bytecode"), "{msg}");

@@ -81,6 +81,7 @@ impl BlockData {
     /// Whether the payload is currently shared with a clone or a live
     /// snapshot — i.e. whether the next mutation will pay the deferred
     /// copy-on-write byte copy.
+    #[inline]
     pub fn is_shared(&self) -> bool {
         match self {
             BlockData::Words(w) => Arc::strong_count(w) > 1,
@@ -94,6 +95,7 @@ impl BlockData {
     /// # Panics
     /// Panics if the payload is byte-addressed; callers validate the block
     /// kind before mutating.
+    #[inline]
     pub fn words_mut(&mut self) -> &mut Vec<Word> {
         match self {
             BlockData::Words(w) => Arc::make_mut(w),
@@ -153,6 +155,29 @@ pub struct BlockHeader {
     pub generation: Generation,
     /// Mark bit used by the collector.
     pub marked: bool,
+    /// Speculation epoch at which this block was installed or cloned
+    /// (never serialised).  A store clones a block iff a level is open and
+    /// the stamp is older than that level's entry epoch — see
+    /// "Epochs, not sets" in `docs/ARCHITECTURE.md`.
+    pub stamp: u64,
+    /// Clean epoch at which this block was last appended to the heap's
+    /// dirty list (never serialised); any other value means "not listed
+    /// since the last [`crate::Heap::mark_clean`]".
+    pub dirty_epoch: u64,
+}
+
+impl BlockHeader {
+    /// A header for a block nothing has stamped or listed yet.
+    pub fn new(index: PtrIdx, kind: BlockKind, generation: Generation) -> Self {
+        BlockHeader {
+            index,
+            kind,
+            generation,
+            marked: false,
+            stamp: 0,
+            dirty_epoch: 0,
+        }
+    }
 }
 
 /// A heap block: header plus payload.
@@ -169,12 +194,7 @@ impl Block {
     pub fn words(index: PtrIdx, kind: BlockKind, words: Vec<Word>) -> Self {
         debug_assert!(kind.is_words());
         Block {
-            header: BlockHeader {
-                index,
-                kind,
-                generation: Generation::Young,
-                marked: false,
-            },
+            header: BlockHeader::new(index, kind, Generation::Young),
             data: BlockData::words(words),
         }
     }
@@ -183,12 +203,7 @@ impl Block {
     pub fn bytes(index: PtrIdx, kind: BlockKind, bytes: Vec<u8>) -> Self {
         debug_assert!(!kind.is_words());
         Block {
-            header: BlockHeader {
-                index,
-                kind,
-                generation: Generation::Young,
-                marked: false,
-            },
+            header: BlockHeader::new(index, kind, Generation::Young),
             data: BlockData::bytes(bytes),
         }
     }
@@ -309,12 +324,7 @@ impl Block {
             BlockData::bytes(r.read_bytes()?.to_vec())
         };
         Ok(Block {
-            header: BlockHeader {
-                index,
-                kind,
-                generation: Generation::Old,
-                marked: false,
-            },
+            header: BlockHeader::new(index, kind, Generation::Old),
             data,
         })
     }
@@ -356,12 +366,7 @@ impl WireCodec for Block {
             )));
         }
         Ok(Block {
-            header: BlockHeader {
-                index,
-                kind,
-                generation: Generation::Old,
-                marked: false,
-            },
+            header: BlockHeader::new(index, kind, Generation::Old),
             data,
         })
     }

@@ -10,21 +10,28 @@
 //! preserved originals ("valid blocks in the heap whose pointer table entry
 //! refers to a different block") and the blocks allocated inside the level
 //! (which must be discarded if the level is rolled back).
+//!
+//! Neither collection is consulted by a store that needs no clone: whether
+//! a block is already private to the top level is read off the block's own
+//! stamp (`stamp >= enter_epoch`, see [`crate::Heap::store`]).
 
 use crate::pointer_table::PtrIdx;
-use std::collections::{HashMap, HashSet};
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Checkpoint record for one open speculation level.
 #[derive(Debug, Clone, Default)]
 pub struct SpecLevelRecord {
+    /// The heap's speculation epoch when this level was entered.  Blocks
+    /// stamped at or after it were cloned or allocated inside this level (or
+    /// inside a level since folded into it) and need no further clone.
+    pub(crate) enter_epoch: u64,
     /// For each pointer index first modified inside this level: the slot of
     /// the *original* block preserved at the moment of the first write.
-    pub(crate) saved: HashMap<PtrIdx, usize>,
+    /// Ordered, so commit and rollback discard slots in the same order on
+    /// every run.
+    pub(crate) saved: BTreeMap<PtrIdx, usize>,
     /// Pointer indices allocated inside this level, in allocation order.
     pub(crate) allocated: Vec<PtrIdx>,
-    /// Same as `allocated`, as a set, for the fast "was this allocated in the
-    /// current level?" check on every store.
-    pub(crate) allocated_set: HashSet<PtrIdx>,
 }
 
 impl SpecLevelRecord {
@@ -33,9 +40,12 @@ impl SpecLevelRecord {
         self.saved.len()
     }
 
-    /// Number of blocks allocated inside this level.
+    /// Number of distinct blocks allocated inside this level.
     pub fn allocated_count(&self) -> usize {
-        self.allocated.len()
+        let mut distinct = self.allocated.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        distinct.len()
     }
 
     /// Whether the level has recorded any state at all.
@@ -44,17 +54,7 @@ impl SpecLevelRecord {
     }
 
     pub(crate) fn note_allocation(&mut self, ptr: PtrIdx) {
-        if self.allocated_set.insert(ptr) {
-            self.allocated.push(ptr);
-        }
-    }
-
-    pub(crate) fn has_saved(&self, ptr: PtrIdx) -> bool {
-        self.saved.contains_key(&ptr)
-    }
-
-    pub(crate) fn was_allocated_here(&self, ptr: PtrIdx) -> bool {
-        self.allocated_set.contains(&ptr)
+        self.allocated.push(ptr);
     }
 
     /// Fold `child` (a younger, committed level) into `self`.
@@ -66,15 +66,13 @@ impl SpecLevelRecord {
         let mut discard = Vec::new();
         for (ptr, slot) in child.saved {
             match self.saved.entry(ptr) {
-                std::collections::hash_map::Entry::Occupied(_) => discard.push(slot),
-                std::collections::hash_map::Entry::Vacant(entry) => {
+                Entry::Occupied(_) => discard.push(slot),
+                Entry::Vacant(entry) => {
                     entry.insert(slot);
                 }
             }
         }
-        for ptr in child.allocated {
-            self.note_allocation(ptr);
-        }
+        self.allocated.extend(child.allocated);
         discard
     }
 }
@@ -85,13 +83,14 @@ mod tests {
 
     #[test]
     fn note_allocation_deduplicates() {
+        // Rollback frees by index and tolerates a repeat, so the list itself
+        // is append-only; the reported count is of distinct blocks.
         let mut rec = SpecLevelRecord::default();
         rec.note_allocation(PtrIdx(3));
         rec.note_allocation(PtrIdx(3));
         rec.note_allocation(PtrIdx(4));
         assert_eq!(rec.allocated_count(), 2);
-        assert!(rec.was_allocated_here(PtrIdx(3)));
-        assert!(!rec.was_allocated_here(PtrIdx(9)));
+        assert!(!rec.is_empty());
     }
 
     #[test]
@@ -107,7 +106,7 @@ mod tests {
         assert_eq!(discard, vec![200]);
         assert_eq!(parent.saved[&PtrIdx(1)], 100);
         assert_eq!(parent.saved[&PtrIdx(2)], 300);
-        assert!(parent.was_allocated_here(PtrIdx(9)));
+        assert_eq!(parent.allocated, vec![PtrIdx(9)]);
     }
 
     #[test]

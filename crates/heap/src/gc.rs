@@ -303,8 +303,13 @@ impl Heap {
             .collect();
     }
 
-    /// Recompute byte accounting after a collection.
+    /// Recompute byte accounting after a collection, and fold the
+    /// append-order dirty and freed lists down to the sets they stand for,
+    /// so a process that allocates for days between clean points holds
+    /// lists bounded by its table, not by its allocation count.
     fn reset_after_gc(&mut self) {
+        self.dirty = self.sorted_dirty();
+        self.freed_since_clean = self.sorted_freed();
         let live: usize = self.blocks.iter().flatten().map(|b| b.byte_size()).sum();
         self.live_bytes = live;
         self.young_bytes = self

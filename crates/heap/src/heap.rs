@@ -1,7 +1,7 @@
 //! The heap proper: allocation, checked access, copy-on-write speculation
 //! and (in [`crate::gc`]) garbage collection.
 
-use crate::block::{Block, BlockData, BlockKind, Generation};
+use crate::block::{Block, BlockData, BlockHeader, BlockKind, Generation};
 use crate::cow::SpecLevelRecord;
 use crate::error::HeapError;
 use crate::pointer_table::{PointerTable, PtrIdx};
@@ -122,19 +122,29 @@ pub struct Heap {
     pub(crate) live_bytes: usize,
     /// Bytes allocated into the young generation since the last collection.
     pub(crate) young_bytes: usize,
-    /// Whether dirty tracking is armed.  Off until the first
-    /// [`Heap::mark_clean`], so heaps that never take delta checkpoints
-    /// pay one branch per store instead of a hash insert.
-    pub(crate) tracking: bool,
+    /// Speculation epoch: bumped by every [`Heap::spec_enter`], recorded as
+    /// the level's `enter_epoch` and stamped into every block installed or
+    /// cloned.  `u64`: at tens of thousands of speculations per second a
+    /// `u32` would wrap within days.
+    pub(crate) spec_epoch: u64,
+    /// Clean epoch: bumped by every [`Heap::mark_clean`]; 0 until the first
+    /// one, which is what "dirty tracking is not armed" means.  A block is
+    /// on the dirty list iff its `dirty_epoch` equals this — an epoch, not a
+    /// bit, because a clean point can be declared inside an open level and
+    /// the originals a rollback later restores must then read as unlisted.
+    pub(crate) clean_epoch: u64,
     /// Pointer indices whose block content may have diverged from the last
-    /// clean point ([`Heap::mark_clean`]): every allocation and every
-    /// successful mutation inserts here.  Rollbacks keep entries even when
-    /// they restore the original content — the set is a conservative
+    /// clean point, appended on a block's first mutation since then and on
+    /// every allocation.  May hold repeats and freed indices; the sorted
+    /// set of *live* entries is materialised where an image or a count
+    /// needs it ([`Heap::sorted_dirty`]).  Rollbacks keep entries even when
+    /// they restore the original content — a conservative
     /// over-approximation, which keeps delta images correct.
-    pub(crate) dirty: HashSet<PtrIdx>,
-    /// Pointer indices freed since the last clean point and not since
-    /// reallocated — the pointer-table fixups a delta image must ship.
-    pub(crate) freed_since_clean: HashSet<PtrIdx>,
+    pub(crate) dirty: Vec<PtrIdx>,
+    /// Pointer indices freed since the last clean point, in free order; the
+    /// entries that are *not live now* are the pointer-table fixups a delta
+    /// image must ship ([`Heap::sorted_freed`]).
+    pub(crate) freed_since_clean: Vec<PtrIdx>,
     /// Flight recorder for GC, freeze and speculation events.  Disabled
     /// by default (one-branch cost); cloned shares between heap, process
     /// and pipeline.
@@ -238,11 +248,10 @@ impl Heap {
         let slot = self.take_slot();
         let idx = self.table.allocate(slot);
         let block = Block {
-            header: crate::block::BlockHeader {
-                index: idx,
-                kind,
-                generation: Generation::Young,
-                marked: false,
+            header: BlockHeader {
+                stamp: self.spec_epoch,
+                dirty_epoch: self.clean_epoch,
+                ..BlockHeader::new(idx, kind, Generation::Young)
             },
             data,
         };
@@ -252,9 +261,8 @@ impl Heap {
         self.young_bytes += size;
         self.stats.blocks_allocated += 1;
         self.stats.bytes_allocated += size as u64;
-        if self.tracking {
-            self.dirty.insert(idx);
-            self.freed_since_clean.remove(&idx);
+        if self.dirty_tracking_armed() {
+            self.dirty.push(idx);
         }
         if let Some(top) = self.spec_levels.last_mut() {
             top.note_allocation(idx);
@@ -316,12 +324,6 @@ impl Heap {
             .ok_or(HeapError::InvalidPointer(ptr))
     }
 
-    fn block_mut_unchecked(&mut self, slot: usize) -> &mut Block {
-        self.blocks[slot]
-            .as_mut()
-            .expect("slot referenced by pointer table holds a block")
-    }
-
     /// The kind of the block `ptr` refers to.
     pub fn block_kind(&self, ptr: PtrIdx) -> Result<BlockKind, HeapError> {
         Ok(self.block(ptr)?.header.kind)
@@ -333,53 +335,70 @@ impl Heap {
     }
 
     /// Read a word from a word-addressed block.
+    ///
+    /// One pointer resolution, checked on that one borrow; every failure
+    /// leaves through `word_access_error`, out of line.
+    #[inline]
     pub fn load(&self, ptr: PtrIdx, index: i64) -> Result<Word, HeapError> {
-        let block = self.block(ptr)?;
-        let words = block.as_words().ok_or(HeapError::KindMismatch {
-            ptr,
-            kind: block.header.kind,
-            access: "word load",
-        })?;
-        let len = words.len();
-        if index < 0 || index as usize >= len {
-            return Err(HeapError::OutOfBounds { ptr, index, len });
+        let block = self
+            .table
+            .lookup(ptr)
+            .and_then(|slot| self.blocks.get(slot)?.as_ref());
+        if let Some(BlockData::Words(words)) = block.map(|b| &b.data) {
+            if let Some(word) = usize::try_from(index).ok().and_then(|i| words.get(i)) {
+                return Ok(*word);
+            }
         }
-        Ok(words[index as usize])
+        Err(self.word_access_error(ptr, index, false))
     }
 
     /// Write a word into a word-addressed block, performing copy-on-write if
     /// a speculation is open and maintaining the minor-GC write barrier.
+    #[inline]
     pub fn store(&mut self, ptr: PtrIdx, index: i64, value: Word) -> Result<(), HeapError> {
-        // Validate before mutating anything.
-        {
-            let block = self.block(ptr)?;
-            if block.header.kind == BlockKind::Str {
-                return Err(HeapError::ImmutableBlock(ptr));
-            }
-            let words = block.as_words().ok_or(HeapError::KindMismatch {
-                ptr,
-                kind: block.header.kind,
-                access: "word store",
-            })?;
-            let len = words.len();
-            if index < 0 || index as usize >= len {
-                return Err(HeapError::OutOfBounds { ptr, index, len });
-            }
-        }
-        self.cow_before_write(ptr)?;
-        self.note_mutated(ptr);
-        let slot = self.slot_of(ptr)?;
-        self.note_unshare(slot);
-        let is_old = {
-            let block = self.block_mut_unchecked(slot);
-            block.data.words_mut()[index as usize] = value;
-            block.header.generation == Generation::Old
+        // Validate before mutating anything.  A `Str` block holds bytes, so
+        // "word-addressed" covers "mutable"; a negative index is a huge `u64`.
+        let slot = self.table.lookup(ptr).filter(|slot| {
+            matches!(self.blocks.get(*slot), Some(Some(Block { data: BlockData::Words(w), .. }))
+                if (index as u64) < w.len() as u64)
+        });
+        let Some(slot) = slot else {
+            return Err(self.word_access_error(ptr, index, true));
         };
+        let (block, slot) = self.writable_block(ptr, slot);
+        block.data.words_mut()[index as usize] = value;
         // Write barrier: an old block now (possibly) references a young one.
-        if is_old && value.is_ptr() {
+        if block.header.generation == Generation::Old && value.is_ptr() {
             self.remembered.insert(slot);
         }
         Ok(())
+    }
+
+    /// The error for a word access that [`Heap::load`] (`store` false) or
+    /// [`Heap::store`] refused, derived out of line in the order callers
+    /// rely on: pointer, immutability, kind, bounds.
+    #[cold]
+    #[inline(never)]
+    fn word_access_error(&self, ptr: PtrIdx, index: i64, store: bool) -> HeapError {
+        let block = match self.block(ptr) {
+            Ok(block) => block,
+            Err(e) => return e,
+        };
+        if store && block.header.kind == BlockKind::Str {
+            return HeapError::ImmutableBlock(ptr);
+        }
+        match block.as_words() {
+            None => HeapError::KindMismatch {
+                ptr,
+                kind: block.header.kind,
+                access: if store { "word store" } else { "word load" },
+            },
+            Some(words) => HeapError::OutOfBounds {
+                ptr,
+                index,
+                len: words.len(),
+            },
+        }
     }
 
     fn check_raw_access(
@@ -431,11 +450,8 @@ impl Heap {
         value: i64,
     ) -> Result<(), HeapError> {
         let off = self.check_raw_access(ptr, offset, width, true)?;
-        self.cow_before_write(ptr)?;
-        self.note_mutated(ptr);
         let slot = self.slot_of(ptr)?;
-        self.note_unshare(slot);
-        let bytes = self.block_mut_unchecked(slot).data.bytes_mut();
+        let bytes = self.writable_block(ptr, slot).0.data.bytes_mut();
         let le = value.to_le_bytes();
         bytes[off..off + width as usize].copy_from_slice(&le[..width as usize]);
         Ok(())
@@ -475,11 +491,8 @@ impl Heap {
                 });
             }
         }
-        self.cow_before_write(dst)?;
-        self.note_mutated(dst);
         let slot = self.slot_of(dst)?;
-        self.note_unshare(slot);
-        self.block_mut_unchecked(slot).data.bytes_mut()[..len].copy_from_slice(&data);
+        self.writable_block(dst, slot).0.data.bytes_mut()[..len].copy_from_slice(&data);
         Ok(())
     }
 
@@ -500,24 +513,47 @@ impl Heap {
     // Speculation: copy-on-write, commit and rollback (paper §4.3)
     // ------------------------------------------------------------------
 
-    /// Clone-before-write when a speculation level is open.
+    /// The block a validated write through `ptr` (now at `slot`) may
+    /// mutate, and its slot: a fresh copy-on-write clone if a level is open
+    /// and the block predates it, the block itself otherwise.
     ///
-    /// The *original* block stays at its slot and is recorded in the current
-    /// level's checkpoint record; the clone becomes the block the pointer
-    /// table refers to, so subsequent reads and writes see the new copy.
-    fn cow_before_write(&mut self, ptr: PtrIdx) -> Result<(), HeapError> {
-        let needs_cow = match self.spec_levels.last() {
-            None => false,
-            Some(top) => !top.has_saved(ptr) && !top.was_allocated_here(ptr),
+    /// A block needs a clone iff `stamp < top.enter_epoch` — the same
+    /// blocks the top level's record neither preserves nor allocated, under
+    /// every commit order (see "Epochs, not sets" in
+    /// `docs/ARCHITECTURE.md`).  Also lists the block dirty on its first
+    /// mutation since the clean point and accounts the deferred payload
+    /// copy the caller's `words_mut`/`bytes_mut` is about to pay because
+    /// the payload is shared with a clone or a live [`crate::HeapSnapshot`].
+    #[inline]
+    fn writable_block(&mut self, ptr: PtrIdx, slot: usize) -> (&mut Block, usize) {
+        let enter_epoch = self.spec_levels.last().map_or(0, |top| top.enter_epoch);
+        let slot = match &self.blocks[slot] {
+            Some(block) if block.header.stamp < enter_epoch => self.cow_clone(ptr, slot),
+            _ => slot,
         };
-        if !needs_cow {
-            return Ok(());
+        let block = self.blocks[slot]
+            .as_mut()
+            .expect("slot referenced by pointer table holds a block");
+        list_dirty(&mut self.dirty, self.clean_epoch, &mut block.header);
+        if block.data.is_shared() {
+            self.stats.shared_payload_copies += 1;
+            self.stats.shared_payload_bytes += block.data.byte_size() as u64;
         }
-        let orig_slot = self.slot_of(ptr)?;
-        let clone = self.blocks[orig_slot]
-            .as_ref()
-            .expect("slot referenced by pointer table holds a block")
-            .clone();
+        (block, slot)
+    }
+
+    /// Clone-before-write (paper §4.3).  The *original* block stays at
+    /// `orig_slot` and is recorded in the top level's checkpoint record; the
+    /// clone, stamped with the current epoch, becomes the block the pointer
+    /// table refers to, so subsequent reads and writes see the new copy.
+    /// Returns the clone's slot.
+    #[cold]
+    #[inline(never)]
+    fn cow_clone(&mut self, ptr: PtrIdx, orig_slot: usize) -> usize {
+        let mut clone = self.blocks[orig_slot]
+            .clone()
+            .expect("slot referenced by pointer table holds a block");
+        clone.header.stamp = self.spec_epoch;
         let size = clone.byte_size();
         let clone_slot = self.take_slot();
         self.blocks[clone_slot] = Some(clone);
@@ -531,12 +567,16 @@ impl Heap {
             .expect("speculation level present")
             .saved
             .insert(ptr, orig_slot);
-        Ok(())
+        clone_slot
     }
 
     /// Enter a new speculation level; returns its 1-based level number.
     pub fn spec_enter(&mut self) -> usize {
-        self.spec_levels.push(SpecLevelRecord::default());
+        self.spec_epoch += 1;
+        self.spec_levels.push(SpecLevelRecord {
+            enter_epoch: self.spec_epoch,
+            ..SpecLevelRecord::default()
+        });
         self.stats.speculations_entered += 1;
         self.recorder.record(
             mojave_obs::EventKind::SpecEnter,
@@ -599,8 +639,11 @@ impl Heap {
                     self.table.relocate(*ptr, *orig_slot);
                     // The restore changes the block's visible content, so it
                     // diverges from any clean point declared while the level
-                    // was open.
-                    self.note_mutated(*ptr);
+                    // was open (the original's own `dirty_epoch` predates
+                    // that clean point, so it is listed again).
+                    if let Some(original) = self.blocks[*orig_slot].as_mut() {
+                        list_dirty(&mut self.dirty, self.clean_epoch, &mut original.header);
+                    }
                 }
             }
             // Blocks allocated inside the aborted level never existed as far
@@ -638,34 +681,12 @@ impl Heap {
         }
     }
 
-    /// Record that `ptr`'s content may have changed (no-op until tracking
-    /// is armed by the first [`Heap::mark_clean`]).
-    fn note_mutated(&mut self, ptr: PtrIdx) {
-        if self.tracking {
-            self.dirty.insert(ptr);
-        }
-    }
-
-    /// Account the deferred copy-on-write byte copy the next mutation of
-    /// `slot` will pay because its payload is shared — with a speculation
-    /// clone or with a live [`crate::HeapSnapshot`].  Called just before
-    /// the mutation paths take `words_mut`/`bytes_mut`.
-    fn note_unshare(&mut self, slot: usize) {
-        if let Some(block) = self.blocks[slot].as_ref() {
-            if block.data.is_shared() {
-                self.stats.shared_payload_copies += 1;
-                self.stats.shared_payload_bytes += block.data.byte_size() as u64;
-            }
-        }
-    }
-
     /// Record that `ptr`'s table entry was released: the index joins the
-    /// delta fixup set and stops being dirty (a freed block has no content
-    /// to ship).
+    /// delta fixup list (and, no longer live, drops out of the materialised
+    /// dirty set — a freed block has no content to ship).
     fn note_freed(&mut self, ptr: PtrIdx) {
-        if self.tracking {
-            self.dirty.remove(&ptr);
-            self.freed_since_clean.insert(ptr);
+        if self.dirty_tracking_armed() {
+            self.freed_since_clean.push(ptr);
         }
     }
 
@@ -685,7 +706,7 @@ impl Heap {
     /// current state (the delta's base); `mojave-core` does so when a full
     /// checkpoint is stored.
     pub fn mark_clean(&mut self) {
-        self.tracking = true;
+        self.clean_epoch += 1;
         self.dirty.clear();
         self.freed_since_clean.clear();
     }
@@ -694,21 +715,32 @@ impl Heap {
     /// i.e. whether [`Heap::encode_delta_image`] has a clean point to be
     /// relative to.
     pub fn dirty_tracking_armed(&self) -> bool {
-        self.tracking
+        self.clean_epoch != 0
     }
 
     /// Number of live blocks whose content may differ from the last clean
     /// point.
     pub fn dirty_count(&self) -> usize {
-        self.dirty
-            .iter()
-            .filter(|p| self.table.lookup(**p).is_some())
-            .count()
+        self.sorted_dirty().len()
     }
 
     /// Number of pointer indices freed since the last clean point.
     pub fn freed_count(&self) -> usize {
-        self.freed_since_clean.len()
+        self.sorted_freed().len()
+    }
+
+    /// The live entries of the dirty list, ascending and distinct — the
+    /// record set a delta image ships.  Sorting here is what makes image
+    /// bytes a function of the heap's state and not of the order in which
+    /// the mutator reached it.
+    pub(crate) fn sorted_dirty(&self) -> Vec<PtrIdx> {
+        sorted_where(&self.dirty, |ptr| self.table.is_valid(ptr))
+    }
+
+    /// The entries of the freed list that are not live now, ascending and
+    /// distinct — the freed-index fixup list both delta layouts append.
+    pub(crate) fn sorted_freed(&self) -> Vec<PtrIdx> {
+        sorted_where(&self.freed_since_clean, |ptr| !self.table.is_valid(ptr))
     }
 
     // ------------------------------------------------------------------
@@ -767,13 +799,6 @@ impl Heap {
                 )
             })
             .collect();
-        let mut dirty: Vec<PtrIdx> = self
-            .dirty
-            .iter()
-            .copied()
-            .filter(|p| self.table.lookup(*p).is_some())
-            .collect();
-        dirty.sort();
         self.recorder.record(
             mojave_obs::EventKind::Freeze,
             records.len() as u64,
@@ -782,9 +807,9 @@ impl Heap {
         crate::HeapSnapshot::new(
             self.table.capacity(),
             records,
-            dirty,
+            self.sorted_dirty(),
             self.sorted_freed(),
-            self.tracking,
+            self.dirty_tracking_armed(),
         )
     }
 
@@ -935,12 +960,7 @@ impl Heap {
             records.push((
                 idx,
                 Block {
-                    header: crate::block::BlockHeader {
-                        index: PtrIdx(idx),
-                        kind,
-                        generation: Generation::Old,
-                        marked: false,
-                    },
+                    header: BlockHeader::new(PtrIdx(idx), kind, Generation::Old),
                     data,
                 },
             ));
@@ -1035,10 +1055,9 @@ impl Heap {
     }
 
     /// The live dirty blocks, sorted by pointer index — the record set
-    /// both delta encoders ship.  Sorting makes identical states produce
-    /// identical images (the dirty set iterates in hash order); keeping
-    /// the collection in one place keeps the determinism-critical order
-    /// from diverging between the batched and compressed layouts.
+    /// both delta encoders ship.  Keeping the collection in one place keeps
+    /// the determinism-critical order from diverging between the batched
+    /// and compressed layouts.
     ///
     /// # Panics
     /// Panics if dirty tracking was never armed by a [`Heap::mark_clean`]:
@@ -1046,17 +1065,10 @@ impl Heap {
     /// encoding "nothing changed" would silently resolve to stale state.
     fn delta_dirty_records(&self) -> Vec<(PtrIdx, &Block)> {
         assert!(
-            self.tracking,
+            self.dirty_tracking_armed(),
             "encode_delta_image requires a prior mark_clean (no base to delta against)"
         );
-        let mut dirty: Vec<PtrIdx> = self
-            .dirty
-            .iter()
-            .copied()
-            .filter(|p| self.table.lookup(*p).is_some())
-            .collect();
-        dirty.sort();
-        dirty
+        self.sorted_dirty()
             .into_iter()
             .map(|ptr| {
                 let slot = self.table.lookup(ptr).expect("filtered to live entries");
@@ -1068,13 +1080,6 @@ impl Heap {
                 )
             })
             .collect()
-    }
-
-    /// The sorted freed-index fixup list both delta layouts append.
-    fn sorted_freed(&self) -> Vec<PtrIdx> {
-        let mut freed: Vec<PtrIdx> = self.freed_since_clean.iter().copied().collect();
-        freed.sort();
-        freed
     }
 
     /// Rebuild a heap from a base image plus a delta produced by
@@ -1223,12 +1228,7 @@ impl Heap {
                 debug_assert_eq!(idx.0, i);
                 let size = block.byte_size();
                 heap.blocks[slot] = Some(Block {
-                    header: crate::block::BlockHeader {
-                        index: idx,
-                        kind: block.header.kind,
-                        generation: Generation::Old,
-                        marked: false,
-                    },
+                    header: BlockHeader::new(idx, block.header.kind, Generation::Old),
                     data: block.data,
                 });
                 heap.live_bytes += size;
@@ -1248,6 +1248,26 @@ impl Heap {
         }
         Ok(heap)
     }
+}
+
+/// Append `header`'s block to the dirty list unless its `dirty_epoch` says
+/// it has been listed since the clean point.  With tracking not armed both
+/// epochs are 0 and nothing is ever listed.
+#[inline]
+fn list_dirty(dirty: &mut Vec<PtrIdx>, clean_epoch: u64, header: &mut BlockHeader) {
+    if header.dirty_epoch != clean_epoch {
+        header.dirty_epoch = clean_epoch;
+        dirty.push(header.index);
+    }
+}
+
+/// The entries of an append-order list that satisfy `keep`, ascending and
+/// distinct.
+fn sorted_where(list: &[PtrIdx], keep: impl Fn(PtrIdx) -> bool) -> Vec<PtrIdx> {
+    let mut kept: Vec<PtrIdx> = list.iter().copied().filter(|ptr| keep(*ptr)).collect();
+    kept.sort_unstable();
+    kept.dedup();
+    kept
 }
 
 // ---------------------------------------------------------------------------

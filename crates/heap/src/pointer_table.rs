@@ -110,6 +110,7 @@ impl PointerTable {
     /// pointer is read from the heap, i is checked against the size of the
     /// pointer table to verify if it is a valid index, then `T[i]` is read and
     /// checked to ensure it is not a free entry."
+    #[inline]
     pub fn lookup(&self, idx: PtrIdx) -> Option<usize> {
         match self.entries.get(idx.0 as usize) {
             Some(Entry::Used { slot }) => Some(*slot),

@@ -204,6 +204,74 @@ proptest! {
         }
     }
 
+    /// Delta image bytes are a function of the post-clean *state*, not of
+    /// the order in which the mutator reached it: the dirty and freed
+    /// lists are kept in append order and sorted only where an image is
+    /// built, and this is what licenses that.  One heap stores, allocates,
+    /// then collects; the other allocates, collects (so compaction has
+    /// moved every slot), then makes the same stores backwards and twice.
+    #[test]
+    fn delta_bytes_do_not_depend_on_mutation_order(
+        stores in proptest::collection::vec((0usize..6, 0i64..8, any::<i64>()), 1..48),
+        allocs in 0usize..4,
+    ) {
+        use mojave_wire::CodecSet;
+        // One write per cell, so every order leaves the same content.
+        let mut cells = std::collections::HashSet::new();
+        let stores: Vec<_> = stores
+            .into_iter()
+            .filter(|(arr, idx, _)| cells.insert((*arr, *idx)))
+            .collect();
+        let clean_heap = || {
+            let (mut heap, arrays) = build_heap(6);
+            for _ in 0..2 {
+                heap.alloc_array(3, Word::Int(-1)).unwrap(); // garbage: freed below
+            }
+            heap.mark_clean();
+            (heap, arrays)
+        };
+        let grow_and_collect = |heap: &mut Heap, arrays: &[PtrIdx]| {
+            let mut roots: Vec<Word> = arrays.iter().map(|p| Word::Ptr(*p)).collect();
+            for len in 1..=allocs {
+                roots.push(Word::Ptr(heap.alloc_array(len as i64, Word::Int(7)).unwrap()));
+            }
+            heap.gc_major(&roots);
+        };
+
+        let (mut forward, arrays) = clean_heap();
+        for (arr, idx, val) in &stores {
+            forward.store(arrays[*arr], *idx, Word::Int(*val)).unwrap();
+        }
+        grow_and_collect(&mut forward, &arrays);
+
+        let (mut backward, arrays) = clean_heap();
+        grow_and_collect(&mut backward, &arrays);
+        for (arr, idx, val) in stores.iter().rev().chain(stores.iter().rev()) {
+            backward.store(arrays[*arr], *idx, Word::Int(*val)).unwrap();
+        }
+
+        prop_assert_eq!(forward.snapshot(), backward.snapshot());
+        prop_assert_eq!(forward.freed_count(), 2);
+        let slab = |heap: &Heap| {
+            let mut w = WireWriter::new();
+            heap.encode_delta_image_compressed(&mut w, CodecSet::all());
+            w.into_bytes()
+        };
+        let batched = |heap: &Heap| {
+            let mut w = WireWriter::new();
+            heap.encode_delta_image(&mut w);
+            w.into_bytes()
+        };
+        prop_assert_eq!(slab(&forward), slab(&backward));
+        prop_assert_eq!(batched(&forward), batched(&backward));
+        let mut frozen = WireWriter::new();
+        backward
+            .freeze()
+            .encode_delta_image_compressed(&mut frozen, CodecSet::all())
+            .unwrap();
+        prop_assert_eq!(frozen.into_bytes(), slab(&forward));
+    }
+
     /// A zero-pause COW snapshot's images — full **and** delta, across
     /// every codec and the batched layout — are byte-identical to
     /// stop-the-world images taken at the same logical point, no matter

@@ -359,7 +359,7 @@ fn main() -> ExitCode {
                     }
                     println!("resume label        : L{}", image.label);
                     println!("open speculations   : {}", image.open_speculations);
-                    match &image.code {
+                    match &*image.code {
                         mojave_core::migrate::PackedCode::Fir(p) => {
                             println!(
                                 "code                : FIR, {} functions, {} nodes",

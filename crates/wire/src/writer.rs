@@ -108,6 +108,12 @@ impl WireWriter {
         self.write_uvarint(zz);
     }
 
+    /// Append already-encoded bytes as they are, with no length prefix —
+    /// for splicing a section body that was encoded once and kept.
+    pub fn write_raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
     /// Write a length-prefixed byte slice.
     ///
     /// This is the zero-copy slab path for byte payloads: one length prefix
