@@ -52,6 +52,7 @@
 
 mod lz;
 
+use lz::LzTable;
 use std::fmt;
 
 /// Identifies a slab compression codec on the wire (one byte per frame).
@@ -499,9 +500,7 @@ impl SlabCodec for Lz {
     }
 
     fn compress_into(&self, words: &[u64], out: &mut Vec<u8>) {
-        let mut staged = Vec::new();
-        Raw.compress_into(words, &mut staged);
-        lz::compress(&staged, out);
+        Compressor::new().compress_words(CodecId::Lz, words, out);
     }
 
     fn decompress_into(
@@ -551,9 +550,7 @@ impl SlabCodec for VarintLz {
     }
 
     fn compress_into(&self, words: &[u64], out: &mut Vec<u8>) {
-        let mut staged = Vec::new();
-        Varint.compress_into(words, &mut staged);
-        lz::compress(&staged, out);
+        Compressor::new().compress_words(CodecId::VarintLz, words, out);
     }
 
     fn decompress_into(
@@ -573,14 +570,116 @@ impl SlabCodec for VarintLz {
 // Dispatch + byte-slab entry points
 // ---------------------------------------------------------------------------
 
+/// Reusable working memory for the compress side: the LZ match table, the
+/// stage between the two passes of a chained codec, and the trial output
+/// of the choice heuristics.
+///
+/// One image encode chooses and compresses half a dozen slabs; a caller
+/// that keeps a `Compressor` (the heap's slab encoder, and through it each
+/// checkpoint-pipeline worker) pays for that memory once instead of per
+/// call.  **The bytes produced never depend on what the compressor was
+/// used for before** — the free functions [`compress_words`],
+/// [`compress_bytes`], [`choose_words`] and [`choose_bytes`] are these
+/// methods on a fresh one.
+#[derive(Debug, Clone, Default)]
+pub struct Compressor {
+    table: LzTable,
+    staged: Vec<u8>,
+    trial: Vec<u8>,
+}
+
+impl Compressor {
+    /// A compressor holding no memory yet.
+    pub fn new() -> Self {
+        Compressor::default()
+    }
+
+    /// Append `words` compressed with the named codec to `out`.
+    pub fn compress_words(&mut self, id: CodecId, words: &[u64], out: &mut Vec<u8>) {
+        match id {
+            CodecId::Raw => Raw.compress_into(words, out),
+            CodecId::Varint => Varint.compress_into(words, out),
+            CodecId::Lz | CodecId::VarintLz => {
+                self.staged.clear();
+                if id == CodecId::Lz {
+                    Raw.compress_into(words, &mut self.staged);
+                } else {
+                    Varint.compress_into(words, &mut self.staged);
+                }
+                lz::compress_with(&mut self.table, &self.staged, out);
+            }
+        }
+    }
+
+    /// Append `bytes` compressed with the named codec to `out`
+    /// ([`CodecId::byte_capable`] codecs only — callers pick via
+    /// [`Compressor::choose_bytes`]).
+    ///
+    /// # Panics
+    /// Panics if `id` is a word-slab-only codec; byte-slab encoders are
+    /// always in-tree code choosing from [`choose_bytes`], so this is a
+    /// programming error, not an input error.
+    pub fn compress_bytes(&mut self, id: CodecId, bytes: &[u8], out: &mut Vec<u8>) {
+        match id {
+            CodecId::Raw => out.extend_from_slice(bytes),
+            CodecId::Lz => lz::compress_with(&mut self.table, bytes, out),
+            other => panic!("{other} is not a byte-slab codec"),
+        }
+    }
+
+    /// Pick the smallest encoding for a word slab from `allowed`, by
+    /// trial-compressing a prefix sample with each candidate.
+    /// Deterministic: the same slab and set always choose the same codec
+    /// (ties break toward the cheaper decode, i.e. [`CodecId::ALL`] order).
+    pub fn choose_words(&mut self, words: &[u64], allowed: CodecSet) -> CodecId {
+        if words.len() < MIN_COMPRESS_WORDS {
+            return CodecId::Raw;
+        }
+        let sample = &words[..words.len().min(CHOICE_SAMPLE_WORDS)];
+        let mut best = CodecId::Raw;
+        let mut best_len = sample.len() * 8;
+        let mut trial = std::mem::take(&mut self.trial);
+        for candidate in allowed.iter() {
+            if candidate == CodecId::Raw {
+                continue;
+            }
+            trial.clear();
+            self.compress_words(candidate, sample, &mut trial);
+            if trial.len() < best_len {
+                best = candidate;
+                best_len = trial.len();
+            }
+        }
+        self.trial = trial;
+        best
+    }
+
+    /// Pick the smallest encoding for a byte slab from `allowed` — only
+    /// [`CodecId::byte_capable`] members are candidates, so the result is
+    /// always `Raw` or `Lz`.  An `allowed` containing
+    /// [`CodecId::VarintLz`] implies the LZ machinery is available and
+    /// admits `Lz` here.
+    pub fn choose_bytes(&mut self, bytes: &[u8], allowed: CodecSet) -> CodecId {
+        if bytes.len() < MIN_COMPRESS_BYTES {
+            return CodecId::Raw;
+        }
+        if !allowed.contains(CodecId::Lz) && !allowed.contains(CodecId::VarintLz) {
+            return CodecId::Raw;
+        }
+        let sample = &bytes[..bytes.len().min(SAMPLE_BYTES)];
+        self.trial.clear();
+        lz::compress_with(&mut self.table, sample, &mut self.trial);
+        if self.trial.len() < sample.len() {
+            CodecId::Lz
+        } else {
+            CodecId::Raw
+        }
+    }
+}
+
 /// Compress a word slab with the named codec.
 pub fn compress_words(id: CodecId, words: &[u64], out: &mut Vec<u8>) {
-    match id {
-        CodecId::Raw => Raw.compress_into(words, out),
-        CodecId::Varint => Varint.compress_into(words, out),
-        CodecId::Lz => Lz.compress_into(words, out),
-        CodecId::VarintLz => VarintLz.compress_into(words, out),
-    }
+    Compressor::new().compress_words(id, words, out);
 }
 
 /// Decompress a word slab previously produced by [`compress_words`] with
@@ -599,19 +698,11 @@ pub fn decompress_words(
     }
 }
 
-/// Compress a byte slab with the named codec ([`CodecId::byte_capable`]
-/// codecs only — callers pick via [`choose_bytes`]).
-///
-/// # Panics
-/// Panics if `id` is a word-slab-only codec; byte-slab encoders are
-/// always in-tree code choosing from [`choose_bytes`], so this is a
-/// programming error, not an input error.
+/// Compress a byte slab with the named codec — see
+/// [`Compressor::compress_bytes`], including its panic on a word-slab
+/// codec.
 pub fn compress_bytes(id: CodecId, bytes: &[u8], out: &mut Vec<u8>) {
-    match id {
-        CodecId::Raw => out.extend_from_slice(bytes),
-        CodecId::Lz => lz::compress(bytes, out),
-        other => panic!("{other} is not a byte-slab codec"),
-    }
+    Compressor::new().compress_bytes(id, bytes, out);
 }
 
 /// Decompress a byte slab previously produced by [`compress_bytes`],
@@ -674,51 +765,16 @@ pub fn choose(words: &[u64]) -> CodecId {
     choose_words(words, CodecSet::all())
 }
 
-/// Pick the smallest encoding for a word slab from `allowed`, by
-/// trial-compressing a prefix sample with each candidate.  Deterministic:
-/// the same slab and set always choose the same codec (ties break toward
-/// the cheaper decode, i.e. [`CodecId::ALL`] order).
+/// Pick the smallest encoding for a word slab from `allowed` — see
+/// [`Compressor::choose_words`].
 pub fn choose_words(words: &[u64], allowed: CodecSet) -> CodecId {
-    if words.len() < MIN_COMPRESS_WORDS {
-        return CodecId::Raw;
-    }
-    let sample = &words[..words.len().min(CHOICE_SAMPLE_WORDS)];
-    let mut best = CodecId::Raw;
-    let mut best_len = sample.len() * 8;
-    let mut scratch = Vec::new();
-    for candidate in allowed.iter() {
-        if candidate == CodecId::Raw {
-            continue;
-        }
-        scratch.clear();
-        compress_words(candidate, sample, &mut scratch);
-        if scratch.len() < best_len {
-            best = candidate;
-            best_len = scratch.len();
-        }
-    }
-    best
+    Compressor::new().choose_words(words, allowed)
 }
 
-/// Pick the smallest encoding for a byte slab from `allowed` — only
-/// [`CodecId::byte_capable`] members are candidates, so the result is
-/// always `Raw` or `Lz`.  An `allowed` containing [`CodecId::VarintLz`]
-/// implies the LZ machinery is available and admits `Lz` here.
+/// Pick the smallest encoding for a byte slab from `allowed` — see
+/// [`Compressor::choose_bytes`].
 pub fn choose_bytes(bytes: &[u8], allowed: CodecSet) -> CodecId {
-    if bytes.len() < MIN_COMPRESS_BYTES {
-        return CodecId::Raw;
-    }
-    if !allowed.contains(CodecId::Lz) && !allowed.contains(CodecId::VarintLz) {
-        return CodecId::Raw;
-    }
-    let sample = &bytes[..bytes.len().min(SAMPLE_BYTES)];
-    let mut scratch = Vec::new();
-    lz::compress(sample, &mut scratch);
-    if scratch.len() < sample.len() {
-        CodecId::Lz
-    } else {
-        CodecId::Raw
-    }
+    Compressor::new().choose_bytes(bytes, allowed)
 }
 
 /// The LZ byte-stream entry points, exposed for byte-slab callers and the

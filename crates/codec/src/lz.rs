@@ -45,24 +45,81 @@ fn flush_literals(src: &[u8], from: usize, to: usize, out: &mut Vec<u8>) {
     }
 }
 
+/// The matcher's hash table, reusable across slabs.
+///
+/// An entry is `base + position` of the most recent occurrence of its
+/// 4-byte key; finishing a slab moves `base` past every position it
+/// entered, so what an earlier slab left behind reads as *stale* (below
+/// `base`) and costs nothing to forget.  A fresh table and a reused one
+/// therefore find exactly the same matches, and one image encode — half a
+/// dozen trial and real compressions — fills the 128 KiB table once
+/// instead of allocating and filling one per call.
+#[derive(Debug, Clone)]
+pub struct LzTable {
+    /// Allocated (zeroed, so every entry is stale) on first use.
+    entries: Vec<u32>,
+    base: u32,
+}
+
+impl Default for LzTable {
+    /// An empty table; the first compression allocates it.
+    fn default() -> Self {
+        LzTable {
+            entries: Vec::new(),
+            base: 1,
+        }
+    }
+}
+
+impl LzTable {
+    /// Reserve `base .. base + len` for the next slab's positions and
+    /// return its `base`.  When the 32-bit position space runs out (after
+    /// ~4 GiB of input) the table is cleared once and numbering restarts.
+    fn begin(&mut self, len: usize) -> u32 {
+        if self.entries.is_empty() {
+            self.entries = vec![0; 1 << HASH_BITS];
+        }
+        let len = u32::try_from(len)
+            .ok()
+            .filter(|&len| len < u32::MAX)
+            .expect("an LZ slab is under 4 GiB");
+        match self.base.checked_add(len) {
+            Some(next) => std::mem::replace(&mut self.base, next),
+            None => {
+                self.entries.fill(0);
+                self.base = 1 + len;
+                1
+            }
+        }
+    }
+}
+
 /// Compress `src` into `out` (appending).  Never fails; incompressible
 /// input degrades to one literal-run token per slab plus a byte of
-/// control overhead per 128 literals.
+/// control overhead per 128 literals.  (Uses a fresh match table; a
+/// [`crate::Compressor`] keeps one across calls.)
 pub fn compress(src: &[u8], out: &mut Vec<u8>) {
+    compress_with(&mut LzTable::default(), src, out);
+}
+
+/// [`compress`] with a caller-kept table.  The bytes produced do not
+/// depend on what `table` was used for before.
+pub fn compress_with(table: &mut LzTable, src: &[u8], out: &mut Vec<u8>) {
     if src.len() < MIN_MATCH {
         flush_literals(src, 0, src.len(), out);
         return;
     }
-    let mut table = vec![usize::MAX; 1 << HASH_BITS];
+    let base = table.begin(src.len());
+    let table = &mut table.entries[..1 << HASH_BITS];
     let mut pos = 0usize;
     let mut literal_start = 0usize;
     while pos + MIN_MATCH <= src.len() {
         let slot = hash4(&src[pos..]);
-        let candidate = table[slot];
-        table[slot] = pos;
-        if candidate != usize::MAX
-            && src[candidate..candidate + MIN_MATCH] == src[pos..pos + MIN_MATCH]
-        {
+        let entry = table[slot];
+        table[slot] = base + pos as u32;
+        // Stale entries (below `base`) are misses.
+        let candidate = entry.wrapping_sub(base) as usize;
+        if entry >= base && src[candidate..candidate + MIN_MATCH] == src[pos..pos + MIN_MATCH] {
             // Extend the match 8 bytes at a time (compiles to wide
             // compares), then byte-wise to the exact end.
             let mut len = MIN_MATCH;
@@ -80,7 +137,7 @@ pub fn compress(src: &[u8], out: &mut Vec<u8>) {
             // Seed the table at the match tail so back-to-back repeats of
             // long blocks chain matches instead of re-scanning literals.
             if pos + len + MIN_MATCH <= src.len() {
-                table[hash4(&src[pos + len - 1..])] = pos + len - 1;
+                table[hash4(&src[pos + len - 1..])] = base + (pos + len - 1) as u32;
             }
             pos += len;
             literal_start = pos;
@@ -130,12 +187,18 @@ pub fn decompress(src: &[u8], max_out: usize, out: &mut Vec<u8>) -> Result<(), C
             if len > max_out - produced {
                 return Err(CodecError::OutputOverrun { limit: max_out });
             }
-            // Byte-wise copy: overlapping distances (RLE) are well-defined.
+            // Byte-wise semantics: an overlapping copy (RLE) repeats the
+            // `distance` bytes before it.  Each pass copies everything the
+            // run has produced so far — always a whole number of periods,
+            // so copying from the run's start *is* the byte-wise result —
+            // which doubles the span instead of pushing one byte at a time.
             let start = out.len() - distance;
             out.reserve(len);
-            for step in 0..len {
-                let byte = out[start + step];
-                out.push(byte);
+            let mut copied = 0usize;
+            while copied < len {
+                let span = (distance + copied).min(len - copied);
+                out.extend_from_within(start..start + span);
+                copied += span;
             }
         }
     }
@@ -189,6 +252,56 @@ mod tests {
         let mut back = Vec::new();
         decompress(&compressed, data.len(), &mut back).unwrap();
         assert_eq!(back, data);
+    }
+
+    /// One copy token of `len` bytes at `distance`, after `prefix` as
+    /// literals: the doubling copy must produce what the byte-wise
+    /// definition (`out[n] = out[n - distance]`, one byte at a time) does.
+    #[test]
+    fn overlapping_copies_match_the_bytewise_definition() {
+        let prefix: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
+        for len in [MIN_MATCH, 5, 8, 13, 39, 40, 41, 1000] {
+            for distance in [1, 2, 3, 7, len - 1, len, len + 1] {
+                if distance == 0 || distance > prefix.len() {
+                    continue;
+                }
+                let mut stream = Vec::new();
+                push_uvarint(&mut stream, ((prefix.len() - 1) as u64) << 1);
+                stream.extend_from_slice(&prefix);
+                push_uvarint(&mut stream, (((len - MIN_MATCH) as u64) << 1) | 1);
+                push_uvarint(&mut stream, distance as u64);
+
+                let mut want = prefix.clone();
+                for _ in 0..len {
+                    want.push(want[want.len() - distance]);
+                }
+                let mut got = vec![0xEE]; // decompress appends
+                decompress(&stream, want.len(), &mut got).expect("valid stream");
+                assert_eq!(&got[1..], &want[..], "len {len} distance {distance}");
+            }
+        }
+    }
+
+    /// A table whose position numbering is about to run out is cleared
+    /// once and keeps producing the bytes a fresh table produces.
+    #[test]
+    fn table_survives_running_out_of_position_numbers() {
+        let slab: Vec<u8> = (0..3000u32).map(|i| (i % 97) as u8).collect();
+        let mut fresh = Vec::new();
+        compress(&slab, &mut fresh);
+
+        let mut table = LzTable::default();
+        let mut first = Vec::new();
+        compress_with(&mut table, &slab, &mut first);
+        assert_eq!(first, fresh);
+        // Leave room for one more slab but not two.
+        table.base = u32::MAX - 4000;
+        for round in 0..3 {
+            let mut out = Vec::new();
+            compress_with(&mut table, &slab, &mut out);
+            assert_eq!(out, fresh, "round {round}");
+        }
+        assert!(table.base < 10_000, "numbering restarted");
     }
 
     #[test]

@@ -1,11 +1,16 @@
 //! Property tests: `decompress(compress(slab)) == slab` for every codec
 //! over three slab distributions (uniform, small-int-skewed, repetitive
-//! runs), and the decoders never panic on arbitrary byte soup.
+//! runs), the decoders never panic on arbitrary byte soup, and a reused
+//! [`Compressor`] (dirty LZ table, dirty staging buffers) writes the bytes
+//! a fresh one writes.
 //!
 //! Failures shrink through the vendored proptest's integer/vec/tuple
 //! shrinkers, so a regression reports a minimal failing slab.
 
-use mojave_codec::{choose, compress_words, decompress_words, CodecId, CodecSet};
+use mojave_codec::{
+    choose, choose_bytes, choose_words, compress_bytes, compress_words, decompress_words, CodecId,
+    CodecSet, Compressor,
+};
 use proptest::prelude::*;
 
 fn assert_roundtrip(id: CodecId, slab: &[u64]) {
@@ -82,5 +87,66 @@ proptest! {
         let mut bytes_out = Vec::new();
         let _ = mojave_codec::decompress_bytes(CodecId::Lz, &soup, claimed, &mut bytes_out);
         prop_assert!(bytes_out.len() <= claimed);
+    }
+}
+
+/// A byte slab of mixed size and mixed entropy: short alphabets and
+/// repeated chunks give the matcher something to find — and something
+/// stale to find by mistake, if stale entries were not recognised.
+fn byte_slab() -> impl Strategy<Value = Vec<u8>> {
+    (
+        proptest::collection::vec(any::<u8>(), 0..48),
+        1usize..80,
+        any::<u8>().prop_map(|m| m | 1),
+    )
+        .prop_map(|(chunk, repeats, mask)| {
+            chunk
+                .iter()
+                .cycle()
+                .take(chunk.len() * repeats)
+                .enumerate()
+                .map(|(i, b)| if i % 61 == 60 { b ^ mask } else { *b })
+                .collect()
+        })
+}
+
+proptest! {
+    /// One compressor carried across a sequence of unrelated slabs chooses
+    /// and writes exactly what a fresh compressor does for each of them —
+    /// the LZ table's stale entries are recognised, never matched.
+    #[test]
+    fn reused_compressor_writes_the_bytes_a_fresh_one_writes(
+        slabs in proptest::collection::vec(byte_slab(), 1..10),
+    ) {
+        let mut reused = Compressor::new();
+        for bytes in &slabs {
+            let mut got = Vec::new();
+            reused.compress_bytes(CodecId::Lz, bytes, &mut got);
+            let mut want = Vec::new();
+            compress_bytes(CodecId::Lz, bytes, &mut want);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(
+                reused.choose_bytes(bytes, CodecSet::all()),
+                choose_bytes(bytes, CodecSet::all())
+            );
+
+            let words: Vec<u64> = bytes
+                .chunks(3)
+                .map(|c| c.iter().fold(0u64, |acc, b| (acc << 8) | u64::from(*b)))
+                .collect();
+            for allowed in (0..16).map(CodecSet::from_bits) {
+                prop_assert_eq!(
+                    reused.choose_words(&words, allowed),
+                    choose_words(&words, allowed)
+                );
+            }
+            for id in CodecId::ALL {
+                let mut got = Vec::new();
+                reused.compress_words(id, &words, &mut got);
+                let mut want = Vec::new();
+                compress_words(id, &words, &mut want);
+                prop_assert_eq!(&got, &want, "{}", id);
+            }
+        }
     }
 }

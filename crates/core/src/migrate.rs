@@ -22,7 +22,9 @@
 use crate::backend::BytecodeProgram;
 use crate::error::RuntimeError;
 use mojave_fir::{MigrateProtocol, Program};
-use mojave_heap::{image_payload_stats, Heap, HeapConfig, HeapSnapshot, ImageCodec, PtrIdx, Word};
+use mojave_heap::{
+    image_payload_stats, Heap, HeapConfig, HeapSnapshot, ImageCodec, PtrIdx, SlabEncoder, Word,
+};
 use mojave_wire::{
     CodecSet, SectionTag, WireCodec, WireError, WireReader, WireWriter, BATCHED_VERSION,
     FORMAT_VERSION, MIN_SUPPORTED_VERSION,
@@ -679,13 +681,24 @@ impl SnapshotPack {
     /// is unreachable when the pack came from
     /// [`crate::Process::pack_snapshot`], which validates the clean point.
     pub fn into_image(self) -> Result<MigrationImage, RuntimeError> {
+        self.into_image_with(&mut SlabEncoder::new())
+    }
+
+    /// [`SnapshotPack::into_image`] through a caller-kept [`SlabEncoder`]
+    /// — what a pipeline worker calls, so a stream of checkpoints reuses
+    /// one set of staging buffers and one LZ table.  Same bytes.
+    pub fn into_image_with(
+        self,
+        encoder: &mut SlabEncoder,
+    ) -> Result<MigrationImage, RuntimeError> {
         let heap_image = match &self.delta_base {
             None => {
                 let mut w = WireWriter::with_capacity(self.heap.live_bytes() + 256);
                 if self.legacy_sink {
                     self.heap.encode_image(&mut w);
                 } else {
-                    self.heap.encode_image_compressed(&mut w, self.allowed);
+                    self.heap
+                        .encode_image_compressed_with(encoder, &mut w, self.allowed);
                 }
                 HeapImage::Full(w.into_bytes())
             }
@@ -695,7 +708,7 @@ impl SnapshotPack {
                     self.heap.encode_delta_image(&mut w)?;
                 } else {
                     self.heap
-                        .encode_delta_image_compressed(&mut w, self.allowed)?;
+                        .encode_delta_image_compressed_with(encoder, &mut w, self.allowed)?;
                 }
                 HeapImage::Delta {
                     base: base.clone(),
@@ -733,14 +746,17 @@ pub struct PipelineStats {
     /// minimises.
     pub pause_ns: u64,
     /// Nanoseconds pipeline workers spent encoding images off-thread —
-    /// the cost that used to be part of the mutator's pause.
+    /// the cost that used to be part of the mutator's pause.  Summed
+    /// across workers: with several encodes running at once it is CPU
+    /// time, not elapsed time, and can exceed the wall clock.
     pub encode_ns: u64,
     /// Checkpoints currently queued (not yet picked up by a worker).
     pub queue_depth: usize,
     /// High-water mark of the queue: the deepest the queue ever got at a
     /// submit.  `queue_depth` is almost always 0 by the time anyone reads
     /// it (workers drain fast); this is the number that shows whether
-    /// backpressure ever actually built up.
+    /// backpressure ever actually built up.  Jobs a worker has taken are
+    /// not counted, so it never exceeds the configured capacity.
     pub queue_depth_max: usize,
     /// Heap-payload bytes of produced images with every compressed frame
     /// expanded to its raw length.
@@ -749,7 +765,8 @@ pub struct PipelineStats {
     pub bytes_stored: u64,
     /// Checkpoints submitted to the pipeline.
     pub submitted: u64,
-    /// Checkpoints fully encoded and delivered.
+    /// Checkpoints fully encoded and delivered (or failed trying),
+    /// counted in submit order — deliveries never overtake each other.
     pub completed: u64,
     /// Queued checkpoints replaced by a newer one under the
     /// `CoalesceLatest` backpressure policy (never encoded or stored).

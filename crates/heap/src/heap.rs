@@ -8,7 +8,7 @@ use crate::pointer_table::{PointerTable, PtrIdx};
 use crate::stats::HeapStats;
 use crate::word::Word;
 use mojave_wire::{
-    choose_bytes, choose_words, CodecSet, FrameStats, WireCodec, WireError, WireReader, WireWriter,
+    CodecId, CodecSet, Compressor, FrameStats, WireCodec, WireError, WireReader, WireWriter,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -890,7 +890,13 @@ impl Heap {
     /// staging keeps encode as fast as the batched path.
     pub fn encode_image_compressed(&self, w: &mut WireWriter, allowed: CodecSet) {
         let records = self.live_records();
-        encode_full_slab(w, self.table.capacity(), &records, allowed);
+        encode_full_slab(
+            &mut SlabEncoder::new(),
+            w,
+            self.table.capacity(),
+            &records,
+            allowed,
+        );
     }
 
     /// Rebuild a heap from an image produced by
@@ -1046,6 +1052,7 @@ impl Heap {
     pub fn encode_delta_image_compressed(&self, w: &mut WireWriter, allowed: CodecSet) {
         let records = self.delta_dirty_records();
         encode_delta_slab(
+            &mut SlabEncoder::new(),
             w,
             self.table.capacity(),
             &records,
@@ -1302,6 +1309,7 @@ pub(crate) fn encode_full_records(
 
 /// Write a full image in the compressed v5 slab layout.
 pub(crate) fn encode_full_slab(
+    encoder: &mut SlabEncoder,
     w: &mut WireWriter,
     capacity: usize,
     records: &[(PtrIdx, &Block)],
@@ -1309,7 +1317,7 @@ pub(crate) fn encode_full_slab(
 ) {
     w.write_usize(capacity);
     w.write_usize(records.len());
-    encode_records_slab(w, records, allowed);
+    encoder.encode_records(w, records, allowed);
 }
 
 /// Write a delta image in the batched (v4) block layout: capacity, dirty
@@ -1331,6 +1339,7 @@ pub(crate) fn encode_delta_batched(
 
 /// Write a delta image in the compressed v5 slab layout.
 pub(crate) fn encode_delta_slab(
+    encoder: &mut SlabEncoder,
     w: &mut WireWriter,
     capacity: usize,
     records: &[(PtrIdx, &Block)],
@@ -1339,7 +1348,7 @@ pub(crate) fn encode_delta_slab(
 ) {
     w.write_usize(capacity);
     w.write_usize(records.len());
-    encode_records_slab(w, records, allowed);
+    encoder.encode_records(w, records, allowed);
     write_freed_fixups(w, freed);
 }
 
@@ -1353,99 +1362,144 @@ pub(crate) fn write_freed_fixups(w: &mut WireWriter, freed: &[PtrIdx]) {
     }
 }
 
-/// Gather `records` into the four v5 slabs and write them as
-/// compressed frames: meta (index, kind, length per record), word
-/// tags, word payloads, byte payloads.  Shared by full and delta
-/// encoding.
+/// The v5 slab encoder, with the working memory it keeps between images:
+/// the codec crate's [`Compressor`] (LZ match table and trial buffers)
+/// and the staging slabs.
 ///
-/// Hot-path shape: one sizing pass (which also emits the meta slab),
-/// the word codec chosen from a staged *prefix sample* only, then one
-/// fused staging pass — when the delta-varint filter wins, payload
-/// words stream straight through [`mojave_wire::VarintStream`] and the
-/// 8-bytes-per-word `u64` slab is never materialised.
-pub(crate) fn encode_records_slab(
-    w: &mut WireWriter,
-    records: &[(PtrIdx, &Block)],
-    allowed: CodecSet,
-) {
-    // Staging exactly the codec crate's choice-sample prefix makes
-    // the sampled choice identical to a choice over the full slab.
-    use mojave_wire::CHOICE_SAMPLE_WORDS;
+/// Every compressed-image entry point of [`Heap`] and
+/// [`crate::HeapSnapshot`] runs through one of these.  The plain ones make
+/// a fresh encoder per image; a caller that encodes image after image — a
+/// checkpoint-pipeline worker — keeps one and passes it to
+/// [`crate::HeapSnapshot::encode_image_compressed_with`] /
+/// [`crate::HeapSnapshot::encode_delta_image_compressed_with`], so steady
+/// state allocates nothing but the image.  **The bytes written never
+/// depend on what the encoder was used for before.**
+#[derive(Debug, Default)]
+pub struct SlabEncoder {
+    compressor: Compressor,
+    meta: WireWriter,
+    sample: Vec<u64>,
+    tags: Vec<u8>,
+    raw: Vec<u8>,
+    /// Word payloads — staged only when [`CodecId::Raw`] / [`CodecId::Lz`]
+    /// wins; the varint filters stream instead.
+    payload: Vec<u64>,
+    /// The varint stream between [`CodecId::VarintLz`]'s two passes.
+    varint: Vec<u8>,
+}
 
-    let mut meta = WireWriter::new();
-    let mut word_total = 0usize;
-    let mut byte_total = 0usize;
-    for (idx, block) in records {
-        meta.write_uvarint(idx.0 as u64);
-        block.header.kind.encode(&mut meta);
-        meta.write_usize(block.len());
-        match &block.data {
-            BlockData::Words(words) => word_total += words.len(),
-            BlockData::Bytes(bytes) => byte_total += bytes.len(),
-        }
+impl SlabEncoder {
+    /// An encoder holding no memory yet.
+    pub fn new() -> Self {
+        SlabEncoder::default()
     }
 
-    let mut sample: Vec<u64> = Vec::with_capacity(word_total.min(CHOICE_SAMPLE_WORDS));
-    'sample: for (_, block) in records {
-        if let BlockData::Words(words) = &block.data {
-            for word in words.iter() {
-                if sample.len() == CHOICE_SAMPLE_WORDS {
-                    break 'sample;
-                }
-                sample.push(word.to_raw().1);
+    /// Gather `records` into the four v5 slabs and write them as
+    /// compressed frames: meta (index, kind, length per record), word
+    /// tags, word payloads, byte payloads.  Shared by full and delta
+    /// encoding.
+    ///
+    /// Hot-path shape: one sizing pass (which also emits the meta slab),
+    /// the word codec chosen from a staged *prefix sample* only, one pass
+    /// staging tags and bytes with an exact-size `extend` per block, then
+    /// the payload pass — when the delta-varint filter wins, payload
+    /// words stream through [`mojave_wire::VarintStream`] straight into
+    /// `w`'s frame (length patched afterwards) and neither the
+    /// 8-bytes-per-word `u64` slab nor a side copy of the varint bytes is
+    /// ever materialised.
+    pub(crate) fn encode_records(
+        &mut self,
+        w: &mut WireWriter,
+        records: &[(PtrIdx, &Block)],
+        allowed: CodecSet,
+    ) {
+        // Staging exactly the codec crate's choice-sample prefix makes
+        // the sampled choice identical to a choice over the full slab.
+        use mojave_wire::CHOICE_SAMPLE_WORDS;
+        let SlabEncoder {
+            compressor,
+            meta,
+            sample,
+            tags,
+            raw,
+            payload,
+            varint,
+        } = self;
+
+        meta.clear();
+        let mut word_total = 0usize;
+        let mut byte_total = 0usize;
+        for (idx, block) in records {
+            meta.write_uvarint(idx.0 as u64);
+            block.header.kind.encode(meta);
+            meta.write_usize(block.len());
+            match &block.data {
+                BlockData::Words(words) => word_total += words.len(),
+                BlockData::Bytes(bytes) => byte_total += bytes.len(),
             }
         }
-    }
-    let word_codec = choose_words(&sample, allowed);
-    drop(sample);
 
-    w.write_byte_frame(meta.as_bytes(), choose_bytes(meta.as_bytes(), allowed));
-    let mut tags: Vec<u8> = Vec::with_capacity(word_total);
-    let mut raw: Vec<u8> = Vec::with_capacity(byte_total);
-    match word_codec {
-        mojave_wire::CodecId::Varint | mojave_wire::CodecId::VarintLz => {
-            let mut varint: Vec<u8> = Vec::with_capacity(word_total * 2 + 16);
+        let word_blocks = || records.iter().filter_map(|(_, block)| block.as_words());
+
+        sample.clear();
+        for words in word_blocks() {
+            let room = CHOICE_SAMPLE_WORDS - sample.len();
+            if room == 0 {
+                break;
+            }
+            sample.extend(words.iter().take(room).map(|word| word.to_raw().1));
+        }
+        let word_codec = compressor.choose_words(sample, allowed);
+
+        let meta_codec = compressor.choose_bytes(meta.as_bytes(), allowed);
+        w.write_byte_frame_with(compressor, meta.as_bytes(), meta_codec);
+
+        tags.clear();
+        tags.reserve(word_total);
+        raw.clear();
+        raw.reserve(byte_total);
+        for (_, block) in records {
+            match &block.data {
+                BlockData::Words(words) => tags.extend(words.iter().map(|word| word.to_raw().0)),
+                BlockData::Bytes(bytes) => raw.extend_from_slice(bytes),
+            }
+        }
+        let tags_codec = compressor.choose_bytes(tags, allowed);
+        w.write_byte_frame_with(compressor, tags, tags_codec);
+
+        let stream_payloads = |out: &mut Vec<u8>| {
             let mut stream = mojave_wire::VarintStream::new();
-            for (_, block) in records {
-                match &block.data {
-                    BlockData::Words(words) => {
-                        for word in words.iter() {
-                            let (tag, value) = word.to_raw();
-                            tags.push(tag);
-                            stream.push(value, &mut varint);
-                        }
-                    }
-                    BlockData::Bytes(bytes) => raw.extend_from_slice(bytes),
+            for words in word_blocks() {
+                for word in words {
+                    stream.push(word.to_raw().1, out);
                 }
             }
-            w.write_byte_frame(&tags, choose_bytes(&tags, allowed));
-            if word_codec == mojave_wire::CodecId::VarintLz {
-                let mut folded = Vec::new();
-                mojave_wire::compress_lz_bytes(&varint, &mut folded);
-                w.write_word_frame_parts(word_total, word_codec, &folded);
-            } else {
-                w.write_word_frame_parts(word_total, word_codec, &varint);
+        };
+        match word_codec {
+            CodecId::Varint => {
+                w.write_word_frame_streamed(word_total, word_codec, word_total * 2, stream_payloads)
             }
-        }
-        mojave_wire::CodecId::Raw | mojave_wire::CodecId::Lz => {
-            let mut payload: Vec<u64> = Vec::with_capacity(word_total);
-            for (_, block) in records {
-                match &block.data {
-                    BlockData::Words(words) => {
-                        for word in words.iter() {
-                            let (tag, value) = word.to_raw();
-                            tags.push(tag);
-                            payload.push(value);
-                        }
-                    }
-                    BlockData::Bytes(bytes) => raw.extend_from_slice(bytes),
+            CodecId::VarintLz => {
+                varint.clear();
+                varint.reserve(word_total * 2 + 16);
+                stream_payloads(varint);
+                w.write_word_frame_streamed(word_total, word_codec, varint.len() / 4, |out| {
+                    compressor.compress_bytes(CodecId::Lz, varint, out)
+                });
+            }
+            CodecId::Raw | CodecId::Lz => {
+                payload.clear();
+                payload.reserve(word_total);
+                for words in word_blocks() {
+                    payload.extend(words.iter().map(|word| word.to_raw().1));
                 }
+                w.write_word_frame_with(compressor, payload, word_codec);
             }
-            w.write_byte_frame(&tags, choose_bytes(&tags, allowed));
-            w.write_word_frame(&payload, word_codec);
         }
+
+        let raw_codec = compressor.choose_bytes(raw, allowed);
+        w.write_byte_frame_with(compressor, raw, raw_codec);
     }
-    w.write_byte_frame(&raw, choose_bytes(&raw, allowed));
 }
 
 #[cfg(test)]

@@ -16,10 +16,14 @@
 //!    readable, the speculation-level discipline opened outward;
 //! 2. the **deferred encode + delivery**
 //!    ([`mojave_core::SnapshotPack::into_image`]): codec choice, slab
-//!    staging, compression and the [`mojave_core::MigrationSink`] delivery
-//!    run on a [`CheckpointPipeline`] worker thread, behind a bounded
-//!    queue with an explicit [`BackpressurePolicy`] (block, or coalesce
-//!    superseded deltas).
+//!    staging and compression run on [`CheckpointPipeline`] worker
+//!    threads — as many at once as the host has cores and the queue has
+//!    slots, since an encode reads only its own frozen snapshot — and
+//!    the [`mojave_core::MigrationSink`] deliveries then pass a turnstile
+//!    one at a time, in submit order, so a full image is always stored
+//!    before the deltas that pin it.  The queue is bounded, with an
+//!    explicit [`BackpressurePolicy`] (block, or coalesce superseded
+//!    deltas).
 //!
 //! [`AsyncSink`] packages the pipeline as a [`mojave_core::MigrationSink`]
 //! adapter around any inner sink; a process opts in with
@@ -43,7 +47,7 @@
 //!     .with_sink(Box::new(AsyncSink::new(Box::new(inner), PipelineConfig::default())));
 //!
 //! let pack = process.pack_snapshot(0, Word::Fun(0), &[], None).unwrap();
-//! // The freeze already happened (zero-pause); encode + store run on the
+//! // The freeze already happened (zero-pause); encode + store run on a
 //! // pipeline worker while this thread is free to keep executing.
 //! // (Processes do this automatically via `ProcessConfig::async_checkpoints`.)
 //! # let mut sink = AsyncSink::new(

@@ -2,7 +2,7 @@
 //! asynchronous one by routing deferred checkpoints through a
 //! [`CheckpointPipeline`].
 
-use crate::pipeline::{CheckpointPipeline, PipelineConfig};
+use crate::pipeline::{lock_sink, CheckpointPipeline, PipelineConfig, SharedSink};
 use mojave_core::{DeliveryOutcome, MigrationImage, MigrationSink, PipelineStats, SnapshotPack};
 use mojave_fir::MigrateProtocol;
 use mojave_wire::CodecSet;
@@ -11,8 +11,9 @@ use std::sync::{Arc, Mutex};
 /// Wraps any [`MigrationSink`] with an asynchronous checkpoint pipeline.
 ///
 /// * [`MigrationSink::deliver_deferred`] enqueues the frozen snapshot and
-///   returns immediately with an optimistic `Stored` (the pipeline worker
-///   encodes and delivers concurrently with the mutator).  With
+///   returns immediately with an optimistic `Stored` (pipeline workers
+///   encode concurrently with the mutator and with each other, and
+///   deliver in submit order).  With
 ///   [`PipelineConfig::drain_after_submit`] it instead blocks until the
 ///   delivery completed and returns the real outcome — the determinism
 ///   barrier deterministic grid replays rely on.
@@ -25,7 +26,7 @@ use std::sync::{Arc, Mutex};
 ///   `has_base` answers false and the process emits full images — more
 ///   bytes, never a wrong delta.
 pub struct AsyncSink {
-    inner: Arc<Mutex<Box<dyn MigrationSink + Send>>>,
+    inner: SharedSink,
     pipeline: CheckpointPipeline,
     drain_after_submit: bool,
 }
@@ -39,7 +40,7 @@ impl std::fmt::Debug for AsyncSink {
 }
 
 impl AsyncSink {
-    /// Wrap `inner`, spawning the pipeline worker.
+    /// Wrap `inner`, spawning the pipeline workers.
     pub fn new(inner: Box<dyn MigrationSink + Send>, config: PipelineConfig) -> Self {
         let inner = Arc::new(Mutex::new(inner));
         let pipeline = CheckpointPipeline::new(Arc::clone(&inner), config);
@@ -78,24 +79,15 @@ impl MigrationSink for AsyncSink {
         // Ordering: a synchronous delivery (e.g. the final suspend image)
         // must not overtake checkpoints already accepted by the pipeline.
         self.pipeline.drain();
-        self.inner
-            .lock()
-            .expect("async sink inner lock")
-            .deliver(protocol, target, image)
+        lock_sink(&self.inner).deliver(protocol, target, image)
     }
 
     fn has_base(&self, base: &str, base_fingerprint: u64) -> bool {
-        self.inner
-            .lock()
-            .expect("async sink inner lock")
-            .has_base(base, base_fingerprint)
+        lock_sink(&self.inner).has_base(base, base_fingerprint)
     }
 
     fn accepted_codecs(&self) -> CodecSet {
-        self.inner
-            .lock()
-            .expect("async sink inner lock")
-            .accepted_codecs()
+        lock_sink(&self.inner).accepted_codecs()
     }
 
     fn deliver_deferred(

@@ -69,9 +69,9 @@ pub use writer::{SectionWriter, WireWriter};
 // wire format (heap, core, cluster, grid, benches) names codecs through
 // one crate.
 pub use mojave_codec::{
-    choose, choose_bytes, choose_words, compress_bytes, compress_lz_bytes, compress_words,
-    decompress_bytes, decompress_lz_bytes, decompress_words, CodecError, CodecId, CodecSet,
-    SlabCodec, VarintStream, CHOICE_SAMPLE_WORDS,
+    choose, choose_bytes, choose_words, compress_bytes, compress_words, decompress_bytes,
+    decompress_lz_bytes, decompress_words, CodecError, CodecId, CodecSet, Compressor, SlabCodec,
+    VarintStream, CHOICE_SAMPLE_WORDS,
 };
 
 /// 64-bit FNV-1a fingerprint of a byte payload.

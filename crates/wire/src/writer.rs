@@ -1,7 +1,7 @@
 //! The encode half of the wire format.
 
 use crate::tags::{SectionTag, FORMAT_VERSION, MAGIC};
-use mojave_codec::CodecId;
+use mojave_codec::{CodecId, Compressor};
 use std::ops::{Deref, DerefMut};
 
 /// Append-only encoder producing the canonical Mojave byte format.
@@ -42,6 +42,11 @@ impl WireWriter {
     /// Whether nothing has been written yet.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+
+    /// Forget everything written, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.buf.clear();
     }
 
     /// Consume the writer and return the encoded bytes.
@@ -142,6 +147,38 @@ impl WireWriter {
         }
     }
 
+    /// Write a length-prefixed byte region whose bytes `fill` appends in
+    /// place — [`WireWriter::write_bytes`] for a payload that is produced
+    /// rather than held, so a compressor or a streaming encoder writes
+    /// straight into the frame instead of into a side buffer that is then
+    /// copied.  The canonical (shortest) LEB128 length is patched in
+    /// afterwards; `size_hint` only has to land in the right *order of
+    /// magnitude* (lengths of 16 KiB to 2 MiB all take three bytes) for
+    /// that to move nothing — a wrong guess costs one `memmove`, never a
+    /// different byte on the wire.
+    pub fn write_bytes_with(&mut self, size_hint: usize, fill: impl FnOnce(&mut Vec<u8>)) {
+        let at = self.buf.len();
+        let guess = uvarint_len(size_hint as u64);
+        self.buf.resize(at + guess, 0);
+        fill(&mut self.buf);
+        let body = at + guess;
+        let len = self.buf.len() - body;
+        let prefix = uvarint_len(len as u64);
+        if prefix > guess {
+            self.buf.resize(self.buf.len() + (prefix - guess), 0);
+        }
+        if prefix != guess {
+            self.buf.copy_within(body..body + len, at + prefix);
+            self.buf.truncate(at + prefix + len);
+        }
+        let mut v = len as u64;
+        for byte in &mut self.buf[at..at + prefix] {
+            *byte = (v & 0x7F) as u8 | 0x80;
+            v >>= 7;
+        }
+        self.buf[at + prefix - 1] &= 0x7F;
+    }
+
     /// Write a codec-tagged compressed **word-slab frame** (v5 images):
     /// uvarint word count, codec id byte, then the length-prefixed
     /// compressed payload.  Decode with
@@ -152,6 +189,17 @@ impl WireWriter {
     /// staging copy), so an incompressible slab costs the same as
     /// [`WireWriter::write_words`] plus one id byte.
     pub fn write_word_frame(&mut self, words: &[u64], codec: CodecId) {
+        self.write_word_frame_with(&mut Compressor::new(), words, codec);
+    }
+
+    /// [`WireWriter::write_word_frame`] through a caller-kept
+    /// [`Compressor`] — same bytes, none of its per-call set-up.
+    pub fn write_word_frame_with(
+        &mut self,
+        compressor: &mut Compressor,
+        words: &[u64],
+        codec: CodecId,
+    ) {
         self.write_uvarint(words.len() as u64);
         self.write_u8(codec as u8);
         if codec == CodecId::Raw {
@@ -162,21 +210,27 @@ impl WireWriter {
                 chunk.copy_from_slice(&word.to_le_bytes());
             }
         } else {
-            let mut payload = Vec::new();
-            mojave_codec::compress_words(codec, words, &mut payload);
-            self.write_bytes(&payload);
+            self.write_bytes_with(words.len() * 2, |out| {
+                compressor.compress_words(codec, words, out)
+            });
         }
     }
 
-    /// Write a word frame from already-compressed parts: `payload` must
-    /// be `codec`'s valid encoding of exactly `word_count` words —
-    /// produced e.g. by a streaming [`mojave_codec::VarintStream`] fused
-    /// into the caller's staging loop.  The normal entry point is
-    /// [`WireWriter::write_word_frame`].
-    pub fn write_word_frame_parts(&mut self, word_count: usize, codec: CodecId, payload: &[u8]) {
+    /// Write a word frame whose payload `fill` appends in place (see
+    /// [`WireWriter::write_bytes_with`] for `size_hint`): what `fill`
+    /// produces must be `codec`'s valid encoding of exactly `word_count`
+    /// words — e.g. a [`mojave_codec::VarintStream`] fused into the
+    /// caller's staging loop, so the slab is never materialised.
+    pub fn write_word_frame_streamed(
+        &mut self,
+        word_count: usize,
+        codec: CodecId,
+        size_hint: usize,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) {
         self.write_uvarint(word_count as u64);
         self.write_u8(codec as u8);
-        self.write_bytes(payload);
+        self.write_bytes_with(size_hint, fill);
     }
 
     /// Write a codec-tagged compressed **byte-slab frame** (v5 images):
@@ -185,14 +239,25 @@ impl WireWriter {
     /// pick one with [`mojave_codec::choose_bytes`].  Decode with
     /// [`crate::WireReader::read_byte_frame`].
     pub fn write_byte_frame(&mut self, bytes: &[u8], codec: CodecId) {
+        self.write_byte_frame_with(&mut Compressor::new(), bytes, codec);
+    }
+
+    /// [`WireWriter::write_byte_frame`] through a caller-kept
+    /// [`Compressor`] — same bytes, none of its per-call set-up.
+    pub fn write_byte_frame_with(
+        &mut self,
+        compressor: &mut Compressor,
+        bytes: &[u8],
+        codec: CodecId,
+    ) {
         self.write_uvarint(bytes.len() as u64);
         self.write_u8(codec as u8);
         if codec == CodecId::Raw {
             self.write_bytes(bytes);
         } else {
-            let mut payload = Vec::new();
-            mojave_codec::compress_bytes(codec, bytes, &mut payload);
-            self.write_bytes(&payload);
+            self.write_bytes_with(bytes.len() / 4, |out| {
+                compressor.compress_bytes(codec, bytes, out)
+            });
         }
     }
 
@@ -246,6 +311,11 @@ impl WireWriter {
             len_pos,
         }
     }
+}
+
+/// Bytes the canonical LEB128 encoding of `v` takes.
+fn uvarint_len(v: u64) -> usize {
+    ((64 - v.leading_zeros()).max(1) as usize).div_ceil(7)
 }
 
 /// Guard for a framed section opened with [`WireWriter::begin_section`].
@@ -328,6 +398,26 @@ mod tests {
         w.write_ivarint(-1);
         w.write_ivarint(1);
         assert_eq!(w.as_bytes(), &[1, 2]);
+    }
+
+    #[test]
+    fn in_place_length_prefix_is_canonical_for_every_guess() {
+        // Body lengths on both sides of each LEB128 width boundary, with
+        // hints that guess too short, right and too long.
+        for len in [0usize, 1, 127, 128, 300, 16_383, 16_384, 70_000] {
+            let body: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let mut want = WireWriter::new();
+            want.write_u8(0xEE);
+            want.write_bytes(&body);
+            want.write_u8(0xFF);
+            for hint in [0usize, 1, 200, 20_000, 3_000_000, usize::MAX] {
+                let mut got = WireWriter::new();
+                got.write_u8(0xEE);
+                got.write_bytes_with(hint, |out| out.extend_from_slice(&body));
+                got.write_u8(0xFF);
+                assert_eq!(got.as_bytes(), want.as_bytes(), "len {len} hint {hint}");
+            }
+        }
     }
 
     #[test]
