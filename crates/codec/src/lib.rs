@@ -571,21 +571,46 @@ impl SlabCodec for VarintLz {
 // ---------------------------------------------------------------------------
 
 /// Reusable working memory for the compress side: the LZ match table, the
-/// stage between the two passes of a chained codec, and the trial output
+/// stage between the two passes of a chained codec, and the trial outputs
 /// of the choice heuristics.
 ///
 /// One image encode chooses and compresses half a dozen slabs; a caller
-/// that keeps a `Compressor` (the heap's slab encoder, and through it each
-/// checkpoint-pipeline worker) pays for that memory once instead of per
-/// call.  **The bytes produced never depend on what the compressor was
+/// that keeps a `Compressor` (the heap's slab encoders, which a process-wide
+/// pool hands to every image encode) pays for that memory once instead of
+/// per call.  **The bytes produced never depend on what the compressor was
 /// used for before** — the free functions [`compress_words`],
 /// [`compress_bytes`], [`choose_words`] and [`choose_bytes`] are these
 /// methods on a fresh one.
+///
+/// When a choice's sample is the whole slab, the winning trial *is* the
+/// slab's compressed payload: [`Compressor::chosen_words`] and
+/// [`Compressor::chosen_bytes`] hand it back so the caller writes it
+/// instead of compressing the slab a second time.
 #[derive(Debug, Clone, Default)]
 pub struct Compressor {
     table: LzTable,
     staged: Vec<u8>,
     trial: Vec<u8>,
+    /// The winner of the last [`Compressor::choose_words`].  Kept apart
+    /// from the byte choice's, which a slab encoder runs for other slabs
+    /// between choosing the word codec and writing the word frame.
+    words_won: Kept,
+    /// The winner of the last [`Compressor::choose_bytes`].
+    bytes_won: Kept,
+}
+
+/// A choice's winning trial output; `whole` when that trial compressed the
+/// entire slab (and a non-`Raw` codec won), so it is the slab's payload.
+#[derive(Debug, Clone, Default)]
+struct Kept {
+    payload: Vec<u8>,
+    whole: bool,
+}
+
+impl Kept {
+    fn get(&self) -> Option<&[u8]> {
+        self.whole.then_some(self.payload.as_slice())
+    }
 }
 
 impl Compressor {
@@ -632,6 +657,7 @@ impl Compressor {
     /// Deterministic: the same slab and set always choose the same codec
     /// (ties break toward the cheaper decode, i.e. [`CodecId::ALL`] order).
     pub fn choose_words(&mut self, words: &[u64], allowed: CodecSet) -> CodecId {
+        self.words_won.whole = false;
         if words.len() < MIN_COMPRESS_WORDS {
             return CodecId::Raw;
         }
@@ -639,6 +665,7 @@ impl Compressor {
         let mut best = CodecId::Raw;
         let mut best_len = sample.len() * 8;
         let mut trial = std::mem::take(&mut self.trial);
+        let mut won = std::mem::take(&mut self.words_won.payload);
         for candidate in allowed.iter() {
             if candidate == CodecId::Raw {
                 continue;
@@ -648,9 +675,14 @@ impl Compressor {
             if trial.len() < best_len {
                 best = candidate;
                 best_len = trial.len();
+                std::mem::swap(&mut trial, &mut won);
             }
         }
         self.trial = trial;
+        self.words_won = Kept {
+            payload: won,
+            whole: best != CodecId::Raw && sample.len() == words.len(),
+        };
         best
     }
 
@@ -660,6 +692,7 @@ impl Compressor {
     /// [`CodecId::VarintLz`] implies the LZ machinery is available and
     /// admits `Lz` here.
     pub fn choose_bytes(&mut self, bytes: &[u8], allowed: CodecSet) -> CodecId {
+        self.bytes_won.whole = false;
         if bytes.len() < MIN_COMPRESS_BYTES {
             return CodecId::Raw;
         }
@@ -667,13 +700,31 @@ impl Compressor {
             return CodecId::Raw;
         }
         let sample = &bytes[..bytes.len().min(SAMPLE_BYTES)];
-        self.trial.clear();
-        lz::compress_with(&mut self.table, sample, &mut self.trial);
-        if self.trial.len() < sample.len() {
+        let won = &mut self.bytes_won;
+        won.payload.clear();
+        lz::compress_with(&mut self.table, sample, &mut won.payload);
+        if won.payload.len() < sample.len() {
+            won.whole = sample.len() == bytes.len();
             CodecId::Lz
         } else {
             CodecId::Raw
         }
+    }
+
+    /// The compressed payload the last [`Compressor::choose_words`] call
+    /// produced for the codec it returned — byte for byte what
+    /// [`Compressor::compress_words`] would append for that slab and codec
+    /// — when its sample was the whole slab; `None` when it sampled a
+    /// prefix or chose `Raw`.
+    pub fn chosen_words(&self) -> Option<&[u8]> {
+        self.words_won.get()
+    }
+
+    /// [`Compressor::chosen_words`] for the last
+    /// [`Compressor::choose_bytes`] call: its `Lz` trial when that covered
+    /// the whole slab.
+    pub fn chosen_bytes(&self) -> Option<&[u8]> {
+        self.bytes_won.get()
     }
 }
 

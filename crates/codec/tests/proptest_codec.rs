@@ -9,7 +9,7 @@
 
 use mojave_codec::{
     choose, choose_bytes, choose_words, compress_bytes, compress_words, decompress_words, CodecId,
-    CodecSet, Compressor,
+    CodecSet, Compressor, CHOICE_SAMPLE_WORDS,
 };
 use proptest::prelude::*;
 
@@ -146,6 +146,63 @@ proptest! {
                 let mut want = Vec::new();
                 compress_words(id, &words, &mut want);
                 prop_assert_eq!(&got, &want, "{}", id);
+            }
+        }
+    }
+}
+
+/// `len` words of one of three characters — small ints (a varint filter
+/// wins), full-width noise (`Raw` wins), a short repeating pattern (an LZ
+/// codec wins) — from an LCG seeded with `seed`.
+fn slab_of(kind: u8, seed: u64, len: usize) -> Vec<u64> {
+    let mut x = seed | 1;
+    let pattern = [seed, seed >> 7, 42, seed.rotate_left(13)];
+    (0..len)
+        .map(|i| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            match kind {
+                0 => x % 1000,
+                1 => x,
+                _ => pattern[i % pattern.len()],
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    /// A choice whose sample is the whole slab keeps its winning trial, and
+    /// that trial is byte for byte the payload choose-then-compress on a
+    /// fresh compressor writes — for slabs just below, at and just above
+    /// both the compression floor and the choice sample, under every codec
+    /// set that keeps `Raw`, with a byte choice run between a word choice
+    /// and its use (a slab encoder writes two byte frames there).
+    #[test]
+    fn kept_trials_are_the_payload_a_fresh_compressor_writes(
+        kind in 0u8..3,
+        seed in any::<u64>(),
+    ) {
+        const SAMPLE_BYTES: usize = 8192;
+        let mut warm = Compressor::new();
+        for (words_len, bytes_len) in [(15, 63), (16, 64), (2047, 8191), (2048, 8192), (2049, 8193)] {
+            let words = slab_of(kind, seed, words_len);
+            let bytes: Vec<u8> = slab_of(kind, !seed, bytes_len).iter().map(|w| *w as u8).collect();
+            for allowed in (0..16).step_by(2).map(CodecSet::from_bits) {
+                let word_codec = warm.choose_words(&words, allowed);
+                let byte_codec = warm.choose_bytes(&bytes, allowed);
+                prop_assert_eq!(word_codec, choose_words(&words, allowed));
+                prop_assert_eq!(byte_codec, choose_bytes(&bytes, allowed));
+
+                let mut want = Vec::new();
+                compress_words(word_codec, &words, &mut want);
+                let whole = word_codec != CodecId::Raw && words_len <= CHOICE_SAMPLE_WORDS;
+                prop_assert_eq!(warm.chosen_words(), whole.then_some(&want[..]));
+
+                let mut want = Vec::new();
+                compress_bytes(byte_codec, &bytes, &mut want);
+                let whole = byte_codec == CodecId::Lz && bytes_len <= SAMPLE_BYTES;
+                prop_assert_eq!(warm.chosen_bytes(), whole.then_some(&want[..]));
             }
         }
     }

@@ -22,15 +22,13 @@
 use crate::backend::BytecodeProgram;
 use crate::error::RuntimeError;
 use mojave_fir::{MigrateProtocol, Program};
-use mojave_heap::{
-    image_payload_stats, Heap, HeapConfig, HeapSnapshot, ImageCodec, PtrIdx, SlabEncoder, Word,
-};
+use mojave_heap::{image_payload_stats, Heap, HeapConfig, HeapSnapshot, ImageCodec, PtrIdx, Word};
 use mojave_wire::{
     CodecSet, SectionTag, WireCodec, WireError, WireReader, WireWriter, BATCHED_VERSION,
     FORMAT_VERSION, MIN_SUPPORTED_VERSION,
 };
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// The code section of a migration image.
@@ -681,24 +679,13 @@ impl SnapshotPack {
     /// is unreachable when the pack came from
     /// [`crate::Process::pack_snapshot`], which validates the clean point.
     pub fn into_image(self) -> Result<MigrationImage, RuntimeError> {
-        self.into_image_with(&mut SlabEncoder::new())
-    }
-
-    /// [`SnapshotPack::into_image`] through a caller-kept [`SlabEncoder`]
-    /// — what a pipeline worker calls, so a stream of checkpoints reuses
-    /// one set of staging buffers and one LZ table.  Same bytes.
-    pub fn into_image_with(
-        self,
-        encoder: &mut SlabEncoder,
-    ) -> Result<MigrationImage, RuntimeError> {
         let heap_image = match &self.delta_base {
             None => {
                 let mut w = WireWriter::with_capacity(self.heap.live_bytes() + 256);
                 if self.legacy_sink {
                     self.heap.encode_image(&mut w);
                 } else {
-                    self.heap
-                        .encode_image_compressed_with(encoder, &mut w, self.allowed);
+                    self.heap.encode_image_compressed(&mut w, self.allowed);
                 }
                 HeapImage::Full(w.into_bytes())
             }
@@ -708,7 +695,7 @@ impl SnapshotPack {
                     self.heap.encode_delta_image(&mut w)?;
                 } else {
                     self.heap
-                        .encode_delta_image_compressed_with(encoder, &mut w, self.allowed)?;
+                        .encode_delta_image_compressed(&mut w, self.allowed)?;
                 }
                 HeapImage::Delta {
                     base: base.clone(),
@@ -881,16 +868,26 @@ impl StoreStats {
     }
 }
 
+/// One stored image.
+#[derive(Debug)]
+struct Entry {
+    /// The image, shared so readers copy or parse it outside the lock.  An
+    /// `Arc<Vec<u8>>`, not an `Arc<[u8]>`: `put` moves the caller's buffer
+    /// in instead of copying it.
+    bytes: Arc<Vec<u8>>,
+    /// `(raw, stored)` wire sizes, so [`CheckpointStore::stats`] is a
+    /// cheap sum.
+    sizes: (u64, u64),
+    /// The heap-payload fingerprint, computed on first ask — keeps
+    /// delta-base negotiation O(1) per checkpoint instead of hashing the
+    /// base image every time.  A rewrite of the name replaces the entry,
+    /// and with it this cache.
+    fingerprint: Option<u64>,
+}
+
 #[derive(Debug, Default)]
 struct StoreInner {
-    images: HashMap<String, Vec<u8>>,
-    /// Per-image `(raw, stored)` wire sizes, maintained by `put`/`remove`
-    /// so [`CheckpointStore::stats`] is a cheap sum.
-    sizes: HashMap<String, (u64, u64)>,
-    /// Lazily computed heap-payload fingerprints, invalidated whenever the
-    /// name is rewritten — keeps delta-base negotiation O(1) per
-    /// checkpoint instead of decoding the base image every time.
-    fingerprints: HashMap<String, u64>,
+    images: HashMap<String, Entry>,
     /// Bumped by every `put`/`remove`; fingerprints computed outside the
     /// lock are only cached if no write landed in between, so a concurrent
     /// overwrite can never pin a stale entry.
@@ -914,36 +911,43 @@ impl CheckpointStore {
         CheckpointStore::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, StoreInner> {
+        self.inner.lock().expect("checkpoint store lock")
+    }
+
+    /// The named image's shared bytes: readers copy or parse them after
+    /// the lock is released.
+    fn shared(&self, name: &str) -> Option<Arc<Vec<u8>>> {
+        self.lock()
+            .images
+            .get(name)
+            .map(|entry| Arc::clone(&entry.bytes))
+    }
+
     /// Atomically store (replace) a named image.
     pub fn put(&self, name: &str, bytes: Vec<u8>) {
         let start = Instant::now();
         // Frame-header walk only — no decompression, no allocation.
         let sizes = image_wire_sizes(&bytes).unwrap_or((bytes.len() as u64, bytes.len() as u64));
-        let mut inner = self.inner.lock().expect("checkpoint store lock");
+        let entry = Entry {
+            bytes: Arc::new(bytes),
+            sizes,
+            fingerprint: None,
+        };
+        let mut inner = self.lock();
         inner.generation += 1;
-        inner.fingerprints.remove(name);
-        inner.sizes.insert(name.to_owned(), sizes);
-        inner.images.insert(name.to_owned(), bytes);
+        inner.images.insert(name.to_owned(), entry);
         inner.put_ns += start.elapsed().as_nanos() as u64;
     }
 
     /// Fetch a named image.
     pub fn get(&self, name: &str) -> Option<Vec<u8>> {
-        self.inner
-            .lock()
-            .expect("checkpoint store lock")
-            .images
-            .get(name)
-            .cloned()
+        Some(self.shared(name)?.to_vec())
     }
 
     /// Whether an image is stored under `name`.
     pub fn contains(&self, name: &str) -> bool {
-        self.inner
-            .lock()
-            .expect("checkpoint store lock")
-            .images
-            .contains_key(name)
+        self.lock().images.contains_key(name)
     }
 
     /// The [`mojave_wire::fingerprint`] of the named image's heap payload,
@@ -952,21 +956,29 @@ impl CheckpointStore {
     /// negotiation ([`MigrationSink::has_base`]).
     pub fn heap_fingerprint(&self, name: &str) -> Option<u64> {
         let (bytes, generation) = {
-            let inner = self.inner.lock().expect("checkpoint store lock");
-            if let Some(cached) = inner.fingerprints.get(name) {
-                return Some(*cached);
+            let inner = self.lock();
+            let entry = inner.images.get(name)?;
+            if let Some(cached) = entry.fingerprint {
+                return Some(cached);
             }
-            (inner.images.get(name)?.clone(), inner.generation)
+            (Arc::clone(&entry.bytes), inner.generation)
         };
         // Hash outside the lock — images can be megabytes.
         let fingerprint = heap_payload_fingerprint(&bytes)?;
-        let mut inner = self.inner.lock().expect("checkpoint store lock");
-        // Cache only if no write raced the computation: a concurrent put()
-        // must not leave a stale fingerprint pinned under the new content.
-        if inner.generation == generation {
-            inner.fingerprints.insert(name.to_owned(), fingerprint);
-        }
+        self.cache_fingerprint(name, generation, fingerprint);
         Some(fingerprint)
+    }
+
+    /// Cache `fingerprint`, computed from `name`'s bytes as of
+    /// `generation`, unless a write landed since: a concurrent `put` must
+    /// not leave a stale fingerprint pinned under the new content.
+    fn cache_fingerprint(&self, name: &str, generation: u64, fingerprint: u64) {
+        let mut inner = self.lock();
+        if inner.generation == generation {
+            if let Some(entry) = inner.images.get_mut(name) {
+                entry.fingerprint = Some(fingerprint);
+            }
+        }
     }
 
     /// Load and decode a named image.
@@ -1000,7 +1012,7 @@ impl CheckpointStore {
 
     /// Load and decode a named image without resolving delta payloads.
     pub fn load_raw(&self, name: &str) -> Result<MigrationImage, RuntimeError> {
-        let bytes = self.get(name).ok_or_else(|| {
+        let bytes = self.shared(name).ok_or_else(|| {
             RuntimeError::MigrationRejected(format!("no checkpoint named `{name}`"))
         })?;
         Ok(MigrationImage::from_bytes(&bytes)?)
@@ -1008,25 +1020,14 @@ impl CheckpointStore {
 
     /// Names of all stored images, sorted.
     pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .inner
-            .lock()
-            .expect("checkpoint store lock")
-            .images
-            .keys()
-            .cloned()
-            .collect();
+        let mut names: Vec<String> = self.lock().images.keys().cloned().collect();
         names.sort();
         names
     }
 
     /// Number of stored images.
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("checkpoint store lock")
-            .images
-            .len()
+        self.lock().images.len()
     }
 
     /// Whether the store is empty.
@@ -1036,22 +1037,20 @@ impl CheckpointStore {
 
     /// Remove a named image, returning whether it existed.
     pub fn remove(&self, name: &str) -> bool {
-        let mut inner = self.inner.lock().expect("checkpoint store lock");
+        let mut inner = self.lock();
         inner.generation += 1;
-        inner.fingerprints.remove(name);
-        inner.sizes.remove(name);
         inner.images.remove(name).is_some()
     }
 
     /// Aggregate on-wire size accounting over the stored images.
     pub fn stats(&self) -> StoreStats {
-        let inner = self.inner.lock().expect("checkpoint store lock");
+        let inner = self.lock();
         let mut stats = StoreStats {
             images: inner.images.len(),
             put_ns: inner.put_ns,
             ..StoreStats::default()
         };
-        for (raw, stored) in inner.sizes.values() {
+        for (raw, stored) in inner.images.values().map(|entry| entry.sizes) {
             stats.raw_bytes += raw;
             stats.stored_bytes += stored;
         }
@@ -1061,12 +1060,7 @@ impl CheckpointStore {
     /// The `(raw, stored)` wire sizes of one stored image, or `None` if
     /// the name is absent.
     pub fn image_sizes(&self, name: &str) -> Option<(u64, u64)> {
-        self.inner
-            .lock()
-            .expect("checkpoint store lock")
-            .sizes
-            .get(name)
-            .copied()
+        self.lock().images.get(name).map(|entry| entry.sizes)
     }
 }
 
@@ -1491,6 +1485,57 @@ mod tests {
         assert_eq!(store.len(), 3);
         assert!(store.remove("ck-2"));
         assert!(!store.remove("ck-2"));
+    }
+
+    #[test]
+    fn store_get_returns_exactly_what_was_put() {
+        let store = CheckpointStore::new();
+        let bytes = tiny_image().to_bytes();
+        store.put("ck", bytes.clone());
+        let mut got = store.get("ck").unwrap();
+        assert_eq!(got, bytes);
+        // The copy is the caller's: writing to it leaves the store alone.
+        got[0] ^= 0xFF;
+        assert_eq!(store.get("ck").unwrap(), bytes);
+        assert_eq!(store.load_raw("ck").unwrap(), tiny_image());
+
+        store.put("ck", vec![7, 8]);
+        assert_eq!(store.get("ck").unwrap(), vec![7, 8]);
+        assert_eq!(store.image_sizes("ck"), Some((2, 2)));
+        assert_eq!(store.stats().images, 1);
+    }
+
+    /// `heap_fingerprint` hashes outside the lock; a `put` that lands
+    /// between its read and its cache write must win.  The race is forced
+    /// by running the two halves by hand around the overwrite.
+    #[test]
+    fn an_overwrite_racing_heap_fingerprint_never_caches_a_stale_fingerprint() {
+        let store = CheckpointStore::new();
+        let old = tiny_image();
+        let mut heap = Heap::new();
+        heap.alloc_migrate_env(vec![Word::Int(6)]).unwrap();
+        let mut w = WireWriter::new();
+        heap.encode_image_compressed(&mut w, CodecSet::all());
+        let new = MigrationImage {
+            heap_image: HeapImage::Full(w.into_bytes()),
+            ..tiny_image()
+        };
+        assert_ne!(old.heap_image.fingerprint(), new.heap_image.fingerprint());
+
+        store.put("base", old.to_bytes());
+        let generation = store.lock().generation;
+        let stale = heap_payload_fingerprint(&store.get("base").unwrap()).unwrap();
+        store.put("base", new.to_bytes());
+        store.cache_fingerprint("base", generation, stale);
+        assert_eq!(
+            store.heap_fingerprint("base"),
+            Some(new.heap_image.fingerprint())
+        );
+
+        // With no write in between, the value is cached and served as is.
+        let generation = store.lock().generation;
+        store.cache_fingerprint("base", generation, 42);
+        assert_eq!(store.heap_fingerprint("base"), Some(42));
     }
 
     #[test]

@@ -11,6 +11,8 @@ use mojave_wire::{
     CodecId, CodecSet, Compressor, FrameStats, WireCodec, WireError, WireReader, WireWriter,
 };
 use std::collections::{HashMap, HashSet};
+use std::sync::{Mutex, PoisonError};
+use std::thread::ThreadId;
 
 /// Which block codec a heap image payload uses — selected by the image's
 /// wire format version (`mojave-core` maps versions to codecs).
@@ -145,6 +147,11 @@ pub struct Heap {
     /// entries that are *not live now* are the pointer-table fixups a delta
     /// image must ship ([`Heap::sorted_freed`]).
     pub(crate) freed_since_clean: Vec<PtrIdx>,
+    /// The collector's slot worklist, kept between collections so a
+    /// collection allocates nothing once it has grown: the slots left to
+    /// mark, then the dead slots to free, then compaction's old-to-new slot
+    /// map.  Empty outside a collection.
+    pub(crate) gc_work: Vec<usize>,
     /// Flight recorder for GC, freeze and speculation events.  Disabled
     /// by default (one-branch cost); cloned shares between heap, process
     /// and pipeline.
@@ -890,13 +897,7 @@ impl Heap {
     /// staging keeps encode as fast as the batched path.
     pub fn encode_image_compressed(&self, w: &mut WireWriter, allowed: CodecSet) {
         let records = self.live_records();
-        encode_full_slab(
-            &mut SlabEncoder::new(),
-            w,
-            self.table.capacity(),
-            &records,
-            allowed,
-        );
+        encode_full_slab(w, self.table.capacity(), &records, allowed);
     }
 
     /// Rebuild a heap from an image produced by
@@ -1052,7 +1053,6 @@ impl Heap {
     pub fn encode_delta_image_compressed(&self, w: &mut WireWriter, allowed: CodecSet) {
         let records = self.delta_dirty_records();
         encode_delta_slab(
-            &mut SlabEncoder::new(),
             w,
             self.table.capacity(),
             &records,
@@ -1271,10 +1271,17 @@ fn list_dirty(dirty: &mut Vec<PtrIdx>, clean_epoch: u64, header: &mut BlockHeade
 /// The entries of an append-order list that satisfy `keep`, ascending and
 /// distinct.
 fn sorted_where(list: &[PtrIdx], keep: impl Fn(PtrIdx) -> bool) -> Vec<PtrIdx> {
-    let mut kept: Vec<PtrIdx> = list.iter().copied().filter(|ptr| keep(*ptr)).collect();
-    kept.sort_unstable();
-    kept.dedup();
+    let mut kept = list.to_vec();
+    fold_where(&mut kept, keep);
     kept
+}
+
+/// [`sorted_where`] in place: fold an append-order list down to the set it
+/// stands for.
+pub(crate) fn fold_where(list: &mut Vec<PtrIdx>, keep: impl Fn(PtrIdx) -> bool) {
+    list.retain(|ptr| keep(*ptr));
+    list.sort_unstable();
+    list.dedup();
 }
 
 // ---------------------------------------------------------------------------
@@ -1309,7 +1316,6 @@ pub(crate) fn encode_full_records(
 
 /// Write a full image in the compressed v5 slab layout.
 pub(crate) fn encode_full_slab(
-    encoder: &mut SlabEncoder,
     w: &mut WireWriter,
     capacity: usize,
     records: &[(PtrIdx, &Block)],
@@ -1317,7 +1323,7 @@ pub(crate) fn encode_full_slab(
 ) {
     w.write_usize(capacity);
     w.write_usize(records.len());
-    encoder.encode_records(w, records, allowed);
+    with_pooled_encoder(|encoder| encoder.encode_records(w, records, allowed));
 }
 
 /// Write a delta image in the batched (v4) block layout: capacity, dirty
@@ -1339,7 +1345,6 @@ pub(crate) fn encode_delta_batched(
 
 /// Write a delta image in the compressed v5 slab layout.
 pub(crate) fn encode_delta_slab(
-    encoder: &mut SlabEncoder,
     w: &mut WireWriter,
     capacity: usize,
     records: &[(PtrIdx, &Block)],
@@ -1348,7 +1353,7 @@ pub(crate) fn encode_delta_slab(
 ) {
     w.write_usize(capacity);
     w.write_usize(records.len());
-    encoder.encode_records(w, records, allowed);
+    with_pooled_encoder(|encoder| encoder.encode_records(w, records, allowed));
     write_freed_fixups(w, freed);
 }
 
@@ -1362,20 +1367,47 @@ pub(crate) fn write_freed_fixups(w: &mut WireWriter, freed: &[PtrIdx]) {
     }
 }
 
+/// Encoders between images, each beside the thread that returned it.
+/// Every compressed-image entry point of [`Heap`] and
+/// [`crate::HeapSnapshot`] — and through them synchronous packs, pipeline
+/// workers and delta resolution alike — takes one for the length of one
+/// image ([`with_pooled_encoder`]), so steady state neither allocates
+/// staging nor zero-fills an LZ table per image.  The pool holds as many
+/// encoders as images were ever encoded at once.
+static ENCODERS: Mutex<Vec<(ThreadId, SlabEncoder)>> = Mutex::new(Vec::new());
+
+/// Run `encode` with an encoder from the pool: taken under the lock, used
+/// outside it, returned afterwards.  A thread gets back the encoder it
+/// returned last when that one is free — its 128 KiB LZ table is then
+/// still in this core's cache (on a 2-vCPU host, two grid workers handed
+/// each other's encoders spent 1.4× as long in LZ as with a fresh table).
+/// An encode that panics drops its encoder rather than returning it.
+fn with_pooled_encoder<R>(encode: impl FnOnce(&mut SlabEncoder) -> R) -> R {
+    // Only `swap_remove` and `push` run under the lock and a `Vec` is
+    // whole after either, so a poisoned lock still guards a usable pool.
+    let pool = || ENCODERS.lock().unwrap_or_else(PoisonError::into_inner);
+    let me = std::thread::current().id();
+    let mut encoder = {
+        let mut pool = pool();
+        let mine = pool.iter().rposition(|(owner, _)| *owner == me);
+        match mine.or(pool.len().checked_sub(1)) {
+            Some(at) => pool.swap_remove(at).1,
+            None => SlabEncoder::default(),
+        }
+    };
+    let result = encode(&mut encoder);
+    pool().push((me, encoder));
+    result
+}
+
 /// The v5 slab encoder, with the working memory it keeps between images:
 /// the codec crate's [`Compressor`] (LZ match table and trial buffers)
-/// and the staging slabs.
-///
-/// Every compressed-image entry point of [`Heap`] and
-/// [`crate::HeapSnapshot`] runs through one of these.  The plain ones make
-/// a fresh encoder per image; a caller that encodes image after image — a
-/// checkpoint-pipeline worker — keeps one and passes it to
-/// [`crate::HeapSnapshot::encode_image_compressed_with`] /
-/// [`crate::HeapSnapshot::encode_delta_image_compressed_with`], so steady
-/// state allocates nothing but the image.  **The bytes written never
-/// depend on what the encoder was used for before.**
+/// and the staging slabs.  Built only by the pool behind
+/// [`with_pooled_encoder`].  **The bytes written never depend on what the
+/// encoder was used for before** — that is what makes one pool safe to
+/// share between every caller.
 #[derive(Debug, Default)]
-pub struct SlabEncoder {
+struct SlabEncoder {
     compressor: Compressor,
     meta: WireWriter,
     sample: Vec<u64>,
@@ -1389,11 +1421,6 @@ pub struct SlabEncoder {
 }
 
 impl SlabEncoder {
-    /// An encoder holding no memory yet.
-    pub fn new() -> Self {
-        SlabEncoder::default()
-    }
-
     /// Gather `records` into the four v5 slabs and write them as
     /// compressed frames: meta (index, kind, length per record), word
     /// tags, word payloads, byte payloads.  Shared by full and delta
@@ -1406,8 +1433,9 @@ impl SlabEncoder {
     /// words stream through [`mojave_wire::VarintStream`] straight into
     /// `w`'s frame (length patched afterwards) and neither the
     /// 8-bytes-per-word `u64` slab nor a side copy of the varint bytes is
-    /// ever materialised.
-    pub(crate) fn encode_records(
+    /// ever materialised.  A slab the choice sampled whole is compressed
+    /// once: the winning trial is written as its payload.
+    fn encode_records(
         &mut self,
         w: &mut WireWriter,
         records: &[(PtrIdx, &Block)],
@@ -1450,9 +1478,9 @@ impl SlabEncoder {
             sample.extend(words.iter().take(room).map(|word| word.to_raw().1));
         }
         let word_codec = compressor.choose_words(sample, allowed);
+        let sampled_whole = sample.len() == word_total;
 
-        let meta_codec = compressor.choose_bytes(meta.as_bytes(), allowed);
-        w.write_byte_frame_with(compressor, meta.as_bytes(), meta_codec);
+        w.write_byte_frame_chosen(compressor, meta.as_bytes(), allowed);
 
         tags.clear();
         tags.reserve(word_total);
@@ -1464,8 +1492,7 @@ impl SlabEncoder {
                 BlockData::Bytes(bytes) => raw.extend_from_slice(bytes),
             }
         }
-        let tags_codec = compressor.choose_bytes(tags, allowed);
-        w.write_byte_frame_with(compressor, tags, tags_codec);
+        w.write_byte_frame_chosen(compressor, tags, allowed);
 
         let stream_payloads = |out: &mut Vec<u8>| {
             let mut stream = mojave_wire::VarintStream::new();
@@ -1475,30 +1502,40 @@ impl SlabEncoder {
                 }
             }
         };
-        match word_codec {
-            CodecId::Varint => {
-                w.write_word_frame_streamed(word_total, word_codec, word_total * 2, stream_payloads)
-            }
-            CodecId::VarintLz => {
-                varint.clear();
-                varint.reserve(word_total * 2 + 16);
-                stream_payloads(varint);
-                w.write_word_frame_streamed(word_total, word_codec, varint.len() / 4, |out| {
-                    compressor.compress_bytes(CodecId::Lz, varint, out)
-                });
-            }
-            CodecId::Raw | CodecId::Lz => {
-                payload.clear();
-                payload.reserve(word_total);
-                for words in word_blocks() {
-                    payload.extend(words.iter().map(|word| word.to_raw().1));
+        // The byte-frame choices above keep their trials apart from this
+        // one, so the word choice's winner is still the payload here.
+        if let Some(won) = compressor.chosen_words().filter(|_| sampled_whole) {
+            w.write_word_frame_streamed(word_total, word_codec, won.len(), |out| {
+                out.extend_from_slice(won)
+            });
+        } else {
+            match word_codec {
+                CodecId::Varint => w.write_word_frame_streamed(
+                    word_total,
+                    word_codec,
+                    word_total * 2,
+                    stream_payloads,
+                ),
+                CodecId::VarintLz => {
+                    varint.clear();
+                    varint.reserve(word_total * 2 + 16);
+                    stream_payloads(varint);
+                    w.write_word_frame_streamed(word_total, word_codec, varint.len() / 4, |out| {
+                        compressor.compress_bytes(CodecId::Lz, varint, out)
+                    });
                 }
-                w.write_word_frame_with(compressor, payload, word_codec);
+                CodecId::Raw | CodecId::Lz => {
+                    payload.clear();
+                    payload.reserve(word_total);
+                    for words in word_blocks() {
+                        payload.extend(words.iter().map(|word| word.to_raw().1));
+                    }
+                    w.write_word_frame_with(compressor, payload, word_codec);
+                }
             }
         }
 
-        let raw_codec = compressor.choose_bytes(raw, allowed);
-        w.write_byte_frame_with(compressor, raw, raw_codec);
+        w.write_byte_frame_chosen(compressor, raw, allowed);
     }
 }
 

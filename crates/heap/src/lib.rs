@@ -72,8 +72,7 @@ pub use cow::SpecLevelRecord;
 pub use error::HeapError;
 pub use gc::GcKind;
 pub use heap::{
-    image_payload_stats, Heap, HeapConfig, ImageCodec, PayloadWireStats, SlabEncoder,
-    HEADER_OVERHEAD_BYTES,
+    image_payload_stats, Heap, HeapConfig, ImageCodec, PayloadWireStats, HEADER_OVERHEAD_BYTES,
 };
 pub use pointer_table::{PointerTable, PtrIdx};
 pub use snapshot::HeapSnapshot;

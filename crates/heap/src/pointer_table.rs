@@ -139,6 +139,16 @@ impl PointerTable {
         }
     }
 
+    /// Repoint every used entry at `new_slot(its slot)` — the compacting
+    /// collector's rewrite, one pass over the table.
+    pub(crate) fn remap_slots(&mut self, new_slot: impl Fn(usize) -> usize) {
+        for entry in &mut self.entries {
+            if let Entry::Used { slot } = entry {
+                *slot = new_slot(*slot);
+            }
+        }
+    }
+
     /// Iterate over `(index, slot)` pairs of all used entries.
     pub fn iter_used(&self) -> impl Iterator<Item = (PtrIdx, usize)> + '_ {
         self.entries

@@ -18,9 +18,7 @@
 
 use crate::block::Block;
 use crate::error::HeapError;
-use crate::heap::{
-    encode_delta_batched, encode_delta_slab, encode_full_records, encode_full_slab, SlabEncoder,
-};
+use crate::heap::{encode_delta_batched, encode_delta_slab, encode_full_records, encode_full_slab};
 use crate::pointer_table::PtrIdx;
 use mojave_wire::{CodecSet, WireWriter};
 
@@ -132,18 +130,7 @@ impl HeapSnapshot {
     /// byte-identical to [`crate::Heap::encode_image_compressed`] at the
     /// freeze point.
     pub fn encode_image_compressed(&self, w: &mut WireWriter, allowed: CodecSet) {
-        self.encode_image_compressed_with(&mut SlabEncoder::new(), w, allowed);
-    }
-
-    /// [`HeapSnapshot::encode_image_compressed`] through a caller-kept
-    /// [`SlabEncoder`] — same bytes, no staging allocated per image.
-    pub fn encode_image_compressed_with(
-        &self,
-        encoder: &mut SlabEncoder,
-        w: &mut WireWriter,
-        allowed: CodecSet,
-    ) {
-        encode_full_slab(encoder, w, self.capacity, &self.record_refs(), allowed);
+        encode_full_slab(w, self.capacity, &self.record_refs(), allowed);
     }
 
     /// Serialise the frozen dirty set as a batched v4 delta image —
@@ -171,29 +158,10 @@ impl HeapSnapshot {
         w: &mut WireWriter,
         allowed: CodecSet,
     ) -> Result<(), HeapError> {
-        self.encode_delta_image_compressed_with(&mut SlabEncoder::new(), w, allowed)
-    }
-
-    /// [`HeapSnapshot::encode_delta_image_compressed`] through a
-    /// caller-kept [`SlabEncoder`] — same bytes, no staging allocated per
-    /// image.
-    pub fn encode_delta_image_compressed_with(
-        &self,
-        encoder: &mut SlabEncoder,
-        w: &mut WireWriter,
-        allowed: CodecSet,
-    ) -> Result<(), HeapError> {
         if !self.tracking {
             return Err(HeapError::NoCleanPoint);
         }
-        encode_delta_slab(
-            encoder,
-            w,
-            self.capacity,
-            &self.dirty_refs(),
-            &self.freed,
-            allowed,
-        );
+        encode_delta_slab(w, self.capacity, &self.dirty_refs(), &self.freed, allowed);
         Ok(())
     }
 }

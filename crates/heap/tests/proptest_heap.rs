@@ -1,8 +1,8 @@
 //! Property tests for the heap: GC safety, speculation exactness, and image
 //! round-trips under randomly generated workloads.
 
-use mojave_heap::{Heap, HeapConfig, PtrIdx, SlabEncoder, Word};
-use mojave_wire::{WireReader, WireWriter};
+use mojave_heap::{Block, Heap, HeapConfig, PtrIdx, Word};
+use mojave_wire::{choose_bytes, choose_words, CodecSet, WireCodec, WireReader, WireWriter};
 use proptest::prelude::*;
 
 /// A random mutator action over a fixed set of pre-allocated arrays.
@@ -215,7 +215,6 @@ proptest! {
         stores in proptest::collection::vec((0usize..6, 0i64..8, any::<i64>()), 1..48),
         allocs in 0usize..4,
     ) {
-        use mojave_wire::CodecSet;
         // One write per cell, so every order leaves the same content.
         let mut cells = std::collections::HashSet::new();
         let stores: Vec<_> = stores
@@ -284,7 +283,7 @@ proptest! {
         with_free in any::<bool>(),
         speculate_after in any::<bool>(),
     ) {
-        use mojave_wire::{CodecId, CodecSet};
+        use mojave_wire::CodecId;
         let codec_sets = [
             CodecSet::all(),
             CodecSet::raw_only(),
@@ -363,10 +362,10 @@ enum Shape {
 
 fn shape_strategy() -> impl Strategy<Value = Shape> {
     prop_oneof![
-        (0i64..600, any::<u64>()).prop_map(|(len, seed)| Shape::Small { len, seed }),
-        (0i64..600, any::<u64>()).prop_map(|(len, seed)| Shape::Noise { len, seed }),
-        (0i64..600, 1u64..9).prop_map(|(len, period)| Shape::Pattern { len, period }),
-        (0usize..300).prop_map(|len| Shape::Text { len }),
+        (0i64..1200, any::<u64>()).prop_map(|(len, seed)| Shape::Small { len, seed }),
+        (0i64..1200, any::<u64>()).prop_map(|(len, seed)| Shape::Noise { len, seed }),
+        (0i64..1200, 1u64..9).prop_map(|(len, period)| Shape::Pattern { len, period }),
+        (0usize..2000).prop_map(|len| Shape::Text { len }),
     ]
 }
 
@@ -426,11 +425,87 @@ fn shaped_heap(shapes: &[Shape]) -> Heap {
     heap
 }
 
+/// The v5 slab image of the records in a batched (v4) image, as a
+/// never-used encoder writes it: each slab chosen and compressed by the
+/// codec crate's free functions, every one on a fresh `Compressor`.  A
+/// delta's freed-index tail is the same in both layouts and is copied.
+fn cold_slab_image(batched: &[u8], allowed: CodecSet) -> Vec<u8> {
+    let mut r = WireReader::new(batched);
+    let capacity = r.read_usize().unwrap();
+    let count = r.read_usize().unwrap();
+    let (mut meta, mut tags, mut words, mut raw) = (WireWriter::new(), vec![], vec![], vec![]);
+    for _ in 0..count {
+        let idx = r.read_uvarint().unwrap();
+        let block = Block::decode_batched(&mut r).unwrap();
+        meta.write_uvarint(idx);
+        block.header.kind.encode(&mut meta);
+        meta.write_usize(block.len());
+        match block.as_words() {
+            Some(block_words) => {
+                for word in block_words {
+                    let (tag, payload) = word.to_raw();
+                    tags.push(tag);
+                    words.push(payload);
+                }
+            }
+            None => raw.extend_from_slice(block.as_bytes().unwrap()),
+        }
+    }
+    let mut w = WireWriter::new();
+    w.write_usize(capacity);
+    w.write_usize(count);
+    w.write_byte_frame(meta.as_bytes(), choose_bytes(meta.as_bytes(), allowed));
+    w.write_byte_frame(&tags, choose_bytes(&tags, allowed));
+    w.write_word_frame(&words, choose_words(&words, allowed));
+    w.write_byte_frame(&raw, choose_bytes(&raw, allowed));
+    let mut bytes = w.into_bytes();
+    bytes.extend_from_slice(&batched[r.position()..]);
+    bytes
+}
+
+fn encoded(f: impl FnOnce(&mut WireWriter)) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    f(&mut w);
+    w.into_bytes()
+}
+
+/// Every compressed image of `heap` — full and delta, live and frozen —
+/// under every codec set negotiation can produce (every subset that keeps
+/// `Raw`), each through the encoder pool.
+fn pooled_images(heap: &mut Heap) -> Vec<Vec<u8>> {
+    let snap = heap.freeze();
+    let mut images = Vec::new();
+    for allowed in (0..16).step_by(2).map(CodecSet::from_bits) {
+        images.push(encoded(|w| heap.encode_image_compressed(w, allowed)));
+        images.push(encoded(|w| snap.encode_image_compressed(w, allowed)));
+        images.push(encoded(|w| heap.encode_delta_image_compressed(w, allowed)));
+        images.push(encoded(|w| {
+            snap.encode_delta_image_compressed(w, allowed).unwrap()
+        }));
+    }
+    images
+}
+
+/// What [`pooled_images`] must return: the same list from [`cold_slab_image`].
+fn cold_images(heap: &Heap) -> Vec<Vec<u8>> {
+    let full = encoded(|w| heap.encode_image(w));
+    let delta = encoded(|w| heap.encode_delta_image(w));
+    let mut images = Vec::new();
+    for allowed in (0..16).step_by(2).map(CodecSet::from_bits) {
+        for batched in [&full, &full, &delta, &delta] {
+            images.push(cold_slab_image(batched, allowed));
+        }
+    }
+    images
+}
+
 proptest! {
-    /// One [`SlabEncoder`] carried across a sequence of unrelated heaps —
-    /// what a pipeline worker does — writes the bytes a cold encode
-    /// writes: full and delta images, under every codec set negotiation
-    /// can produce (every subset that keeps `Raw`).
+    /// Images encoded through the process-wide encoder pool — whose
+    /// encoders have already written whatever this test binary encoded
+    /// before — are the bytes a never-used encoder writes, for a sequence
+    /// of unrelated heaps whose word and byte slabs fall on both sides of
+    /// the choice sample (so both a kept trial and a second compression
+    /// become payloads).
     #[test]
     fn reused_slab_encoder_writes_the_bytes_a_cold_encode_writes(
         heaps in proptest::collection::vec(
@@ -438,24 +513,70 @@ proptest! {
             1..5,
         ),
     ) {
-        use mojave_wire::CodecSet;
-        let mut reused = SlabEncoder::new();
         for shapes in &heaps {
             let mut heap = shaped_heap(shapes);
-            let snap = heap.freeze();
-            for allowed in (0..16).step_by(2).map(CodecSet::from_bits) {
-                let mut cold = WireWriter::new();
-                heap.encode_image_compressed(&mut cold, allowed);
-                let mut warm = WireWriter::new();
-                snap.encode_image_compressed_with(&mut reused, &mut warm, allowed);
-                prop_assert_eq!(warm.as_bytes(), cold.as_bytes(), "full, {:?}", allowed);
-
-                let mut cold = WireWriter::new();
-                heap.encode_delta_image_compressed(&mut cold, allowed);
-                let mut warm = WireWriter::new();
-                snap.encode_delta_image_compressed_with(&mut reused, &mut warm, allowed).unwrap();
-                prop_assert_eq!(warm.as_bytes(), cold.as_bytes(), "delta, {:?}", allowed);
+            let pooled = pooled_images(&mut heap);
+            let cold = cold_images(&heap);
+            for (i, (got, want)) in pooled.iter().zip(&cold).enumerate() {
+                prop_assert_eq!(got, want, "image {} (set {}, kind {})", i, i / 4, i % 4);
             }
         }
     }
+}
+
+/// Four threads encoding four different heaps through the pool at once get
+/// the bytes a serial encode gets — the heaps put every slab at, just
+/// below or just above its choice sample.
+#[test]
+fn concurrent_pooled_encodes_match_serial_encodes() {
+    let heaps: [Vec<Shape>; 4] = [
+        vec![
+            Shape::Small { len: 2048, seed: 1 },
+            Shape::Text { len: 8192 },
+        ],
+        vec![
+            Shape::Small { len: 2049, seed: 2 },
+            Shape::Text { len: 8193 },
+        ],
+        vec![
+            Shape::Pattern {
+                len: 8193,
+                period: 3,
+            },
+            Shape::Noise { len: 15, seed: 3 },
+            Shape::Text { len: 63 },
+        ],
+        (0..40)
+            .map(|i| Shape::Small { len: 40, seed: i })
+            .chain([Shape::Text { len: 64 }, Shape::Noise { len: 16, seed: 9 }])
+            .collect(),
+    ];
+    let serial: Vec<Vec<Vec<u8>>> = heaps
+        .iter()
+        .map(|shapes| {
+            let mut heap = shaped_heap(shapes);
+            let images = pooled_images(&mut heap);
+            assert_eq!(images, cold_images(&heap));
+            images
+        })
+        .collect();
+    let start = std::sync::Barrier::new(heaps.len());
+    std::thread::scope(|scope| {
+        let threads: Vec<_> = heaps
+            .iter()
+            .map(|shapes| {
+                let start = &start;
+                scope.spawn(move || {
+                    let mut heap = shaped_heap(shapes);
+                    start.wait();
+                    (0..8).map(|_| pooled_images(&mut heap)).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for (thread, want) in threads.into_iter().zip(&serial) {
+            for images in thread.join().expect("encoder thread") {
+                assert_eq!(&images, want);
+            }
+        }
+    });
 }

@@ -5,7 +5,6 @@
 
 use mojave_core::{DeliveryOutcome, MigrationSink, PipelineStats, SnapshotPack};
 use mojave_fir::MigrateProtocol;
-use mojave_heap::SlabEncoder;
 use mojave_obs::{EventKind, Recorder};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -421,24 +420,18 @@ impl Drop for CheckpointPipeline {
 }
 
 fn worker_loop(shared: &Shared, sink: &SharedSink) {
-    // Staging buffers and the LZ table, reused from job to job.
-    let mut encoder = SlabEncoder::new();
     while let Some((seq, job)) = shared.next_job() {
         // A panic in the encode or in the sink fails that one checkpoint
         // (its ticket is dropped without a report).  It must not take the
         // worker — with a single worker, the whole pipeline — down with it.
-        let survived = catch_unwind(AssertUnwindSafe(|| {
-            run_job(shared, sink, &mut encoder, seq, job);
-        }));
-        if survived.is_err() {
-            encoder = SlabEncoder::new();
-        }
+        let _ = catch_unwind(AssertUnwindSafe(|| run_job(shared, sink, seq, job)));
     }
 }
 
-/// Encode one job (concurrently with the other workers), then wait for its
-/// turn and deliver it.
-fn run_job(shared: &Shared, sink: &SharedSink, encoder: &mut SlabEncoder, seq: u64, job: Job) {
+/// Encode one job (concurrently with the other workers, each through an
+/// encoder from the heap crate's pool), then wait for its turn and deliver
+/// it.
+fn run_job(shared: &Shared, sink: &SharedSink, seq: u64, job: Job) {
     let mut ticket = Ticket {
         shared,
         seq,
@@ -449,7 +442,7 @@ fn run_job(shared: &Shared, sink: &SharedSink, encoder: &mut SlabEncoder, seq: u
     // The expensive half, off the mutator thread: codec choice, slab
     // staging, compression.
     let encode_start = Instant::now();
-    let encoded = job.pack.into_image_with(encoder);
+    let encoded = job.pack.into_image();
     let encode_ns = encode_start.elapsed().as_nanos() as u64;
 
     ticket.report = Some(match encoded {

@@ -1,7 +1,7 @@
 //! The encode half of the wire format.
 
 use crate::tags::{SectionTag, FORMAT_VERSION, MAGIC};
-use mojave_codec::{CodecId, Compressor};
+use mojave_codec::{CodecId, CodecSet, Compressor};
 use std::ops::{Deref, DerefMut};
 
 /// Append-only encoder producing the canonical Mojave byte format.
@@ -258,6 +258,28 @@ impl WireWriter {
             self.write_bytes_with(bytes.len() / 4, |out| {
                 compressor.compress_bytes(codec, bytes, out)
             });
+        }
+    }
+
+    /// Pick `bytes`' codec from `allowed` with
+    /// [`Compressor::choose_bytes`] and write the byte frame.  When the
+    /// choice's trial covered the whole slab, that trial is the payload and
+    /// nothing is compressed twice; the bytes equal
+    /// `write_byte_frame(bytes, choose_bytes(bytes, allowed))` either way.
+    pub fn write_byte_frame_chosen(
+        &mut self,
+        compressor: &mut Compressor,
+        bytes: &[u8],
+        allowed: CodecSet,
+    ) {
+        let codec = compressor.choose_bytes(bytes, allowed);
+        match compressor.chosen_bytes() {
+            Some(payload) => {
+                self.write_uvarint(bytes.len() as u64);
+                self.write_u8(codec as u8);
+                self.write_bytes(payload);
+            }
+            None => self.write_byte_frame_with(compressor, bytes, codec),
         }
     }
 
