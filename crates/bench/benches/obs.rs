@@ -90,8 +90,7 @@ fn obs_overhead(c: &mut Criterion) {
     group.finish();
 
     // The gates cost real work (dozens of 1 MiB checkpoints), so they are
-    // skipped when a CLI filter excludes this group — mirroring the
-    // migration bench's pause gate.
+    // skipped when a CLI filter excludes this group.
     let filter = std::env::args().skip(1).find(|arg| !arg.starts_with('-'));
     if filter
         .as_deref()

@@ -7,10 +7,7 @@
 //! Figure 2), per-node migration daemons, and failure injection.
 //!
 //! The real 2007 testbed (dual 700 MHz nodes, 100 Mbps Ethernet) is not
-//! available; [`NetworkModel`] and [`CostModel`] model its transfer and
-//! recompilation costs so the migration experiments can report both the
-//! numbers measured on this substrate and the numbers the model predicts for
-//! the paper's hardware (see EXPERIMENTS.md).
+//! available; [`NetworkModel`] models its transfer costs.
 //!
 //! The pieces:
 //!
@@ -54,7 +51,6 @@
 #![warn(missing_docs)]
 
 mod cluster;
-mod costmodel;
 mod externals;
 mod network;
 mod ops;
@@ -62,7 +58,6 @@ mod sink;
 mod transport;
 
 pub use cluster::{Cluster, ClusterConfig, MigrationDaemon, NodeStatus, RecvOutcome};
-pub use costmodel::CostModel;
 pub use externals::{ClusterExternals, NodeExternals, RemoteExternals};
 pub use network::NetworkModel;
 pub use ops::{ClusterOps, LocalNode, Tick};

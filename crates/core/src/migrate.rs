@@ -22,10 +22,13 @@
 use crate::backend::BytecodeProgram;
 use crate::error::RuntimeError;
 use mojave_fir::{MigrateProtocol, Program};
-use mojave_heap::{image_payload_stats, Heap, HeapConfig, HeapSnapshot, ImageCodec, PtrIdx, Word};
+use mojave_heap::{
+    image_payload_stats, Heap, HeapConfig, HeapError, HeapSnapshot, ImageCodec, ImageKind,
+    ImageLayout, ImageRecords, PtrIdx, Word,
+};
 use mojave_wire::{
-    CodecSet, SectionTag, WireCodec, WireError, WireReader, WireWriter, BATCHED_VERSION,
-    FORMAT_VERSION, MIN_SUPPORTED_VERSION,
+    CodecSet, SectionTag, WireCodec, WireError, WireReader, WireWriter, FORMAT_VERSION,
+    MIN_SUPPORTED_VERSION,
 };
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -123,14 +126,17 @@ impl PartialEq for CodeSection {
 }
 
 /// The heap payload of a migration image: a complete encoding of the live
-/// heap, or an incremental delta against a named base checkpoint.
+/// heap, or an incremental delta against a named base checkpoint.  The
+/// synchronous and the snapshot pack build it with one payload builder,
+/// from the records of the live heap or of its frozen snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HeapImage {
-    /// Full heap encoding, produced by `Heap::encode_image` (or the legacy
-    /// per-word encoder in v1 images).
+    /// Every live block with its pointer-table capacity: an
+    /// [`ImageKind::Full`] image, in the layout the image's format version
+    /// names (per-word in v1 images, which are read but never written).
     Full(Vec<u8>),
     /// Only the blocks dirtied since the base checkpoint plus the
-    /// pointer-table fixups, produced by `Heap::encode_delta_image`.
+    /// pointer-table fixups: an [`ImageKind::Delta`] image.
     /// Resolving requires the base image, normally via
     /// [`CheckpointStore::load`].
     Delta {
@@ -146,6 +152,33 @@ pub enum HeapImage {
 }
 
 impl HeapImage {
+    /// Write the payload of a full image, or of a delta against
+    /// `delta_base` (`(name, heap-payload fingerprint)`), from the
+    /// `records` of that kind in `layout` — the one payload builder behind
+    /// [`crate::Process::pack`], [`crate::Process::pack_delta`] and
+    /// [`SnapshotPack::into_image`].  `live_bytes` sizes the buffer of a
+    /// full image.
+    pub(crate) fn encode<'a>(
+        records: impl FnOnce(ImageKind) -> Result<ImageRecords<'a>, HeapError>,
+        live_bytes: usize,
+        layout: ImageLayout,
+        delta_base: Option<(String, u64)>,
+    ) -> Result<HeapImage, HeapError> {
+        let (kind, mut w) = match delta_base {
+            None => (ImageKind::Full, WireWriter::with_capacity(live_bytes + 256)),
+            Some(_) => (ImageKind::Delta, WireWriter::new()),
+        };
+        records(kind)?.encode(&mut w, layout);
+        Ok(match delta_base {
+            None => HeapImage::Full(w.into_bytes()),
+            Some((base, base_fingerprint)) => HeapImage::Delta {
+                base,
+                base_fingerprint,
+                bytes: w.into_bytes(),
+            },
+        })
+    }
+
     /// Size of the encoded heap payload in bytes.
     pub fn len(&self) -> usize {
         match self {
@@ -223,18 +256,6 @@ impl MigrationImage {
     /// per-word heap blocks).
     fn is_legacy(&self) -> bool {
         self.format_version <= MIN_SUPPORTED_VERSION
-    }
-
-    /// The heap block codec this image's format version implies: v1 →
-    /// per-word, v4 → batched slabs, v5 → compressed slab frames.
-    fn heap_codec(&self) -> ImageCodec {
-        if self.format_version <= MIN_SUPPORTED_VERSION {
-            ImageCodec::PerWord
-        } else if self.format_version <= BATCHED_VERSION {
-            ImageCodec::Batched
-        } else {
-            ImageCodec::Slab
-        }
     }
 
     /// Serialise the image to the canonical wire format, using the layout
@@ -452,11 +473,8 @@ impl MigrationImage {
         match &self.heap_image {
             HeapImage::Full(bytes) => {
                 let mut r = WireReader::new(bytes);
-                let heap = match self.heap_codec() {
-                    ImageCodec::PerWord => Heap::decode_image_legacy(&mut r, config)?,
-                    ImageCodec::Batched => Heap::decode_image(&mut r, config)?,
-                    ImageCodec::Slab => Heap::decode_image_compressed(&mut r, config)?,
-                };
+                let codec = ImageCodec::of_version(self.format_version);
+                let heap = Heap::decode_image(&mut r, codec, config)?;
                 if !r.is_empty() {
                     return Err(RuntimeError::Image(WireError::TrailingBytes {
                         remaining: r.remaining(),
@@ -507,8 +525,8 @@ impl MigrationImage {
         let heap = Heap::decode_delta_image(
             &mut base_r,
             &mut delta_r,
-            base.heap_codec(),
-            self.heap_codec(),
+            ImageCodec::of_version(base.format_version),
+            ImageCodec::of_version(self.format_version),
             config,
         )?;
         for (r, what) in [(&base_r, "base"), (&delta_r, "delta")] {
@@ -533,7 +551,7 @@ impl MigrationImage {
             HeapImage::Full(bytes) | HeapImage::Delta { bytes, .. } => bytes,
         };
         let stored = bytes.len() as u64;
-        if self.heap_codec() == ImageCodec::Slab {
+        if ImageCodec::of_version(self.format_version) == ImageCodec::Slab {
             match image_payload_stats(bytes, self.heap_image.is_delta()) {
                 Ok(stats) => (stats.raw_bytes, stats.stored_bytes),
                 Err(_) => (stored, stored),
@@ -552,7 +570,8 @@ impl MigrationImage {
         }
         let heap = self.decode_heap_with_base(base, HeapConfig::default())?;
         let mut w = WireWriter::with_capacity(self.heap_image.len() + base.heap_image.len());
-        heap.encode_image_compressed(&mut w, CodecSet::all());
+        heap.image_records(ImageKind::Full)?
+            .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
         Ok(MigrationImage {
             format_version: FORMAT_VERSION,
             heap_image: HeapImage::Full(w.into_bytes()),
@@ -626,8 +645,9 @@ impl DeliveryOutcome {
 /// with the mutator.
 #[derive(Debug)]
 pub struct SnapshotPack {
-    /// Wire format version the encoded image will carry.
-    pub format_version: u32,
+    /// The heap-image layout negotiated with the sink; it also names the
+    /// image's wire format version.
+    pub layout: ImageLayout,
     /// Architecture tag of the packing machine.
     pub source_arch: String,
     /// The code section (FIR or compiled bytecode), shared with the
@@ -647,11 +667,6 @@ pub struct SnapshotPack {
     pub label: u32,
     /// Speculation levels open at pack time (informational).
     pub open_speculations: u32,
-    /// Negotiated slab-compression codecs for the heap payload.
-    pub allowed: CodecSet,
-    /// Whether the sink predates compression: encode the batched v4
-    /// layout (and version) instead of v5 frames.
-    pub legacy_sink: bool,
     /// Nanoseconds the mutator spent in [`mojave_heap::Heap::freeze`] —
     /// the pause this pack actually cost, accounted into
     /// [`PipelineStats::pause_ns`].
@@ -671,46 +686,28 @@ impl SnapshotPack {
         self.delta_base.is_some()
     }
 
-    /// Run the deferred encode: serialise the frozen heap (full or delta,
-    /// compressed or batched per the negotiated settings) and assemble the
-    /// [`MigrationImage`].  Fills [`SnapshotPack::fingerprint_slot`] for
-    /// full images.  This is the expensive half a pipeline worker runs
-    /// off-thread; the error case ([`mojave_heap::HeapError::NoCleanPoint`])
-    /// is unreachable when the pack came from
-    /// [`crate::Process::pack_snapshot`], which validates the clean point.
+    /// Run the deferred encode: serialise the frozen heap (full or delta)
+    /// in the negotiated layout through the payload builder the
+    /// synchronous pack uses, and assemble the [`MigrationImage`].  Fills
+    /// [`SnapshotPack::fingerprint_slot`] for full images.  This is the
+    /// expensive half a pipeline worker runs off-thread; the error case
+    /// ([`mojave_heap::HeapError::NoCleanPoint`]) is unreachable when the
+    /// pack came from [`crate::Process::pack_snapshot`], which validates
+    /// the clean point.
     pub fn into_image(self) -> Result<MigrationImage, RuntimeError> {
-        let heap_image = match &self.delta_base {
-            None => {
-                let mut w = WireWriter::with_capacity(self.heap.live_bytes() + 256);
-                if self.legacy_sink {
-                    self.heap.encode_image(&mut w);
-                } else {
-                    self.heap.encode_image_compressed(&mut w, self.allowed);
-                }
-                HeapImage::Full(w.into_bytes())
-            }
-            Some((base, base_fingerprint)) => {
-                let mut w = WireWriter::new();
-                if self.legacy_sink {
-                    self.heap.encode_delta_image(&mut w)?;
-                } else {
-                    self.heap
-                        .encode_delta_image_compressed(&mut w, self.allowed)?;
-                }
-                HeapImage::Delta {
-                    base: base.clone(),
-                    base_fingerprint: *base_fingerprint,
-                    bytes: w.into_bytes(),
-                }
-            }
-        };
+        let heap_image = HeapImage::encode(
+            |kind| self.heap.image_records(kind),
+            self.heap.live_bytes(),
+            self.layout,
+            self.delta_base,
+        )?;
         if let Some(slot) = &self.fingerprint_slot {
             if !heap_image.is_delta() {
                 let _ = slot.set(heap_image.fingerprint());
             }
         }
         Ok(MigrationImage {
-            format_version: self.format_version,
+            format_version: self.layout.format_version(),
             source_arch: self.source_arch,
             code: self.code,
             heap_image,
@@ -1074,7 +1071,7 @@ fn image_wire_sizes(bytes: &[u8]) -> Option<(u64, u64)> {
     let stored = bytes.len() as u64;
     let mut r = WireReader::new(bytes);
     let header = r.read_header().ok()?;
-    if header.version <= BATCHED_VERSION {
+    if ImageCodec::of_version(header.version) != ImageCodec::Slab {
         return Some((stored, stored));
     }
     let _code = r.read_framed().ok()?; // skipped without decoding
@@ -1177,6 +1174,7 @@ impl MigrationSink for InMemorySink {
 mod tests {
     use super::*;
     use mojave_fir::builder::{term, ProgramBuilder};
+    use mojave_wire::BATCHED_VERSION;
 
     fn tiny_image() -> MigrationImage {
         let mut pb = ProgramBuilder::new();
@@ -1188,7 +1186,9 @@ mod tests {
         let mut heap = Heap::new();
         let env = heap.alloc_migrate_env(vec![Word::Int(5)]).unwrap();
         let mut w = WireWriter::new();
-        heap.encode_image_compressed(&mut w, CodecSet::all());
+        heap.image_records(ImageKind::Full)
+            .unwrap()
+            .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
 
         MigrationImage {
             format_version: FORMAT_VERSION,
@@ -1207,11 +1207,24 @@ mod tests {
     fn tiny_image_v1() -> MigrationImage {
         let mut image = tiny_image();
         let heap = image.decode_heap(HeapConfig::default()).unwrap();
-        let mut w = WireWriter::new();
-        heap.encode_image_legacy(&mut w);
         image.format_version = MIN_SUPPORTED_VERSION;
-        image.heap_image = HeapImage::Full(w.into_bytes());
+        image.heap_image = HeapImage::Full(v1_heap_image(&heap));
         image
+    }
+
+    /// A v1 (per-word) heap payload, written from public API: table
+    /// capacity, used count, then each used entry's index and its block in
+    /// the per-word [`WireCodec`] encoding.  Only decoders read v1.
+    fn v1_heap_image(heap: &Heap) -> Vec<u8> {
+        let table = heap.pointer_table();
+        let mut w = WireWriter::new();
+        w.write_usize(table.capacity());
+        w.write_usize(table.live());
+        for (idx, _) in table.iter_used() {
+            w.write_uvarint(idx.0 as u64);
+            heap.block(idx).unwrap().encode(&mut w);
+        }
+        w.into_bytes()
     }
 
     #[test]
@@ -1250,7 +1263,9 @@ mod tests {
                 if version == BATCHED_VERSION {
                     let heap = tiny_image().decode_heap(HeapConfig::default()).unwrap();
                     let mut w = WireWriter::new();
-                    heap.encode_image(&mut w);
+                    heap.image_records(ImageKind::Full)
+                        .unwrap()
+                        .encode(&mut w, ImageLayout::Batched);
                     image.heap_image = HeapImage::Full(w.into_bytes());
                 }
                 // What the writer produced before there was a cache.
@@ -1322,7 +1337,9 @@ mod tests {
         heap.mark_clean();
         let extra = heap.alloc_array(3, Word::Int(8)).unwrap();
         let mut w = WireWriter::new();
-        heap.encode_delta_image_compressed(&mut w, CodecSet::all());
+        heap.image_records(ImageKind::Delta)
+            .unwrap()
+            .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
         let delta = MigrationImage {
             heap_image: HeapImage::Delta {
                 base: "ck-base".into(),
@@ -1361,7 +1378,9 @@ mod tests {
         heap.mark_clean();
         heap.store(base.migrate_env, 0, Word::Int(77)).unwrap();
         let mut w = WireWriter::new();
-        heap.encode_delta_image_compressed(&mut w, CodecSet::all());
+        heap.image_records(ImageKind::Delta)
+            .unwrap()
+            .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
         let delta = MigrationImage {
             heap_image: HeapImage::Delta {
                 base: "ck-0".into(),
@@ -1384,7 +1403,10 @@ mod tests {
         let mut other = base.decode_heap(HeapConfig::default()).unwrap();
         other.store(base.migrate_env, 0, Word::Int(-1)).unwrap();
         let mut w = WireWriter::new();
-        other.encode_image_compressed(&mut w, CodecSet::all());
+        other
+            .image_records(ImageKind::Full)
+            .unwrap()
+            .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
         let overwritten = MigrationImage {
             heap_image: HeapImage::Full(w.into_bytes()),
             ..base.clone()
@@ -1414,7 +1436,9 @@ mod tests {
         }
         let env = heap.alloc_migrate_env(vec![Word::Int(5)]).unwrap();
         let mut w = WireWriter::new();
-        heap.encode_image_compressed(&mut w, CodecSet::all());
+        heap.image_records(ImageKind::Full)
+            .unwrap()
+            .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
         let image = MigrationImage {
             migrate_env: env,
             heap_image: HeapImage::Full(w.into_bytes()),
@@ -1515,7 +1539,9 @@ mod tests {
         let mut heap = Heap::new();
         heap.alloc_migrate_env(vec![Word::Int(6)]).unwrap();
         let mut w = WireWriter::new();
-        heap.encode_image_compressed(&mut w, CodecSet::all());
+        heap.image_records(ImageKind::Full)
+            .unwrap()
+            .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
         let new = MigrationImage {
             heap_image: HeapImage::Full(w.into_bytes()),
             ..tiny_image()

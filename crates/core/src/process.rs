@@ -13,9 +13,9 @@ use crate::speculate::SpeculationManager;
 use mojave_fir::{
     typecheck, validate, Atom, Binop, Expr, ExternEnv, FunId, MigrateProtocol, Program, Unop, VarId,
 };
-use mojave_heap::{BlockKind, Heap, HeapConfig, Word};
+use mojave_heap::{BlockKind, Heap, HeapConfig, ImageLayout, Word};
 use mojave_obs::{EventKind, Recorder};
-use mojave_wire::{CodecId, CodecSet, WireWriter};
+use mojave_wire::CodecId;
 use std::collections::HashMap;
 use std::mem::take;
 use std::sync::{Arc, OnceLock};
@@ -817,54 +817,18 @@ impl Process {
         self.heap.gc_major(&roots);
 
         let migrate_env = self.heap.alloc_migrate_env(args.to_vec())?;
-        // Codec negotiation: the sink advertises what it accepts; the
-        // configured preference narrows that (falling back to Raw — which
-        // every sink accepts — when the preference is not advertised), and
-        // the slab encoder picks the smallest encoding within the set.
-        // A sink advertising *only* Raw is a pre-v5 runtime (the trait
-        // default): it receives the batched v4 layout — and version — it
-        // can actually decode, not v5 frames it would reject at the
-        // header.
-        let accepted = self.sink.accepted_codecs();
-        let legacy_sink = accepted == CodecSet::raw_only();
-        let allowed = match self.config.heap_codec {
-            Some(codec) if accepted.contains(codec) => CodecSet::only(codec),
-            Some(_) => CodecSet::only(CodecId::Raw),
-            None => accepted,
-        };
-        let heap_image = match delta_base {
-            None => {
-                let mut w = WireWriter::with_capacity(self.heap.live_bytes() + 256);
-                if legacy_sink {
-                    self.heap.encode_image(&mut w);
-                } else {
-                    self.heap.encode_image_compressed(&mut w, allowed);
-                }
-                HeapImage::Full(w.into_bytes())
-            }
-            Some((base, base_fingerprint)) => {
-                let mut w = WireWriter::new();
-                if legacy_sink {
-                    self.heap.encode_delta_image(&mut w);
-                } else {
-                    self.heap.encode_delta_image_compressed(&mut w, allowed);
-                }
-                HeapImage::Delta {
-                    base: base.to_owned(),
-                    base_fingerprint,
-                    bytes: w.into_bytes(),
-                }
-            }
-        };
+        let layout = ImageLayout::negotiate(self.sink.accepted_codecs(), self.config.heap_codec);
+        let heap_image = HeapImage::encode(
+            |kind| self.heap.image_records(kind),
+            self.heap.live_bytes(),
+            layout,
+            delta_base.map(|(base, fp)| (base.to_owned(), fp)),
+        )?;
 
         let code = self.packed_code()?;
 
         Ok(MigrationImage {
-            format_version: if legacy_sink {
-                mojave_wire::BATCHED_VERSION
-            } else {
-                mojave_wire::FORMAT_VERSION
-            },
+            format_version: layout.format_version(),
             source_arch: self.config.machine.arch().to_owned(),
             code,
             heap_image,
@@ -922,10 +886,9 @@ impl Process {
     /// * **No pre-pack GC** — the paper's pack garbage-collects first,
     ///   which is O(heap) mutator time; here dead blocks ride along in
     ///   the image and are reclaimed by the next natural collection.
-    /// * The codec negotiation (sink's accepted codecs ∩ configured
-    ///   preference, legacy-sink downgrade to the batched v4 layout) is
-    ///   resolved *now* and recorded in the pack, so the worker needs no
-    ///   access to the process.
+    /// * The heap-image layout is negotiated *now*, by the rule the
+    ///   synchronous pack uses ([`ImageLayout::negotiate`]), and recorded
+    ///   in the pack, so the worker needs no access to the process.
     pub fn pack_snapshot(
         &mut self,
         label: u32,
@@ -939,23 +902,13 @@ impl Process {
             ));
         }
         let migrate_env = self.heap.alloc_migrate_env(args.to_vec())?;
-        let accepted = self.sink.accepted_codecs();
-        let legacy_sink = accepted == CodecSet::raw_only();
-        let allowed = match self.config.heap_codec {
-            Some(codec) if accepted.contains(codec) => CodecSet::only(codec),
-            Some(_) => CodecSet::only(CodecId::Raw),
-            None => accepted,
-        };
+        let layout = ImageLayout::negotiate(self.sink.accepted_codecs(), self.config.heap_codec);
         let code = self.packed_code()?;
         let freeze_start = Instant::now();
         let heap = self.heap.freeze();
         let freeze_ns = freeze_start.elapsed().as_nanos() as u64;
         Ok(SnapshotPack {
-            format_version: if legacy_sink {
-                mojave_wire::BATCHED_VERSION
-            } else {
-                mojave_wire::FORMAT_VERSION
-            },
+            layout,
             source_arch: self.config.machine.arch().to_owned(),
             code,
             heap,
@@ -964,8 +917,6 @@ impl Process {
             resume_fun: fun,
             label,
             open_speculations: self.heap.spec_depth() as u32,
-            allowed,
-            legacy_sink,
             freeze_ns,
             fingerprint_slot: None,
         })

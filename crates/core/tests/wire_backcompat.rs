@@ -485,7 +485,12 @@ fn golden_v5_delta_payload_matches_the_live_encoder() {
     heap.mark_clean();
     heap.store(base.migrate_env, 0, Word::Int(9)).unwrap();
     let mut w = WireWriter::new();
-    heap.encode_delta_image_compressed(&mut w, mojave_wire::CodecSet::all());
+    heap.image_records(mojave_heap::ImageKind::Delta)
+        .unwrap()
+        .encode(
+            &mut w,
+            mojave_heap::ImageLayout::Slab(mojave_wire::CodecSet::all()),
+        );
 
     let mut expect = WireWriter::new();
     expect.write_usize(1); // pointer-table capacity
@@ -559,6 +564,93 @@ fn legacy_sinks_receive_batched_v4_images() {
     // The default sink (in-tree, codec-aware) produces v5 for the same
     // process state.
     assert_eq!(packed_v2_image().format_version, FORMAT_VERSION);
+}
+
+/// A sink that advertises a fixed codec set.
+struct AcceptingSink(mojave_wire::CodecSet);
+
+impl mojave_core::MigrationSink for AcceptingSink {
+    fn deliver(
+        &mut self,
+        _protocol: mojave_fir::MigrateProtocol,
+        _target: &str,
+        _image: &MigrationImage,
+    ) -> mojave_core::DeliveryOutcome {
+        mojave_core::DeliveryOutcome::Stored
+    }
+
+    fn accepted_codecs(&self) -> mojave_wire::CodecSet {
+        self.0
+    }
+}
+
+#[test]
+fn sync_and_snapshot_packs_negotiate_and_encode_alike() {
+    // The synchronous pack and the deferred snapshot pack resolve the
+    // sink's codecs against the configured preference the same way and
+    // write the same image: same version (v4 for a pre-v5 sink), same
+    // bytes, full and delta alike.  The heap is garbage-free, so the
+    // synchronous pack's collection changes nothing either side sees.
+    use mojave_core::MigrationSink;
+    use mojave_wire::{CodecId, CodecSet};
+    type MakeSink = fn() -> Box<dyn MigrationSink>;
+    let sinks: [(MakeSink, u32); 3] = [
+        (|| Box::new(PreV5Sink), BATCHED_VERSION),
+        (|| Box::new(AcceptingSink(CodecSet::all())), FORMAT_VERSION),
+        (
+            || Box::new(AcceptingSink(CodecSet::only(CodecId::Lz))),
+            FORMAT_VERSION,
+        ),
+    ];
+    for (sink, version) in sinks {
+        for heap_codec in [None, Some(CodecId::Varint), Some(CodecId::Lz)] {
+            for delta in [false, true] {
+                let build = || {
+                    let config = ProcessConfig {
+                        heap_codec,
+                        ..ProcessConfig::default()
+                    };
+                    let mut process = Process::new(fixture_program(), config)
+                        .unwrap()
+                        .with_sink(sink());
+                    let heap = process.heap_mut();
+                    let ints = heap.alloc_array(300, Word::Int(0)).unwrap();
+                    for i in 0..300 {
+                        heap.store(ints, i, Word::Int(i % 50)).unwrap();
+                    }
+                    let text = heap.alloc_str("pack parity").unwrap();
+                    let raw = heap.alloc_raw(64).unwrap();
+                    heap.store_raw(raw, 8, 8, 0x0102_0304).unwrap();
+                    let root = heap
+                        .alloc_tuple(vec![Word::Ptr(ints), Word::Ptr(text), Word::Ptr(raw)])
+                        .unwrap();
+                    if delta {
+                        heap.mark_clean();
+                        heap.store(ints, 3, Word::Int(-7)).unwrap();
+                    }
+                    (process, [Word::Ptr(root)])
+                };
+                let (mut sync, args) = build();
+                let (mut deferred, _) = build();
+                let base = delta.then_some(("base", 77));
+                let packed = match base {
+                    None => sync.pack(4, Word::Fun(1), &args),
+                    Some((name, fp)) => sync.pack_delta(4, Word::Fun(1), &args, name, fp),
+                }
+                .unwrap();
+                let frozen = deferred
+                    .pack_snapshot(4, Word::Fun(1), &args, base)
+                    .unwrap()
+                    .into_image()
+                    .unwrap();
+                let case = format!("version {version}, heap_codec {heap_codec:?}, delta {delta}");
+                assert_eq!(packed.format_version, version, "{case}");
+                assert_eq!(frozen.format_version, version, "{case}");
+                assert_eq!(packed.heap_image.is_delta(), delta, "{case}");
+                assert_eq!(packed.to_bytes(), frozen.to_bytes(), "{case}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -1,5 +1,6 @@
-//! The heap proper: allocation, checked access, copy-on-write speculation
-//! and (in [`crate::gc`]) garbage collection.
+//! The heap proper: allocation, checked access, copy-on-write speculation,
+//! dirty tracking and the freeze.  Garbage collection is in [`crate::gc`],
+//! the image format in [`crate::image`].
 
 use crate::block::{Block, BlockData, BlockHeader, BlockKind, Generation};
 use crate::cow::SpecLevelRecord;
@@ -7,67 +8,7 @@ use crate::error::HeapError;
 use crate::pointer_table::{PointerTable, PtrIdx};
 use crate::stats::HeapStats;
 use crate::word::Word;
-use mojave_wire::{
-    CodecId, CodecSet, Compressor, FrameStats, WireCodec, WireError, WireReader, WireWriter,
-};
 use std::collections::{HashMap, HashSet};
-use std::sync::{Mutex, PoisonError};
-use std::thread::ThreadId;
-
-/// Which block codec a heap image payload uses — selected by the image's
-/// wire format version (`mojave-core` maps versions to codecs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ImageCodec {
-    /// v1 images: one varint-encoded record per word.
-    PerWord,
-    /// v4 images: batched per-block tag/payload slabs, uncompressed.
-    Batched,
-    /// v5 images: structure-of-arrays slabs in codec-tagged compressed
-    /// frames (see `mojave-codec`).
-    Slab,
-}
-
-/// Wire statistics of a v5 heap payload: what the slab frames claim
-/// uncompressed vs. what the payload occupies on the wire.  Computed by
-/// [`image_payload_stats`] without decompressing anything.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PayloadWireStats {
-    /// Payload size if every slab frame were stored raw.
-    pub raw_bytes: u64,
-    /// Actual payload size on the wire.
-    pub stored_bytes: u64,
-}
-
-/// Walk a v5 heap payload (full image when `delta` is false, delta image
-/// otherwise) and report its raw-vs-stored wire statistics.  Only frame
-/// headers are read — nothing is decompressed — so checkpoint stores can
-/// account compression per `put` at negligible cost.
-pub fn image_payload_stats(bytes: &[u8], delta: bool) -> Result<PayloadWireStats, WireError> {
-    let mut r = WireReader::new(bytes);
-    r.read_usize()?; // table capacity
-    r.read_usize()?; // used / dirty record count
-    let mut frames = FrameStats::default();
-    frames.add(r.skip_byte_frame()?); // meta
-    frames.add(r.skip_byte_frame()?); // tag slab
-    frames.add(r.skip_word_frame()?); // word payload slab
-    frames.add(r.skip_byte_frame()?); // byte payload slab
-    if delta {
-        let freed = r.read_usize()?;
-        for _ in 0..freed {
-            r.read_uvarint()?;
-        }
-    }
-    if !r.is_empty() {
-        return Err(WireError::TrailingBytes {
-            remaining: r.remaining(),
-        });
-    }
-    let stored = bytes.len() as u64;
-    Ok(PayloadWireStats {
-        raw_bytes: stored - frames.stored_bytes + frames.raw_bytes,
-        stored_bytes: stored,
-    })
-}
 
 /// Per-block bookkeeping overhead in bytes: the header (index, kind,
 /// generation, mark) plus the pointer-table entry.  The paper reports "in
@@ -242,7 +183,7 @@ impl Heap {
         Ok(n)
     }
 
-    fn take_slot(&mut self) -> usize {
+    pub(crate) fn take_slot(&mut self) -> usize {
         if let Some(slot) = self.free_slots.pop() {
             slot
         } else {
@@ -702,8 +643,8 @@ impl Heap {
     // ------------------------------------------------------------------
 
     /// Declare the current heap state *clean*: subsequent mutations,
-    /// allocations and frees are tracked relative to this point, and
-    /// [`Heap::encode_delta_image`] ships exactly that tracked set.
+    /// allocations and frees are tracked relative to this point, and a
+    /// [`crate::ImageKind::Delta`] image ships exactly that tracked set.
     ///
     /// The first call **arms** dirty tracking — before it, mutation paths
     /// skip the bookkeeping entirely, so heaps that never take delta
@@ -719,8 +660,8 @@ impl Heap {
     }
 
     /// Whether dirty tracking has been armed by a [`Heap::mark_clean`],
-    /// i.e. whether [`Heap::encode_delta_image`] has a clean point to be
-    /// relative to.
+    /// i.e. whether a [`crate::ImageKind::Delta`] image has a clean point
+    /// to be relative to.
     pub fn dirty_tracking_armed(&self) -> bool {
         self.clean_epoch != 0
     }
@@ -777,8 +718,8 @@ impl Heap {
     ///
     /// The snapshot also captures the dirty/freed tracking state, so a
     /// delta image encoded from it is byte-identical to the delta a
-    /// stop-the-world [`Heap::encode_delta_image_compressed`] would have
-    /// produced at the freeze point.
+    /// stop-the-world [`Heap::image_records`] would have produced at the
+    /// freeze point.
     ///
     /// Interactions (all safe, by construction — the snapshot owns its
     /// records and never looks back at the heap):
@@ -819,442 +760,6 @@ impl Heap {
             self.dirty_tracking_armed(),
         )
     }
-
-    // ------------------------------------------------------------------
-    // Migration image (paper §4.2.2: pack / unpack of heap + pointer table)
-    // ------------------------------------------------------------------
-
-    /// Serialise the live heap (pointer table and all live blocks) into the
-    /// canonical wire format, using the **batched** v2 block codec (slab
-    /// payloads, one length check per slab).  The caller normally
-    /// garbage-collects first so only live data is shipped.
-    pub fn encode_image(&self, w: &mut WireWriter) {
-        self.encode_blocks(w, true);
-    }
-
-    /// Serialise the live heap with the legacy v1 per-word codec.
-    ///
-    /// Kept for two reasons: regenerating v1 fixtures for the back-compat
-    /// tests, and serving as the baseline the `migration` bench compares
-    /// the batched path against.
-    pub fn encode_image_legacy(&self, w: &mut WireWriter) {
-        self.encode_blocks(w, false);
-    }
-
-    fn encode_blocks(&self, w: &mut WireWriter, batched: bool) {
-        let records = self.live_records();
-        encode_full_records(w, self.table.capacity(), &records, batched);
-    }
-
-    /// The live `(index, block)` records in ascending pointer order — the
-    /// record list every full-image layout serialises.  [`Heap::freeze`]
-    /// captures exactly this list (as owned, payload-shared blocks), which
-    /// is why snapshot images are byte-identical to stop-the-world ones.
-    fn live_records(&self) -> Vec<(PtrIdx, &Block)> {
-        self.table
-            .iter_used()
-            .map(|(idx, slot)| {
-                (
-                    idx,
-                    self.blocks[slot]
-                        .as_ref()
-                        .expect("used table entry points at a block"),
-                )
-            })
-            .collect()
-    }
-
-    /// Rebuild a heap from an image produced by [`Heap::encode_image`].
-    ///
-    /// Pointer indices are preserved exactly (heap words contain indices, so
-    /// identity must survive the round trip); slots are assigned fresh.
-    pub fn decode_image(r: &mut WireReader<'_>, config: HeapConfig) -> Result<Heap, WireError> {
-        let (capacity, blocks) = Heap::parse_blocks(r, true)?;
-        Heap::build_from_blocks(capacity, blocks, config)
-    }
-
-    /// Rebuild a heap from a legacy (v1, per-word) image produced before
-    /// the batched pipeline — see [`mojave_wire::MIN_SUPPORTED_VERSION`].
-    pub fn decode_image_legacy(
-        r: &mut WireReader<'_>,
-        config: HeapConfig,
-    ) -> Result<Heap, WireError> {
-        let (capacity, blocks) = Heap::parse_blocks(r, false)?;
-        Heap::build_from_blocks(capacity, blocks, config)
-    }
-
-    /// Serialise the live heap in the **compressed v5 slab layout**: block
-    /// headers, word tags, word payloads and byte payloads are gathered
-    /// into four structure-of-arrays slabs, each written as a codec-tagged
-    /// compressed frame.  The word-payload codec is picked from `allowed`
-    /// by [`mojave_wire::choose_words`] (sample the slab, take the
-    /// smallest encoding); pass [`CodecSet::only`] to force one, or
-    /// [`CodecSet::raw_only`] when the receiving sink negotiated no
-    /// compression.
-    ///
-    /// On small-int heaps this wins back the ~3× byte cost the batched v4
-    /// layout paid over v1 varints — and then some — while the SoA
-    /// staging keeps encode as fast as the batched path.
-    pub fn encode_image_compressed(&self, w: &mut WireWriter, allowed: CodecSet) {
-        let records = self.live_records();
-        encode_full_slab(w, self.table.capacity(), &records, allowed);
-    }
-
-    /// Rebuild a heap from an image produced by
-    /// [`Heap::encode_image_compressed`].
-    pub fn decode_image_compressed(
-        r: &mut WireReader<'_>,
-        config: HeapConfig,
-    ) -> Result<Heap, WireError> {
-        let (capacity, blocks) = Heap::parse_blocks_slab(r)?;
-        Heap::build_from_blocks(capacity, blocks, config)
-    }
-
-    /// Decode `count` v5 slab records (the four compressed frames) back
-    /// into blocks, in record order.  Every slab length cross-check —
-    /// tags vs. payload words, declared block lengths vs. slab sizes —
-    /// is a precise [`WireError`], and nothing is allocated beyond what
-    /// the decompressed slabs actually hold.
-    fn parse_records_slab(
-        r: &mut WireReader<'_>,
-        count: usize,
-    ) -> Result<Vec<(u32, Block)>, WireError> {
-        let meta = r.read_byte_frame()?;
-        let tags = r.read_byte_frame()?;
-        let mut payload: Vec<u64> = Vec::new();
-        r.read_word_frame_into(&mut payload)?;
-        let raw = r.read_byte_frame()?;
-        if tags.len() != payload.len() {
-            return Err(WireError::Invalid(format!(
-                "heap image has {} word tags but {} word payloads",
-                tags.len(),
-                payload.len()
-            )));
-        }
-
-        let mut mr = WireReader::new(&meta);
-        let mut records = Vec::with_capacity(count.min(1 << 16));
-        let mut word_off = 0usize;
-        let mut byte_off = 0usize;
-        for _ in 0..count {
-            let idx = mr.read_uvarint()? as u32;
-            let kind = BlockKind::decode(&mut mr)?;
-            let len = mr.read_usize()?;
-            let data = if kind.is_words() {
-                if len > tags.len() - word_off {
-                    return Err(WireError::Invalid(format!(
-                        "block {idx} claims {len} words but the slab holds {}",
-                        tags.len() - word_off
-                    )));
-                }
-                let mut words = Vec::with_capacity(len);
-                for k in word_off..word_off + len {
-                    words.push(Word::from_raw(tags[k], payload[k])?);
-                }
-                word_off += len;
-                BlockData::words(words)
-            } else {
-                if len > raw.len() - byte_off {
-                    return Err(WireError::Invalid(format!(
-                        "block {idx} claims {len} bytes but the slab holds {}",
-                        raw.len() - byte_off
-                    )));
-                }
-                let bytes = raw[byte_off..byte_off + len].to_vec();
-                byte_off += len;
-                BlockData::bytes(bytes)
-            };
-            records.push((
-                idx,
-                Block {
-                    header: BlockHeader::new(PtrIdx(idx), kind, Generation::Old),
-                    data,
-                },
-            ));
-        }
-        if !mr.is_empty() {
-            return Err(WireError::TrailingBytes {
-                remaining: mr.remaining(),
-            });
-        }
-        if word_off != tags.len() || byte_off != raw.len() {
-            return Err(WireError::Invalid(format!(
-                "heap image slabs hold more data than the records claim \
-                 ({} words, {} bytes unclaimed)",
-                tags.len() - word_off,
-                raw.len() - byte_off
-            )));
-        }
-        Ok(records)
-    }
-
-    /// Decode the `(capacity, index → block)` map of a v5 full image,
-    /// with the same duplicate/bound checks as the v1/v4 parser.
-    fn parse_blocks_slab(
-        r: &mut WireReader<'_>,
-    ) -> Result<(usize, HashMap<u32, Block>), WireError> {
-        let capacity = Heap::check_capacity(r.read_usize()?)?;
-        let used = r.read_usize()?;
-        if used > capacity {
-            return Err(WireError::Invalid(format!(
-                "heap image claims {used} used entries but a table of {capacity}"
-            )));
-        }
-        let records = Heap::parse_records_slab(r, used)?;
-        let mut blocks: HashMap<u32, Block> = HashMap::with_capacity(used.min(1 << 16));
-        for (idx, block) in records {
-            if blocks.insert(idx, block).is_some() {
-                return Err(WireError::Invalid(format!(
-                    "duplicate pointer index {idx} in heap image"
-                )));
-            }
-        }
-        Ok((capacity, blocks))
-    }
-
-    /// Dispatch on an image's block codec (the caller maps the wire
-    /// format version to an [`ImageCodec`]).
-    fn parse_blocks_any(
-        r: &mut WireReader<'_>,
-        codec: ImageCodec,
-    ) -> Result<(usize, HashMap<u32, Block>), WireError> {
-        match codec {
-            ImageCodec::PerWord => Heap::parse_blocks(r, false),
-            ImageCodec::Batched => Heap::parse_blocks(r, true),
-            ImageCodec::Slab => Heap::parse_blocks_slab(r),
-        }
-    }
-
-    /// Serialise only what changed since the last [`Heap::mark_clean`]: the
-    /// dirty live blocks (full content, batched codec) plus the
-    /// pointer-table fixups (freed indices and the current table capacity).
-    ///
-    /// Applying the result to the base image with
-    /// [`Heap::decode_delta_image`] reconstructs exactly the current heap,
-    /// so checkpoint cost is proportional to the data actually mutated, not
-    /// to total heap size.
-    ///
-    /// # Panics
-    /// Panics if dirty tracking was never armed by a [`Heap::mark_clean`]:
-    /// without a clean point there is no base to be relative to, and
-    /// encoding "nothing changed" would silently resolve to stale state.
-    pub fn encode_delta_image(&self, w: &mut WireWriter) {
-        let records = self.delta_dirty_records();
-        encode_delta_batched(w, self.table.capacity(), &records, &self.sorted_freed());
-    }
-
-    /// Serialise the dirty set in the **compressed v5 slab layout** — the
-    /// delta counterpart of [`Heap::encode_image_compressed`], with the
-    /// same codec negotiation through `allowed`.
-    ///
-    /// # Panics
-    /// Panics if dirty tracking was never armed by a [`Heap::mark_clean`],
-    /// exactly like [`Heap::encode_delta_image`].
-    pub fn encode_delta_image_compressed(&self, w: &mut WireWriter, allowed: CodecSet) {
-        let records = self.delta_dirty_records();
-        encode_delta_slab(
-            w,
-            self.table.capacity(),
-            &records,
-            &self.sorted_freed(),
-            allowed,
-        );
-    }
-
-    /// The live dirty blocks, sorted by pointer index — the record set
-    /// both delta encoders ship.  Keeping the collection in one place keeps
-    /// the determinism-critical order from diverging between the batched
-    /// and compressed layouts.
-    ///
-    /// # Panics
-    /// Panics if dirty tracking was never armed by a [`Heap::mark_clean`]:
-    /// without a clean point there is no base to be relative to, and
-    /// encoding "nothing changed" would silently resolve to stale state.
-    fn delta_dirty_records(&self) -> Vec<(PtrIdx, &Block)> {
-        assert!(
-            self.dirty_tracking_armed(),
-            "encode_delta_image requires a prior mark_clean (no base to delta against)"
-        );
-        self.sorted_dirty()
-            .into_iter()
-            .map(|ptr| {
-                let slot = self.table.lookup(ptr).expect("filtered to live entries");
-                (
-                    ptr,
-                    self.blocks[slot]
-                        .as_ref()
-                        .expect("used table entry points at a block"),
-                )
-            })
-            .collect()
-    }
-
-    /// Rebuild a heap from a base image plus a delta produced by
-    /// [`Heap::encode_delta_image`] (or its compressed v5 counterpart)
-    /// against it.
-    ///
-    /// `base_codec` / `delta_codec` select each payload's block codec (the
-    /// caller maps wire format versions — a v5 delta may resolve against a
-    /// v4 or even v1 base).  Freed indices unknown to the base are ignored
-    /// — they belong to blocks allocated *and* freed between the two
-    /// images.
-    pub fn decode_delta_image(
-        base: &mut WireReader<'_>,
-        delta: &mut WireReader<'_>,
-        base_codec: ImageCodec,
-        delta_codec: ImageCodec,
-        config: HeapConfig,
-    ) -> Result<Heap, WireError> {
-        let (_, mut blocks) = Heap::parse_blocks_any(base, base_codec)?;
-        let capacity = Heap::check_capacity(delta.read_usize()?)?;
-        let dirty = delta.read_usize()?;
-        let mut seen: HashSet<u32> = HashSet::with_capacity(dirty.min(1 << 16));
-        match delta_codec {
-            ImageCodec::PerWord => {
-                return Err(WireError::Invalid(
-                    "v1 images cannot carry delta heap payloads".into(),
-                ))
-            }
-            ImageCodec::Batched => {
-                for _ in 0..dirty {
-                    let idx = delta.read_uvarint()? as u32;
-                    let block = Block::decode_batched(delta)?;
-                    if block.header.index.0 != idx {
-                        return Err(WireError::Invalid(format!(
-                            "delta block header index {} does not match record index {idx}",
-                            block.header.index.0
-                        )));
-                    }
-                    // Overwriting a *base* entry is the point of a delta;
-                    // two delta records for one index is corruption
-                    // (order-dependent decode).
-                    if !seen.insert(idx) {
-                        return Err(WireError::Invalid(format!(
-                            "duplicate pointer index {idx} in delta image"
-                        )));
-                    }
-                    blocks.insert(idx, block);
-                }
-            }
-            ImageCodec::Slab => {
-                for (idx, block) in Heap::parse_records_slab(delta, dirty)? {
-                    if !seen.insert(idx) {
-                        return Err(WireError::Invalid(format!(
-                            "duplicate pointer index {idx} in delta image"
-                        )));
-                    }
-                    blocks.insert(idx, block);
-                }
-            }
-        }
-        let freed = delta.read_usize()?;
-        for _ in 0..freed {
-            let idx = delta.read_uvarint()? as u32;
-            blocks.remove(&idx);
-        }
-        Heap::build_from_blocks(capacity, blocks, config)
-    }
-
-    /// Bound the pointer-table capacity an image may declare.  Images come
-    /// from untrusted peers; an absurd capacity must fail fast rather than
-    /// drive the table rebuild loop into gigabytes of allocation (and a
-    /// capacity above `u32::MAX` would silently truncate, decoding every
-    /// block into the void).
-    fn check_capacity(capacity: usize) -> Result<usize, WireError> {
-        /// Far above any real workload (the paper's heaps hold a few
-        /// thousand blocks) and far below address-space exhaustion.
-        const MAX_TABLE_CAPACITY: usize = 1 << 24;
-        if capacity > MAX_TABLE_CAPACITY {
-            return Err(WireError::LengthOverflow {
-                context: "pointer-table capacity",
-                len: capacity as u64,
-            });
-        }
-        Ok(capacity)
-    }
-
-    /// Decode the `(capacity, index → block)` map shared by full and delta
-    /// images, validating index agreement and rejecting duplicates.
-    fn parse_blocks(
-        r: &mut WireReader<'_>,
-        batched: bool,
-    ) -> Result<(usize, HashMap<u32, Block>), WireError> {
-        let capacity = Heap::check_capacity(r.read_usize()?)?;
-        let used = r.read_usize()?;
-        if used > capacity {
-            return Err(WireError::Invalid(format!(
-                "heap image claims {used} used entries but a table of {capacity}"
-            )));
-        }
-        let mut blocks: HashMap<u32, Block> = HashMap::with_capacity(used.min(1 << 16));
-        for _ in 0..used {
-            let idx = r.read_uvarint()? as u32;
-            let block = if batched {
-                Block::decode_batched(r)?
-            } else {
-                Block::decode(r)?
-            };
-            if block.header.index.0 != idx {
-                return Err(WireError::Invalid(format!(
-                    "block header index {} does not match table index {idx}",
-                    block.header.index.0
-                )));
-            }
-            if blocks.insert(idx, block).is_some() {
-                return Err(WireError::Invalid(format!(
-                    "duplicate pointer index {idx} in heap image"
-                )));
-            }
-        }
-        Ok((capacity, blocks))
-    }
-
-    /// Materialise a heap whose used pointer indices land exactly where the
-    /// image says: allocate table entries `0..capacity` in order, then free
-    /// the unused ones.  The result starts clean (its own image is its
-    /// base) but with dirty tracking disarmed — a resurrected process only
-    /// starts paying the bookkeeping once it takes a full checkpoint.
-    fn build_from_blocks(
-        capacity: usize,
-        mut blocks: HashMap<u32, Block>,
-        config: HeapConfig,
-    ) -> Result<Heap, WireError> {
-        if let Some(max_index) = blocks.keys().max().copied() {
-            if max_index as usize >= capacity {
-                return Err(WireError::Invalid(format!(
-                    "pointer index {max_index} exceeds declared table capacity {capacity}"
-                )));
-            }
-        }
-        let mut heap = Heap::with_config(config);
-        let mut to_free = Vec::new();
-        for i in 0..capacity as u32 {
-            if let Some(block) = blocks.remove(&i) {
-                let slot = heap.take_slot();
-                let idx = heap.table.allocate(slot);
-                debug_assert_eq!(idx.0, i);
-                let size = block.byte_size();
-                heap.blocks[slot] = Some(Block {
-                    header: BlockHeader::new(idx, block.header.kind, Generation::Old),
-                    data: block.data,
-                });
-                heap.live_bytes += size;
-                heap.stats.blocks_allocated += 1;
-                heap.stats.bytes_allocated += size as u64;
-            } else {
-                let slot = heap.take_slot();
-                let idx = heap.table.allocate(slot);
-                debug_assert_eq!(idx.0, i);
-                to_free.push((idx, slot));
-            }
-        }
-        for (idx, slot) in to_free {
-            heap.table.free(idx);
-            heap.blocks[slot] = None;
-            heap.free_slots.push(slot);
-        }
-        Ok(heap)
-    }
 }
 
 /// Append `header`'s block to the dirty list unless its `dirty_epoch` says
@@ -1284,264 +789,26 @@ pub(crate) fn fold_where(list: &mut Vec<PtrIdx>, keep: impl Fn(PtrIdx) -> bool) 
     list.dedup();
 }
 
-// ---------------------------------------------------------------------------
-// Shared record-list encoders
-//
-// Full and delta images, in every layout, serialise a `(pointer index,
-// block)` record list plus a little framing.  [`Heap`] passes its live (or
-// dirty) records; [`crate::HeapSnapshot`] passes the frozen records it
-// captured — going through the same functions is what makes a snapshot
-// image byte-identical to a stop-the-world image of the same logical state.
-// ---------------------------------------------------------------------------
-
-/// Write a full image: table capacity, record count, then each record in
-/// the batched (v4) or legacy per-word (v1) block layout.
-pub(crate) fn encode_full_records(
-    w: &mut WireWriter,
-    capacity: usize,
-    records: &[(PtrIdx, &Block)],
-    batched: bool,
-) {
-    w.write_usize(capacity);
-    w.write_usize(records.len());
-    for (idx, block) in records {
-        w.write_uvarint(idx.0 as u64);
-        if batched {
-            block.encode_batched(w);
-        } else {
-            block.encode(w);
-        }
-    }
-}
-
-/// Write a full image in the compressed v5 slab layout.
-pub(crate) fn encode_full_slab(
-    w: &mut WireWriter,
-    capacity: usize,
-    records: &[(PtrIdx, &Block)],
-    allowed: CodecSet,
-) {
-    w.write_usize(capacity);
-    w.write_usize(records.len());
-    with_pooled_encoder(|encoder| encoder.encode_records(w, records, allowed));
-}
-
-/// Write a delta image in the batched (v4) block layout: capacity, dirty
-/// records, then the freed-index fixups.
-pub(crate) fn encode_delta_batched(
-    w: &mut WireWriter,
-    capacity: usize,
-    records: &[(PtrIdx, &Block)],
-    freed: &[PtrIdx],
-) {
-    w.write_usize(capacity);
-    w.write_usize(records.len());
-    for (ptr, block) in records {
-        w.write_uvarint(ptr.0 as u64);
-        block.encode_batched(w);
-    }
-    write_freed_fixups(w, freed);
-}
-
-/// Write a delta image in the compressed v5 slab layout.
-pub(crate) fn encode_delta_slab(
-    w: &mut WireWriter,
-    capacity: usize,
-    records: &[(PtrIdx, &Block)],
-    freed: &[PtrIdx],
-    allowed: CodecSet,
-) {
-    w.write_usize(capacity);
-    w.write_usize(records.len());
-    with_pooled_encoder(|encoder| encoder.encode_records(w, records, allowed));
-    write_freed_fixups(w, freed);
-}
-
-/// The freed-index fixup list both delta layouts append (`freed` must be
-/// sorted so identical states produce identical images).
-pub(crate) fn write_freed_fixups(w: &mut WireWriter, freed: &[PtrIdx]) {
-    debug_assert!(freed.windows(2).all(|p| p[0] < p[1]));
-    w.write_usize(freed.len());
-    for ptr in freed {
-        w.write_uvarint(ptr.0 as u64);
-    }
-}
-
-/// Encoders between images, each beside the thread that returned it.
-/// Every compressed-image entry point of [`Heap`] and
-/// [`crate::HeapSnapshot`] — and through them synchronous packs, pipeline
-/// workers and delta resolution alike — takes one for the length of one
-/// image ([`with_pooled_encoder`]), so steady state neither allocates
-/// staging nor zero-fills an LZ table per image.  The pool holds as many
-/// encoders as images were ever encoded at once.
-static ENCODERS: Mutex<Vec<(ThreadId, SlabEncoder)>> = Mutex::new(Vec::new());
-
-/// Run `encode` with an encoder from the pool: taken under the lock, used
-/// outside it, returned afterwards.  A thread gets back the encoder it
-/// returned last when that one is free — its 128 KiB LZ table is then
-/// still in this core's cache (on a 2-vCPU host, two grid workers handed
-/// each other's encoders spent 1.4× as long in LZ as with a fresh table).
-/// An encode that panics drops its encoder rather than returning it.
-fn with_pooled_encoder<R>(encode: impl FnOnce(&mut SlabEncoder) -> R) -> R {
-    // Only `swap_remove` and `push` run under the lock and a `Vec` is
-    // whole after either, so a poisoned lock still guards a usable pool.
-    let pool = || ENCODERS.lock().unwrap_or_else(PoisonError::into_inner);
-    let me = std::thread::current().id();
-    let mut encoder = {
-        let mut pool = pool();
-        let mine = pool.iter().rposition(|(owner, _)| *owner == me);
-        match mine.or(pool.len().checked_sub(1)) {
-            Some(at) => pool.swap_remove(at).1,
-            None => SlabEncoder::default(),
-        }
-    };
-    let result = encode(&mut encoder);
-    pool().push((me, encoder));
-    result
-}
-
-/// The v5 slab encoder, with the working memory it keeps between images:
-/// the codec crate's [`Compressor`] (LZ match table and trial buffers)
-/// and the staging slabs.  Built only by the pool behind
-/// [`with_pooled_encoder`].  **The bytes written never depend on what the
-/// encoder was used for before** — that is what makes one pool safe to
-/// share between every caller.
-#[derive(Debug, Default)]
-struct SlabEncoder {
-    compressor: Compressor,
-    meta: WireWriter,
-    sample: Vec<u64>,
-    tags: Vec<u8>,
-    raw: Vec<u8>,
-    /// Word payloads — staged only when [`CodecId::Raw`] / [`CodecId::Lz`]
-    /// wins; the varint filters stream instead.
-    payload: Vec<u64>,
-    /// The varint stream between [`CodecId::VarintLz`]'s two passes.
-    varint: Vec<u8>,
-}
-
-impl SlabEncoder {
-    /// Gather `records` into the four v5 slabs and write them as
-    /// compressed frames: meta (index, kind, length per record), word
-    /// tags, word payloads, byte payloads.  Shared by full and delta
-    /// encoding.
-    ///
-    /// Hot-path shape: one sizing pass (which also emits the meta slab),
-    /// the word codec chosen from a staged *prefix sample* only, one pass
-    /// staging tags and bytes with an exact-size `extend` per block, then
-    /// the payload pass — when the delta-varint filter wins, payload
-    /// words stream through [`mojave_wire::VarintStream`] straight into
-    /// `w`'s frame (length patched afterwards) and neither the
-    /// 8-bytes-per-word `u64` slab nor a side copy of the varint bytes is
-    /// ever materialised.  A slab the choice sampled whole is compressed
-    /// once: the winning trial is written as its payload.
-    fn encode_records(
-        &mut self,
-        w: &mut WireWriter,
-        records: &[(PtrIdx, &Block)],
-        allowed: CodecSet,
-    ) {
-        // Staging exactly the codec crate's choice-sample prefix makes
-        // the sampled choice identical to a choice over the full slab.
-        use mojave_wire::CHOICE_SAMPLE_WORDS;
-        let SlabEncoder {
-            compressor,
-            meta,
-            sample,
-            tags,
-            raw,
-            payload,
-            varint,
-        } = self;
-
-        meta.clear();
-        let mut word_total = 0usize;
-        let mut byte_total = 0usize;
-        for (idx, block) in records {
-            meta.write_uvarint(idx.0 as u64);
-            block.header.kind.encode(meta);
-            meta.write_usize(block.len());
-            match &block.data {
-                BlockData::Words(words) => word_total += words.len(),
-                BlockData::Bytes(bytes) => byte_total += bytes.len(),
-            }
-        }
-
-        let word_blocks = || records.iter().filter_map(|(_, block)| block.as_words());
-
-        sample.clear();
-        for words in word_blocks() {
-            let room = CHOICE_SAMPLE_WORDS - sample.len();
-            if room == 0 {
-                break;
-            }
-            sample.extend(words.iter().take(room).map(|word| word.to_raw().1));
-        }
-        let word_codec = compressor.choose_words(sample, allowed);
-        let sampled_whole = sample.len() == word_total;
-
-        w.write_byte_frame_chosen(compressor, meta.as_bytes(), allowed);
-
-        tags.clear();
-        tags.reserve(word_total);
-        raw.clear();
-        raw.reserve(byte_total);
-        for (_, block) in records {
-            match &block.data {
-                BlockData::Words(words) => tags.extend(words.iter().map(|word| word.to_raw().0)),
-                BlockData::Bytes(bytes) => raw.extend_from_slice(bytes),
-            }
-        }
-        w.write_byte_frame_chosen(compressor, tags, allowed);
-
-        let stream_payloads = |out: &mut Vec<u8>| {
-            let mut stream = mojave_wire::VarintStream::new();
-            for words in word_blocks() {
-                for word in words {
-                    stream.push(word.to_raw().1, out);
-                }
-            }
-        };
-        // The byte-frame choices above keep their trials apart from this
-        // one, so the word choice's winner is still the payload here.
-        if let Some(won) = compressor.chosen_words().filter(|_| sampled_whole) {
-            w.write_word_frame_streamed(word_total, word_codec, won.len(), |out| {
-                out.extend_from_slice(won)
-            });
-        } else {
-            match word_codec {
-                CodecId::Varint => w.write_word_frame_streamed(
-                    word_total,
-                    word_codec,
-                    word_total * 2,
-                    stream_payloads,
-                ),
-                CodecId::VarintLz => {
-                    varint.clear();
-                    varint.reserve(word_total * 2 + 16);
-                    stream_payloads(varint);
-                    w.write_word_frame_streamed(word_total, word_codec, varint.len() / 4, |out| {
-                        compressor.compress_bytes(CodecId::Lz, varint, out)
-                    });
-                }
-                CodecId::Raw | CodecId::Lz => {
-                    payload.clear();
-                    payload.reserve(word_total);
-                    for words in word_blocks() {
-                        payload.extend(words.iter().map(|word| word.to_raw().1));
-                    }
-                    w.write_word_frame_with(compressor, payload, word_codec);
-                }
-            }
-        }
-
-        w.write_byte_frame_chosen(compressor, raw, allowed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{image_payload_stats, ImageCodec, ImageKind, ImageLayout};
+    use mojave_wire::{CodecSet, WireCodec, WireError, WireReader, WireWriter};
+
+    /// A v1 (per-word) image of `heap`, written from public API: table
+    /// capacity, used count, then each used entry's index and its block in
+    /// the per-word [`WireCodec`] encoding.  Only decoders read v1.
+    fn v1_image(heap: &Heap) -> Vec<u8> {
+        let table = heap.pointer_table();
+        let mut w = WireWriter::new();
+        w.write_usize(table.capacity());
+        w.write_usize(table.live());
+        for (idx, _) in table.iter_used() {
+            w.write_uvarint(idx.0 as u64);
+            heap.block(idx).unwrap().encode(&mut w);
+        }
+        w.into_bytes()
+    }
 
     #[test]
     fn alloc_load_store_roundtrip() {
@@ -1809,10 +1076,12 @@ mod tests {
         let b = heap.alloc_array(2, Word::Int(1)).unwrap();
 
         let mut w = WireWriter::new();
-        heap.encode_image(&mut w);
+        heap.image_records(ImageKind::Full)
+            .unwrap()
+            .encode(&mut w, ImageLayout::Batched);
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
-        let back = Heap::decode_image(&mut r, HeapConfig::default()).unwrap();
+        let back = Heap::decode_image(&mut r, ImageCodec::Batched, HeapConfig::default()).unwrap();
         assert!(r.is_empty());
 
         assert_eq!(back.load(a, 0).unwrap(), Word::Int(7));
@@ -1840,11 +1109,9 @@ mod tests {
     #[test]
     fn legacy_image_roundtrip_still_decodes() {
         let (heap, a, s, t) = populated_heap();
-        let mut w = WireWriter::new();
-        heap.encode_image_legacy(&mut w);
-        let bytes = w.into_bytes();
+        let bytes = v1_image(&heap);
         let mut r = WireReader::new(&bytes);
-        let back = Heap::decode_image_legacy(&mut r, HeapConfig::default()).unwrap();
+        let back = Heap::decode_image(&mut r, ImageCodec::PerWord, HeapConfig::default()).unwrap();
         assert!(r.is_empty());
         assert_eq!(back.load(a, 0).unwrap(), Word::Int(7));
         assert_eq!(back.str_value(s).unwrap(), "hello");
@@ -1856,14 +1123,23 @@ mod tests {
     fn batched_and_legacy_images_decode_to_equal_heaps() {
         let (heap, ..) = populated_heap();
         let mut w_batched = WireWriter::new();
-        heap.encode_image(&mut w_batched);
-        let mut w_legacy = WireWriter::new();
-        heap.encode_image_legacy(&mut w_legacy);
+        heap.image_records(ImageKind::Full)
+            .unwrap()
+            .encode(&mut w_batched, ImageLayout::Batched);
         let b1 = w_batched.into_bytes();
-        let b2 = w_legacy.into_bytes();
-        let h1 = Heap::decode_image(&mut WireReader::new(&b1), HeapConfig::default()).unwrap();
-        let h2 =
-            Heap::decode_image_legacy(&mut WireReader::new(&b2), HeapConfig::default()).unwrap();
+        let b2 = v1_image(&heap);
+        let h1 = Heap::decode_image(
+            &mut WireReader::new(&b1),
+            ImageCodec::Batched,
+            HeapConfig::default(),
+        )
+        .unwrap();
+        let h2 = Heap::decode_image(
+            &mut WireReader::new(&b2),
+            ImageCodec::PerWord,
+            HeapConfig::default(),
+        )
+        .unwrap();
         assert_eq!(h1.snapshot(), h2.snapshot());
         assert_eq!(h1.snapshot(), heap.snapshot());
     }
@@ -1879,10 +1155,12 @@ mod tests {
             CodecSet::only(mojave_wire::CodecId::VarintLz),
         ] {
             let mut w = WireWriter::new();
-            heap.encode_image_compressed(&mut w, allowed);
+            heap.image_records(ImageKind::Full)
+                .unwrap()
+                .encode(&mut w, ImageLayout::Slab(allowed));
             let bytes = w.into_bytes();
             let mut r = WireReader::new(&bytes);
-            let back = Heap::decode_image_compressed(&mut r, HeapConfig::default()).unwrap();
+            let back = Heap::decode_image(&mut r, ImageCodec::Slab, HeapConfig::default()).unwrap();
             assert!(r.is_empty());
             assert_eq!(back.snapshot(), heap.snapshot(), "{allowed:?}");
             assert_eq!(back.load(a, 0).unwrap(), Word::Int(7));
@@ -1899,12 +1177,15 @@ mod tests {
         for i in 0..200 {
             heap.alloc_array(64, Word::Int(i % 50)).unwrap();
         }
-        let mut legacy = WireWriter::new();
-        heap.encode_image_legacy(&mut legacy);
+        let legacy = v1_image(&heap);
         let mut batched = WireWriter::new();
-        heap.encode_image(&mut batched);
+        heap.image_records(ImageKind::Full)
+            .unwrap()
+            .encode(&mut batched, ImageLayout::Batched);
         let mut compressed = WireWriter::new();
-        heap.encode_image_compressed(&mut compressed, CodecSet::all());
+        heap.image_records(ImageKind::Full)
+            .unwrap()
+            .encode(&mut compressed, ImageLayout::Slab(CodecSet::all()));
         let (v1, v4, v5) = (legacy.len(), batched.len(), compressed.len());
         assert!(v4 > v1, "batched trades bytes for speed: {v4} vs {v1}");
         assert!(v5 < v1, "compressed must beat v1 varints: {v5} vs {v1}");
@@ -1917,10 +1198,14 @@ mod tests {
         // Base in v4 batched *and* v5 compressed form: a v5 delta must
         // resolve against either.
         let mut base_batched = WireWriter::new();
-        heap.encode_image(&mut base_batched);
+        heap.image_records(ImageKind::Full)
+            .unwrap()
+            .encode(&mut base_batched, ImageLayout::Batched);
         let base_batched = base_batched.into_bytes();
         let mut base_slab = WireWriter::new();
-        heap.encode_image_compressed(&mut base_slab, CodecSet::all());
+        heap.image_records(ImageKind::Full)
+            .unwrap()
+            .encode(&mut base_slab, ImageLayout::Slab(CodecSet::all()));
         let base_slab = base_slab.into_bytes();
         heap.mark_clean();
 
@@ -1930,7 +1215,9 @@ mod tests {
         heap.free_block(a);
 
         let mut delta = WireWriter::new();
-        heap.encode_delta_image_compressed(&mut delta, CodecSet::all());
+        heap.image_records(ImageKind::Delta)
+            .unwrap()
+            .encode(&mut delta, ImageLayout::Slab(CodecSet::all()));
         let delta_bytes = delta.into_bytes();
 
         for (base_bytes, base_codec) in [
@@ -1955,13 +1242,15 @@ mod tests {
     fn compressed_image_with_corrupted_slabs_rejected() {
         let (heap, ..) = populated_heap();
         let mut w = WireWriter::new();
-        heap.encode_image_compressed(&mut w, CodecSet::all());
+        heap.image_records(ImageKind::Full)
+            .unwrap()
+            .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
         let bytes = w.into_bytes();
 
         // Truncations anywhere must be precise errors, never panics.
         for cut in [bytes.len() - 1, bytes.len() / 2, 5] {
             let mut r = WireReader::new(&bytes[..cut]);
-            assert!(Heap::decode_image_compressed(&mut r, HeapConfig::default()).is_err());
+            assert!(Heap::decode_image(&mut r, ImageCodec::Slab, HeapConfig::default()).is_err());
         }
 
         // A record count that disagrees with the slab content.
@@ -1978,7 +1267,7 @@ mod tests {
         w.write_byte_frame(&[], mojave_wire::CodecId::Raw);
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
-        assert!(Heap::decode_image_compressed(&mut r, HeapConfig::default()).is_err());
+        assert!(Heap::decode_image(&mut r, ImageCodec::Slab, HeapConfig::default()).is_err());
 
         // Slabs holding more data than the records claim.
         let mut w = WireWriter::new();
@@ -1995,7 +1284,7 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
         assert!(matches!(
-            Heap::decode_image_compressed(&mut r, HeapConfig::default()).unwrap_err(),
+            Heap::decode_image(&mut r, ImageCodec::Slab, HeapConfig::default()).unwrap_err(),
             WireError::Invalid(_)
         ));
     }
@@ -2007,9 +1296,11 @@ mod tests {
             heap.alloc_array(64, Word::Int(i)).unwrap();
         }
         let mut w = WireWriter::new();
-        heap.encode_image_compressed(&mut w, CodecSet::all());
+        heap.image_records(ImageKind::Full)
+            .unwrap()
+            .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
         let bytes = w.into_bytes();
-        let stats = crate::heap::image_payload_stats(&bytes, false).unwrap();
+        let stats = image_payload_stats(&bytes, false).unwrap();
         assert_eq!(stats.stored_bytes, bytes.len() as u64);
         assert!(
             stats.raw_bytes > stats.stored_bytes * 4,
@@ -2020,9 +1311,11 @@ mod tests {
 
         // Raw-only images report ~no savings.
         let mut w = WireWriter::new();
-        heap.encode_image_compressed(&mut w, CodecSet::raw_only());
+        heap.image_records(ImageKind::Full)
+            .unwrap()
+            .encode(&mut w, ImageLayout::Slab(CodecSet::raw_only()));
         let bytes = w.into_bytes();
-        let stats = crate::heap::image_payload_stats(&bytes, false).unwrap();
+        let stats = image_payload_stats(&bytes, false).unwrap();
         assert_eq!(stats.raw_bytes, stats.stored_bytes);
 
         // Delta payloads walk the freed tail too.
@@ -2030,10 +1323,12 @@ mod tests {
         let doomed = heap.alloc_array(2, Word::Int(1)).unwrap();
         heap.free_block(doomed);
         let mut w = WireWriter::new();
-        heap.encode_delta_image_compressed(&mut w, CodecSet::all());
+        heap.image_records(ImageKind::Delta)
+            .unwrap()
+            .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
         let bytes = w.into_bytes();
-        assert!(crate::heap::image_payload_stats(&bytes, true).is_ok());
-        assert!(crate::heap::image_payload_stats(&bytes, false).is_err());
+        assert!(image_payload_stats(&bytes, true).is_ok());
+        assert!(image_payload_stats(&bytes, false).is_err());
     }
 
     #[test]
@@ -2066,7 +1361,9 @@ mod tests {
     fn delta_image_reconstructs_exact_heap() {
         let (mut heap, a, _s, t) = populated_heap();
         let mut base = WireWriter::new();
-        heap.encode_image(&mut base);
+        heap.image_records(ImageKind::Full)
+            .unwrap()
+            .encode(&mut base, ImageLayout::Batched);
         let base_bytes = base.into_bytes();
         heap.mark_clean();
 
@@ -2077,11 +1374,15 @@ mod tests {
         heap.free_block(a);
 
         let mut delta = WireWriter::new();
-        heap.encode_delta_image(&mut delta);
+        heap.image_records(ImageKind::Delta)
+            .unwrap()
+            .encode(&mut delta, ImageLayout::Batched);
         let delta_bytes = delta.into_bytes();
         // The delta is smaller than a full image of the same heap.
         let mut full = WireWriter::new();
-        heap.encode_image(&mut full);
+        heap.image_records(ImageKind::Full)
+            .unwrap()
+            .encode(&mut full, ImageLayout::Batched);
         assert!(delta_bytes.len() < full.into_bytes().len() + 16);
 
         let back = Heap::decode_delta_image(
@@ -2107,7 +1408,9 @@ mod tests {
 
         // Clean point taken while the speculation is open.
         let mut base = WireWriter::new();
-        heap.encode_image(&mut base);
+        heap.image_records(ImageKind::Full)
+            .unwrap()
+            .encode(&mut base, ImageLayout::Batched);
         let base_bytes = base.into_bytes();
         heap.mark_clean();
 
@@ -2115,7 +1418,9 @@ mod tests {
         // delta would silently miss the restored content.
         heap.spec_rollback(level).unwrap();
         let mut delta = WireWriter::new();
-        heap.encode_delta_image(&mut delta);
+        heap.image_records(ImageKind::Delta)
+            .unwrap()
+            .encode(&mut delta, ImageLayout::Batched);
         let delta_bytes = delta.into_bytes();
 
         let back = Heap::decode_delta_image(
@@ -2134,12 +1439,16 @@ mod tests {
     fn empty_delta_is_tiny_and_reconstructs_base() {
         let (mut heap, ..) = populated_heap();
         let mut base = WireWriter::new();
-        heap.encode_image(&mut base);
+        heap.image_records(ImageKind::Full)
+            .unwrap()
+            .encode(&mut base, ImageLayout::Batched);
         let base_bytes = base.into_bytes();
         heap.mark_clean();
 
         let mut delta = WireWriter::new();
-        heap.encode_delta_image(&mut delta);
+        heap.image_records(ImageKind::Delta)
+            .unwrap()
+            .encode(&mut delta, ImageLayout::Batched);
         let delta_bytes = delta.into_bytes();
         assert!(delta_bytes.len() <= 8, "no changes → a few header bytes");
 
@@ -2162,14 +1471,21 @@ mod tests {
         w.write_usize(0);
         let bytes = w.into_bytes();
         assert!(matches!(
-            Heap::decode_image(&mut WireReader::new(&bytes), HeapConfig::default()).unwrap_err(),
+            Heap::decode_image(
+                &mut WireReader::new(&bytes),
+                ImageCodec::Batched,
+                HeapConfig::default()
+            )
+            .unwrap_err(),
             WireError::LengthOverflow { .. }
         ));
 
         // Delta declaring the same against a legitimate base.
         let (heap, ..) = populated_heap();
         let mut base = WireWriter::new();
-        heap.encode_image(&mut base);
+        heap.image_records(ImageKind::Full)
+            .unwrap()
+            .encode(&mut base, ImageLayout::Batched);
         let base_bytes = base.into_bytes();
         let mut w = WireWriter::new();
         w.write_usize(1 << 40);
@@ -2193,7 +1509,9 @@ mod tests {
     fn delta_with_duplicate_records_rejected() {
         let (heap, a, ..) = populated_heap();
         let mut base = WireWriter::new();
-        heap.encode_image(&mut base);
+        heap.image_records(ImageKind::Full)
+            .unwrap()
+            .encode(&mut base, ImageLayout::Batched);
         let base_bytes = base.into_bytes();
 
         // Two dirty records for the same index: order-dependent decode is
@@ -2229,7 +1547,7 @@ mod tests {
         Block::words(PtrIdx(5), BlockKind::Array, vec![]).encode(&mut w);
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
-        assert!(Heap::decode_image(&mut r, HeapConfig::default()).is_err());
+        assert!(Heap::decode_image(&mut r, ImageCodec::Batched, HeapConfig::default()).is_err());
     }
 
     #[test]

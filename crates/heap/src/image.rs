@@ -1,0 +1,659 @@
+//! The heap image (paper §4.2.2: pack / unpack of the heap and its pointer
+//! table): every layout decision, one encoder and one decoder.
+//!
+//! * **Write side.** [`Heap::image_records`] and
+//!   [`crate::HeapSnapshot::image_records`] borrow the record list a full
+//!   or delta image serialises; [`ImageRecords::encode`] writes it in the
+//!   [`ImageLayout`] that [`ImageLayout::negotiate`] chose for the sink.
+//!   A snapshot hands the encoder the records the live heap would have at
+//!   the freeze point, which is what makes snapshot images byte-identical
+//!   to stop-the-world ones.
+//! * **Read side.** [`Heap::decode_image`] and [`Heap::decode_delta_image`]
+//!   dispatch on the [`ImageCodec`] an image's wire format version implies
+//!   ([`ImageCodec::of_version`]).
+//!
+//! `docs/WIRE_FORMAT.md` specifies the bytes.
+
+use crate::block::{Block, BlockData, BlockHeader, BlockKind, Generation};
+use crate::error::HeapError;
+use crate::heap::{Heap, HeapConfig};
+use crate::pointer_table::PtrIdx;
+use crate::word::Word;
+use mojave_wire::{
+    CodecId, CodecSet, Compressor, FrameStats, WireCodec, WireError, WireReader, WireWriter,
+    BATCHED_VERSION, FORMAT_VERSION, MIN_SUPPORTED_VERSION,
+};
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Mutex, PoisonError};
+use std::thread::ThreadId;
+
+/// Which block codec a heap image payload uses — implied by the image's
+/// wire format version ([`ImageCodec::of_version`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ImageCodec {
+    /// v1 images: one varint-encoded record per word.
+    PerWord,
+    /// v4 images: batched per-block tag/payload slabs, uncompressed.
+    Batched,
+    /// v5 images: structure-of-arrays slabs in codec-tagged compressed
+    /// frames (see `mojave-codec`).
+    Slab,
+}
+
+impl ImageCodec {
+    /// The codec of the heap payload in an image of wire format `version`:
+    /// v1 → per-word, v4 → batched slabs, v5 → compressed slab frames.
+    pub fn of_version(version: u32) -> ImageCodec {
+        if version <= MIN_SUPPORTED_VERSION {
+            ImageCodec::PerWord
+        } else if version <= BATCHED_VERSION {
+            ImageCodec::Batched
+        } else {
+            ImageCodec::Slab
+        }
+    }
+}
+
+/// The layout a new image is written in.  There is no per-word layout: v1
+/// images are read, never written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ImageLayout {
+    /// The batched v4 layout, uncompressed.
+    Batched,
+    /// The compressed v5 slab layout; each frame's codec is chosen within
+    /// the set.
+    Slab(CodecSet),
+}
+
+impl ImageLayout {
+    /// The layout for a sink that accepts the codecs `accepted`, under the
+    /// process's codec `preference`.
+    ///
+    /// A sink accepting exactly `{Raw}` is a pre-v5 runtime (the
+    /// `MigrationSink` trait default): it gets the batched v4 layout — and
+    /// version — it can decode, not v5 frames it would reject at the
+    /// header.  Any other sink gets slab frames: the preference narrows
+    /// the accepted set (falling back to Raw, which every sink accepts,
+    /// when the sink does not advertise it), and without one the slab
+    /// encoder picks the smallest encoding within the whole set.
+    pub fn negotiate(accepted: CodecSet, preference: Option<CodecId>) -> ImageLayout {
+        if accepted == CodecSet::raw_only() {
+            return ImageLayout::Batched;
+        }
+        ImageLayout::Slab(match preference {
+            Some(codec) if accepted.contains(codec) => CodecSet::only(codec),
+            Some(_) => CodecSet::raw_only(),
+            None => accepted,
+        })
+    }
+
+    /// The wire format version an image in this layout carries.
+    pub fn format_version(self) -> u32 {
+        match self {
+            ImageLayout::Batched => BATCHED_VERSION,
+            ImageLayout::Slab(_) => FORMAT_VERSION,
+        }
+    }
+}
+
+/// Which image [`Heap::image_records`] collects the records of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ImageKind {
+    /// Every live block.
+    Full,
+    /// The live blocks changed since the last [`Heap::mark_clean`], plus
+    /// the pointer indices freed since — applied to the full image taken
+    /// at that clean point, it reconstructs the current heap.
+    Delta,
+}
+
+/// The record list of one heap image, borrowed from a [`Heap`] or a
+/// [`crate::HeapSnapshot`]: the pointer-table capacity, the `(index, block)`
+/// records ascending by index and, for a delta, the freed indices.
+#[derive(Debug)]
+pub struct ImageRecords<'a> {
+    pub(crate) capacity: usize,
+    pub(crate) records: Vec<(PtrIdx, &'a Block)>,
+    /// The freed-index fixups of a delta image, ascending; `None` for a
+    /// full image.
+    pub(crate) freed: Option<Cow<'a, [PtrIdx]>>,
+}
+
+impl ImageRecords<'_> {
+    /// Write the image in `layout`: table capacity, record count, the
+    /// records, then (delta images only) the freed-index fixups.  The one
+    /// function that writes heap-image bytes.
+    pub fn encode(&self, w: &mut WireWriter, layout: ImageLayout) {
+        w.write_usize(self.capacity);
+        w.write_usize(self.records.len());
+        match layout {
+            ImageLayout::Batched => {
+                for (idx, block) in &self.records {
+                    w.write_uvarint(idx.0 as u64);
+                    block.encode_batched(w);
+                }
+            }
+            ImageLayout::Slab(allowed) => {
+                with_pooled_encoder(|encoder| encoder.encode_records(w, &self.records, allowed))
+            }
+        }
+        if let Some(freed) = &self.freed {
+            debug_assert!(freed.windows(2).all(|p| p[0] < p[1]));
+            w.write_usize(freed.len());
+            for ptr in freed.iter() {
+                w.write_uvarint(ptr.0 as u64);
+            }
+        }
+    }
+}
+
+/// Wire statistics of a v5 heap payload: what the slab frames claim
+/// uncompressed vs. what the payload occupies on the wire.  Computed by
+/// [`image_payload_stats`] without decompressing anything.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PayloadWireStats {
+    /// Payload size if every slab frame were stored raw.
+    pub raw_bytes: u64,
+    /// Actual payload size on the wire.
+    pub stored_bytes: u64,
+}
+
+/// Walk a v5 heap payload (full image when `delta` is false, delta image
+/// otherwise) and report its raw-vs-stored wire statistics.  Only frame
+/// headers are read — nothing is decompressed — so checkpoint stores can
+/// account compression per `put` at negligible cost.
+pub fn image_payload_stats(bytes: &[u8], delta: bool) -> Result<PayloadWireStats, WireError> {
+    let mut r = WireReader::new(bytes);
+    r.read_usize()?; // table capacity
+    r.read_usize()?; // used / dirty record count
+    let mut frames = FrameStats::default();
+    frames.add(r.skip_byte_frame()?); // meta
+    frames.add(r.skip_byte_frame()?); // tag slab
+    frames.add(r.skip_word_frame()?); // word payload slab
+    frames.add(r.skip_byte_frame()?); // byte payload slab
+    if delta {
+        let freed = r.read_usize()?;
+        for _ in 0..freed {
+            r.read_uvarint()?;
+        }
+    }
+    if !r.is_empty() {
+        return Err(WireError::TrailingBytes {
+            remaining: r.remaining(),
+        });
+    }
+    let stored = bytes.len() as u64;
+    Ok(PayloadWireStats {
+        raw_bytes: stored - frames.stored_bytes + frames.raw_bytes,
+        stored_bytes: stored,
+    })
+}
+
+impl Heap {
+    /// The records of this heap's `kind` image, in ascending pointer order
+    /// — what [`ImageRecords::encode`] writes.  [`Heap::freeze`] captures
+    /// the full list (as owned, payload-shared blocks), which is why
+    /// snapshot images are byte-identical to stop-the-world ones.  The
+    /// synchronous pack garbage-collects first so only live data ships.
+    ///
+    /// A delta is relative to the last [`Heap::mark_clean`]; without one
+    /// there is no base, and "nothing changed" would silently resolve to
+    /// stale state, so [`ImageKind::Delta`] errors with
+    /// [`HeapError::NoCleanPoint`] before anything is written.
+    pub fn image_records(&self, kind: ImageKind) -> Result<ImageRecords<'_>, HeapError> {
+        let block = |slot: usize| {
+            self.blocks[slot]
+                .as_ref()
+                .expect("used table entry points at a block")
+        };
+        let (records, freed) = match kind {
+            ImageKind::Full => {
+                let records = self.table.iter_used();
+                (
+                    records.map(|(idx, slot)| (idx, block(slot))).collect(),
+                    None,
+                )
+            }
+            ImageKind::Delta => {
+                if !self.dirty_tracking_armed() {
+                    return Err(HeapError::NoCleanPoint);
+                }
+                let records = self.sorted_dirty().into_iter().map(|ptr| {
+                    let slot = self.table.lookup(ptr).expect("filtered to live entries");
+                    (ptr, block(slot))
+                });
+                (records.collect(), Some(Cow::Owned(self.sorted_freed())))
+            }
+        };
+        Ok(ImageRecords {
+            capacity: self.table.capacity(),
+            records,
+            freed,
+        })
+    }
+
+    /// Rebuild a heap from a full image whose payload uses `codec`.
+    ///
+    /// Pointer indices are preserved exactly (heap words contain indices, so
+    /// identity must survive the round trip); slots are assigned fresh.
+    pub fn decode_image(
+        r: &mut WireReader<'_>,
+        codec: ImageCodec,
+        config: HeapConfig,
+    ) -> Result<Heap, WireError> {
+        let (capacity, blocks) = Heap::parse_blocks(r, codec)?;
+        Heap::build_from_blocks(capacity, blocks, config)
+    }
+
+    /// Rebuild a heap from a base image plus a delta image written against
+    /// it.
+    ///
+    /// `base_codec` / `delta_codec` select each payload's block codec (the
+    /// caller maps wire format versions — a v5 delta may resolve against a
+    /// v4 or even v1 base).  Freed indices unknown to the base are ignored
+    /// — they belong to blocks allocated *and* freed between the two
+    /// images.
+    pub fn decode_delta_image(
+        base: &mut WireReader<'_>,
+        delta: &mut WireReader<'_>,
+        base_codec: ImageCodec,
+        delta_codec: ImageCodec,
+        config: HeapConfig,
+    ) -> Result<Heap, WireError> {
+        let (_, mut blocks) = Heap::parse_blocks(base, base_codec)?;
+        if delta_codec == ImageCodec::PerWord {
+            return Err(WireError::Invalid(
+                "v1 images cannot carry delta heap payloads".into(),
+            ));
+        }
+        let capacity = Heap::check_capacity(delta.read_usize()?)?;
+        let dirty = delta.read_usize()?;
+        let mut seen: HashSet<u32> = HashSet::with_capacity(dirty.min(1 << 16));
+        for (idx, block) in Heap::parse_records(delta, dirty, delta_codec)? {
+            // Overwriting a *base* entry is the point of a delta; two
+            // delta records for one index is corruption (order-dependent
+            // decode).
+            if !seen.insert(idx) {
+                return Err(WireError::Invalid(format!(
+                    "duplicate pointer index {idx} in delta image"
+                )));
+            }
+            blocks.insert(idx, block);
+        }
+        let freed = delta.read_usize()?;
+        for _ in 0..freed {
+            let idx = delta.read_uvarint()? as u32;
+            blocks.remove(&idx);
+        }
+        Heap::build_from_blocks(capacity, blocks, config)
+    }
+
+    /// Bound the pointer-table capacity an image may declare.  Images come
+    /// from untrusted peers; an absurd capacity must fail fast rather than
+    /// drive the table rebuild loop into gigabytes of allocation (and a
+    /// capacity above `u32::MAX` would silently truncate, decoding every
+    /// block into the void).
+    fn check_capacity(capacity: usize) -> Result<usize, WireError> {
+        /// Far above any real workload (the paper's heaps hold a few
+        /// thousand blocks) and far below address-space exhaustion.
+        const MAX_TABLE_CAPACITY: usize = 1 << 24;
+        if capacity > MAX_TABLE_CAPACITY {
+            return Err(WireError::LengthOverflow {
+                context: "pointer-table capacity",
+                len: capacity as u64,
+            });
+        }
+        Ok(capacity)
+    }
+
+    /// Decode the `(capacity, index → block)` map of a full image,
+    /// rejecting duplicate indices.
+    fn parse_blocks(
+        r: &mut WireReader<'_>,
+        codec: ImageCodec,
+    ) -> Result<(usize, HashMap<u32, Block>), WireError> {
+        let capacity = Heap::check_capacity(r.read_usize()?)?;
+        let used = r.read_usize()?;
+        if used > capacity {
+            return Err(WireError::Invalid(format!(
+                "heap image claims {used} used entries but a table of {capacity}"
+            )));
+        }
+        let mut blocks: HashMap<u32, Block> = HashMap::with_capacity(used.min(1 << 16));
+        for (idx, block) in Heap::parse_records(r, used, codec)? {
+            if blocks.insert(idx, block).is_some() {
+                return Err(WireError::Invalid(format!(
+                    "duplicate pointer index {idx} in heap image"
+                )));
+            }
+        }
+        Ok((capacity, blocks))
+    }
+
+    /// Decode `count` records of `codec`'s layout, in record order.  In
+    /// the per-record layouts each block header repeats its index, and
+    /// the two must agree.
+    fn parse_records(
+        r: &mut WireReader<'_>,
+        count: usize,
+        codec: ImageCodec,
+    ) -> Result<Vec<(u32, Block)>, WireError> {
+        if codec == ImageCodec::Slab {
+            return Heap::parse_records_slab(r, count);
+        }
+        let mut records = Vec::with_capacity(count.min(1 << 16));
+        for _ in 0..count {
+            let idx = r.read_uvarint()? as u32;
+            let block = if codec == ImageCodec::Batched {
+                Block::decode_batched(r)?
+            } else {
+                Block::decode(r)?
+            };
+            if block.header.index.0 != idx {
+                return Err(WireError::Invalid(format!(
+                    "block header index {} does not match record index {idx}",
+                    block.header.index.0
+                )));
+            }
+            records.push((idx, block));
+        }
+        Ok(records)
+    }
+
+    /// Decode `count` v5 slab records (the four compressed frames) back
+    /// into blocks, in record order.  Every slab length cross-check —
+    /// tags vs. payload words, declared block lengths vs. slab sizes —
+    /// is a precise [`WireError`], and nothing is allocated beyond what
+    /// the decompressed slabs actually hold.
+    fn parse_records_slab(
+        r: &mut WireReader<'_>,
+        count: usize,
+    ) -> Result<Vec<(u32, Block)>, WireError> {
+        let meta = r.read_byte_frame()?;
+        let tags = r.read_byte_frame()?;
+        let mut payload: Vec<u64> = Vec::new();
+        r.read_word_frame_into(&mut payload)?;
+        let raw = r.read_byte_frame()?;
+        if tags.len() != payload.len() {
+            return Err(WireError::Invalid(format!(
+                "heap image has {} word tags but {} word payloads",
+                tags.len(),
+                payload.len()
+            )));
+        }
+
+        let mut mr = WireReader::new(&meta);
+        let mut records = Vec::with_capacity(count.min(1 << 16));
+        let mut word_off = 0usize;
+        let mut byte_off = 0usize;
+        for _ in 0..count {
+            let idx = mr.read_uvarint()? as u32;
+            let kind = BlockKind::decode(&mut mr)?;
+            let len = mr.read_usize()?;
+            let data = if kind.is_words() {
+                if len > tags.len() - word_off {
+                    return Err(WireError::Invalid(format!(
+                        "block {idx} claims {len} words but the slab holds {}",
+                        tags.len() - word_off
+                    )));
+                }
+                let mut words = Vec::with_capacity(len);
+                for k in word_off..word_off + len {
+                    words.push(Word::from_raw(tags[k], payload[k])?);
+                }
+                word_off += len;
+                BlockData::words(words)
+            } else {
+                if len > raw.len() - byte_off {
+                    return Err(WireError::Invalid(format!(
+                        "block {idx} claims {len} bytes but the slab holds {}",
+                        raw.len() - byte_off
+                    )));
+                }
+                let bytes = raw[byte_off..byte_off + len].to_vec();
+                byte_off += len;
+                BlockData::bytes(bytes)
+            };
+            records.push((
+                idx,
+                Block {
+                    header: BlockHeader::new(PtrIdx(idx), kind, Generation::Old),
+                    data,
+                },
+            ));
+        }
+        if !mr.is_empty() {
+            return Err(WireError::TrailingBytes {
+                remaining: mr.remaining(),
+            });
+        }
+        if word_off != tags.len() || byte_off != raw.len() {
+            return Err(WireError::Invalid(format!(
+                "heap image slabs hold more data than the records claim \
+                 ({} words, {} bytes unclaimed)",
+                tags.len() - word_off,
+                raw.len() - byte_off
+            )));
+        }
+        Ok(records)
+    }
+
+    /// Materialise a heap whose used pointer indices land exactly where the
+    /// image says: allocate table entries `0..capacity` in order, then free
+    /// the unused ones.  The result starts clean (its own image is its
+    /// base) but with dirty tracking disarmed — a resurrected process only
+    /// starts paying the bookkeeping once it takes a full checkpoint.
+    fn build_from_blocks(
+        capacity: usize,
+        mut blocks: HashMap<u32, Block>,
+        config: HeapConfig,
+    ) -> Result<Heap, WireError> {
+        if let Some(max_index) = blocks.keys().max().copied() {
+            if max_index as usize >= capacity {
+                return Err(WireError::Invalid(format!(
+                    "pointer index {max_index} exceeds declared table capacity {capacity}"
+                )));
+            }
+        }
+        let mut heap = Heap::with_config(config);
+        let mut to_free = Vec::new();
+        for i in 0..capacity as u32 {
+            if let Some(block) = blocks.remove(&i) {
+                let slot = heap.take_slot();
+                let idx = heap.table.allocate(slot);
+                debug_assert_eq!(idx.0, i);
+                let size = block.byte_size();
+                heap.blocks[slot] = Some(Block {
+                    header: BlockHeader::new(idx, block.header.kind, Generation::Old),
+                    data: block.data,
+                });
+                heap.live_bytes += size;
+                heap.stats.blocks_allocated += 1;
+                heap.stats.bytes_allocated += size as u64;
+            } else {
+                let slot = heap.take_slot();
+                let idx = heap.table.allocate(slot);
+                debug_assert_eq!(idx.0, i);
+                to_free.push((idx, slot));
+            }
+        }
+        for (idx, slot) in to_free {
+            heap.table.free(idx);
+            heap.blocks[slot] = None;
+            heap.free_slots.push(slot);
+        }
+        Ok(heap)
+    }
+}
+
+/// Encoders between images, each beside the thread that returned it.
+/// Every slab image — and through [`ImageRecords::encode`] synchronous
+/// packs, pipeline workers and delta resolution alike — takes one for the
+/// length of one image ([`with_pooled_encoder`]), so steady state neither
+/// allocates staging nor zero-fills an LZ table per image.  The pool holds
+/// as many encoders as images were ever encoded at once.
+static ENCODERS: Mutex<Vec<(ThreadId, SlabEncoder)>> = Mutex::new(Vec::new());
+
+/// Run `encode` with an encoder from the pool: taken under the lock, used
+/// outside it, returned afterwards.  A thread gets back the encoder it
+/// returned last when that one is free — its 128 KiB LZ table is then
+/// still in this core's cache (on a 2-vCPU host, two grid workers handed
+/// each other's encoders spent 1.4× as long in LZ as with a fresh table).
+/// An encode that panics drops its encoder rather than returning it.
+fn with_pooled_encoder<R>(encode: impl FnOnce(&mut SlabEncoder) -> R) -> R {
+    // Only `swap_remove` and `push` run under the lock and a `Vec` is
+    // whole after either, so a poisoned lock still guards a usable pool.
+    let pool = || ENCODERS.lock().unwrap_or_else(PoisonError::into_inner);
+    let me = std::thread::current().id();
+    let mut encoder = {
+        let mut pool = pool();
+        let mine = pool.iter().rposition(|(owner, _)| *owner == me);
+        match mine.or(pool.len().checked_sub(1)) {
+            Some(at) => pool.swap_remove(at).1,
+            None => SlabEncoder::default(),
+        }
+    };
+    let result = encode(&mut encoder);
+    pool().push((me, encoder));
+    result
+}
+
+/// The v5 slab encoder, with the working memory it keeps between images:
+/// the codec crate's [`Compressor`] (LZ match table and trial buffers)
+/// and the staging slabs.  Built only by the pool behind
+/// [`with_pooled_encoder`].  **The bytes written never depend on what the
+/// encoder was used for before** — that is what makes one pool safe to
+/// share between every caller.
+#[derive(Debug, Default)]
+struct SlabEncoder {
+    compressor: Compressor,
+    meta: WireWriter,
+    sample: Vec<u64>,
+    tags: Vec<u8>,
+    raw: Vec<u8>,
+    /// Word payloads — staged only when [`CodecId::Raw`] / [`CodecId::Lz`]
+    /// wins; the varint filters stream instead.
+    payload: Vec<u64>,
+    /// The varint stream between [`CodecId::VarintLz`]'s two passes.
+    varint: Vec<u8>,
+}
+
+impl SlabEncoder {
+    /// Gather `records` into the four v5 slabs and write them as
+    /// compressed frames: meta (index, kind, length per record), word
+    /// tags, word payloads, byte payloads.  Shared by full and delta
+    /// encoding.
+    ///
+    /// Hot-path shape: one sizing pass (which also emits the meta slab),
+    /// the word codec chosen from a staged *prefix sample* only, one pass
+    /// staging tags and bytes with an exact-size `extend` per block, then
+    /// the payload pass — when the delta-varint filter wins, payload
+    /// words stream through [`mojave_wire::VarintStream`] straight into
+    /// `w`'s frame (length patched afterwards) and neither the
+    /// 8-bytes-per-word `u64` slab nor a side copy of the varint bytes is
+    /// ever materialised.  A slab the choice sampled whole is compressed
+    /// once: the winning trial is written as its payload.
+    fn encode_records(
+        &mut self,
+        w: &mut WireWriter,
+        records: &[(PtrIdx, &Block)],
+        allowed: CodecSet,
+    ) {
+        // Staging exactly the codec crate's choice-sample prefix makes
+        // the sampled choice identical to a choice over the full slab.
+        use mojave_wire::CHOICE_SAMPLE_WORDS;
+        let SlabEncoder {
+            compressor,
+            meta,
+            sample,
+            tags,
+            raw,
+            payload,
+            varint,
+        } = self;
+
+        meta.clear();
+        let mut word_total = 0usize;
+        let mut byte_total = 0usize;
+        for (idx, block) in records {
+            meta.write_uvarint(idx.0 as u64);
+            block.header.kind.encode(meta);
+            meta.write_usize(block.len());
+            match &block.data {
+                BlockData::Words(words) => word_total += words.len(),
+                BlockData::Bytes(bytes) => byte_total += bytes.len(),
+            }
+        }
+
+        let word_blocks = || records.iter().filter_map(|(_, block)| block.as_words());
+
+        sample.clear();
+        for words in word_blocks() {
+            let room = CHOICE_SAMPLE_WORDS - sample.len();
+            if room == 0 {
+                break;
+            }
+            sample.extend(words.iter().take(room).map(|word| word.to_raw().1));
+        }
+        let word_codec = compressor.choose_words(sample, allowed);
+        let sampled_whole = sample.len() == word_total;
+
+        w.write_byte_frame_chosen(compressor, meta.as_bytes(), allowed);
+
+        tags.clear();
+        tags.reserve(word_total);
+        raw.clear();
+        raw.reserve(byte_total);
+        for (_, block) in records {
+            match &block.data {
+                BlockData::Words(words) => tags.extend(words.iter().map(|word| word.to_raw().0)),
+                BlockData::Bytes(bytes) => raw.extend_from_slice(bytes),
+            }
+        }
+        w.write_byte_frame_chosen(compressor, tags, allowed);
+
+        let stream_payloads = |out: &mut Vec<u8>| {
+            let mut stream = mojave_wire::VarintStream::new();
+            for words in word_blocks() {
+                for word in words {
+                    stream.push(word.to_raw().1, out);
+                }
+            }
+        };
+        // The byte-frame choices above keep their trials apart from this
+        // one, so the word choice's winner is still the payload here.
+        if let Some(won) = compressor.chosen_words().filter(|_| sampled_whole) {
+            w.write_word_frame_streamed(word_total, word_codec, won.len(), |out| {
+                out.extend_from_slice(won)
+            });
+        } else {
+            match word_codec {
+                CodecId::Varint => w.write_word_frame_streamed(
+                    word_total,
+                    word_codec,
+                    word_total * 2,
+                    stream_payloads,
+                ),
+                CodecId::VarintLz => {
+                    varint.clear();
+                    varint.reserve(word_total * 2 + 16);
+                    stream_payloads(varint);
+                    w.write_word_frame_streamed(word_total, word_codec, varint.len() / 4, |out| {
+                        compressor.compress_bytes(CodecId::Lz, varint, out)
+                    });
+                }
+                CodecId::Raw | CodecId::Lz => {
+                    payload.clear();
+                    payload.reserve(word_total);
+                    for words in word_blocks() {
+                        payload.extend(words.iter().map(|word| word.to_raw().1));
+                    }
+                    w.write_word_frame_with(compressor, payload, word_codec);
+                }
+            }
+        }
+
+        w.write_byte_frame_chosen(compressor, raw, allowed);
+    }
+}

@@ -29,13 +29,15 @@
 //!
 //! The heap also tracks **per-block dirtiness** for incremental
 //! checkpoints: [`Heap::mark_clean`] declares the current state a base,
-//! and [`Heap::encode_delta_image`] later ships only the blocks mutated,
-//! allocated or freed since — see `docs/WIRE_FORMAT.md` for the image
-//! layouts.
+//! and a later [`ImageKind::Delta`] image ships only the blocks mutated,
+//! allocated or freed since.  Every image — full or delta, of the live heap
+//! or of a frozen [`HeapSnapshot`] — goes through one entry point,
+//! [`ImageRecords::encode`], in the [`ImageLayout`] the receiving sink
+//! negotiated; see `docs/WIRE_FORMAT.md` for the layouts.
 //!
 //! ```
-//! use mojave_heap::{Heap, HeapConfig, Word};
-//! use mojave_wire::{WireReader, WireWriter};
+//! use mojave_heap::{Heap, HeapConfig, ImageCodec, ImageKind, ImageLayout, Word};
+//! use mojave_wire::{CodecSet, WireReader, WireWriter, FORMAT_VERSION};
 //!
 //! let mut heap = Heap::new();
 //! let arr = heap.alloc_array(4, Word::Int(0)).unwrap();
@@ -46,11 +48,15 @@
 //! heap.spec_rollback(level).unwrap();
 //! assert_eq!(heap.load(arr, 0).unwrap(), Word::Int(0));
 //!
-//! // The whole heap round-trips through the canonical wire image.
+//! // The whole heap round-trips through a compressed v5 image.
+//! let layout = ImageLayout::negotiate(CodecSet::all(), None);
+//! assert_eq!(layout.format_version(), FORMAT_VERSION);
 //! let mut w = WireWriter::new();
-//! heap.encode_image(&mut w);
+//! heap.image_records(ImageKind::Full).unwrap().encode(&mut w, layout);
 //! let bytes = w.into_bytes();
-//! let back = Heap::decode_image(&mut WireReader::new(&bytes), HeapConfig::default()).unwrap();
+//! let codec = ImageCodec::of_version(layout.format_version());
+//! let mut r = WireReader::new(&bytes);
+//! let back = Heap::decode_image(&mut r, codec, HeapConfig::default()).unwrap();
 //! assert_eq!(back.load(arr, 0).unwrap(), Word::Int(0));
 //! ```
 
@@ -62,6 +68,7 @@ mod cow;
 mod error;
 mod gc;
 mod heap;
+mod image;
 mod pointer_table;
 mod snapshot;
 mod stats;
@@ -71,8 +78,9 @@ pub use block::{Block, BlockData, BlockHeader, BlockKind, Generation};
 pub use cow::SpecLevelRecord;
 pub use error::HeapError;
 pub use gc::GcKind;
-pub use heap::{
-    image_payload_stats, Heap, HeapConfig, ImageCodec, PayloadWireStats, HEADER_OVERHEAD_BYTES,
+pub use heap::{Heap, HeapConfig, HEADER_OVERHEAD_BYTES};
+pub use image::{
+    image_payload_stats, ImageCodec, ImageKind, ImageLayout, ImageRecords, PayloadWireStats,
 };
 pub use pointer_table::{PointerTable, PtrIdx};
 pub use snapshot::HeapSnapshot;

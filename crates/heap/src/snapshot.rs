@@ -11,16 +11,16 @@
 //! A snapshot is `Send`: the expensive half of a checkpoint — codec
 //! choice, slab staging, compression, sink delivery — runs on a pipeline
 //! worker thread (`mojave-runtime`) against the frozen records while the
-//! mutator keeps running.  Because the snapshot serialises through the
-//! exact record-list encoders the live heap uses, its images are
-//! **byte-identical** to stop-the-world images of the same logical state,
-//! full and delta, under every codec.
+//! mutator keeps running.  Because the snapshot hands the one image
+//! encoder ([`crate::ImageRecords::encode`]) the records the live heap
+//! would have, its images are **byte-identical** to stop-the-world images
+//! of the same logical state, full and delta, in every layout.
 
 use crate::block::Block;
 use crate::error::HeapError;
-use crate::heap::{encode_delta_batched, encode_delta_slab, encode_full_records, encode_full_slab};
+use crate::image::{ImageKind, ImageRecords};
 use crate::pointer_table::PtrIdx;
-use mojave_wire::{CodecSet, WireWriter};
+use std::borrow::Cow;
 
 /// An immutable, owned capture of the program-visible heap state at one
 /// instant, produced by [`Heap::freeze`](crate::Heap::freeze).
@@ -93,82 +93,53 @@ impl HeapSnapshot {
     }
 
     /// Whether the heap had a clean point ([`crate::Heap::mark_clean`])
-    /// when frozen, i.e. whether [`HeapSnapshot::encode_delta_image`] /
-    /// [`HeapSnapshot::encode_delta_image_compressed`] can succeed.
+    /// when frozen, i.e. whether a [`ImageKind::Delta`] image can be
+    /// encoded from the snapshot.
     pub fn delta_capable(&self) -> bool {
         self.tracking
     }
 
-    /// The full record list as references, for the shared encoders.
-    fn record_refs(&self) -> Vec<(PtrIdx, &Block)> {
-        self.records.iter().map(|(idx, b)| (*idx, b)).collect()
-    }
-
-    /// The dirty record list as references (`dirty` is sorted and a subset
-    /// of `records`, so each lookup is a binary search).
-    fn dirty_refs(&self) -> Vec<(PtrIdx, &Block)> {
-        self.dirty
-            .iter()
-            .map(|ptr| {
-                let at = self
-                    .records
-                    .binary_search_by_key(ptr, |(idx, _)| *idx)
-                    .expect("dirty index frozen in the snapshot");
-                (*ptr, &self.records[at].1)
-            })
-            .collect()
-    }
-
-    /// Serialise the frozen state with the batched v4 block codec —
-    /// byte-identical to [`crate::Heap::encode_image`] at the freeze
-    /// point.  Used when the receiving sink negotiated no compression.
-    pub fn encode_image(&self, w: &mut WireWriter) {
-        encode_full_records(w, self.capacity, &self.record_refs(), true);
-    }
-
-    /// Serialise the frozen state in the compressed v5 slab layout —
-    /// byte-identical to [`crate::Heap::encode_image_compressed`] at the
-    /// freeze point.
-    pub fn encode_image_compressed(&self, w: &mut WireWriter, allowed: CodecSet) {
-        encode_full_slab(w, self.capacity, &self.record_refs(), allowed);
-    }
-
-    /// Serialise the frozen dirty set as a batched v4 delta image —
-    /// byte-identical to [`crate::Heap::encode_delta_image`] at the freeze
-    /// point.
+    /// The records of the frozen state's `kind` image — the records
+    /// [`crate::Heap::image_records`] returned at the freeze point, so the
+    /// bytes [`ImageRecords::encode`] writes from them are too.
     ///
-    /// Errors with [`HeapError::NoCleanPoint`] if dirty tracking was not
-    /// armed when the snapshot was taken (there is no base to be relative
-    /// to) — an error, not a panic, because the pipeline worker consuming
-    /// the snapshot must fail the delivery precisely rather than die.
-    pub fn encode_delta_image(&self, w: &mut WireWriter) -> Result<(), HeapError> {
-        if !self.tracking {
-            return Err(HeapError::NoCleanPoint);
-        }
-        encode_delta_batched(w, self.capacity, &self.dirty_refs(), &self.freed);
-        Ok(())
-    }
-
-    /// Serialise the frozen dirty set as a compressed v5 delta image —
-    /// byte-identical to [`crate::Heap::encode_delta_image_compressed`]
-    /// at the freeze point.  Same [`HeapError::NoCleanPoint`] contract as
-    /// [`HeapSnapshot::encode_delta_image`].
-    pub fn encode_delta_image_compressed(
-        &self,
-        w: &mut WireWriter,
-        allowed: CodecSet,
-    ) -> Result<(), HeapError> {
-        if !self.tracking {
-            return Err(HeapError::NoCleanPoint);
-        }
-        encode_delta_slab(w, self.capacity, &self.dirty_refs(), &self.freed, allowed);
-        Ok(())
+    /// A delta without a clean point errors with
+    /// [`HeapError::NoCleanPoint`], exactly as on the live heap: the
+    /// pipeline worker consuming the snapshot fails that delivery
+    /// precisely rather than dying.
+    pub fn image_records(&self, kind: ImageKind) -> Result<ImageRecords<'_>, HeapError> {
+        let (records, freed) = match kind {
+            ImageKind::Full => {
+                let records = self.records.iter().map(|(idx, block)| (*idx, block));
+                (records.collect(), None)
+            }
+            ImageKind::Delta => {
+                if !self.tracking {
+                    return Err(HeapError::NoCleanPoint);
+                }
+                // `dirty` is sorted and a subset of `records`, so each
+                // lookup is a binary search.
+                let records = self.dirty.iter().map(|ptr| {
+                    let at = self
+                        .records
+                        .binary_search_by_key(ptr, |(idx, _)| *idx)
+                        .expect("dirty index frozen in the snapshot");
+                    (*ptr, &self.records[at].1)
+                });
+                (records.collect(), Some(Cow::Borrowed(&self.freed[..])))
+            }
+        };
+        Ok(ImageRecords {
+            capacity: self.capacity,
+            records,
+            freed,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{Heap, HeapError, Word};
+    use crate::{Heap, HeapError, ImageKind, ImageLayout, Word};
     use mojave_wire::{CodecSet, WireWriter};
 
     fn bytes_of(f: impl FnOnce(&mut WireWriter)) -> Vec<u8> {
@@ -184,8 +155,16 @@ mod tests {
         let s = heap.alloc_str("frozen").unwrap();
         heap.alloc_tuple(vec![Word::Ptr(a), Word::Ptr(s)]).unwrap();
 
-        let want_full = bytes_of(|w| heap.encode_image_compressed(w, CodecSet::all()));
-        let want_batched = bytes_of(|w| heap.encode_image(w));
+        let want_full = bytes_of(|w| {
+            heap.image_records(ImageKind::Full)
+                .unwrap()
+                .encode(w, ImageLayout::Slab(CodecSet::all()))
+        });
+        let want_batched = bytes_of(|w| {
+            heap.image_records(ImageKind::Full)
+                .unwrap()
+                .encode(w, ImageLayout::Batched)
+        });
         let snap = heap.freeze();
 
         // Mutations after the freeze must not leak into the snapshot.
@@ -193,10 +172,19 @@ mod tests {
         heap.alloc_array(64, Word::Int(9)).unwrap();
 
         assert_eq!(
-            bytes_of(|w| snap.encode_image_compressed(w, CodecSet::all())),
+            bytes_of(|w| snap
+                .image_records(ImageKind::Full)
+                .unwrap()
+                .encode(w, ImageLayout::Slab(CodecSet::all()))),
             want_full
         );
-        assert_eq!(bytes_of(|w| snap.encode_image(w)), want_batched);
+        assert_eq!(
+            bytes_of(|w| snap
+                .image_records(ImageKind::Full)
+                .unwrap()
+                .encode(w, ImageLayout::Batched)),
+            want_batched
+        );
         assert_eq!(snap.block_count(), 3);
         assert!(snap.live_bytes() > 0);
         assert_eq!(heap.stats().snapshots_frozen, 1);
@@ -210,37 +198,45 @@ mod tests {
         let a = heap.alloc_array(4, Word::Int(1)).unwrap();
         let doomed = heap.alloc_array(2, Word::Int(2)).unwrap();
 
-        // No clean point: delta encode is a precise error on the snapshot
-        // (the live heap documents a panic for the same misuse).
+        // No clean point: a delta is a precise error, as on the live heap.
         let snap = heap.freeze();
         assert!(!snap.delta_capable());
-        let mut w = WireWriter::new();
         assert_eq!(
-            snap.encode_delta_image(&mut w).unwrap_err(),
+            snap.image_records(ImageKind::Delta).unwrap_err(),
             HeapError::NoCleanPoint
         );
         assert_eq!(
-            snap.encode_delta_image_compressed(&mut w, CodecSet::all())
-                .unwrap_err(),
+            heap.image_records(ImageKind::Delta).unwrap_err(),
             HeapError::NoCleanPoint
         );
 
         heap.mark_clean();
         heap.store(a, 1, Word::Int(7)).unwrap();
         heap.free_block(doomed);
-        let want_delta = bytes_of(|w| heap.encode_delta_image_compressed(w, CodecSet::all()));
-        let want_batched = bytes_of(|w| heap.encode_delta_image(w));
+        let want_delta = bytes_of(|w| {
+            heap.image_records(ImageKind::Delta)
+                .unwrap()
+                .encode(w, ImageLayout::Slab(CodecSet::all()))
+        });
+        let want_batched = bytes_of(|w| {
+            heap.image_records(ImageKind::Delta)
+                .unwrap()
+                .encode(w, ImageLayout::Batched)
+        });
         let snap = heap.freeze();
         assert_eq!(snap.dirty_count(), 1);
         assert_eq!(snap.freed_count(), 1);
 
         heap.store(a, 2, Word::Int(8)).unwrap();
         let mut got = WireWriter::new();
-        snap.encode_delta_image_compressed(&mut got, CodecSet::all())
-            .unwrap();
+        snap.image_records(ImageKind::Delta)
+            .unwrap()
+            .encode(&mut got, ImageLayout::Slab(CodecSet::all()));
         assert_eq!(got.into_bytes(), want_delta);
         let mut got = WireWriter::new();
-        snap.encode_delta_image(&mut got).unwrap();
+        snap.image_records(ImageKind::Delta)
+            .unwrap()
+            .encode(&mut got, ImageLayout::Batched);
         assert_eq!(got.into_bytes(), want_batched);
     }
 }

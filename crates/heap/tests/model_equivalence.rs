@@ -14,7 +14,7 @@
 //! indices the collector freed from the heap itself, and applies the
 //! bookkeeping rule for a free to each.
 
-use mojave_heap::{Block, BlockData, Heap, HeapSnapshot, PtrIdx, Word};
+use mojave_heap::{Block, BlockData, Heap, HeapSnapshot, ImageKind, ImageLayout, PtrIdx, Word};
 use mojave_wire::{WireReader, WireWriter};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -245,7 +245,9 @@ fn shipped(heap: &Heap) -> (Vec<PtrIdx>, Vec<PtrIdx>) {
         return (Vec::new(), Vec::new());
     }
     let mut w = WireWriter::new();
-    heap.encode_delta_image(&mut w);
+    heap.image_records(ImageKind::Delta)
+        .unwrap()
+        .encode(&mut w, ImageLayout::Batched);
     let bytes = w.into_bytes();
     let mut r = WireReader::new(&bytes);
     r.read_usize().unwrap(); // table capacity

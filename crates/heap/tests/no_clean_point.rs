@@ -1,36 +1,38 @@
 //! Direct coverage of the `HeapError::NoCleanPoint` contract.
 //!
 //! Delta encoding is only meaningful relative to a clean point
-//! ([`Heap::mark_clean`]).  Without one the two encode surfaces react
-//! differently, and both reactions are deliberate:
-//!
-//! * [`HeapSnapshot::encode_delta_image`] (and its compressed twin)
-//!   returns `Err(HeapError::NoCleanPoint)` — the async pipeline worker
-//!   consuming the snapshot must fail that delivery precisely, not die;
-//! * [`Heap::encode_delta_image`] panics — on the synchronous path the
-//!   caller owns the heap and asking for a delta without a base is a
-//!   programming error, not a runtime condition.
+//! ([`Heap::mark_clean`]).  Without one, asking for the records of a
+//! delta image — [`Heap::image_records`] and
+//! [`HeapSnapshot::image_records`](mojave_heap::HeapSnapshot::image_records)
+//! alike — returns `Err(HeapError::NoCleanPoint)` before a byte is
+//! written: the async pipeline worker consuming a snapshot must fail that
+//! delivery precisely, not die, and the synchronous pack reports the same
+//! misuse the same way.
 
-use mojave_heap::{Heap, HeapConfig, HeapError, Word};
+use mojave_heap::{Heap, HeapConfig, HeapError, ImageCodec, ImageKind, ImageLayout, Word};
 use mojave_wire::{CodecSet, WireReader, WireWriter};
+
+/// Ask `heap` for a delta in `layout`, writing whatever it hands back:
+/// without a clean point that is the error, and no bytes.
+fn assert_delta_refused_without_output(heap: &Heap, layout: ImageLayout) {
+    let mut w = WireWriter::new();
+    match heap.image_records(ImageKind::Delta) {
+        Ok(records) => records.encode(&mut w, layout),
+        Err(e) => assert_eq!(e, HeapError::NoCleanPoint),
+    }
+    assert!(w.into_bytes().is_empty(), "no partial output");
+    assert!(!heap.dirty_tracking_armed());
+}
 
 #[test]
 fn snapshot_without_clean_point_refuses_delta_encoding() {
     let mut heap = Heap::new();
     heap.alloc_array(4, Word::Int(7)).unwrap();
     let snap = heap.freeze();
-
-    let mut w = WireWriter::new();
     assert_eq!(
-        snap.encode_delta_image(&mut w),
-        Err(HeapError::NoCleanPoint)
+        snap.image_records(ImageKind::Delta).unwrap_err(),
+        HeapError::NoCleanPoint
     );
-    assert_eq!(
-        snap.encode_delta_image_compressed(&mut w, CodecSet::all()),
-        Err(HeapError::NoCleanPoint)
-    );
-    // Neither failed attempt may leave partial output behind.
-    assert!(w.into_bytes().is_empty());
 }
 
 #[test]
@@ -52,32 +54,27 @@ fn snapshot_after_mark_clean_encodes_deltas() {
     heap.store(arr, 2, Word::Int(41)).unwrap();
     let snap = heap.freeze();
 
-    let mut batched = WireWriter::new();
-    snap.encode_delta_image(&mut batched).unwrap();
-    assert!(!batched.into_bytes().is_empty());
-
-    let mut slab = WireWriter::new();
-    snap.encode_delta_image_compressed(&mut slab, CodecSet::all())
-        .unwrap();
-    assert!(!slab.into_bytes().is_empty());
+    for layout in [ImageLayout::Batched, ImageLayout::Slab(CodecSet::all())] {
+        let mut w = WireWriter::new();
+        snap.image_records(ImageKind::Delta)
+            .unwrap()
+            .encode(&mut w, layout);
+        assert!(!w.into_bytes().is_empty());
+    }
 }
 
 #[test]
-#[should_panic(expected = "mark_clean")]
-fn live_heap_delta_encode_without_clean_point_panics() {
+fn live_heap_delta_encode_without_clean_point_is_an_error() {
     let mut heap = Heap::new();
     heap.alloc_array(4, Word::Int(7)).unwrap();
-    let mut w = WireWriter::new();
-    heap.encode_delta_image(&mut w);
+    assert_delta_refused_without_output(&heap, ImageLayout::Batched);
 }
 
 #[test]
-#[should_panic(expected = "mark_clean")]
-fn live_heap_compressed_delta_encode_without_clean_point_panics() {
+fn live_heap_compressed_delta_encode_without_clean_point_is_an_error() {
     let mut heap = Heap::new();
     heap.alloc_array(4, Word::Int(7)).unwrap();
-    let mut w = WireWriter::new();
-    heap.encode_delta_image_compressed(&mut w, CodecSet::all());
+    assert_delta_refused_without_output(&heap, ImageLayout::Slab(CodecSet::all()));
 }
 
 #[test]
@@ -91,11 +88,17 @@ fn decoded_heaps_start_without_a_clean_point() {
     assert!(heap.dirty_tracking_armed());
 
     let mut w = WireWriter::new();
-    heap.encode_image_compressed(&mut w, CodecSet::all());
+    heap.image_records(ImageKind::Full)
+        .unwrap()
+        .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
     let bytes = w.into_bytes();
 
-    let mut decoded =
-        Heap::decode_image_compressed(&mut WireReader::new(&bytes), HeapConfig::default()).unwrap();
+    let mut decoded = Heap::decode_image(
+        &mut WireReader::new(&bytes),
+        ImageCodec::Slab,
+        HeapConfig::default(),
+    )
+    .unwrap();
     assert!(!decoded.dirty_tracking_armed());
     decoded.mark_clean();
     assert!(decoded.dirty_tracking_armed());

@@ -1,7 +1,9 @@
 //! Property tests for the heap: GC safety, speculation exactness, and image
 //! round-trips under randomly generated workloads.
 
-use mojave_heap::{Block, Heap, HeapConfig, PtrIdx, Word};
+use mojave_heap::{
+    Block, Heap, HeapConfig, ImageCodec, ImageKind, ImageLayout, ImageRecords, PtrIdx, Word,
+};
 use mojave_wire::{choose_bytes, choose_words, CodecSet, WireCodec, WireReader, WireWriter};
 use proptest::prelude::*;
 
@@ -167,10 +169,10 @@ proptest! {
         let snapshot = heap.snapshot();
 
         let mut w = WireWriter::new();
-        heap.encode_image(&mut w);
+        heap.image_records(ImageKind::Full).unwrap().encode(&mut w, ImageLayout::Batched);
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
-        let back = Heap::decode_image(&mut r, HeapConfig::default()).unwrap();
+        let back = Heap::decode_image(&mut r, ImageCodec::Batched, HeapConfig::default()).unwrap();
         prop_assert!(r.is_empty());
         prop_assert_eq!(back.snapshot(), snapshot);
     }
@@ -253,12 +255,13 @@ proptest! {
         prop_assert_eq!(forward.freed_count(), 2);
         let slab = |heap: &Heap| {
             let mut w = WireWriter::new();
-            heap.encode_delta_image_compressed(&mut w, CodecSet::all());
+            let records = heap.image_records(ImageKind::Delta).unwrap();
+            records.encode(&mut w, ImageLayout::Slab(CodecSet::all()));
             w.into_bytes()
         };
         let batched = |heap: &Heap| {
             let mut w = WireWriter::new();
-            heap.encode_delta_image(&mut w);
+            heap.image_records(ImageKind::Delta).unwrap().encode(&mut w, ImageLayout::Batched);
             w.into_bytes()
         };
         prop_assert_eq!(slab(&forward), slab(&backward));
@@ -266,8 +269,9 @@ proptest! {
         let mut frozen = WireWriter::new();
         backward
             .freeze()
-            .encode_delta_image_compressed(&mut frozen, CodecSet::all())
-            .unwrap();
+            .image_records(ImageKind::Delta)
+            .unwrap()
+            .encode(&mut frozen, ImageLayout::Slab(CodecSet::all()));
         prop_assert_eq!(frozen.into_bytes(), slab(&forward));
     }
 
@@ -305,20 +309,22 @@ proptest! {
         }
 
         // Stop-the-world reference images at the logical freeze point.
-        let encode = |f: &dyn Fn(&mut WireWriter)| {
+        let encode = |records: ImageRecords<'_>, layout| {
             let mut w = WireWriter::new();
-            f(&mut w);
+            records.encode(&mut w, layout);
             w.into_bytes()
         };
-        let want_batched = encode(&|w| heap.encode_image(w));
-        let want_batched_delta = encode(&|w| heap.encode_delta_image(w));
+        let full = || heap.image_records(ImageKind::Full).unwrap();
+        let delta = || heap.image_records(ImageKind::Delta).unwrap();
+        let want_batched = encode(full(), ImageLayout::Batched);
+        let want_batched_delta = encode(delta(), ImageLayout::Batched);
         let want_full: Vec<Vec<u8>> = codec_sets
             .iter()
-            .map(|set| encode(&|w| heap.encode_image_compressed(w, *set)))
+            .map(|set| encode(full(), ImageLayout::Slab(*set)))
             .collect();
         let want_delta: Vec<Vec<u8>> = codec_sets
             .iter()
-            .map(|set| encode(&|w| heap.encode_delta_image_compressed(w, *set)))
+            .map(|set| encode(delta(), ImageLayout::Slab(*set)))
             .collect();
 
         let snap = heap.freeze();
@@ -333,18 +339,13 @@ proptest! {
             heap.spec_rollback(level).unwrap();
         }
 
-        prop_assert_eq!(&encode(&|w| snap.encode_image(w)), &want_batched);
-        let mut w = WireWriter::new();
-        snap.encode_delta_image(&mut w).unwrap();
-        prop_assert_eq!(&w.into_bytes(), &want_batched_delta);
+        let frozen_full = || snap.image_records(ImageKind::Full).unwrap();
+        let frozen_delta = || snap.image_records(ImageKind::Delta).unwrap();
+        prop_assert_eq!(&encode(frozen_full(), ImageLayout::Batched), &want_batched);
+        prop_assert_eq!(&encode(frozen_delta(), ImageLayout::Batched), &want_batched_delta);
         for (i, set) in codec_sets.iter().enumerate() {
-            prop_assert_eq!(
-                &encode(&|w| snap.encode_image_compressed(w, *set)),
-                &want_full[i]
-            );
-            let mut w = WireWriter::new();
-            snap.encode_delta_image_compressed(&mut w, *set).unwrap();
-            prop_assert_eq!(&w.into_bytes(), &want_delta[i]);
+            prop_assert_eq!(&encode(frozen_full(), ImageLayout::Slab(*set)), &want_full[i]);
+            prop_assert_eq!(&encode(frozen_delta(), ImageLayout::Slab(*set)), &want_delta[i]);
         }
     }
 }
@@ -476,11 +477,25 @@ fn pooled_images(heap: &mut Heap) -> Vec<Vec<u8>> {
     let snap = heap.freeze();
     let mut images = Vec::new();
     for allowed in (0..16).step_by(2).map(CodecSet::from_bits) {
-        images.push(encoded(|w| heap.encode_image_compressed(w, allowed)));
-        images.push(encoded(|w| snap.encode_image_compressed(w, allowed)));
-        images.push(encoded(|w| heap.encode_delta_image_compressed(w, allowed)));
         images.push(encoded(|w| {
-            snap.encode_delta_image_compressed(w, allowed).unwrap()
+            heap.image_records(ImageKind::Full)
+                .unwrap()
+                .encode(w, ImageLayout::Slab(allowed))
+        }));
+        images.push(encoded(|w| {
+            snap.image_records(ImageKind::Full)
+                .unwrap()
+                .encode(w, ImageLayout::Slab(allowed))
+        }));
+        images.push(encoded(|w| {
+            heap.image_records(ImageKind::Delta)
+                .unwrap()
+                .encode(w, ImageLayout::Slab(allowed))
+        }));
+        images.push(encoded(|w| {
+            snap.image_records(ImageKind::Delta)
+                .unwrap()
+                .encode(w, ImageLayout::Slab(allowed))
         }));
     }
     images
@@ -488,8 +503,16 @@ fn pooled_images(heap: &mut Heap) -> Vec<Vec<u8>> {
 
 /// What [`pooled_images`] must return: the same list from [`cold_slab_image`].
 fn cold_images(heap: &Heap) -> Vec<Vec<u8>> {
-    let full = encoded(|w| heap.encode_image(w));
-    let delta = encoded(|w| heap.encode_delta_image(w));
+    let full = encoded(|w| {
+        heap.image_records(ImageKind::Full)
+            .unwrap()
+            .encode(w, ImageLayout::Batched)
+    });
+    let delta = encoded(|w| {
+        heap.image_records(ImageKind::Delta)
+            .unwrap()
+            .encode(w, ImageLayout::Batched)
+    });
     let mut images = Vec::new();
     for allowed in (0..16).step_by(2).map(CodecSet::from_bits) {
         for batched in [&full, &full, &delta, &delta] {

@@ -12,18 +12,22 @@
 //! * a snapshot without a clean point refuses delta encoding with the
 //!   precise [`HeapError::NoCleanPoint`] error.
 
-use mojave_heap::{Heap, HeapConfig, HeapError, Word};
+use mojave_heap::{Heap, HeapConfig, HeapError, ImageCodec, ImageKind, ImageLayout, PtrIdx, Word};
 use mojave_wire::{CodecSet, WireReader, WireWriter};
 
 fn image_of(heap: &Heap) -> Vec<u8> {
     let mut w = WireWriter::new();
-    heap.encode_image_compressed(&mut w, CodecSet::all());
+    heap.image_records(ImageKind::Full)
+        .unwrap()
+        .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
     w.into_bytes()
 }
 
 fn snap_image(snap: &mojave_heap::HeapSnapshot) -> Vec<u8> {
     let mut w = WireWriter::new();
-    snap.encode_image_compressed(&mut w, CodecSet::all());
+    snap.image_records(ImageKind::Full)
+        .unwrap()
+        .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
     w.into_bytes()
 }
 
@@ -44,8 +48,9 @@ fn snapshot_inside_open_speculation_captures_speculative_state() {
     assert_eq!(heap.load(arr, 0).unwrap(), Word::Int(0));
     assert_eq!(snap_image(&snap), want);
 
-    let decoded = Heap::decode_image_compressed(
+    let decoded = Heap::decode_image(
         &mut WireReader::new(&snap_image(&snap)),
+        ImageCodec::Slab,
         HeapConfig::default(),
     )
     .unwrap();
@@ -109,8 +114,9 @@ fn gc_while_snapshot_is_live_is_safe_and_documented() {
     assert_eq!(snap_image(&snap), want);
 
     // The frozen image decodes to the freeze-time state, garbage included.
-    let decoded = Heap::decode_image_compressed(
+    let decoded = Heap::decode_image(
         &mut WireReader::new(&snap_image(&snap)),
+        ImageCodec::Slab,
         HeapConfig::default(),
     )
     .unwrap();
@@ -134,8 +140,9 @@ fn pointer_index_reuse_after_the_freeze_does_not_leak_into_the_snapshot() {
 
     // The snapshot still ships the original block under that index.
     assert_eq!(snap_image(&snap), want);
-    let decoded = Heap::decode_image_compressed(
+    let decoded = Heap::decode_image(
         &mut WireReader::new(&snap_image(&snap)),
+        ImageCodec::Slab,
         HeapConfig::default(),
     )
     .unwrap();
@@ -152,7 +159,12 @@ fn multiple_snapshots_are_independent() {
     heap.store(arr, 0, Word::Int(2)).unwrap();
 
     let decode = |bytes: Vec<u8>| {
-        Heap::decode_image_compressed(&mut WireReader::new(&bytes), HeapConfig::default()).unwrap()
+        Heap::decode_image(
+            &mut WireReader::new(&bytes),
+            ImageCodec::Slab,
+            HeapConfig::default(),
+        )
+        .unwrap()
     };
     assert_eq!(
         decode(snap_image(&snap0)).load(arr, 0).unwrap(),
@@ -199,14 +211,257 @@ fn delta_from_untracked_snapshot_is_a_precise_error() {
     heap.alloc_array(4, Word::Int(0)).unwrap();
     let snap = heap.freeze();
     assert!(!snap.delta_capable());
-    let mut w = WireWriter::new();
     assert_eq!(
-        snap.encode_delta_image(&mut w).unwrap_err(),
+        snap.image_records(ImageKind::Delta).unwrap_err(),
         HeapError::NoCleanPoint
     );
-    assert_eq!(
-        snap.encode_delta_image_compressed(&mut w, CodecSet::all())
-            .unwrap_err(),
-        HeapError::NoCleanPoint
-    );
+}
+
+/// SplitMix64: a seeded, dependency-free word source.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A seeded heap with every shape an image must carry: word arrays of
+/// small, full-width and float words, strings, raw blocks, tuples of
+/// pointers, table holes left by a collection, and — after the clean
+/// point — stores, an allocation and a collected block.
+fn pinned_heap(seed: u64) -> Heap {
+    let mut rng = seed;
+    let mut heap = Heap::new();
+    let mut kept: Vec<PtrIdx> = Vec::new();
+    for i in 0..24u64 {
+        let ptr = match next(&mut rng) % 4 {
+            0 => {
+                let len = 1 + next(&mut rng) % 40;
+                let arr = heap.alloc_array(len as i64, Word::Int(0)).unwrap();
+                for k in 0..len {
+                    let word = match next(&mut rng) % 3 {
+                        0 => Word::Int((next(&mut rng) % 50) as i64),
+                        1 => Word::Int(next(&mut rng) as i64),
+                        _ => Word::Float(k as f64 * 0.5),
+                    };
+                    heap.store(arr, k as i64, word).unwrap();
+                }
+                arr
+            }
+            1 => heap
+                .alloc_str(&format!("block {i} of seed {seed}"))
+                .unwrap(),
+            2 => {
+                let raw = heap.alloc_raw(8 + (next(&mut rng) % 64) as i64).unwrap();
+                heap.store_raw(raw, 0, 8, next(&mut rng) as i64).unwrap();
+                raw
+            }
+            _ => {
+                let mut words = vec![Word::Fun(i as u32), Word::Unit];
+                words.extend(kept.iter().rev().take(3).map(|p| Word::Ptr(*p)));
+                heap.alloc_tuple(words).unwrap()
+            }
+        };
+        // Every third block is garbage: the collection below leaves a hole.
+        if i % 3 != 1 {
+            kept.push(ptr);
+        }
+    }
+    // A block nothing else references, collected after the clean point.
+    let doomed = heap.alloc_array(6, Word::Int(1)).unwrap();
+    let mut roots: Vec<Word> = kept.iter().map(|p| Word::Ptr(*p)).collect();
+    roots.push(Word::Ptr(doomed));
+    heap.gc_major(&roots);
+    heap.mark_clean();
+    for (n, ptr) in kept.iter().enumerate().step_by(4) {
+        if let Ok(Word::Int(_) | Word::Float(_)) = heap.load(*ptr, 0) {
+            let value = (seed * 31 + n as u64) as i64;
+            heap.store(*ptr, 0, Word::Int(value)).unwrap();
+        }
+    }
+    let fresh = heap.alloc_array(200, Word::Int(0)).unwrap();
+    for k in 0..200 {
+        let value = (next(&mut rng) % 40) as i64;
+        heap.store(fresh, k, Word::Int(value)).unwrap();
+    }
+    roots.pop();
+    roots.push(Word::Ptr(fresh));
+    heap.gc_major(&roots);
+    heap
+}
+
+/// [`mojave_wire::fingerprint`]s of the three [`pinned_heap`]s' images
+/// — `(seed, full, delta)`, each in the batched layout and then the slab
+/// layout under every codec set that keeps `Raw`, in bitmask order —
+/// recorded through the per-layout encoders that preceded
+/// [`mojave_heap::ImageRecords::encode`].
+const IMAGE_PINS: [(u64, [u64; 9], [u64; 9]); 3] = [
+    (
+        1,
+        [
+            0x32fb66709569c397,
+            0x139e7861f20ff966,
+            0xf89bc67c50a89236,
+            0xce1337c93b6a7c88,
+            0xce1337c93b6a7c88,
+            0x0990ce430341a9f3,
+            0x0990ce430341a9f3,
+            0x0990ce430341a9f3,
+            0x0990ce430341a9f3,
+        ],
+        [
+            0x7681a8aa6ad81961,
+            0x42db415458ab1e98,
+            0x26d3b2a281a9d174,
+            0x397c0c433558b4b4,
+            0x3fc6d78ce800c0e4,
+            0x11dd2b719e46be7d,
+            0x11dd2b719e46be7d,
+            0x11dd2b719e46be7d,
+            0x11dd2b719e46be7d,
+        ],
+    ),
+    (
+        2,
+        [
+            0x93d80a90f6082074,
+            0x18c34c7bf30f118e,
+            0xb9c46be92a20e5a3,
+            0x60c80a5955ca0e8b,
+            0xb84c34179158633e,
+            0x52e0007a1fae23d2,
+            0xb84c34179158633e,
+            0x52e0007a1fae23d2,
+            0xb84c34179158633e,
+        ],
+        [
+            0x0df80e4f208bcc38,
+            0x5046c58b34695334,
+            0xa5a78291628a671b,
+            0xccbd7e9efcead61b,
+            0x29d9b80193d54263,
+            0x9cb3deea482e791e,
+            0x29d9b80193d54263,
+            0x9cb3deea482e791e,
+            0x29d9b80193d54263,
+        ],
+    ),
+    (
+        3,
+        [
+            0x5e72152889130c09,
+            0x4f7ae7d8e5c47974,
+            0xa140598497942109,
+            0x38d9f7be9e95809a,
+            0xb40c4365a47d2cff,
+            0xd12e8f7446a0114a,
+            0xd12e8f7446a0114a,
+            0xd12e8f7446a0114a,
+            0xd12e8f7446a0114a,
+        ],
+        [
+            0x49027361f212a8fd,
+            0x8861277034bf5a6d,
+            0xd9c6c090e438f717,
+            0x3c388d09e9f4b1ee,
+            0x861b3271d21245e9,
+            0x8026993c8b43a99c,
+            0x8026993c8b43a99c,
+            0x8026993c8b43a99c,
+            0x8026993c8b43a99c,
+        ],
+    ),
+];
+
+#[test]
+fn every_layout_reproduces_the_pinned_image_bytes() {
+    let layouts: Vec<ImageLayout> = std::iter::once(ImageLayout::Batched)
+        .chain(
+            (0..16)
+                .step_by(2)
+                .map(|bits| ImageLayout::Slab(CodecSet::from_bits(bits))),
+        )
+        .collect();
+    for (seed, full, delta) in IMAGE_PINS {
+        let mut heap = pinned_heap(seed);
+        assert!(
+            heap.freed_count() > 0 && heap.dirty_count() > 0,
+            "seed {seed}"
+        );
+        let snap = heap.freeze();
+        for (kind, pins) in [(ImageKind::Full, full), (ImageKind::Delta, delta)] {
+            for (layout, pin) in layouts.iter().zip(pins) {
+                let live = heap.image_records(kind).unwrap();
+                let frozen = snap.image_records(kind).unwrap();
+                for records in [live, frozen] {
+                    let mut w = WireWriter::new();
+                    records.encode(&mut w, *layout);
+                    let got = mojave_wire::fingerprint(&w.into_bytes());
+                    assert_eq!(got, pin, "seed {seed}, {kind:?}, {layout:?}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn versions_map_to_codecs_and_layouts_to_versions() {
+    use mojave_wire::{CodecId, BATCHED_VERSION, FORMAT_VERSION, MIN_SUPPORTED_VERSION};
+    // Read side: one row per wire format version.
+    for (version, codec) in [
+        (MIN_SUPPORTED_VERSION, ImageCodec::PerWord),
+        (BATCHED_VERSION, ImageCodec::Batched),
+        (FORMAT_VERSION, ImageCodec::Slab),
+    ] {
+        assert_eq!(ImageCodec::of_version(version), codec, "v{version}");
+    }
+    // Write side: the layout negotiation picks, and the version it writes.
+    let raw_lz = CodecSet::only(CodecId::Lz);
+    for (accepted, preference, layout, version) in [
+        (
+            CodecSet::raw_only(),
+            None,
+            ImageLayout::Batched,
+            BATCHED_VERSION,
+        ),
+        (
+            CodecSet::raw_only(),
+            Some(CodecId::Lz),
+            ImageLayout::Batched,
+            BATCHED_VERSION,
+        ),
+        (
+            CodecSet::all(),
+            None,
+            ImageLayout::Slab(CodecSet::all()),
+            FORMAT_VERSION,
+        ),
+        (
+            CodecSet::all(),
+            Some(CodecId::Varint),
+            ImageLayout::Slab(CodecSet::only(CodecId::Varint)),
+            FORMAT_VERSION,
+        ),
+        (
+            raw_lz,
+            Some(CodecId::Lz),
+            ImageLayout::Slab(raw_lz),
+            FORMAT_VERSION,
+        ),
+        (
+            raw_lz,
+            Some(CodecId::Varint),
+            ImageLayout::Slab(CodecSet::raw_only()),
+            FORMAT_VERSION,
+        ),
+    ] {
+        let got = ImageLayout::negotiate(accepted, preference);
+        assert_eq!(got, layout, "{accepted:?} under {preference:?}");
+        assert_eq!(got.format_version(), version);
+        assert_eq!(
+            ImageCodec::of_version(version) == ImageCodec::Slab,
+            version == FORMAT_VERSION
+        );
+    }
 }

@@ -589,7 +589,7 @@ mod tests {
     /// one: every pack allocates its `migrate_env` block first).
     fn twin(pack: &SnapshotPack) -> SnapshotPack {
         SnapshotPack {
-            format_version: pack.format_version,
+            layout: pack.layout,
             source_arch: pack.source_arch.clone(),
             code: pack.code.clone(),
             heap: pack.heap.clone(),
@@ -598,8 +598,6 @@ mod tests {
             resume_fun: pack.resume_fun,
             label: pack.label,
             open_speculations: pack.open_speculations,
-            allowed: pack.allowed,
-            legacy_sink: pack.legacy_sink,
             freeze_ns: pack.freeze_ns,
             fingerprint_slot: None,
         }
