@@ -6,27 +6,36 @@
 //! per-word varint loop, but at a byte cost: fixed 8-byte payload words make
 //! small-int heaps ~3× larger on the wire than the old varint encoding —
 //! and checkpoint/migration images are exactly where bytes matter.  This
-//! crate closes that gap with two composable, dependency-free compression
-//! passes tuned to Mojave word slabs:
+//! crate closes that gap with dependency-free compression passes tuned to
+//! Mojave word slabs:
 //!
 //! * a **varint + zig-zag delta filter** ([`CodecId::Varint`]) for
 //!   small-int and pointer-dense slabs: consecutive words are delta-encoded
 //!   (runs of equal or slowly-varying values become tiny deltas), zig-zag
 //!   mapped and LEB128 encoded, so a word costs as many bytes as its delta
 //!   needs instead of a fixed eight;
+//! * **frame-of-reference bit packing** ([`CodecId::BitPack`]): the same
+//!   delta + zig-zag filter, restarted every 32 words, with each 32-word
+//!   group packed at the bit width of its largest value.  It encodes and
+//!   decodes in fixed-trip `u64` loops instead of a byte-at-a-time varint
+//!   loop, costs 8 bytes plus a width byte per group (not LEB128's 10) on
+//!   full-width words, and any group decodes alone;
 //! * an **LZ-style match/copy pass** ([`CodecId::Lz`]) for repetitive
 //!   payloads: a greedy hash-table matcher emits literal-run and
 //!   (length, distance) copy tokens, collapsing repeated blocks to a few
 //!   bytes each.
 //!
-//! [`CodecId::VarintLz`] chains the two — the delta filter first (turning
-//! structure into byte-level redundancy), the match/copy pass second — and
-//! is the default winner on checkpoint heaps.  [`CodecId::Raw`] is the
-//! identity codec: always available, always lossless, `memcpy` both ways.
+//! [`CodecId::VarintLz`] chains the varint filter and the LZ pass — the
+//! filter first (turning structure into byte-level redundancy), the
+//! match/copy pass second — and wins on repetitive small-int heaps.
+//! [`CodecId::Raw`] is the identity codec: always available, always
+//! lossless, `memcpy` both ways.
 //!
 //! Every codec implements [`SlabCodec`] with streaming
-//! [`SlabCodec::compress_into`] / [`SlabCodec::decompress_into`], and
-//! [`choose`] samples a slab prefix to pick the smallest encoding:
+//! [`SlabCodec::compress_into`] / [`SlabCodec::decompress_into`];
+//! [`VarintStream`] and [`BitPackStream`] encode word by word for callers
+//! that never stage the slab.  [`choose`] trial-compresses a slab prefix
+//! with every codec and keeps the smallest encoding:
 //!
 //! ```
 //! use mojave_codec::{choose, compress_words, decompress_words, CodecId};
@@ -50,8 +59,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bitpack;
 mod lz;
 
+pub use bitpack::BitPackStream;
 use lz::LzTable;
 use std::fmt;
 
@@ -68,16 +79,20 @@ pub enum CodecId {
     /// Varint delta filter, then the LZ pass over the varint bytes
     /// (word slabs only).
     VarintLz = 3,
+    /// Delta filter + zig-zag, bit-packed in 32-word groups of one width
+    /// each (word slabs only).
+    BitPack = 4,
 }
 
 impl CodecId {
-    /// All codecs, in wire-id order (cheapest decode first — also the
-    /// tie-break order used by [`choose`]).
-    pub const ALL: [CodecId; 4] = [
+    /// All codecs, in wire-id order — also the tie-break order used by
+    /// [`choose`].
+    pub const ALL: [CodecId; 5] = [
         CodecId::Raw,
         CodecId::Varint,
         CodecId::Lz,
         CodecId::VarintLz,
+        CodecId::BitPack,
     ];
 
     /// Decode a wire id byte.
@@ -92,10 +107,11 @@ impl CodecId {
             CodecId::Varint => "Varint",
             CodecId::Lz => "Lz",
             CodecId::VarintLz => "VarintLz",
+            CodecId::BitPack => "BitPack",
         }
     }
 
-    /// Whether this codec can compress plain byte slabs.  The varint
+    /// Whether this codec can compress plain byte slabs.  The delta
     /// filters interpret their input as 64-bit words, so only [`Raw`] and
     /// [`Lz`] apply to byte payloads (tag slabs, raw blocks, strings).
     ///
@@ -214,8 +230,13 @@ pub enum CodecError {
     },
     /// A varint ran longer than a 64-bit value allows.
     VarintOverflow,
-    /// A word-slab-only codec ([`CodecId::Varint`] / [`CodecId::VarintLz`])
-    /// was named in a byte-slab frame.
+    /// A [`CodecId::BitPack`] group declared more than 64 bits per value.
+    BadWidth {
+        /// The group's width byte.
+        width: u8,
+    },
+    /// A word-slab-only codec ([`CodecId::Varint`], [`CodecId::VarintLz`]
+    /// or [`CodecId::BitPack`]) was named in a byte-slab frame.
     WordCodecOnBytes {
         /// The offending codec.
         codec: CodecId,
@@ -249,6 +270,9 @@ impl fmt::Display for CodecError {
                 )
             }
             CodecError::VarintOverflow => write!(f, "varint longer than a 64-bit value allows"),
+            CodecError::BadWidth { width } => {
+                write!(f, "bit-pack group width {width} exceeds 64 bits")
+            }
             CodecError::WordCodecOnBytes { codec } => {
                 write!(f, "word-slab codec {codec} used in a byte-slab frame")
             }
@@ -314,9 +338,10 @@ impl SlabCodec for Raw {
     ) -> Result<(), CodecError> {
         // The exact-size check runs before any allocation, so a frame
         // claiming a gigantic word count with a tiny payload costs nothing.
-        if input.len() != word_count * 8 {
+        let expected = slab_bytes(word_count, "raw slab")?;
+        if input.len() != expected {
             return Err(CodecError::LengthMismatch {
-                expected: word_count * 8,
+                expected,
                 found: input.len(),
             });
         }
@@ -328,6 +353,14 @@ impl SlabCodec for Raw {
         }
         Ok(())
     }
+}
+
+/// The byte size of `word_count` raw words — a precise error, not an
+/// overflow, for a count no input could hold.
+fn slab_bytes(word_count: usize, context: &'static str) -> Result<usize, CodecError> {
+    word_count
+        .checked_mul(8)
+        .ok_or(CodecError::TruncatedInput { context })
 }
 
 // ---------------------------------------------------------------------------
@@ -509,7 +542,7 @@ impl SlabCodec for Lz {
         word_count: usize,
         out: &mut Vec<u64>,
     ) -> Result<(), CodecError> {
-        let expected = word_count * 8;
+        let expected = slab_bytes(word_count, "LZ slab")?;
         let mut staged = Vec::new();
         lz::decompress(input, expected, &mut staged)?;
         if staged.len() != expected {
@@ -563,6 +596,38 @@ impl SlabCodec for VarintLz {
         let mut staged = Vec::new();
         lz::decompress(input, max_varint_bytes, &mut staged)?;
         Varint.decompress_into(&staged, word_count, out)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// BitPack
+// ---------------------------------------------------------------------------
+
+/// Frame-of-reference bit packing: the delta + zig-zag filter, restarted
+/// every 32 words, with each group's values packed at the width of its
+/// largest.  Decodes in fixed-trip `u64` loops, and costs at most 8 bytes
+/// plus one width byte per group for words no filter helps (random 64-bit
+/// values), where [`Varint`] costs 10.  `docs/WIRE_FORMAT.md` specifies
+/// the group layout; [`BitPackStream`] is the streaming encoder.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BitPack;
+
+impl SlabCodec for BitPack {
+    fn id(&self) -> CodecId {
+        CodecId::BitPack
+    }
+
+    fn compress_into(&self, words: &[u64], out: &mut Vec<u8>) {
+        bitpack::compress(words, out);
+    }
+
+    fn decompress_into(
+        &self,
+        input: &[u8],
+        word_count: usize,
+        out: &mut Vec<u64>,
+    ) -> Result<(), CodecError> {
+        bitpack::decompress(input, word_count, out)
     }
 }
 
@@ -624,6 +689,7 @@ impl Compressor {
         match id {
             CodecId::Raw => Raw.compress_into(words, out),
             CodecId::Varint => Varint.compress_into(words, out),
+            CodecId::BitPack => BitPack.compress_into(words, out),
             CodecId::Lz | CodecId::VarintLz => {
                 self.staged.clear();
                 if id == CodecId::Lz {
@@ -654,8 +720,9 @@ impl Compressor {
 
     /// Pick the smallest encoding for a word slab from `allowed`, by
     /// trial-compressing a prefix sample with each candidate.
-    /// Deterministic: the same slab and set always choose the same codec
-    /// (ties break toward the cheaper decode, i.e. [`CodecId::ALL`] order).
+    /// Every allowed codec is trialled; deterministic: the same slab and
+    /// set always choose the same codec (ties break toward the earlier
+    /// codec in [`CodecId::ALL`] order).
     pub fn choose_words(&mut self, words: &[u64], allowed: CodecSet) -> CodecId {
         self.words_won.whole = false;
         if words.len() < MIN_COMPRESS_WORDS {
@@ -746,6 +813,7 @@ pub fn decompress_words(
         CodecId::Varint => Varint.decompress_into(input, word_count, out),
         CodecId::Lz => Lz.decompress_into(input, word_count, out),
         CodecId::VarintLz => VarintLz.decompress_into(input, word_count, out),
+        CodecId::BitPack => BitPack.decompress_into(input, word_count, out),
     }
 }
 
@@ -980,6 +1048,77 @@ mod tests {
         assert_eq!(out, vec![10, 2, 2, 3]);
     }
 
+    /// The two-group example of `docs/WIRE_FORMAT.md`, by hand: 32 fives
+    /// (deltas 5, 0, …, 0 → zig-zag 10, 0, …: width 4, 16 bytes holding
+    /// 0x0A and zeros), then 3, 1 (the restart deltas 3 against 0, then
+    /// −2 → zig-zag 6, 3: width 3, one byte 0b00_011_110).
+    fn bitpack_example() -> (Vec<u64>, Vec<u8>) {
+        let mut words = vec![5u64; 32];
+        words.extend([3, 1]);
+        let mut bytes = vec![4, 0x0A];
+        bytes.extend([0; 15]);
+        bytes.extend([3, 0x1E]);
+        (words, bytes)
+    }
+
+    #[test]
+    fn bitpack_known_encoding() {
+        let (words, bytes) = bitpack_example();
+        let mut out = Vec::new();
+        BitPack.compress_into(&words, &mut out);
+        assert_eq!(out, bytes);
+        // The second group starts at 1 + 4·4 = 17 and decodes alone.
+        let mut second = Vec::new();
+        decompress_words(CodecId::BitPack, &bytes[17..], 2, &mut second).unwrap();
+        assert_eq!(second, [3, 1]);
+    }
+
+    #[test]
+    fn bitpack_decode_errors_are_precise() {
+        let (words, bytes) = bitpack_example();
+        let decode = |input: &[u8], count: usize| {
+            let mut out = Vec::new();
+            let result = decompress_words(CodecId::BitPack, input, count, &mut out);
+            (result.err(), out.capacity())
+        };
+        let truncated = Some(CodecError::TruncatedInput {
+            context: "bitpack group",
+        });
+        // A width byte above 64.
+        let mut wide = bytes.clone();
+        wide[17] = 65;
+        assert_eq!(
+            decode(&wide, 34).0,
+            Some(CodecError::BadWidth { width: 65 })
+        );
+        // A group cut short, and a group missing entirely.
+        assert_eq!(decode(&bytes[..18], 34).0, truncated);
+        assert_eq!(decode(&bytes[..17], 34).0, truncated);
+        // A count needing more groups than the payload has bytes: rejected
+        // before anything is reserved.
+        let (err, reserved) = decode(&bytes, 1 << 40);
+        assert_eq!(
+            err,
+            Some(CodecError::TruncatedInput {
+                context: "bitpack slab"
+            })
+        );
+        assert_eq!(reserved, 0);
+        // Bytes left after the declared words.
+        assert_eq!(
+            decode(&bytes, 32).0,
+            Some(CodecError::TrailingInput { remaining: 2 })
+        );
+        assert_eq!(decode(&bytes, words.len()).0, None);
+        // BitPack is a word codec only.
+        assert_eq!(
+            decompress_bytes(CodecId::BitPack, &bytes, 8, &mut Vec::new()),
+            Err(CodecError::WordCodecOnBytes {
+                codec: CodecId::BitPack
+            })
+        );
+    }
+
     #[test]
     fn display_and_wire_ids_are_stable() {
         for (id, byte, name) in [
@@ -987,12 +1126,13 @@ mod tests {
             (CodecId::Varint, 1, "Varint"),
             (CodecId::Lz, 2, "Lz"),
             (CodecId::VarintLz, 3, "VarintLz"),
+            (CodecId::BitPack, 4, "BitPack"),
         ] {
             assert_eq!(id as u8, byte);
             assert_eq!(CodecId::from_u8(byte), Some(id));
             assert_eq!(id.name(), name);
         }
-        assert_eq!(CodecId::from_u8(4), None);
+        assert_eq!(CodecId::from_u8(5), None);
         assert_eq!(CodecId::from_u8(0xFF), None);
     }
 }

@@ -1,8 +1,10 @@
 //! Property tests: `decompress(compress(slab)) == slab` for every codec
-//! over three slab distributions (uniform, small-int-skewed, repetitive
-//! runs), the decoders never panic on arbitrary byte soup, and a reused
-//! [`Compressor`] (dirty LZ table, dirty staging buffers) writes the bytes
-//! a fresh one writes.
+//! over four slab distributions (uniform, small-int-skewed, repetitive
+//! runs, mixed small-int and full-width blocks), the decoders never panic
+//! on arbitrary byte soup or on claimed counts no input could hold, a
+//! reused [`Compressor`] (dirty LZ table, dirty staging buffers) writes the
+//! bytes a fresh one writes, and `BitPack`'s size bound and independently
+//! decodable groups hold.
 //!
 //! Failures shrink through the vendored proptest's integer/vec/tuple
 //! shrinkers, so a regression reports a minimal failing slab.
@@ -76,6 +78,7 @@ proptest! {
     fn decoders_never_panic_on_byte_soup(
         soup in proptest::collection::vec(any::<u8>(), 0..512),
         claimed in any::<u64>().prop_map(|n| (n % 1024) as usize),
+        huge in any::<u64>().prop_map(|n| usize::MAX / 8 - 2 + (n % 5) as usize),
     ) {
         for id in CodecId::ALL {
             let mut out = Vec::new();
@@ -83,10 +86,104 @@ proptest! {
             // no output beyond the bounded claim.
             let _ = decompress_words(id, &soup, claimed, &mut out);
             prop_assert!(out.len() <= claimed);
+            // A count whose byte size overflows (or nearly does) is a
+            // precise error, decided before anything is reserved.
+            let mut out = Vec::new();
+            prop_assert!(decompress_words(id, &soup, huge, &mut out).is_err(), "{}", id);
+            prop_assert!(out.capacity() < 1 << 20, "{} reserved for a bomb claim", id);
         }
         let mut bytes_out = Vec::new();
         let _ = mojave_codec::decompress_bytes(CodecId::Lz, &soup, claimed, &mut bytes_out);
         prop_assert!(bytes_out.len() <= claimed);
+    }
+}
+
+/// Words per `BitPack` group (a constant of the wire format).
+const GROUP: usize = 32;
+
+/// Blocks of random length alternating small integers and full-width
+/// noise — the heap shape whose small-int and 64-bit halves want different
+/// widths, so group boundaries inside and across blocks all occur.
+fn mixed_block_slab() -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec(
+        (
+            1usize..100,
+            any::<u64>(),
+            any::<u64>().prop_map(|n| n % 2 == 0),
+        ),
+        0..12,
+    )
+    .prop_map(|blocks| {
+        let mut slab = Vec::new();
+        for (len, seed, small) in blocks {
+            let mut x = seed | 1;
+            for _ in 0..len {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                slab.push(if small { x % 1000 } else { x });
+            }
+        }
+        slab
+    })
+}
+
+/// The byte ranges of a `BitPack` payload's groups, found from the width
+/// bytes alone: a full group of width `b` spans `1 + 4·b` bytes.
+fn group_ranges(payload: &[u8], word_count: usize) -> Vec<(std::ops::Range<usize>, usize)> {
+    let mut ranges = Vec::new();
+    let mut at = 0;
+    for g in 0..word_count.div_ceil(GROUP) {
+        let n = GROUP.min(word_count - g * GROUP);
+        let width = payload[at] as usize;
+        let end = at + 1 + (n * width).div_ceil(8);
+        ranges.push((at..end, n));
+        at = end;
+    }
+    assert_eq!(at, payload.len(), "groups tile the payload");
+    ranges
+}
+
+fn check_bitpack(slab: &[u64]) {
+    assert_roundtrip(CodecId::BitPack, slab);
+    let mut packed = Vec::new();
+    compress_words(CodecId::BitPack, slab, &mut packed);
+    // Never larger than Raw plus one width byte per group.
+    let n = slab.len();
+    assert!(
+        packed.len() <= 8 * n + n.div_ceil(GROUP),
+        "{} bytes for {n} words",
+        packed.len()
+    );
+    // Any group decodes alone, through the ordinary decoder, to its words
+    // of the whole decode.
+    for (g, (range, len)) in group_ranges(&packed, n).into_iter().enumerate() {
+        let mut alone = Vec::new();
+        decompress_words(CodecId::BitPack, &packed[range], len, &mut alone)
+            .unwrap_or_else(|e| panic!("group {g} alone: {e}"));
+        assert_eq!(alone, &slab[g * GROUP..g * GROUP + len], "group {g}");
+    }
+}
+
+proptest! {
+    #[test]
+    fn mixed_block_slabs_roundtrip(slab in mixed_block_slab()) {
+        for id in CodecId::ALL {
+            assert_roundtrip(id, &slab);
+        }
+    }
+
+    /// The `BitPack` size bound and group independence, over uniform
+    /// (the widest case), small-int and mixed-block slabs.
+    #[test]
+    fn bitpack_groups_are_bounded_and_decode_alone(
+        uniform in proptest::collection::vec(any::<u64>(), 0..300),
+        small in proptest::collection::vec(any::<u64>().prop_map(|v| v % 1024), 0..300),
+        mixed in mixed_block_slab(),
+    ) {
+        for slab in [&uniform, &small, &mixed] {
+            check_bitpack(slab);
+        }
     }
 }
 

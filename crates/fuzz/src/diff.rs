@@ -55,14 +55,6 @@ const BUDGET_SWEEP_ONE_IN: u64 = 4;
 /// Extra kill points mode (b) samples per swept program.
 const BUDGET_SWEEP_SAMPLES: u64 = 32;
 
-/// The codecs mode (c) forces through the wire.
-const CODECS: [CodecId; 4] = [
-    CodecId::Raw,
-    CodecId::Varint,
-    CodecId::Lz,
-    CodecId::VarintLz,
-];
-
 /// The stats fields that must be identical across deterministic modes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct StatsView {
@@ -131,7 +123,7 @@ fn check_with(source: &str, tape: &[u32]) -> Result<(), String> {
     check_kill_and_resurrect(&program, tape, &bytecode)?;
 
     // (c) migrate through the wire under every codec.
-    for codec in CODECS {
+    for codec in CodecId::ALL {
         check_migration_chain(&program, codec, &reference, &bytecode)?;
     }
 

@@ -3,9 +3,9 @@
 //! The corpus mixes **hand-written goldens** for every supported layout —
 //! v1 (unframed, per-word blocks), v4 (framed, batched slabs, full and
 //! delta) and v5 (framed, codec-tagged slabs, full and delta) — with
-//! **freshly packed** images from real processes (v5 full, v5 delta, a
-//! legacy-downgraded v4 and a binary-code image), so mutations land on
-//! every decode path the runtime has.
+//! **freshly packed** images from real processes (v5 full, v5 delta, v5
+//! with `BitPack` word frames and a binary-code image), so mutations land
+//! on every decode path the runtime has.
 //!
 //! [`mutate`] applies one seeded mutation: byte flips, a truncation, or a
 //! length-field inflation (0xFF splats that turn frame lengths into
@@ -25,7 +25,7 @@ use mojave_core::{
 };
 use mojave_fir::builder::{term, ProgramBuilder};
 use mojave_fir::Program;
-use mojave_wire::{SectionTag, WireCodec, WireWriter, MAGIC};
+use mojave_wire::{CodecId, SectionTag, WireCodec, WireWriter, MAGIC};
 
 // ---------------------------------------------------------------------------
 // Hand-written goldens (mirroring crates/core/tests/wire_backcompat.rs)
@@ -221,12 +221,14 @@ fn golden_v5_delta() -> Vec<u8> {
 // ---------------------------------------------------------------------------
 
 /// A process with strings, arrays and an open speculation level: its
-/// packed image exercises every slab kind and the speculation section.
+/// packed image exercises every slab kind and the speculation section, and
+/// its array is long enough that the payload slab is compressed rather
+/// than left `Raw`.
 fn rich_source() -> &'static str {
     r#"
         int main() {
-            int[] xs = alloc_int(6);
-            for (int i = 0; i < 6; i = i + 1) { xs[i] = i * i; }
+            int[] xs = alloc_int(40);
+            for (int i = 0; i < 40; i = i + 1) { xs[i] = i * i; }
             int s = speculate();
             if (s > 0) {
                 xs[0] = 99;
@@ -282,6 +284,12 @@ pub fn corpus() -> Vec<(String, Vec<u8>)> {
         ..ProcessConfig::default()
     }) {
         entries.push((format!("packed-delta-{name}"), bytes));
+    }
+    for (name, bytes) in packed(ProcessConfig {
+        heap_codec: Some(CodecId::BitPack),
+        ..ProcessConfig::default()
+    }) {
+        entries.push((format!("packed-bitpack-{name}"), bytes));
     }
     for (name, bytes) in packed(ProcessConfig {
         binary_migration: true,
@@ -429,6 +437,35 @@ mod tests {
             }
             assert_eq!(image.to_bytes(), bytes, "{name} re-encodes byte-faithfully");
         }
+    }
+
+    /// The `BitPack` entries exist to put that codec's frames under
+    /// mutation: their heap payload slab must be `BitPack`-coded.
+    #[test]
+    fn bitpack_entries_carry_bitpack_word_frames() {
+        let mut checked = 0;
+        for (name, bytes) in corpus() {
+            if !name.starts_with("packed-bitpack-") {
+                continue;
+            }
+            let image = MigrationImage::from_bytes(&bytes).expect("pristine entry decodes");
+            let mojave_core::HeapImage::Full(heap) = &image.heap_image else {
+                panic!("{name} is a full image");
+            };
+            let mut r = mojave_wire::WireReader::new(heap);
+            r.read_usize().expect("capacity");
+            r.read_usize().expect("record count");
+            r.skip_byte_frame().expect("meta frame");
+            r.skip_byte_frame().expect("tag frame");
+            r.read_uvarint().expect("payload word count");
+            assert_eq!(
+                r.read_u8().expect("codec id"),
+                CodecId::BitPack as u8,
+                "{name}"
+            );
+            checked += 1;
+        }
+        assert!(checked > 0, "the corpus has BitPack entries");
     }
 
     #[test]

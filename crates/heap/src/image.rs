@@ -533,7 +533,7 @@ struct SlabEncoder {
     tags: Vec<u8>,
     raw: Vec<u8>,
     /// Word payloads — staged only when [`CodecId::Raw`] / [`CodecId::Lz`]
-    /// wins; the varint filters stream instead.
+    /// wins; the delta filters stream instead.
     payload: Vec<u64>,
     /// The varint stream between [`CodecId::VarintLz`]'s two passes.
     varint: Vec<u8>,
@@ -548,12 +548,13 @@ impl SlabEncoder {
     /// Hot-path shape: one sizing pass (which also emits the meta slab),
     /// the word codec chosen from a staged *prefix sample* only, one pass
     /// staging tags and bytes with an exact-size `extend` per block, then
-    /// the payload pass — when the delta-varint filter wins, payload
-    /// words stream through [`mojave_wire::VarintStream`] straight into
-    /// `w`'s frame (length patched afterwards) and neither the
-    /// 8-bytes-per-word `u64` slab nor a side copy of the varint bytes is
-    /// ever materialised.  A slab the choice sampled whole is compressed
-    /// once: the winning trial is written as its payload.
+    /// the payload pass — when a delta filter wins, payload words stream
+    /// through [`mojave_wire::VarintStream`] or, one 32-word group at a
+    /// time, [`mojave_wire::BitPackStream`] straight into `w`'s frame
+    /// (length patched afterwards), and neither the 8-bytes-per-word
+    /// `u64` slab nor a side copy of the encoded bytes is ever
+    /// materialised.  A slab the choice sampled whole is compressed once:
+    /// the winning trial is written as its payload.
     fn encode_records(
         &mut self,
         w: &mut WireWriter,
@@ -621,6 +622,13 @@ impl SlabEncoder {
                 }
             }
         };
+        let pack_payloads = |out: &mut Vec<u8>| {
+            let mut stream = mojave_wire::BitPackStream::new();
+            for words in word_blocks() {
+                stream.extend(words.iter().map(|word| word.to_raw().1), out);
+            }
+            stream.finish(out);
+        };
         // The byte-frame choices above keep their trials apart from this
         // one, so the word choice's winner is still the payload here.
         if let Some(won) = compressor.chosen_words().filter(|_| sampled_whole) {
@@ -634,6 +642,12 @@ impl SlabEncoder {
                     word_codec,
                     word_total * 2,
                     stream_payloads,
+                ),
+                CodecId::BitPack => w.write_word_frame_streamed(
+                    word_total,
+                    word_codec,
+                    word_total * 4,
+                    pack_payloads,
                 ),
                 CodecId::VarintLz => {
                     varint.clear();

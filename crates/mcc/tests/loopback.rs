@@ -86,7 +86,7 @@ fn three_process_loopback_run_matches_in_process_digest() {
         );
     }
 
-    // All four codecs negotiated on every node's connection.
+    // Every codec negotiated on every node's connection.
     let negotiated = server.negotiated_codecs();
     assert_eq!(negotiated.len(), config.workers);
     for (node, codecs) in &negotiated {

@@ -70,8 +70,8 @@ pub use writer::{SectionWriter, WireWriter};
 // one crate.
 pub use mojave_codec::{
     choose, choose_bytes, choose_words, compress_bytes, compress_words, decompress_bytes,
-    decompress_lz_bytes, decompress_words, CodecError, CodecId, CodecSet, Compressor, SlabCodec,
-    VarintStream, CHOICE_SAMPLE_WORDS,
+    decompress_lz_bytes, decompress_words, BitPackStream, CodecError, CodecId, CodecSet,
+    Compressor, SlabCodec, VarintStream, CHOICE_SAMPLE_WORDS,
 };
 
 /// 64-bit FNV-1a fingerprint of a byte payload.
