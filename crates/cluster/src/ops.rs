@@ -89,8 +89,8 @@ impl LocalNode {
             node_seed: cluster.node_seed(node),
             arch: cluster.arch(node),
             // Every in-tree daemon decodes every slab codec, so cluster
-            // senders compress freely.  (A pre-v5 daemon would narrow
-            // this, and senders would fall back to Raw.)
+            // senders compress freely.  (A daemon advertising fewer would
+            // narrow this, and senders would keep its frames Raw.)
             codec_bits: CodecSet::all().bits(),
         };
         LocalNode {

@@ -148,8 +148,8 @@ impl CodecSet {
         CodecSet(bits)
     }
 
-    /// Only [`CodecId::Raw`] — what an old (pre-negotiation) sink is
-    /// assumed to accept.
+    /// Only [`CodecId::Raw`] — the narrowest set a sink can advertise;
+    /// images for it are still v5, with every slab frame stored Raw.
     pub fn raw_only() -> CodecSet {
         CodecSet(1 << (CodecId::Raw as u8))
     }

@@ -24,7 +24,7 @@ use crate::error::RuntimeError;
 use mojave_fir::{MigrateProtocol, Program};
 use mojave_heap::{
     image_payload_stats, Heap, HeapConfig, HeapError, HeapSnapshot, ImageCodec, ImageKind,
-    ImageLayout, ImageRecords, PtrIdx, Word,
+    ImageRecords, PtrIdx, Word,
 };
 use mojave_wire::{
     CodecSet, SectionTag, WireCodec, WireError, WireReader, WireWriter, FORMAT_VERSION,
@@ -154,21 +154,21 @@ pub enum HeapImage {
 impl HeapImage {
     /// Write the payload of a full image, or of a delta against
     /// `delta_base` (`(name, heap-payload fingerprint)`), from the
-    /// `records` of that kind in `layout` — the one payload builder behind
+    /// `records` of that kind in `codecs` — the one payload builder behind
     /// [`crate::Process::pack`], [`crate::Process::pack_delta`] and
     /// [`SnapshotPack::into_image`].  `live_bytes` sizes the buffer of a
     /// full image.
     pub(crate) fn encode<'a>(
         records: impl FnOnce(ImageKind) -> Result<ImageRecords<'a>, HeapError>,
         live_bytes: usize,
-        layout: ImageLayout,
+        codecs: CodecSet,
         delta_base: Option<(String, u64)>,
     ) -> Result<HeapImage, HeapError> {
         let (kind, mut w) = match delta_base {
             None => (ImageKind::Full, WireWriter::with_capacity(live_bytes + 256)),
             Some(_) => (ImageKind::Delta, WireWriter::new()),
         };
-        records(kind)?.encode(&mut w, layout);
+        records(kind)?.encode(&mut w, codecs);
         Ok(match delta_base {
             None => HeapImage::Full(w.into_bytes()),
             Some((base, base_fingerprint)) => HeapImage::Delta {
@@ -383,12 +383,12 @@ impl MigrationImage {
         r.expect_section(SectionTag::HeapBlocks)?;
         let heap_image = HeapImage::Full(r.read_bytes()?.to_vec());
         r.expect_section(SectionTag::MigrateEnv)?;
-        let migrate_env = PtrIdx(r.read_uvarint()? as u32);
+        let migrate_env = PtrIdx(r.read_uvarint_u32("migrate_env pointer")?);
         r.expect_section(SectionTag::Resume)?;
         let resume_fun = Word::decode(r)?;
-        let label = r.read_uvarint()? as u32;
+        let label = r.read_uvarint_u32("migration label")?;
         r.expect_section(SectionTag::Speculation)?;
-        let open_speculations = r.read_uvarint()? as u32;
+        let open_speculations = r.read_uvarint_u32("open speculation count")?;
         Ok(MigrationImage {
             format_version,
             source_arch,
@@ -440,16 +440,16 @@ impl MigrationImage {
         heap_section.finish()?;
 
         let mut env = r.expect_framed(SectionTag::MigrateEnv)?;
-        let migrate_env = PtrIdx(env.read_uvarint()? as u32);
+        let migrate_env = PtrIdx(env.read_uvarint_u32("migrate_env pointer")?);
         env.finish()?;
 
         let mut resume = r.expect_framed(SectionTag::Resume)?;
         let resume_fun = Word::decode(&mut resume)?;
-        let label = resume.read_uvarint()? as u32;
+        let label = resume.read_uvarint_u32("migration label")?;
         resume.finish()?;
 
         let mut spec = r.expect_framed(SectionTag::Speculation)?;
-        let open_speculations = spec.read_uvarint()? as u32;
+        let open_speculations = spec.read_uvarint_u32("open speculation count")?;
         spec.finish()?;
 
         Ok(MigrationImage {
@@ -571,7 +571,7 @@ impl MigrationImage {
         let heap = self.decode_heap_with_base(base, HeapConfig::default())?;
         let mut w = WireWriter::with_capacity(self.heap_image.len() + base.heap_image.len());
         heap.image_records(ImageKind::Full)?
-            .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
+            .encode(&mut w, CodecSet::all());
         Ok(MigrationImage {
             format_version: FORMAT_VERSION,
             heap_image: HeapImage::Full(w.into_bytes()),
@@ -645,9 +645,9 @@ impl DeliveryOutcome {
 /// with the mutator.
 #[derive(Debug)]
 pub struct SnapshotPack {
-    /// The heap-image layout negotiated with the sink; it also names the
-    /// image's wire format version.
-    pub layout: ImageLayout,
+    /// The codecs negotiated with the sink for the heap image's slab
+    /// frames.
+    pub codecs: CodecSet,
     /// Architecture tag of the packing machine.
     pub source_arch: String,
     /// The code section (FIR or compiled bytecode), shared with the
@@ -687,7 +687,7 @@ impl SnapshotPack {
     }
 
     /// Run the deferred encode: serialise the frozen heap (full or delta)
-    /// in the negotiated layout through the payload builder the
+    /// in the negotiated codecs through the payload builder the
     /// synchronous pack uses, and assemble the [`MigrationImage`].  Fills
     /// [`SnapshotPack::fingerprint_slot`] for full images.  This is the
     /// expensive half a pipeline worker runs off-thread; the error case
@@ -698,7 +698,7 @@ impl SnapshotPack {
         let heap_image = HeapImage::encode(
             |kind| self.heap.image_records(kind),
             self.heap.live_bytes(),
-            self.layout,
+            self.codecs,
             self.delta_base,
         )?;
         if let Some(slot) = &self.fingerprint_slot {
@@ -707,7 +707,7 @@ impl SnapshotPack {
             }
         }
         Ok(MigrationImage {
-            format_version: self.layout.format_version(),
+            format_version: FORMAT_VERSION,
             source_arch: self.source_arch,
             code: self.code,
             heap_image,
@@ -783,15 +783,11 @@ pub trait MigrationSink {
     }
 
     /// Codec negotiation: the slab-compression codecs this sink accepts
-    /// in heap payloads.  The default is [`CodecSet::raw_only`] — a sink
-    /// that does not implement the method is assumed to predate the
-    /// compression subsystem, and senders downgrade all the way to the
-    /// **batched v4 layout and version** for it (not merely v5 Raw
-    /// frames, which a pre-v5 decoder would still reject at the header).
-    /// In-tree sinks ([`InMemorySink`], the cluster sink) advertise
-    /// [`CodecSet::all`].
+    /// in heap payloads.  The default is [`CodecSet::all`]; a sink that
+    /// advertises less still receives v5 images, whose slab frames stay
+    /// within its set — `{Raw}` means frames that are all Raw.
     fn accepted_codecs(&self) -> CodecSet {
-        CodecSet::raw_only()
+        CodecSet::all()
     }
 
     /// Deliver a checkpoint whose expensive encode has been **deferred**:
@@ -1164,17 +1160,13 @@ impl MigrationSink for InMemorySink {
     fn has_base(&self, base: &str, base_fingerprint: u64) -> bool {
         self.store.heap_fingerprint(base) == Some(base_fingerprint)
     }
-
-    fn accepted_codecs(&self) -> CodecSet {
-        CodecSet::all()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mojave_fir::builder::{term, ProgramBuilder};
-    use mojave_wire::BATCHED_VERSION;
+    use mojave_heap::BlockData;
 
     fn tiny_image() -> MigrationImage {
         let mut pb = ProgramBuilder::new();
@@ -1188,7 +1180,7 @@ mod tests {
         let mut w = WireWriter::new();
         heap.image_records(ImageKind::Full)
             .unwrap()
-            .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
+            .encode(&mut w, CodecSet::all());
 
         MigrationImage {
             format_version: FORMAT_VERSION,
@@ -1213,16 +1205,29 @@ mod tests {
     }
 
     /// A v1 (per-word) heap payload, written from public API: table
-    /// capacity, used count, then each used entry's index and its block in
-    /// the per-word [`WireCodec`] encoding.  Only decoders read v1.
+    /// capacity, used count, then each used entry's index and its block —
+    /// index, kind, a representation byte and the per-word payload.  Only
+    /// decoders read v1.
     fn v1_heap_image(heap: &Heap) -> Vec<u8> {
         let table = heap.pointer_table();
         let mut w = WireWriter::new();
         w.write_usize(table.capacity());
         w.write_usize(table.live());
         for (idx, _) in table.iter_used() {
+            let block = heap.block(idx).unwrap();
             w.write_uvarint(idx.0 as u64);
-            heap.block(idx).unwrap().encode(&mut w);
+            w.write_uvarint(block.header.index.0 as u64);
+            block.header.kind.encode(&mut w);
+            match &block.data {
+                BlockData::Words(words) => {
+                    w.write_u8(0);
+                    words.encode(&mut w);
+                }
+                BlockData::Bytes(bytes) => {
+                    w.write_u8(1);
+                    w.write_bytes(bytes);
+                }
+            }
         }
         w.into_bytes()
     }
@@ -1237,9 +1242,9 @@ mod tests {
     }
 
     /// The code section is encoded once per [`CodeSection`] and spliced from
-    /// then on.  For FIR and binary code, in the v5 and the v4 layout, the
-    /// bytes with the cached body equal the bytes without it, and both hold
-    /// exactly the frame a writer encoding in place produces.
+    /// then on.  For FIR and binary code, the bytes with the cached body
+    /// equal the bytes without it, and both hold exactly the frame a writer
+    /// encoding in place produces.
     #[test]
     fn cached_code_section_splices_the_bytes_encoding_in_place_writes() {
         let fir = tiny_image();
@@ -1255,53 +1260,39 @@ mod tests {
             ..fir.clone()
         };
         for image in [fir, binary] {
-            for version in [FORMAT_VERSION, BATCHED_VERSION] {
-                let mut image = MigrationImage {
-                    format_version: version,
-                    ..image.clone()
-                };
-                if version == BATCHED_VERSION {
-                    let heap = tiny_image().decode_heap(HeapConfig::default()).unwrap();
-                    let mut w = WireWriter::new();
-                    heap.image_records(ImageKind::Full)
-                        .unwrap()
-                        .encode(&mut w, ImageLayout::Batched);
-                    image.heap_image = HeapImage::Full(w.into_bytes());
+            // What the writer produced before there was a cache.
+            let mut in_place = WireWriter::new();
+            in_place.write_header_versioned(&image.source_arch, FORMAT_VERSION);
+            let header_len = in_place.len();
+            match &*image.code {
+                PackedCode::Fir(program) => {
+                    let mut s = in_place.begin_section(SectionTag::FirProgram);
+                    program.encode(&mut s);
                 }
-                // What the writer produced before there was a cache.
-                let mut in_place = WireWriter::new();
-                in_place.write_header_versioned(&image.source_arch, version);
-                let header_len = in_place.len();
-                match &*image.code {
-                    PackedCode::Fir(program) => {
-                        let mut s = in_place.begin_section(SectionTag::FirProgram);
-                        program.encode(&mut s);
-                    }
-                    PackedCode::Binary { arch, bytecode } => {
-                        let mut s = in_place.begin_section(SectionTag::Bytecode);
-                        s.write_str(arch);
-                        bytecode.encode(&mut s);
-                    }
+                PackedCode::Binary { arch, bytecode } => {
+                    let mut s = in_place.begin_section(SectionTag::Bytecode);
+                    s.write_str(arch);
+                    bytecode.encode(&mut s);
                 }
-                let in_place = in_place.into_bytes();
-                assert!(in_place.len() > header_len + 5);
-
-                let uncached = MigrationImage {
-                    code: PackedCode::clone(&image.code).into(),
-                    ..image.clone()
-                };
-                let first = image.to_bytes(); // encodes the body
-                let second = image.to_bytes(); // splices it
-                assert_eq!(first, second);
-                assert_eq!(first, uncached.to_bytes());
-                assert_eq!(first[..in_place.len()], in_place[..]);
-
-                let back = MigrationImage::from_bytes(&first).unwrap();
-                assert_eq!(back, image);
-                assert_eq!(back.to_bytes(), first);
-                assert!(!CodeSection::ptr_eq(&back.code, &image.code));
-                assert!(CodeSection::ptr_eq(&image.clone().code, &image.code));
             }
+            let in_place = in_place.into_bytes();
+            assert!(in_place.len() > header_len + 5);
+
+            let uncached = MigrationImage {
+                code: PackedCode::clone(&image.code).into(),
+                ..image.clone()
+            };
+            let first = image.to_bytes(); // encodes the body
+            let second = image.to_bytes(); // splices it
+            assert_eq!(first, second);
+            assert_eq!(first, uncached.to_bytes());
+            assert_eq!(first[..in_place.len()], in_place[..]);
+
+            let back = MigrationImage::from_bytes(&first).unwrap();
+            assert_eq!(back, image);
+            assert_eq!(back.to_bytes(), first);
+            assert!(!CodeSection::ptr_eq(&back.code, &image.code));
+            assert!(CodeSection::ptr_eq(&image.clone().code, &image.code));
         }
     }
 
@@ -1339,7 +1330,7 @@ mod tests {
         let mut w = WireWriter::new();
         heap.image_records(ImageKind::Delta)
             .unwrap()
-            .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
+            .encode(&mut w, CodecSet::all());
         let delta = MigrationImage {
             heap_image: HeapImage::Delta {
                 base: "ck-base".into(),
@@ -1380,7 +1371,7 @@ mod tests {
         let mut w = WireWriter::new();
         heap.image_records(ImageKind::Delta)
             .unwrap()
-            .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
+            .encode(&mut w, CodecSet::all());
         let delta = MigrationImage {
             heap_image: HeapImage::Delta {
                 base: "ck-0".into(),
@@ -1406,7 +1397,7 @@ mod tests {
         other
             .image_records(ImageKind::Full)
             .unwrap()
-            .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
+            .encode(&mut w, CodecSet::all());
         let overwritten = MigrationImage {
             heap_image: HeapImage::Full(w.into_bytes()),
             ..base.clone()
@@ -1438,7 +1429,7 @@ mod tests {
         let mut w = WireWriter::new();
         heap.image_records(ImageKind::Full)
             .unwrap()
-            .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
+            .encode(&mut w, CodecSet::all());
         let image = MigrationImage {
             migrate_env: env,
             heap_image: HeapImage::Full(w.into_bytes()),
@@ -1541,7 +1532,7 @@ mod tests {
         let mut w = WireWriter::new();
         heap.image_records(ImageKind::Full)
             .unwrap()
-            .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
+            .encode(&mut w, CodecSet::all());
         let new = MigrationImage {
             heap_image: HeapImage::Full(w.into_bytes()),
             ..tiny_image()

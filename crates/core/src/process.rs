@@ -13,9 +13,9 @@ use crate::speculate::SpeculationManager;
 use mojave_fir::{
     typecheck, validate, Atom, Binop, Expr, ExternEnv, FunId, MigrateProtocol, Program, Unop, VarId,
 };
-use mojave_heap::{BlockKind, Heap, HeapConfig, ImageLayout, Word};
+use mojave_heap::{negotiate_codecs, BlockKind, Heap, HeapConfig, Word};
 use mojave_obs::{EventKind, Recorder};
-use mojave_wire::CodecId;
+use mojave_wire::{CodecId, FORMAT_VERSION};
 use std::collections::HashMap;
 use std::mem::take;
 use std::sync::{Arc, OnceLock};
@@ -817,18 +817,18 @@ impl Process {
         self.heap.gc_major(&roots);
 
         let migrate_env = self.heap.alloc_migrate_env(args.to_vec())?;
-        let layout = ImageLayout::negotiate(self.sink.accepted_codecs(), self.config.heap_codec);
+        let codecs = negotiate_codecs(self.sink.accepted_codecs(), self.config.heap_codec);
         let heap_image = HeapImage::encode(
             |kind| self.heap.image_records(kind),
             self.heap.live_bytes(),
-            layout,
+            codecs,
             delta_base.map(|(base, fp)| (base.to_owned(), fp)),
         )?;
 
         let code = self.packed_code()?;
 
         Ok(MigrationImage {
-            format_version: layout.format_version(),
+            format_version: FORMAT_VERSION,
             source_arch: self.config.machine.arch().to_owned(),
             code,
             heap_image,
@@ -886,9 +886,9 @@ impl Process {
     /// * **No pre-pack GC** — the paper's pack garbage-collects first,
     ///   which is O(heap) mutator time; here dead blocks ride along in
     ///   the image and are reclaimed by the next natural collection.
-    /// * The heap-image layout is negotiated *now*, by the rule the
-    ///   synchronous pack uses ([`ImageLayout::negotiate`]), and recorded
-    ///   in the pack, so the worker needs no access to the process.
+    /// * The heap-image codecs are negotiated *now*, by the rule the
+    ///   synchronous pack uses ([`negotiate_codecs`]), and recorded in the
+    ///   pack, so the worker needs no access to the process.
     pub fn pack_snapshot(
         &mut self,
         label: u32,
@@ -902,13 +902,13 @@ impl Process {
             ));
         }
         let migrate_env = self.heap.alloc_migrate_env(args.to_vec())?;
-        let layout = ImageLayout::negotiate(self.sink.accepted_codecs(), self.config.heap_codec);
+        let codecs = negotiate_codecs(self.sink.accepted_codecs(), self.config.heap_codec);
         let code = self.packed_code()?;
         let freeze_start = Instant::now();
         let heap = self.heap.freeze();
         let freeze_ns = freeze_start.elapsed().as_nanos() as u64;
         Ok(SnapshotPack {
-            layout,
+            codecs,
             source_arch: self.config.machine.arch().to_owned(),
             code,
             heap,

@@ -487,10 +487,7 @@ fn golden_v5_delta_payload_matches_the_live_encoder() {
     let mut w = WireWriter::new();
     heap.image_records(mojave_heap::ImageKind::Delta)
         .unwrap()
-        .encode(
-            &mut w,
-            mojave_heap::ImageLayout::Slab(mojave_wire::CodecSet::all()),
-        );
+        .encode(&mut w, mojave_wire::CodecSet::all());
 
     let mut expect = WireWriter::new();
     expect.write_usize(1); // pointer-table capacity
@@ -529,43 +526,6 @@ fn golden_v5_delta_image_resolves_through_the_store_and_resumes() {
     assert_eq!(base.run().unwrap(), RunOutcome::Exit(5));
 }
 
-/// A sink that leaves `accepted_codecs` at its trait default — the
-/// stand-in for a pre-v5 runtime behind a forwarding sink.
-struct PreV5Sink;
-
-impl mojave_core::MigrationSink for PreV5Sink {
-    fn deliver(
-        &mut self,
-        _protocol: mojave_fir::MigrateProtocol,
-        _target: &str,
-        _image: &MigrationImage,
-    ) -> mojave_core::DeliveryOutcome {
-        mojave_core::DeliveryOutcome::Stored
-    }
-}
-
-#[test]
-fn legacy_sinks_receive_batched_v4_images() {
-    // Negotiation must deliver real back-compat: a sink that never heard
-    // of codecs (trait-default `accepted_codecs`) gets the batched v4
-    // layout *and version*, which a pre-v5 decoder accepts — v5 frames,
-    // even Raw ones, would be rejected at the version header.
-    let mut process = Process::new(fixture_program(), ProcessConfig::default())
-        .unwrap()
-        .with_sink(Box::new(PreV5Sink));
-    let image = process.pack(3, Word::Fun(1), &[Word::Int(5)]).unwrap();
-    assert_eq!(image.format_version, BATCHED_VERSION);
-    let heap = image.decode_heap(HeapConfig::default()).unwrap();
-    assert_eq!(heap.load(image.migrate_env, 0).unwrap(), Word::Int(5));
-    // Round trip through bytes stays v4.
-    let back = MigrationImage::from_bytes(&image.to_bytes()).unwrap();
-    assert_eq!(back.format_version, BATCHED_VERSION);
-
-    // The default sink (in-tree, codec-aware) produces v5 for the same
-    // process state.
-    assert_eq!(packed_v2_image().format_version, FORMAT_VERSION);
-}
-
 /// A sink that advertises a fixed codec set.
 struct AcceptingSink(mojave_wire::CodecSet);
 
@@ -585,24 +545,69 @@ impl mojave_core::MigrationSink for AcceptingSink {
 }
 
 #[test]
+fn raw_only_sinks_receive_v5_images_whose_every_frame_is_raw() {
+    // v5 is the one layout written: a sink that accepts only `{Raw}` gets
+    // v5 images whose four slab frames are all stored Raw, while the same
+    // small-int heap packed for a sink accepting every codec compresses.
+    use mojave_wire::{CodecId, CodecSet, WireReader};
+    let pack = |codecs| {
+        let mut process = Process::new(fixture_program(), ProcessConfig::default())
+            .unwrap()
+            .with_sink(Box::new(AcceptingSink(codecs)));
+        let ints = process.heap_mut().alloc_array(300, Word::Int(7)).unwrap();
+        let image = process.pack(3, Word::Fun(1), &[Word::Ptr(ints)]).unwrap();
+        (image, ints)
+    };
+    let frame_codecs = |image: &MigrationImage| {
+        let HeapImage::Full(payload) = &image.heap_image else {
+            panic!("pack writes full images");
+        };
+        let mut r = WireReader::new(payload);
+        r.read_usize().unwrap(); // table capacity
+        r.read_usize().unwrap(); // record count
+        let codecs: Vec<u8> = (0..4)
+            .map(|_| {
+                r.read_uvarint().unwrap(); // declared raw length
+                let codec = r.read_u8().unwrap();
+                r.read_bytes().unwrap();
+                codec
+            })
+            .collect();
+        assert!(r.is_empty());
+        codecs
+    };
+
+    let (raw, ints) = pack(CodecSet::raw_only());
+    assert_eq!(raw.format_version, FORMAT_VERSION);
+    assert_eq!(frame_codecs(&raw), [CodecId::Raw as u8; 4]);
+    let back = MigrationImage::from_bytes(&raw.to_bytes()).unwrap();
+    assert_eq!(back.format_version, FORMAT_VERSION);
+    let heap = back.decode_heap(HeapConfig::default()).unwrap();
+    assert_eq!(heap.load(ints, 299).unwrap(), Word::Int(7));
+
+    let (compressed, _) = pack(CodecSet::all());
+    assert_eq!(compressed.format_version, FORMAT_VERSION);
+    assert!(frame_codecs(&compressed)
+        .iter()
+        .any(|&codec| codec != CodecId::Raw as u8));
+    // The small-int payload collapses: the compressed heap is a quarter
+    // of the Raw one or less.
+    assert!(compressed.heap_image.len() * 4 <= raw.heap_image.len());
+}
+
+#[test]
 fn sync_and_snapshot_packs_negotiate_and_encode_alike() {
     // The synchronous pack and the deferred snapshot pack resolve the
     // sink's codecs against the configured preference the same way and
-    // write the same image: same version (v4 for a pre-v5 sink), same
-    // bytes, full and delta alike.  The heap is garbage-free, so the
+    // write the same image: v5 for every sink, `{Raw}` included, and the
+    // same bytes, full and delta alike.  The heap is garbage-free, so the
     // synchronous pack's collection changes nothing either side sees.
-    use mojave_core::MigrationSink;
     use mojave_wire::{CodecId, CodecSet};
-    type MakeSink = fn() -> Box<dyn MigrationSink>;
-    let sinks: [(MakeSink, u32); 3] = [
-        (|| Box::new(PreV5Sink), BATCHED_VERSION),
-        (|| Box::new(AcceptingSink(CodecSet::all())), FORMAT_VERSION),
-        (
-            || Box::new(AcceptingSink(CodecSet::only(CodecId::Lz))),
-            FORMAT_VERSION,
-        ),
-    ];
-    for (sink, version) in sinks {
+    for accepted in [
+        CodecSet::raw_only(),
+        CodecSet::all(),
+        CodecSet::only(CodecId::Lz),
+    ] {
         for heap_codec in [None, Some(CodecId::Varint), Some(CodecId::Lz)] {
             for delta in [false, true] {
                 let build = || {
@@ -612,7 +617,7 @@ fn sync_and_snapshot_packs_negotiate_and_encode_alike() {
                     };
                     let mut process = Process::new(fixture_program(), config)
                         .unwrap()
-                        .with_sink(sink());
+                        .with_sink(Box::new(AcceptingSink(accepted)));
                     let heap = process.heap_mut();
                     let ints = heap.alloc_array(300, Word::Int(0)).unwrap();
                     for i in 0..300 {
@@ -643,9 +648,9 @@ fn sync_and_snapshot_packs_negotiate_and_encode_alike() {
                     .unwrap()
                     .into_image()
                     .unwrap();
-                let case = format!("version {version}, heap_codec {heap_codec:?}, delta {delta}");
-                assert_eq!(packed.format_version, version, "{case}");
-                assert_eq!(frozen.format_version, version, "{case}");
+                let case = format!("{accepted:?}, heap_codec {heap_codec:?}, delta {delta}");
+                assert_eq!(packed.format_version, FORMAT_VERSION, "{case}");
+                assert_eq!(frozen.format_version, FORMAT_VERSION, "{case}");
                 assert_eq!(packed.heap_image.is_delta(), delta, "{case}");
                 assert_eq!(packed.to_bytes(), frozen.to_bytes(), "{case}");
             }
@@ -764,6 +769,27 @@ fn corrupted_v2_section_reports_precise_errors() {
             }
         ),
         "got {err:?}"
+    );
+
+    // A migrate_env pointer beyond 32 bits is rejected, never truncated
+    // to the valid index 1.
+    let mut r = mojave_wire::WireReader::new(&bytes);
+    r.read_header().unwrap();
+    r.read_framed().unwrap(); // code
+    r.read_framed().unwrap(); // heap
+    let env_at = r.position();
+    r.read_framed().unwrap(); // migrate_env
+    let mut w = WireWriter::new();
+    w.write_raw(&bytes[..env_at]);
+    w.begin_section(SectionTag::MigrateEnv)
+        .write_uvarint((1 << 32) + 1);
+    w.write_raw(&bytes[r.position()..]);
+    assert_eq!(
+        MigrationImage::from_bytes(&w.into_bytes()).unwrap_err(),
+        WireError::LengthOverflow {
+            context: "migrate_env pointer",
+            len: (1 << 32) + 1,
+        }
     );
 
     // Bad magic and unsupported version still fail first.

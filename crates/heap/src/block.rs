@@ -269,41 +269,12 @@ impl WireCodec for BlockKind {
 }
 
 impl Block {
-    /// Batched (v2) encoding: the payload is written as contiguous slabs —
-    /// a tag slab (`&[u8]`, one byte per word) plus a payload slab (8
-    /// little-endian bytes per word) for word blocks, or the raw byte slab
-    /// for byte blocks.  One length check per slab instead of a varint
-    /// decode per element; byte payloads are a single `extend_from_slice`.
-    pub fn encode_batched(&self, w: &mut WireWriter) {
-        w.write_uvarint(self.header.index.0 as u64);
-        self.header.kind.encode(w);
-        match &self.data {
-            BlockData::Words(words) => {
-                // Staging the slabs in temporaries looks wasteful but
-                // measures faster than writing word-by-word into the
-                // output: write_words grows the buffer once and fills it
-                // with a copy loop that vectorises, where per-word writes
-                // pay a capacity check each.
-                let mut tags = Vec::with_capacity(words.len());
-                let mut payloads = Vec::with_capacity(words.len());
-                for word in words.iter() {
-                    let (tag, payload) = word.to_raw();
-                    tags.push(tag);
-                    payloads.push(payload);
-                }
-                w.reserve(words.len() * 9 + 20);
-                w.write_bytes(&tags);
-                w.write_words(&payloads);
-            }
-            BlockData::Bytes(bytes) => {
-                w.write_bytes(bytes);
-            }
-        }
-    }
-
-    /// Decode a block written by [`Block::encode_batched`].
-    pub fn decode_batched(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let index = PtrIdx(r.read_uvarint()? as u32);
+    /// Decode a block of a batched v4 image: index, kind, then the payload
+    /// as contiguous slabs — a tag slab (one byte per word) plus a payload
+    /// slab (8 little-endian bytes per word) for word blocks, or the raw
+    /// byte slab for byte blocks.  Only read: new images are v5.
+    pub(crate) fn decode_batched(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let index = PtrIdx(r.read_uvarint_u32("v4 block index")?);
         let kind = BlockKind::decode(r)?;
         let data = if kind.is_words() {
             let tags = r.read_bytes()?;
@@ -328,27 +299,12 @@ impl Block {
             data,
         })
     }
-}
 
-impl WireCodec for Block {
-    fn encode(&self, w: &mut WireWriter) {
-        // Only state that is meaningful across a migration is serialised:
-        // generation and mark bits are reset on the receiving side.
-        w.write_uvarint(self.header.index.0 as u64);
-        self.header.kind.encode(w);
-        match &self.data {
-            BlockData::Words(words) => {
-                w.write_u8(0);
-                words.encode(w);
-            }
-            BlockData::Bytes(bytes) => {
-                w.write_u8(1);
-                w.write_bytes(bytes);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let index = PtrIdx(r.read_uvarint()? as u32);
+    /// Decode a block of a v1 image: index, kind, then a representation
+    /// byte and the payload — per-word [`Word`] encodings or a byte
+    /// string.  Only read: new images are v5.
+    pub(crate) fn decode_v1(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let index = PtrIdx(r.read_uvarint_u32("v1 block index")?);
         let kind = BlockKind::decode(r)?;
         let data = match r.read_u8()? {
             0 => BlockData::words(Vec::<Word>::decode(r)?),
@@ -373,9 +329,56 @@ impl WireCodec for Block {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use mojave_wire::{from_bytes, to_bytes};
+
+    /// Write `block` as a v1 image writer did: index, kind, then a
+    /// representation byte and the per-word (or byte-string) payload.
+    /// Only decoders read v1, so only tests write it.
+    pub(crate) fn encode_v1(block: &Block, w: &mut WireWriter) {
+        w.write_uvarint(block.header.index.0 as u64);
+        block.header.kind.encode(w);
+        match &block.data {
+            BlockData::Words(words) => {
+                w.write_u8(0);
+                words.encode(w);
+            }
+            BlockData::Bytes(bytes) => {
+                w.write_u8(1);
+                w.write_bytes(bytes);
+            }
+        }
+    }
+
+    /// Write `block` as a batched v4 image writer did: index, kind, then
+    /// the tag and payload slabs of a word block or the bytes of a byte
+    /// block.  Only decoders read v4, so only tests write it.
+    pub(crate) fn encode_v4(block: &Block, w: &mut WireWriter) {
+        w.write_uvarint(block.header.index.0 as u64);
+        block.header.kind.encode(w);
+        match &block.data {
+            BlockData::Words(words) => {
+                let (tags, payloads): (Vec<u8>, Vec<u64>) =
+                    words.iter().map(|word| word.to_raw()).unzip();
+                w.write_bytes(&tags);
+                w.write_words(&payloads);
+            }
+            BlockData::Bytes(bytes) => w.write_bytes(bytes),
+        }
+    }
+
+    fn decode_v1(bytes: &[u8]) -> Result<Block, WireError> {
+        let mut r = WireReader::new(bytes);
+        let block = Block::decode_v1(&mut r)?;
+        assert!(r.is_empty());
+        Ok(block)
+    }
+
+    fn v1_bytes(block: &Block) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        encode_v1(block, &mut w);
+        w.into_bytes()
+    }
 
     #[test]
     fn byte_size_includes_header_overhead() {
@@ -406,8 +409,7 @@ mod tests {
             BlockKind::Closure,
             vec![Word::Fun(2), Word::Int(10), Word::Ptr(PtrIdx(1))],
         );
-        let bytes = to_bytes(&b);
-        let back: Block = from_bytes(&bytes).unwrap();
+        let back = decode_v1(&v1_bytes(&b)).unwrap();
         assert_eq!(back.header.index, PtrIdx(3));
         assert_eq!(back.header.kind, BlockKind::Closure);
         assert_eq!(back.data, b.data);
@@ -416,8 +418,7 @@ mod tests {
     #[test]
     fn wire_roundtrip_raw_block() {
         let b = Block::bytes(PtrIdx(8), BlockKind::Str, "hello".as_bytes().to_vec());
-        let bytes = to_bytes(&b);
-        let back: Block = from_bytes(&bytes).unwrap();
+        let back = decode_v1(&v1_bytes(&b)).unwrap();
         assert_eq!(back.as_bytes().unwrap(), b"hello");
     }
 
@@ -441,10 +442,10 @@ mod tests {
             Block::words(PtrIdx(0), BlockKind::Array, vec![]),
         ];
         for block in blocks {
-            let mut w = mojave_wire::WireWriter::new();
-            block.encode_batched(&mut w);
+            let mut w = WireWriter::new();
+            encode_v4(&block, &mut w);
             let bytes = w.into_bytes();
-            let mut r = mojave_wire::WireReader::new(&bytes);
+            let mut r = WireReader::new(&bytes);
             let back = Block::decode_batched(&mut r).unwrap();
             assert!(r.is_empty());
             assert_eq!(back.header.index, block.header.index);
@@ -456,13 +457,13 @@ mod tests {
     #[test]
     fn batched_decode_rejects_tag_payload_length_mismatch() {
         // Hand-craft a word block whose tag slab and payload slab disagree.
-        let mut w = mojave_wire::WireWriter::new();
+        let mut w = WireWriter::new();
         w.write_uvarint(0);
         BlockKind::Array.encode(&mut w);
         w.write_bytes(&[1, 1, 1]); // three tags
         w.write_words(&[5, 6]); // two payloads
         let bytes = w.into_bytes();
-        let mut r = mojave_wire::WireReader::new(&bytes);
+        let mut r = WireReader::new(&bytes);
         assert!(matches!(
             Block::decode_batched(&mut r).unwrap_err(),
             WireError::Invalid(_)
@@ -472,12 +473,12 @@ mod tests {
     #[test]
     fn mismatched_kind_payload_rejected() {
         // Encode a Raw kind with a Words payload by hand.
-        let mut w = mojave_wire::WireWriter::new();
+        let mut w = WireWriter::new();
         w.write_uvarint(0);
         BlockKind::Raw.encode(&mut w);
         w.write_u8(0); // words payload tag
         Vec::<Word>::new().encode(&mut w);
-        let err = from_bytes::<Block>(&w.into_bytes()).unwrap_err();
+        let err = decode_v1(&w.into_bytes()).unwrap_err();
         assert!(matches!(err, WireError::Invalid(_)));
     }
 }

@@ -792,12 +792,13 @@ pub(crate) fn fold_where(list: &mut Vec<PtrIdx>, keep: impl Fn(PtrIdx) -> bool) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{image_payload_stats, ImageCodec, ImageKind, ImageLayout};
+    use crate::block::tests::{encode_v1, encode_v4};
+    use crate::{image_payload_stats, ImageCodec, ImageKind, ImageRecords};
     use mojave_wire::{CodecSet, WireCodec, WireError, WireReader, WireWriter};
 
     /// A v1 (per-word) image of `heap`, written from public API: table
     /// capacity, used count, then each used entry's index and its block in
-    /// the per-word [`WireCodec`] encoding.  Only decoders read v1.
+    /// the per-word encoding.  Only decoders read v1.
     fn v1_image(heap: &Heap) -> Vec<u8> {
         let table = heap.pointer_table();
         let mut w = WireWriter::new();
@@ -805,7 +806,27 @@ mod tests {
         w.write_usize(table.live());
         for (idx, _) in table.iter_used() {
             w.write_uvarint(idx.0 as u64);
-            heap.block(idx).unwrap().encode(&mut w);
+            encode_v1(heap.block(idx).unwrap(), &mut w);
+        }
+        w.into_bytes()
+    }
+
+    /// A batched v4 image of `records`, full or delta: table capacity,
+    /// record count, each record's index and batched block, then a delta's
+    /// freed indices.  Only decoders read v4.
+    fn v4_image(records: ImageRecords<'_>) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.write_usize(records.capacity);
+        w.write_usize(records.records.len());
+        for (idx, block) in &records.records {
+            w.write_uvarint(idx.0 as u64);
+            encode_v4(block, &mut w);
+        }
+        if let Some(freed) = &records.freed {
+            w.write_usize(freed.len());
+            for ptr in freed.iter() {
+                w.write_uvarint(ptr.0 as u64);
+            }
         }
         w.into_bytes()
     }
@@ -1049,6 +1070,19 @@ mod tests {
         heap.store(arr, 0, Word::Int(-1)).unwrap();
         heap.store(arr, 1, Word::Int(-2)).unwrap();
         assert_eq!(heap.stats().cow_clones, 2);
+
+        // Across blocks: writing to half of them under an open level
+        // clones exactly that half, once each.
+        let mut heap = Heap::new();
+        let blocks: Vec<_> = (0..64)
+            .map(|i| heap.alloc_array(64, Word::Int(i)).unwrap())
+            .collect();
+        heap.spec_enter();
+        for (i, ptr) in blocks.iter().take(32).enumerate() {
+            heap.store(*ptr, i as i64, Word::Int(-1)).unwrap();
+            heap.store(*ptr, 63, Word::Int(-2)).unwrap();
+        }
+        assert_eq!(heap.stats().cow_clones, 32);
     }
 
     #[test]
@@ -1075,11 +1109,7 @@ mod tests {
         heap.free_block(tmp);
         let b = heap.alloc_array(2, Word::Int(1)).unwrap();
 
-        let mut w = WireWriter::new();
-        heap.image_records(ImageKind::Full)
-            .unwrap()
-            .encode(&mut w, ImageLayout::Batched);
-        let bytes = w.into_bytes();
+        let bytes = v4_image(heap.image_records(ImageKind::Full).unwrap());
         let mut r = WireReader::new(&bytes);
         let back = Heap::decode_image(&mut r, ImageCodec::Batched, HeapConfig::default()).unwrap();
         assert!(r.is_empty());
@@ -1122,11 +1152,7 @@ mod tests {
     #[test]
     fn batched_and_legacy_images_decode_to_equal_heaps() {
         let (heap, ..) = populated_heap();
-        let mut w_batched = WireWriter::new();
-        heap.image_records(ImageKind::Full)
-            .unwrap()
-            .encode(&mut w_batched, ImageLayout::Batched);
-        let b1 = w_batched.into_bytes();
+        let b1 = v4_image(heap.image_records(ImageKind::Full).unwrap());
         let b2 = v1_image(&heap);
         let h1 = Heap::decode_image(
             &mut WireReader::new(&b1),
@@ -1157,7 +1183,7 @@ mod tests {
             let mut w = WireWriter::new();
             heap.image_records(ImageKind::Full)
                 .unwrap()
-                .encode(&mut w, ImageLayout::Slab(allowed));
+                .encode(&mut w, allowed);
             let bytes = w.into_bytes();
             let mut r = WireReader::new(&bytes);
             let back = Heap::decode_image(&mut r, ImageCodec::Slab, HeapConfig::default()).unwrap();
@@ -1178,14 +1204,11 @@ mod tests {
             heap.alloc_array(64, Word::Int(i % 50)).unwrap();
         }
         let legacy = v1_image(&heap);
-        let mut batched = WireWriter::new();
-        heap.image_records(ImageKind::Full)
-            .unwrap()
-            .encode(&mut batched, ImageLayout::Batched);
+        let batched = v4_image(heap.image_records(ImageKind::Full).unwrap());
         let mut compressed = WireWriter::new();
         heap.image_records(ImageKind::Full)
             .unwrap()
-            .encode(&mut compressed, ImageLayout::Slab(CodecSet::all()));
+            .encode(&mut compressed, CodecSet::all());
         let (v1, v4, v5) = (legacy.len(), batched.len(), compressed.len());
         assert!(v4 > v1, "batched trades bytes for speed: {v4} vs {v1}");
         assert!(v5 < v1, "compressed must beat v1 varints: {v5} vs {v1}");
@@ -1197,15 +1220,11 @@ mod tests {
         let (mut heap, a, _s, t) = populated_heap();
         // Base in v4 batched *and* v5 compressed form: a v5 delta must
         // resolve against either.
-        let mut base_batched = WireWriter::new();
-        heap.image_records(ImageKind::Full)
-            .unwrap()
-            .encode(&mut base_batched, ImageLayout::Batched);
-        let base_batched = base_batched.into_bytes();
+        let base_batched = v4_image(heap.image_records(ImageKind::Full).unwrap());
         let mut base_slab = WireWriter::new();
         heap.image_records(ImageKind::Full)
             .unwrap()
-            .encode(&mut base_slab, ImageLayout::Slab(CodecSet::all()));
+            .encode(&mut base_slab, CodecSet::all());
         let base_slab = base_slab.into_bytes();
         heap.mark_clean();
 
@@ -1217,7 +1236,7 @@ mod tests {
         let mut delta = WireWriter::new();
         heap.image_records(ImageKind::Delta)
             .unwrap()
-            .encode(&mut delta, ImageLayout::Slab(CodecSet::all()));
+            .encode(&mut delta, CodecSet::all());
         let delta_bytes = delta.into_bytes();
 
         for (base_bytes, base_codec) in [
@@ -1244,7 +1263,7 @@ mod tests {
         let mut w = WireWriter::new();
         heap.image_records(ImageKind::Full)
             .unwrap()
-            .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
+            .encode(&mut w, CodecSet::all());
         let bytes = w.into_bytes();
 
         // Truncations anywhere must be precise errors, never panics.
@@ -1298,7 +1317,7 @@ mod tests {
         let mut w = WireWriter::new();
         heap.image_records(ImageKind::Full)
             .unwrap()
-            .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
+            .encode(&mut w, CodecSet::all());
         let bytes = w.into_bytes();
         let stats = image_payload_stats(&bytes, false).unwrap();
         assert_eq!(stats.stored_bytes, bytes.len() as u64);
@@ -1313,7 +1332,7 @@ mod tests {
         let mut w = WireWriter::new();
         heap.image_records(ImageKind::Full)
             .unwrap()
-            .encode(&mut w, ImageLayout::Slab(CodecSet::raw_only()));
+            .encode(&mut w, CodecSet::raw_only());
         let bytes = w.into_bytes();
         let stats = image_payload_stats(&bytes, false).unwrap();
         assert_eq!(stats.raw_bytes, stats.stored_bytes);
@@ -1325,7 +1344,7 @@ mod tests {
         let mut w = WireWriter::new();
         heap.image_records(ImageKind::Delta)
             .unwrap()
-            .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
+            .encode(&mut w, CodecSet::all());
         let bytes = w.into_bytes();
         assert!(image_payload_stats(&bytes, true).is_ok());
         assert!(image_payload_stats(&bytes, false).is_err());
@@ -1360,11 +1379,7 @@ mod tests {
     #[test]
     fn delta_image_reconstructs_exact_heap() {
         let (mut heap, a, _s, t) = populated_heap();
-        let mut base = WireWriter::new();
-        heap.image_records(ImageKind::Full)
-            .unwrap()
-            .encode(&mut base, ImageLayout::Batched);
-        let base_bytes = base.into_bytes();
+        let base_bytes = v4_image(heap.image_records(ImageKind::Full).unwrap());
         heap.mark_clean();
 
         // Mutate: overwrite, allocate, free, re-point.
@@ -1373,17 +1388,10 @@ mod tests {
         heap.store(t, 2, Word::Ptr(fresh)).unwrap();
         heap.free_block(a);
 
-        let mut delta = WireWriter::new();
-        heap.image_records(ImageKind::Delta)
-            .unwrap()
-            .encode(&mut delta, ImageLayout::Batched);
-        let delta_bytes = delta.into_bytes();
+        let delta_bytes = v4_image(heap.image_records(ImageKind::Delta).unwrap());
         // The delta is smaller than a full image of the same heap.
-        let mut full = WireWriter::new();
-        heap.image_records(ImageKind::Full)
-            .unwrap()
-            .encode(&mut full, ImageLayout::Batched);
-        assert!(delta_bytes.len() < full.into_bytes().len() + 16);
+        let full = v4_image(heap.image_records(ImageKind::Full).unwrap());
+        assert!(delta_bytes.len() < full.len() + 16);
 
         let back = Heap::decode_delta_image(
             &mut WireReader::new(&base_bytes),
@@ -1407,21 +1415,13 @@ mod tests {
         heap.store(a, 0, Word::Int(2)).unwrap();
 
         // Clean point taken while the speculation is open.
-        let mut base = WireWriter::new();
-        heap.image_records(ImageKind::Full)
-            .unwrap()
-            .encode(&mut base, ImageLayout::Batched);
-        let base_bytes = base.into_bytes();
+        let base_bytes = v4_image(heap.image_records(ImageKind::Full).unwrap());
         heap.mark_clean();
 
         // The rollback reverts `a` — it must re-enter the dirty set or the
         // delta would silently miss the restored content.
         heap.spec_rollback(level).unwrap();
-        let mut delta = WireWriter::new();
-        heap.image_records(ImageKind::Delta)
-            .unwrap()
-            .encode(&mut delta, ImageLayout::Batched);
-        let delta_bytes = delta.into_bytes();
+        let delta_bytes = v4_image(heap.image_records(ImageKind::Delta).unwrap());
 
         let back = Heap::decode_delta_image(
             &mut WireReader::new(&base_bytes),
@@ -1438,18 +1438,10 @@ mod tests {
     #[test]
     fn empty_delta_is_tiny_and_reconstructs_base() {
         let (mut heap, ..) = populated_heap();
-        let mut base = WireWriter::new();
-        heap.image_records(ImageKind::Full)
-            .unwrap()
-            .encode(&mut base, ImageLayout::Batched);
-        let base_bytes = base.into_bytes();
+        let base_bytes = v4_image(heap.image_records(ImageKind::Full).unwrap());
         heap.mark_clean();
 
-        let mut delta = WireWriter::new();
-        heap.image_records(ImageKind::Delta)
-            .unwrap()
-            .encode(&mut delta, ImageLayout::Batched);
-        let delta_bytes = delta.into_bytes();
+        let delta_bytes = v4_image(heap.image_records(ImageKind::Delta).unwrap());
         assert!(delta_bytes.len() <= 8, "no changes → a few header bytes");
 
         let back = Heap::decode_delta_image(
@@ -1482,11 +1474,7 @@ mod tests {
 
         // Delta declaring the same against a legitimate base.
         let (heap, ..) = populated_heap();
-        let mut base = WireWriter::new();
-        heap.image_records(ImageKind::Full)
-            .unwrap()
-            .encode(&mut base, ImageLayout::Batched);
-        let base_bytes = base.into_bytes();
+        let base_bytes = v4_image(heap.image_records(ImageKind::Full).unwrap());
         let mut w = WireWriter::new();
         w.write_usize(1 << 40);
         w.write_usize(0);
@@ -1508,11 +1496,7 @@ mod tests {
     #[test]
     fn delta_with_duplicate_records_rejected() {
         let (heap, a, ..) = populated_heap();
-        let mut base = WireWriter::new();
-        heap.image_records(ImageKind::Full)
-            .unwrap()
-            .encode(&mut base, ImageLayout::Batched);
-        let base_bytes = base.into_bytes();
+        let base_bytes = v4_image(heap.image_records(ImageKind::Full).unwrap());
 
         // Two dirty records for the same index: order-dependent decode is
         // corruption, not a tolerated overwrite.
@@ -1521,7 +1505,10 @@ mod tests {
         w.write_usize(2);
         for value in [1i64, 2] {
             w.write_uvarint(a.0 as u64);
-            Block::words(a, BlockKind::Array, vec![Word::Int(value)]).encode_batched(&mut w);
+            encode_v4(
+                &Block::words(a, BlockKind::Array, vec![Word::Int(value)]),
+                &mut w,
+            );
         }
         w.write_usize(0);
         let delta_bytes = w.into_bytes();
@@ -1544,10 +1531,77 @@ mod tests {
         w.write_usize(1); // capacity 1
         w.write_usize(1); // one used entry
         w.write_uvarint(5); // index 5 out of range
-        Block::words(PtrIdx(5), BlockKind::Array, vec![]).encode(&mut w);
+        encode_v4(&Block::words(PtrIdx(5), BlockKind::Array, vec![]), &mut w);
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
         assert!(Heap::decode_image(&mut r, ImageCodec::Batched, HeapConfig::default()).is_err());
+    }
+
+    #[test]
+    fn image_indices_beyond_u32_are_rejected_not_truncated() {
+        const BEYOND: u64 = (1 << 32) + 1;
+
+        // A v5 record whose meta index is 2^32 + 1: a truncating read
+        // decodes it as block 1.
+        let mut w = WireWriter::new();
+        w.write_usize(2); // capacity
+        w.write_usize(1); // one record
+        let mut meta = WireWriter::new();
+        meta.write_uvarint(BEYOND);
+        BlockKind::Array.encode(&mut meta);
+        meta.write_usize(1);
+        w.write_byte_frame(meta.as_bytes(), mojave_wire::CodecId::Raw);
+        w.write_byte_frame(&[1], mojave_wire::CodecId::Raw);
+        w.write_word_frame(&[5], mojave_wire::CodecId::Raw);
+        w.write_byte_frame(&[], mojave_wire::CodecId::Raw);
+        let bytes = w.into_bytes();
+        assert_eq!(
+            Heap::decode_image(
+                &mut WireReader::new(&bytes),
+                ImageCodec::Slab,
+                HeapConfig::default()
+            )
+            .unwrap_err(),
+            WireError::LengthOverflow {
+                context: "heap record index",
+                len: BEYOND,
+            }
+        );
+
+        // A v5 delta freeing index 2^32 + 1: a truncating read deletes
+        // block 1 of the base.
+        let mut heap = Heap::new();
+        heap.alloc_array(1, Word::Int(0)).unwrap();
+        heap.alloc_array(1, Word::Int(1)).unwrap();
+        let mut base = WireWriter::new();
+        heap.image_records(ImageKind::Full)
+            .unwrap()
+            .encode(&mut base, CodecSet::all());
+        let base = base.into_bytes();
+        let mut w = WireWriter::new();
+        w.write_usize(2); // capacity
+        w.write_usize(0); // no dirty records
+        w.write_byte_frame(&[], mojave_wire::CodecId::Raw);
+        w.write_byte_frame(&[], mojave_wire::CodecId::Raw);
+        w.write_word_frame(&[], mojave_wire::CodecId::Raw);
+        w.write_byte_frame(&[], mojave_wire::CodecId::Raw);
+        w.write_usize(1); // one freed index
+        w.write_uvarint(BEYOND);
+        let delta = w.into_bytes();
+        assert_eq!(
+            Heap::decode_delta_image(
+                &mut WireReader::new(&base),
+                &mut WireReader::new(&delta),
+                ImageCodec::Slab,
+                ImageCodec::Slab,
+                HeapConfig::default(),
+            )
+            .unwrap_err(),
+            WireError::LengthOverflow {
+                context: "freed pointer index",
+                len: BEYOND,
+            }
+        );
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! The heap image (paper §4.2.2: pack / unpack of the heap and its pointer
-//! table): every layout decision, one encoder and one decoder.
+//! table): the codec negotiation, the one encoder and every decoder.
 //!
 //! * **Write side.** [`Heap::image_records`] and
 //!   [`crate::HeapSnapshot::image_records`] borrow the record list a full
-//!   or delta image serialises; [`ImageRecords::encode`] writes it in the
-//!   [`ImageLayout`] that [`ImageLayout::negotiate`] chose for the sink.
-//!   A snapshot hands the encoder the records the live heap would have at
-//!   the freeze point, which is what makes snapshot images byte-identical
-//!   to stop-the-world ones.
+//!   or delta image serialises; [`ImageRecords::encode`] writes it as v5
+//!   slab frames, each frame's codec chosen within the set
+//!   [`negotiate_codecs`] resolved for the sink.  A snapshot hands the
+//!   encoder the records the live heap would have at the freeze point,
+//!   which is what makes snapshot images byte-identical to stop-the-world
+//!   ones.
 //! * **Read side.** [`Heap::decode_image`] and [`Heap::decode_delta_image`]
 //!   dispatch on the [`ImageCodec`] an image's wire format version implies
-//!   ([`ImageCodec::of_version`]).
+//!   ([`ImageCodec::of_version`]): v5 is the one layout written, v1 and v4
+//!   are still read.
 //!
 //! `docs/WIRE_FORMAT.md` specifies the bytes.
 
@@ -21,7 +23,7 @@ use crate::pointer_table::PtrIdx;
 use crate::word::Word;
 use mojave_wire::{
     CodecId, CodecSet, Compressor, FrameStats, WireCodec, WireError, WireReader, WireWriter,
-    BATCHED_VERSION, FORMAT_VERSION, MIN_SUPPORTED_VERSION,
+    BATCHED_VERSION, MIN_SUPPORTED_VERSION,
 };
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -55,45 +57,17 @@ impl ImageCodec {
     }
 }
 
-/// The layout a new image is written in.  There is no per-word layout: v1
-/// images are read, never written.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ImageLayout {
-    /// The batched v4 layout, uncompressed.
-    Batched,
-    /// The compressed v5 slab layout; each frame's codec is chosen within
-    /// the set.
-    Slab(CodecSet),
-}
-
-impl ImageLayout {
-    /// The layout for a sink that accepts the codecs `accepted`, under the
-    /// process's codec `preference`.
-    ///
-    /// A sink accepting exactly `{Raw}` is a pre-v5 runtime (the
-    /// `MigrationSink` trait default): it gets the batched v4 layout — and
-    /// version — it can decode, not v5 frames it would reject at the
-    /// header.  Any other sink gets slab frames: the preference narrows
-    /// the accepted set (falling back to Raw, which every sink accepts,
-    /// when the sink does not advertise it), and without one the slab
-    /// encoder picks the smallest encoding within the whole set.
-    pub fn negotiate(accepted: CodecSet, preference: Option<CodecId>) -> ImageLayout {
-        if accepted == CodecSet::raw_only() {
-            return ImageLayout::Batched;
-        }
-        ImageLayout::Slab(match preference {
-            Some(codec) if accepted.contains(codec) => CodecSet::only(codec),
-            Some(_) => CodecSet::raw_only(),
-            None => accepted,
-        })
-    }
-
-    /// The wire format version an image in this layout carries.
-    pub fn format_version(self) -> u32 {
-        match self {
-            ImageLayout::Batched => BATCHED_VERSION,
-            ImageLayout::Slab(_) => FORMAT_VERSION,
-        }
+/// The codecs a new image's slab frames may use, for a sink that accepts
+/// `accepted`, under the process's codec `preference`.  The preference
+/// narrows the accepted set, falling back to Raw (which every sink
+/// accepts) when the sink does not advertise it; without one the slab
+/// encoder picks the smallest encoding within the whole set.  Every set
+/// is written as v5 frames — a `{Raw}` set as frames that are all Raw.
+pub fn negotiate_codecs(accepted: CodecSet, preference: Option<CodecId>) -> CodecSet {
+    match preference {
+        Some(codec) if accepted.contains(codec) => CodecSet::only(codec),
+        Some(_) => CodecSet::raw_only(),
+        None => accepted,
     }
 }
 
@@ -121,23 +95,14 @@ pub struct ImageRecords<'a> {
 }
 
 impl ImageRecords<'_> {
-    /// Write the image in `layout`: table capacity, record count, the
-    /// records, then (delta images only) the freed-index fixups.  The one
-    /// function that writes heap-image bytes.
-    pub fn encode(&self, w: &mut WireWriter, layout: ImageLayout) {
+    /// Write the v5 image: table capacity, record count, the records as
+    /// slab frames whose codecs are chosen within `codecs`, then (delta
+    /// images only) the freed-index fixups.  The one function that writes
+    /// heap-image bytes.
+    pub fn encode(&self, w: &mut WireWriter, codecs: CodecSet) {
         w.write_usize(self.capacity);
         w.write_usize(self.records.len());
-        match layout {
-            ImageLayout::Batched => {
-                for (idx, block) in &self.records {
-                    w.write_uvarint(idx.0 as u64);
-                    block.encode_batched(w);
-                }
-            }
-            ImageLayout::Slab(allowed) => {
-                with_pooled_encoder(|encoder| encoder.encode_records(w, &self.records, allowed))
-            }
-        }
+        with_pooled_encoder(|encoder| encoder.encode_records(w, &self.records, codecs));
         if let Some(freed) = &self.freed {
             debug_assert!(freed.windows(2).all(|p| p[0] < p[1]));
             w.write_usize(freed.len());
@@ -283,8 +248,7 @@ impl Heap {
         }
         let freed = delta.read_usize()?;
         for _ in 0..freed {
-            let idx = delta.read_uvarint()? as u32;
-            blocks.remove(&idx);
+            blocks.remove(&delta.read_uvarint_u32("freed pointer index")?);
         }
         Heap::build_from_blocks(capacity, blocks, config)
     }
@@ -344,11 +308,11 @@ impl Heap {
         }
         let mut records = Vec::with_capacity(count.min(1 << 16));
         for _ in 0..count {
-            let idx = r.read_uvarint()? as u32;
+            let idx = r.read_uvarint_u32("heap record index")?;
             let block = if codec == ImageCodec::Batched {
                 Block::decode_batched(r)?
             } else {
-                Block::decode(r)?
+                Block::decode_v1(r)?
             };
             if block.header.index.0 != idx {
                 return Err(WireError::Invalid(format!(
@@ -388,7 +352,7 @@ impl Heap {
         let mut word_off = 0usize;
         let mut byte_off = 0usize;
         for _ in 0..count {
-            let idx = mr.read_uvarint()? as u32;
+            let idx = mr.read_uvarint_u32("heap record index")?;
             let kind = BlockKind::decode(&mut mr)?;
             let len = mr.read_usize()?;
             let data = if kind.is_words() {

@@ -32,11 +32,12 @@
 //! and a later [`ImageKind::Delta`] image ships only the blocks mutated,
 //! allocated or freed since.  Every image — full or delta, of the live heap
 //! or of a frozen [`HeapSnapshot`] — goes through one entry point,
-//! [`ImageRecords::encode`], in the [`ImageLayout`] the receiving sink
-//! negotiated; see `docs/WIRE_FORMAT.md` for the layouts.
+//! [`ImageRecords::encode`], which writes v5 slab frames in the codecs
+//! the receiving sink negotiated ([`negotiate_codecs`]); see
+//! `docs/WIRE_FORMAT.md` for the layout.
 //!
 //! ```
-//! use mojave_heap::{Heap, HeapConfig, ImageCodec, ImageKind, ImageLayout, Word};
+//! use mojave_heap::{negotiate_codecs, Heap, HeapConfig, ImageCodec, ImageKind, Word};
 //! use mojave_wire::{CodecSet, WireReader, WireWriter, FORMAT_VERSION};
 //!
 //! let mut heap = Heap::new();
@@ -49,12 +50,11 @@
 //! assert_eq!(heap.load(arr, 0).unwrap(), Word::Int(0));
 //!
 //! // The whole heap round-trips through a compressed v5 image.
-//! let layout = ImageLayout::negotiate(CodecSet::all(), None);
-//! assert_eq!(layout.format_version(), FORMAT_VERSION);
+//! let codecs = negotiate_codecs(CodecSet::all(), None);
 //! let mut w = WireWriter::new();
-//! heap.image_records(ImageKind::Full).unwrap().encode(&mut w, layout);
+//! heap.image_records(ImageKind::Full).unwrap().encode(&mut w, codecs);
 //! let bytes = w.into_bytes();
-//! let codec = ImageCodec::of_version(layout.format_version());
+//! let codec = ImageCodec::of_version(FORMAT_VERSION);
 //! let mut r = WireReader::new(&bytes);
 //! let back = Heap::decode_image(&mut r, codec, HeapConfig::default()).unwrap();
 //! assert_eq!(back.load(arr, 0).unwrap(), Word::Int(0));
@@ -80,7 +80,7 @@ pub use error::HeapError;
 pub use gc::GcKind;
 pub use heap::{Heap, HeapConfig, HEADER_OVERHEAD_BYTES};
 pub use image::{
-    image_payload_stats, ImageCodec, ImageKind, ImageLayout, ImageRecords, PayloadWireStats,
+    image_payload_stats, negotiate_codecs, ImageCodec, ImageKind, ImageRecords, PayloadWireStats,
 };
 pub use pointer_table::{PointerTable, PtrIdx};
 pub use snapshot::HeapSnapshot;

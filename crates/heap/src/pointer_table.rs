@@ -14,7 +14,6 @@
 //!    entry at the clone; the original stays put and is recorded in the
 //!    speculation checkpoint record.
 
-use mojave_wire::{WireCodec, WireError, WireReader, WireWriter};
 use std::fmt;
 
 /// An index into the pointer table — the runtime representation of a base
@@ -168,50 +167,9 @@ impl PointerTable {
     }
 }
 
-impl WireCodec for PointerTable {
-    fn encode(&self, w: &mut WireWriter) {
-        // Canonical form: number of entries, then for each entry a used flag
-        // and the slot.  The free list is rebuilt on decode.
-        w.write_uvarint(self.entries.len() as u64);
-        for e in &self.entries {
-            match e {
-                Entry::Free { .. } => w.write_bool(false),
-                Entry::Used { slot } => {
-                    w.write_bool(true);
-                    w.write_uvarint(*slot as u64);
-                }
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let n = r.read_len()?;
-        let mut table = PointerTable::new();
-        let mut free_indices = Vec::new();
-        for i in 0..n {
-            if r.read_bool()? {
-                let slot = r.read_uvarint()? as usize;
-                table.entries.push(Entry::Used { slot });
-                table.live += 1;
-            } else {
-                table.entries.push(Entry::Free { next: None });
-                free_indices.push(i as u32);
-            }
-        }
-        // Rebuild the free list (order does not matter semantically).
-        for idx in free_indices.into_iter().rev() {
-            table.entries[idx as usize] = Entry::Free {
-                next: table.free_head,
-            };
-            table.free_head = Some(idx);
-        }
-        Ok(table)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mojave_wire::{from_bytes, to_bytes};
 
     #[test]
     fn allocate_lookup_free_cycle() {
@@ -268,24 +226,5 @@ mod tests {
         t.free(b);
         let used: Vec<_> = t.iter_used().collect();
         assert_eq!(used, vec![(a, 0), (c, 2)]);
-    }
-
-    #[test]
-    fn wire_roundtrip_preserves_used_entries_and_reuses_free() {
-        let mut t = PointerTable::new();
-        let _a = t.allocate(0);
-        let b = t.allocate(11);
-        let _c = t.allocate(22);
-        t.free(b);
-        let bytes = to_bytes(&t);
-        let mut back: PointerTable = from_bytes(&bytes).unwrap();
-        assert_eq!(back.live(), 2);
-        assert_eq!(back.capacity(), 3);
-        assert_eq!(back.lookup(PtrIdx(0)), Some(0));
-        assert_eq!(back.lookup(PtrIdx(1)), None);
-        assert_eq!(back.lookup(PtrIdx(2)), Some(22));
-        // Freed entry is reusable after decode.
-        let d = back.allocate(33);
-        assert_eq!(d, PtrIdx(1));
     }
 }

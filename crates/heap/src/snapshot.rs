@@ -139,7 +139,7 @@ impl HeapSnapshot {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Heap, HeapError, ImageKind, ImageLayout, Word};
+    use crate::{Heap, HeapError, ImageKind, Word};
     use mojave_wire::{CodecSet, WireWriter};
 
     fn bytes_of(f: impl FnOnce(&mut WireWriter)) -> Vec<u8> {
@@ -158,12 +158,7 @@ mod tests {
         let want_full = bytes_of(|w| {
             heap.image_records(ImageKind::Full)
                 .unwrap()
-                .encode(w, ImageLayout::Slab(CodecSet::all()))
-        });
-        let want_batched = bytes_of(|w| {
-            heap.image_records(ImageKind::Full)
-                .unwrap()
-                .encode(w, ImageLayout::Batched)
+                .encode(w, CodecSet::all())
         });
         let snap = heap.freeze();
 
@@ -175,15 +170,8 @@ mod tests {
             bytes_of(|w| snap
                 .image_records(ImageKind::Full)
                 .unwrap()
-                .encode(w, ImageLayout::Slab(CodecSet::all()))),
+                .encode(w, CodecSet::all())),
             want_full
-        );
-        assert_eq!(
-            bytes_of(|w| snap
-                .image_records(ImageKind::Full)
-                .unwrap()
-                .encode(w, ImageLayout::Batched)),
-            want_batched
         );
         assert_eq!(snap.block_count(), 3);
         assert!(snap.live_bytes() > 0);
@@ -216,12 +204,7 @@ mod tests {
         let want_delta = bytes_of(|w| {
             heap.image_records(ImageKind::Delta)
                 .unwrap()
-                .encode(w, ImageLayout::Slab(CodecSet::all()))
-        });
-        let want_batched = bytes_of(|w| {
-            heap.image_records(ImageKind::Delta)
-                .unwrap()
-                .encode(w, ImageLayout::Batched)
+                .encode(w, CodecSet::all())
         });
         let snap = heap.freeze();
         assert_eq!(snap.dirty_count(), 1);
@@ -231,12 +214,7 @@ mod tests {
         let mut got = WireWriter::new();
         snap.image_records(ImageKind::Delta)
             .unwrap()
-            .encode(&mut got, ImageLayout::Slab(CodecSet::all()));
+            .encode(&mut got, CodecSet::all());
         assert_eq!(got.into_bytes(), want_delta);
-        let mut got = WireWriter::new();
-        snap.image_records(ImageKind::Delta)
-            .unwrap()
-            .encode(&mut got, ImageLayout::Batched);
-        assert_eq!(got.into_bytes(), want_batched);
     }
 }

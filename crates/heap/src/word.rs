@@ -94,9 +94,10 @@ impl Word {
         }
     }
 
-    /// Fixed-width encoding for the batched slab format: a tag byte plus a
-    /// 64-bit payload.  The tag values match the per-word varint codec so
-    /// the two encodings stay reviewable side by side.
+    /// Fixed-width encoding for the slab formats (v4 batched, v5 tag and
+    /// payload slabs): a tag byte plus a 64-bit payload.  The tag values
+    /// match the per-word varint codec so the encodings stay reviewable
+    /// side by side.
     pub fn to_raw(self) -> (u8, u64) {
         match self {
             Word::Unit => (0, 0),
@@ -201,8 +202,8 @@ impl WireCodec for Word {
                     tag: code as u64,
                 })?)
             }
-            5 => Word::Ptr(PtrIdx(r.read_uvarint()? as u32)),
-            6 => Word::Fun(r.read_uvarint()? as u32),
+            5 => Word::Ptr(PtrIdx(r.read_uvarint_u32("Word::Ptr index")?)),
+            6 => Word::Fun(r.read_uvarint_u32("Word::Fun index")?),
             tag => {
                 return Err(WireError::BadTag {
                     context: "Word",

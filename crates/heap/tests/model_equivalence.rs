@@ -14,8 +14,8 @@
 //! indices the collector freed from the heap itself, and applies the
 //! bookkeeping rule for a free to each.
 
-use mojave_heap::{Block, BlockData, Heap, HeapSnapshot, ImageKind, ImageLayout, PtrIdx, Word};
-use mojave_wire::{WireReader, WireWriter};
+use mojave_heap::{BlockData, BlockKind, Heap, HeapSnapshot, ImageKind, PtrIdx, Word};
+use mojave_wire::{CodecSet, WireCodec, WireReader, WireWriter};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
@@ -247,19 +247,27 @@ fn shipped(heap: &Heap) -> (Vec<PtrIdx>, Vec<PtrIdx>) {
     let mut w = WireWriter::new();
     heap.image_records(ImageKind::Delta)
         .unwrap()
-        .encode(&mut w, ImageLayout::Batched);
+        .encode(&mut w, CodecSet::raw_only());
     let bytes = w.into_bytes();
     let mut r = WireReader::new(&bytes);
     r.read_usize().unwrap(); // table capacity
-    let dirty = (0..r.read_usize().unwrap())
+    let count = r.read_usize().unwrap();
+    let meta = r.read_byte_frame().unwrap();
+    let mut m = WireReader::new(&meta);
+    let dirty = (0..count)
         .map(|_| {
-            let idx = PtrIdx(r.read_uvarint().unwrap() as u32);
-            assert_eq!(Block::decode_batched(&mut r).unwrap().header.index, idx);
+            let idx = PtrIdx(m.read_uvarint_u32("record index").unwrap());
+            BlockKind::decode(&mut m).unwrap();
+            m.read_usize().unwrap(); // block length
             idx
         })
         .collect();
+    assert!(m.is_empty());
+    r.skip_byte_frame().unwrap(); // word tags
+    r.skip_word_frame().unwrap(); // word payloads
+    r.skip_byte_frame().unwrap(); // byte payloads
     let freed = (0..r.read_usize().unwrap())
-        .map(|_| PtrIdx(r.read_uvarint().unwrap() as u32))
+        .map(|_| PtrIdx(r.read_uvarint_u32("freed index").unwrap()))
         .collect();
     assert!(r.is_empty());
     (dirty, freed)

@@ -9,15 +9,15 @@
 //! delivery precisely, not die, and the synchronous pack reports the same
 //! misuse the same way.
 
-use mojave_heap::{Heap, HeapConfig, HeapError, ImageCodec, ImageKind, ImageLayout, Word};
+use mojave_heap::{Heap, HeapConfig, HeapError, ImageCodec, ImageKind, Word};
 use mojave_wire::{CodecSet, WireReader, WireWriter};
 
-/// Ask `heap` for a delta in `layout`, writing whatever it hands back:
+/// Ask `heap` for a delta in `codecs`, writing whatever it hands back:
 /// without a clean point that is the error, and no bytes.
-fn assert_delta_refused_without_output(heap: &Heap, layout: ImageLayout) {
+fn assert_delta_refused_without_output(heap: &Heap, codecs: CodecSet) {
     let mut w = WireWriter::new();
     match heap.image_records(ImageKind::Delta) {
-        Ok(records) => records.encode(&mut w, layout),
+        Ok(records) => records.encode(&mut w, codecs),
         Err(e) => assert_eq!(e, HeapError::NoCleanPoint),
     }
     assert!(w.into_bytes().is_empty(), "no partial output");
@@ -54,11 +54,11 @@ fn snapshot_after_mark_clean_encodes_deltas() {
     heap.store(arr, 2, Word::Int(41)).unwrap();
     let snap = heap.freeze();
 
-    for layout in [ImageLayout::Batched, ImageLayout::Slab(CodecSet::all())] {
+    for codecs in [CodecSet::raw_only(), CodecSet::all()] {
         let mut w = WireWriter::new();
         snap.image_records(ImageKind::Delta)
             .unwrap()
-            .encode(&mut w, layout);
+            .encode(&mut w, codecs);
         assert!(!w.into_bytes().is_empty());
     }
 }
@@ -67,14 +67,14 @@ fn snapshot_after_mark_clean_encodes_deltas() {
 fn live_heap_delta_encode_without_clean_point_is_an_error() {
     let mut heap = Heap::new();
     heap.alloc_array(4, Word::Int(7)).unwrap();
-    assert_delta_refused_without_output(&heap, ImageLayout::Batched);
+    assert_delta_refused_without_output(&heap, CodecSet::raw_only());
 }
 
 #[test]
 fn live_heap_compressed_delta_encode_without_clean_point_is_an_error() {
     let mut heap = Heap::new();
     heap.alloc_array(4, Word::Int(7)).unwrap();
-    assert_delta_refused_without_output(&heap, ImageLayout::Slab(CodecSet::all()));
+    assert_delta_refused_without_output(&heap, CodecSet::all());
 }
 
 #[test]
@@ -90,7 +90,7 @@ fn decoded_heaps_start_without_a_clean_point() {
     let mut w = WireWriter::new();
     heap.image_records(ImageKind::Full)
         .unwrap()
-        .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
+        .encode(&mut w, CodecSet::all());
     let bytes = w.into_bytes();
 
     let mut decoded = Heap::decode_image(

@@ -1,10 +1,8 @@
 //! Property tests for the heap: GC safety, speculation exactness, and image
 //! round-trips under randomly generated workloads.
 
-use mojave_heap::{
-    Block, Heap, HeapConfig, ImageCodec, ImageKind, ImageLayout, ImageRecords, PtrIdx, Word,
-};
-use mojave_wire::{choose_bytes, choose_words, CodecSet, WireCodec, WireReader, WireWriter};
+use mojave_heap::{Heap, HeapConfig, ImageCodec, ImageKind, ImageRecords, PtrIdx, Word};
+use mojave_wire::{choose_bytes, choose_words, CodecSet, WireReader, WireWriter};
 use proptest::prelude::*;
 
 /// A random mutator action over a fixed set of pre-allocated arrays.
@@ -169,10 +167,10 @@ proptest! {
         let snapshot = heap.snapshot();
 
         let mut w = WireWriter::new();
-        heap.image_records(ImageKind::Full).unwrap().encode(&mut w, ImageLayout::Batched);
+        heap.image_records(ImageKind::Full).unwrap().encode(&mut w, CodecSet::all());
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
-        let back = Heap::decode_image(&mut r, ImageCodec::Batched, HeapConfig::default()).unwrap();
+        let back = Heap::decode_image(&mut r, ImageCodec::Slab, HeapConfig::default()).unwrap();
         prop_assert!(r.is_empty());
         prop_assert_eq!(back.snapshot(), snapshot);
     }
@@ -256,27 +254,21 @@ proptest! {
         let slab = |heap: &Heap| {
             let mut w = WireWriter::new();
             let records = heap.image_records(ImageKind::Delta).unwrap();
-            records.encode(&mut w, ImageLayout::Slab(CodecSet::all()));
-            w.into_bytes()
-        };
-        let batched = |heap: &Heap| {
-            let mut w = WireWriter::new();
-            heap.image_records(ImageKind::Delta).unwrap().encode(&mut w, ImageLayout::Batched);
+            records.encode(&mut w, CodecSet::all());
             w.into_bytes()
         };
         prop_assert_eq!(slab(&forward), slab(&backward));
-        prop_assert_eq!(batched(&forward), batched(&backward));
         let mut frozen = WireWriter::new();
         backward
             .freeze()
             .image_records(ImageKind::Delta)
             .unwrap()
-            .encode(&mut frozen, ImageLayout::Slab(CodecSet::all()));
+            .encode(&mut frozen, CodecSet::all());
         prop_assert_eq!(frozen.into_bytes(), slab(&forward));
     }
 
     /// A zero-pause COW snapshot's images — full **and** delta, across
-    /// every codec and the batched layout — are byte-identical to
+    /// every codec — are byte-identical to
     /// stop-the-world images taken at the same logical point, no matter
     /// how the mutator interleaves before the freeze or keeps mutating
     /// (plain stores, allocations, frees, speculation) after it.
@@ -309,22 +301,20 @@ proptest! {
         }
 
         // Stop-the-world reference images at the logical freeze point.
-        let encode = |records: ImageRecords<'_>, layout| {
+        let encode = |records: ImageRecords<'_>, codecs| {
             let mut w = WireWriter::new();
-            records.encode(&mut w, layout);
+            records.encode(&mut w, codecs);
             w.into_bytes()
         };
         let full = || heap.image_records(ImageKind::Full).unwrap();
         let delta = || heap.image_records(ImageKind::Delta).unwrap();
-        let want_batched = encode(full(), ImageLayout::Batched);
-        let want_batched_delta = encode(delta(), ImageLayout::Batched);
         let want_full: Vec<Vec<u8>> = codec_sets
             .iter()
-            .map(|set| encode(full(), ImageLayout::Slab(*set)))
+            .map(|set| encode(full(), *set))
             .collect();
         let want_delta: Vec<Vec<u8>> = codec_sets
             .iter()
-            .map(|set| encode(delta(), ImageLayout::Slab(*set)))
+            .map(|set| encode(delta(), *set))
             .collect();
 
         let snap = heap.freeze();
@@ -341,11 +331,9 @@ proptest! {
 
         let frozen_full = || snap.image_records(ImageKind::Full).unwrap();
         let frozen_delta = || snap.image_records(ImageKind::Delta).unwrap();
-        prop_assert_eq!(&encode(frozen_full(), ImageLayout::Batched), &want_batched);
-        prop_assert_eq!(&encode(frozen_delta(), ImageLayout::Batched), &want_batched_delta);
         for (i, set) in codec_sets.iter().enumerate() {
-            prop_assert_eq!(&encode(frozen_full(), ImageLayout::Slab(*set)), &want_full[i]);
-            prop_assert_eq!(&encode(frozen_delta(), ImageLayout::Slab(*set)), &want_delta[i]);
+            prop_assert_eq!(&encode(frozen_full(), *set), &want_full[i]);
+            prop_assert_eq!(&encode(frozen_delta(), *set), &want_delta[i]);
         }
     }
 }
@@ -426,42 +414,29 @@ fn shaped_heap(shapes: &[Shape]) -> Heap {
     heap
 }
 
-/// The v5 slab image of the records in a batched (v4) image, as a
-/// never-used encoder writes it: each slab chosen and compressed by the
-/// codec crate's free functions, every one on a fresh `Compressor`.  A
-/// delta's freed-index tail is the same in both layouts and is copied.
-fn cold_slab_image(batched: &[u8], allowed: CodecSet) -> Vec<u8> {
-    let mut r = WireReader::new(batched);
+/// The v5 slab image of the slabs in an all-Raw v5 image, as a never-used
+/// encoder writes it: each slab chosen and compressed by the codec crate's
+/// free functions, every one on a fresh `Compressor`.  A delta's
+/// freed-index tail does not depend on the codecs and is copied.
+fn cold_slab_image(raw: &[u8], allowed: CodecSet) -> Vec<u8> {
+    let mut r = WireReader::new(raw);
     let capacity = r.read_usize().unwrap();
     let count = r.read_usize().unwrap();
-    let (mut meta, mut tags, mut words, mut raw) = (WireWriter::new(), vec![], vec![], vec![]);
-    for _ in 0..count {
-        let idx = r.read_uvarint().unwrap();
-        let block = Block::decode_batched(&mut r).unwrap();
-        meta.write_uvarint(idx);
-        block.header.kind.encode(&mut meta);
-        meta.write_usize(block.len());
-        match block.as_words() {
-            Some(block_words) => {
-                for word in block_words {
-                    let (tag, payload) = word.to_raw();
-                    tags.push(tag);
-                    words.push(payload);
-                }
-            }
-            None => raw.extend_from_slice(block.as_bytes().unwrap()),
-        }
-    }
+    let meta = r.read_byte_frame().unwrap();
+    let tags = r.read_byte_frame().unwrap();
+    let mut words = Vec::new();
+    r.read_word_frame_into(&mut words).unwrap();
+    let bytes = r.read_byte_frame().unwrap();
     let mut w = WireWriter::new();
     w.write_usize(capacity);
     w.write_usize(count);
-    w.write_byte_frame(meta.as_bytes(), choose_bytes(meta.as_bytes(), allowed));
+    w.write_byte_frame(&meta, choose_bytes(&meta, allowed));
     w.write_byte_frame(&tags, choose_bytes(&tags, allowed));
     w.write_word_frame(&words, choose_words(&words, allowed));
-    w.write_byte_frame(&raw, choose_bytes(&raw, allowed));
-    let mut bytes = w.into_bytes();
-    bytes.extend_from_slice(&batched[r.position()..]);
-    bytes
+    w.write_byte_frame(&bytes, choose_bytes(&bytes, allowed));
+    let mut image = w.into_bytes();
+    image.extend_from_slice(&raw[r.position()..]);
+    image
 }
 
 fn encoded(f: impl FnOnce(&mut WireWriter)) -> Vec<u8> {
@@ -480,22 +455,22 @@ fn pooled_images(heap: &mut Heap) -> Vec<Vec<u8>> {
         images.push(encoded(|w| {
             heap.image_records(ImageKind::Full)
                 .unwrap()
-                .encode(w, ImageLayout::Slab(allowed))
+                .encode(w, allowed)
         }));
         images.push(encoded(|w| {
             snap.image_records(ImageKind::Full)
                 .unwrap()
-                .encode(w, ImageLayout::Slab(allowed))
+                .encode(w, allowed)
         }));
         images.push(encoded(|w| {
             heap.image_records(ImageKind::Delta)
                 .unwrap()
-                .encode(w, ImageLayout::Slab(allowed))
+                .encode(w, allowed)
         }));
         images.push(encoded(|w| {
             snap.image_records(ImageKind::Delta)
                 .unwrap()
-                .encode(w, ImageLayout::Slab(allowed))
+                .encode(w, allowed)
         }));
     }
     images
@@ -506,17 +481,17 @@ fn cold_images(heap: &Heap) -> Vec<Vec<u8>> {
     let full = encoded(|w| {
         heap.image_records(ImageKind::Full)
             .unwrap()
-            .encode(w, ImageLayout::Batched)
+            .encode(w, CodecSet::raw_only())
     });
     let delta = encoded(|w| {
         heap.image_records(ImageKind::Delta)
             .unwrap()
-            .encode(w, ImageLayout::Batched)
+            .encode(w, CodecSet::raw_only())
     });
     let mut images = Vec::new();
     for allowed in (0..16).step_by(2).map(CodecSet::from_bits) {
-        for batched in [&full, &full, &delta, &delta] {
-            images.push(cold_slab_image(batched, allowed));
+        for raw in [&full, &full, &delta, &delta] {
+            images.push(cold_slab_image(raw, allowed));
         }
     }
     images

@@ -12,14 +12,14 @@
 //! * a snapshot without a clean point refuses delta encoding with the
 //!   precise [`HeapError::NoCleanPoint`] error.
 
-use mojave_heap::{Heap, HeapConfig, HeapError, ImageCodec, ImageKind, ImageLayout, PtrIdx, Word};
+use mojave_heap::{Heap, HeapConfig, HeapError, ImageCodec, ImageKind, PtrIdx, Word};
 use mojave_wire::{CodecSet, WireReader, WireWriter};
 
 fn image_of(heap: &Heap) -> Vec<u8> {
     let mut w = WireWriter::new();
     heap.image_records(ImageKind::Full)
         .unwrap()
-        .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
+        .encode(&mut w, CodecSet::all());
     w.into_bytes()
 }
 
@@ -27,7 +27,7 @@ fn snap_image(snap: &mojave_heap::HeapSnapshot) -> Vec<u8> {
     let mut w = WireWriter::new();
     snap.image_records(ImageKind::Full)
         .unwrap()
-        .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
+        .encode(&mut w, CodecSet::all());
     w.into_bytes()
 }
 
@@ -292,15 +292,13 @@ fn pinned_heap(seed: u64) -> Heap {
 }
 
 /// [`mojave_wire::fingerprint`]s of the three [`pinned_heap`]s' images
-/// — `(seed, full, delta)`, each in the batched layout and then the slab
-/// layout under every codec set that keeps `Raw`, in bitmask order —
-/// recorded through the per-layout encoders that preceded
-/// [`mojave_heap::ImageRecords::encode`].
-const IMAGE_PINS: [(u64, [u64; 9], [u64; 9]); 3] = [
+/// — `(seed, full, delta)`, each in the v5 slab layout under every codec
+/// set that keeps `Raw`, in bitmask order — recorded through the
+/// per-layout encoders that preceded [`mojave_heap::ImageRecords::encode`].
+const IMAGE_PINS: [(u64, [u64; 8], [u64; 8]); 3] = [
     (
         1,
         [
-            0x32fb66709569c397,
             0x139e7861f20ff966,
             0xf89bc67c50a89236,
             0xce1337c93b6a7c88,
@@ -311,7 +309,6 @@ const IMAGE_PINS: [(u64, [u64; 9], [u64; 9]); 3] = [
             0x0990ce430341a9f3,
         ],
         [
-            0x7681a8aa6ad81961,
             0x42db415458ab1e98,
             0x26d3b2a281a9d174,
             0x397c0c433558b4b4,
@@ -325,7 +322,6 @@ const IMAGE_PINS: [(u64, [u64; 9], [u64; 9]); 3] = [
     (
         2,
         [
-            0x93d80a90f6082074,
             0x18c34c7bf30f118e,
             0xb9c46be92a20e5a3,
             0x60c80a5955ca0e8b,
@@ -336,7 +332,6 @@ const IMAGE_PINS: [(u64, [u64; 9], [u64; 9]); 3] = [
             0xb84c34179158633e,
         ],
         [
-            0x0df80e4f208bcc38,
             0x5046c58b34695334,
             0xa5a78291628a671b,
             0xccbd7e9efcead61b,
@@ -350,7 +345,6 @@ const IMAGE_PINS: [(u64, [u64; 9], [u64; 9]); 3] = [
     (
         3,
         [
-            0x5e72152889130c09,
             0x4f7ae7d8e5c47974,
             0xa140598497942109,
             0x38d9f7be9e95809a,
@@ -361,7 +355,6 @@ const IMAGE_PINS: [(u64, [u64; 9], [u64; 9]); 3] = [
             0xd12e8f7446a0114a,
         ],
         [
-            0x49027361f212a8fd,
             0x8861277034bf5a6d,
             0xd9c6c090e438f717,
             0x3c388d09e9f4b1ee,
@@ -376,13 +369,7 @@ const IMAGE_PINS: [(u64, [u64; 9], [u64; 9]); 3] = [
 
 #[test]
 fn every_layout_reproduces_the_pinned_image_bytes() {
-    let layouts: Vec<ImageLayout> = std::iter::once(ImageLayout::Batched)
-        .chain(
-            (0..16)
-                .step_by(2)
-                .map(|bits| ImageLayout::Slab(CodecSet::from_bits(bits))),
-        )
-        .collect();
+    let codec_sets: Vec<CodecSet> = (0..16).step_by(2).map(CodecSet::from_bits).collect();
     for (seed, full, delta) in IMAGE_PINS {
         let mut heap = pinned_heap(seed);
         assert!(
@@ -391,14 +378,14 @@ fn every_layout_reproduces_the_pinned_image_bytes() {
         );
         let snap = heap.freeze();
         for (kind, pins) in [(ImageKind::Full, full), (ImageKind::Delta, delta)] {
-            for (layout, pin) in layouts.iter().zip(pins) {
+            for (codecs, pin) in codec_sets.iter().zip(pins) {
                 let live = heap.image_records(kind).unwrap();
                 let frozen = snap.image_records(kind).unwrap();
                 for records in [live, frozen] {
                     let mut w = WireWriter::new();
-                    records.encode(&mut w, *layout);
+                    records.encode(&mut w, *codecs);
                     let got = mojave_wire::fingerprint(&w.into_bytes());
-                    assert_eq!(got, pin, "seed {seed}, {kind:?}, {layout:?}");
+                    assert_eq!(got, pin, "seed {seed}, {kind:?}, {codecs:?}");
                 }
             }
         }
@@ -407,6 +394,7 @@ fn every_layout_reproduces_the_pinned_image_bytes() {
 
 #[test]
 fn versions_map_to_codecs_and_layouts_to_versions() {
+    use mojave_heap::negotiate_codecs;
     use mojave_wire::{CodecId, BATCHED_VERSION, FORMAT_VERSION, MIN_SUPPORTED_VERSION};
     // Read side: one row per wire format version.
     for (version, codec) in [
@@ -416,52 +404,26 @@ fn versions_map_to_codecs_and_layouts_to_versions() {
     ] {
         assert_eq!(ImageCodec::of_version(version), codec, "v{version}");
     }
-    // Write side: the layout negotiation picks, and the version it writes.
+    // Write side: the codecs negotiation allows; every set is written as
+    // v5 slab frames, a `{Raw}` set as frames that are all Raw.
     let raw_lz = CodecSet::only(CodecId::Lz);
-    for (accepted, preference, layout, version) in [
-        (
-            CodecSet::raw_only(),
-            None,
-            ImageLayout::Batched,
-            BATCHED_VERSION,
-        ),
+    for (accepted, preference, codecs) in [
+        (CodecSet::raw_only(), None, CodecSet::raw_only()),
         (
             CodecSet::raw_only(),
             Some(CodecId::Lz),
-            ImageLayout::Batched,
-            BATCHED_VERSION,
+            CodecSet::raw_only(),
         ),
-        (
-            CodecSet::all(),
-            None,
-            ImageLayout::Slab(CodecSet::all()),
-            FORMAT_VERSION,
-        ),
+        (CodecSet::all(), None, CodecSet::all()),
         (
             CodecSet::all(),
             Some(CodecId::Varint),
-            ImageLayout::Slab(CodecSet::only(CodecId::Varint)),
-            FORMAT_VERSION,
+            CodecSet::only(CodecId::Varint),
         ),
-        (
-            raw_lz,
-            Some(CodecId::Lz),
-            ImageLayout::Slab(raw_lz),
-            FORMAT_VERSION,
-        ),
-        (
-            raw_lz,
-            Some(CodecId::Varint),
-            ImageLayout::Slab(CodecSet::raw_only()),
-            FORMAT_VERSION,
-        ),
+        (raw_lz, Some(CodecId::Lz), raw_lz),
+        (raw_lz, Some(CodecId::Varint), CodecSet::raw_only()),
     ] {
-        let got = ImageLayout::negotiate(accepted, preference);
-        assert_eq!(got, layout, "{accepted:?} under {preference:?}");
-        assert_eq!(got.format_version(), version);
-        assert_eq!(
-            ImageCodec::of_version(version) == ImageCodec::Slab,
-            version == FORMAT_VERSION
-        );
+        let got = negotiate_codecs(accepted, preference);
+        assert_eq!(got, codecs, "{accepted:?} under {preference:?}");
     }
 }

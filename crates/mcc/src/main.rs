@@ -58,13 +58,6 @@ impl MigrationSink for FileSink {
             ),
         }
     }
-
-    /// Checkpoint files are read back by this same binary (`mcc resume` /
-    /// `mcc inspect`), which decodes every slab codec — advertise them
-    /// all so images land compressed on disk.
-    fn accepted_codecs(&self) -> mojave_wire::CodecSet {
-        mojave_wire::CodecSet::all()
-    }
 }
 
 fn usage() -> ExitCode {

@@ -589,7 +589,7 @@ mod tests {
     /// one: every pack allocates its `migrate_env` block first).
     fn twin(pack: &SnapshotPack) -> SnapshotPack {
         SnapshotPack {
-            layout: pack.layout,
+            codecs: pack.codecs,
             source_arch: pack.source_arch.clone(),
             code: pack.code.clone(),
             heap: pack.heap.clone(),

@@ -194,6 +194,18 @@ impl<'a> WireReader<'a> {
         checked_usize(value, "usize value")
     }
 
+    /// Read a uvarint that must fit in 32 bits (pointer-table and function
+    /// indices, labels).  A larger value is a [`WireError::LengthOverflow`]
+    /// naming `context`, never a truncating cast that would alias index
+    /// 2³²+k to k.
+    pub fn read_uvarint_u32(&mut self, context: &'static str) -> Result<u32, WireError> {
+        let value = self.read_uvarint()?;
+        u32::try_from(value).map_err(|_| WireError::LengthOverflow {
+            context,
+            len: value,
+        })
+    }
+
     /// Read and validate the standard image header written by
     /// [`crate::WireWriter::write_header`].
     ///

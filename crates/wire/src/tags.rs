@@ -14,8 +14,8 @@ pub const MAGIC: u32 = 0x4556_4A4D;
 pub const FORMAT_VERSION: u32 = 5;
 
 /// The **batched (v4) image layout**: framed sections and slab-encoded
-/// heap blocks, no compression.  Decoders still accept it; encoders only
-/// produce it when regenerating back-compat fixtures.
+/// heap blocks, no compression.  Decoders still accept it; no encoder
+/// produces it.
 pub const BATCHED_VERSION: u32 = 4;
 
 /// Oldest format version this runtime still decodes: the **v1 image

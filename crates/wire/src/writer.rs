@@ -32,13 +32,6 @@ impl WireWriter {
         self.buf.len()
     }
 
-    /// Pre-grow the buffer for `additional` upcoming bytes, so a burst of
-    /// small writes (e.g. a block's tag and payload slabs) costs at most
-    /// one reallocation.
-    pub fn reserve(&mut self, additional: usize) {
-        self.buf.reserve(additional);
-    }
-
     /// Whether nothing has been written yet.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()

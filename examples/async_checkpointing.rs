@@ -14,7 +14,7 @@
 
 use mojave::core::{CheckpointStore, InMemorySink, Process, ProcessConfig};
 use mojave::fir::MigrateProtocol;
-use mojave::heap::{ImageKind, ImageLayout, Word};
+use mojave::heap::{ImageKind, Word};
 use mojave::runtime::{AsyncSink, PipelineConfig};
 use mojave::wire::CodecSet;
 
@@ -105,7 +105,7 @@ fn main() {
         .heap()
         .image_records(ImageKind::Full)
         .expect("a full image needs no clean point")
-        .encode(&mut w, ImageLayout::Slab(CodecSet::all()));
+        .encode(&mut w, CodecSet::all());
     println!(
         "synchronous encode of the same heap: {:?} for {} bytes on the wire \
          (the pipeline moved ~all of it off the mutator: pause {} µs vs encode {} µs)",
