@@ -117,63 +117,44 @@ pub(crate) fn compress(words: &[u64], out: &mut Vec<u8>) {
     }
 }
 
-/// Decode `input`, which must encode exactly `word_count` words, appending
-/// them to `out`.
-pub(crate) fn decompress(
+/// Decode the group of `n` (`1..=GROUP_WORDS`) words starting at
+/// `input[*pos]` into `values[..n]` and advance `*pos` past it.  The kernel
+/// always unpacks a full group, so `values[n..]` is overwritten too.
+pub(crate) fn decode_group(
     input: &[u8],
-    word_count: usize,
-    out: &mut Vec<u64>,
+    pos: &mut usize,
+    n: usize,
+    values: &mut [u64; GROUP_WORDS],
 ) -> Result<(), CodecError> {
-    // Every group pays at least its width byte, so a count needing more
-    // groups than the payload has bytes is rejected before any
-    // allocation — the frame-header bomb cannot drive `reserve` below.
-    if word_count.div_ceil(GROUP_WORDS) > input.len() {
-        return Err(CodecError::TruncatedInput {
-            context: "bitpack slab",
-        });
+    debug_assert!(n > 0 && n <= GROUP_WORDS);
+    let truncated = CodecError::TruncatedInput {
+        context: "bitpack group",
+    };
+    let width = *input.get(*pos).ok_or(truncated.clone())?;
+    if width > 64 {
+        return Err(CodecError::BadWidth { width });
     }
-    out.reserve(word_count);
-    let mut pos = 0usize;
-    let mut left = word_count;
-    while left > 0 {
-        let truncated = CodecError::TruncatedInput {
-            context: "bitpack group",
-        };
-        let n = left.min(GROUP_WORDS);
-        let width = *input.get(pos).ok_or(truncated.clone())?;
-        if width > 64 {
-            return Err(CodecError::BadWidth { width });
-        }
-        let width = u32::from(width);
-        let len = packed_len(n, width);
-        let packed = input.get(pos + 1..pos + 1 + len).ok_or(truncated)?;
+    let width = u32::from(width);
+    let len = packed_len(n, width);
+    let packed = input.get(*pos + 1..*pos + 1 + len).ok_or(truncated)?;
 
-        let mut bits: Bits = [0; GROUP_WORDS + 1];
-        let mut chunks = packed.chunks_exact(8);
-        for (word, chunk) in bits.iter_mut().zip(&mut chunks) {
-            *word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        }
-        let tail = chunks.remainder();
-        let mut le = [0u8; 8];
-        le[..tail.len()].copy_from_slice(tail);
-        bits[len / 8] = u64::from_le_bytes(le);
+    let mut bits: Bits = [0; GROUP_WORDS + 1];
+    let mut chunks = packed.chunks_exact(8);
+    for (word, chunk) in bits.iter_mut().zip(&mut chunks) {
+        *word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+    }
+    let tail = chunks.remainder();
+    let mut le = [0u8; 8];
+    le[..tail.len()].copy_from_slice(tail);
+    bits[len / 8] = u64::from_le_bytes(le);
 
-        let mut group = [0u64; GROUP_WORDS];
-        by_width!(width, unpack(&bits, &mut group));
-        let mut prev = 0u64;
-        for value in &mut group {
-            prev = prev.wrapping_add(unzigzag(*value) as u64);
-            *value = prev;
-        }
-        out.extend_from_slice(&group[..n]);
-        pos += 1 + len;
-        left -= n;
+    by_width!(width, unpack(&bits, values));
+    let mut prev = 0u64;
+    for value in values.iter_mut() {
+        prev = prev.wrapping_add(unzigzag(*value) as u64);
+        *value = prev;
     }
-    if pos != input.len() {
-        return Err(CodecError::TrailingInput {
-            remaining: input.len() - pos,
-        });
-    }
+    *pos += 1 + len;
     Ok(())
 }
 

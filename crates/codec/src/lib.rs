@@ -31,11 +31,12 @@
 //! [`CodecId::Raw`] is the identity codec: always available, always
 //! lossless, `memcpy` both ways.
 //!
-//! Every codec implements [`SlabCodec`] with streaming
-//! [`SlabCodec::compress_into`] / [`SlabCodec::decompress_into`];
+//! Every codec implements [`SlabCodec::compress_into`];
 //! [`VarintStream`] and [`BitPackStream`] encode word by word for callers
-//! that never stage the slab.  [`choose`] trial-compresses a slab prefix
-//! with every codec and keeps the smallest encoding:
+//! that never stage the slab, and one pull-based [`WordDecoder`] per codec
+//! decodes in pieces of the caller's choosing, so no side ever has to
+//! build a `u64` slab.  [`choose`] trial-compresses a slab prefix with
+//! every codec and keeps the smallest encoding:
 //!
 //! ```
 //! use mojave_codec::{choose, compress_words, decompress_words, CodecId};
@@ -60,9 +61,11 @@
 #![warn(missing_docs)]
 
 mod bitpack;
+mod decode;
 mod lz;
 
 pub use bitpack::BitPackStream;
+pub use decode::WordDecoder;
 use lz::LzTable;
 use std::fmt;
 
@@ -289,24 +292,16 @@ impl fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// A slab compression pass: a lossless transform of a `u64` slab to bytes.
+/// Its inverse is the [`WordDecoder`] of the same [`SlabCodec::id`].
 ///
-/// Implementations are stateless; the streaming `*_into` methods append to
-/// caller-owned buffers so repeated use amortises allocation.
+/// Implementations are stateless; `compress_into` appends to a
+/// caller-owned buffer so repeated use amortises allocation.
 pub trait SlabCodec {
     /// The wire id this codec is tagged with.
     fn id(&self) -> CodecId;
 
     /// Append the compressed encoding of `words` to `out`.
     fn compress_into(&self, words: &[u64], out: &mut Vec<u8>);
-
-    /// Decode `input` (which must encode exactly `word_count` words) and
-    /// append the words to `out`.
-    fn decompress_into(
-        &self,
-        input: &[u8],
-        word_count: usize,
-        out: &mut Vec<u64>,
-    ) -> Result<(), CodecError>;
 }
 
 // ---------------------------------------------------------------------------
@@ -328,30 +323,6 @@ impl SlabCodec for Raw {
         for (chunk, word) in out[start..].chunks_exact_mut(8).zip(words) {
             chunk.copy_from_slice(&word.to_le_bytes());
         }
-    }
-
-    fn decompress_into(
-        &self,
-        input: &[u8],
-        word_count: usize,
-        out: &mut Vec<u64>,
-    ) -> Result<(), CodecError> {
-        // The exact-size check runs before any allocation, so a frame
-        // claiming a gigantic word count with a tiny payload costs nothing.
-        let expected = slab_bytes(word_count, "raw slab")?;
-        if input.len() != expected {
-            return Err(CodecError::LengthMismatch {
-                expected,
-                found: input.len(),
-            });
-        }
-        out.reserve(word_count);
-        for chunk in input.chunks_exact(8) {
-            let mut le = [0u8; 8];
-            le.copy_from_slice(chunk);
-            out.push(u64::from_le_bytes(le));
-        }
-        Ok(())
     }
 }
 
@@ -440,36 +411,6 @@ impl SlabCodec for Varint {
             prev = word;
         }
     }
-
-    fn decompress_into(
-        &self,
-        input: &[u8],
-        word_count: usize,
-        out: &mut Vec<u64>,
-    ) -> Result<(), CodecError> {
-        // Each word consumes at least one payload byte, so a claimed count
-        // above the payload size is rejected before any allocation — the
-        // frame-header bomb cannot drive `reserve` below.
-        if word_count > input.len() {
-            return Err(CodecError::TruncatedInput {
-                context: "varint slab",
-            });
-        }
-        out.reserve(word_count);
-        let mut pos = 0usize;
-        let mut prev = 0u64;
-        for _ in 0..word_count {
-            let zz = read_uvarint(input, &mut pos, "varint slab")?;
-            prev = prev.wrapping_add(unzigzag(zz) as u64);
-            out.push(prev);
-        }
-        if pos != input.len() {
-            return Err(CodecError::TrailingInput {
-                remaining: input.len() - pos,
-            });
-        }
-        Ok(())
-    }
 }
 
 /// Streaming encode side of [`Varint`], for callers that produce words
@@ -535,30 +476,6 @@ impl SlabCodec for Lz {
     fn compress_into(&self, words: &[u64], out: &mut Vec<u8>) {
         Compressor::new().compress_words(CodecId::Lz, words, out);
     }
-
-    fn decompress_into(
-        &self,
-        input: &[u8],
-        word_count: usize,
-        out: &mut Vec<u64>,
-    ) -> Result<(), CodecError> {
-        let expected = slab_bytes(word_count, "LZ slab")?;
-        let mut staged = Vec::new();
-        lz::decompress(input, expected, &mut staged)?;
-        if staged.len() != expected {
-            return Err(CodecError::LengthMismatch {
-                expected,
-                found: staged.len(),
-            });
-        }
-        out.reserve(word_count);
-        for chunk in staged.chunks_exact(8) {
-            let mut le = [0u8; 8];
-            le.copy_from_slice(chunk);
-            out.push(u64::from_le_bytes(le));
-        }
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -572,11 +489,6 @@ impl SlabCodec for Lz {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct VarintLz;
 
-/// Upper bound on the varint stage's output per word (a zig-zagged 64-bit
-/// delta is at most 10 LEB128 bytes) — bounds the intermediate buffer the
-/// LZ stage may produce while decompressing untrusted input.
-const MAX_VARINT_BYTES_PER_WORD: usize = 10;
-
 impl SlabCodec for VarintLz {
     fn id(&self) -> CodecId {
         CodecId::VarintLz
@@ -584,18 +496,6 @@ impl SlabCodec for VarintLz {
 
     fn compress_into(&self, words: &[u64], out: &mut Vec<u8>) {
         Compressor::new().compress_words(CodecId::VarintLz, words, out);
-    }
-
-    fn decompress_into(
-        &self,
-        input: &[u8],
-        word_count: usize,
-        out: &mut Vec<u64>,
-    ) -> Result<(), CodecError> {
-        let max_varint_bytes = word_count.saturating_mul(MAX_VARINT_BYTES_PER_WORD);
-        let mut staged = Vec::new();
-        lz::decompress(input, max_varint_bytes, &mut staged)?;
-        Varint.decompress_into(&staged, word_count, out)
     }
 }
 
@@ -619,15 +519,6 @@ impl SlabCodec for BitPack {
 
     fn compress_into(&self, words: &[u64], out: &mut Vec<u8>) {
         bitpack::compress(words, out);
-    }
-
-    fn decompress_into(
-        &self,
-        input: &[u8],
-        word_count: usize,
-        out: &mut Vec<u64>,
-    ) -> Result<(), CodecError> {
-        bitpack::decompress(input, word_count, out)
     }
 }
 
@@ -801,20 +692,16 @@ pub fn compress_words(id: CodecId, words: &[u64], out: &mut Vec<u8>) {
 }
 
 /// Decompress a word slab previously produced by [`compress_words`] with
-/// the same codec, appending exactly `word_count` words to `out`.
+/// the same codec, appending exactly `word_count` words to `out` — the
+/// whole of a [`WordDecoder`], collected.  On error `out` is left as it
+/// was.
 pub fn decompress_words(
     id: CodecId,
     input: &[u8],
     word_count: usize,
     out: &mut Vec<u64>,
 ) -> Result<(), CodecError> {
-    match id {
-        CodecId::Raw => Raw.decompress_into(input, word_count, out),
-        CodecId::Varint => Varint.decompress_into(input, word_count, out),
-        CodecId::Lz => Lz.decompress_into(input, word_count, out),
-        CodecId::VarintLz => VarintLz.decompress_into(input, word_count, out),
-        CodecId::BitPack => BitPack.decompress_into(input, word_count, out),
-    }
+    WordDecoder::new(id, input, word_count)?.read_to_end(out)
 }
 
 /// Compress a byte slab with the named codec — see

@@ -1,17 +1,18 @@
 //! Property tests: `decompress(compress(slab)) == slab` for every codec
 //! over four slab distributions (uniform, small-int-skewed, repetitive
-//! runs, mixed small-int and full-width blocks), the decoders never panic
-//! on arbitrary byte soup or on claimed counts no input could hold, a
-//! reused [`Compressor`] (dirty LZ table, dirty staging buffers) writes the
-//! bytes a fresh one writes, and `BitPack`'s size bound and independently
-//! decodable groups hold.
+//! runs, mixed small-int and full-width blocks), a [`WordDecoder`] read in
+//! pieces of any size gives the words and the errors of a whole-slab
+//! decode, the decoders never panic on arbitrary byte soup or on claimed
+//! counts no input could hold, a reused [`Compressor`] (dirty LZ table,
+//! dirty staging buffers) writes the bytes a fresh one writes, and
+//! `BitPack`'s size bound and independently decodable groups hold.
 //!
 //! Failures shrink through the vendored proptest's integer/vec/tuple
 //! shrinkers, so a regression reports a minimal failing slab.
 
 use mojave_codec::{
-    choose, choose_bytes, choose_words, compress_bytes, compress_words, decompress_words, CodecId,
-    CodecSet, Compressor, CHOICE_SAMPLE_WORDS,
+    choose, choose_bytes, choose_words, compress_bytes, compress_words, decompress_words,
+    CodecError, CodecId, CodecSet, Compressor, WordDecoder, CHOICE_SAMPLE_WORDS,
 };
 use proptest::prelude::*;
 
@@ -22,6 +23,48 @@ fn assert_roundtrip(id: CodecId, slab: &[u64]) {
     decompress_words(id, &compressed, slab.len(), &mut back)
         .unwrap_or_else(|e| panic!("{id} failed to decompress its own output: {e}"));
     assert_eq!(back, slab, "{id} roundtrip mismatch");
+}
+
+/// Decode `count` words of `id` from `input` through a [`WordDecoder`]
+/// read in pieces of `pieces` words (cycled; zero-sized pieces included),
+/// then finished.
+fn read_in_pieces(
+    id: CodecId,
+    input: &[u8],
+    count: usize,
+    pieces: &[usize],
+) -> Result<Vec<u64>, CodecError> {
+    let mut decoder = WordDecoder::new(id, input, count)?;
+    let mut out = vec![0; count];
+    let mut at = 0;
+    for &piece in pieces.iter().cycle() {
+        if at == count {
+            break;
+        }
+        let n = piece.min(count - at);
+        decoder.read(&mut out[at..at + n])?;
+        at += n;
+        assert_eq!(decoder.remaining(), count - at);
+    }
+    decoder.finish()?;
+    Ok(out)
+}
+
+/// The whole-slab decode of the same input.
+fn read_whole(id: CodecId, input: &[u8], count: usize) -> Result<Vec<u64>, CodecError> {
+    let mut out = Vec::new();
+    decompress_words(id, input, count, &mut out).map(|()| out)
+}
+
+/// Piece sizes: mostly small (group boundaries fall inside and between
+/// pieces), some spanning several 32-word groups, at least one positive.
+fn pieces() -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(any::<u64>().prop_map(|n| (n % 100) as usize), 1..8).prop_map(
+        |mut sizes| {
+            sizes.push(1 + sizes[0] % 40);
+            sizes
+        },
+    )
 }
 
 proptest! {
@@ -79,13 +122,22 @@ proptest! {
         soup in proptest::collection::vec(any::<u8>(), 0..512),
         claimed in any::<u64>().prop_map(|n| (n % 1024) as usize),
         huge in any::<u64>().prop_map(|n| usize::MAX / 8 - 2 + (n % 5) as usize),
+        pieces in pieces(),
     ) {
         for id in CodecId::ALL {
             let mut out = Vec::new();
             // Ok or Err are both acceptable; what matters is no panic and
-            // no output beyond the bounded claim.
-            let _ = decompress_words(id, &soup, claimed, &mut out);
+            // no output beyond the bounded claim — and the same verdict
+            // from the decoder read in pieces.
+            let whole = decompress_words(id, &soup, claimed, &mut out);
             prop_assert!(out.len() <= claimed);
+            prop_assert_eq!(
+                read_in_pieces(id, &soup, claimed, &pieces),
+                whole.map(|()| out),
+                "{}",
+                id
+            );
+            prop_assert!(WordDecoder::new(id, &soup, huge).is_err(), "{}", id);
             // A count whose byte size overflows (or nearly does) is a
             // precise error, decided before anything is reserved.
             let mut out = Vec::new();
@@ -144,6 +196,77 @@ fn group_ranges(payload: &[u8], word_count: usize) -> Vec<(std::ops::Range<usize
     ranges
 }
 
+/// Every decode error a `BitPack` or `Raw` slab can raise, read whole and
+/// in pieces: the same precise [`CodecError`] either way.
+#[test]
+fn each_decode_error_is_the_same_whole_or_in_pieces() {
+    let words: Vec<u64> = (0..70).map(|i| i * 3).collect();
+    let mut packed = Vec::new();
+    compress_words(CodecId::BitPack, &words, &mut packed);
+    let second = 1 + (32 * packed[0] as usize).div_ceil(8);
+    let mut wide = packed.clone();
+    wide[second] = 65;
+    let mut trailing = packed.clone();
+    trailing.extend([0, 0]);
+    let mut raw = Vec::new();
+    compress_words(CodecId::Raw, &words, &mut raw);
+    let truncated = CodecError::TruncatedInput {
+        context: "bitpack group",
+    };
+    let cases: [(CodecId, &[u8], usize, CodecError); 6] = [
+        (
+            CodecId::BitPack,
+            &wide,
+            70,
+            CodecError::BadWidth { width: 65 },
+        ),
+        (
+            CodecId::BitPack,
+            &packed[..second + 3],
+            70,
+            truncated.clone(),
+        ),
+        (CodecId::BitPack, &packed[..second], 70, truncated),
+        (
+            CodecId::BitPack,
+            &packed,
+            32 * packed.len() + 1,
+            CodecError::TruncatedInput {
+                context: "bitpack slab",
+            },
+        ),
+        (
+            CodecId::BitPack,
+            &trailing,
+            70,
+            CodecError::TrailingInput { remaining: 2 },
+        ),
+        (
+            CodecId::Raw,
+            &raw[..raw.len() - 8],
+            70,
+            CodecError::LengthMismatch {
+                expected: 560,
+                found: 552,
+            },
+        ),
+    ];
+    for (id, input, count, error) in cases {
+        assert_eq!(
+            read_whole(id, input, count),
+            Err(error.clone()),
+            "{id} whole"
+        );
+        for piece in [1, 5, 31, 32, 33, 64, 100] {
+            assert_eq!(
+                read_in_pieces(id, input, count, &[piece]),
+                Err(error.clone()),
+                "{id} in pieces of {piece}"
+            );
+        }
+    }
+}
+
 fn check_bitpack(slab: &[u64]) {
     assert_roundtrip(CodecId::BitPack, slab);
     let mut packed = Vec::new();
@@ -170,6 +293,51 @@ proptest! {
     fn mixed_block_slabs_roundtrip(slab in mixed_block_slab()) {
         for id in CodecId::ALL {
             assert_roundtrip(id, &slab);
+        }
+    }
+
+    /// For every codec, a decoder read in pieces of arbitrary sizes yields
+    /// the whole-slab decode — of the intact payload, and of the payload
+    /// cut short, lengthened, corrupted in one byte, or claimed at one
+    /// word more or fewer, where both must fail with the same error.
+    #[test]
+    fn piecewise_reads_match_whole_slab_decode(
+        slab in mixed_block_slab(),
+        pieces in pieces(),
+        at in any::<u64>(),
+        flip in 1u8..255,
+    ) {
+        for id in CodecId::ALL {
+            let mut packed = Vec::new();
+            compress_words(id, &slab, &mut packed);
+            let n = slab.len();
+            prop_assert_eq!(read_in_pieces(id, &packed, n, &pieces), Ok(slab.clone()), "{}", id);
+
+            let mut longer = packed.clone();
+            longer.push(flip);
+            let mut flipped = packed.clone();
+            if let Some(byte) = flipped.get_mut(at as usize % packed.len().max(1)) {
+                *byte ^= flip;
+            }
+            let cut = &packed[..at as usize % (packed.len() + 1)];
+            let variants: [(&[u8], usize); 6] = [
+                (cut, n),
+                (&longer, n),
+                (&flipped, n),
+                (&packed, n + 1),
+                (&packed, n.saturating_sub(1)),
+                (&packed, n + 33),
+            ];
+            for (input, count) in variants {
+                prop_assert_eq!(
+                    read_in_pieces(id, input, count, &pieces),
+                    read_whole(id, input, count),
+                    "{} over {} bytes claiming {}",
+                    id,
+                    input.len(),
+                    count
+                );
+            }
         }
     }
 

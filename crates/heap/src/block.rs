@@ -287,9 +287,7 @@ impl Block {
                 )));
             }
             let mut words = Vec::with_capacity(n);
-            for (&tag, &payload) in tags.iter().zip(&payloads) {
-                words.push(Word::from_raw(tag, payload)?);
-            }
+            crate::word::extend_from_raw(&mut words, tags, &payloads)?;
             BlockData::words(words)
         } else {
             BlockData::bytes(r.read_bytes()?.to_vec())

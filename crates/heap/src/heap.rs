@@ -1170,25 +1170,91 @@ mod tests {
         assert_eq!(h1.snapshot(), heap.snapshot());
     }
 
+    /// Word blocks whose lengths straddle the 32-word `BitPack` groups
+    /// and the decoder's chunk, mostly small `Int`s with every other word
+    /// kind (and a table hole) among them.
+    fn mixed_word_heap() -> Heap {
+        let mut heap = Heap::new();
+        let mut blocks = Vec::new();
+        for (b, len) in [1i64, 31, 33, 64, 95, 300, 7].into_iter().enumerate() {
+            let block = heap.alloc_array(len, Word::Int(0)).unwrap();
+            for i in 0..len {
+                let word = match (i * 7 + b as i64) % 23 {
+                    0 => Word::Bool(i % 2 == 0),
+                    1 => Word::Char(char::from_u32(0x3B0 + i as u32).unwrap()),
+                    2 => Word::Ptr(blocks.first().copied().unwrap_or(block)),
+                    3 => Word::Fun(i as u32),
+                    // Subnormal, so a group holding one stays narrow.
+                    4 => Word::Float(f64::from_bits(i as u64 * 3)),
+                    5 => Word::Unit,
+                    _ => Word::Int(i % 50 - 10),
+                };
+                heap.store(block, i, word).unwrap();
+            }
+            blocks.push(block);
+        }
+        let hole = heap.alloc_raw(8).unwrap();
+        heap.free_block(hole);
+        heap.alloc_str("straddle").unwrap();
+        heap
+    }
+
+    /// The codec id of a v5 image's word payload frame.
+    fn word_frame_codec(image: &[u8]) -> u8 {
+        let mut r = WireReader::new(image);
+        r.read_usize().unwrap();
+        r.read_usize().unwrap();
+        r.skip_byte_frame().unwrap();
+        r.skip_byte_frame().unwrap();
+        r.read_uvarint().unwrap();
+        r.read_u8().unwrap()
+    }
+
     #[test]
     fn compressed_image_roundtrip_matches_batched() {
         let (heap, a, s, t) = populated_heap();
-        for allowed in [
-            CodecSet::all(),
-            CodecSet::raw_only(),
-            CodecSet::only(mojave_wire::CodecId::Varint),
-            CodecSet::only(mojave_wire::CodecId::Lz),
-            CodecSet::only(mojave_wire::CodecId::VarintLz),
-        ] {
+        let mixed = mixed_word_heap();
+        let every_codec_set = std::iter::once(CodecSet::all())
+            .chain(mojave_wire::CodecId::ALL.into_iter().map(CodecSet::only));
+        for allowed in every_codec_set {
+            for source in [&heap, &mixed] {
+                // Encoders write records ascending by index; a decoder
+                // takes them in any order.
+                for reversed in [false, true] {
+                    let mut records = source.image_records(ImageKind::Full).unwrap();
+                    if reversed {
+                        records.records.reverse();
+                    }
+                    let mut w = WireWriter::new();
+                    records.encode(&mut w, allowed);
+                    let bytes = w.into_bytes();
+                    if std::ptr::eq(source, &mixed) && allowed != CodecSet::all() {
+                        // Enough small ints that the one codec offered
+                        // besides Raw wins the payload slab.
+                        let codec = allowed.iter().last().unwrap();
+                        assert_eq!(word_frame_codec(&bytes), codec as u8, "{codec}");
+                    }
+                    let mut r = WireReader::new(&bytes);
+                    let back = Heap::decode_image(&mut r, ImageCodec::Slab, HeapConfig::default())
+                        .unwrap();
+                    assert!(r.is_empty());
+                    assert_eq!(back.snapshot(), source.snapshot(), "{allowed:?} {reversed}");
+                    assert_eq!(
+                        back.pointer_table().capacity(),
+                        source.pointer_table().capacity()
+                    );
+                }
+            }
             let mut w = WireWriter::new();
             heap.image_records(ImageKind::Full)
                 .unwrap()
                 .encode(&mut w, allowed);
-            let bytes = w.into_bytes();
-            let mut r = WireReader::new(&bytes);
-            let back = Heap::decode_image(&mut r, ImageCodec::Slab, HeapConfig::default()).unwrap();
-            assert!(r.is_empty());
-            assert_eq!(back.snapshot(), heap.snapshot(), "{allowed:?}");
+            let back = Heap::decode_image(
+                &mut WireReader::new(&w.into_bytes()),
+                ImageCodec::Slab,
+                HeapConfig::default(),
+            )
+            .unwrap();
             assert_eq!(back.load(a, 0).unwrap(), Word::Int(7));
             assert_eq!(back.str_value(s).unwrap(), "hello");
             assert_eq!(back.load(t, 1).unwrap(), Word::Ptr(s));
@@ -1306,6 +1372,45 @@ mod tests {
             Heap::decode_image(&mut r, ImageCodec::Slab, HeapConfig::default()).unwrap_err(),
             WireError::Invalid(_)
         ));
+
+        // A payload frame that runs out in the middle of the second
+        // block, though its header passed the count check: the decoder's
+        // precise error, from the word it could not read.
+        use mojave_wire::{CodecError, CodecId};
+        let words: Vec<u64> = (0..80).map(|i| if i % 2 == 0 { 0 } else { 100 }).collect();
+        for (codec, held, error) in [
+            (CodecId::BitPack, 64, "bitpack group"),
+            (CodecId::Varint, 60, "varint slab"),
+        ] {
+            let mut w = WireWriter::new();
+            w.write_usize(2);
+            w.write_usize(2);
+            let mut meta = WireWriter::new();
+            for idx in 0..2 {
+                meta.write_uvarint(idx);
+                BlockKind::Array.encode(&mut meta);
+                meta.write_usize(40);
+            }
+            w.write_byte_frame(meta.as_bytes(), CodecId::Raw);
+            w.write_byte_frame(&[1; 80], CodecId::Raw);
+            let mut short = Vec::new();
+            mojave_wire::compress_words(codec, &words[..held], &mut short);
+            w.write_uvarint(80);
+            w.write_u8(codec as u8);
+            w.write_bytes(&short);
+            w.write_byte_frame(&[], CodecId::Raw);
+            let bytes = w.into_bytes();
+            assert_eq!(
+                Heap::decode_image(
+                    &mut WireReader::new(&bytes),
+                    ImageCodec::Slab,
+                    HeapConfig::default()
+                )
+                .unwrap_err(),
+                WireError::Codec(CodecError::TruncatedInput { context: error }),
+                "{codec}"
+            );
+        }
     }
 
     #[test]
@@ -1523,6 +1628,53 @@ mod tests {
             .unwrap_err(),
             WireError::Invalid(_)
         ));
+
+        // The same in v5, full and delta images alike, with the repeat
+        // out of order: records may come in any order, and once sorted a
+        // repeat is the adjacent-equal pair.
+        let v5 = |mut records: ImageRecords<'_>, at: usize| {
+            records.records.insert(0, records.records[at]);
+            let mut w = WireWriter::new();
+            records.encode(&mut w, CodecSet::all());
+            w.into_bytes()
+        };
+        let duplicate = |idx: PtrIdx, image: &str| {
+            WireError::Invalid(format!("duplicate pointer index {} in {image}", idx.0))
+        };
+        let full = heap.image_records(ImageKind::Full).unwrap();
+        let last = full.records.len() - 1;
+        let dup = full.records[last].0;
+        assert_eq!(
+            Heap::decode_image(
+                &mut WireReader::new(&v5(full, last)),
+                ImageCodec::Slab,
+                HeapConfig::default()
+            )
+            .unwrap_err(),
+            duplicate(dup, "heap image")
+        );
+
+        let mut heap = heap;
+        let mut base = WireWriter::new();
+        heap.image_records(ImageKind::Full)
+            .unwrap()
+            .encode(&mut base, CodecSet::all());
+        heap.mark_clean();
+        heap.store(a, 0, Word::Int(-1)).unwrap();
+        let fresh = heap.alloc_array(3, Word::Int(4)).unwrap();
+        let delta = heap.image_records(ImageKind::Delta).unwrap();
+        assert_eq!(delta.records.last().unwrap().0, fresh);
+        assert_eq!(
+            Heap::decode_delta_image(
+                &mut WireReader::new(base.as_bytes()),
+                &mut WireReader::new(&v5(delta, 1)),
+                ImageCodec::Slab,
+                ImageCodec::Slab,
+                HeapConfig::default(),
+            )
+            .unwrap_err(),
+            duplicate(fresh, "delta image")
+        );
     }
 
     #[test]

@@ -19,14 +19,13 @@
 use crate::block::{Block, BlockData, BlockHeader, BlockKind, Generation};
 use crate::error::HeapError;
 use crate::heap::{Heap, HeapConfig};
-use crate::pointer_table::PtrIdx;
-use crate::word::Word;
+use crate::pointer_table::{PointerTable, PtrIdx};
+use crate::word::extend_from_raw;
 use mojave_wire::{
     CodecId, CodecSet, Compressor, FrameStats, WireCodec, WireError, WireReader, WireWriter,
     BATCHED_VERSION, MIN_SUPPORTED_VERSION,
 };
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
 use std::sync::{Mutex, PoisonError};
 use std::thread::ThreadId;
 
@@ -226,7 +225,7 @@ impl Heap {
         delta_codec: ImageCodec,
         config: HeapConfig,
     ) -> Result<Heap, WireError> {
-        let (_, mut blocks) = Heap::parse_blocks(base, base_codec)?;
+        let (_, base_blocks) = Heap::parse_blocks(base, base_codec)?;
         if delta_codec == ImageCodec::PerWord {
             return Err(WireError::Invalid(
                 "v1 images cannot carry delta heap payloads".into(),
@@ -234,34 +233,34 @@ impl Heap {
         }
         let capacity = Heap::check_capacity(delta.read_usize()?)?;
         let dirty = delta.read_usize()?;
-        let mut seen: HashSet<u32> = HashSet::with_capacity(dirty.min(1 << 16));
-        for (idx, block) in Heap::parse_records(delta, dirty, delta_codec)? {
-            // Overwriting a *base* entry is the point of a delta; two
-            // delta records for one index is corruption (order-dependent
-            // decode).
-            if !seen.insert(idx) {
-                return Err(WireError::Invalid(format!(
-                    "duplicate pointer index {idx} in delta image"
-                )));
-            }
-            blocks.insert(idx, block);
-        }
+        // Overwriting a *base* entry is the point of a delta; two delta
+        // records for one index is corruption (order-dependent decode).
+        let dirty = ascending(
+            Heap::parse_records(delta, dirty, delta_codec)?,
+            "delta image",
+        )?;
         let freed = delta.read_usize()?;
+        let mut freed_indices = Vec::with_capacity(freed.min(1 << 16));
         for _ in 0..freed {
-            blocks.remove(&delta.read_uvarint_u32("freed pointer index")?);
+            freed_indices.push(delta.read_uvarint_u32("freed pointer index")?);
         }
+        freed_indices.sort_unstable();
+        let blocks = merge_delta(base_blocks, dirty, &freed_indices);
         Heap::build_from_blocks(capacity, blocks, config)
     }
 
     /// Bound the pointer-table capacity an image may declare.  Images come
     /// from untrusted peers; an absurd capacity must fail fast rather than
-    /// drive the table rebuild loop into gigabytes of allocation (and a
+    /// drive the table rebuild into gigabytes of allocation (and a
     /// capacity above `u32::MAX` would silently truncate, decoding every
     /// block into the void).
     fn check_capacity(capacity: usize) -> Result<usize, WireError> {
         /// Far above any real workload (the paper's heaps hold a few
-        /// thousand blocks) and far below address-space exhaustion.
-        const MAX_TABLE_CAPACITY: usize = 1 << 24;
+        /// thousand blocks) and far below address-space exhaustion: an
+        /// entry of a decoded heap costs at most 64 bytes (table entry,
+        /// block slot and free-slot entry), so the largest table is
+        /// 64 MiB.
+        const MAX_TABLE_CAPACITY: usize = 1 << 20;
         if capacity > MAX_TABLE_CAPACITY {
             return Err(WireError::LengthOverflow {
                 context: "pointer-table capacity",
@@ -271,12 +270,12 @@ impl Heap {
         Ok(capacity)
     }
 
-    /// Decode the `(capacity, index → block)` map of a full image,
-    /// rejecting duplicate indices.
+    /// Decode the capacity and the blocks of a full image, ascending by
+    /// index, rejecting duplicate indices.
     fn parse_blocks(
         r: &mut WireReader<'_>,
         codec: ImageCodec,
-    ) -> Result<(usize, HashMap<u32, Block>), WireError> {
+    ) -> Result<(usize, Vec<Block>), WireError> {
         let capacity = Heap::check_capacity(r.read_usize()?)?;
         let used = r.read_usize()?;
         if used > capacity {
@@ -284,25 +283,18 @@ impl Heap {
                 "heap image claims {used} used entries but a table of {capacity}"
             )));
         }
-        let mut blocks: HashMap<u32, Block> = HashMap::with_capacity(used.min(1 << 16));
-        for (idx, block) in Heap::parse_records(r, used, codec)? {
-            if blocks.insert(idx, block).is_some() {
-                return Err(WireError::Invalid(format!(
-                    "duplicate pointer index {idx} in heap image"
-                )));
-            }
-        }
+        let blocks = ascending(Heap::parse_records(r, used, codec)?, "heap image")?;
         Ok((capacity, blocks))
     }
 
-    /// Decode `count` records of `codec`'s layout, in record order.  In
-    /// the per-record layouts each block header repeats its index, and
-    /// the two must agree.
+    /// Decode `count` records of `codec`'s layout, in record order, each
+    /// block's header carrying its index.  In the per-record layouts each
+    /// block header repeats its index, and the two must agree.
     fn parse_records(
         r: &mut WireReader<'_>,
         count: usize,
         codec: ImageCodec,
-    ) -> Result<Vec<(u32, Block)>, WireError> {
+    ) -> Result<Vec<Block>, WireError> {
         if codec == ImageCodec::Slab {
             return Heap::parse_records_slab(r, count);
         }
@@ -320,37 +312,36 @@ impl Heap {
                     block.header.index.0
                 )));
             }
-            records.push((idx, block));
+            records.push(block);
         }
         Ok(records)
     }
 
     /// Decode `count` v5 slab records (the four compressed frames) back
-    /// into blocks, in record order.  Every slab length cross-check —
-    /// tags vs. payload words, declared block lengths vs. slab sizes —
-    /// is a precise [`WireError`], and nothing is allocated beyond what
-    /// the decompressed slabs actually hold.
-    fn parse_records_slab(
-        r: &mut WireReader<'_>,
-        count: usize,
-    ) -> Result<Vec<(u32, Block)>, WireError> {
+    /// into blocks, in record order, in one streamed pass: each word
+    /// block's `Vec<Word>` is filled straight from the payload frame's
+    /// [`mojave_wire::WordDecoder`], a chunk at a time, so no payload
+    /// slab is built.  Every slab length cross-check — tags vs. payload
+    /// words, declared block lengths vs. slab sizes — is a precise
+    /// [`WireError`], and nothing is allocated beyond what the blocks
+    /// themselves and the byte slabs hold.
+    fn parse_records_slab(r: &mut WireReader<'_>, count: usize) -> Result<Vec<Block>, WireError> {
         let meta = r.read_byte_frame()?;
         let tags = r.read_byte_frame()?;
-        let mut payload: Vec<u64> = Vec::new();
-        r.read_word_frame_into(&mut payload)?;
+        let mut payload = r.read_word_frame()?;
         let raw = r.read_byte_frame()?;
-        if tags.len() != payload.len() {
+        if tags.len() != payload.remaining() {
             return Err(WireError::Invalid(format!(
                 "heap image has {} word tags but {} word payloads",
                 tags.len(),
-                payload.len()
+                payload.remaining()
             )));
         }
-
         let mut mr = WireReader::new(&meta);
-        let mut records = Vec::with_capacity(count.min(1 << 16));
+        let mut blocks = Vec::with_capacity(count.min(1 << 16));
         let mut word_off = 0usize;
         let mut byte_off = 0usize;
+        let mut chunk = [0u64; DECODE_CHUNK_WORDS];
         for _ in 0..count {
             let idx = mr.read_uvarint_u32("heap record index")?;
             let kind = BlockKind::decode(&mut mr)?;
@@ -363,8 +354,10 @@ impl Heap {
                     )));
                 }
                 let mut words = Vec::with_capacity(len);
-                for k in word_off..word_off + len {
-                    words.push(Word::from_raw(tags[k], payload[k])?);
+                for tags in tags[word_off..word_off + len].chunks(DECODE_CHUNK_WORDS) {
+                    let payloads = &mut chunk[..tags.len()];
+                    payload.read(payloads)?;
+                    extend_from_raw(&mut words, tags, payloads)?;
                 }
                 word_off += len;
                 BlockData::words(words)
@@ -379,13 +372,10 @@ impl Heap {
                 byte_off += len;
                 BlockData::bytes(bytes)
             };
-            records.push((
-                idx,
-                Block {
-                    header: BlockHeader::new(PtrIdx(idx), kind, Generation::Old),
-                    data,
-                },
-            ));
+            blocks.push(Block {
+                header: BlockHeader::new(PtrIdx(idx), kind, Generation::Old),
+                data,
+            });
         }
         if !mr.is_empty() {
             return Err(WireError::TrailingBytes {
@@ -400,20 +390,31 @@ impl Heap {
                 raw.len() - byte_off
             )));
         }
-        Ok(records)
+        payload.finish()?;
+        Ok(blocks)
     }
 
-    /// Materialise a heap whose used pointer indices land exactly where the
-    /// image says: allocate table entries `0..capacity` in order, then free
-    /// the unused ones.  The result starts clean (its own image is its
-    /// base) but with dirty tracking disarmed — a resurrected process only
-    /// starts paying the bookkeeping once it takes a full checkpoint.
+    /// Materialise a heap from `blocks`, ascending by index, whose
+    /// indices land exactly where the image says, in the slot layout
+    /// allocating every entry `0..capacity` in order and then freeing the
+    /// unused ones leaves: block `i` in slot `i`, and every unused index
+    /// a free table entry and a free slot, the highest reused first.  The
+    /// collector sweeps in slot order, which decides the indices later
+    /// allocations get, so this layout is what keeps a resumed process's
+    /// later images byte-identical.  It is built in place — `blocks`
+    /// becomes the block store and each block moves once, to its slot —
+    /// so a free entry costs its table entry, its empty slot and its
+    /// free-slot entry and nothing else.  The result starts clean (its
+    /// own image is its base) but with dirty tracking disarmed — a
+    /// resurrected process only starts paying the bookkeeping once it
+    /// takes a full checkpoint.
     fn build_from_blocks(
         capacity: usize,
-        mut blocks: HashMap<u32, Block>,
+        blocks: Vec<Block>,
         config: HeapConfig,
     ) -> Result<Heap, WireError> {
-        if let Some(max_index) = blocks.keys().max().copied() {
+        if let Some(last) = blocks.last() {
+            let max_index = last.header.index.0;
             if max_index as usize >= capacity {
                 return Err(WireError::Invalid(format!(
                     "pointer index {max_index} exceeds declared table capacity {capacity}"
@@ -421,35 +422,84 @@ impl Heap {
             }
         }
         let mut heap = Heap::with_config(config);
-        let mut to_free = Vec::new();
-        for i in 0..capacity as u32 {
-            if let Some(block) = blocks.remove(&i) {
-                let slot = heap.take_slot();
-                let idx = heap.table.allocate(slot);
-                debug_assert_eq!(idx.0, i);
-                let size = block.byte_size();
-                heap.blocks[slot] = Some(Block {
-                    header: BlockHeader::new(idx, block.header.kind, Generation::Old),
-                    data: block.data,
-                });
-                heap.live_bytes += size;
-                heap.stats.blocks_allocated += 1;
-                heap.stats.bytes_allocated += size as u64;
-            } else {
-                let slot = heap.take_slot();
-                let idx = heap.table.allocate(slot);
-                debug_assert_eq!(idx.0, i);
-                to_free.push((idx, slot));
-            }
+        heap.table = PointerTable::rebuild(capacity, blocks.iter().map(|b| b.header.index));
+        let bytes: usize = blocks.iter().map(Block::byte_size).sum();
+        heap.live_bytes = bytes;
+        heap.stats.blocks_allocated = blocks.len() as u64;
+        heap.stats.bytes_allocated = bytes as u64;
+
+        let used = blocks.len();
+        // `Option<Block>` is `Block`'s size (the niche; asserted below),
+        // so this reuses the vector.
+        let mut slots: Vec<Option<Block>> = blocks.into_iter().map(Some).collect();
+        slots.resize_with(capacity, || None);
+        // Indices ascend and are at least their rank, so moving blocks
+        // from the last down never lands on one not yet moved.
+        for rank in (0..used).rev() {
+            let slot = slots[rank].as_ref().expect("not moved yet").header.index.0 as usize;
+            slots.swap(rank, slot);
         }
-        for (idx, slot) in to_free {
-            heap.table.free(idx);
-            heap.blocks[slot] = None;
-            heap.free_slots.push(slot);
-        }
+        heap.free_slots = Vec::with_capacity(capacity - used);
+        heap.free_slots
+            .extend((0..capacity).filter(|&slot| slots[slot].is_none()));
+        heap.blocks = slots;
         Ok(heap)
     }
 }
+
+// `build_from_blocks` turns its `Vec<Block>` into the `Vec<Option<Block>>`
+// block store without reallocating.
+const _: () = assert!(std::mem::size_of::<Option<Block>>() == std::mem::size_of::<Block>());
+
+/// `blocks` ascending by index: as they come when in order, which is how
+/// every encoder writes them, else sorted.  Two blocks with one index are
+/// a precise error naming the index and `image`.
+fn ascending(mut blocks: Vec<Block>, image: &str) -> Result<Vec<Block>, WireError> {
+    let index = |block: &Block| block.header.index;
+    if blocks.windows(2).all(|p| index(&p[0]) < index(&p[1])) {
+        return Ok(blocks);
+    }
+    blocks.sort_unstable_by_key(index);
+    if let Some(p) = blocks.windows(2).find(|p| index(&p[0]) == index(&p[1])) {
+        return Err(WireError::Invalid(format!(
+            "duplicate pointer index {} in {image}",
+            index(&p[0]).0
+        )));
+    }
+    Ok(blocks)
+}
+
+/// The blocks of a base image with a delta applied, ascending by index:
+/// the delta's `dirty` blocks replace or join the base's, then every
+/// `freed` index (ascending) goes, whichever side its block came from.
+fn merge_delta(base: Vec<Block>, dirty: Vec<Block>, freed: &[u32]) -> Vec<Block> {
+    let mut merged = Vec::with_capacity(base.len() + dirty.len());
+    let mut freed = freed.iter().copied().peekable();
+    let mut keep = |block: Block| {
+        let idx = block.header.index.0;
+        while freed.next_if(|&f| f < idx).is_some() {}
+        if freed.peek() != Some(&idx) {
+            merged.push(block);
+        }
+    };
+    let mut base = base.into_iter().peekable();
+    for block in dirty {
+        let idx = block.header.index;
+        while let Some(older) = base.next_if(|b| b.header.index <= idx) {
+            if older.header.index < idx {
+                keep(older);
+            }
+        }
+        keep(block);
+    }
+    base.for_each(keep);
+    merged
+}
+
+/// Payload words decoded per [`mojave_wire::WordDecoder::read`] into a
+/// stack buffer before they become a block's `Word`s: eight BitPack
+/// groups, small enough to stay in L1 between the two steps.
+const DECODE_CHUNK_WORDS: usize = 256;
 
 /// Encoders between images, each beside the thread that returned it.
 /// Every slab image — and through [`ImageRecords::encode`] synchronous

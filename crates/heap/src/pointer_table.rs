@@ -50,6 +50,36 @@ impl PointerTable {
         PointerTable::default()
     }
 
+    /// A table of `capacity` entries whose used ones are `used` (strictly
+    /// ascending, each below `capacity`), each pointing at the slot of its
+    /// own number.  The free entries chain exactly as allocating every
+    /// entry and then freeing the unused ones in ascending order would
+    /// leave them: the highest free index is reused first.
+    pub(crate) fn rebuild(capacity: usize, used: impl IntoIterator<Item = PtrIdx>) -> Self {
+        let mut entries = Vec::with_capacity(capacity);
+        let mut free_head = None;
+        let mut free_below = |entries: &mut Vec<Entry>, end: usize| {
+            for i in entries.len()..end {
+                entries.push(Entry::Free { next: free_head });
+                free_head = Some(i as u32);
+            }
+        };
+        let mut live = 0;
+        for idx in used {
+            let slot = idx.0 as usize;
+            debug_assert!(slot >= entries.len() && slot < capacity);
+            free_below(&mut entries, slot);
+            entries.push(Entry::Used { slot });
+            live += 1;
+        }
+        free_below(&mut entries, capacity);
+        PointerTable {
+            entries,
+            free_head,
+            live,
+        }
+    }
+
     /// Total number of entries (free and used).
     pub fn capacity(&self) -> usize {
         self.entries.len()
@@ -215,6 +245,32 @@ mod tests {
         assert_eq!(t.relocate(a, 42), Some(5));
         assert_eq!(t.lookup(a), Some(42));
         assert_eq!(t.relocate(PtrIdx(9), 1), None);
+    }
+
+    /// A rebuilt table is the table allocating every entry and freeing the
+    /// unused ones in ascending order leaves: same entries, same free-list
+    /// order, so later allocations get the same indices.
+    #[test]
+    fn rebuild_matches_allocate_then_free() {
+        for (capacity, used) in [
+            (0, vec![]),
+            (5, vec![]),
+            (5, vec![0, 1, 2, 3, 4]),
+            (9, vec![1, 2, 6]),
+            (4, vec![3]),
+        ] {
+            let mut slow = PointerTable::new();
+            for i in 0..capacity {
+                slow.allocate(i as usize);
+            }
+            for i in (0..capacity).filter(|i| !used.contains(i)) {
+                slow.free(PtrIdx(i));
+            }
+            let fast = PointerTable::rebuild(capacity as usize, used.iter().map(|&i| PtrIdx(i)));
+            assert_eq!(fast.entries, slow.entries, "{capacity} {used:?}");
+            assert_eq!(fast.free_head, slow.free_head);
+            assert_eq!(fast.live, slow.live);
+        }
     }
 
     #[test]

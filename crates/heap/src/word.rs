@@ -145,6 +145,29 @@ impl Word {
     }
 }
 
+/// Append the [`Word::from_raw`] decodings of `tags` and `payloads` (of
+/// equal length) to `out`.  A run whose tags are all `Int` — most of a
+/// numeric heap — is checked in one pass and converted without a fallible
+/// match per word; any other run is decoded word by word, so a bad tag or
+/// an out-of-range `Bool`, `Char`, `Ptr` or `Fun` payload is the same
+/// precise error.
+pub(crate) fn extend_from_raw(
+    out: &mut Vec<Word>,
+    tags: &[u8],
+    payloads: &[u64],
+) -> Result<(), WireError> {
+    debug_assert_eq!(tags.len(), payloads.len());
+    const INT: u8 = 1;
+    if tags.iter().all(|&tag| tag == INT) {
+        out.extend(payloads.iter().map(|&payload| Word::Int(payload as i64)));
+        return Ok(());
+    }
+    for (&tag, &payload) in tags.iter().zip(payloads) {
+        out.push(Word::from_raw(tag, payload)?);
+    }
+    Ok(())
+}
+
 impl fmt::Display for Word {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -425,7 +425,10 @@ fn cold_slab_image(raw: &[u8], allowed: CodecSet) -> Vec<u8> {
     let meta = r.read_byte_frame().unwrap();
     let tags = r.read_byte_frame().unwrap();
     let mut words = Vec::new();
-    r.read_word_frame_into(&mut words).unwrap();
+    r.read_word_frame()
+        .unwrap()
+        .read_to_end(&mut words)
+        .unwrap();
     let bytes = r.read_byte_frame().unwrap();
     let mut w = WireWriter::new();
     w.write_usize(capacity);

@@ -27,7 +27,7 @@
 //! written by older runtimes stay loadable while new images use the
 //! compressed v5 layout: framed [`SectionReader`]/[`SectionWriter`]
 //! sections whose heap payloads carry **codec-tagged compressed slab
-//! frames** (`write_word_frame`/`read_word_frame_into`, backed by the
+//! frames** (`write_word_frame`/`read_word_frame`, backed by the
 //! `mojave-codec` subsystem — see the "Compression" chapter of
 //! `docs/WIRE_FORMAT.md`).
 //!
@@ -71,7 +71,7 @@ pub use writer::{SectionWriter, WireWriter};
 pub use mojave_codec::{
     choose, choose_bytes, choose_words, compress_bytes, compress_words, decompress_bytes,
     decompress_lz_bytes, decompress_words, BitPackStream, CodecError, CodecId, CodecSet,
-    Compressor, SlabCodec, VarintStream, CHOICE_SAMPLE_WORDS,
+    Compressor, SlabCodec, VarintStream, WordDecoder, CHOICE_SAMPLE_WORDS,
 };
 
 /// 64-bit FNV-1a fingerprint of a byte payload.

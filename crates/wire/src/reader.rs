@@ -2,7 +2,7 @@
 
 use crate::error::WireError;
 use crate::tags::{SectionTag, FORMAT_VERSION, MAGIC, MIN_SUPPORTED_VERSION};
-use mojave_codec::CodecId;
+use mojave_codec::{CodecId, WordDecoder};
 use std::ops::{Deref, DerefMut};
 
 /// Sanity bound on any single length prefix.  Migration images for the
@@ -288,17 +288,20 @@ impl<'a> WireReader<'a> {
         Ok((checked_usize(declared, context)?, codec))
     }
 
-    /// Read a compressed word-slab frame written by
-    /// [`crate::WireWriter::write_word_frame`], appending the decoded words
-    /// to `out` and returning how many were read.
+    /// Read the header and payload of a compressed word-slab frame written
+    /// by [`crate::WireWriter::write_word_frame`], returning a decoder that
+    /// hands out its [`WordDecoder::remaining`] words in pieces — the
+    /// caller decodes straight into its own storage, and no word slab is
+    /// built.  [`WordDecoder::read_to_end`] collects them all instead.
     ///
     /// Untrusted-input discipline: the declared word count is bounded by
-    /// [`MAX_REASONABLE_LEN`] before allocation, the compressed payload is
-    /// sliced with one bounds check, and the codec layer enforces that the
-    /// payload produces *exactly* the declared count — a frame claiming a
-    /// gigantic slab over a few payload bytes fails with a precise error
-    /// after allocating no more than the payload justifies.
-    pub fn read_word_frame_into(&mut self, out: &mut Vec<u64>) -> Result<usize, WireError> {
+    /// [`MAX_REASONABLE_LEN`], the compressed payload is sliced with one
+    /// bounds check, and the codec layer rejects a count the payload
+    /// cannot hold before anything is allocated for it, and holds the
+    /// payload to *exactly* the declared count as it is read — a frame
+    /// claiming a gigantic slab over a few payload bytes fails with a
+    /// precise error after allocating no more than the payload justifies.
+    pub fn read_word_frame(&mut self) -> Result<WordDecoder<'a>, WireError> {
         let (count, codec) = self.read_frame_header("word frame")?;
         if count as u64 > MAX_REASONABLE_LEN / 8 {
             return Err(WireError::LengthOverflow {
@@ -307,14 +310,13 @@ impl<'a> WireReader<'a> {
             });
         }
         let payload = self.read_bytes()?;
-        mojave_codec::decompress_words(codec, payload, count, out)?;
-        Ok(count)
+        Ok(WordDecoder::new(codec, payload, count)?)
     }
 
     /// Read a compressed byte-slab frame written by
     /// [`crate::WireWriter::write_byte_frame`], returning the decompressed
     /// bytes.  Same untrusted-input bounds as
-    /// [`WireReader::read_word_frame_into`]; a word-slab codec id in a
+    /// [`WireReader::read_word_frame`]; a word-slab codec id in a
     /// byte frame is a [`WireError::Codec`] error.
     pub fn read_byte_frame(&mut self) -> Result<Vec<u8>, WireError> {
         let (raw_len, codec) = self.read_frame_header("byte frame")?;

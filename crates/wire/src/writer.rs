@@ -175,7 +175,7 @@ impl WireWriter {
     /// Write a codec-tagged compressed **word-slab frame** (v5 images):
     /// uvarint word count, codec id byte, then the length-prefixed
     /// compressed payload.  Decode with
-    /// [`crate::WireReader::read_word_frame_into`].
+    /// [`crate::WireReader::read_word_frame`].
     ///
     /// `codec` is typically picked by [`mojave_codec::choose_words`]; the
     /// [`CodecId::Raw`] fast path writes the slab bytes directly (no

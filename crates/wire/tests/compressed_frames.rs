@@ -6,6 +6,15 @@
 use mojave_codec::CodecError;
 use mojave_wire::{CodecId, WireError, WireReader, WireWriter, MAX_REASONABLE_LEN};
 
+/// Decode one word frame whole — its decoder, read to the end — returning
+/// the declared word count.
+fn read_words(r: &mut WireReader<'_>, out: &mut Vec<u64>) -> Result<usize, WireError> {
+    let decoder = r.read_word_frame()?;
+    let count = decoder.remaining();
+    decoder.read_to_end(out)?;
+    Ok(count)
+}
+
 fn frame_bytes(words: &[u64], codec: CodecId) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.write_word_frame(words, codec);
@@ -19,7 +28,7 @@ fn word_frames_roundtrip_every_codec() {
         let bytes = frame_bytes(&slab, codec);
         let mut r = WireReader::new(&bytes);
         let mut out = Vec::new();
-        assert_eq!(r.read_word_frame_into(&mut out).unwrap(), slab.len());
+        assert_eq!(read_words(&mut r, &mut out).unwrap(), slab.len());
         assert_eq!(out, slab, "{codec}");
         assert!(r.is_empty());
     }
@@ -49,7 +58,7 @@ fn truncated_compressed_payload_is_a_precise_error() {
         for cut in [bytes.len() - 1, bytes.len() / 2, 3] {
             let mut r = WireReader::new(&bytes[..cut]);
             let mut out = Vec::new();
-            let err = r.read_word_frame_into(&mut out).unwrap_err();
+            let err = read_words(&mut r, &mut out).unwrap_err();
             assert!(
                 matches!(err, WireError::UnexpectedEof { .. } | WireError::Codec(_)),
                 "{codec} cut at {cut}: got {err:?}"
@@ -86,9 +95,7 @@ fn raw_length_overflow_bomb_is_rejected_before_allocation() {
     w.write_bytes(&[0, 0, 0]);
     let bytes = w.into_bytes();
     let mut out = Vec::new();
-    let err = WireReader::new(&bytes)
-        .read_word_frame_into(&mut out)
-        .unwrap_err();
+    let err = read_words(&mut WireReader::new(&bytes), &mut out).unwrap_err();
     assert!(
         matches!(err, WireError::LengthOverflow { .. }),
         "got {err:?}"
@@ -113,9 +120,7 @@ fn plausible_bomb_claims_fail_without_matching_allocation() {
             assert!(matches!(err, WireError::Codec(_)), "{codec}: got {err:?}");
         }
         let mut out = Vec::new();
-        let err = WireReader::new(&bytes)
-            .read_word_frame_into(&mut out)
-            .unwrap_err();
+        let err = read_words(&mut WireReader::new(&bytes), &mut out).unwrap_err();
         assert!(matches!(err, WireError::Codec(_)), "{codec}: got {err:?}");
         assert!(
             out.capacity() < (1 << 22),
@@ -134,9 +139,7 @@ fn unknown_codec_id_is_a_bad_tag() {
     let bytes = w.into_bytes();
 
     let mut out = Vec::new();
-    let err = WireReader::new(&bytes)
-        .read_word_frame_into(&mut out)
-        .unwrap_err();
+    let err = read_words(&mut WireReader::new(&bytes), &mut out).unwrap_err();
     assert!(
         matches!(
             err,
@@ -207,9 +210,7 @@ fn raw_frame_with_mismatched_payload_is_rejected() {
     w.write_bytes(&[0; 16]); // but only two words of payload
     let bytes = w.into_bytes();
     let mut out = Vec::new();
-    let err = WireReader::new(&bytes)
-        .read_word_frame_into(&mut out)
-        .unwrap_err();
+    let err = read_words(&mut WireReader::new(&bytes), &mut out).unwrap_err();
     assert!(
         matches!(err, WireError::Codec(CodecError::LengthMismatch { .. })),
         "got {err:?}"
