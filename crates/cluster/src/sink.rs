@@ -133,12 +133,16 @@ mod tests {
         ));
     }
 
-    fn dummy_image() -> MigrationImage {
+    fn dummy_program() -> mojave_fir::Program {
         let mut pb = ProgramBuilder::new();
         let (main, _) = pb.declare("main", &[]);
         pb.define(main, term::halt(0));
         pb.set_entry(main);
-        let mut p = Process::new(pb.finish(), ProcessConfig::default()).unwrap();
+        pb.finish()
+    }
+
+    fn dummy_image() -> MigrationImage {
+        let mut p = Process::new(dummy_program(), ProcessConfig::default()).unwrap();
         p.pack(0, mojave_heap::Word::Fun(0), &[]).unwrap()
     }
 
@@ -154,6 +158,54 @@ mod tests {
         assert_eq!(cluster.store().names(), vec!["grid-0-10".to_owned()]);
         let loaded = cluster.store().load("grid-0-10").unwrap();
         assert_eq!(loaded.source_arch, image.source_arch);
+    }
+
+    /// A delta relayed to a daemon resolves against the shared store's
+    /// base, the base's code included, and runs; a base since overwritten
+    /// by other code with the same heap is a precise rejection.
+    #[test]
+    fn daemon_resolves_a_relayed_delta_against_the_base_code() {
+        use mojave_core::{PackedProcess, RuntimeError};
+        use mojave_heap::Word;
+        let cluster = Cluster::new(ClusterConfig::new(2));
+        let mut p = Process::new(migrating_program(), ProcessConfig::default()).unwrap();
+        let after = Word::Fun(0);
+        let base = p.pack(0, after, &[Word::Int(77)]).unwrap();
+        p.heap_mut().mark_clean();
+        let delta = p
+            .pack_delta(
+                0,
+                after,
+                &[Word::Int(78)],
+                "base",
+                base.heap_image.fingerprint(),
+            )
+            .unwrap();
+        assert!(delta.code.inline().is_none());
+        let relay = || PackedProcess {
+            protocol: MigrateProtocol::Migrate,
+            target: "node1".into(),
+            bytes: delta.to_bytes(),
+        };
+        let daemon = MigrationDaemon::new(cluster.clone(), 1);
+
+        cluster.store().put("base", base.to_bytes());
+        assert!(cluster.push_inbound(1, relay()));
+        let results = daemon.run_pending(&ProcessConfig::default());
+        assert_eq!(*results[0].as_ref().unwrap(), RunOutcome::Exit(78));
+
+        let other_code = MigrationImage {
+            code: mojave_core::migrate::PackedCode::Fir(dummy_program()).into(),
+            ..base
+        };
+        cluster.store().put("base", other_code.to_bytes());
+        assert!(cluster.push_inbound(1, relay()));
+        match &daemon.run_pending(&ProcessConfig::default())[0] {
+            Err(RuntimeError::MigrationRejected(msg)) => {
+                assert!(msg.contains("does not carry the code"), "{msg}")
+            }
+            other => panic!("expected a code mismatch, got {other:?}"),
+        }
     }
 
     #[test]

@@ -59,8 +59,8 @@ pub use error::RuntimeError;
 pub use externals::{DefaultExternals, ExtCall, Externals, MSG_OK, MSG_ROLL};
 pub use machine::Machine;
 pub use migrate::{
-    CheckpointStore, DeliveryOutcome, HeapImage, InMemorySink, MigrationImage, MigrationSink,
-    PackedProcess, PipelineStats, SnapshotPack, StoreStats,
+    CheckpointStore, DeliveryOutcome, HeapImage, ImageCode, InMemorySink, MigrationImage,
+    MigrationSink, PackedProcess, PipelineStats, SnapshotPack, StoreStats,
 };
 pub use process::{Process, ProcessConfig, ProcessStats, RunOutcome};
 pub use speculate::SpeculationManager;

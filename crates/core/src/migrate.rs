@@ -6,8 +6,9 @@
 //! * **pack** — capture the entire process state.  [`crate::Process::pack`]
 //!   garbage-collects, stores the live variables into a fresh
 //!   `migrate_env` block, and produces a [`MigrationImage`] holding the
-//!   code (FIR, or compiled bytecode for *binary* migration), the pointer
-//!   table, the heap blocks and the resume continuation.
+//!   code (FIR, or compiled bytecode for *binary* migration; a delta
+//!   checkpoint names its base's code instead), the pointer table, the
+//!   heap blocks and the resume continuation.
 //! * **transmit** — hand the image to a [`MigrationSink`].  A standalone
 //!   process uses [`InMemorySink`] (checkpoint files in a
 //!   [`CheckpointStore`]); the cluster crate provides a sink that routes
@@ -27,8 +28,8 @@ use mojave_heap::{
     ImageRecords, PtrIdx, Word,
 };
 use mojave_wire::{
-    CodecSet, SectionTag, WireCodec, WireError, WireReader, WireWriter, FORMAT_VERSION,
-    MIN_SUPPORTED_VERSION,
+    uvarint_len, CodecSet, SectionTag, WireCodec, WireError, WireReader, WireWriter,
+    FORMAT_VERSION, MIN_SUPPORTED_VERSION,
 };
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -81,14 +82,21 @@ impl PackedCode {
 
 /// The code section as an image carries it: one immutable [`PackedCode`],
 /// shared by every image a process packs, together with the body of the
-/// framed section it encodes to — produced by the first
-/// [`MigrationImage::to_bytes`] that needs it, spliced by every later one.
+/// framed section it encodes to and that section's fingerprint — each
+/// produced by the first image that needs it, reused by every later one.
 ///
 /// There is no mutable access: changed code is a new `CodeSection`
 /// (`PackedCode::into`) with nothing cached, so the cached bytes are the
 /// encoding of this code by construction.  Equality compares the code only.
 #[derive(Debug, Clone)]
-pub struct CodeSection(Arc<(PackedCode, OnceLock<Vec<u8>>)>);
+pub struct CodeSection(Arc<EncodedCode>);
+
+#[derive(Debug)]
+struct EncodedCode {
+    code: PackedCode,
+    body: OnceLock<Vec<u8>>,
+    fingerprint: OnceLock<u64>,
+}
 
 impl CodeSection {
     /// Whether `a` and `b` are one shared section (as [`Arc::ptr_eq`]).
@@ -98,30 +106,114 @@ impl CodeSection {
 
     /// The encoded section body, produced on first use.
     fn body(&self) -> &[u8] {
-        self.0 .1.get_or_init(|| {
+        self.0.body.get_or_init(|| {
             let mut w = WireWriter::new();
             self.encode_body(&mut w);
             w.into_bytes()
+        })
+    }
+
+    /// [`mojave_wire::fingerprint`] of the section's tag byte followed by
+    /// its body — what a delta's [`ImageCode::Base`] names its base's code
+    /// by, so FIR and bytecode of one program never match.  Computed once.
+    pub fn fingerprint(&self) -> u64 {
+        *self.0.fingerprint.get_or_init(|| {
+            mojave_wire::fingerprint_parts(&[&[self.section_tag() as u8], self.body()])
         })
     }
 }
 
 impl From<PackedCode> for CodeSection {
     fn from(code: PackedCode) -> Self {
-        CodeSection(Arc::new((code, OnceLock::new())))
+        CodeSection(Arc::new(EncodedCode {
+            code,
+            body: OnceLock::new(),
+            fingerprint: OnceLock::new(),
+        }))
     }
 }
 
 impl std::ops::Deref for CodeSection {
     type Target = PackedCode;
     fn deref(&self) -> &PackedCode {
-        &self.0 .0
+        &self.0.code
     }
 }
 
 impl PartialEq for CodeSection {
     fn eq(&self, other: &Self) -> bool {
         CodeSection::ptr_eq(self, other) || **self == **other
+    }
+}
+
+/// The code of a migration image: the code section itself, or — in a
+/// delta checkpoint — a reference to the code its base carries.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ImageCode {
+    /// The code travels in the image: every full image, and delta images
+    /// written before deltas referenced their base's code.
+    Inline(CodeSection),
+    /// The code is the base checkpoint's, whose
+    /// [`CodeSection::fingerprint`] is `fingerprint`.  A delta is useless
+    /// without its full base, and the base already carries the code, so
+    /// the delta ships 13 bytes (a [`SectionTag::CodeRef`] section)
+    /// instead of the program.  Resolution checks the fingerprint, so a
+    /// base overwritten by a different program is a precise error.
+    Base {
+        /// [`CodeSection::fingerprint`] of the base's code.
+        fingerprint: u64,
+    },
+}
+
+impl ImageCode {
+    /// The code section, if the image carries it.
+    pub fn inline(&self) -> Option<&CodeSection> {
+        match self {
+            ImageCode::Inline(code) => Some(code),
+            ImageCode::Base { .. } => None,
+        }
+    }
+
+    /// [`CodeSection::fingerprint`] of the code the image runs, carried
+    /// or referenced.
+    pub fn fingerprint(&self) -> u64 {
+        match self {
+            ImageCode::Inline(code) => code.fingerprint(),
+            ImageCode::Base { fingerprint } => *fingerprint,
+        }
+    }
+
+    /// Whether the image carries binary (pre-compiled) code; `false` for a
+    /// reference to the base's code, whatever kind that is.
+    pub fn is_binary(&self) -> bool {
+        self.inline().is_some_and(|code| code.is_binary())
+    }
+
+    /// What a freshly packed image carries: the code itself in a full
+    /// image, a reference to the base's code in a delta (whose base this
+    /// process packed, with this very code section).
+    pub(crate) fn packed(code: CodeSection, heap_image: &HeapImage) -> ImageCode {
+        if heap_image.is_delta() {
+            ImageCode::Base {
+                fingerprint: code.fingerprint(),
+            }
+        } else {
+            ImageCode::Inline(code)
+        }
+    }
+
+    /// Bytes of the framed section body this code writes.
+    fn body_len(&self) -> usize {
+        match self {
+            ImageCode::Inline(code) => code.body().len(),
+            ImageCode::Base { .. } => 8,
+        }
+    }
+}
+
+impl From<PackedCode> for ImageCode {
+    fn from(code: PackedCode) -> Self {
+        ImageCode::Inline(code.into())
     }
 }
 
@@ -179,11 +271,50 @@ impl HeapImage {
         })
     }
 
+    /// The tag of the image section this payload travels in.
+    fn section_tag(&self) -> SectionTag {
+        match self {
+            HeapImage::Full(_) => SectionTag::HeapBlocks,
+            HeapImage::Delta { .. } => SectionTag::HeapDelta,
+        }
+    }
+
+    /// Write that section's body: the length-prefixed payload, after the
+    /// base's name and heap fingerprint for a delta.
+    fn write_body(&self, w: &mut WireWriter) {
+        if let HeapImage::Delta {
+            base,
+            base_fingerprint,
+            ..
+        } = self
+        {
+            w.write_str(base);
+            w.write_u64(*base_fingerprint);
+        }
+        w.write_bytes(self.bytes());
+    }
+
+    /// Bytes [`HeapImage::write_body`] writes.
+    fn body_len(&self) -> usize {
+        let prefixed = |len: usize| uvarint_len(len as u64) + len;
+        match self {
+            HeapImage::Full(bytes) => prefixed(bytes.len()),
+            HeapImage::Delta { base, bytes, .. } => {
+                prefixed(base.len()) + 8 + prefixed(bytes.len())
+            }
+        }
+    }
+
+    /// The encoded payload.
+    fn bytes(&self) -> &[u8] {
+        match self {
+            HeapImage::Full(bytes) | HeapImage::Delta { bytes, .. } => bytes,
+        }
+    }
+
     /// Size of the encoded heap payload in bytes.
     pub fn len(&self) -> usize {
-        match self {
-            HeapImage::Full(bytes) | HeapImage::Delta { bytes, .. } => bytes.len(),
-        }
+        self.bytes().len()
     }
 
     /// Whether the payload is empty (never the case for real images).
@@ -207,18 +338,16 @@ impl HeapImage {
     /// [`mojave_wire::fingerprint`] of the payload bytes — what a delta
     /// records about its base so resolution can detect an overwritten one.
     pub fn fingerprint(&self) -> u64 {
-        match self {
-            HeapImage::Full(bytes) | HeapImage::Delta { bytes, .. } => {
-                mojave_wire::fingerprint(bytes)
-            }
-        }
+        mojave_wire::fingerprint(self.bytes())
     }
 }
 
 /// A complete, self-contained image of a process: everything needed to
 /// resume it on any machine (or later in time, for checkpoints — the paper
 /// formats checkpoints as executable files; ours are executable by
-/// `mcc resume <file>` or [`crate::Process::from_image`]).
+/// `mcc resume <file>` or [`crate::Process::from_image`]).  A delta
+/// checkpoint is the exception: it needs its base for both heap and code
+/// ([`MigrationImage::resolve_delta`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MigrationImage {
     /// Wire format version this image was decoded from (or will be encoded
@@ -228,8 +357,9 @@ pub struct MigrationImage {
     pub format_version: u32,
     /// Architecture tag of the machine that packed the image.
     pub source_arch: String,
-    /// The code section.
-    pub code: CodeSection,
+    /// The code: inline, or — in a delta checkpoint — its base's, by
+    /// fingerprint.
+    pub code: ImageCode,
     /// Encoded heap (pointer table + blocks), full or delta.
     pub heap_image: HeapImage,
     /// Pointer to the `migrate_env` block holding the live variables.
@@ -247,9 +377,16 @@ pub struct MigrationImage {
 
 impl MigrationImage {
     /// Total image size in bytes once serialised (used by the network model
-    /// and by the migration experiments).
+    /// and by the migration experiments), counted from the section lengths:
+    /// only the header and the three small trailing sections are written,
+    /// to a scratch buffer.
     pub fn byte_size(&self) -> usize {
-        self.to_bytes().len()
+        let (version, framed) = self.layout();
+        let mut small = WireWriter::new();
+        small.write_header_versioned(&self.source_arch, version);
+        self.write_tail(&mut small, framed);
+        let frame = if framed { 1 + 4 } else { 1 };
+        small.len() + frame + self.code.body_len() + frame + self.heap_image.body_len()
     }
 
     /// Whether this image uses the legacy v1 layout (unframed sections,
@@ -258,88 +395,58 @@ impl MigrationImage {
         self.format_version <= MIN_SUPPORTED_VERSION
     }
 
+    /// The layout [`MigrationImage::to_bytes`] writes: the header version
+    /// and whether the sections are framed.  The v1 layout cannot express
+    /// a delta payload or a code reference; a legacy-versioned image whose
+    /// fields were edited into either (unreachable by decode) is written
+    /// framed under [`FORMAT_VERSION`] rather than panicking.
+    fn layout(&self) -> (u32, bool) {
+        if !self.is_legacy() {
+            (self.format_version, true)
+        } else if self.heap_image.is_delta() || self.code.inline().is_none() {
+            (FORMAT_VERSION, true)
+        } else {
+            (self.format_version, false)
+        }
+    }
+
     /// Serialise the image to the canonical wire format, using the layout
     /// matching [`MigrationImage::format_version`] so decode/encode round
-    /// trips are byte-faithful for both versions.
-    ///
-    /// The v1 layout cannot express delta payloads; an image whose fields
-    /// were edited into that (unreachable-by-decode) combination is
-    /// serialised as v2 rather than panicking.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        if self.is_legacy() && !self.heap_image.is_delta() {
-            self.to_bytes_v1()
-        } else {
-            self.to_bytes_v2()
-        }
-    }
-
-    /// The v1 layout: bare section tags, no frame lengths, full heap only.
-    fn to_bytes_v1(&self) -> Vec<u8> {
-        let HeapImage::Full(heap_bytes) = &self.heap_image else {
-            unreachable!("v1 images cannot carry delta heap payloads");
-        };
-        let mut w = WireWriter::with_capacity(heap_bytes.len() + 1024);
-        w.write_header_versioned(&self.source_arch, self.format_version);
-        w.write_section(self.code.section_tag());
-        self.code.encode_body(&mut w);
-        w.write_section(SectionTag::HeapBlocks);
-        w.write_bytes(heap_bytes);
-        w.write_section(SectionTag::MigrateEnv);
-        w.write_uvarint(self.migrate_env.0 as u64);
-        w.write_section(SectionTag::Resume);
-        self.resume_fun.encode(&mut w);
-        w.write_uvarint(self.label as u64);
-        w.write_section(SectionTag::Speculation);
-        w.write_uvarint(self.open_speculations as u64);
-        w.into_bytes()
-    }
-
-    /// The v2 layout: every section after the header is framed
+    /// trips are byte-faithful for every version: v1 writes bare section
+    /// tags, every later version frames each section after the header
     /// (tag + u32 length + body), so decoders can slice or skip sections
-    /// without parsing them, and the heap payload may be a delta.
-    fn to_bytes_v2(&self) -> Vec<u8> {
-        let code_body = self.code.body();
-        let mut w = WireWriter::with_capacity(code_body.len() + self.heap_image.len() + 1024);
-        // A legacy-versioned image forced onto this path (delta payload)
-        // must advertise a version its framed layout matches.
-        let version = if self.is_legacy() {
-            FORMAT_VERSION
-        } else {
-            self.format_version
-        };
+    /// without parsing them.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let (version, framed) = self.layout();
+        let mut w = WireWriter::with_capacity(self.code.body_len() + self.heap_image.len() + 1024);
         w.write_header_versioned(&self.source_arch, version);
-        w.begin_section(self.code.section_tag())
-            .write_raw(code_body);
-        match &self.heap_image {
-            HeapImage::Full(bytes) => {
-                let mut s = w.begin_section(SectionTag::HeapBlocks);
-                s.write_bytes(bytes);
-            }
-            HeapImage::Delta {
-                base,
-                base_fingerprint,
-                bytes,
-            } => {
-                let mut s = w.begin_section(SectionTag::HeapDelta);
-                s.write_str(base);
-                s.write_u64(*base_fingerprint);
-                s.write_bytes(bytes);
-            }
+        match &self.code {
+            ImageCode::Inline(code) => section(&mut w, framed, code.section_tag(), |w| {
+                w.write_raw(code.body())
+            }),
+            ImageCode::Base { fingerprint } => section(&mut w, framed, SectionTag::CodeRef, |w| {
+                w.write_u64(*fingerprint)
+            }),
         }
-        {
-            let mut s = w.begin_section(SectionTag::MigrateEnv);
-            s.write_uvarint(self.migrate_env.0 as u64);
-        }
-        {
-            let mut s = w.begin_section(SectionTag::Resume);
-            self.resume_fun.encode(&mut s);
-            s.write_uvarint(self.label as u64);
-        }
-        {
-            let mut s = w.begin_section(SectionTag::Speculation);
-            s.write_uvarint(self.open_speculations as u64);
-        }
+        section(&mut w, framed, self.heap_image.section_tag(), |w| {
+            self.heap_image.write_body(w)
+        });
+        self.write_tail(&mut w, framed);
         w.into_bytes()
+    }
+
+    /// Write the migrate-env, resume and speculation sections.
+    fn write_tail(&self, w: &mut WireWriter, framed: bool) {
+        section(w, framed, SectionTag::MigrateEnv, |w| {
+            w.write_uvarint(self.migrate_env.0 as u64)
+        });
+        section(w, framed, SectionTag::Resume, |w| {
+            self.resume_fun.encode(w);
+            w.write_uvarint(self.label as u64);
+        });
+        section(w, framed, SectionTag::Speculation, |w| {
+            w.write_uvarint(self.open_speculations as u64)
+        });
     }
 
     /// Decode an image, rejecting corrupted or version-mismatched input.
@@ -408,14 +515,18 @@ impl MigrationImage {
     ) -> Result<Self, WireError> {
         let mut code_section = r.read_framed()?;
         let code = match code_section.tag() {
-            SectionTag::FirProgram => PackedCode::Fir(Program::decode(&mut code_section)?),
+            SectionTag::FirProgram => PackedCode::Fir(Program::decode(&mut code_section)?).into(),
             SectionTag::Bytecode => PackedCode::Binary {
                 arch: code_section.read_str()?.to_owned(),
                 bytecode: BytecodeProgram::decode(&mut code_section)?,
+            }
+            .into(),
+            SectionTag::CodeRef => ImageCode::Base {
+                fingerprint: code_section.read_u64()?,
             },
             other => {
                 return Err(WireError::SectionMismatch {
-                    expected: "FirProgram or Bytecode",
+                    expected: "FirProgram, Bytecode or CodeRef",
                     found: other as u8,
                 })
             }
@@ -438,6 +549,13 @@ impl MigrationImage {
             }
         };
         heap_section.finish()?;
+        if code.inline().is_none() && !heap_image.is_delta() {
+            // Only a delta has a base whose code it can name.
+            return Err(WireError::SectionMismatch {
+                expected: "FirProgram or Bytecode (a full image carries its code)",
+                found: SectionTag::CodeRef as u8,
+            });
+        }
 
         let mut env = r.expect_framed(SectionTag::MigrateEnv)?;
         let migrate_env = PtrIdx(env.read_uvarint_u32("migrate_env pointer")?);
@@ -455,13 +573,25 @@ impl MigrationImage {
         Ok(MigrationImage {
             format_version,
             source_arch,
-            code: code.into(),
+            code,
             heap_image,
             migrate_env,
             resume_fun,
             label,
             open_speculations,
         })
+    }
+
+    /// The code the image carries, or — for a delta that references its
+    /// base's code — the rejection an unresolved delta gets.
+    pub(crate) fn inline_code(&self) -> Result<&CodeSection, RuntimeError> {
+        match (&self.code, self.heap_image.base()) {
+            (ImageCode::Inline(code), _) => Ok(code),
+            (ImageCode::Base { .. }, Some(base)) => Err(needs_base(base)),
+            (ImageCode::Base { .. }, None) => Err(RuntimeError::MigrationRejected(
+                "a full image must carry its code, not a reference to a base's".into(),
+            )),
+        }
     }
 
     /// Decode the heap section into a fresh heap.
@@ -482,9 +612,7 @@ impl MigrationImage {
                 }
                 Ok(heap)
             }
-            HeapImage::Delta { base, .. } => Err(RuntimeError::MigrationRejected(format!(
-                "delta image needs its base checkpoint `{base}` to decode"
-            ))),
+            HeapImage::Delta { base, .. } => Err(needs_base(base)),
         }
     }
 
@@ -547,9 +675,7 @@ impl MigrationImage {
     /// compression, so both sides equal the byte length.  Used by the
     /// asynchronous pipeline's byte accounting.
     pub fn heap_payload_wire_stats(&self) -> (u64, u64) {
-        let bytes = match &self.heap_image {
-            HeapImage::Full(bytes) | HeapImage::Delta { bytes, .. } => bytes,
-        };
+        let bytes = self.heap_image.bytes();
         let stored = bytes.len() as u64;
         if ImageCodec::of_version(self.format_version) == ImageCodec::Slab {
             match image_payload_stats(bytes, self.heap_image.is_delta()) {
@@ -564,19 +690,60 @@ impl MigrationImage {
     /// Materialise a delta image into an equivalent self-contained full
     /// image by applying it to `base`.  The resulting image decodes
     /// anywhere a freshly packed one does.
+    ///
+    /// A delta that references its base's code resumes with that code,
+    /// shared with `base`, once its fingerprint matches: a base overwritten
+    /// by a different program is a precise error, never a wrong program.
     pub fn resolve_delta(&self, base: &MigrationImage) -> Result<MigrationImage, RuntimeError> {
-        if !self.heap_image.is_delta() {
+        let Some(base_name) = self.heap_image.base() else {
             return Ok(self.clone());
-        }
+        };
+        let code = match (&self.code, &base.code) {
+            (ImageCode::Inline(code), _) => code.clone(),
+            (ImageCode::Base { fingerprint }, ImageCode::Inline(code))
+                if code.fingerprint() == *fingerprint =>
+            {
+                code.clone()
+            }
+            (ImageCode::Base { fingerprint }, _) => {
+                return Err(RuntimeError::MigrationRejected(format!(
+                    "base checkpoint `{base_name}` does not carry the code this delta \
+                     was written against (code fingerprint {fingerprint:#018x})"
+                )))
+            }
+        };
         let heap = self.decode_heap_with_base(base, HeapConfig::default())?;
         let mut w = WireWriter::with_capacity(self.heap_image.len() + base.heap_image.len());
         heap.image_records(ImageKind::Full)?
             .encode(&mut w, CodecSet::all());
         Ok(MigrationImage {
             format_version: FORMAT_VERSION,
+            source_arch: self.source_arch.clone(),
+            code: ImageCode::Inline(code),
             heap_image: HeapImage::Full(w.into_bytes()),
-            ..self.clone()
+            migrate_env: self.migrate_env,
+            resume_fun: self.resume_fun,
+            label: self.label,
+            open_speculations: self.open_speculations,
         })
+    }
+}
+
+/// The rejection of a delta used without its base.
+fn needs_base(base: &str) -> RuntimeError {
+    RuntimeError::MigrationRejected(format!(
+        "delta image needs its base checkpoint `{base}` to decode"
+    ))
+}
+
+/// Write one section: framed (tag, u32 length, body) or, in the v1
+/// layout, a bare tag followed by the body.
+fn section(w: &mut WireWriter, framed: bool, tag: SectionTag, body: impl FnOnce(&mut WireWriter)) {
+    if framed {
+        body(&mut w.begin_section(tag));
+    } else {
+        w.write_section(tag);
+        body(w);
     }
 }
 
@@ -652,7 +819,8 @@ pub struct SnapshotPack {
     pub source_arch: String,
     /// The code section (FIR or compiled bytecode), shared with the
     /// process and with every image it packs: neither the freeze nor
-    /// [`SnapshotPack::into_image`] clones the program.
+    /// [`SnapshotPack::into_image`] clones the program, and a delta
+    /// carries only its fingerprint.
     pub code: CodeSection,
     /// The frozen heap.
     pub heap: HeapSnapshot,
@@ -709,7 +877,7 @@ impl SnapshotPack {
         Ok(MigrationImage {
             format_version: FORMAT_VERSION,
             source_arch: self.source_arch,
-            code: self.code,
+            code: ImageCode::packed(self.code, &heap_image),
             heap_image,
             migrate_env: self.migrate_env,
             resume_fun: self.resume_fun,
@@ -977,10 +1145,11 @@ impl CheckpointStore {
     /// Load and decode a named image.
     ///
     /// Delta checkpoints are resolved transparently: the base image is
-    /// fetched from this store and the delta applied, so callers always
-    /// receive a self-contained full image.  A missing or itself-delta
-    /// base is an error (the writer only deltas against full images it
-    /// stored here).
+    /// fetched from this store, the delta applied and, for a delta that
+    /// references its base's code, the base's code taken once its
+    /// fingerprint matches — so callers always receive a self-contained
+    /// full image.  A missing or itself-delta base is an error (the
+    /// writer only deltas against full images it stored here).
     ///
     /// Resolution materialises the merged heap back into image bytes that
     /// the caller typically decodes once more (`Process::from_image`) —
@@ -1248,7 +1417,7 @@ mod tests {
     #[test]
     fn cached_code_section_splices_the_bytes_encoding_in_place_writes() {
         let fir = tiny_image();
-        let PackedCode::Fir(program) = PackedCode::clone(&fir.code) else {
+        let PackedCode::Fir(program) = PackedCode::clone(fir.code.inline().unwrap()) else {
             unreachable!("tiny_image packs FIR");
         };
         let binary = MigrationImage {
@@ -1264,7 +1433,8 @@ mod tests {
             let mut in_place = WireWriter::new();
             in_place.write_header_versioned(&image.source_arch, FORMAT_VERSION);
             let header_len = in_place.len();
-            match &*image.code {
+            let code = image.code.inline().unwrap();
+            match &**code {
                 PackedCode::Fir(program) => {
                     let mut s = in_place.begin_section(SectionTag::FirProgram);
                     program.encode(&mut s);
@@ -1279,7 +1449,7 @@ mod tests {
             assert!(in_place.len() > header_len + 5);
 
             let uncached = MigrationImage {
-                code: PackedCode::clone(&image.code).into(),
+                code: PackedCode::clone(code).into(),
                 ..image.clone()
             };
             let first = image.to_bytes(); // encodes the body
@@ -1291,8 +1461,46 @@ mod tests {
             let back = MigrationImage::from_bytes(&first).unwrap();
             assert_eq!(back, image);
             assert_eq!(back.to_bytes(), first);
-            assert!(!CodeSection::ptr_eq(&back.code, &image.code));
-            assert!(CodeSection::ptr_eq(&image.clone().code, &image.code));
+            assert!(!CodeSection::ptr_eq(back.code.inline().unwrap(), code));
+            assert!(CodeSection::ptr_eq(
+                image.clone().code.inline().unwrap(),
+                code
+            ));
+        }
+    }
+
+    /// `byte_size` counts what `to_bytes` writes, in every layout, from
+    /// the section lengths alone.
+    #[test]
+    fn byte_size_counts_the_serialised_image() {
+        let full = tiny_image();
+        let inline_delta = MigrationImage {
+            heap_image: HeapImage::Delta {
+                base: "ck-base".into(),
+                base_fingerprint: full.heap_image.fingerprint(),
+                bytes: vec![7; 300], // a two-byte length prefix
+            },
+            ..full.clone()
+        };
+        let by_reference = MigrationImage {
+            code: ImageCode::Base {
+                fingerprint: full.code.fingerprint(),
+            },
+            ..inline_delta.clone()
+        };
+        // Edited into what v1 cannot express: written framed instead.
+        let legacy_by_reference = MigrationImage {
+            format_version: MIN_SUPPORTED_VERSION,
+            ..by_reference.clone()
+        };
+        for image in [
+            tiny_image_v1(),
+            full,
+            inline_delta,
+            by_reference,
+            legacy_by_reference,
+        ] {
+            assert_eq!(image.byte_size(), image.to_bytes().len(), "{image:?}");
         }
     }
 

@@ -6,8 +6,8 @@ use crate::error::RuntimeError;
 use crate::externals::{DefaultExternals, ExtCall, Externals};
 use crate::machine::Machine;
 use crate::migrate::{
-    CodeSection, DeliveryOutcome, HeapImage, InMemorySink, MigrationImage, MigrationSink,
-    PackedCode, SnapshotPack,
+    CodeSection, DeliveryOutcome, HeapImage, ImageCode, InMemorySink, MigrationImage,
+    MigrationSink, PackedCode, SnapshotPack,
 };
 use crate::speculate::SpeculationManager;
 use mojave_fir::{
@@ -304,7 +304,7 @@ impl Process {
     /// execution resumes).
     pub fn from_image(image: MigrationImage, config: ProcessConfig) -> Result<Self, RuntimeError> {
         let extern_env = ExternEnv::standard();
-        let (program, bytecode) = match &*image.code {
+        let (program, bytecode) = match &**image.inline_code()? {
             PackedCode::Fir(program) => {
                 // The safety step: verify before running foreign code.
                 validate(program)?;
@@ -825,7 +825,7 @@ impl Process {
             delta_base.map(|(base, fp)| (base.to_owned(), fp)),
         )?;
 
-        let code = self.packed_code()?;
+        let code = ImageCode::packed(self.packed_code()?, &heap_image);
 
         Ok(MigrationImage {
             format_version: FORMAT_VERSION,

@@ -501,12 +501,13 @@ fn failed_migrate_continues_locally() {
 }
 
 /// The code is immutable for a process's lifetime: every pack path ships
-/// one shared section (cloned and encoded once), FIR or binary, and the
-/// images still decode to equal, separately owned code.
+/// one shared section (cloned, encoded and fingerprinted once), FIR or
+/// binary — a delta by reference to it — and the images still decode to
+/// equal, separately owned code.
 #[test]
 fn every_pack_path_shares_one_code_section() {
     use mojave_core::migrate::CodeSection;
-    use mojave_core::MigrationImage;
+    use mojave_core::{ImageCode, MigrationImage};
     use mojave_heap::Word;
 
     for binary_migration in [false, true] {
@@ -524,12 +525,17 @@ fn every_pack_path_shares_one_code_section() {
         let frozen = p.pack_snapshot(2, entry, &[], None).unwrap();
         let deferred = frozen.into_image().unwrap();
         assert_eq!(full.code.is_binary(), binary_migration);
-        for other in [&delta, &deferred] {
-            assert!(CodeSection::ptr_eq(&full.code, &other.code));
-        }
+        let code = full.code.inline().expect("a full image carries its code");
+        assert!(CodeSection::ptr_eq(code, deferred.code.inline().unwrap()));
+        assert_eq!(
+            delta.code,
+            ImageCode::Base {
+                fingerprint: code.fingerprint()
+            }
+        );
         let received = MigrationImage::from_bytes(&deferred.to_bytes()).unwrap();
         assert_eq!(received.code, full.code);
-        assert!(!CodeSection::ptr_eq(&received.code, &full.code));
+        assert!(!CodeSection::ptr_eq(received.code.inline().unwrap(), code));
     }
 }
 
@@ -601,7 +607,9 @@ fn binary_images_are_verified_before_they_run() {
     ];
     for (expected, breakage) in breakages {
         let mut image = binary_image();
-        let PackedCode::Binary { arch, mut bytecode } = PackedCode::clone(&image.code) else {
+        let PackedCode::Binary { arch, mut bytecode } =
+            PackedCode::clone(image.code.inline().unwrap())
+        else {
             unreachable!("binary_image() packs bytecode");
         };
         breakage(&mut bytecode);

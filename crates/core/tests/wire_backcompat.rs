@@ -7,7 +7,11 @@
 //! not go through `MigrationImage::to_bytes`, so it pins the *layout*, not
 //! whatever the current encoder happens to produce.
 
-use mojave_core::{CheckpointStore, HeapImage, MigrationImage, Process, ProcessConfig, RunOutcome};
+use mojave_core::migrate::PackedCode;
+use mojave_core::{
+    CheckpointStore, HeapImage, ImageCode, MigrationImage, Process, ProcessConfig, RunOutcome,
+    RuntimeError,
+};
 use mojave_fir::builder::{term, ProgramBuilder};
 use mojave_fir::Program;
 use mojave_heap::{HeapConfig, Word};
@@ -524,6 +528,190 @@ fn golden_v5_delta_image_resolves_through_the_store_and_resumes() {
     let mut base =
         Process::from_image(store.load("v5-ck").unwrap(), ProcessConfig::default()).unwrap();
     assert_eq!(base.run().unwrap(), RunOutcome::Exit(5));
+}
+
+/// Hand-write a **by-reference v5 delta** checkpoint image, byte by byte:
+/// the v5 delta above with its code section replaced by a reference to
+/// the base's code.
+///
+/// ```text
+/// Header        tag 0x01, magic, version=5, arch string
+/// CodeRef       tag 0x0B, u32 frame length 8, body: the base's code
+///                 fingerprint (LE u64) — FNV-1a over the FirProgram tag
+///                 byte 0x02 followed by the program encoding
+/// HeapDelta     tag 0x0A, u32 frame length, body as in the v5 delta
+/// MigrateEnv    tag 0x06, u32 frame length, ptr 0
+/// Resume        tag 0x07, u32 frame length, Word::Fun(1), label 3
+/// Speculation   tag 0x09, u32 frame length, 0 open levels
+/// ```
+fn golden_v5_ref_delta_image_bytes() -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.write_header_versioned("ia32-sim", 5);
+    {
+        let mut s = w.begin_section(SectionTag::CodeRef);
+        s.write_u64(fixture_code_fingerprint());
+    }
+    {
+        let mut s = w.begin_section(SectionTag::HeapDelta);
+        s.write_str("v5-ck"); // base checkpoint name
+        s.write_u64(mojave_wire::fingerprint(&golden_v5_heap_payload()));
+        s.write_bytes(&golden_v5_delta_payload());
+    }
+    {
+        let mut s = w.begin_section(SectionTag::MigrateEnv);
+        s.write_uvarint(0);
+    }
+    {
+        let mut s = w.begin_section(SectionTag::Resume);
+        s.write_u8(6); // Word::Fun tag
+        s.write_uvarint(1); // function 1: `after`
+        s.write_uvarint(3); // migration label
+    }
+    {
+        let mut s = w.begin_section(SectionTag::Speculation);
+        s.write_uvarint(0);
+    }
+    w.into_bytes()
+}
+
+/// The code fingerprint a delta against a base carrying
+/// `fixture_program()` as FIR names: over the section's tag and body.
+fn fixture_code_fingerprint() -> u64 {
+    let mut section = vec![SectionTag::FirProgram as u8];
+    section.extend(mojave_wire::to_bytes(&fixture_program()));
+    mojave_wire::fingerprint(&section)
+}
+
+#[test]
+fn golden_by_reference_delta_decodes_reencodes_resolves_and_resumes() {
+    let bytes = golden_v5_ref_delta_image_bytes();
+    let image = MigrationImage::from_bytes(&bytes).expect("by-reference delta decodes");
+    assert_eq!(image.format_version, FORMAT_VERSION);
+    assert_eq!(image.heap_image.base(), Some("v5-ck"));
+    assert_eq!(
+        image.code,
+        ImageCode::Base {
+            fingerprint: fixture_code_fingerprint()
+        }
+    );
+    let base = MigrationImage::from_bytes(&golden_v5_image_bytes()).unwrap();
+    assert_eq!(image.code.fingerprint(), base.code.fingerprint());
+
+    // Byte-faithful, and 13 bytes of code where the inline-code delta
+    // carries the whole program section.
+    assert_eq!(image.to_bytes(), bytes);
+    assert_eq!(image.byte_size(), bytes.len());
+    let program_len = mojave_wire::to_bytes(&fixture_program()).len();
+    assert_eq!(
+        bytes.len(),
+        golden_v5_delta_image_bytes().len() - (5 + program_len) + 13
+    );
+
+    // Unresolved, it has no code to run.
+    match Process::from_image(image, ProcessConfig::default()) {
+        Err(RuntimeError::MigrationRejected(msg)) => {
+            assert!(msg.contains("needs its base checkpoint `v5-ck`"), "{msg}")
+        }
+        other => panic!("expected the needs-its-base rejection, got {other:?}"),
+    }
+
+    // Resolved through the store, it resumes with the base's code and the
+    // delta's heap.
+    let store = CheckpointStore::new();
+    store.put("v5-ck", golden_v5_image_bytes());
+    store.put("v5-ck-ref", bytes);
+    let resolved = store.load("v5-ck-ref").unwrap();
+    assert!(!resolved.heap_image.is_delta());
+    assert_eq!(resolved.code, base.code);
+    let mut process = Process::from_image(resolved, ProcessConfig::default()).unwrap();
+    assert_eq!(process.run().unwrap(), RunOutcome::Exit(9));
+}
+
+#[test]
+fn a_base_overwritten_by_a_different_program_with_an_identical_heap_is_rejected() {
+    let base = MigrationImage::from_bytes(&golden_v5_image_bytes()).unwrap();
+    let mut pb = ProgramBuilder::new();
+    let (main, _) = pb.declare("main", &[]);
+    pb.define(main, term::halt(0));
+    let (after, _) = pb.declare("after", &[("x", mojave_fir::Ty::Int)]);
+    pb.define(after, term::halt(7)); // not the program the delta resumes
+    pb.set_entry(main);
+    let other_fir = PackedCode::Fir(pb.finish());
+    // The same program as bytecode is other code too: the fingerprint
+    // covers the section tag.
+    let same_as_binary = PackedCode::Binary {
+        arch: "ia32-sim".into(),
+        bytecode: mojave_core::backend::compile_program(&fixture_program()).unwrap(),
+    };
+    for code in [other_fir, same_as_binary] {
+        let overwritten = MigrationImage {
+            code: code.into(),
+            ..base.clone()
+        };
+        // The heap check alone would accept this base.
+        assert_eq!(
+            overwritten.heap_image.fingerprint(),
+            base.heap_image.fingerprint()
+        );
+        let store = CheckpointStore::new();
+        store.put("v5-ck", overwritten.to_bytes());
+        store.put("v5-ck-ref", golden_v5_ref_delta_image_bytes());
+        match store.load("v5-ck-ref") {
+            Err(RuntimeError::MigrationRejected(msg)) => assert!(
+                msg.contains("base checkpoint `v5-ck` does not carry the code"),
+                "{msg}"
+            ),
+            other => panic!("expected a code mismatch, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_code_reference_outside_a_delta_or_cut_short_is_a_precise_error() {
+    let image = |code_ref: &[u8]| {
+        let mut w = WireWriter::new();
+        w.write_header_versioned("ia32-sim", 5);
+        w.begin_section(SectionTag::CodeRef).write_raw(code_ref);
+        w.begin_section(SectionTag::HeapBlocks)
+            .write_bytes(&golden_v5_heap_payload());
+        w.begin_section(SectionTag::MigrateEnv).write_uvarint(0);
+        {
+            let mut s = w.begin_section(SectionTag::Resume);
+            s.write_u8(6); // Word::Fun tag
+            s.write_uvarint(1); // function 1: `after`
+            s.write_uvarint(3); // migration label
+        }
+        w.begin_section(SectionTag::Speculation).write_uvarint(0);
+        w.into_bytes()
+    };
+    let fingerprint = fixture_code_fingerprint().to_le_bytes();
+
+    // A full image must carry its code: it has no base to name.
+    assert_eq!(
+        MigrationImage::from_bytes(&image(&fingerprint)).unwrap_err(),
+        WireError::SectionMismatch {
+            expected: "FirProgram or Bytecode (a full image carries its code)",
+            found: SectionTag::CodeRef as u8,
+        }
+    );
+    // A reference cut short, or with bytes after the fingerprint.
+    assert!(matches!(
+        MigrationImage::from_bytes(&image(&fingerprint[..4])).unwrap_err(),
+        WireError::UnexpectedEof { .. }
+    ));
+    assert_eq!(
+        MigrationImage::from_bytes(&image(&[fingerprint.as_slice(), &[0]].concat())).unwrap_err(),
+        WireError::TrailingBytes { remaining: 1 }
+    );
+    // A v1 image cannot carry one at all.
+    let mut v1 = golden_v1_image_bytes();
+    let mut header = WireWriter::new();
+    header.write_header_versioned("ia32-sim", MIN_SUPPORTED_VERSION);
+    v1[header.len()] = SectionTag::CodeRef as u8;
+    assert!(matches!(
+        MigrationImage::from_bytes(&v1).unwrap_err(),
+        WireError::SectionMismatch { found: 0x0B, .. }
+    ));
 }
 
 /// A sink that advertises a fixed codec set.

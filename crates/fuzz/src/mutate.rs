@@ -2,10 +2,11 @@
 //!
 //! The corpus mixes **hand-written goldens** for every supported layout —
 //! v1 (unframed, per-word blocks), v4 (framed, batched slabs, full and
-//! delta) and v5 (framed, codec-tagged slabs, full and delta) — with
-//! **freshly packed** images from real processes (v5 full, v5 delta, v5
-//! with `BitPack` word frames and a binary-code image), so mutations land
-//! on every decode path the runtime has.
+//! delta) and v5 (framed, codec-tagged slabs, full, delta with inline code
+//! and delta naming its base's code by a `CodeRef`) — with **freshly
+//! packed** images from real processes (v5 full, v5 delta, v5 with
+//! `BitPack` word frames and a binary-code image), so mutations land on
+//! every decode path the runtime has.
 //!
 //! [`mutate`] applies one seeded mutation: byte flips, a truncation, or a
 //! length-field inflation (0xFF splats that turn frame lengths into
@@ -182,7 +183,7 @@ fn golden_v5() -> Vec<u8> {
     w.into_bytes()
 }
 
-fn golden_v5_delta() -> Vec<u8> {
+fn golden_v5_delta_payload() -> Vec<u8> {
     let mut delta = WireWriter::new();
     delta.write_usize(1); // pointer-table capacity
     delta.write_usize(1); // one dirty record
@@ -199,21 +200,39 @@ fn golden_v5_delta() -> Vec<u8> {
     delta.write_u8(0);
     delta.write_bytes(&[]);
     delta.write_usize(0); // no freed indices
+    delta.into_bytes()
+}
 
+/// A v5 delta against the `golden_v5` base, its code section written by
+/// `code`: the program inline, or a `CodeRef` to the base's.
+fn golden_v5_delta_with(code: impl FnOnce(&mut WireWriter)) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.write_header_versioned("ia32-sim", 5);
-    {
-        let mut s = w.begin_section(SectionTag::FirProgram);
-        fixture_program().encode(&mut s);
-    }
+    code(&mut w);
     {
         let mut s = w.begin_section(SectionTag::HeapDelta);
         s.write_str("v5-ck");
         s.write_u64(mojave_wire::fingerprint(&golden_v5_heap_payload()));
-        s.write_bytes(delta.as_bytes());
+        s.write_bytes(&golden_v5_delta_payload());
     }
     framed_tail(&mut w);
     w.into_bytes()
+}
+
+fn golden_v5_delta() -> Vec<u8> {
+    golden_v5_delta_with(|w| {
+        let mut s = w.begin_section(SectionTag::FirProgram);
+        fixture_program().encode(&mut s);
+    })
+}
+
+fn golden_v5_ref_delta() -> Vec<u8> {
+    golden_v5_delta_with(|w| {
+        let mut section = vec![SectionTag::FirProgram as u8];
+        section.extend(mojave_wire::to_bytes(&fixture_program()));
+        w.begin_section(SectionTag::CodeRef)
+            .write_u64(mojave_wire::fingerprint(&section));
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -275,6 +294,7 @@ pub fn corpus() -> Vec<(String, Vec<u8>)> {
         ("golden-v4-delta".to_owned(), golden_v4_delta()),
         ("golden-v5".to_owned(), golden_v5()),
         ("golden-v5-delta".to_owned(), golden_v5_delta()),
+        ("golden-v5-ref-delta".to_owned(), golden_v5_ref_delta()),
     ];
     for (name, bytes) in packed(ProcessConfig::default()) {
         entries.push((format!("packed-v5-{name}"), bytes));
@@ -466,6 +486,28 @@ mod tests {
             checked += 1;
         }
         assert!(checked > 0, "the corpus has BitPack entries");
+    }
+
+    /// The packed delta entries put the by-reference layout under
+    /// mutation: each delta's first section names its base's code by a
+    /// `CodeRef`, and each full image carries its code.
+    #[test]
+    fn packed_delta_entries_reference_their_base_code() {
+        let mut deltas = 0;
+        for (name, bytes) in corpus() {
+            if !name.starts_with("packed-delta-") {
+                continue;
+            }
+            let image = MigrationImage::from_bytes(&bytes).expect("pristine entry decodes");
+            let mut r = mojave_wire::WireReader::new(&bytes);
+            r.read_header().expect("header");
+            let code = r.read_framed().expect("code section");
+            let delta = image.heap_image.is_delta();
+            assert_eq!(code.tag() == SectionTag::CodeRef, delta, "{name}");
+            assert_eq!(image.code.inline().is_none(), delta, "{name}");
+            deltas += usize::from(delta);
+        }
+        assert!(deltas > 0, "the corpus has packed delta entries");
     }
 
     #[test]

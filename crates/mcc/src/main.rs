@@ -22,18 +22,44 @@
 //! resumed later with `mcc resume`.
 
 use mojave_cluster::{NodeStats, RemoteCluster};
+use mojave_core::migrate::PackedCode;
 use mojave_core::{
     BackendKind, DeliveryOutcome, MigrationImage, MigrationSink, Process, ProcessConfig, RunOutcome,
 };
 use mojave_fir::MigrateProtocol;
 use mojave_grid::run_worker;
 use mojave_obs::{export_chrome_trace, validate_chrome_trace, NodeObs};
+use std::fs::File;
+use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 
 /// A sink that writes checkpoint/suspend images to files in the working
 /// directory, mirroring the paper's checkpoint-to-disk protocol.
 struct FileSink;
+
+/// Write `bytes` to `path` durably and atomically: into `<path>.tmp`,
+/// synced, renamed over `path`, then the directory synced.  A crash leaves
+/// the old image or the new one, never a torn one, and `Stored` is only
+/// reported once the image is on disk.
+fn write_durably(path: &str, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = format!("{path}.tmp");
+    let written = File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(bytes)?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if let Err(e) = written {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
+    }
+    let dir = Path::new(path)
+        .parent()
+        .filter(|dir| !dir.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
+    File::open(dir)?.sync_all()
+}
 
 impl MigrationSink for FileSink {
     fn deliver(
@@ -45,12 +71,13 @@ impl MigrationSink for FileSink {
         match protocol {
             MigrateProtocol::Checkpoint | MigrateProtocol::Suspend => {
                 let path = format!("{}.img", target.replace(['/', ':'], "_"));
-                match std::fs::write(&path, image.to_bytes()) {
+                let bytes = image.to_bytes();
+                match write_durably(&path, &bytes) {
                     Ok(()) => {
-                        eprintln!("mcc: wrote {} ({} bytes)", path, image.byte_size());
+                        eprintln!("mcc: wrote {} ({} bytes)", path, bytes.len());
                         DeliveryOutcome::Stored
                     }
-                    Err(e) => DeliveryOutcome::Failed(e.to_string()),
+                    Err(e) => DeliveryOutcome::Failed(format!("cannot write `{path}`: {e}")),
                 }
             }
             MigrateProtocol::Migrate => DeliveryOutcome::Failed(
@@ -352,20 +379,25 @@ fn main() -> ExitCode {
                     }
                     println!("resume label        : L{}", image.label);
                     println!("open speculations   : {}", image.open_speculations);
-                    match &*image.code {
-                        mojave_core::migrate::PackedCode::Fir(p) => {
+                    match image.code.inline().map(|code| &**code) {
+                        Some(PackedCode::Fir(p)) => {
                             println!(
                                 "code                : FIR, {} functions, {} nodes",
                                 p.funs.len(),
                                 p.size()
                             );
                         }
-                        mojave_core::migrate::PackedCode::Binary { arch, bytecode } => {
+                        Some(PackedCode::Binary { arch, bytecode }) => {
                             println!(
                                 "code                : bytecode for {arch}, {} instructions",
                                 bytecode.instruction_count()
                             );
                         }
+                        None => println!(
+                            "code                : in base `{}`, fingerprint {:#018x}",
+                            image.heap_image.base().unwrap_or_default(),
+                            image.code.fingerprint()
+                        ),
                     }
                     ExitCode::SUCCESS
                 }

@@ -63,7 +63,7 @@ pub use frame::{
 };
 pub use reader::{FrameStats, ImageHeader, SectionReader, WireReader, MAX_REASONABLE_LEN};
 pub use tags::{SectionTag, BATCHED_VERSION, FORMAT_VERSION, MAGIC, MIN_SUPPORTED_VERSION};
-pub use writer::{SectionWriter, WireWriter};
+pub use writer::{uvarint_len, SectionWriter, WireWriter};
 
 // The slab-compression subsystem: re-exported so every consumer of the
 // wire format (heap, core, cluster, grid, benches) names codecs through
@@ -82,10 +82,19 @@ pub use mojave_codec::{
 /// delta against it would silently produce a heap state that never
 /// existed).
 pub fn fingerprint(bytes: &[u8]) -> u64 {
+    fingerprint_parts(&[bytes])
+}
+
+/// [`fingerprint`] of the concatenation of `parts`, without building it:
+/// a delta image names its base's code section by the fingerprint of the
+/// section's tag byte followed by its body.
+pub fn fingerprint_parts(parts: &[&[u8]]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    for part in parts {
+        for &byte in *part {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
     }
     hash
 }
@@ -219,6 +228,14 @@ impl<A: WireCodec, B: WireCodec> WireCodec for (A, B) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fingerprint_parts_hashes_the_concatenation() {
+        let whole = fingerprint(b"code section");
+        assert_eq!(fingerprint_parts(&[b"code", b" ", b"section"]), whole);
+        assert_eq!(fingerprint_parts(&[b"", b"code section", b""]), whole);
+        assert_ne!(fingerprint_parts(&[b"code section", b"!"]), whole);
+    }
 
     #[test]
     fn roundtrip_scalars() {

@@ -51,11 +51,16 @@ pub enum SectionTag {
     /// Incremental heap payload: dirty blocks + pointer-table fixups against
     /// a named base checkpoint (v2 images only).
     HeapDelta = 0x0A,
+    /// The code of a delta image, by reference: the 8-byte
+    /// [`crate::fingerprint`] of its base's code section (tag byte and
+    /// body), standing in the code section's slot.  Only delta images
+    /// carry it; resolution takes the base's code after checking it.
+    CodeRef = 0x0B,
 }
 
 impl SectionTag {
     /// All tags, in the order sections appear in an image.
-    pub const ALL: [SectionTag; 10] = [
+    pub const ALL: [SectionTag; 11] = [
         SectionTag::Header,
         SectionTag::FirProgram,
         SectionTag::PointerTable,
@@ -66,6 +71,7 @@ impl SectionTag {
         SectionTag::Bytecode,
         SectionTag::Speculation,
         SectionTag::HeapDelta,
+        SectionTag::CodeRef,
     ];
 
     /// Human-readable name, used in error messages.
@@ -81,6 +87,7 @@ impl SectionTag {
             SectionTag::Bytecode => "Bytecode",
             SectionTag::Speculation => "Speculation",
             SectionTag::HeapDelta => "HeapDelta",
+            SectionTag::CodeRef => "CodeRef",
         }
     }
 

@@ -328,8 +328,9 @@ impl WireWriter {
     }
 }
 
-/// Bytes the canonical LEB128 encoding of `v` takes.
-fn uvarint_len(v: u64) -> usize {
+/// Bytes the canonical LEB128 encoding of `v` takes — what
+/// [`WireWriter::write_uvarint`] writes for it.
+pub fn uvarint_len(v: u64) -> usize {
     ((64 - v.leading_zeros()).max(1) as usize).div_ceil(7)
 }
 
