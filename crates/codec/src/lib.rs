@@ -32,11 +32,12 @@
 //! lossless, `memcpy` both ways.
 //!
 //! Every codec implements [`SlabCodec::compress_into`];
-//! [`VarintStream`] and [`BitPackStream`] encode word by word for callers
-//! that never stage the slab, and one pull-based [`WordDecoder`] per codec
-//! decodes in pieces of the caller's choosing, so no side ever has to
-//! build a `u64` slab.  [`choose`] trial-compresses a slab prefix with
-//! every codec and keeps the smallest encoding:
+//! [`VarintStream`] and [`BitPackStream`] encode a slab in pieces for
+//! callers that never stage it, and one pull-based [`WordDecoder`] per
+//! codec decodes in pieces of the caller's choosing, so no side ever has
+//! to build a `u64` slab.  [`choose`] trial-compresses a slab prefix with
+//! every codec and keeps the smallest encoding (an LZ trial that can no
+//! longer win stops early, which never changes the choice):
 //!
 //! ```
 //! use mojave_codec::{choose, compress_words, decompress_words, CodecId};
@@ -611,26 +612,60 @@ impl Compressor {
 
     /// Pick the smallest encoding for a word slab from `allowed`, by
     /// trial-compressing a prefix sample with each candidate.
-    /// Every allowed codec is trialled; deterministic: the same slab and
-    /// set always choose the same codec (ties break toward the earlier
-    /// codec in [`CodecId::ALL`] order).
+    /// Deterministic: the same slab and set always choose the same codec,
+    /// the one whose `(length, place in CodecId::ALL)` is smallest — ties
+    /// break toward the earlier codec in [`CodecId::ALL`] order.
+    ///
+    /// The cheap delta filters are trialled first, so the LZ trials run
+    /// against the tightest bound: an LZ trial stops as soon as it can no
+    /// longer win.  [`CodecId::VarintLz`] folds the [`CodecId::Varint`]
+    /// trial's bytes instead of filtering the sample again.
     pub fn choose_words(&mut self, words: &[u64], allowed: CodecSet) -> CodecId {
         self.words_won.whole = false;
         if words.len() < MIN_COMPRESS_WORDS {
             return CodecId::Raw;
         }
         let sample = &words[..words.len().min(CHOICE_SAMPLE_WORDS)];
-        let mut best = CodecId::Raw;
-        let mut best_len = sample.len() * 8;
+        let (mut best, mut best_len) = (CodecId::Raw, sample.len() * 8);
         let mut trial = std::mem::take(&mut self.trial);
         let mut won = std::mem::take(&mut self.words_won.payload);
-        for candidate in allowed.iter() {
-            if candidate == CodecId::Raw {
+        if allowed.contains(CodecId::Varint) || allowed.contains(CodecId::VarintLz) {
+            self.staged.clear();
+            Varint.compress_into(sample, &mut self.staged);
+        }
+        for candidate in [
+            CodecId::BitPack,
+            CodecId::Varint,
+            CodecId::VarintLz,
+            CodecId::Lz,
+        ] {
+            if !allowed.contains(candidate) {
                 continue;
             }
+            // The length a trial must come in under: `best`'s, or one more
+            // when a tie goes to the candidate.
+            let limit = best_len + usize::from((candidate as u8) < (best as u8));
             trial.clear();
-            self.compress_words(candidate, sample, &mut trial);
-            if trial.len() < best_len {
+            let finished = match candidate {
+                CodecId::BitPack => {
+                    bitpack::compress(sample, &mut trial);
+                    true
+                }
+                CodecId::Varint => {
+                    trial.extend_from_slice(&self.staged);
+                    true
+                }
+                CodecId::VarintLz => {
+                    lz::compress_within(&mut self.table, &self.staged, limit, &mut trial)
+                }
+                CodecId::Lz => {
+                    self.staged.clear();
+                    Raw.compress_into(sample, &mut self.staged);
+                    lz::compress_within(&mut self.table, &self.staged, limit, &mut trial)
+                }
+                CodecId::Raw => unreachable!("Raw is the starting best, not a trial"),
+            };
+            if finished && trial.len() < limit {
                 best = candidate;
                 best_len = trial.len();
                 std::mem::swap(&mut trial, &mut won);
@@ -660,8 +695,10 @@ impl Compressor {
         let sample = &bytes[..bytes.len().min(SAMPLE_BYTES)];
         let won = &mut self.bytes_won;
         won.payload.clear();
-        lz::compress_with(&mut self.table, sample, &mut won.payload);
-        if won.payload.len() < sample.len() {
+        let limit = sample.len();
+        if lz::compress_within(&mut self.table, sample, limit, &mut won.payload)
+            && won.payload.len() < limit
+        {
             won.whole = sample.len() == bytes.len();
             CodecId::Lz
         } else {
@@ -864,6 +901,220 @@ mod tests {
         let limited = choose_words(&slab, CodecSet::only(CodecId::Varint));
         assert_eq!(limited, CodecId::Varint);
         assert_eq!(choose_words(&slab, CodecSet::raw_only()), CodecId::Raw);
+    }
+
+    /// The choice every allowed codec run to completion makes: the
+    /// smallest `(length, place in CodecId::ALL)` over the sample, and
+    /// that trial's bytes when the sample is the whole slab.
+    fn exhaustive_choice(words: &[u64], allowed: CodecSet) -> (CodecId, Option<Vec<u8>>) {
+        if words.len() < MIN_COMPRESS_WORDS {
+            return (CodecId::Raw, None);
+        }
+        let sample = &words[..words.len().min(CHOICE_SAMPLE_WORDS)];
+        let (mut best, mut best_len, mut won) = (CodecId::Raw, sample.len() * 8, None);
+        for candidate in allowed.iter().filter(|&c| c != CodecId::Raw) {
+            let mut trial = Vec::new();
+            compress_words(candidate, sample, &mut trial);
+            if trial.len() < best_len {
+                (best, best_len, won) = (candidate, trial.len(), Some(trial));
+            }
+        }
+        (best, won.filter(|_| sample.len() == words.len()))
+    }
+
+    /// Every codec set that keeps `Raw`.
+    fn every_codec_set() -> impl Iterator<Item = CodecSet> {
+        (0..32).step_by(2).map(CodecSet::from_bits)
+    }
+
+    /// `n` (16..=32) words whose `Varint` and `BitPack` encodings have the
+    /// same length: `k` zig-zagged deltas of `width` (8..=14) bits cost
+    /// two varint bytes each, the rest one, and `k` is picked so that
+    /// `n + k = 1 + ⌈n·width/8⌉`, the size of one packed group.
+    fn varint_bitpack_tie(n: usize, width: u32, seed: u64) -> Vec<u64> {
+        let k = 1 + (n * width as usize).div_ceil(8) - n;
+        let mut x = seed | 1;
+        let mut word = 0u64;
+        (0..n)
+            .map(|i| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let value = match i {
+                    0 => (1 << (width - 1)) | (x >> 60),
+                    i if i < k => 128 + (x >> 33) % ((1 << width) - 128),
+                    _ => (x >> 33) % 128,
+                };
+                word = word.wrapping_add(unzigzag(value) as u64);
+                word
+            })
+            .collect()
+    }
+
+    /// `n` (16..=40) words whose `Varint` and `VarintLz` encodings have
+    /// the same length: the zig-zagged deltas are distinct one-byte
+    /// varints but for one repeat, at `at` (7..=n-4), of the four at 2, so
+    /// the LZ pass finds exactly one four-byte copy, whose two token bytes
+    /// and the literal runs' two control bytes cost what it saves.  At
+    /// `at = n - 4` no literal run follows the copy, and `VarintLz` wins
+    /// by that run's one control byte.
+    fn varint_varintlz_tie(n: usize, at: usize) -> Vec<u64> {
+        let mut word = 0u64;
+        (0..n)
+            .map(|i| {
+                let value = if (at..at + 4).contains(&i) {
+                    i - at + 2
+                } else {
+                    i
+                };
+                word = word.wrapping_add(unzigzag(value as u64) as u64);
+                word
+            })
+            .collect()
+    }
+
+    /// [`exhaustive_choice`] for a byte slab: `Lz` run to the end, kept
+    /// when strictly shorter than the raw sample.
+    fn exhaustive_byte_choice(bytes: &[u8], allowed: CodecSet) -> (CodecId, Option<Vec<u8>>) {
+        let lz_allowed = allowed.contains(CodecId::Lz) || allowed.contains(CodecId::VarintLz);
+        if bytes.len() < MIN_COMPRESS_BYTES || !lz_allowed {
+            return (CodecId::Raw, None);
+        }
+        let sample = &bytes[..bytes.len().min(SAMPLE_BYTES)];
+        let mut trial = Vec::new();
+        lz::compress(sample, &mut trial);
+        if trial.len() < sample.len() {
+            (
+                CodecId::Lz,
+                Some(trial).filter(|_| sample.len() == bytes.len()),
+            )
+        } else {
+            (CodecId::Raw, None)
+        }
+    }
+
+    /// The bounded choosers against [`exhaustive_choice`] on one slab —
+    /// and [`exhaustive_byte_choice`] on its words' low bytes — under
+    /// every codec set, through a fresh and a reused compressor.
+    fn assert_bounded_choice_is_exhaustive(words: &[u64], warm: &mut Compressor) {
+        let bytes: Vec<u8> = words.iter().map(|&word| word as u8).collect();
+        for allowed in every_codec_set() {
+            let (want, want_words) = exhaustive_choice(words, allowed);
+            let (want_byte_codec, want_bytes) = exhaustive_byte_choice(&bytes, allowed);
+            for compressor in [&mut Compressor::new(), &mut *warm] {
+                let got = compressor.choose_words(words, allowed);
+                let got_byte_codec = compressor.choose_bytes(&bytes, allowed);
+                let n = words.len();
+                assert_eq!(got, want, "{n} words under {allowed:?}");
+                assert_eq!(compressor.chosen_words(), want_words.as_deref(), "{n}");
+                assert_eq!(
+                    got_byte_codec, want_byte_codec,
+                    "{n} bytes under {allowed:?}"
+                );
+                assert_eq!(compressor.chosen_bytes(), want_bytes.as_deref(), "{n}");
+            }
+        }
+    }
+
+    #[test]
+    fn designed_ties_go_to_the_earlier_codec() {
+        let mut warm = Compressor::new();
+        for n in 16..=32 {
+            for width in 8..=14 {
+                let words = varint_bitpack_tie(n, width, (n as u64) << 8 | u64::from(width));
+                let (mut varint, mut packed) = (Vec::new(), Vec::new());
+                compress_words(CodecId::Varint, &words, &mut varint);
+                compress_words(CodecId::BitPack, &words, &mut packed);
+                assert_eq!(varint.len(), packed.len(), "{n} words of width {width}");
+                let pair = CodecSet::from_bits(0b1_0011);
+                assert_eq!(choose_words(&words, pair), CodecId::Varint);
+                assert_bounded_choice_is_exhaustive(&words, &mut warm);
+            }
+        }
+        for n in 16..=40 {
+            for at in 7..=n - 4 {
+                let words = varint_varintlz_tie(n, at);
+                let (mut varint, mut folded) = (Vec::new(), Vec::new());
+                compress_words(CodecId::Varint, &words, &mut varint);
+                compress_words(CodecId::VarintLz, &words, &mut folded);
+                let last = at == n - 4;
+                assert_eq!(folded.len() + usize::from(last), varint.len(), "{n}, {at}");
+                let pair = CodecSet::from_bits(0b0_1011);
+                let want = if last {
+                    CodecId::VarintLz
+                } else {
+                    CodecId::Varint
+                };
+                assert_eq!(
+                    choose_words(&words, pair),
+                    want,
+                    "{n} words, repeat at {at}"
+                );
+                assert_bounded_choice_is_exhaustive(&words, &mut warm);
+            }
+        }
+        // The same repeat in a byte slab ties `Lz` with `Raw`, which wins
+        // (up to 68 bytes, so each literal run's control is one byte).
+        for n in MIN_COMPRESS_BYTES..=68 {
+            for at in 7..=n - 4 {
+                let words: Vec<u64> = (0..n as u64)
+                    .map(|i| {
+                        if (at..at + 4).contains(&(i as usize)) {
+                            i - at as u64 + 2
+                        } else {
+                            i
+                        }
+                    })
+                    .collect();
+                let bytes: Vec<u8> = words.iter().map(|&word| word as u8).collect();
+                let mut folded = Vec::new();
+                compress_bytes(CodecId::Lz, &bytes, &mut folded);
+                let last = at == n - 4;
+                assert_eq!(
+                    folded.len() + usize::from(last),
+                    n,
+                    "{n} bytes, repeat at {at}"
+                );
+                let want = if last { CodecId::Lz } else { CodecId::Raw };
+                assert_eq!(choose_bytes(&bytes, CodecSet::all()), want, "{n}, {at}");
+                assert_bounded_choice_is_exhaustive(&words, &mut warm);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// `choose_words` — cheap codecs first, LZ trials stopped once they
+        /// cannot win — picks what running every allowed codec to the end
+        /// picks, and keeps the same bytes: on slabs of every character,
+        /// at and below the compression floor, beyond the choice sample,
+        /// and built so that `Varint` ties `BitPack` or `VarintLz`.
+        #[test]
+        fn bounded_choice_matches_exhaustive_choice(
+            kind in 0u8..7,
+            seed in proptest::prelude::any::<u64>(),
+            len in 0usize..300,
+        ) {
+            let mut x = seed | 1;
+            let pattern = [seed, seed >> 7, 42, seed.rotate_left(13)];
+            let mut step = || {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                x
+            };
+            let words: Vec<u64> = match kind {
+                0 => (0..len).map(|_| step() % 1000).collect(),
+                1 => (0..len).map(|_| step()).collect(),
+                2 => (0..len).map(|i| pattern[i % 4]).collect(),
+                3 => (0..len % MIN_COMPRESS_WORDS).map(|_| step() % 50).collect(),
+                4 => (0..CHOICE_SAMPLE_WORDS + len)
+                    .map(|i| if i / 64 % 2 == 0 { step() % 1000 } else { i as u64 })
+                    .collect(),
+                5 => varint_bitpack_tie(16 + len % 17, 8 + (seed % 7) as u32, seed),
+                _ => varint_varintlz_tie(16 + len % 25, 7 + (seed % 6) as usize),
+            };
+            assert_bounded_choice_is_exhaustive(&words, &mut Compressor::new());
+        }
     }
 
     #[test]

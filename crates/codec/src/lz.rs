@@ -105,15 +105,34 @@ pub fn compress(src: &[u8], out: &mut Vec<u8>) {
 /// [`compress`] with a caller-kept table.  The bytes produced do not
 /// depend on what `table` was used for before.
 pub fn compress_with(table: &mut LzTable, src: &[u8], out: &mut Vec<u8>) {
+    compress_within(table, src, usize::MAX, out);
+}
+
+/// [`compress_with`] for a trial that only matters if it beats `limit`
+/// bytes: it stops, returning `false` and leaving a partial stream in
+/// `out`, once the bytes it has appended plus the literals it has
+/// committed to (every one is written verbatim) reach `limit`, since the
+/// finished stream could then be no shorter.  Otherwise it returns `true`
+/// having appended exactly what [`compress_with`] appends.
+pub(crate) fn compress_within(
+    table: &mut LzTable,
+    src: &[u8],
+    limit: usize,
+    out: &mut Vec<u8>,
+) -> bool {
+    let start = out.len();
     if src.len() < MIN_MATCH {
         flush_literals(src, 0, src.len(), out);
-        return;
+        return true;
     }
     let base = table.begin(src.len());
     let table = &mut table.entries[..1 << HASH_BITS];
     let mut pos = 0usize;
     let mut literal_start = 0usize;
     while pos + MIN_MATCH <= src.len() {
+        if out.len() - start + (pos - literal_start) >= limit {
+            return false;
+        }
         let slot = hash4(&src[pos..]);
         let entry = table[slot];
         table[slot] = base + pos as u32;
@@ -146,6 +165,7 @@ pub fn compress_with(table: &mut LzTable, src: &[u8], out: &mut Vec<u8>) {
         }
     }
     flush_literals(src, literal_start, src.len(), out);
+    true
 }
 
 /// Decompress `src` into `out` (appending), producing at most `max_out`

@@ -453,7 +453,7 @@ proptest! {
         for (words_len, bytes_len) in [(15, 63), (16, 64), (2047, 8191), (2048, 8192), (2049, 8193)] {
             let words = slab_of(kind, seed, words_len);
             let bytes: Vec<u8> = slab_of(kind, !seed, bytes_len).iter().map(|w| *w as u8).collect();
-            for allowed in (0..16).step_by(2).map(CodecSet::from_bits) {
+            for allowed in (0..32).step_by(2).map(CodecSet::from_bits) {
                 let word_codec = warm.choose_words(&words, allowed);
                 let byte_codec = warm.choose_bytes(&bytes, allowed);
                 prop_assert_eq!(word_codec, choose_words(&words, allowed));

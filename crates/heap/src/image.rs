@@ -563,12 +563,19 @@ impl SlabEncoder {
     /// the word codec chosen from a staged *prefix sample* only, one pass
     /// staging tags and bytes with an exact-size `extend` per block, then
     /// the payload pass — when a delta filter wins, payload words stream
-    /// through [`mojave_wire::VarintStream`] or, one 32-word group at a
-    /// time, [`mojave_wire::BitPackStream`] straight into `w`'s frame
-    /// (length patched afterwards), and neither the 8-bytes-per-word
+    /// through [`mojave_wire::VarintStream`] or
+    /// [`mojave_wire::BitPackStream`] straight into `w`'s frame (length
+    /// patched afterwards), the latter packing whole 32-word groups
+    /// straight from each block's words and going word by word only for
+    /// a group that straddles two blocks.  Neither the 8-bytes-per-word
     /// `u64` slab nor a side copy of the encoded bytes is ever
     /// materialised.  A slab the choice sampled whole is compressed once:
     /// the winning trial is written as its payload.
+    ///
+    /// Staging the tags in the payload pass instead, block by block, was
+    /// measured and is slower: the tag frame precedes the payload frame,
+    /// so the payload then needs a side copy, which costs more than
+    /// reading the blocks twice.
     fn encode_records(
         &mut self,
         w: &mut WireWriter,
@@ -639,7 +646,7 @@ impl SlabEncoder {
         let pack_payloads = |out: &mut Vec<u8>| {
             let mut stream = mojave_wire::BitPackStream::new();
             for words in word_blocks() {
-                stream.extend(words.iter().map(|word| word.to_raw().1), out);
+                stream.extend(words, |word| word.to_raw().1, out);
             }
             stream.finish(out);
         };

@@ -454,7 +454,7 @@ fn encoded(f: impl FnOnce(&mut WireWriter)) -> Vec<u8> {
 fn pooled_images(heap: &mut Heap) -> Vec<Vec<u8>> {
     let snap = heap.freeze();
     let mut images = Vec::new();
-    for allowed in (0..16).step_by(2).map(CodecSet::from_bits) {
+    for allowed in (0..32).step_by(2).map(CodecSet::from_bits) {
         images.push(encoded(|w| {
             heap.image_records(ImageKind::Full)
                 .unwrap()
@@ -492,7 +492,7 @@ fn cold_images(heap: &Heap) -> Vec<Vec<u8>> {
             .encode(w, CodecSet::raw_only())
     });
     let mut images = Vec::new();
-    for allowed in (0..16).step_by(2).map(CodecSet::from_bits) {
+    for allowed in (0..32).step_by(2).map(CodecSet::from_bits) {
         for raw in [&full, &full, &delta, &delta] {
             images.push(cold_slab_image(raw, allowed));
         }

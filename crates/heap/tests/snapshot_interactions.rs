@@ -13,7 +13,7 @@
 //!   precise [`HeapError::NoCleanPoint`] error.
 
 use mojave_heap::{Heap, HeapConfig, HeapError, ImageCodec, ImageKind, PtrIdx, Word};
-use mojave_wire::{CodecSet, WireReader, WireWriter};
+use mojave_wire::{CodecId, CodecSet, WireReader, WireWriter};
 
 fn image_of(heap: &Heap) -> Vec<u8> {
     let mut w = WireWriter::new();
@@ -392,10 +392,84 @@ fn every_layout_reproduces_the_pinned_image_bytes() {
     }
 }
 
+/// A 1 MiB heap shaped like the `ckpt_stream` benchmark's: 64 arrays of
+/// 2048 words, even ones holding small integers and odd ones full 64-bit
+/// values, with an odd-length block of full-width values after every
+/// eighth array, so 32-word groups straddle block seams and reach width
+/// 64 across them.  After the clean point, every fourth block gets a
+/// store, a fresh odd-length block is allocated and one odd block is
+/// collected.
+fn one_mib_heap() -> Heap {
+    const ODD_LENGTHS: [i64; 8] = [7, 33, 61, 95, 1, 31, 129, 45];
+    let mut rng = 12;
+    let mut heap = Heap::new();
+    let mut roots = Vec::new();
+    let mut fill = |heap: &mut Heap, len: i64, small: bool| {
+        let arr = heap.alloc_array(len, Word::Int(0)).unwrap();
+        for k in 0..len {
+            let bits = next(&mut rng);
+            let value = if small { bits % 1000 } else { bits };
+            heap.store(arr, k, Word::Int(value as i64)).unwrap();
+        }
+        arr
+    };
+    for a in 0..64 {
+        roots.push(fill(&mut heap, 2048, a % 2 == 0));
+        if a % 8 == 7 {
+            roots.push(fill(&mut heap, ODD_LENGTHS[a / 8], false));
+        }
+    }
+    heap.mark_clean();
+    for (k, arr) in roots.iter().enumerate().step_by(4) {
+        heap.store(*arr, 0, Word::Int(k as i64 * 7)).unwrap();
+    }
+    roots.push(fill(&mut heap, 77, false));
+    roots.remove(8);
+    let roots: Vec<Word> = roots.into_iter().map(Word::Ptr).collect();
+    heap.gc_major(&roots);
+    heap
+}
+
+/// `(len, mojave_wire::fingerprint)` of [`one_mib_heap`]'s full and delta
+/// images under every codec (`None`) and under `BitPack` alone.
+const ONE_MIB_PINS: [(ImageKind, Option<CodecId>, (usize, u64)); 4] = [
+    (ImageKind::Full, None, (627_648, 0xd2e26d417919d389)),
+    (
+        ImageKind::Full,
+        Some(CodecId::BitPack),
+        (759_188, 0xce3a3cf5aa83b46a),
+    ),
+    (ImageKind::Delta, None, (155_553, 0xd36882b48d7f4820)),
+    (
+        ImageKind::Delta,
+        Some(CodecId::BitPack),
+        (188_395, 0x9856bafd28457d22),
+    ),
+];
+
+#[test]
+fn a_one_mib_heap_reproduces_its_pinned_image_bytes() {
+    let mut heap = one_mib_heap();
+    assert!(heap.freed_count() > 0 && heap.dirty_count() > 0);
+    let snap = heap.freeze();
+    for (kind, codec, pin) in ONE_MIB_PINS {
+        let codecs = codec.map_or(CodecSet::all(), CodecSet::only);
+        let live = heap.image_records(kind).unwrap();
+        let frozen = snap.image_records(kind).unwrap();
+        for records in [live, frozen] {
+            let mut w = WireWriter::new();
+            records.encode(&mut w, codecs);
+            let bytes = w.into_bytes();
+            let got = (bytes.len(), mojave_wire::fingerprint(&bytes));
+            assert_eq!(got, pin, "{kind:?} under {codecs:?}");
+        }
+    }
+}
+
 #[test]
 fn versions_map_to_codecs_and_layouts_to_versions() {
     use mojave_heap::negotiate_codecs;
-    use mojave_wire::{CodecId, BATCHED_VERSION, FORMAT_VERSION, MIN_SUPPORTED_VERSION};
+    use mojave_wire::{BATCHED_VERSION, FORMAT_VERSION, MIN_SUPPORTED_VERSION};
     // Read side: one row per wire format version.
     for (version, codec) in [
         (MIN_SUPPORTED_VERSION, ImageCodec::PerWord),
