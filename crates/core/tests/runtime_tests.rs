@@ -590,10 +590,25 @@ fn binary_migration_images_check_architecture() {
     assert!(Process::from_image(image, risc).is_err());
 }
 
+/// [`binary_image`] with its compiled code edited by `splice`: the image
+/// resumes in function 0 (`after`, one parameter) with `r0 = 123`.
+fn spliced_binary_image(
+    splice: impl FnOnce(&mut mojave_core::BytecodeProgram),
+) -> mojave_core::MigrationImage {
+    use mojave_core::migrate::PackedCode;
+    let mut image = binary_image();
+    let PackedCode::Binary { arch, mut bytecode } = PackedCode::clone(image.code.inline().unwrap())
+    else {
+        unreachable!("binary_image() packs bytecode");
+    };
+    splice(&mut bytecode);
+    image.code = PackedCode::Binary { arch, bytecode }.into();
+    image
+}
+
 #[test]
 fn binary_images_are_verified_before_they_run() {
     use mojave_core::backend::Instr;
-    use mojave_core::migrate::PackedCode;
     use mojave_core::RuntimeError;
 
     // A hostile register count must be refused before it sizes anything,
@@ -606,14 +621,7 @@ fn binary_images_are_verified_before_they_run() {
         }),
     ];
     for (expected, breakage) in breakages {
-        let mut image = binary_image();
-        let PackedCode::Binary { arch, mut bytecode } =
-            PackedCode::clone(image.code.inline().unwrap())
-        else {
-            unreachable!("binary_image() packs bytecode");
-        };
-        breakage(&mut bytecode);
-        image.code = PackedCode::Binary { arch, bytecode }.into();
+        let image = spliced_binary_image(breakage);
         match Process::from_image(image, config(BackendKind::Bytecode)) {
             Err(RuntimeError::MigrationRejected(msg)) => {
                 assert!(msg.contains("bad bytecode"), "{msg}");
@@ -621,6 +629,237 @@ fn binary_images_are_verified_before_they_run() {
             }
             other => panic!("expected a verifier rejection, got {other:?}"),
         }
+    }
+}
+
+/// Hand-written code of shapes the compiler never emits but a foreign
+/// binary image may carry, around the instruction pairs the VM runs fused
+/// (a scalar `Const` feeding the next `Load`, `Store` or `Binop`; a
+/// comparison feeding the next `JumpIfFalse`).  Each runs as the resumed
+/// continuation, `r0 = 123`, and must end with the hand-computed outcome
+/// and step count.
+#[test]
+fn hand_written_bytecode_around_fusible_pairs() {
+    use mojave_core::backend::{Const, Instr};
+    use mojave_core::RuntimeError;
+    use mojave_heap::HeapError;
+    use Instr::{Alloc, Halt, Jump, JumpIfFalse, Load, Store};
+
+    let int = |dst, v| Instr::Const {
+        dst,
+        value: Const::Int(v),
+    };
+    let binop = |dst, op, lhs, rhs| Instr::Binop { dst, op, lhs, rhs };
+    let exhausted = |budget| Err(RuntimeError::StepBudgetExhausted { budget });
+    let mismatch = RuntimeError::KindMismatch {
+        expected: "matching numeric operands",
+        found: "mismatched operands",
+        context: "binary operator",
+    };
+    // Three pairs back to back: `Const`-`Add` (124), compare-and-branch
+    // (123 < 124, so the branch falls through), `Const`-`Sub` (200 - 124).
+    let pairs = || {
+        vec![
+            int(1, 1),
+            binop(2, Binop::Add, 0, 1),
+            binop(3, Binop::Lt, 0, 2),
+            JumpIfFalse { cond: 3, target: 6 },
+            int(4, 200),
+            binop(5, Binop::Sub, 4, 2),
+            Halt { value: 5 },
+        ]
+    };
+    type Expected = (Result<RunOutcome, RuntimeError>, u64);
+    let cases: Vec<(&str, Vec<Instr>, Option<u64>, Expected)> = vec![
+        (
+            "a jump into the second half of a Const-Binop pair",
+            vec![
+                int(2, 5),
+                Jump { target: 3 },
+                int(2, 1000),
+                binop(3, Binop::Add, 0, 2),
+                Halt { value: 3 },
+            ],
+            None,
+            (Ok(RunOutcome::Exit(128)), 4),
+        ),
+        (
+            "a jump into the branch of a compare-and-branch pair",
+            vec![
+                int(1, 7),
+                Jump { target: 3 },
+                binop(2, Binop::Lt, 0, 1),
+                JumpIfFalse { cond: 2, target: 0 },
+                Halt { value: 0 },
+            ],
+            None,
+            (
+                Err(RuntimeError::KindMismatch {
+                    expected: "bool",
+                    found: "unit",
+                    context: "branch condition",
+                }),
+                3,
+            ),
+        ),
+        (
+            "a fused Const register read again later",
+            vec![
+                int(1, 10),
+                binop(2, Binop::Mul, 0, 1),
+                binop(3, Binop::Add, 2, 1),
+                int(4, 0),
+                Store {
+                    ptr: 5,
+                    index: 4,
+                    value: 1,
+                },
+                Halt { value: 3 },
+            ],
+            None,
+            // r5 is still `Unit`: the store traps after both halves ran.
+            (
+                Err(RuntimeError::KindMismatch {
+                    expected: "ptr",
+                    found: "unit",
+                    context: "store pointer",
+                }),
+                5,
+            ),
+        ),
+        (
+            "a fused Const register read again by the next instruction",
+            vec![
+                int(1, 10),
+                binop(2, Binop::Mul, 0, 1),
+                binop(3, Binop::Add, 2, 1),
+                Halt { value: 3 },
+            ],
+            None,
+            (Ok(RunOutcome::Exit(1240)), 4),
+        ),
+        (
+            "Const dst equal to the Binop's dst",
+            vec![int(1, 1), binop(1, Binop::Sub, 0, 1), Halt { value: 1 }],
+            None,
+            (Ok(RunOutcome::Exit(122)), 3),
+        ),
+        (
+            "Const dst equal to the Load's dst, and a Store's index and value",
+            vec![
+                int(1, 3),
+                Alloc {
+                    dst: 2,
+                    len: 1,
+                    init: 0,
+                },
+                int(3, 2),
+                Store {
+                    ptr: 2,
+                    index: 3,
+                    value: 3,
+                },
+                int(3, 2),
+                Load {
+                    dst: 3,
+                    ptr: 2,
+                    index: 3,
+                },
+                binop(4, Binop::Add, 3, 1),
+                Halt { value: 4 },
+            ],
+            None,
+            (Ok(RunOutcome::Exit(5)), 8),
+        ),
+        (
+            "a Const-Load pair whose Load traps",
+            vec![
+                int(1, 1),
+                Alloc {
+                    dst: 2,
+                    len: 1,
+                    init: 0,
+                },
+                int(3, 1),
+                Load {
+                    dst: 4,
+                    ptr: 2,
+                    index: 3,
+                },
+                Halt { value: 4 },
+            ],
+            None,
+            (
+                Err(RuntimeError::Heap(HeapError::OutOfBounds {
+                    ptr: mojave_heap::PtrIdx(1),
+                    index: 1,
+                    len: 1,
+                })),
+                4,
+            ),
+        ),
+        (
+            "a Const-Binop pair whose Binop traps",
+            vec![
+                Instr::Const {
+                    dst: 1,
+                    value: Const::Bool(true),
+                },
+                binop(2, Binop::Lt, 0, 1),
+                JumpIfFalse { cond: 2, target: 3 },
+                Halt { value: 0 },
+            ],
+            None,
+            (Err(mismatch.clone()), 2),
+        ),
+        (
+            "a compare-and-branch pair whose comparison traps",
+            vec![
+                Instr::Const {
+                    dst: 1,
+                    value: Const::Bool(true),
+                },
+                Instr::Move { dst: 2, src: 1 },
+                binop(3, Binop::Lt, 0, 2),
+                JumpIfFalse { cond: 3, target: 4 },
+                Halt { value: 0 },
+            ],
+            None,
+            (Err(mismatch), 3),
+        ),
+        (
+            "the pairs, unbudgeted",
+            pairs(),
+            None,
+            (Ok(RunOutcome::Exit(76)), 7),
+        ),
+        ("a budget of 1", pairs(), Some(1), (exhausted(1), 2)),
+        ("a budget of 2", pairs(), Some(2), (exhausted(2), 3)),
+        ("a budget of 3", pairs(), Some(3), (exhausted(3), 4)),
+        ("a budget of 4", pairs(), Some(4), (exhausted(4), 5)),
+        ("a budget of 5", pairs(), Some(5), (exhausted(5), 6)),
+        ("a budget of 6", pairs(), Some(6), (exhausted(6), 7)),
+        (
+            "a budget of 7",
+            pairs(),
+            Some(7),
+            (Ok(RunOutcome::Exit(76)), 7),
+        ),
+    ];
+    for (name, code, step_budget, expected) in cases {
+        let image = spliced_binary_image(|bc| {
+            let after = &mut bc.funs[0];
+            assert_eq!(after.nparams, 1);
+            after.nregs = 1 + code.len() as u32;
+            after.code = code;
+        });
+        let config = ProcessConfig {
+            step_budget,
+            ..config(BackendKind::Bytecode)
+        };
+        let mut p = Process::from_image(image, config).expect("the code verifies");
+        let outcome = p.run();
+        assert_eq!((outcome, p.stats().steps), expected, "{name}");
     }
 }
 

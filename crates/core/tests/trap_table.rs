@@ -8,6 +8,12 @@
 //! interpreter.  The programs are ill-typed on purpose, so they run with
 //! `verify: false`: these checks are what stands between an unverified
 //! binary image and the heap.
+//!
+//! Every row also pins the steps the bytecode VM charged up to and including
+//! the trapping instruction, recorded before the VM ran fused instruction
+//! pairs.  The programs feed constants straight into loads, stores and
+//! operators, so a fused pair that charges wrongly when its second half
+//! traps moves a count here.
 
 use mojave_core::{BackendKind, Process, ProcessConfig, RuntimeError};
 use mojave_fir::builder::{term, FunBuilder, ProgramBuilder};
@@ -37,11 +43,27 @@ fn config(backend: BackendKind, step_budget: Option<u64>) -> ProcessConfig {
     }
 }
 
-fn trap_of(program: Program, backend: BackendKind) -> RuntimeError {
-    Process::new(program, config(backend, None))
-        .expect("the program loads unverified")
-        .run()
-        .expect_err("the program traps")
+/// The trap `program` raises under `backend`, and the steps it was charged.
+fn trap_of(program: Program, backend: BackendKind) -> (RuntimeError, u64) {
+    let mut process =
+        Process::new(program, config(backend, None)).expect("the program loads unverified");
+    let trap = process.run().expect_err("the program traps");
+    (trap, process.stats().steps)
+}
+
+/// Both back ends raise `error` for the program `make` builds, and the
+/// bytecode VM charges `vm_steps` for it.
+fn assert_trap(make: impl Fn() -> Program, error: &RuntimeError, vm_steps: u64, what: &str) {
+    assert_eq!(
+        trap_of(make(), BackendKind::Bytecode),
+        (error.clone(), vm_steps),
+        "{what} under the bytecode VM"
+    );
+    assert_eq!(
+        trap_of(make(), BackendKind::Interp).0,
+        *error,
+        "{what} under the interpreter"
+    );
 }
 
 fn kind(expected: &'static str, found: &'static str, context: &'static str) -> RuntimeError {
@@ -57,91 +79,90 @@ fn kind(expected: &'static str, found: &'static str, context: &'static str) -> R
 #[test]
 fn operand_kind_traps_name_their_context() {
     type Body = fn(&mut FunBuilder<'_>, FunId) -> Expr;
-    let rows: Vec<(&'static str, &'static str, &'static str, Body)> = vec![
-        ("int", "unit", "alloc length", |b, _| {
+    let rows: Vec<(&'static str, &'static str, &'static str, u64, Body)> = vec![
+        ("int", "unit", "alloc length", 3, |b, _| {
             b.alloc("a", Ty::Int, Atom::Unit, 0);
             term::halt(0)
         }),
-        ("int", "bool", "raw alloc size", |b, _| {
+        ("int", "bool", "raw alloc size", 2, |b, _| {
             b.alloc_raw("r", true);
             term::halt(0)
         }),
-        ("ptr", "int", "load pointer", |b, _| {
+        ("ptr", "int", "load pointer", 3, |b, _| {
             b.load("x", Ty::Int, 3, 0);
             term::halt(0)
         }),
-        ("int", "bool", "load index", |b, _| {
+        ("int", "bool", "load index", 5, |b, _| {
             let a = b.alloc("a", Ty::Int, 2, 0);
             b.load("x", Ty::Int, a, true);
             term::halt(0)
         }),
-        ("ptr", "float", "store pointer", |b, _| {
+        ("ptr", "float", "store pointer", 4, |b, _| {
             b.store(1.5, 0, 0);
             term::halt(0)
         }),
-        ("int", "unit", "store index", |b, _| {
+        ("int", "unit", "store index", 6, |b, _| {
             let a = b.alloc("a", Ty::Int, 2, 0);
             b.store(a, Atom::Unit, 0);
             term::halt(0)
         }),
-        ("ptr", "int", "raw load pointer", |b, _| {
+        ("ptr", "int", "raw load pointer", 3, |b, _| {
             b.load_raw("x", 8, 0, 0);
             term::halt(0)
         }),
-        ("int", "char", "raw load offset", |b, _| {
+        ("int", "char", "raw load offset", 4, |b, _| {
             let r = b.alloc_raw("r", 8);
             b.load_raw("x", 8, r, Atom::Char('c'));
             term::halt(0)
         }),
-        ("ptr", "bool", "raw store pointer", |b, _| {
+        ("ptr", "bool", "raw store pointer", 4, |b, _| {
             b.store_raw(8, false, 0, 0);
             term::halt(0)
         }),
-        ("int", "float", "raw store offset", |b, _| {
+        ("int", "float", "raw store offset", 5, |b, _| {
             let r = b.alloc_raw("r", 8);
             b.store_raw(8, r, 0.5, 0);
             term::halt(0)
         }),
-        ("int", "ptr", "raw store value", |b, _| {
+        ("int", "ptr", "raw store value", 4, |b, _| {
             let r = b.alloc_raw("r", 8);
             b.store_raw(8, r, 0, r);
             term::halt(0)
         }),
-        ("ptr", "int", "length pointer", |b, _| {
+        ("ptr", "int", "length pointer", 2, |b, _| {
             b.len("n", 1);
             term::halt(0)
         }),
-        ("int", "bool", "halt value", |_, _| term::halt(true)),
-        ("int", "unit", "commit level", |_, main| {
+        ("int", "bool", "halt value", 2, |_, _| term::halt(true)),
+        ("int", "unit", "commit level", 3, |_, main| {
             term::commit(Atom::Unit, main, vec![])
         }),
-        ("int", "fun", "rollback level", |_, main| {
+        ("int", "fun", "rollback level", 3, |_, main| {
             term::rollback(main, 0)
         }),
-        ("int", "unit", "rollback code", |_, _| {
+        ("int", "unit", "rollback code", 3, |_, _| {
             term::rollback(1, Atom::Unit)
         }),
-        ("ptr", "int", "migrate target", |_, main| {
+        ("ptr", "int", "migrate target", 3, |_, main| {
             term::migrate(Label(0), 5, main, vec![])
         }),
     ];
-    for (expected, found, context, body) in rows {
-        for backend in BACKENDS {
-            assert_eq!(
-                trap_of(program(body), backend),
-                kind(expected, found, context),
-                "{context} under {backend:?}"
-            );
-        }
+    for (expected, found, context, vm_steps, body) in rows {
+        assert_trap(
+            || program(body),
+            &kind(expected, found, context),
+            vm_steps,
+            context,
+        );
     }
     // The one context the two back ends word differently.
     let branch = || program(|_, _| term::branch(1, term::halt(0), term::halt(1)));
     assert_eq!(
         trap_of(branch(), BackendKind::Bytecode),
-        kind("bool", "int", "branch condition")
+        (kind("bool", "int", "branch condition"), 2)
     );
     assert_eq!(
-        trap_of(branch(), BackendKind::Interp),
+        trap_of(branch(), BackendKind::Interp).0,
         kind("bool", "int", "if condition")
     );
 }
@@ -158,18 +179,20 @@ fn unary_operator_traps_name_the_kind_they_wanted() {
         (Unop::Not, Atom::Int(0), "bool", "int"),
         (Unop::IntOfChar, Atom::Int(65), "char", "int"),
     ];
+    // Each program is the operand's `Const` and the `Unop`: two steps.
     for (op, arg, expected, found) in rows {
-        for backend in BACKENDS {
-            let p = program(|b, _| {
+        let p = || {
+            program(|b, _| {
                 b.unop("x", op, arg.clone());
                 term::halt(0)
-            });
-            assert_eq!(
-                trap_of(p, backend),
-                kind(expected, found, "unary operator"),
-                "{op:?} under {backend:?}"
-            );
-        }
+            })
+        };
+        assert_trap(
+            p,
+            &kind(expected, found, "unary operator"),
+            2,
+            &format!("{op:?}"),
+        );
     }
 }
 
@@ -180,14 +203,20 @@ fn unary_operator_traps_name_the_kind_they_wanted() {
 #[test]
 fn binary_operator_traps() {
     use Binop::*;
+    // Each program is one instruction per operand (`Const` or `FunRef`)
+    // and the `Binop`: three steps.
     let binop_trap = |op: Binop, lhs: Atom, rhs: Atom, backend| {
-        trap_of(
+        let (trap, steps) = trap_of(
             program(|b, _| {
                 b.binop("x", op, lhs, rhs);
                 term::halt(0)
             }),
             backend,
-        )
+        );
+        if backend == BackendKind::Bytecode {
+            assert_eq!(steps, 3, "{op:?} under the bytecode VM");
+        }
+        trap
     };
     let mismatch = kind(
         "matching numeric operands",
@@ -253,23 +282,23 @@ fn heap_access_traps_carry_the_heap_error() {
         kind: BlockKind::Raw,
         access,
     };
-    let rows: Vec<(&str, HeapError, Body)> = vec![
-        ("load at -1", out_of_bounds(-1), |b, _| {
+    let rows: Vec<(&str, HeapError, u64, Body)> = vec![
+        ("load at -1", out_of_bounds(-1), 5, |b, _| {
             let a = b.alloc("a", Ty::Int, 2, 0);
             b.load("x", Ty::Int, a, -1);
             term::halt(0)
         }),
-        ("load at len", out_of_bounds(2), |b, _| {
+        ("load at len", out_of_bounds(2), 5, |b, _| {
             let a = b.alloc("a", Ty::Int, 2, 0);
             b.load("x", Ty::Int, a, 2);
             term::halt(0)
         }),
-        ("store at -1", out_of_bounds(-1), |b, _| {
+        ("store at -1", out_of_bounds(-1), 6, |b, _| {
             let a = b.alloc("a", Ty::Int, 2, 0);
             b.store(a, -1, 9);
             term::halt(0)
         }),
-        ("store at len", out_of_bounds(2), |b, _| {
+        ("store at len", out_of_bounds(2), 6, |b, _| {
             let a = b.alloc("a", Ty::Int, 2, 0);
             b.store(a, 2, 9);
             term::halt(0)
@@ -277,30 +306,35 @@ fn heap_access_traps_carry_the_heap_error() {
         (
             "store into a string",
             HeapError::ImmutableBlock(p0),
+            4,
             |b, _| {
                 b.store("constant", 0, 9);
                 term::halt(0)
             },
         ),
-        ("word load from raw", raw_mismatch("word load"), |b, _| {
-            let r = b.alloc_raw("r", 16);
-            b.load("x", Ty::Int, r, 0);
-            term::halt(0)
-        }),
-        ("word store into raw", raw_mismatch("word store"), |b, _| {
-            let r = b.alloc_raw("r", 16);
-            b.store(r, 0, 9);
-            term::halt(0)
-        }),
+        (
+            "word load from raw",
+            raw_mismatch("word load"),
+            4,
+            |b, _| {
+                let r = b.alloc_raw("r", 16);
+                b.load("x", Ty::Int, r, 0);
+                term::halt(0)
+            },
+        ),
+        (
+            "word store into raw",
+            raw_mismatch("word store"),
+            5,
+            |b, _| {
+                let r = b.alloc_raw("r", 16);
+                b.store(r, 0, 9);
+                term::halt(0)
+            },
+        ),
     ];
-    for (name, error, body) in rows {
-        for backend in BACKENDS {
-            assert_eq!(
-                trap_of(program(body), backend),
-                RuntimeError::Heap(error.clone()),
-                "{name} under {backend:?}"
-            );
-        }
+    for (name, error, vm_steps, body) in rows {
+        assert_trap(|| program(body), &RuntimeError::Heap(error), vm_steps, name);
     }
 }
 
@@ -308,7 +342,9 @@ fn heap_access_traps_carry_the_heap_error() {
 /// argument names block `#0`, which the image's heap does not hold.
 #[test]
 fn access_through_a_freed_pointer_is_an_invalid_pointer() {
-    for (name, store) in [("load", false), ("store", true)] {
+    // The resumed continuation is the access: `Const` index, then `Load`;
+    // or `Const` index, `Const` value, then `Store`.
+    for (name, store, vm_steps) in [("load", false, 2), ("store", true, 3)] {
         for backend in BACKENDS {
             let mut pb = ProgramBuilder::new();
             let (main, _) = pb.declare("main", &[]);
@@ -335,15 +371,16 @@ fn access_through_a_freed_pointer_is_an_invalid_pointer() {
             let image = source
                 .pack(0, Word::Fun(resume.0), &[Word::Ptr(doomed)])
                 .unwrap();
-            let trap = Process::from_image(image, config(backend, None))
-                .unwrap()
-                .run()
-                .expect_err("the access traps");
+            let mut resumed = Process::from_image(image, config(backend, None)).unwrap();
+            let trap = resumed.run().expect_err("the access traps");
             assert_eq!(
                 trap,
                 RuntimeError::Heap(HeapError::InvalidPointer(doomed)),
                 "{name} under {backend:?}"
             );
+            if backend == BackendKind::Bytecode {
+                assert_eq!(resumed.stats().steps, vm_steps, "{name} under the VM");
+            }
         }
     }
 }

@@ -15,6 +15,13 @@
 //! `migrate(…)` site ships the image through bytes and resumes in a fresh
 //! process — once with FIR images and once with binary (bytecode) images;
 //! both chains must reach the plain run's totals.
+//!
+//! A second table pins what a step budget stops: for five of the programs,
+//! every budget (or every 101st, for the long ones) is run to its outcome,
+//! and one fingerprint covers each budget's result, steps, output,
+//! collections and live bytes.  It was recorded before the VM ran fused
+//! instruction pairs, which must charge the steps of the instructions they
+//! stand for and stop between the two halves where the budget says so.
 
 use mojave_core::{
     CheckpointStore, DeliveryOutcome, InMemorySink, MigrationImage, MigrationSink, Process,
@@ -415,8 +422,8 @@ const PINS: &[Pin] = &[
     ),
 ];
 
-#[test]
-fn bytecode_vm_steps_exit_output_and_images_are_pinned() {
+/// Every program the pins cover, by name, as source.
+fn programs() -> Vec<(String, String)> {
     let mut programs: Vec<(String, String)> = [
         ("quickstart", QUICKSTART),
         ("migration_cluster", MIGRATION_CLUSTER),
@@ -430,11 +437,18 @@ fn bytecode_vm_steps_exit_output_and_images_are_pinned() {
     for seed in 1..=10u64 {
         programs.push((format!("fuzz-{seed}"), fuzz_program(seed)));
     }
+    programs
+}
 
+fn compile(name: &str, source: &str) -> Program {
+    mojave_lang::compile_source(source).unwrap_or_else(|e| panic!("{name} must compile: {e}"))
+}
+
+#[test]
+fn bytecode_vm_steps_exit_output_and_images_are_pinned() {
     let mut actual = Vec::new();
-    for (name, source) in &programs {
-        let program = mojave_lang::compile_source(source)
-            .unwrap_or_else(|e| panic!("{name} must compile: {e}"));
+    for (name, source) in &programs() {
+        let program = compile(name, source);
         let (plain, _, collections) = run(&program, false, false);
         let (fir, fir_images, _) = run(&program, false, true);
         let (binary, binary_images, _) = run(&program, true, true);
@@ -460,5 +474,59 @@ fn bytecode_vm_steps_exit_output_and_images_are_pinned() {
     assert_eq!(
         actual, expected,
         "VM behaviour moved; the table this run produced:\n{actual:#?}"
+    );
+}
+
+/// `(program, budget stride, fingerprint of every swept budget's
+/// `(budget, outcome, steps, printed lines, collections, live bytes)`)`.
+/// Budgets run from 1 to the program's pinned step count.
+type SweepPin = (&'static str, usize, u64);
+
+/// Recorded before the VM ran fused instruction pairs.
+const SWEEP_PINS: &[SweepPin] = &[
+    ("smoke", 1, 2_991_304_264_715_778_921),
+    ("quickstart", 1, 12_653_400_916_720_151_744),
+    ("fuzz-3", 1, 16_098_030_495_257_151_327),
+    ("churn", 101, 7_713_004_769_751_229_236),
+    ("buffer_overflow_rx", 101, 12_269_646_291_713_937_454),
+];
+
+#[test]
+fn step_budgets_stop_the_vm_where_they_always_did() {
+    let programs = programs();
+    let mut actual = Vec::new();
+    for &(name, stride, _) in SWEEP_PINS {
+        let source = &programs.iter().find(|(n, _)| n == name).expect("pinned").1;
+        let program = compile(name, source);
+        let steps = PINS.iter().find(|pin| pin.0 == name).expect("pinned").1;
+        let mut record = String::new();
+        for budget in (1..=steps).step_by(stride) {
+            let config = ProcessConfig {
+                step_budget: Some(budget),
+                ..config(false)
+            };
+            let mut p = Process::new(program.clone(), config)
+                .expect("program verifies")
+                .with_sink(Box::new(CaptureSink {
+                    inner: InMemorySink::with_store(CheckpointStore::new()),
+                    accept_migrations: false,
+                    migrated: Arc::default(),
+                    images: Arc::default(),
+                }));
+            let outcome = p.run();
+            let heap = p.heap().stats();
+            record += &format!(
+                "{budget} {outcome:?} {} {:?} {} {}\n",
+                p.stats().steps,
+                p.output(),
+                heap.minor_collections + heap.major_collections,
+                p.heap().live_bytes(),
+            );
+        }
+        actual.push((name, stride, fingerprint(record.as_bytes())));
+    }
+    assert_eq!(
+        actual, SWEEP_PINS,
+        "budgeted runs moved; the table this run produced:\n{actual:#?}"
     );
 }
