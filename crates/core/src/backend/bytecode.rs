@@ -5,6 +5,14 @@
 //! into registers, and control flow is flattened into jumps.  Because FIR is
 //! in continuation-passing style there are no call frames — a tail call
 //! replaces the whole register file.
+//!
+//! This is the wire and verify form: images ship it, and
+//! [`BytecodeProgram::verify`] checks it.  The VM does not dispatch on it
+//! directly; each process lowers its verified program once into the
+//! execution form (`exec.rs`: same pcs, 24-byte ops, fused `Const` and
+//! compare-and-branch pairs), which is never serialised.  So nothing here
+//! changes for fusion: one step per instruction stays the unit of
+//! `ProcessStats::steps` and of every step budget.
 
 use mojave_fir::{Binop, Unop};
 use mojave_wire::{WireCodec, WireError, WireReader, WireWriter};

@@ -12,13 +12,21 @@
 //!   native code generation: it is what the migration server re-runs when a
 //!   process arrives as FIR, and it is what "binary migration" skips by
 //!   shipping the already-compiled program.
+//!
+//! The instruction stream ([`Instr`]) is the form that is shipped and
+//! verified.  The VM runs a form derived from it once per process, after
+//! verification (`exec`): the same pcs, compact ops, and the constant and
+//! compare-and-branch pairs the compiler emits fused into one op each at
+//! the canonical two steps.  That form is never serialised.
 
 mod bytecode;
 mod compile;
+mod exec;
 mod verify;
 
 pub use bytecode::{BcFun, BytecodeProgram, Const, Instr, Reg};
 pub use compile::{compile_program, CompileError};
+pub(crate) use exec::{Executable, Op};
 pub use verify::VerifyError;
 
 /// Which back-end a process uses to execute.
