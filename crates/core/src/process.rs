@@ -1506,6 +1506,11 @@ impl Process {
                         second_half!();
                         self.vm_load(file, dst, ptr, index)?
                     }
+                    Op::ConstMove { konst, dst, src } => {
+                        file[konst as usize] = consts[at];
+                        second_half!();
+                        file[dst as usize] = file[src as usize]
+                    }
                     Op::ConstStore {
                         konst,
                         ptr,

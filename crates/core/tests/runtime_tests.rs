@@ -847,19 +847,270 @@ fn hand_written_bytecode_around_fusible_pairs() {
         ),
     ];
     for (name, code, step_budget, expected) in cases {
-        let image = spliced_binary_image(|bc| {
-            let after = &mut bc.funs[0];
-            assert_eq!(after.nparams, 1);
-            after.nregs = 1 + code.len() as u32;
-            after.code = code;
-        });
-        let config = ProcessConfig {
-            step_budget,
-            ..config(BackendKind::Bytecode)
+        assert_eq!(run_as_continuation(code, step_budget), expected, "{name}");
+    }
+}
+
+/// Run `code` as the resumed continuation of [`spliced_binary_image`]
+/// (`r0 = 123`, one register per instruction besides), on the bytecode VM
+/// with `step_budget`: the outcome and the steps taken.
+fn run_as_continuation(
+    code: Vec<mojave_core::backend::Instr>,
+    step_budget: Option<u64>,
+) -> (Result<RunOutcome, mojave_core::RuntimeError>, u64) {
+    let image = spliced_binary_image(|bc| {
+        let after = &mut bc.funs[0];
+        assert_eq!(after.nparams, 1);
+        after.nregs = 1 + code.len() as u32;
+        after.code = code;
+    });
+    let config = ProcessConfig {
+        step_budget,
+        ..config(BackendKind::Bytecode)
+    };
+    let mut p = Process::from_image(image, config).expect("the code verifies");
+    let outcome = p.run();
+    (outcome, p.stats().steps)
+}
+
+/// Hand-written code around load forwarding: the VM copies a register
+/// instead of loading a word an earlier load of the same pointer register
+/// and constant index already read, within one straight-line run with no
+/// store, allocation, external call, jump target or rewrite of either
+/// register in between.  Each case runs as the resumed continuation
+/// (`r0 = 123`); the ones that must not forward read a different word (or
+/// trap) where a wrong copy would not.  The step budget of 1000 turns a
+/// wrong copy that loops into a quick failure.
+#[test]
+fn hand_written_bytecode_around_forwarded_loads() {
+    use mojave_core::backend::{Const, Instr};
+    use mojave_core::RuntimeError;
+    use mojave_heap::{HeapError, PtrIdx};
+    use Instr::{Alloc, Halt, Jump, JumpIfFalse, Load, Move, Store};
+
+    let int = |dst, v| Instr::Const {
+        dst,
+        value: Const::Int(v),
+    };
+    let binop = |dst, op, lhs, rhs| Instr::Binop { dst, op, lhs, rhs };
+    let load = |dst, ptr, index| Load { dst, ptr, index };
+    // r2 = a two-word block of 123s.
+    let block = || {
+        vec![
+            int(1, 2),
+            Alloc {
+                dst: 2,
+                len: 1,
+                init: 0,
+            },
+        ]
+    };
+    // r2 = [123, 1].
+    let stored = || {
+        let mut code = block();
+        code.extend([
+            int(3, 1),
+            Store {
+                ptr: 2,
+                index: 3,
+                value: 3,
+            },
+        ]);
+        code
+    };
+    let with = |mut prefix: Vec<Instr>, rest: Vec<Instr>| {
+        prefix.extend(rest);
+        prefix
+    };
+    let exit = |v| Ok(RunOutcome::Exit(v));
+    type Expected = (Result<RunOutcome, RuntimeError>, u64);
+    let cases: Vec<(&str, Vec<Instr>, Expected)> = vec![
+        (
+            "a forwarded load",
+            with(
+                stored(),
+                vec![
+                    int(4, 1),
+                    load(5, 2, 4),
+                    int(6, 1),
+                    load(7, 2, 6),
+                    binop(8, Binop::Add, 5, 7),
+                    binop(9, Binop::Add, 8, 0),
+                    Halt { value: 9 },
+                ],
+            ),
+            (exit(125), 11),
+        ),
+        (
+            "after a Store through another register to the same block",
+            with(
+                block(),
+                vec![
+                    Move { dst: 3, src: 2 },
+                    int(4, 1),
+                    load(5, 2, 4),
+                    int(6, 7),
+                    Store {
+                        ptr: 3,
+                        index: 4,
+                        value: 6,
+                    },
+                    int(7, 1),
+                    load(8, 2, 7),
+                    binop(9, Binop::Add, 5, 8),
+                    Halt { value: 9 },
+                ],
+            ),
+            (exit(130), 11),
+        ),
+        (
+            "after an Ext that rewrites the earlier value register",
+            with(
+                block(),
+                vec![
+                    int(3, 0),
+                    load(4, 2, 3),
+                    Instr::Ext {
+                        dst: 4,
+                        name: "node_id".into(),
+                        args: vec![],
+                    },
+                    int(5, 0),
+                    load(6, 2, 5),
+                    binop(7, Binop::Add, 4, 6),
+                    Halt { value: 7 },
+                ],
+            ),
+            (exit(123), 9),
+        ),
+        (
+            "a lone load at a jump target",
+            with(
+                stored(),
+                vec![
+                    int(4, 0),
+                    load(5, 2, 4),
+                    // pc 6: entered again from pc 11 with r4 = 1.
+                    load(6, 2, 4),
+                    binop(7, Binop::Lt, 6, 0),
+                    JumpIfFalse {
+                        cond: 7,
+                        target: 10,
+                    },
+                    Halt { value: 6 },
+                    int(4, 1),
+                    Jump { target: 6 },
+                ],
+            ),
+            (exit(1), 15),
+        ),
+        (
+            "a jump into the second half of a would-be ConstMove",
+            with(
+                block(),
+                vec![
+                    int(4, 0),
+                    load(5, 2, 4),
+                    int(6, 0),
+                    // pc 5: entered again from pc 10 with r6 = 2, out of bounds.
+                    load(7, 2, 6),
+                    binop(8, Binop::Lt, 7, 0),
+                    JumpIfFalse { cond: 8, target: 9 },
+                    Halt { value: 7 },
+                    int(6, 2),
+                    Jump { target: 5 },
+                ],
+            ),
+            (
+                Err(RuntimeError::Heap(HeapError::OutOfBounds {
+                    ptr: PtrIdx(1),
+                    index: 2,
+                    len: 2,
+                })),
+                11,
+            ),
+        ),
+        (
+            "after the pointer register is rewritten",
+            with(
+                block(),
+                vec![
+                    Alloc {
+                        dst: 3,
+                        len: 1,
+                        init: 1,
+                    },
+                    int(4, 0),
+                    load(5, 2, 4),
+                    Move { dst: 2, src: 3 },
+                    int(6, 0),
+                    load(7, 2, 6),
+                    Halt { value: 7 },
+                ],
+            ),
+            (exit(2), 9),
+        ),
+        (
+            "after the earlier value register is rewritten",
+            with(
+                block(),
+                vec![
+                    int(3, 0),
+                    load(4, 2, 3),
+                    binop(4, Binop::Add, 4, 1),
+                    int(5, 0),
+                    load(6, 2, 5),
+                    binop(7, Binop::Sub, 4, 6),
+                    Halt { value: 7 },
+                ],
+            ),
+            (exit(2), 9),
+        ),
+        (
+            "after the index register is reloaded with a different Const",
+            with(
+                stored(),
+                vec![
+                    int(4, 0),
+                    load(5, 2, 4),
+                    int(4, 1),
+                    load(6, 2, 4),
+                    Halt { value: 6 },
+                ],
+            ),
+            (exit(1), 9),
+        ),
+    ];
+    for (name, code, expected) in cases {
+        assert_eq!(run_as_continuation(code, Some(1000)), expected, "{name}");
+    }
+
+    // Two back-to-back ConstMove pairs after a ConstLoad: every budget
+    // stops where the instruction stream would have.
+    let pairs = with(
+        block(),
+        vec![
+            int(3, 0),
+            load(4, 2, 3),
+            int(5, 0),
+            load(6, 2, 5),
+            int(7, 0),
+            load(8, 2, 7),
+            binop(9, Binop::Add, 6, 8),
+            Halt { value: 9 },
+        ],
+    );
+    assert_eq!(run_as_continuation(pairs.clone(), None), (exit(246), 10));
+    for budget in 1..=10 {
+        let expected = match budget {
+            10 => (exit(246), 10),
+            _ => (
+                Err(RuntimeError::StepBudgetExhausted { budget }),
+                budget + 1,
+            ),
         };
-        let mut p = Process::from_image(image, config).expect("the code verifies");
-        let outcome = p.run();
-        assert_eq!((outcome, p.stats().steps), expected, "{name}");
+        let got = run_as_continuation(pairs.clone(), Some(budget));
+        assert_eq!(got, expected, "a budget of {budget}");
     }
 }
 

@@ -1,4 +1,8 @@
-//! Heap blocks and their headers.
+//! Heap blocks, their headers and their payloads.
+//!
+//! A payload is owned by its block until a freeze or a copy-on-write clone
+//! shares it ([`Payload`]); the block's next write takes it back, or copies
+//! it if the sharer still holds it.
 
 use crate::pointer_table::PtrIdx;
 use crate::word::Word;
@@ -49,43 +53,114 @@ pub enum Generation {
     Old,
 }
 
-/// Block payload: either words or raw bytes.
+/// A payload's elements: owned by their block until something shares them.
 ///
-/// Payloads are **reference-counted** (`Arc`): cloning a block — for a
-/// speculation-level copy-on-write clone or a [`crate::HeapSnapshot`]
-/// freeze — is a pointer bump, and the actual byte copy is deferred to the
-/// first mutation of a *shared* payload ([`BlockData::words_mut`] /
-/// [`BlockData::bytes_mut`], which go through [`Arc::make_mut`]).  This is
-/// what makes a heap snapshot O(pointer-table): the frozen originals stay
-/// readable from another thread while the mutator lazily un-shares exactly
-/// the blocks it touches.
+/// A block's payload is a plain `Vec` while only its block holds it, so a
+/// store writes it in place and pays no atomic.  [`Heap::freeze`] and a
+/// speculation-level copy-on-write clone share it in place
+/// ([`Payload::Shared`]) and hand out a second reference; the block's
+/// next write takes it back without a copy once it is the only holder
+/// again, and copies it while a clone or a live
+/// [`crate::HeapSnapshot`] still holds it.  That keeps a freeze
+/// O(pointer-table): the frozen originals stay readable from another
+/// thread while the mutator copies exactly the blocks it touches.
+///
+/// Cloning an owned payload copies it; cloning a shared one shares it.
+///
+/// [`Heap::freeze`]: crate::Heap::freeze
+#[derive(Debug, Clone)]
+pub enum Payload<T> {
+    /// Held by its block alone.
+    Owned(Vec<T>),
+    /// Shared with a clone or a snapshot, or it was and has not been
+    /// written since.
+    Shared(Arc<Vec<T>>),
+}
+
+impl<T: Clone> Payload<T> {
+    /// Whether another holder still references the payload, i.e. whether
+    /// the next [`Payload::to_mut`] will copy it.
+    #[inline]
+    pub(crate) fn is_shared(&self) -> bool {
+        matches!(self, Payload::Shared(shared) if Arc::strong_count(shared) > 1)
+    }
+
+    /// Mutable access: in place when owned; a shared payload is taken back
+    /// when no one else holds it and copied otherwise.
+    #[inline]
+    pub(crate) fn to_mut(&mut self) -> &mut Vec<T> {
+        if let Payload::Shared(shared) = self {
+            let elems = match Arc::get_mut(shared) {
+                Some(elems) => std::mem::take(elems),
+                None => shared.to_vec(),
+            };
+            *self = Payload::Owned(elems);
+        }
+        match self {
+            Payload::Owned(elems) => elems,
+            Payload::Shared(_) => unreachable!("just made owned"),
+        }
+    }
+
+    /// A second reference to the payload, sharing it in place first if it
+    /// is owned (one `Arc` allocation).
+    pub(crate) fn share(&mut self) -> Self {
+        if let Payload::Owned(elems) = self {
+            *self = Payload::Shared(Arc::new(std::mem::take(elems)));
+        }
+        match self {
+            Payload::Shared(shared) => Payload::Shared(Arc::clone(shared)),
+            Payload::Owned(_) => unreachable!("just shared"),
+        }
+    }
+}
+
+impl<T> std::ops::Deref for Payload<T> {
+    type Target = Vec<T>;
+
+    #[inline]
+    fn deref(&self) -> &Vec<T> {
+        match self {
+            Payload::Owned(elems) => elems,
+            Payload::Shared(shared) => shared,
+        }
+    }
+}
+
+/// Payloads compare by content, whoever holds them.
+impl<T: PartialEq> PartialEq for Payload<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+/// Block payload: either words or raw bytes, each a [`Payload`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum BlockData {
     /// Word-addressed payload.
-    Words(Arc<Vec<Word>>),
+    Words(Payload<Word>),
     /// Byte-addressed payload.
-    Bytes(Arc<Vec<u8>>),
+    Bytes(Payload<u8>),
 }
 
 impl BlockData {
     /// A word payload (takes ownership of the vector, no copy).
     pub fn words(words: Vec<Word>) -> Self {
-        BlockData::Words(Arc::new(words))
+        BlockData::Words(Payload::Owned(words))
     }
 
     /// A byte payload (takes ownership of the vector, no copy).
     pub fn bytes(bytes: Vec<u8>) -> Self {
-        BlockData::Bytes(Arc::new(bytes))
+        BlockData::Bytes(Payload::Owned(bytes))
     }
 
     /// Whether the payload is currently shared with a clone or a live
-    /// snapshot — i.e. whether the next mutation will pay the deferred
-    /// copy-on-write byte copy.
+    /// snapshot — i.e. whether the next mutation will copy it.
     #[inline]
     pub fn is_shared(&self) -> bool {
         match self {
-            BlockData::Words(w) => Arc::strong_count(w) > 1,
-            BlockData::Bytes(b) => Arc::strong_count(b) > 1,
+            BlockData::Words(w) => w.is_shared(),
+            BlockData::Bytes(b) => b.is_shared(),
         }
     }
 
@@ -98,7 +173,7 @@ impl BlockData {
     #[inline]
     pub fn words_mut(&mut self) -> &mut Vec<Word> {
         match self {
-            BlockData::Words(w) => Arc::make_mut(w),
+            BlockData::Words(w) => w.to_mut(),
             BlockData::Bytes(_) => unreachable!("validated as a word block"),
         }
     }
@@ -111,8 +186,16 @@ impl BlockData {
     /// kind before mutating.
     pub fn bytes_mut(&mut self) -> &mut Vec<u8> {
         match self {
-            BlockData::Bytes(b) => Arc::make_mut(b),
+            BlockData::Bytes(b) => b.to_mut(),
             BlockData::Words(_) => unreachable!("validated as a raw block"),
+        }
+    }
+
+    /// A second reference to the payload, sharing it in place first.
+    fn share(&mut self) -> Self {
+        match self {
+            BlockData::Words(w) => BlockData::Words(w.share()),
+            BlockData::Bytes(b) => BlockData::Bytes(b.share()),
         }
     }
 
@@ -205,6 +288,15 @@ impl Block {
         Block {
             header: BlockHeader::new(index, kind, Generation::Young),
             data: BlockData::bytes(bytes),
+        }
+    }
+
+    /// A copy of the block that shares its payload (see [`Payload`]): what
+    /// a freeze records and what a copy-on-write clone starts from.
+    pub(crate) fn share(&mut self) -> Block {
+        Block {
+            header: self.header,
+            data: self.data.share(),
         }
     }
 

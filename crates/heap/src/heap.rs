@@ -2,7 +2,7 @@
 //! dirty tracking and the freeze.  Garbage collection is in [`crate::gc`],
 //! the image format in [`crate::image`].
 
-use crate::block::{Block, BlockData, BlockHeader, BlockKind, Generation};
+use crate::block::{Block, BlockData, BlockHeader, BlockKind, Generation, Payload};
 use crate::cow::SpecLevelRecord;
 use crate::error::HeapError;
 use crate::pointer_table::{PointerTable, PtrIdx};
@@ -302,8 +302,43 @@ impl Heap {
 
     /// Write a word into a word-addressed block, performing copy-on-write if
     /// a speculation is open and maintaining the minor-GC write barrier.
+    ///
+    /// The common store — an owned payload the open level (if any) already
+    /// owns — resolves its block once and writes in place; everything else
+    /// (a copy-on-write clone, a shared payload, an error) goes out of
+    /// line.
     #[inline]
     pub fn store(&mut self, ptr: PtrIdx, index: i64, value: Word) -> Result<(), HeapError> {
+        let enter_epoch = self.spec_levels.last().map_or(0, |top| top.enter_epoch);
+        let block = self
+            .table
+            .lookup(ptr)
+            .and_then(|slot| Some((slot, self.blocks.get_mut(slot)?.as_mut()?)));
+        if let Some((
+            slot,
+            Block {
+                header,
+                data: BlockData::Words(Payload::Owned(words)),
+            },
+        )) = block
+        {
+            let word = usize::try_from(index).ok().and_then(|i| words.get_mut(i));
+            if let Some(word) = word.filter(|_| header.stamp >= enter_epoch) {
+                *word = value;
+                list_dirty(&mut self.dirty, self.clean_epoch, header);
+                if header.generation == Generation::Old && value.is_ptr() {
+                    self.remembered.insert(slot);
+                }
+                return Ok(());
+            }
+        }
+        self.store_shared(ptr, index, value)
+    }
+
+    /// [`Heap::store`] into a block that needs a copy-on-write clone, a
+    /// shared payload, or an error.
+    #[inline(never)]
+    fn store_shared(&mut self, ptr: PtrIdx, index: i64, value: Word) -> Result<(), HeapError> {
         // Validate before mutating anything.  A `Str` block holds bytes, so
         // "word-addressed" covers "mutable"; a negative index is a huge `u64`.
         let slot = self.table.lookup(ptr).filter(|slot| {
@@ -499,8 +534,9 @@ impl Heap {
     #[inline(never)]
     fn cow_clone(&mut self, ptr: PtrIdx, orig_slot: usize) -> usize {
         let mut clone = self.blocks[orig_slot]
-            .clone()
-            .expect("slot referenced by pointer table holds a block");
+            .as_mut()
+            .expect("slot referenced by pointer table holds a block")
+            .share();
         clone.header.stamp = self.spec_epoch;
         let size = clone.byte_size();
         let clone_slot = self.take_slot();
@@ -697,7 +733,8 @@ impl Heap {
 
     /// A value snapshot of every block reachable through the pointer table,
     /// keyed by pointer index.  Two snapshots compare equal iff the program-
-    /// visible heap state is identical.
+    /// visible heap state is identical.  Owned payloads are copied (shared
+    /// ones shared), so holding the result takes nothing from the heap.
     pub fn snapshot(&self) -> HashMap<u32, BlockData> {
         self.table
             .iter_used()
@@ -709,12 +746,15 @@ impl Heap {
     /// thread-safe [`crate::HeapSnapshot`] in **O(pointer-table)** time.
     ///
     /// This is the zero-pause half of the asynchronous checkpoint pipeline
-    /// (paper §4.3's copy-on-write machinery turned outward): block
-    /// payloads are reference-counted, so the freeze clones pointers, not
-    /// bytes.  The mutator resumes immediately; the first subsequent write
-    /// to each still-shared block pays that block's copy lazily
-    /// ([`HeapStats::shared_payload_copies`] counts them), exactly like the
-    /// first write inside a speculation level.
+    /// (paper §4.3's copy-on-write machinery turned outward): the freeze
+    /// shares each block's payload in place ([`crate::Payload`]) instead
+    /// of copying bytes, paying one `Arc` allocation per block whose
+    /// payload was still owned.  The mutator resumes immediately; the
+    /// first subsequent write to each block pays that block's copy lazily
+    /// while the snapshot still holds it
+    /// ([`HeapStats::shared_payload_copies`] counts them), exactly like
+    /// the first write inside a speculation level, and takes the payload
+    /// back without a copy once the snapshot is gone.
     ///
     /// The snapshot also captures the dirty/freed tracking state, so a
     /// delta image encoded from it is byte-identical to the delta a
@@ -741,9 +781,9 @@ impl Heap {
                 (
                     idx,
                     self.blocks[slot]
-                        .as_ref()
+                        .as_mut()
                         .expect("used table entry points at a block")
-                        .clone(),
+                        .share(),
                 )
             })
             .collect();

@@ -74,7 +74,7 @@ mod snapshot;
 mod stats;
 mod word;
 
-pub use block::{Block, BlockData, BlockHeader, BlockKind, Generation};
+pub use block::{Block, BlockData, BlockHeader, BlockKind, Generation, Payload};
 pub use cow::SpecLevelRecord;
 pub use error::HeapError;
 pub use gc::GcKind;

@@ -1,12 +1,15 @@
 //! Zero-pause heap snapshots for the asynchronous checkpoint pipeline.
 //!
 //! [`Heap::freeze`](crate::Heap::freeze) captures the program-visible heap
-//! state as an owned [`HeapSnapshot`] in O(pointer-table) time: block
-//! payloads are reference-counted, so the freeze clones pointers rather
-//! than bytes, and the mutator's first subsequent write to each shared
-//! block pays that block's copy lazily — the same copy-on-write discipline
-//! speculation levels use (paper §4.3), opened outward so a *checkpoint*
-//! no longer stops the world.
+//! state as an owned [`HeapSnapshot`] in O(pointer-table) time: it shares
+//! each block's payload in place ([`crate::Payload`]: a block that still
+//! owned its `Vec` wraps it in an `Arc`, one allocation and no copy) and
+//! records a second reference.  The mutator's first subsequent write to
+//! each block copies it while the snapshot still holds it, and takes the
+//! payload back without a copy once the snapshot is dropped — the same
+//! copy-on-write discipline speculation levels use (paper §4.3), opened
+//! outward so a *checkpoint* no longer stops the world.  Between freezes a
+//! store writes an owned payload in place and pays no atomic.
 //!
 //! A snapshot is `Send`: the expensive half of a checkpoint — codec
 //! choice, slab staging, compression, sink delivery — runs on a pipeline
@@ -34,7 +37,7 @@ pub struct HeapSnapshot {
     /// Pointer-table capacity at the freeze point.
     capacity: usize,
     /// Frozen `(index, block)` records, ascending by pointer index —
-    /// payloads are `Arc`-shared with the live heap (copy-on-write).
+    /// payloads are shared with the live heap (copy-on-write).
     records: Vec<(PtrIdx, Block)>,
     /// Dirty live pointer indices at the freeze point (ascending), for
     /// delta encoding.  Always a subset of `records`' indices.

@@ -19,8 +19,8 @@ pub struct HeapStats {
     pub blocks_compacted: u64,
     /// Copy-on-write clones made on behalf of open speculations.
     pub cow_clones: u64,
-    /// Bytes *logically preserved* by those clones.  Since block payloads
-    /// became reference-counted the clone itself is a pointer bump; the
+    /// Bytes *logically preserved* by those clones.  The clone shares the
+    /// original's payload ([`crate::Payload`]) rather than copying it; the
     /// physical copy is deferred to the first write of a still-shared
     /// payload and recorded in [`HeapStats::shared_payload_bytes`] — do
     /// not sum the two counters as if they were independent copies.

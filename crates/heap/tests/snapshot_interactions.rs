@@ -12,7 +12,9 @@
 //! * a snapshot without a clean point refuses delta encoding with the
 //!   precise [`HeapError::NoCleanPoint`] error.
 
-use mojave_heap::{Heap, HeapConfig, HeapError, ImageCodec, ImageKind, PtrIdx, Word};
+use mojave_heap::{
+    BlockData, Heap, HeapConfig, HeapError, ImageCodec, ImageKind, Payload, PtrIdx, Word,
+};
 use mojave_wire::{CodecId, CodecSet, WireReader, WireWriter};
 
 fn image_of(heap: &Heap) -> Vec<u8> {
@@ -203,6 +205,105 @@ fn snapshot_encodes_on_another_thread_while_the_mutator_races() {
     // Every block the mutator touched paid its deferred copy exactly once.
     assert_eq!(heap.stats().shared_payload_copies, ptrs.len() as u64);
     drop(keeper);
+}
+
+/// Whether `ptr`'s payload is still held by its block alone.
+fn owned(heap: &Heap, ptr: PtrIdx) -> bool {
+    matches!(
+        heap.block(ptr).unwrap().data,
+        BlockData::Words(Payload::Owned(_)) | BlockData::Bytes(Payload::Owned(_))
+    )
+}
+
+#[test]
+fn a_store_after_a_freeze_copies_once_and_leaves_the_snapshot_intact() {
+    let mut heap = Heap::new();
+    let arr = heap.alloc_array(4, Word::Int(7)).unwrap();
+    let untouched = heap.alloc_array(4, Word::Int(8)).unwrap();
+    assert!(owned(&heap, arr));
+    let want = image_of(&heap);
+    let snap = heap.freeze();
+    assert!(heap.block(arr).unwrap().data.is_shared());
+
+    heap.store(arr, 0, Word::Int(1)).unwrap();
+    heap.store(arr, 1, Word::Int(2)).unwrap();
+    assert_eq!(heap.stats().shared_payload_copies, 1);
+    assert_eq!(heap.stats().shared_payload_bytes, 4 * 8);
+    assert!(owned(&heap, arr));
+    assert!(heap.block(untouched).unwrap().data.is_shared());
+    assert_eq!(heap.load(arr, 1).unwrap(), Word::Int(2));
+    assert_eq!(snap_image(&snap), want);
+}
+
+#[test]
+fn once_the_snapshot_is_dropped_a_store_takes_the_payload_back_without_a_copy() {
+    let mut heap = Heap::new();
+    let arr = heap.alloc_array(4, Word::Int(7)).unwrap();
+    let raw = heap.alloc_raw(8).unwrap();
+    let snap = heap.freeze();
+    drop(snap);
+    assert!(!heap.block(arr).unwrap().data.is_shared());
+    assert!(!owned(&heap, arr), "shared in place until the next write");
+
+    heap.store(arr, 3, Word::Int(-1)).unwrap();
+    heap.store_raw(raw, 0, 8, 42).unwrap();
+    assert_eq!(heap.stats().shared_payload_copies, 0);
+    assert!(owned(&heap, arr) && owned(&heap, raw));
+    assert_eq!(heap.load(arr, 3).unwrap(), Word::Int(-1));
+    assert_eq!(heap.load_raw(raw, 0, 8).unwrap(), 42);
+
+    // A block left unwritten stays shared, and a second freeze shares it
+    // again without a copy.
+    let snap = heap.freeze();
+    heap.store(arr, 0, Word::Int(5)).unwrap();
+    assert_eq!(heap.stats().shared_payload_copies, 1);
+    drop(snap);
+}
+
+#[test]
+fn a_copy_on_write_clone_then_rollback_restores_the_original() {
+    let mut heap = Heap::new();
+    let arr = heap.alloc_array(3, Word::Int(5)).unwrap();
+    let before = heap.snapshot();
+    let level = heap.spec_enter();
+    heap.store(arr, 2, Word::Int(9)).unwrap();
+    heap.store(arr, 1, Word::Int(8)).unwrap();
+    // The clone shares the original's payload, so its first write copies.
+    assert_eq!(heap.stats().cow_clones, 1);
+    assert_eq!(heap.stats().shared_payload_copies, 1);
+    assert_eq!(heap.load(arr, 2).unwrap(), Word::Int(9));
+
+    heap.spec_rollback(level).unwrap();
+    assert_eq!(heap.snapshot(), before);
+    // The restored original is its block's alone again: no copy to write.
+    heap.store(arr, 0, Word::Int(1)).unwrap();
+    assert_eq!(heap.stats().shared_payload_copies, 1);
+    assert!(owned(&heap, arr));
+    assert_eq!(heap.load(arr, 2).unwrap(), Word::Int(5));
+}
+
+#[test]
+fn a_cloned_heap_is_independent_of_its_source() {
+    let mut heap = Heap::new();
+    let frozen = heap.alloc_array(4, Word::Int(0)).unwrap();
+    let raw = heap.alloc_raw(8).unwrap();
+    let snap = heap.freeze();
+    let fresh = heap.alloc_array(2, Word::Int(1)).unwrap();
+    let want = snap_image(&snap);
+
+    // Shared payloads (the frozen ones) and owned ones (`fresh`) alike.
+    let mut copy = heap.clone();
+    copy.store(frozen, 0, Word::Int(1)).unwrap();
+    copy.store(fresh, 0, Word::Int(2)).unwrap();
+    copy.store_raw(raw, 0, 8, 3).unwrap();
+    heap.store(frozen, 1, Word::Int(4)).unwrap();
+
+    assert_eq!(heap.load(frozen, 0).unwrap(), Word::Int(0));
+    assert_eq!(heap.load(fresh, 0).unwrap(), Word::Int(1));
+    assert_eq!(heap.load_raw(raw, 0, 8).unwrap(), 0);
+    assert_eq!(copy.load(frozen, 1).unwrap(), Word::Int(0));
+    assert_eq!(copy.load(frozen, 0).unwrap(), Word::Int(1));
+    assert_eq!(snap_image(&snap), want);
 }
 
 #[test]
