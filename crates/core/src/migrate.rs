@@ -5,10 +5,12 @@
 //!
 //! * **pack** — capture the entire process state.  [`crate::Process::pack`]
 //!   garbage-collects, stores the live variables into a fresh
-//!   `migrate_env` block, and produces a [`MigrationImage`] holding the
-//!   code (FIR, or compiled bytecode for *binary* migration; a delta
-//!   checkpoint names its base's code instead), the pointer table, the
-//!   heap blocks and the resume continuation.
+//!   `migrate_env` block, freezes the heap into a [`SnapshotPack`] and
+//!   encodes it at once into a [`MigrationImage`] holding the code (FIR,
+//!   or compiled bytecode for *binary* migration; a delta checkpoint names
+//!   its base's code instead), the pointer table, the heap blocks and the
+//!   resume continuation.  An asynchronous checkpoint skips the collection
+//!   and defers the same encode to the sink.
 //! * **transmit** — hand the image to a [`MigrationSink`].  A standalone
 //!   process uses [`InMemorySink`] (checkpoint files in a
 //!   [`CheckpointStore`]); the cluster crate provides a sink that routes
@@ -24,8 +26,8 @@ use crate::backend::BytecodeProgram;
 use crate::error::RuntimeError;
 use mojave_fir::{MigrateProtocol, Program};
 use mojave_heap::{
-    image_payload_stats, Heap, HeapConfig, HeapError, HeapSnapshot, ImageCodec, ImageKind,
-    ImageRecords, PtrIdx, Word,
+    image_payload_stats, Heap, HeapConfig, HeapError, HeapSnapshot, ImageCodec, ImageKind, PtrIdx,
+    Word,
 };
 use mojave_wire::{
     uvarint_len, CodecSet, SectionTag, WireCodec, WireError, WireReader, WireWriter,
@@ -218,9 +220,9 @@ impl From<PackedCode> for ImageCode {
 }
 
 /// The heap payload of a migration image: a complete encoding of the live
-/// heap, or an incremental delta against a named base checkpoint.  The
-/// synchronous and the snapshot pack build it with one payload builder,
-/// from the records of the live heap or of its frozen snapshot.
+/// heap, or an incremental delta against a named base checkpoint.  Every
+/// pack builds it with one payload builder, from a frozen
+/// [`HeapSnapshot`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum HeapImage {
     /// Every live block with its pointer-table capacity: an
@@ -244,23 +246,23 @@ pub enum HeapImage {
 }
 
 impl HeapImage {
-    /// Write the payload of a full image, or of a delta against
-    /// `delta_base` (`(name, heap-payload fingerprint)`), from the
-    /// `records` of that kind in `codecs` — the one payload builder behind
-    /// [`crate::Process::pack`], [`crate::Process::pack_delta`] and
-    /// [`SnapshotPack::into_image`].  `live_bytes` sizes the buffer of a
-    /// full image.
-    pub(crate) fn encode<'a>(
-        records: impl FnOnce(ImageKind) -> Result<ImageRecords<'a>, HeapError>,
-        live_bytes: usize,
+    /// Write the payload of a full image of `heap`, or of a delta against
+    /// `delta_base` (`(name, heap-payload fingerprint)`), in `codecs` — the
+    /// one payload builder behind [`SnapshotPack::into_image`] (and so
+    /// every pack) and delta resolution.
+    pub(crate) fn encode(
+        heap: &HeapSnapshot,
         codecs: CodecSet,
         delta_base: Option<(String, u64)>,
     ) -> Result<HeapImage, HeapError> {
         let (kind, mut w) = match delta_base {
-            None => (ImageKind::Full, WireWriter::with_capacity(live_bytes + 256)),
+            None => (
+                ImageKind::Full,
+                WireWriter::with_capacity(heap.live_bytes() + 256),
+            ),
             Some(_) => (ImageKind::Delta, WireWriter::new()),
         };
-        records(kind)?.encode(&mut w, codecs);
+        heap.image_records(kind)?.encode(&mut w, codecs);
         Ok(match delta_base {
             None => HeapImage::Full(w.into_bytes()),
             Some((base, base_fingerprint)) => HeapImage::Delta {
@@ -675,16 +677,8 @@ impl MigrationImage {
     /// compression, so both sides equal the byte length.  Used by the
     /// asynchronous pipeline's byte accounting.
     pub fn heap_payload_wire_stats(&self) -> (u64, u64) {
-        let bytes = self.heap_image.bytes();
-        let stored = bytes.len() as u64;
-        if ImageCodec::of_version(self.format_version) == ImageCodec::Slab {
-            match image_payload_stats(bytes, self.heap_image.is_delta()) {
-                Ok(stats) => (stats.raw_bytes, stats.stored_bytes),
-                Err(_) => (stored, stored),
-            }
-        } else {
-            (stored, stored)
-        }
+        let image = &self.heap_image;
+        payload_wire_sizes(self.format_version, image.bytes(), image.is_delta())
     }
 
     /// Materialise a delta image into an equivalent self-contained full
@@ -712,15 +706,13 @@ impl MigrationImage {
                 )))
             }
         };
-        let heap = self.decode_heap_with_base(base, HeapConfig::default())?;
-        let mut w = WireWriter::with_capacity(self.heap_image.len() + base.heap_image.len());
-        heap.image_records(ImageKind::Full)?
-            .encode(&mut w, CodecSet::all());
+        let mut heap = self.decode_heap_with_base(base, HeapConfig::default())?;
+        let heap_image = HeapImage::encode(&heap.freeze(), CodecSet::all(), None)?;
         Ok(MigrationImage {
             format_version: FORMAT_VERSION,
             source_arch: self.source_arch.clone(),
             code: ImageCode::Inline(code),
-            heap_image: HeapImage::Full(w.into_bytes()),
+            heap_image,
             migrate_env: self.migrate_env,
             resume_fun: self.resume_fun,
             label: self.label,
@@ -805,10 +797,11 @@ impl DeliveryOutcome {
 /// encode: the code section, resume metadata and a **zero-pause
 /// [`HeapSnapshot`]** of the heap ([`crate::Process::pack_snapshot`]).
 ///
-/// This is the unit the asynchronous checkpoint pipeline moves off the
-/// mutator thread: producing it costs O(pointer-table); turning it into a
-/// [`MigrationImage`] ([`SnapshotPack::into_image`] — codec choice, slab
-/// staging, compression) is the part a pipeline worker runs concurrently
+/// Every pack goes through one.  Producing it costs O(pointer-table);
+/// turning it into a [`MigrationImage`] ([`SnapshotPack::into_image`] —
+/// codec choice, slab staging, compression) is the expensive half.  A
+/// synchronous pack runs it at once; the asynchronous checkpoint pipeline
+/// moves it off the mutator thread, to a worker that runs it concurrently
 /// with the mutator.
 #[derive(Debug)]
 pub struct SnapshotPack {
@@ -839,12 +832,13 @@ pub struct SnapshotPack {
     /// the pause this pack actually cost, accounted into
     /// [`PipelineStats::pause_ns`].
     pub freeze_ns: u64,
-    /// For full images: a slot the encoder fills with the heap payload's
-    /// fingerprint once known.  This is how a process learns — later,
-    /// asynchronously — the base fingerprint its next delta checkpoints
-    /// must pin; until the slot is filled the process falls back to full
-    /// images.  Filled before delivery, so a failed delivery still
-    /// resolves the name (and `has_base` against the store answers false).
+    /// For full checkpoints taken with deltas on: a slot
+    /// [`SnapshotPack::into_image`] fills with the heap payload's
+    /// fingerprint — the value the process's next delta checkpoints pin
+    /// their base with once this one's delivery answers `Stored`.  A
+    /// synchronous pack fills it before delivery; an asynchronous one
+    /// fills it whenever its worker encodes, and until then the process
+    /// falls back to full images.
     pub fingerprint_slot: Option<Arc<OnceLock<u64>>>,
 }
 
@@ -854,21 +848,16 @@ impl SnapshotPack {
         self.delta_base.is_some()
     }
 
-    /// Run the deferred encode: serialise the frozen heap (full or delta)
-    /// in the negotiated codecs through the payload builder the
-    /// synchronous pack uses, and assemble the [`MigrationImage`].  Fills
+    /// Run the encode: serialise the frozen heap (full or delta) in the
+    /// negotiated codecs and assemble the [`MigrationImage`].  Fills
     /// [`SnapshotPack::fingerprint_slot`] for full images.  This is the
-    /// expensive half a pipeline worker runs off-thread; the error case
+    /// expensive half, which a synchronous pack runs at once and a
+    /// pipeline worker runs off-thread; the error case
     /// ([`mojave_heap::HeapError::NoCleanPoint`]) is unreachable when the
     /// pack came from [`crate::Process::pack_snapshot`], which validates
     /// the clean point.
     pub fn into_image(self) -> Result<MigrationImage, RuntimeError> {
-        let heap_image = HeapImage::encode(
-            |kind| self.heap.image_records(kind),
-            self.heap.live_bytes(),
-            self.codecs,
-            self.delta_base,
-        )?;
+        let heap_image = HeapImage::encode(&self.heap, self.codecs, self.delta_base)?;
         if let Some(slot) = &self.fingerprint_slot {
             if !heap_image.is_delta() {
                 let _ = slot.set(heap_image.fingerprint());
@@ -961,11 +950,11 @@ pub trait MigrationSink {
     /// Deliver a checkpoint whose expensive encode has been **deferred**:
     /// the caller froze the heap ([`SnapshotPack`]) and hands the encode +
     /// delivery to the sink.  The default implementation encodes inline
-    /// and delivers synchronously — byte-identical to the non-deferred
-    /// path, since snapshot images reproduce stop-the-world images
-    /// exactly.  An asynchronous sink (`mojave-runtime`'s `AsyncSink`)
-    /// overrides this to enqueue the pack for a worker thread and return
-    /// immediately.
+    /// and delivers synchronously — [`SnapshotPack::into_image`] then
+    /// [`MigrationSink::deliver`], the very calls a synchronous checkpoint
+    /// makes, so the bytes are the same.  An asynchronous sink
+    /// (`mojave-runtime`'s `AsyncSink`) overrides this to enqueue the pack
+    /// for a worker thread and return immediately.
     fn deliver_deferred(
         &mut self,
         protocol: MigrateProtocol,
@@ -1088,8 +1077,14 @@ impl CheckpointStore {
     /// Atomically store (replace) a named image.
     pub fn put(&self, name: &str, bytes: Vec<u8>) {
         let start = Instant::now();
-        // Frame-header walk only — no decompression, no allocation.
-        let sizes = image_wire_sizes(&bytes).unwrap_or((bytes.len() as u64, bytes.len() as u64));
+        // Every byte counts toward `stored`; the heap payload's compressed
+        // frames count their declared raw length toward `raw` instead.
+        // Frame headers only — no decompression, no allocation.
+        let stored = bytes.len() as u64;
+        let sizes = heap_section(&bytes).map_or((stored, stored), |(version, payload, delta)| {
+            let (raw, payload_stored) = payload_wire_sizes(version, payload, delta);
+            (stored - payload_stored + raw, stored)
+        });
         let entry = Entry {
             bytes: Arc::new(bytes),
             sizes,
@@ -1226,61 +1221,55 @@ impl CheckpointStore {
     }
 }
 
-/// Compute an encoded image's `(raw, stored)` wire sizes by walking its
-/// section frames: every byte counts toward `stored`; compressed slab
-/// frames in the heap payload contribute their declared raw length to
-/// `raw` instead of their stored payload size.  Images below v5 carry no
-/// compression, so both sides equal the byte length.  `None` for bytes
+/// The heap section of an encoded framed image (v2 on), read zero-copy:
+/// the header's version, the heap payload and whether it is a delta.  The
+/// code section is skipped by its frame length, never decoded.  `None` for
+/// a v1 image, whose unframed sections cannot be skipped, and for bytes
 /// that do not parse as an image (the store accepts arbitrary blobs).
-fn image_wire_sizes(bytes: &[u8]) -> Option<(u64, u64)> {
-    let stored = bytes.len() as u64;
+fn heap_section(bytes: &[u8]) -> Option<(u32, &[u8], bool)> {
     let mut r = WireReader::new(bytes);
-    let header = r.read_header().ok()?;
-    if ImageCodec::of_version(header.version) != ImageCodec::Slab {
-        return Some((stored, stored));
+    let version = r.read_header().ok()?.version;
+    if version <= MIN_SUPPORTED_VERSION {
+        return None;
     }
-    let _code = r.read_framed().ok()?; // skipped without decoding
-    let mut heap_section = r.read_framed().ok()?;
-    let (payload, delta) = match heap_section.tag() {
-        SectionTag::HeapBlocks => (heap_section.read_bytes().ok()?, false),
+    let _code = r.read_framed().ok()?;
+    let mut heap = r.read_framed().ok()?;
+    let delta = match heap.tag() {
+        SectionTag::HeapBlocks => false,
         SectionTag::HeapDelta => {
-            heap_section.read_str().ok()?;
-            heap_section.read_u64().ok()?;
-            (heap_section.read_bytes().ok()?, true)
+            heap.read_str().ok()?;
+            heap.read_u64().ok()?;
+            true
         }
         _ => return None,
     };
-    let stats = image_payload_stats(payload, delta).ok()?;
-    Some((stored - stats.stored_bytes + stats.raw_bytes, stored))
+    Some((version, heap.read_bytes().ok()?, delta))
+}
+
+/// The `(raw, stored)` wire sizes of a heap payload in an image of wire
+/// format `version`: `stored` is its byte length; for v5 payloads `raw`
+/// expands every compressed slab frame to its declared raw length (frame
+/// headers only — nothing is decompressed).  Older payloads, and ones that
+/// do not parse, carry no compression: both sides equal the byte length.
+fn payload_wire_sizes(version: u32, payload: &[u8], delta: bool) -> (u64, u64) {
+    let stored = payload.len() as u64;
+    let slab = ImageCodec::of_version(version) == ImageCodec::Slab;
+    match slab.then(|| image_payload_stats(payload, delta)) {
+        Some(Ok(stats)) => (stats.raw_bytes, stats.stored_bytes),
+        _ => (stored, stored),
+    }
 }
 
 /// Fingerprint an encoded image's heap payload without decoding the whole
-/// image: for v2 (framed) images the code section is skipped zero-copy and
-/// only the heap section's payload is hashed; v1 images fall back to a full
-/// decode.  Returns `None` for undecodable bytes.
+/// image ([`heap_section`]); v1 images fall back to a full decode.
+/// Returns `None` for undecodable bytes.
 fn heap_payload_fingerprint(bytes: &[u8]) -> Option<u64> {
-    let mut r = WireReader::new(bytes);
-    let header = r.read_header().ok()?;
-    if header.version <= MIN_SUPPORTED_VERSION {
-        return Some(
-            MigrationImage::from_bytes(bytes)
-                .ok()?
-                .heap_image
-                .fingerprint(),
-        );
+    if let Some((_, payload, _)) = heap_section(bytes) {
+        return Some(mojave_wire::fingerprint(payload));
     }
-    let _code = r.read_framed().ok()?; // skipped without decoding
-    let mut heap_section = r.read_framed().ok()?;
-    let payload = match heap_section.tag() {
-        SectionTag::HeapBlocks => heap_section.read_bytes().ok()?,
-        SectionTag::HeapDelta => {
-            heap_section.read_str().ok()?;
-            heap_section.read_u64().ok()?;
-            heap_section.read_bytes().ok()?
-        }
-        _ => return None,
-    };
-    Some(mojave_wire::fingerprint(payload))
+    let version = WireReader::new(bytes).read_header().ok()?.version;
+    let image = (version <= MIN_SUPPORTED_VERSION).then(|| MigrationImage::from_bytes(bytes));
+    Some(image?.ok()?.heap_image.fingerprint())
 }
 
 /// The default sink for standalone processes: checkpoints and suspends go to
@@ -1337,6 +1326,13 @@ mod tests {
     use mojave_fir::builder::{term, ProgramBuilder};
     use mojave_heap::BlockData;
 
+    /// The heap payload of `heap`, full or a delta against `delta_base`,
+    /// encoded from a freeze as every pack encodes it.
+    fn payload(heap: &mut Heap, delta_base: Option<(&str, u64)>) -> HeapImage {
+        let delta_base = delta_base.map(|(base, fp)| (base.to_owned(), fp));
+        HeapImage::encode(&heap.freeze(), CodecSet::all(), delta_base).unwrap()
+    }
+
     fn tiny_image() -> MigrationImage {
         let mut pb = ProgramBuilder::new();
         let (main, _) = pb.declare("main", &[]);
@@ -1346,16 +1342,12 @@ mod tests {
 
         let mut heap = Heap::new();
         let env = heap.alloc_migrate_env(vec![Word::Int(5)]).unwrap();
-        let mut w = WireWriter::new();
-        heap.image_records(ImageKind::Full)
-            .unwrap()
-            .encode(&mut w, CodecSet::all());
 
         MigrationImage {
             format_version: FORMAT_VERSION,
             source_arch: "ia32-sim".into(),
             code: PackedCode::Fir(program).into(),
-            heap_image: HeapImage::Full(w.into_bytes()),
+            heap_image: payload(&mut heap, None),
             migrate_env: env,
             resume_fun: Word::Fun(0),
             label: 3,
@@ -1535,16 +1527,9 @@ mod tests {
         let mut heap = base.decode_heap(HeapConfig::default()).unwrap();
         heap.mark_clean();
         let extra = heap.alloc_array(3, Word::Int(8)).unwrap();
-        let mut w = WireWriter::new();
-        heap.image_records(ImageKind::Delta)
-            .unwrap()
-            .encode(&mut w, CodecSet::all());
+        let base_fingerprint = base.heap_image.fingerprint();
         let delta = MigrationImage {
-            heap_image: HeapImage::Delta {
-                base: "ck-base".into(),
-                base_fingerprint: base.heap_image.fingerprint(),
-                bytes: w.into_bytes(),
-            },
+            heap_image: payload(&mut heap, Some(("ck-base", base_fingerprint))),
             ..base.clone()
         };
 
@@ -1576,16 +1561,9 @@ mod tests {
         let mut heap = base.decode_heap(HeapConfig::default()).unwrap();
         heap.mark_clean();
         heap.store(base.migrate_env, 0, Word::Int(77)).unwrap();
-        let mut w = WireWriter::new();
-        heap.image_records(ImageKind::Delta)
-            .unwrap()
-            .encode(&mut w, CodecSet::all());
+        let base_fingerprint = base.heap_image.fingerprint();
         let delta = MigrationImage {
-            heap_image: HeapImage::Delta {
-                base: "ck-0".into(),
-                base_fingerprint: base.heap_image.fingerprint(),
-                bytes: w.into_bytes(),
-            },
+            heap_image: payload(&mut heap, Some(("ck-0", base_fingerprint))),
             ..base.clone()
         };
         store.put("ck-1", delta.to_bytes());
@@ -1601,13 +1579,8 @@ mod tests {
         // the wrong image.
         let mut other = base.decode_heap(HeapConfig::default()).unwrap();
         other.store(base.migrate_env, 0, Word::Int(-1)).unwrap();
-        let mut w = WireWriter::new();
-        other
-            .image_records(ImageKind::Full)
-            .unwrap()
-            .encode(&mut w, CodecSet::all());
         let overwritten = MigrationImage {
-            heap_image: HeapImage::Full(w.into_bytes()),
+            heap_image: payload(&mut other, None),
             ..base.clone()
         };
         store.put("ck-0", overwritten.to_bytes());
@@ -1634,13 +1607,9 @@ mod tests {
             heap.alloc_array(64, Word::Int(i % 10)).unwrap();
         }
         let env = heap.alloc_migrate_env(vec![Word::Int(5)]).unwrap();
-        let mut w = WireWriter::new();
-        heap.image_records(ImageKind::Full)
-            .unwrap()
-            .encode(&mut w, CodecSet::all());
         let image = MigrationImage {
             migrate_env: env,
-            heap_image: HeapImage::Full(w.into_bytes()),
+            heap_image: payload(&mut heap, None),
             ..tiny_image()
         };
         store.put("big", image.to_bytes());
@@ -1737,12 +1706,8 @@ mod tests {
         let old = tiny_image();
         let mut heap = Heap::new();
         heap.alloc_migrate_env(vec![Word::Int(6)]).unwrap();
-        let mut w = WireWriter::new();
-        heap.image_records(ImageKind::Full)
-            .unwrap()
-            .encode(&mut w, CodecSet::all());
         let new = MigrationImage {
-            heap_image: HeapImage::Full(w.into_bytes()),
+            heap_image: payload(&mut heap, None),
             ..tiny_image()
         };
         assert_ne!(old.heap_image.fingerprint(), new.heap_image.fingerprint());

@@ -8,8 +8,8 @@ use crate::error::RuntimeError;
 use crate::externals::{DefaultExternals, ExtCall, Externals};
 use crate::machine::Machine;
 use crate::migrate::{
-    CodeSection, DeliveryOutcome, HeapImage, ImageCode, InMemorySink, MigrationImage,
-    MigrationSink, PackedCode, SnapshotPack,
+    CodeSection, DeliveryOutcome, InMemorySink, MigrationImage, MigrationSink, PackedCode,
+    SnapshotPack,
 };
 use crate::speculate::SpeculationManager;
 use mojave_fir::{
@@ -17,7 +17,7 @@ use mojave_fir::{
 };
 use mojave_heap::{negotiate_codecs, BlockKind, Heap, HeapConfig, Word};
 use mojave_obs::{EventKind, Recorder};
-use mojave_wire::{CodecId, FORMAT_VERSION};
+use mojave_wire::CodecId;
 use std::collections::HashMap;
 use std::mem::take;
 use std::sync::{Arc, OnceLock};
@@ -148,29 +148,6 @@ pub struct ProcessStats {
     pub checkpoint_encode_ns: u64,
 }
 
-/// The heap-payload fingerprint of the last full checkpoint — the value a
-/// delta image must pin its base with.  Synchronous checkpoints know it
-/// immediately; asynchronous ones learn it once the pipeline worker has
-/// encoded the image (the [`OnceLock`] is filled by
-/// [`SnapshotPack::into_image`]).  Until then the process simply emits
-/// full images — never a delta against an unpinned base.
-#[derive(Debug, Clone)]
-enum BaseFingerprint {
-    /// Known at checkpoint time (synchronous pack).
-    Known(u64),
-    /// Will be filled by the deferred encoder.
-    Pending(Arc<OnceLock<u64>>),
-}
-
-impl BaseFingerprint {
-    fn get(&self) -> Option<u64> {
-        match self {
-            BaseFingerprint::Known(fp) => Some(*fp),
-            BaseFingerprint::Pending(slot) => slot.get().copied(),
-        }
-    }
-}
-
 /// Where control goes after a function body finishes executing.
 #[derive(Debug, Clone)]
 enum Transfer {
@@ -220,9 +197,13 @@ pub struct Process {
     /// unpacked image).
     pending: Option<(Word, Vec<Word>)>,
     extern_env: ExternEnv,
-    /// Name and heap-payload fingerprint of the last *full* checkpoint this
-    /// process stored — the base candidate for delta checkpoints.
-    checkpoint_base: Option<(String, BaseFingerprint)>,
+    /// Name and heap-payload fingerprint slot of the last *full*
+    /// checkpoint whose delivery answered `Stored` — the base candidate for
+    /// delta checkpoints.  [`SnapshotPack::into_image`] fills the slot: at
+    /// once for a synchronous checkpoint, whenever its worker encodes for
+    /// an asynchronous one.  Until it is filled the process emits full
+    /// images — never a delta against an unpinned base.
+    checkpoint_base: Option<(String, Arc<OnceLock<u64>>)>,
     /// Consecutive delta checkpoints emitted against `checkpoint_base`.
     deltas_since_full: u32,
     /// Pipeline encode time already folded into
@@ -595,8 +576,8 @@ impl Process {
                         // Never delta against the name being written: the
                         // store would replace the base with the delta that
                         // references it.
-                        self.checkpoint_base.as_ref().and_then(|(base, fp)| {
-                            let fp = fp.get()?;
+                        self.checkpoint_base.as_ref().and_then(|(base, slot)| {
+                            let fp = *slot.get()?;
                             (base != dest && self.sink.has_base(base, fp))
                                 .then(|| (base.clone(), fp))
                         })
@@ -611,37 +592,27 @@ impl Process {
                         asynchronous as u64,
                     );
                     let pause_start = Instant::now();
+                    if !asynchronous {
+                        self.collect_for_pack(f, &a);
+                    }
+                    let mut pack = self.pack_snapshot(
+                        label,
+                        f,
+                        &a,
+                        delta_base.as_ref().map(|(b, fp)| (b.as_str(), *fp)),
+                    )?;
+                    // A full checkpoint taken with deltas on is the next
+                    // base candidate: its slot learns the payload's
+                    // fingerprint when the image is encoded.
+                    let base_slot = (protocol == MigrateProtocol::Checkpoint
+                        && delta_base.is_none()
+                        && self.config.delta_checkpoints)
+                        .then(|| Arc::new(OnceLock::new()));
+                    pack.fingerprint_slot = base_slot.clone();
                     let outcome = if asynchronous {
-                        let mut pack = self.pack_snapshot(
-                            label,
-                            f,
-                            &a,
-                            delta_base.as_ref().map(|(b, fp)| (b.as_str(), *fp)),
-                        )?;
-                        if delta_base.is_none() && self.config.delta_checkpoints {
-                            // The frozen state is the new delta base, even
-                            // though its fingerprint is not known yet: the
-                            // clean point is declared *at the freeze*, and
-                            // the pending slot is filled by the deferred
-                            // encoder.  If the delivery later fails, the
-                            // base name never appears on the sink and
-                            // `has_base` keeps answering false — the
-                            // process just emits full images.
-                            let slot = Arc::new(OnceLock::new());
-                            pack.fingerprint_slot = Some(slot.clone());
-                            self.checkpoint_base =
-                                Some((dest.to_owned(), BaseFingerprint::Pending(slot)));
-                            self.deltas_since_full = 0;
-                            self.heap.mark_clean();
-                        }
                         self.sink.deliver_deferred(protocol, dest, pack)
                     } else {
-                        let image = match &delta_base {
-                            Some((base, fingerprint)) => {
-                                self.pack_delta(label, f, &a, base, *fingerprint)?
-                            }
-                            None => self.pack(label, f, &a)?,
-                        };
+                        let image = pack.into_image()?;
                         if protocol == MigrateProtocol::Checkpoint {
                             // On the synchronous path the mutator pays the
                             // encode itself.
@@ -665,25 +636,20 @@ impl Process {
                                 image.heap_payload_wire_stats().1,
                             );
                         }
-                        if outcome == DeliveryOutcome::Stored
-                            && protocol == MigrateProtocol::Checkpoint
-                            && delta_base.is_none()
-                            && self.config.delta_checkpoints
-                        {
-                            // The stored full image is the new base: dirty
-                            // tracking restarts (and arms) from this state,
-                            // and the fingerprint pins the base content
-                            // future deltas will be resolved against.  With
-                            // deltas disabled, none of this is paid.
-                            self.checkpoint_base = Some((
-                                dest.to_owned(),
-                                BaseFingerprint::Known(image.heap_image.fingerprint()),
-                            ));
-                            self.deltas_since_full = 0;
-                            self.heap.mark_clean();
-                        }
                         outcome
                     };
+                    if let Some(slot) = base_slot.filter(|_| outcome == DeliveryOutcome::Stored) {
+                        // The stored full image is the new base: dirty
+                        // tracking restarts (and arms) from the frozen
+                        // state — the mutator has not run since the freeze
+                        // — and the slot pins the base content future
+                        // deltas resolve against.  A delivery that did not
+                        // store keeps the previous base, which the store
+                        // still holds and the dirty set still covers.
+                        self.checkpoint_base = Some((dest.to_owned(), slot));
+                        self.deltas_since_full = 0;
+                        self.heap.mark_clean();
+                    }
                     if protocol == MigrateProtocol::Checkpoint {
                         self.stats.checkpoint_pause_ns += pause_start.elapsed().as_nanos() as u64;
                     }
@@ -767,7 +733,8 @@ impl Process {
     // Packing (the migration `pack` operation)
     // ------------------------------------------------------------------
 
-    /// Capture the entire process state into a [`MigrationImage`].
+    /// Capture the entire process state into a [`MigrationImage`]: the
+    /// paper's collection, then [`Process::pack_snapshot`] encoded at once.
     ///
     /// `fun` and `args` are the continuation that execution resumes with;
     /// the args are exactly the live variables across the migration point
@@ -778,7 +745,8 @@ impl Process {
         fun: Word,
         args: &[Word],
     ) -> Result<MigrationImage, RuntimeError> {
-        self.pack_with(label, fun, args, None)
+        self.collect_for_pack(fun, args);
+        self.pack_snapshot(label, fun, args, None)?.into_image()
     }
 
     /// Like [`Process::pack`], but the heap payload is an incremental delta
@@ -798,50 +766,26 @@ impl Process {
         base: &str,
         base_fingerprint: u64,
     ) -> Result<MigrationImage, RuntimeError> {
-        self.pack_with(label, fun, args, Some((base, base_fingerprint)))
+        self.collect_for_pack(fun, args);
+        self.pack_snapshot(label, fun, args, Some((base, base_fingerprint)))?
+            .into_image()
     }
 
-    fn pack_with(
-        &mut self,
-        label: u32,
-        fun: Word,
-        args: &[Word],
-        delta_base: Option<(&str, u64)>,
-    ) -> Result<MigrationImage, RuntimeError> {
-        if delta_base.is_some() && !self.heap.dirty_tracking_armed() {
-            return Err(RuntimeError::MigrationRejected(
-                "delta pack requested but no full checkpoint established a clean point".into(),
-            ));
-        }
-        // "The pack operation first performs garbage collection on the heap."
-        let mut roots: Vec<Word> = Vec::with_capacity(args.len() + 8);
-        roots.extend_from_slice(args);
-        roots.push(fun);
+    /// "The pack operation first performs garbage collection on the heap":
+    /// a major collection rooted at the continuation `fun` and its `args`.
+    fn collect_for_pack(&mut self, fun: Word, args: &[Word]) {
+        let roots = self.gc_roots(args.iter().copied().chain([fun]));
+        self.heap.gc_major(&roots);
+    }
+
+    /// The root set of a collection: `live` (the mutator's registers, or a
+    /// continuation and its arguments), then the speculation roots and the
+    /// externals' roots.
+    fn gc_roots(&self, live: impl Iterator<Item = Word>) -> Vec<Word> {
+        let mut roots: Vec<Word> = live.collect();
         roots.extend(self.spec.roots());
         roots.extend(self.externals.roots());
-        self.heap.gc_major(&roots);
-
-        let migrate_env = self.heap.alloc_migrate_env(args.to_vec())?;
-        let codecs = negotiate_codecs(self.sink.accepted_codecs(), self.config.heap_codec);
-        let heap_image = HeapImage::encode(
-            |kind| self.heap.image_records(kind),
-            self.heap.live_bytes(),
-            codecs,
-            delta_base.map(|(base, fp)| (base.to_owned(), fp)),
-        )?;
-
-        let code = ImageCode::packed(self.packed_code()?, &heap_image);
-
-        Ok(MigrationImage {
-            format_version: FORMAT_VERSION,
-            source_arch: self.config.machine.arch().to_owned(),
-            code,
-            heap_image,
-            migrate_env,
-            resume_fun: fun,
-            label,
-            open_speculations: self.heap.spec_depth() as u32,
-        })
+        roots
     }
 
     /// The code section a pack ships: the FIR program, or compiled
@@ -879,21 +823,20 @@ impl Process {
         Ok(code)
     }
 
-    /// The asynchronous counterpart of [`Process::pack`]: capture the
-    /// process state as a [`SnapshotPack`] whose heap half is a
-    /// **zero-pause** [`mojave_heap::HeapSnapshot`] — O(pointer-table)
-    /// copy-on-write freeze instead of a full encode.  The expensive
-    /// encode is deferred to [`SnapshotPack::into_image`], which a
-    /// pipeline worker runs concurrently with the mutator.
+    /// Capture the process state as a [`SnapshotPack`] whose heap half is
+    /// a **zero-pause** [`mojave_heap::HeapSnapshot`] — an O(pointer-table)
+    /// copy-on-write freeze.  The expensive encode is left to
+    /// [`SnapshotPack::into_image`]: [`Process::pack`] runs it at once, an
+    /// asynchronous checkpoint hands the pack to a pipeline worker that
+    /// runs it concurrently with the mutator.
     ///
-    /// Differences from the synchronous pack, by design:
-    ///
-    /// * **No pre-pack GC** — the paper's pack garbage-collects first,
-    ///   which is O(heap) mutator time; here dead blocks ride along in
-    ///   the image and are reclaimed by the next natural collection.
-    /// * The heap-image codecs are negotiated *now*, by the rule the
-    ///   synchronous pack uses ([`negotiate_codecs`]), and recorded in the
-    ///   pack, so the worker needs no access to the process.
+    /// * **No collection** — the paper's pack garbage-collects first,
+    ///   which is O(heap) mutator time; [`Process::pack`] does so before
+    ///   calling this, an asynchronous checkpoint does not, and its dead
+    ///   blocks ride along in the image until the next natural collection.
+    /// * The heap-image codecs are negotiated *now* ([`negotiate_codecs`])
+    ///   and recorded in the pack, so the encoder needs no access to the
+    ///   process.
     pub fn pack_snapshot(
         &mut self,
         label: u32,
@@ -947,9 +890,7 @@ impl Process {
     #[inline(never)]
     fn collect_if_due(&mut self, live: &[Word]) {
         if self.heap.gc_due().is_some() {
-            let mut roots = live.to_vec();
-            roots.extend(self.spec.roots());
-            roots.extend(self.externals.roots());
+            let roots = self.gc_roots(live.iter().copied());
             self.heap.maybe_gc(&roots);
         }
     }

@@ -12,25 +12,30 @@
 //! * once the slot is filled, deltas require `has_base` to confirm the
 //!   sink still holds the base — a failed base delivery therefore keeps
 //!   the process on full images until a later full checkpoint lands;
-//! * the slot is filled by the encoder *before* delivery, so even a
-//!   failed delivery resolves the pending name (and `has_base` against
-//!   the store answers false).
+//! * a full checkpoint becomes the base only once its delivery answers
+//!   `Stored`: after a failed one the process keeps the previous base,
+//!   which the store still holds, synchronous and drained asynchronous
+//!   checkpoints alike.
 //!
 //! The integration-level twin of these tests lives in the fuzz harness's
 //! async mode; here each path is pinned directly with purpose-built
 //! sinks.
 
 use mojave_core::{
-    BackendKind, CheckpointStore, DeliveryOutcome, MigrationImage, MigrationSink, Process,
-    ProcessConfig, RunOutcome, SnapshotPack,
+    BackendKind, CheckpointStore, DeliveryOutcome, InMemorySink, MigrationImage, MigrationSink,
+    Process, ProcessConfig, RunOutcome, SnapshotPack,
 };
 use mojave_fir::builder::{term, ProgramBuilder};
 use mojave_fir::{Atom, Binop, MigrateProtocol, Program, Ty};
+use mojave_heap::HeapConfig;
 use std::sync::{Arc, Mutex};
 
-/// `loop(i, acc): if i >= 3 halt acc else checkpoint("ck-<i>"),
-/// continue (i+1, acc+i)` — three rotating-name checkpoints, exit 3.
-fn three_checkpoint_program() -> Program {
+/// `loop(i, acc): if i >= 3 halt acc else checkpoint("ck-<n>"),
+/// continue (i+1, acc+i)` — three checkpoints, exit 3.  `n` is `i`
+/// (rotating names), or with `repeat_first` `i * (i - 1)`: ck-0, ck-0,
+/// ck-2, so the second checkpoint rewrites its base's name and is a full
+/// image.
+fn three_checkpoint_program(repeat_first: bool) -> Program {
     let mut pb = ProgramBuilder::new();
     let (looper, params) = pb.declare("loop", &[("i", Ty::Int), ("acc", Ty::Int)]);
     let i = params[0];
@@ -40,7 +45,13 @@ fn three_checkpoint_program() -> Program {
     let done = b.binop("done", Binop::Ge, i, Atom::Int(3));
     let next_i = b.binop("next_i", Binop::Add, i, Atom::Int(1));
     let next_acc = b.binop("next_acc", Binop::Add, acc, i);
-    let istr = b.ext("istr", Ty::Str, "int_to_str", vec![Atom::Var(i)]);
+    let n = if repeat_first {
+        let prev = b.binop("prev", Binop::Sub, i, Atom::Int(1));
+        b.binop("n", Binop::Mul, i, prev)
+    } else {
+        i
+    };
+    let istr = b.ext("istr", Ty::Str, "int_to_str", vec![Atom::Var(n)]);
     let name = b.ext(
         "name",
         Ty::Str,
@@ -120,7 +131,7 @@ fn empty_pending_slot_falls_back_to_full_images() {
     // fingerprint stays pending at every negotiation: all three
     // checkpoints must be full images even though deltas are enabled.
     let store = CheckpointStore::new();
-    let mut p = Process::new(three_checkpoint_program(), async_delta_config())
+    let mut p = Process::new(three_checkpoint_program(false), async_delta_config())
         .unwrap()
         .with_sink(Box::new(BackloggedSink {
             queue: Vec::new(),
@@ -148,7 +159,7 @@ fn empty_pending_slot_falls_back_to_full_images() {
 
 /// A sink that encodes each deferred checkpoint immediately (filling the
 /// pending fingerprint slot, like a drained pipeline worker) and can be
-/// told to fail specific deliveries by index.
+/// told to fail specific deliveries, deferred or not, by index.
 struct EagerSink {
     store: CheckpointStore,
     fail: Vec<usize>,
@@ -163,6 +174,12 @@ impl MigrationSink for EagerSink {
         target: &str,
         image: &MigrationImage,
     ) -> DeliveryOutcome {
+        let index = self.seen;
+        self.seen += 1;
+        if self.fail.contains(&index) {
+            self.failures.lock().unwrap().push(target.to_owned());
+            return DeliveryOutcome::Failed(format!("injected failure for {target}"));
+        }
         self.store.put(target, image.to_bytes());
         DeliveryOutcome::Stored
     }
@@ -173,21 +190,14 @@ impl MigrationSink for EagerSink {
 
     fn deliver_deferred(
         &mut self,
-        _protocol: MigrateProtocol,
+        protocol: MigrateProtocol,
         target: &str,
         pack: SnapshotPack,
     ) -> DeliveryOutcome {
-        let index = self.seen;
-        self.seen += 1;
         // Encoding fills the pack's fingerprint slot *before* the
         // delivery outcome is known — exactly like the pipeline worker.
         let image = pack.into_image().expect("deferred pack encodes");
-        if self.fail.contains(&index) {
-            self.failures.lock().unwrap().push(target.to_owned());
-            return DeliveryOutcome::Failed(format!("injected failure for {target}"));
-        }
-        self.store.put(target, image.to_bytes());
-        DeliveryOutcome::Stored
+        self.deliver(protocol, target, &image)
     }
 }
 
@@ -197,7 +207,7 @@ fn filled_pending_slot_negotiates_deltas() {
     // later one deltas against it — the async twin of the synchronous
     // delta chain.
     let store = CheckpointStore::new();
-    let mut p = Process::new(three_checkpoint_program(), async_delta_config())
+    let mut p = Process::new(three_checkpoint_program(false), async_delta_config())
         .unwrap()
         .with_sink(Box::new(EagerSink {
             store: store.clone(),
@@ -229,7 +239,7 @@ fn failed_base_delivery_keeps_the_process_on_full_images() {
     // emitted against a base the sink does not hold.
     let store = CheckpointStore::new();
     let failures = Arc::new(Mutex::new(Vec::new()));
-    let mut p = Process::new(three_checkpoint_program(), async_delta_config())
+    let mut p = Process::new(three_checkpoint_program(false), async_delta_config())
         .unwrap()
         .with_sink(Box::new(EagerSink {
             store: store.clone(),
@@ -256,4 +266,72 @@ fn failed_base_delivery_keeps_the_process_on_full_images() {
             Process::from_image(store.load(name).unwrap(), ProcessConfig::default()).unwrap();
         assert_eq!(resumed.run().unwrap(), RunOutcome::Exit(3), "{name}");
     }
+}
+
+/// Run the ck-0, ck-0, ck-2 program under `config` with deltas on and the
+/// second delivery failing: that checkpoint rewrites its base's name, so
+/// it is a full image, and it never lands.  Then check that the process
+/// kept ck-0 as its base: ck-2 is a delta against it, and
+/// [`CheckpointStore::load`] resolves it to the heap a run without deltas
+/// stores under ck-2.
+fn failed_full_delivery_keeps_the_stored_base(config: ProcessConfig) {
+    let store = CheckpointStore::new();
+    let failures = Arc::new(Mutex::new(Vec::new()));
+    let delta_config = ProcessConfig {
+        delta_checkpoints: true,
+        ..config.clone()
+    };
+    let mut p = Process::new(three_checkpoint_program(true), delta_config)
+        .unwrap()
+        .with_sink(Box::new(EagerSink {
+            store: store.clone(),
+            fail: vec![1],
+            seen: 0,
+            failures: Arc::clone(&failures),
+        }));
+    assert_eq!(p.run().unwrap(), RunOutcome::Exit(3));
+    let stats = p.stats();
+    assert_eq!(failures.lock().unwrap().as_slice(), ["ck-0"]);
+    assert_eq!(stats.migration_failures, 1);
+    assert_eq!(stats.checkpoints, 2, "the failed delivery does not count");
+    assert_eq!(stats.delta_checkpoints, 1, "ck-2 deltas against ck-0");
+    assert!(!store.load_raw("ck-0").unwrap().heap_image.is_delta());
+    let ck2 = store.load_raw("ck-2").unwrap();
+    assert_eq!(ck2.heap_image.base(), Some("ck-0"));
+
+    // The reference: the same run with deltas off stores ck-2 in full.
+    let reference = CheckpointStore::new();
+    let mut r = Process::new(three_checkpoint_program(true), config)
+        .unwrap()
+        .with_sink(Box::new(InMemorySink::with_store(reference.clone())));
+    assert_eq!(r.run().unwrap(), RunOutcome::Exit(3));
+    let want = reference.load("ck-2").unwrap();
+    assert!(!want.heap_image.is_delta());
+    let want = want.decode_heap(HeapConfig::default()).unwrap();
+
+    let resolved = store.load("ck-2").unwrap();
+    let got = resolved.decode_heap(HeapConfig::default()).unwrap();
+    assert_eq!(got.snapshot(), want.snapshot());
+    let mut resumed = Process::from_image(resolved, ProcessConfig::default()).unwrap();
+    assert_eq!(resumed.run().unwrap(), RunOutcome::Exit(3));
+}
+
+#[test]
+fn a_failed_synchronous_full_delivery_keeps_the_previous_base() {
+    failed_full_delivery_keeps_the_stored_base(ProcessConfig {
+        backend: BackendKind::Bytecode,
+        ..ProcessConfig::default()
+    });
+}
+
+#[test]
+fn a_failed_drained_asynchronous_full_delivery_keeps_the_previous_base() {
+    // The base becomes the failed name only if its delivery answers
+    // `Stored`; a drained pipeline reports the real outcome, so the
+    // process goes on with ck-0, exactly as a synchronous one does.
+    failed_full_delivery_keeps_the_stored_base(ProcessConfig {
+        backend: BackendKind::Bytecode,
+        async_checkpoints: true,
+        ..ProcessConfig::default()
+    });
 }

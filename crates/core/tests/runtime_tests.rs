@@ -539,6 +539,61 @@ fn every_pack_path_shares_one_code_section() {
     }
 }
 
+/// A synchronous pack is the paper's collection, one freeze and an encode
+/// at once: it counts one snapshot and one major collection, and the
+/// snapshot is gone when `pack` returns, so the first store to every
+/// block afterwards takes its payload back without a copy.
+#[test]
+fn a_synchronous_pack_freezes_once_and_leaves_every_payload_to_the_heap() {
+    use mojave_heap::{BlockData, Payload, Word};
+
+    let mut p = Process::new(loop_program(3), config(BackendKind::Bytecode)).unwrap();
+    let heap = p.heap_mut();
+    let mut roots = Vec::new();
+    for k in 0..8 {
+        roots.push(Word::Ptr(heap.alloc_array(16, Word::Int(k)).unwrap()));
+    }
+    roots.push(Word::Ptr(heap.alloc_tuple(roots.clone()).unwrap()));
+    roots.push(Word::Ptr(heap.alloc_raw(32).unwrap()));
+    heap.alloc_array(64, Word::Int(-1)).unwrap(); // garbage: collected
+    let before = p.heap().stats();
+
+    p.pack(0, Word::Fun(0), &roots).unwrap();
+    let after = p.heap().stats();
+    assert_eq!(after.snapshots_frozen, before.snapshots_frozen + 1);
+    assert_eq!(after.major_collections, before.major_collections + 1);
+
+    // Every live block — the roots and the pack's `migrate_env` — gets a
+    // store that leaves its content as it was.
+    let live: Vec<_> = p
+        .heap()
+        .pointer_table()
+        .iter_used()
+        .map(|(idx, _)| idx)
+        .collect();
+    assert_eq!(live.len(), roots.len() + 1);
+    let heap = p.heap_mut();
+    for ptr in live {
+        if heap.block_kind(ptr).unwrap().is_words() {
+            let word = heap.load(ptr, 0).unwrap();
+            heap.store(ptr, 0, word).unwrap();
+        } else {
+            let byte = heap.load_raw(ptr, 0, 1).unwrap();
+            heap.store_raw(ptr, 0, 1, byte).unwrap();
+        }
+        let owned = match &heap.block(ptr).unwrap().data {
+            BlockData::Words(payload) => matches!(payload, Payload::Owned(_)),
+            BlockData::Bytes(payload) => matches!(payload, Payload::Owned(_)),
+        };
+        assert!(owned, "block {ptr} owns its payload again");
+    }
+    assert_eq!(
+        heap.stats().shared_payload_copies,
+        after.shared_payload_copies,
+        "no store after a synchronous pack copies a payload"
+    );
+}
+
 /// A binary (`suspend://bin`) image of `main() { migrate → after(123) }`.
 fn binary_image() -> mojave_core::MigrationImage {
     let mut pb = ProgramBuilder::new();

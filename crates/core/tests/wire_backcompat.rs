@@ -489,7 +489,8 @@ fn golden_v5_delta_payload_matches_the_live_encoder() {
     heap.mark_clean();
     heap.store(base.migrate_env, 0, Word::Int(9)).unwrap();
     let mut w = WireWriter::new();
-    heap.image_records(mojave_heap::ImageKind::Delta)
+    heap.freeze()
+        .image_records(mojave_heap::ImageKind::Delta)
         .unwrap()
         .encode(&mut w, mojave_wire::CodecSet::all());
 

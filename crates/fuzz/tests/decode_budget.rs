@@ -104,7 +104,8 @@ fn migrate_cold_shaped_image_decodes_within_its_blocks_and_tags() {
         words += BLOCK_WORDS;
     }
     let mut w = WireWriter::new();
-    heap.image_records(ImageKind::Full)
+    heap.freeze()
+        .image_records(ImageKind::Full)
         .unwrap()
         .encode(&mut w, CodecSet::all());
     let image = w.into_bytes();

@@ -756,10 +756,10 @@ impl Heap {
     /// the first write inside a speculation level, and takes the payload
     /// back without a copy once the snapshot is gone.
     ///
-    /// The snapshot also captures the dirty/freed tracking state, so a
-    /// delta image encoded from it is byte-identical to the delta a
-    /// stop-the-world [`Heap::image_records`] would have produced at the
-    /// freeze point.
+    /// The snapshot also captures the dirty/freed tracking state, so it
+    /// encodes the delta of the freeze point as well as the full image.
+    /// It is the only source of image records: a synchronous pack freezes
+    /// too, and encodes before the mutator resumes.
     ///
     /// Interactions (all safe, by construction — the snapshot owns its
     /// records and never looks back at the heap):
@@ -774,19 +774,12 @@ impl Heap {
     /// * **Multiple snapshots** may be live at once; each is independent.
     pub fn freeze(&mut self) -> crate::HeapSnapshot {
         self.stats.snapshots_frozen += 1;
-        let records: Vec<(PtrIdx, Block)> = self
-            .table
-            .iter_used()
-            .map(|(idx, slot)| {
-                (
-                    idx,
-                    self.blocks[slot]
-                        .as_mut()
-                        .expect("used table entry points at a block")
-                        .share(),
-                )
-            })
-            .collect();
+        let mut records = Vec::with_capacity(self.table.live());
+        records.extend(self.table.iter_used().map(|(idx, slot)| {
+            let block = self.blocks[slot].as_mut();
+            let block = block.expect("used table entry points at a block");
+            (idx, block.share())
+        }));
         self.recorder.record(
             mojave_obs::EventKind::Freeze,
             records.len() as u64,
@@ -798,6 +791,7 @@ impl Heap {
             self.sorted_dirty(),
             self.sorted_freed(),
             self.dirty_tracking_armed(),
+            self.live_bytes,
         )
     }
 }
@@ -851,10 +845,12 @@ mod tests {
         w.into_bytes()
     }
 
-    /// A batched v4 image of `records`, full or delta: table capacity,
-    /// record count, each record's index and batched block, then a delta's
-    /// freed indices.  Only decoders read v4.
-    fn v4_image(records: ImageRecords<'_>) -> Vec<u8> {
+    /// A batched v4 image of `heap`'s `kind` records, full or delta: table
+    /// capacity, record count, each record's index and batched block, then
+    /// a delta's freed indices.  Only decoders read v4.
+    fn v4_image(heap: &mut Heap, kind: ImageKind) -> Vec<u8> {
+        let snap = heap.freeze();
+        let records = snap.image_records(kind).unwrap();
         let mut w = WireWriter::new();
         w.write_usize(records.capacity);
         w.write_usize(records.records.len());
@@ -862,12 +858,21 @@ mod tests {
             w.write_uvarint(idx.0 as u64);
             encode_v4(block, &mut w);
         }
-        if let Some(freed) = &records.freed {
+        if let Some(freed) = records.freed {
             w.write_usize(freed.len());
-            for ptr in freed.iter() {
+            for ptr in freed {
                 w.write_uvarint(ptr.0 as u64);
             }
         }
+        w.into_bytes()
+    }
+
+    /// The v5 image of `heap`'s `kind` records in `codecs`, encoded from a
+    /// freeze as every pack encodes it.
+    fn v5_image(heap: &mut Heap, kind: ImageKind, codecs: CodecSet) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        let snap = heap.freeze();
+        snap.image_records(kind).unwrap().encode(&mut w, codecs);
         w.into_bytes()
     }
 
@@ -1149,7 +1154,7 @@ mod tests {
         heap.free_block(tmp);
         let b = heap.alloc_array(2, Word::Int(1)).unwrap();
 
-        let bytes = v4_image(heap.image_records(ImageKind::Full).unwrap());
+        let bytes = v4_image(&mut heap, ImageKind::Full);
         let mut r = WireReader::new(&bytes);
         let back = Heap::decode_image(&mut r, ImageCodec::Batched, HeapConfig::default()).unwrap();
         assert!(r.is_empty());
@@ -1191,8 +1196,8 @@ mod tests {
 
     #[test]
     fn batched_and_legacy_images_decode_to_equal_heaps() {
-        let (heap, ..) = populated_heap();
-        let b1 = v4_image(heap.image_records(ImageKind::Full).unwrap());
+        let (mut heap, ..) = populated_heap();
+        let b1 = v4_image(&mut heap, ImageKind::Full);
         let b2 = v1_image(&heap);
         let h1 = Heap::decode_image(
             &mut WireReader::new(&b1),
@@ -1252,16 +1257,17 @@ mod tests {
 
     #[test]
     fn compressed_image_roundtrip_matches_batched() {
-        let (heap, a, s, t) = populated_heap();
-        let mixed = mixed_word_heap();
+        let (mut heap, a, s, t) = populated_heap();
+        let mut mixed = mixed_word_heap();
+        let frozen = [heap.freeze(), mixed.freeze()];
         let every_codec_set = std::iter::once(CodecSet::all())
             .chain(mojave_wire::CodecId::ALL.into_iter().map(CodecSet::only));
         for allowed in every_codec_set {
-            for source in [&heap, &mixed] {
+            for (source, snap) in [&heap, &mixed].into_iter().zip(&frozen) {
                 // Encoders write records ascending by index; a decoder
                 // takes them in any order.
                 for reversed in [false, true] {
-                    let mut records = source.image_records(ImageKind::Full).unwrap();
+                    let mut records = snap.image_records(ImageKind::Full).unwrap();
                     if reversed {
                         records.records.reverse();
                     }
@@ -1286,7 +1292,8 @@ mod tests {
                 }
             }
             let mut w = WireWriter::new();
-            heap.image_records(ImageKind::Full)
+            frozen[0]
+                .image_records(ImageKind::Full)
                 .unwrap()
                 .encode(&mut w, allowed);
             let back = Heap::decode_image(
@@ -1310,11 +1317,8 @@ mod tests {
             heap.alloc_array(64, Word::Int(i % 50)).unwrap();
         }
         let legacy = v1_image(&heap);
-        let batched = v4_image(heap.image_records(ImageKind::Full).unwrap());
-        let mut compressed = WireWriter::new();
-        heap.image_records(ImageKind::Full)
-            .unwrap()
-            .encode(&mut compressed, CodecSet::all());
+        let batched = v4_image(&mut heap, ImageKind::Full);
+        let compressed = v5_image(&mut heap, ImageKind::Full, CodecSet::all());
         let (v1, v4, v5) = (legacy.len(), batched.len(), compressed.len());
         assert!(v4 > v1, "batched trades bytes for speed: {v4} vs {v1}");
         assert!(v5 < v1, "compressed must beat v1 varints: {v5} vs {v1}");
@@ -1326,12 +1330,8 @@ mod tests {
         let (mut heap, a, _s, t) = populated_heap();
         // Base in v4 batched *and* v5 compressed form: a v5 delta must
         // resolve against either.
-        let base_batched = v4_image(heap.image_records(ImageKind::Full).unwrap());
-        let mut base_slab = WireWriter::new();
-        heap.image_records(ImageKind::Full)
-            .unwrap()
-            .encode(&mut base_slab, CodecSet::all());
-        let base_slab = base_slab.into_bytes();
+        let base_batched = v4_image(&mut heap, ImageKind::Full);
+        let base_slab = v5_image(&mut heap, ImageKind::Full, CodecSet::all());
         heap.mark_clean();
 
         heap.store(a, 0, Word::Int(-9)).unwrap();
@@ -1339,11 +1339,7 @@ mod tests {
         heap.store(t, 2, Word::Ptr(fresh)).unwrap();
         heap.free_block(a);
 
-        let mut delta = WireWriter::new();
-        heap.image_records(ImageKind::Delta)
-            .unwrap()
-            .encode(&mut delta, CodecSet::all());
-        let delta_bytes = delta.into_bytes();
+        let delta_bytes = v5_image(&mut heap, ImageKind::Delta, CodecSet::all());
 
         for (base_bytes, base_codec) in [
             (&base_batched, ImageCodec::Batched),
@@ -1365,12 +1361,8 @@ mod tests {
 
     #[test]
     fn compressed_image_with_corrupted_slabs_rejected() {
-        let (heap, ..) = populated_heap();
-        let mut w = WireWriter::new();
-        heap.image_records(ImageKind::Full)
-            .unwrap()
-            .encode(&mut w, CodecSet::all());
-        let bytes = w.into_bytes();
+        let (mut heap, ..) = populated_heap();
+        let bytes = v5_image(&mut heap, ImageKind::Full, CodecSet::all());
 
         // Truncations anywhere must be precise errors, never panics.
         for cut in [bytes.len() - 1, bytes.len() / 2, 5] {
@@ -1459,11 +1451,7 @@ mod tests {
         for i in 0..100 {
             heap.alloc_array(64, Word::Int(i)).unwrap();
         }
-        let mut w = WireWriter::new();
-        heap.image_records(ImageKind::Full)
-            .unwrap()
-            .encode(&mut w, CodecSet::all());
-        let bytes = w.into_bytes();
+        let bytes = v5_image(&mut heap, ImageKind::Full, CodecSet::all());
         let stats = image_payload_stats(&bytes, false).unwrap();
         assert_eq!(stats.stored_bytes, bytes.len() as u64);
         assert!(
@@ -1474,11 +1462,7 @@ mod tests {
         );
 
         // Raw-only images report ~no savings.
-        let mut w = WireWriter::new();
-        heap.image_records(ImageKind::Full)
-            .unwrap()
-            .encode(&mut w, CodecSet::raw_only());
-        let bytes = w.into_bytes();
+        let bytes = v5_image(&mut heap, ImageKind::Full, CodecSet::raw_only());
         let stats = image_payload_stats(&bytes, false).unwrap();
         assert_eq!(stats.raw_bytes, stats.stored_bytes);
 
@@ -1486,11 +1470,7 @@ mod tests {
         heap.mark_clean();
         let doomed = heap.alloc_array(2, Word::Int(1)).unwrap();
         heap.free_block(doomed);
-        let mut w = WireWriter::new();
-        heap.image_records(ImageKind::Delta)
-            .unwrap()
-            .encode(&mut w, CodecSet::all());
-        let bytes = w.into_bytes();
+        let bytes = v5_image(&mut heap, ImageKind::Delta, CodecSet::all());
         assert!(image_payload_stats(&bytes, true).is_ok());
         assert!(image_payload_stats(&bytes, false).is_err());
     }
@@ -1524,7 +1504,7 @@ mod tests {
     #[test]
     fn delta_image_reconstructs_exact_heap() {
         let (mut heap, a, _s, t) = populated_heap();
-        let base_bytes = v4_image(heap.image_records(ImageKind::Full).unwrap());
+        let base_bytes = v4_image(&mut heap, ImageKind::Full);
         heap.mark_clean();
 
         // Mutate: overwrite, allocate, free, re-point.
@@ -1533,9 +1513,9 @@ mod tests {
         heap.store(t, 2, Word::Ptr(fresh)).unwrap();
         heap.free_block(a);
 
-        let delta_bytes = v4_image(heap.image_records(ImageKind::Delta).unwrap());
+        let delta_bytes = v4_image(&mut heap, ImageKind::Delta);
         // The delta is smaller than a full image of the same heap.
-        let full = v4_image(heap.image_records(ImageKind::Full).unwrap());
+        let full = v4_image(&mut heap, ImageKind::Full);
         assert!(delta_bytes.len() < full.len() + 16);
 
         let back = Heap::decode_delta_image(
@@ -1560,13 +1540,13 @@ mod tests {
         heap.store(a, 0, Word::Int(2)).unwrap();
 
         // Clean point taken while the speculation is open.
-        let base_bytes = v4_image(heap.image_records(ImageKind::Full).unwrap());
+        let base_bytes = v4_image(&mut heap, ImageKind::Full);
         heap.mark_clean();
 
         // The rollback reverts `a` — it must re-enter the dirty set or the
         // delta would silently miss the restored content.
         heap.spec_rollback(level).unwrap();
-        let delta_bytes = v4_image(heap.image_records(ImageKind::Delta).unwrap());
+        let delta_bytes = v4_image(&mut heap, ImageKind::Delta);
 
         let back = Heap::decode_delta_image(
             &mut WireReader::new(&base_bytes),
@@ -1583,10 +1563,10 @@ mod tests {
     #[test]
     fn empty_delta_is_tiny_and_reconstructs_base() {
         let (mut heap, ..) = populated_heap();
-        let base_bytes = v4_image(heap.image_records(ImageKind::Full).unwrap());
+        let base_bytes = v4_image(&mut heap, ImageKind::Full);
         heap.mark_clean();
 
-        let delta_bytes = v4_image(heap.image_records(ImageKind::Delta).unwrap());
+        let delta_bytes = v4_image(&mut heap, ImageKind::Delta);
         assert!(delta_bytes.len() <= 8, "no changes → a few header bytes");
 
         let back = Heap::decode_delta_image(
@@ -1618,8 +1598,8 @@ mod tests {
         ));
 
         // Delta declaring the same against a legitimate base.
-        let (heap, ..) = populated_heap();
-        let base_bytes = v4_image(heap.image_records(ImageKind::Full).unwrap());
+        let (mut heap, ..) = populated_heap();
+        let base_bytes = v4_image(&mut heap, ImageKind::Full);
         let mut w = WireWriter::new();
         w.write_usize(1 << 40);
         w.write_usize(0);
@@ -1640,8 +1620,8 @@ mod tests {
 
     #[test]
     fn delta_with_duplicate_records_rejected() {
-        let (heap, a, ..) = populated_heap();
-        let base_bytes = v4_image(heap.image_records(ImageKind::Full).unwrap());
+        let (mut heap, a, ..) = populated_heap();
+        let base_bytes = v4_image(&mut heap, ImageKind::Full);
 
         // Two dirty records for the same index: order-dependent decode is
         // corruption, not a tolerated overwrite.
@@ -1681,7 +1661,8 @@ mod tests {
         let duplicate = |idx: PtrIdx, image: &str| {
             WireError::Invalid(format!("duplicate pointer index {} in {image}", idx.0))
         };
-        let full = heap.image_records(ImageKind::Full).unwrap();
+        let snap = heap.freeze();
+        let full = snap.image_records(ImageKind::Full).unwrap();
         let last = full.records.len() - 1;
         let dup = full.records[last].0;
         assert_eq!(
@@ -1694,19 +1675,16 @@ mod tests {
             duplicate(dup, "heap image")
         );
 
-        let mut heap = heap;
-        let mut base = WireWriter::new();
-        heap.image_records(ImageKind::Full)
-            .unwrap()
-            .encode(&mut base, CodecSet::all());
+        let base = v5_image(&mut heap, ImageKind::Full, CodecSet::all());
         heap.mark_clean();
         heap.store(a, 0, Word::Int(-1)).unwrap();
         let fresh = heap.alloc_array(3, Word::Int(4)).unwrap();
-        let delta = heap.image_records(ImageKind::Delta).unwrap();
+        let snap = heap.freeze();
+        let delta = snap.image_records(ImageKind::Delta).unwrap();
         assert_eq!(delta.records.last().unwrap().0, fresh);
         assert_eq!(
             Heap::decode_delta_image(
-                &mut WireReader::new(base.as_bytes()),
+                &mut WireReader::new(&base),
                 &mut WireReader::new(&v5(delta, 1)),
                 ImageCodec::Slab,
                 ImageCodec::Slab,
@@ -1765,11 +1743,7 @@ mod tests {
         let mut heap = Heap::new();
         heap.alloc_array(1, Word::Int(0)).unwrap();
         heap.alloc_array(1, Word::Int(1)).unwrap();
-        let mut base = WireWriter::new();
-        heap.image_records(ImageKind::Full)
-            .unwrap()
-            .encode(&mut base, CodecSet::all());
-        let base = base.into_bytes();
+        let base = v5_image(&mut heap, ImageKind::Full, CodecSet::all());
         let mut w = WireWriter::new();
         w.write_usize(2); // capacity
         w.write_usize(0); // no dirty records

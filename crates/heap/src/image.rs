@@ -1,14 +1,13 @@
 //! The heap image (paper §4.2.2: pack / unpack of the heap and its pointer
 //! table): the codec negotiation, the one encoder and every decoder.
 //!
-//! * **Write side.** [`Heap::image_records`] and
-//!   [`crate::HeapSnapshot::image_records`] borrow the record list a full
-//!   or delta image serialises; [`ImageRecords::encode`] writes it as v5
-//!   slab frames, each frame's codec chosen within the set
-//!   [`negotiate_codecs`] resolved for the sink.  A snapshot hands the
-//!   encoder the records the live heap would have at the freeze point,
-//!   which is what makes snapshot images byte-identical to stop-the-world
-//!   ones.
+//! * **Write side.** Every image is encoded from a frozen heap:
+//!   [`crate::HeapSnapshot::image_records`] borrows the record list a full
+//!   or delta image serialises, and [`ImageRecords::encode`] writes it as
+//!   v5 slab frames, each frame's codec chosen within the set
+//!   [`negotiate_codecs`] resolved for the sink.  A stop-the-world image
+//!   is a [`Heap::freeze`] encoded before the mutator resumes, so the
+//!   synchronous and the asynchronous pack share one record source.
 //! * **Read side.** [`Heap::decode_image`] and [`Heap::decode_delta_image`]
 //!   dispatch on the [`ImageCodec`] an image's wire format version implies
 //!   ([`ImageCodec::of_version`]): v5 is the one layout written, v1 and v4
@@ -17,7 +16,6 @@
 //! `docs/WIRE_FORMAT.md` specifies the bytes.
 
 use crate::block::{Block, BlockData, BlockHeader, BlockKind, Generation};
-use crate::error::HeapError;
 use crate::heap::{Heap, HeapConfig};
 use crate::pointer_table::{PointerTable, PtrIdx};
 use crate::word::extend_from_raw;
@@ -25,7 +23,6 @@ use mojave_wire::{
     CodecId, CodecSet, Compressor, FrameStats, WireCodec, WireError, WireReader, WireWriter,
     BATCHED_VERSION, MIN_SUPPORTED_VERSION,
 };
-use std::borrow::Cow;
 use std::sync::{Mutex, PoisonError};
 use std::thread::ThreadId;
 
@@ -70,7 +67,8 @@ pub fn negotiate_codecs(accepted: CodecSet, preference: Option<CodecId>) -> Code
     }
 }
 
-/// Which image [`Heap::image_records`] collects the records of.
+/// Which image [`crate::HeapSnapshot::image_records`] collects the records
+/// of.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ImageKind {
     /// Every live block.
@@ -81,16 +79,17 @@ pub enum ImageKind {
     Delta,
 }
 
-/// The record list of one heap image, borrowed from a [`Heap`] or a
-/// [`crate::HeapSnapshot`]: the pointer-table capacity, the `(index, block)`
-/// records ascending by index and, for a delta, the freed indices.
+/// The record list of one heap image, borrowed from a
+/// [`crate::HeapSnapshot`] — the only producer: the pointer-table
+/// capacity, the `(index, block)` records ascending by index and, for a
+/// delta, the freed indices.
 #[derive(Debug)]
 pub struct ImageRecords<'a> {
     pub(crate) capacity: usize,
     pub(crate) records: Vec<(PtrIdx, &'a Block)>,
     /// The freed-index fixups of a delta image, ascending; `None` for a
     /// full image.
-    pub(crate) freed: Option<Cow<'a, [PtrIdx]>>,
+    pub(crate) freed: Option<&'a [PtrIdx]>,
 }
 
 impl ImageRecords<'_> {
@@ -102,10 +101,10 @@ impl ImageRecords<'_> {
         w.write_usize(self.capacity);
         w.write_usize(self.records.len());
         with_pooled_encoder(|encoder| encoder.encode_records(w, &self.records, codecs));
-        if let Some(freed) = &self.freed {
+        if let Some(freed) = self.freed {
             debug_assert!(freed.windows(2).all(|p| p[0] < p[1]));
             w.write_usize(freed.len());
-            for ptr in freed.iter() {
+            for ptr in freed {
                 w.write_uvarint(ptr.0 as u64);
             }
         }
@@ -155,48 +154,6 @@ pub fn image_payload_stats(bytes: &[u8], delta: bool) -> Result<PayloadWireStats
 }
 
 impl Heap {
-    /// The records of this heap's `kind` image, in ascending pointer order
-    /// — what [`ImageRecords::encode`] writes.  [`Heap::freeze`] captures
-    /// the full list (as owned, payload-shared blocks), which is why
-    /// snapshot images are byte-identical to stop-the-world ones.  The
-    /// synchronous pack garbage-collects first so only live data ships.
-    ///
-    /// A delta is relative to the last [`Heap::mark_clean`]; without one
-    /// there is no base, and "nothing changed" would silently resolve to
-    /// stale state, so [`ImageKind::Delta`] errors with
-    /// [`HeapError::NoCleanPoint`] before anything is written.
-    pub fn image_records(&self, kind: ImageKind) -> Result<ImageRecords<'_>, HeapError> {
-        let block = |slot: usize| {
-            self.blocks[slot]
-                .as_ref()
-                .expect("used table entry points at a block")
-        };
-        let (records, freed) = match kind {
-            ImageKind::Full => {
-                let records = self.table.iter_used();
-                (
-                    records.map(|(idx, slot)| (idx, block(slot))).collect(),
-                    None,
-                )
-            }
-            ImageKind::Delta => {
-                if !self.dirty_tracking_armed() {
-                    return Err(HeapError::NoCleanPoint);
-                }
-                let records = self.sorted_dirty().into_iter().map(|ptr| {
-                    let slot = self.table.lookup(ptr).expect("filtered to live entries");
-                    (ptr, block(slot))
-                });
-                (records.collect(), Some(Cow::Owned(self.sorted_freed())))
-            }
-        };
-        Ok(ImageRecords {
-            capacity: self.table.capacity(),
-            records,
-            freed,
-        })
-    }
-
     /// Rebuild a heap from a full image whose payload uses `codec`.
     ///
     /// Pointer indices are preserved exactly (heap words contain indices, so

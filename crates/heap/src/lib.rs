@@ -30,11 +30,11 @@
 //! The heap also tracks **per-block dirtiness** for incremental
 //! checkpoints: [`Heap::mark_clean`] declares the current state a base,
 //! and a later [`ImageKind::Delta`] image ships only the blocks mutated,
-//! allocated or freed since.  Every image — full or delta, of the live heap
-//! or of a frozen [`HeapSnapshot`] — goes through one entry point,
-//! [`ImageRecords::encode`], which writes v5 slab frames in the codecs
-//! the receiving sink negotiated ([`negotiate_codecs`]); see
-//! `docs/WIRE_FORMAT.md` for the layout.
+//! allocated or freed since.  Every image — full or delta, encoded at once
+//! or later on another thread — is encoded from a frozen [`HeapSnapshot`]
+//! ([`Heap::freeze`]) through one entry point, [`ImageRecords::encode`],
+//! which writes v5 slab frames in the codecs the receiving sink negotiated
+//! ([`negotiate_codecs`]); see `docs/WIRE_FORMAT.md` for the layout.
 //!
 //! ```
 //! use mojave_heap::{negotiate_codecs, Heap, HeapConfig, ImageCodec, ImageKind, Word};
@@ -49,10 +49,12 @@
 //! heap.spec_rollback(level).unwrap();
 //! assert_eq!(heap.load(arr, 0).unwrap(), Word::Int(0));
 //!
-//! // The whole heap round-trips through a compressed v5 image.
+//! // The whole heap round-trips through a compressed v5 image, encoded
+//! // from a freeze of it.
 //! let codecs = negotiate_codecs(CodecSet::all(), None);
+//! let snapshot = heap.freeze();
 //! let mut w = WireWriter::new();
-//! heap.image_records(ImageKind::Full).unwrap().encode(&mut w, codecs);
+//! snapshot.image_records(ImageKind::Full).unwrap().encode(&mut w, codecs);
 //! let bytes = w.into_bytes();
 //! let codec = ImageCodec::of_version(FORMAT_VERSION);
 //! let mut r = WireReader::new(&bytes);

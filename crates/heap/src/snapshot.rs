@@ -1,4 +1,4 @@
-//! Zero-pause heap snapshots for the asynchronous checkpoint pipeline.
+//! Heap snapshots: the one source of heap-image records.
 //!
 //! [`Heap::freeze`](crate::Heap::freeze) captures the program-visible heap
 //! state as an owned [`HeapSnapshot`] in O(pointer-table) time: it shares
@@ -11,27 +11,27 @@
 //! outward so a *checkpoint* no longer stops the world.  Between freezes a
 //! store writes an owned payload in place and pays no atomic.
 //!
-//! A snapshot is `Send`: the expensive half of a checkpoint — codec
-//! choice, slab staging, compression, sink delivery — runs on a pipeline
-//! worker thread (`mojave-runtime`) against the frozen records while the
-//! mutator keeps running.  Because the snapshot hands the one image
-//! encoder ([`crate::ImageRecords::encode`]) the records the live heap
-//! would have, its images are **byte-identical** to stop-the-world images
-//! of the same logical state, full and delta, in every layout.
+//! Every heap image is encoded from a snapshot
+//! ([`HeapSnapshot::image_records`] is the only producer of
+//! [`ImageRecords`]).  A synchronous pack freezes and encodes before the
+//! mutator resumes, then drops the snapshot; an asynchronous checkpoint
+//! hands the snapshot — it is `Send` — to a pipeline worker thread
+//! (`mojave-runtime`), which runs the expensive half (codec choice, slab
+//! staging, compression, sink delivery) while the mutator keeps running.
+//! Both go through the same records and the one encoder, so an image's
+//! bytes depend on the frozen state alone, never on when it was encoded.
 
 use crate::block::Block;
 use crate::error::HeapError;
 use crate::image::{ImageKind, ImageRecords};
 use crate::pointer_table::PtrIdx;
-use std::borrow::Cow;
 
 /// An immutable, owned capture of the program-visible heap state at one
 /// instant, produced by [`Heap::freeze`](crate::Heap::freeze).
 ///
 /// The capture cost is O(live blocks) pointer work; payload bytes are
-/// shared with the live heap until the mutator rewrites them.  Encoding a
-/// snapshot produces the same bytes a stop-the-world encode of the heap
-/// would have produced at the freeze point.
+/// shared with the live heap until the mutator rewrites them.  What the
+/// mutator does after the freeze never reaches the snapshot's images.
 #[derive(Debug, Clone)]
 pub struct HeapSnapshot {
     /// Pointer-table capacity at the freeze point.
@@ -47,7 +47,7 @@ pub struct HeapSnapshot {
     /// Whether dirty tracking was armed when the snapshot was taken — if
     /// not, the snapshot has no clean point and cannot encode deltas.
     tracking: bool,
-    /// Sum of frozen block byte sizes (payload + header overhead).
+    /// The heap's [`crate::Heap::live_bytes`] at the freeze point.
     live_bytes: usize,
 }
 
@@ -58,8 +58,8 @@ impl HeapSnapshot {
         dirty: Vec<PtrIdx>,
         freed: Vec<PtrIdx>,
         tracking: bool,
+        live_bytes: usize,
     ) -> Self {
-        let live_bytes = records.iter().map(|(_, b)| b.byte_size()).sum();
         HeapSnapshot {
             capacity,
             records,
@@ -80,7 +80,8 @@ impl HeapSnapshot {
         self.records.len()
     }
 
-    /// Bytes held by the frozen blocks (payload + per-block overhead).
+    /// Approximate bytes held by the frozen blocks (payload + per-block
+    /// overhead): the heap's [`crate::Heap::live_bytes`] when frozen.
     pub fn live_bytes(&self) -> usize {
         self.live_bytes
     }
@@ -102,14 +103,15 @@ impl HeapSnapshot {
         self.tracking
     }
 
-    /// The records of the frozen state's `kind` image — the records
-    /// [`crate::Heap::image_records`] returned at the freeze point, so the
-    /// bytes [`ImageRecords::encode`] writes from them are too.
+    /// The records of the frozen state's `kind` image, in ascending pointer
+    /// order — what [`ImageRecords::encode`] writes.  A delta is relative
+    /// to the last [`crate::Heap::mark_clean`] before the freeze.
     ///
-    /// A delta without a clean point errors with
-    /// [`HeapError::NoCleanPoint`], exactly as on the live heap: the
-    /// pipeline worker consuming the snapshot fails that delivery
-    /// precisely rather than dying.
+    /// Without a clean point there is no base, and "nothing changed" would
+    /// silently resolve to stale state, so [`ImageKind::Delta`] errors with
+    /// [`HeapError::NoCleanPoint`] before anything is written: the pipeline
+    /// worker consuming the snapshot fails that delivery precisely rather
+    /// than dying.
     pub fn image_records(&self, kind: ImageKind) -> Result<ImageRecords<'_>, HeapError> {
         let (records, freed) = match kind {
             ImageKind::Full => {
@@ -129,7 +131,7 @@ impl HeapSnapshot {
                         .expect("dirty index frozen in the snapshot");
                     (*ptr, &self.records[at].1)
                 });
-                (records.collect(), Some(Cow::Borrowed(&self.freed[..])))
+                (records.collect(), Some(&self.freed[..]))
             }
         };
         Ok(ImageRecords {
@@ -158,8 +160,11 @@ mod tests {
         let s = heap.alloc_str("frozen").unwrap();
         heap.alloc_tuple(vec![Word::Ptr(a), Word::Ptr(s)]).unwrap();
 
+        // A snapshot encoded at once (what a synchronous pack writes), and
+        // a second snapshot of the same instant encoded later.
         let want_full = bytes_of(|w| {
-            heap.image_records(ImageKind::Full)
+            heap.freeze()
+                .image_records(ImageKind::Full)
                 .unwrap()
                 .encode(w, CodecSet::all())
         });
@@ -178,7 +183,7 @@ mod tests {
         );
         assert_eq!(snap.block_count(), 3);
         assert!(snap.live_bytes() > 0);
-        assert_eq!(heap.stats().snapshots_frozen, 1);
+        assert_eq!(heap.stats().snapshots_frozen, 2);
         // Exactly one block was un-shared by the post-freeze store.
         assert_eq!(heap.stats().shared_payload_copies, 1);
     }
@@ -189,15 +194,11 @@ mod tests {
         let a = heap.alloc_array(4, Word::Int(1)).unwrap();
         let doomed = heap.alloc_array(2, Word::Int(2)).unwrap();
 
-        // No clean point: a delta is a precise error, as on the live heap.
+        // No clean point: a delta is a precise error.
         let snap = heap.freeze();
         assert!(!snap.delta_capable());
         assert_eq!(
             snap.image_records(ImageKind::Delta).unwrap_err(),
-            HeapError::NoCleanPoint
-        );
-        assert_eq!(
-            heap.image_records(ImageKind::Delta).unwrap_err(),
             HeapError::NoCleanPoint
         );
 
@@ -205,7 +206,8 @@ mod tests {
         heap.store(a, 1, Word::Int(7)).unwrap();
         heap.free_block(doomed);
         let want_delta = bytes_of(|w| {
-            heap.image_records(ImageKind::Delta)
+            heap.freeze()
+                .image_records(ImageKind::Delta)
                 .unwrap()
                 .encode(w, CodecSet::all())
         });

@@ -31,7 +31,8 @@ pub struct HeapStats {
     pub speculations_committed: u64,
     /// Speculation levels rolled back.
     pub speculations_rolled_back: u64,
-    /// Zero-pause snapshots taken by [`crate::Heap::freeze`].
+    /// Snapshots taken by [`crate::Heap::freeze`]: one per pack,
+    /// synchronous or asynchronous, and any taken directly.
     pub snapshots_frozen: u64,
     /// Payload copies forced because a mutation hit a block whose payload
     /// was still shared — with a speculation clone or a live snapshot.

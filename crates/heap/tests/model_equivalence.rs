@@ -239,13 +239,17 @@ struct Pair {
 }
 
 /// The dirty records and freed fixups of the delta image `heap` would ship
-/// now, in image order (empty when no clean point exists yet).
+/// now, in image order (empty when no clean point exists yet).  Images are
+/// encoded from a freeze, and a freeze shares payloads in place, so this
+/// freezes a clone: the payload ownership the model tracks is left alone.
 fn shipped(heap: &Heap) -> (Vec<PtrIdx>, Vec<PtrIdx>) {
     if !heap.dirty_tracking_armed() {
         return (Vec::new(), Vec::new());
     }
     let mut w = WireWriter::new();
-    heap.image_records(ImageKind::Delta)
+    heap.clone()
+        .freeze()
+        .image_records(ImageKind::Delta)
         .unwrap()
         .encode(&mut w, CodecSet::raw_only());
     let bytes = w.into_bytes();

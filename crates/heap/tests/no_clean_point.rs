@@ -1,22 +1,23 @@
 //! Direct coverage of the `HeapError::NoCleanPoint` contract.
 //!
 //! Delta encoding is only meaningful relative to a clean point
-//! ([`Heap::mark_clean`]).  Without one, asking for the records of a
-//! delta image — [`Heap::image_records`] and
-//! [`HeapSnapshot::image_records`](mojave_heap::HeapSnapshot::image_records)
-//! alike — returns `Err(HeapError::NoCleanPoint)` before a byte is
-//! written: the async pipeline worker consuming a snapshot must fail that
-//! delivery precisely, not die, and the synchronous pack reports the same
-//! misuse the same way.
+//! ([`Heap::mark_clean`]).  Without one, asking a snapshot for the records
+//! of a delta image
+//! ([`HeapSnapshot::image_records`](mojave_heap::HeapSnapshot::image_records))
+//! returns `Err(HeapError::NoCleanPoint)` before a byte is written —
+//! whether the live heap was frozen just now and is encoded at once, as a
+//! synchronous pack does, or the snapshot waits for an async pipeline
+//! worker, which must fail that delivery precisely, not die.
 
 use mojave_heap::{Heap, HeapConfig, HeapError, ImageCodec, ImageKind, Word};
 use mojave_wire::{CodecSet, WireReader, WireWriter};
 
-/// Ask `heap` for a delta in `codecs`, writing whatever it hands back:
-/// without a clean point that is the error, and no bytes.
-fn assert_delta_refused_without_output(heap: &Heap, codecs: CodecSet) {
+/// Freeze `heap` and ask the snapshot at once for a delta in `codecs`,
+/// writing whatever it hands back: without a clean point that is the
+/// error, and no bytes.
+fn assert_delta_refused_without_output(heap: &mut Heap, codecs: CodecSet) {
     let mut w = WireWriter::new();
-    match heap.image_records(ImageKind::Delta) {
+    match heap.freeze().image_records(ImageKind::Delta) {
         Ok(records) => records.encode(&mut w, codecs),
         Err(e) => assert_eq!(e, HeapError::NoCleanPoint),
     }
@@ -67,14 +68,14 @@ fn snapshot_after_mark_clean_encodes_deltas() {
 fn live_heap_delta_encode_without_clean_point_is_an_error() {
     let mut heap = Heap::new();
     heap.alloc_array(4, Word::Int(7)).unwrap();
-    assert_delta_refused_without_output(&heap, CodecSet::raw_only());
+    assert_delta_refused_without_output(&mut heap, CodecSet::raw_only());
 }
 
 #[test]
 fn live_heap_compressed_delta_encode_without_clean_point_is_an_error() {
     let mut heap = Heap::new();
     heap.alloc_array(4, Word::Int(7)).unwrap();
-    assert_delta_refused_without_output(&heap, CodecSet::all());
+    assert_delta_refused_without_output(&mut heap, CodecSet::all());
 }
 
 #[test]
@@ -88,7 +89,8 @@ fn decoded_heaps_start_without_a_clean_point() {
     assert!(heap.dirty_tracking_armed());
 
     let mut w = WireWriter::new();
-    heap.image_records(ImageKind::Full)
+    heap.freeze()
+        .image_records(ImageKind::Full)
         .unwrap()
         .encode(&mut w, CodecSet::all());
     let bytes = w.into_bytes();

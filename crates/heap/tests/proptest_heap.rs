@@ -167,7 +167,7 @@ proptest! {
         let snapshot = heap.snapshot();
 
         let mut w = WireWriter::new();
-        heap.image_records(ImageKind::Full).unwrap().encode(&mut w, CodecSet::all());
+        heap.freeze().image_records(ImageKind::Full).unwrap().encode(&mut w, CodecSet::all());
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
         let back = Heap::decode_image(&mut r, ImageCodec::Slab, HeapConfig::default()).unwrap();
@@ -251,33 +251,29 @@ proptest! {
 
         prop_assert_eq!(forward.snapshot(), backward.snapshot());
         prop_assert_eq!(forward.freed_count(), 2);
-        let slab = |heap: &Heap| {
+        let slab = |heap: &mut Heap| {
             let mut w = WireWriter::new();
-            let records = heap.image_records(ImageKind::Delta).unwrap();
-            records.encode(&mut w, CodecSet::all());
+            let snap = heap.freeze();
+            snap.image_records(ImageKind::Delta).unwrap().encode(&mut w, CodecSet::all());
             w.into_bytes()
         };
-        prop_assert_eq!(slab(&forward), slab(&backward));
-        let mut frozen = WireWriter::new();
-        backward
-            .freeze()
-            .image_records(ImageKind::Delta)
-            .unwrap()
-            .encode(&mut frozen, CodecSet::all());
-        prop_assert_eq!(frozen.into_bytes(), slab(&forward));
+        prop_assert_eq!(slab(&mut forward), slab(&mut backward));
     }
 
     /// A zero-pause COW snapshot's images — full **and** delta, across
-    /// every codec — are byte-identical to
-    /// stop-the-world images taken at the same logical point, no matter
-    /// how the mutator interleaves before the freeze or keeps mutating
-    /// (plain stores, allocations, frees, speculation) after it.
+    /// every codec — are byte-identical to the stop-the-world images of
+    /// the same instant (a snapshot encoded at once, as a synchronous pack
+    /// writes them), no matter how the mutator interleaves before the
+    /// freeze or keeps mutating (plain stores, allocations, frees, a
+    /// collection, speculation and rollback) before the snapshot is
+    /// encoded.
     #[test]
     fn snapshot_images_byte_identical_to_stop_the_world(
         before in proptest::collection::vec(action_strategy(4), 0..48),
         after in proptest::collection::vec(action_strategy(4), 0..48),
         with_free in any::<bool>(),
         speculate_after in any::<bool>(),
+        collect_after in any::<bool>(),
     ) {
         use mojave_wire::CodecId;
         let codec_sets = [
@@ -293,21 +289,23 @@ proptest! {
         for action in &before {
             apply(&mut heap, &arrays, action);
         }
+        let roots: Vec<Word> = arrays.iter().map(|p| Word::Ptr(*p)).collect();
         if with_free {
             // A collection frees the unrooted `Alloc` blocks, populating
             // the delta's freed-fixup set (and compacting slots).
-            let roots: Vec<Word> = arrays.iter().map(|p| Word::Ptr(*p)).collect();
             heap.gc_major(&roots);
         }
 
-        // Stop-the-world reference images at the logical freeze point.
+        // Stop-the-world reference images: a snapshot encoded at once and
+        // dropped before the mutator resumes.
         let encode = |records: ImageRecords<'_>, codecs| {
             let mut w = WireWriter::new();
             records.encode(&mut w, codecs);
             w.into_bytes()
         };
-        let full = || heap.image_records(ImageKind::Full).unwrap();
-        let delta = || heap.image_records(ImageKind::Delta).unwrap();
+        let at_once = heap.freeze();
+        let full = || at_once.image_records(ImageKind::Full).unwrap();
+        let delta = || at_once.image_records(ImageKind::Delta).unwrap();
         let want_full: Vec<Vec<u8>> = codec_sets
             .iter()
             .map(|set| encode(full(), *set))
@@ -316,17 +314,23 @@ proptest! {
             .iter()
             .map(|set| encode(delta(), *set))
             .collect();
+        drop(at_once);
 
+        // A second snapshot of the same instant, encoded only later.
         let snap = heap.freeze();
 
-        // The mutator races ahead: ordinary mutations, and optionally a
-        // speculation level with its own copy-on-write clones.
+        // The mutator races ahead: ordinary mutations, optionally a
+        // speculation level with its own copy-on-write clones, and
+        // optionally a collection that frees and compacts.
         let level = if speculate_after { Some(heap.spec_enter()) } else { None };
         for action in &after {
             apply(&mut heap, &arrays, action);
         }
         if let Some(level) = level {
             heap.spec_rollback(level).unwrap();
+        }
+        if collect_after {
+            heap.gc_major(&roots);
         }
 
         let frozen_full = || snap.image_records(ImageKind::Full).unwrap();
@@ -448,15 +452,17 @@ fn encoded(f: impl FnOnce(&mut WireWriter)) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Every compressed image of `heap` — full and delta, live and frozen —
-/// under every codec set negotiation can produce (every subset that keeps
+/// Every compressed image of `heap` — full and delta, from a snapshot
+/// frozen for that encode and from one held across all of them — under
+/// every codec set negotiation can produce (every subset that keeps
 /// `Raw`), each through the encoder pool.
 fn pooled_images(heap: &mut Heap) -> Vec<Vec<u8>> {
     let snap = heap.freeze();
     let mut images = Vec::new();
     for allowed in (0..32).step_by(2).map(CodecSet::from_bits) {
         images.push(encoded(|w| {
-            heap.image_records(ImageKind::Full)
+            heap.freeze()
+                .image_records(ImageKind::Full)
                 .unwrap()
                 .encode(w, allowed)
         }));
@@ -466,7 +472,8 @@ fn pooled_images(heap: &mut Heap) -> Vec<Vec<u8>> {
                 .encode(w, allowed)
         }));
         images.push(encoded(|w| {
-            heap.image_records(ImageKind::Delta)
+            heap.freeze()
+                .image_records(ImageKind::Delta)
                 .unwrap()
                 .encode(w, allowed)
         }));
@@ -480,14 +487,15 @@ fn pooled_images(heap: &mut Heap) -> Vec<Vec<u8>> {
 }
 
 /// What [`pooled_images`] must return: the same list from [`cold_slab_image`].
-fn cold_images(heap: &Heap) -> Vec<Vec<u8>> {
+fn cold_images(heap: &mut Heap) -> Vec<Vec<u8>> {
+    let snap = heap.freeze();
     let full = encoded(|w| {
-        heap.image_records(ImageKind::Full)
+        snap.image_records(ImageKind::Full)
             .unwrap()
             .encode(w, CodecSet::raw_only())
     });
     let delta = encoded(|w| {
-        heap.image_records(ImageKind::Delta)
+        snap.image_records(ImageKind::Delta)
             .unwrap()
             .encode(w, CodecSet::raw_only())
     });
@@ -517,7 +525,7 @@ proptest! {
         for shapes in &heaps {
             let mut heap = shaped_heap(shapes);
             let pooled = pooled_images(&mut heap);
-            let cold = cold_images(&heap);
+            let cold = cold_images(&mut heap);
             for (i, (got, want)) in pooled.iter().zip(&cold).enumerate() {
                 prop_assert_eq!(got, want, "image {} (set {}, kind {})", i, i / 4, i % 4);
             }
@@ -557,7 +565,7 @@ fn concurrent_pooled_encodes_match_serial_encodes() {
         .map(|shapes| {
             let mut heap = shaped_heap(shapes);
             let images = pooled_images(&mut heap);
-            assert_eq!(images, cold_images(&heap));
+            assert_eq!(images, cold_images(&mut heap));
             images
         })
         .collect();

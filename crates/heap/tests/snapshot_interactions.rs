@@ -17,9 +17,13 @@ use mojave_heap::{
 };
 use mojave_wire::{CodecId, CodecSet, WireReader, WireWriter};
 
-fn image_of(heap: &Heap) -> Vec<u8> {
+/// The full image of `heap` as a synchronous pack writes it: a snapshot
+/// frozen, encoded at once and dropped.  The tests compare it with a
+/// second snapshot of the same instant, encoded after the mutator moved on.
+fn image_of(heap: &mut Heap) -> Vec<u8> {
     let mut w = WireWriter::new();
-    heap.image_records(ImageKind::Full)
+    heap.freeze()
+        .image_records(ImageKind::Full)
         .unwrap()
         .encode(&mut w, CodecSet::all());
     w.into_bytes()
@@ -41,7 +45,7 @@ fn snapshot_inside_open_speculation_captures_speculative_state() {
     heap.store(arr, 0, Word::Int(42)).unwrap();
 
     // The freeze sees the speculative value (the current clone)…
-    let want = image_of(&heap);
+    let want = image_of(&mut heap);
     let snap = heap.freeze();
     assert_eq!(snap_image(&snap), want);
 
@@ -63,7 +67,7 @@ fn snapshot_inside_open_speculation_captures_speculative_state() {
 fn rollback_and_commit_while_snapshot_is_live() {
     let mut heap = Heap::new();
     let arr = heap.alloc_array(8, Word::Int(1)).unwrap();
-    let want = image_of(&heap);
+    let want = image_of(&mut heap);
     let snap = heap.freeze();
 
     // A full speculative episode after the freeze: enter, mutate,
@@ -93,7 +97,7 @@ fn gc_while_snapshot_is_live_is_safe_and_documented() {
     });
     let keep = heap.alloc_array(8, Word::Int(7)).unwrap();
     let garbage = heap.alloc_array(64, Word::Int(8)).unwrap();
-    let want = image_of(&heap);
+    let want = image_of(&mut heap);
     let snap = heap.freeze();
 
     // Major GC with only `keep` rooted: `garbage` is freed from the live
@@ -130,7 +134,7 @@ fn pointer_index_reuse_after_the_freeze_does_not_leak_into_the_snapshot() {
     let mut heap = Heap::new();
     let keep = heap.alloc_array(4, Word::Int(1)).unwrap();
     let doomed = heap.alloc_array(4, Word::Int(2)).unwrap();
-    let want = image_of(&heap);
+    let want = image_of(&mut heap);
     let snap = heap.freeze();
 
     // Collect `doomed`, then allocate until its pointer index is reused
@@ -187,7 +191,7 @@ fn snapshot_encodes_on_another_thread_while_the_mutator_races() {
     for i in 0..512 {
         ptrs.push(heap.alloc_array(32, Word::Int(i)).unwrap());
     }
-    let want = image_of(&heap);
+    let want = image_of(&mut heap);
     let snap = heap.freeze();
 
     // Encode off-thread while this thread rewrites every block — the
@@ -221,7 +225,7 @@ fn a_store_after_a_freeze_copies_once_and_leaves_the_snapshot_intact() {
     let arr = heap.alloc_array(4, Word::Int(7)).unwrap();
     let untouched = heap.alloc_array(4, Word::Int(8)).unwrap();
     assert!(owned(&heap, arr));
-    let want = image_of(&heap);
+    let want = image_of(&mut heap);
     let snap = heap.freeze();
     assert!(heap.block(arr).unwrap().data.is_shared());
 
@@ -480,9 +484,10 @@ fn every_layout_reproduces_the_pinned_image_bytes() {
         let snap = heap.freeze();
         for (kind, pins) in [(ImageKind::Full, full), (ImageKind::Delta, delta)] {
             for (codecs, pin) in codec_sets.iter().zip(pins) {
-                let live = heap.image_records(kind).unwrap();
-                let frozen = snap.image_records(kind).unwrap();
-                for records in [live, frozen] {
+                // A snapshot encoded at once and one held across the loop.
+                let at_once = heap.freeze();
+                for frozen in [&at_once, &snap] {
+                    let records = frozen.image_records(kind).unwrap();
                     let mut w = WireWriter::new();
                     records.encode(&mut w, *codecs);
                     let got = mojave_wire::fingerprint(&w.into_bytes());
@@ -555,9 +560,10 @@ fn a_one_mib_heap_reproduces_its_pinned_image_bytes() {
     let snap = heap.freeze();
     for (kind, codec, pin) in ONE_MIB_PINS {
         let codecs = codec.map_or(CodecSet::all(), CodecSet::only);
-        let live = heap.image_records(kind).unwrap();
-        let frozen = snap.image_records(kind).unwrap();
-        for records in [live, frozen] {
+        // A snapshot encoded at once and one held across the loop.
+        let at_once = heap.freeze();
+        for frozen in [&at_once, &snap] {
+            let records = frozen.image_records(kind).unwrap();
             let mut w = WireWriter::new();
             records.encode(&mut w, codecs);
             let bytes = w.into_bytes();

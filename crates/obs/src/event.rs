@@ -16,8 +16,9 @@ pub enum EventKind {
     /// migrate label, `b` = delivery outcome code (0 stored, 1 migrated,
     /// 2 superseded, 3 failed).
     CheckpointEnd = 2,
-    /// A zero-pause heap freeze (`Heap::freeze`).  `a` = live blocks
-    /// captured, `b` = payload bytes logically captured.
+    /// A zero-pause heap freeze (`Heap::freeze`), one per pack,
+    /// synchronous or asynchronous.  `a` = live blocks captured, `b` =
+    /// payload bytes logically captured.
     Freeze = 3,
     /// An image encode completed (mutator thread or pipeline worker).
     /// `a` = raw heap-payload bytes, `b` = stored (post-codec) bytes.

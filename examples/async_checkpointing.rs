@@ -97,12 +97,13 @@ fn main() {
          the live heap holds the new values"
     );
 
-    // For contrast: the synchronous cost of the same checkpoint is one
-    // full encode on the mutator thread.
+    // For contrast: the synchronous cost of the same checkpoint is the
+    // same freeze followed at once by a full encode on the mutator thread.
     let t = std::time::Instant::now();
     let mut w = mojave::wire::WireWriter::new();
     process
-        .heap()
+        .heap_mut()
+        .freeze()
         .image_records(ImageKind::Full)
         .expect("a full image needs no clean point")
         .encode(&mut w, CodecSet::all());
