@@ -1382,7 +1382,7 @@ mod tests {
             match &block.data {
                 BlockData::Words(words) => {
                     w.write_u8(0);
-                    words.encode(&mut w);
+                    words.to_vec().encode(&mut w);
                 }
                 BlockData::Bytes(bytes) => {
                     w.write_u8(1);

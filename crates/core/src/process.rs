@@ -417,6 +417,7 @@ impl Process {
         registry.counter_set("heap.major_collections", h.major_collections);
         registry.counter_set("heap.cow_clones", h.cow_clones);
         registry.counter_set("heap.snapshots_frozen", h.snapshots_frozen);
+        registry.counter_set("heap.column_conversions", h.column_conversions);
         if let Some(p) = self.sink.pipeline_stats() {
             registry.counter_set("pipeline.submitted", p.submitted);
             registry.counter_set("pipeline.completed", p.completed);
@@ -910,13 +911,13 @@ impl Process {
                         block.header.kind
                     )));
                 }
-                let Some(Word::Fun(id)) = block.as_words().and_then(|w| w.first()) else {
+                let Some(Word::Fun(id)) = block.as_words().and_then(|w| w.get(0)) else {
                     return Err(RuntimeError::NotCallable(format!(
                         "closure {p} has no function slot"
                     )));
                 };
                 staged.push(target);
-                Ok(*id)
+                Ok(id)
             }
             other => Err(RuntimeError::NotCallable(other.kind_name().to_owned())),
         }
@@ -1622,7 +1623,7 @@ impl Process {
     ) -> Result<(), RuntimeError> {
         let p = Self::word_as_ptr(file[ptr as usize], "load pointer")?;
         let i = Self::word_as_int(file[index as usize], "load index")?;
-        file[dst as usize] = self.heap.load(p, i)?;
+        self.heap.load_into(p, i, &mut file[dst as usize])?;
         Ok(())
     }
 

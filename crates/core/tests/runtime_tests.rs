@@ -545,7 +545,7 @@ fn every_pack_path_shares_one_code_section() {
 /// block afterwards takes its payload back without a copy.
 #[test]
 fn a_synchronous_pack_freezes_once_and_leaves_every_payload_to_the_heap() {
-    use mojave_heap::{BlockData, Payload, Word};
+    use mojave_heap::Word;
 
     let mut p = Process::new(loop_program(3), config(BackendKind::Bytecode)).unwrap();
     let heap = p.heap_mut();
@@ -581,10 +581,7 @@ fn a_synchronous_pack_freezes_once_and_leaves_every_payload_to_the_heap() {
             let byte = heap.load_raw(ptr, 0, 1).unwrap();
             heap.store_raw(ptr, 0, 1, byte).unwrap();
         }
-        let owned = match &heap.block(ptr).unwrap().data {
-            BlockData::Words(payload) => matches!(payload, Payload::Owned(_)),
-            BlockData::Bytes(payload) => matches!(payload, Payload::Owned(_)),
-        };
+        let owned = heap.block(ptr).unwrap().data.is_owned();
         assert!(owned, "block {ptr} owns its payload again");
     }
     assert_eq!(

@@ -9,13 +9,20 @@
 //!   alternating small ints and 64-bit noise) must decode within the
 //!   bytes the decoded heap keeps, plus its tag slab, plus 64 KiB: the
 //!   payload words stream into their blocks, and no word slab is staged.
+//! * An `Array` record claiming a huge all-`Int` run over a payload frame
+//!   that holds a few words fails with the codec's precise error within
+//!   the same 128 MiB, and within its tag slab plus the column it claims.
+//! * One foreign tag in a `Float` run makes a tagged block, whose words
+//!   are checked like any other.
 //!
 //! The counters are process-wide, so the tests take turns.
 
 use mojave_fuzz::cap_alloc::CapAlloc;
 use mojave_fuzz::mutate::SplitMix64;
-use mojave_heap::{BlockKind, Heap, HeapConfig, ImageCodec, ImageKind, Word};
-use mojave_wire::{CodecId, CodecSet, WireCodec, WireReader, WireWriter};
+use mojave_heap::{BlockKind, Heap, HeapConfig, ImageCodec, ImageKind, Numeric, PtrIdx, Word};
+use mojave_wire::{
+    compress_bytes, CodecError, CodecId, CodecSet, WireCodec, WireError, WireReader, WireWriter,
+};
 use std::sync::Mutex;
 
 #[global_allocator]
@@ -126,5 +133,108 @@ fn migrate_cold_shaped_image_decodes_within_its_blocks_and_tags() {
         "decode peaked at {peak} bytes: the heap keeps {kept}, the tag slab is {tags}, \
          so {} bytes were staged beyond them",
         peak - kept - tags
+    );
+}
+
+/// A v5 full image of one `Array` record of `len` words, its tag slab
+/// `tags` in `tag_codec` and its payload frame `payload` in `codec`,
+/// both declaring `len` words.
+fn one_array(len: usize, tags: (CodecId, &[u8]), payload: (CodecId, &[u8])) -> Vec<u8> {
+    let mut meta = WireWriter::new();
+    meta.write_uvarint(0);
+    BlockKind::Array.encode(&mut meta);
+    meta.write_usize(len);
+    let mut w = WireWriter::new();
+    w.write_usize(1); // table capacity
+    w.write_usize(1); // one record
+    w.write_byte_frame(meta.as_bytes(), CodecId::Raw);
+    for (codec, bytes) in [tags, payload] {
+        w.write_uvarint(len as u64);
+        w.write_u8(codec as u8);
+        w.write_bytes(bytes);
+    }
+    w.write_byte_frame(&[], CodecId::Raw);
+    w.into_bytes()
+}
+
+fn decode(image: &[u8]) -> Result<Heap, WireError> {
+    Heap::decode_image(
+        &mut WireReader::new(image),
+        ImageCodec::Slab,
+        HeapConfig::default(),
+    )
+}
+
+#[test]
+fn a_forged_all_int_run_fails_precisely_within_its_tags_and_column() {
+    const BUDGET: usize = 128 << 20;
+    const WORDS: usize = 1 << 22;
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    // Four million `Int` tags in a few bytes of LZ.
+    let mut tags = Vec::new();
+    compress_bytes(CodecId::Lz, &vec![1u8; WORDS], &mut tags);
+    let truncated = |context| CodecError::TruncatedInput { context };
+    for (codec, payload, error) in [
+        // Sixteen one-byte varints, then nothing: the column is allocated
+        // and the read fails at word 17.
+        (CodecId::Varint, vec![2u8; 16], truncated("varint slab")),
+        // Rejected before any column: too short for its groups' widths.
+        (CodecId::BitPack, vec![0u8; 16], truncated("bitpack slab")),
+        (
+            CodecId::Raw,
+            vec![0u8; 16],
+            CodecError::LengthMismatch {
+                expected: WORDS * 8,
+                found: 16,
+            },
+        ),
+    ] {
+        let image = one_array(WORDS, (CodecId::Lz, &tags), (codec, &payload));
+        assert!(image.len() < 256, "{} bytes", image.len());
+        let (result, peak, kept) = measured(|| decode(&image).map(|_| ()));
+        assert_eq!(result, Err(WireError::Codec(error)), "{codec}");
+        assert_eq!(kept, 0, "{codec}");
+        // One byte a word of tag slab, eight of column, nothing more.
+        let claimed = WORDS * 9 + (64 << 10);
+        assert!(
+            peak <= BUDGET && peak <= claimed,
+            "{codec}: {peak} bytes at peak for a claim of {WORDS} words"
+        );
+    }
+}
+
+#[test]
+fn a_foreign_tag_in_a_float_run_decodes_tagged_and_is_checked() {
+    const LEN: usize = 40;
+    const AT: usize = 17;
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let float_run = |foreign: u8, payload: u64| {
+        let mut tags = [2u8; LEN];
+        tags[AT] = foreign;
+        let mut words: Vec<u64> = (0..LEN).map(|i| (i as f64).to_bits()).collect();
+        words[AT] = payload;
+        let raw: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        one_array(LEN, (CodecId::Raw, &tags), (CodecId::Raw, &raw))
+    };
+    let ptr = PtrIdx(0);
+    let form = |heap: &Heap| heap.block(ptr).unwrap().as_words().unwrap().column_tag();
+
+    let floats = decode(&float_run(2, 0.25f64.to_bits())).unwrap();
+    assert_eq!(form(&floats), Some(Numeric::Float));
+    assert_eq!(floats.load(ptr, AT as i64).unwrap(), Word::Float(0.25));
+
+    let mixed = decode(&float_run(1, 7)).unwrap();
+    assert_eq!(form(&mixed), None);
+    assert_eq!(mixed.load(ptr, AT as i64).unwrap(), Word::Int(7));
+    assert_eq!(mixed.load(ptr, AT as i64 + 1).unwrap(), Word::Float(18.0));
+
+    let bad = |context, tag| Err(WireError::BadTag { context, tag });
+    assert_eq!(
+        decode(&float_run(4, 0xD800)).map(|_| ()),
+        bad("Word::Char payload", 0xD800)
+    );
+    assert_eq!(
+        decode(&float_run(3, 2)).map(|_| ()),
+        bad("Word::Bool payload", 2)
     );
 }

@@ -2,7 +2,7 @@
 //! dirty tracking and the freeze.  Garbage collection is in [`crate::gc`],
 //! the image format in [`crate::image`].
 
-use crate::block::{Block, BlockData, BlockHeader, BlockKind, Generation, Payload};
+use crate::block::{Block, BlockData, BlockHeader, BlockKind, Generation, Numeric, Payload, Words};
 use crate::cow::SpecLevelRecord;
 use crate::error::HeapError;
 use crate::pointer_table::{PointerTable, PtrIdx};
@@ -218,10 +218,16 @@ impl Heap {
         idx
     }
 
-    /// Allocate an array of `len` words, each initialised to `init`.
+    /// Allocate an array of `len` words, each initialised to `init`: a
+    /// numeric column ([`Words::Int`], [`Words::Float`]) when `init` is an
+    /// `Int` or a `Float`, tagged otherwise.
     pub fn alloc_array(&mut self, len: i64, init: Word) -> Result<PtrIdx, HeapError> {
         let len = self.check_size(len)?;
-        Ok(self.install_block(BlockKind::Array, BlockData::words(vec![init; len])))
+        let data = match Numeric::of(init) {
+            Some((tag, payload)) => BlockData::column(tag, vec![payload; len]),
+            None => BlockData::words(vec![init; len]),
+        };
+        Ok(self.install_block(BlockKind::Array, data))
     }
 
     /// Allocate a tuple holding the given words.
@@ -283,18 +289,49 @@ impl Heap {
     }
 
     /// Read a word from a word-addressed block.
-    ///
-    /// One pointer resolution, checked on that one borrow; every failure
-    /// leaves through `word_access_error`, out of line.
     #[inline]
     pub fn load(&self, ptr: PtrIdx, index: i64) -> Result<Word, HeapError> {
+        let mut word = Word::Unit;
+        self.load_into(ptr, index, &mut word)?;
+        Ok(word)
+    }
+
+    /// [`Heap::load`] into `dst`, for a caller that keeps its words in
+    /// memory (the VM's register file).
+    ///
+    /// One pointer resolution, checked on that one borrow; every failure
+    /// leaves through `word_access_error`, out of line.  Each stored form
+    /// writes `dst` on its own path — a tagged word as one 16-byte copy, a
+    /// column's payload under its tag — so no path assembles a [`Word`]
+    /// from the others' pieces on the stack before the write.
+    #[inline]
+    pub fn load_into(&self, ptr: PtrIdx, index: i64, dst: &mut Word) -> Result<(), HeapError> {
         let block = self
             .table
             .lookup(ptr)
             .and_then(|slot| self.blocks.get(slot)?.as_ref());
-        if let Some(BlockData::Words(words)) = block.map(|b| &b.data) {
-            if let Some(word) = usize::try_from(index).ok().and_then(|i| words.get(i)) {
-                return Ok(*word);
+        if let (Some(BlockData::Words(words)), Ok(i)) =
+            (block.map(|b| &b.data), usize::try_from(index))
+        {
+            match words {
+                Words::Tagged(w) => {
+                    if let Some(word) = w.get(i) {
+                        *dst = *word;
+                        return Ok(());
+                    }
+                }
+                Words::Int(c) => {
+                    if let Some(&payload) = c.get(i) {
+                        *dst = Word::Int(payload as i64);
+                        return Ok(());
+                    }
+                }
+                Words::Float(c) => {
+                    if let Some(&payload) = c.get(i) {
+                        *dst = Word::Float(f64::from_bits(payload));
+                        return Ok(());
+                    }
+                }
             }
         }
         Err(self.word_access_error(ptr, index, false))
@@ -304,9 +341,10 @@ impl Heap {
     /// a speculation is open and maintaining the minor-GC write barrier.
     ///
     /// The common store — an owned payload the open level (if any) already
-    /// owns — resolves its block once and writes in place; everything else
-    /// (a copy-on-write clone, a shared payload, an error) goes out of
-    /// line.
+    /// owns, and for a numeric column a value of its tag (8 bytes after
+    /// one tag compare) — resolves its block once and writes in place;
+    /// everything else (a copy-on-write clone, a shared payload, a column
+    /// conversion, an error) goes out of line.
     #[inline]
     pub fn store(&mut self, ptr: PtrIdx, index: i64, value: Word) -> Result<(), HeapError> {
         let enter_epoch = self.spec_levels.last().map_or(0, |top| top.enter_epoch);
@@ -318,25 +356,40 @@ impl Heap {
             slot,
             Block {
                 header,
-                data: BlockData::Words(Payload::Owned(words)),
+                data: BlockData::Words(words),
             },
         )) = block
         {
-            let word = usize::try_from(index).ok().and_then(|i| words.get_mut(i));
-            if let Some(word) = word.filter(|_| header.stamp >= enter_epoch) {
-                *word = value;
-                list_dirty(&mut self.dirty, self.clean_epoch, header);
-                if header.generation == Generation::Old && value.is_ptr() {
-                    self.remembered.insert(slot);
+            let i = usize::try_from(index)
+                .ok()
+                .filter(|_| header.stamp >= enter_epoch);
+            let column = match (&mut *words, value) {
+                (Words::Int(Payload::Owned(c)), Word::Int(v)) => Some((c, v as u64)),
+                (Words::Float(Payload::Owned(c)), Word::Float(v)) => Some((c, v.to_bits())),
+                _ => None,
+            };
+            if let Some((column, payload)) = column {
+                if let Some(at) = i.and_then(|i| column.get_mut(i)) {
+                    *at = payload;
+                    list_dirty(&mut self.dirty, self.clean_epoch, header);
+                    return Ok(());
                 }
-                return Ok(());
+            } else if let Words::Tagged(Payload::Owned(words)) = words {
+                if let Some(word) = i.and_then(|i| words.get_mut(i)) {
+                    *word = value;
+                    list_dirty(&mut self.dirty, self.clean_epoch, header);
+                    if header.generation == Generation::Old && value.is_ptr() {
+                        self.remembered.insert(slot);
+                    }
+                    return Ok(());
+                }
             }
         }
         self.store_shared(ptr, index, value)
     }
 
     /// [`Heap::store`] into a block that needs a copy-on-write clone, a
-    /// shared payload, or an error.
+    /// shared payload, a column conversion, or an error.
     #[inline(never)]
     fn store_shared(&mut self, ptr: PtrIdx, index: i64, value: Word) -> Result<(), HeapError> {
         // Validate before mutating anything.  A `Str` block holds bytes, so
@@ -349,11 +402,15 @@ impl Heap {
             return Err(self.word_access_error(ptr, index, true));
         };
         let (block, slot) = self.writable_block(ptr, slot);
-        block.data.words_mut()[index as usize] = value;
+        let BlockData::Words(words) = &mut block.data else {
+            unreachable!("validated as a word block")
+        };
+        let converted = words.set(index as usize, value);
         // Write barrier: an old block now (possibly) references a young one.
         if block.header.generation == Generation::Old && value.is_ptr() {
             self.remembered.insert(slot);
         }
+        self.stats.column_conversions += u64::from(converted);
         Ok(())
     }
 
@@ -505,8 +562,8 @@ impl Heap {
     /// every commit order (see "Epochs, not sets" in
     /// `docs/ARCHITECTURE.md`).  Also lists the block dirty on its first
     /// mutation since the clean point and accounts the deferred payload
-    /// copy the caller's `words_mut`/`bytes_mut` is about to pay because
-    /// the payload is shared with a clone or a live [`crate::HeapSnapshot`].
+    /// copy the caller's write is about to pay because the payload is
+    /// shared with a clone or a live [`crate::HeapSnapshot`].
     #[inline]
     fn writable_block(&mut self, ptr: PtrIdx, slot: usize) -> (&mut Block, usize) {
         let enter_epoch = self.spec_levels.last().map_or(0, |top| top.enter_epoch);

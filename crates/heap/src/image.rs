@@ -15,7 +15,7 @@
 //!
 //! `docs/WIRE_FORMAT.md` specifies the bytes.
 
-use crate::block::{Block, BlockData, BlockHeader, BlockKind, Generation};
+use crate::block::{Block, BlockData, BlockHeader, BlockKind, Generation, Numeric, WordsView};
 use crate::heap::{Heap, HeapConfig};
 use crate::pointer_table::{PointerTable, PtrIdx};
 use crate::word::extend_from_raw;
@@ -275,13 +275,17 @@ impl Heap {
     }
 
     /// Decode `count` v5 slab records (the four compressed frames) back
-    /// into blocks, in record order, in one streamed pass: each word
-    /// block's `Vec<Word>` is filled straight from the payload frame's
-    /// [`mojave_wire::WordDecoder`], a chunk at a time, so no payload
-    /// slab is built.  Every slab length cross-check — tags vs. payload
-    /// words, declared block lengths vs. slab sizes — is a precise
-    /// [`WireError`], and nothing is allocated beyond what the blocks
-    /// themselves and the byte slabs hold.
+    /// into blocks, in record order, in one streamed pass, so no payload
+    /// slab is built: an `Array` whose tag run is one numeric tag becomes
+    /// a column ([`crate::Words::Int`] or [`crate::Words::Float`]) read
+    /// straight from the payload frame's [`mojave_wire::WordDecoder`] —
+    /// any `u64` is a valid `Int` or `Float`, so nothing is checked per
+    /// word — and every other word block's `Vec<Word>` is filled from it
+    /// a chunk at a time.  Every
+    /// slab length cross-check — tags vs. payload words, declared block
+    /// lengths vs. slab sizes — is a precise [`WireError`], and nothing
+    /// is allocated beyond what the blocks themselves and the byte slabs
+    /// hold.
     fn parse_records_slab(r: &mut WireReader<'_>, count: usize) -> Result<Vec<Block>, WireError> {
         let meta = r.read_byte_frame()?;
         let tags = r.read_byte_frame()?;
@@ -310,14 +314,21 @@ impl Heap {
                         tags.len() - word_off
                     )));
                 }
-                let mut words = Vec::with_capacity(len);
-                for tags in tags[word_off..word_off + len].chunks(DECODE_CHUNK_WORDS) {
-                    let payloads = &mut chunk[..tags.len()];
-                    payload.read(payloads)?;
-                    extend_from_raw(&mut words, tags, payloads)?;
-                }
+                let run = &tags[word_off..word_off + len];
                 word_off += len;
-                BlockData::words(words)
+                if let Some(tag) = Numeric::of_run(kind, run) {
+                    let mut column = vec![0; len];
+                    payload.read(&mut column)?;
+                    BlockData::column(tag, column)
+                } else {
+                    let mut words = Vec::with_capacity(len);
+                    for tags in run.chunks(DECODE_CHUNK_WORDS) {
+                        let payloads = &mut chunk[..tags.len()];
+                        payload.read(payloads)?;
+                        extend_from_raw(&mut words, tags, payloads)?;
+                    }
+                    BlockData::words(words)
+                }
             } else {
                 if len > raw.len() - byte_off {
                     return Err(WireError::Invalid(format!(
@@ -529,6 +540,12 @@ impl SlabEncoder {
     /// materialised.  A slab the choice sampled whole is compressed once:
     /// the winning trial is written as its payload.
     ///
+    /// A numeric column ([`crate::Words::Int`], [`crate::Words::Float`])
+    /// is read once per pass as the payload slab it already is: its tag
+    /// run is a fill, and the sample and the streams take its `u64`s as
+    /// they stand.  Only a tagged block splits each [`Word`](crate::Word)
+    /// with `to_raw`.
+    ///
     /// Staging the tags in the payload pass instead, block by block, was
     /// measured and is slower: the tag frame precedes the payload frame,
     /// so the payload then needs a side copy, which costs more than
@@ -565,7 +582,12 @@ impl SlabEncoder {
             }
         }
 
-        let word_blocks = || records.iter().filter_map(|(_, block)| block.as_words());
+        let word_blocks = || {
+            records
+                .iter()
+                .filter_map(|(_, block)| Some(block.as_words()?.view()))
+        };
+        let payload_of = |word: &crate::Word| word.to_raw().1;
 
         sample.clear();
         for words in word_blocks() {
@@ -573,7 +595,10 @@ impl SlabEncoder {
             if room == 0 {
                 break;
             }
-            sample.extend(words.iter().take(room).map(|word| word.to_raw().1));
+            match words {
+                WordsView::Tagged(w) => sample.extend(w.iter().take(room).map(payload_of)),
+                WordsView::Column(_, c) => sample.extend_from_slice(&c[..room.min(c.len())]),
+            }
         }
         let word_codec = compressor.choose_words(sample, allowed);
         let sampled_whole = sample.len() == word_total;
@@ -586,7 +611,10 @@ impl SlabEncoder {
         raw.reserve(byte_total);
         for (_, block) in records {
             match &block.data {
-                BlockData::Words(words) => tags.extend(words.iter().map(|word| word.to_raw().0)),
+                BlockData::Words(words) => match words.view() {
+                    WordsView::Tagged(w) => tags.extend(w.iter().map(|word| word.to_raw().0)),
+                    WordsView::Column(tag, c) => tags.resize(tags.len() + c.len(), tag.raw_tag()),
+                },
                 BlockData::Bytes(bytes) => raw.extend_from_slice(bytes),
             }
         }
@@ -595,15 +623,21 @@ impl SlabEncoder {
         let stream_payloads = |out: &mut Vec<u8>| {
             let mut stream = mojave_wire::VarintStream::new();
             for words in word_blocks() {
-                for word in words {
-                    stream.push(word.to_raw().1, out);
+                match words {
+                    WordsView::Tagged(w) => {
+                        w.iter().for_each(|word| stream.push(payload_of(word), out))
+                    }
+                    WordsView::Column(_, c) => c.iter().for_each(|&p| stream.push(p, out)),
                 }
             }
         };
         let pack_payloads = |out: &mut Vec<u8>| {
             let mut stream = mojave_wire::BitPackStream::new();
             for words in word_blocks() {
-                stream.extend(words, |word| word.to_raw().1, out);
+                match words {
+                    WordsView::Tagged(w) => stream.extend(w, payload_of, out),
+                    WordsView::Column(_, c) => stream.extend(c, |&p| p, out),
+                }
             }
             stream.finish(out);
         };
@@ -639,7 +673,10 @@ impl SlabEncoder {
                     payload.clear();
                     payload.reserve(word_total);
                     for words in word_blocks() {
-                        payload.extend(words.iter().map(|word| word.to_raw().1));
+                        match words {
+                            WordsView::Tagged(w) => payload.extend(w.iter().map(payload_of)),
+                            WordsView::Column(_, c) => payload.extend_from_slice(c),
+                        }
                     }
                     w.write_word_frame_with(compressor, payload, word_codec);
                 }
@@ -647,5 +684,202 @@ impl SlabEncoder {
         }
 
         w.write_byte_frame_chosen(compressor, raw, allowed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Numeric, Word};
+    use mojave_wire::{choose_bytes, choose_words};
+
+    /// The slab image as the encoder wrote it before numeric columns
+    /// existed, kept literally as the oracle: every word block's
+    /// `(tag, payload)` pairs split from its [`Word`]s with `to_raw`, each
+    /// slab staged whole, and each frame written in the codec the plain
+    /// choice functions pick for it.
+    fn reference_image(records: &ImageRecords<'_>, allowed: CodecSet) -> Vec<u8> {
+        let mut meta = WireWriter::new();
+        let (mut tags, mut payloads, mut raw) = (Vec::new(), Vec::new(), Vec::new());
+        for (idx, block) in &records.records {
+            meta.write_uvarint(idx.0 as u64);
+            block.header.kind.encode(&mut meta);
+            meta.write_usize(block.len());
+            match &block.data {
+                BlockData::Words(words) => {
+                    for (tag, payload) in words.iter().map(Word::to_raw) {
+                        tags.push(tag);
+                        payloads.push(payload);
+                    }
+                }
+                BlockData::Bytes(bytes) => raw.extend_from_slice(bytes),
+            }
+        }
+        let mut w = WireWriter::new();
+        w.write_usize(records.capacity);
+        w.write_usize(records.records.len());
+        w.write_byte_frame(meta.as_bytes(), choose_bytes(meta.as_bytes(), allowed));
+        w.write_byte_frame(&tags, choose_bytes(&tags, allowed));
+        w.write_word_frame(&payloads, choose_words(&payloads, allowed));
+        w.write_byte_frame(&raw, choose_bytes(&raw, allowed));
+        if let Some(freed) = records.freed {
+            w.write_usize(freed.len());
+            for ptr in freed {
+                w.write_uvarint(ptr.0 as u64);
+            }
+        }
+        w.into_bytes()
+    }
+
+    /// Every set a sink can negotiate down to: all codecs, and each alone.
+    fn codec_sets() -> impl Iterator<Item = CodecSet> {
+        std::iter::once(CodecSet::all()).chain(CodecId::ALL.into_iter().map(CodecSet::only))
+    }
+
+    /// A heap of Int and Float columns beside tagged word blocks — mixed
+    /// arrays, arrays tagged though every word is an `Int` (built tagged,
+    /// or converted and written back), tuples, pointer arrays — and byte
+    /// blocks, at lengths that are not multiples of 32, so BitPack groups
+    /// straddle the seams between the forms, and more words in all than
+    /// the codec choice samples.
+    fn seamed_heap() -> (Heap, Vec<PtrIdx>) {
+        let mut heap = Heap::new();
+        let mut ptrs: Vec<PtrIdx> = Vec::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            x >> 7
+        };
+        let lengths = [1, 31, 33, 45, 70, 0, 95, 100, 7, 300, 64, 700, 1100, 2];
+        for (b, &len) in lengths.iter().enumerate() {
+            let ptr = match b % 8 {
+                0 => heap.alloc_array(len, Word::Int(0)).unwrap(),
+                1 => heap.alloc_array(len, Word::Float(0.5)).unwrap(),
+                2 | 3 => heap.alloc_array(len, Word::Unit).unwrap(),
+                4 => heap.alloc_array(len, Word::Int(0)).unwrap(),
+                5 => {
+                    let words = (0..len).map(|i| Word::Int(i * 3)).collect();
+                    heap.alloc_tuple(words).unwrap()
+                }
+                6 => heap.alloc_array(len, Word::Ptr(ptrs[0])).unwrap(),
+                _ => heap.alloc_raw(len * 3).unwrap(),
+            };
+            for i in 0..len {
+                let word = match b % 8 {
+                    0 => Word::Int((next() % 1000) as i64),
+                    1 => Word::Float(f64::from_bits(next())),
+                    2 => Word::Int(next() as i64 - (1 << 40)),
+                    3 => match i % 5 {
+                        0 => Word::Bool(i % 2 == 0),
+                        1 => Word::Char(char::from_u32(0x3B0 + i as u32).unwrap()),
+                        2 => Word::Fun(i as u32),
+                        _ => Word::Float(i as f64),
+                    },
+                    // A column one foreign store converts, written back
+                    // to `Int`s: tagged, though uniform.
+                    4 if i == len / 2 => {
+                        heap.store(ptr, i, Word::Bool(true)).unwrap();
+                        Word::Int(-i)
+                    }
+                    4 => Word::Int(-i),
+                    6 => Word::Ptr(ptrs[(i as usize) % ptrs.len()]),
+                    _ => continue,
+                };
+                heap.store(ptr, i, word).unwrap();
+            }
+            ptrs.push(ptr);
+        }
+        let hole = heap.alloc_raw(8).unwrap();
+        heap.free_block(hole);
+        heap.alloc_str("seam").unwrap();
+        (heap, ptrs)
+    }
+
+    fn encoded(records: &ImageRecords<'_>, allowed: CodecSet) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        records.encode(&mut w, allowed);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn column_encoder_writes_the_word_reference_bytes() {
+        let (mut heap, ptrs) = seamed_heap();
+        let forms: Vec<Option<Numeric>> = ptrs
+            .iter()
+            .filter_map(|p| heap.block(*p).unwrap().as_words())
+            .map(|words| words.column_tag())
+            .collect();
+        assert!(forms.contains(&Some(Numeric::Int)) && forms.contains(&Some(Numeric::Float)));
+        assert!(forms.contains(&None));
+        let base = heap.freeze();
+        let full = base.image_records(ImageKind::Full).unwrap();
+        for allowed in codec_sets() {
+            assert_eq!(
+                encoded(&full, allowed),
+                reference_image(&full, allowed),
+                "full image, {allowed:?}"
+            );
+        }
+
+        heap.mark_clean();
+        heap.store(ptrs[8], 6, Word::Int(-5)).unwrap();
+        heap.store(ptrs[1], 30, Word::Float(-0.0)).unwrap();
+        heap.store(ptrs[0], 0, Word::Char('c')).unwrap(); // converts
+        heap.store(ptrs[9], 299, Word::Int(3)).unwrap(); // converts
+        let fresh = heap.alloc_array(45, Word::Float(2.0)).unwrap();
+        heap.store(fresh, 44, Word::Float(-2.0)).unwrap();
+        heap.free_block(ptrs[3]);
+        let snap = heap.freeze();
+        let delta = snap.image_records(ImageKind::Delta).unwrap();
+        assert_eq!(delta.records.len(), 5);
+        for allowed in codec_sets() {
+            assert_eq!(
+                encoded(&delta, allowed),
+                reference_image(&delta, allowed),
+                "delta image, {allowed:?}"
+            );
+        }
+    }
+
+    /// The column a decoder must rebuild for these elements of a `kind`
+    /// block, worked out word by word: an `Array` whose words all carry
+    /// one numeric tag.
+    fn uniform(kind: BlockKind, words: &[Word]) -> Option<Numeric> {
+        let tags: Vec<Option<Numeric>> = words
+            .iter()
+            .map(|w| Numeric::of(*w).map(|(tag, _)| tag))
+            .collect();
+        let first = *tags.first()?;
+        (kind == BlockKind::Array && tags.iter().all(|t| *t == first)).then_some(first)?
+    }
+
+    #[test]
+    fn decode_keeps_exactly_the_uniform_numeric_arrays_as_columns() {
+        let (mut heap, _) = seamed_heap();
+        let snap = heap.freeze();
+        let full = snap.image_records(ImageKind::Full).unwrap();
+        for allowed in codec_sets() {
+            let bytes = encoded(&full, allowed);
+            let back = Heap::decode_image(
+                &mut WireReader::new(&bytes),
+                ImageCodec::Slab,
+                HeapConfig::default(),
+            )
+            .unwrap();
+            assert_eq!(back.snapshot(), heap.snapshot());
+            let mut columns = 0;
+            for (idx, _) in back.pointer_table().iter_used() {
+                let block = back.block(idx).unwrap();
+                let Some(words) = block.as_words() else {
+                    continue;
+                };
+                let want = uniform(block.header.kind, &words.to_vec());
+                assert_eq!(words.column_tag(), want, "block {idx}, {allowed:?}");
+                columns += usize::from(want.is_some());
+            }
+            // Four columns, and the four `Int` arrays built or converted
+            // tagged: the form decode gives follows the content alone.
+            assert_eq!(columns, 8, "{allowed:?}");
+        }
     }
 }

@@ -18,6 +18,9 @@
 //!   handful of operations; relocation only rewrites table entries.
 //! * [`Block`] / [`BlockHeader`] — heap blocks with headers carrying the
 //!   back-reference to their table entry, their kind, generation and GC mark.
+//!   A word block's elements ([`Words`]) are tagged [`Word`]s, or — for an
+//!   array of `Int`s or of `Float`s — a numeric column: the tag once and
+//!   the 8-byte payloads, until a store of another tag converts it.
 //! * [`Heap`] — allocation, checked loads/stores, the generational
 //!   mark-sweep-compacting collector of §4, and the copy-on-write
 //!   speculation records of §4.3 (`spec_enter` / `spec_commit` /
@@ -76,7 +79,7 @@ mod snapshot;
 mod stats;
 mod word;
 
-pub use block::{Block, BlockData, BlockHeader, BlockKind, Generation, Payload};
+pub use block::{Block, BlockData, BlockHeader, BlockKind, Generation, Numeric, Payload, Words};
 pub use cow::SpecLevelRecord;
 pub use error::HeapError;
 pub use gc::GcKind;

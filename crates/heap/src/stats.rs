@@ -41,6 +41,9 @@ pub struct HeapStats {
     pub shared_payload_copies: u64,
     /// Bytes copied by those forced un-sharing copies.
     pub shared_payload_bytes: u64,
+    /// Numeric columns converted to the tagged form by a store of another
+    /// tag ([`crate::Words`]).
+    pub column_conversions: u64,
 }
 
 impl HeapStats {

@@ -12,9 +12,7 @@
 //! * a snapshot without a clean point refuses delta encoding with the
 //!   precise [`HeapError::NoCleanPoint`] error.
 
-use mojave_heap::{
-    BlockData, Heap, HeapConfig, HeapError, ImageCodec, ImageKind, Payload, PtrIdx, Word,
-};
+use mojave_heap::{Heap, HeapConfig, HeapError, ImageCodec, ImageKind, PtrIdx, Word};
 use mojave_wire::{CodecId, CodecSet, WireReader, WireWriter};
 
 /// The full image of `heap` as a synchronous pack writes it: a snapshot
@@ -213,10 +211,7 @@ fn snapshot_encodes_on_another_thread_while_the_mutator_races() {
 
 /// Whether `ptr`'s payload is still held by its block alone.
 fn owned(heap: &Heap, ptr: PtrIdx) -> bool {
-    matches!(
-        heap.block(ptr).unwrap().data,
-        BlockData::Words(Payload::Owned(_)) | BlockData::Bytes(Payload::Owned(_))
-    )
+    heap.block(ptr).unwrap().data.is_owned()
 }
 
 #[test]
