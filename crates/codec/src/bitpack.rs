@@ -183,22 +183,22 @@ pub(crate) fn decode_group(
     Ok(())
 }
 
-/// Streaming encode side of [`crate::BitPack`], for callers whose words
+/// Streaming encode side of [`crate::CodecId::BitPack`], for callers whose words
 /// arrive in pieces — the blocks of a heap — and who don't want to stage
 /// the whole `u64` slab first.  Whole groups inside a piece are packed
 /// straight from it; only the words of a group that straddles two pieces
 /// are held here between calls.
 ///
-/// Byte-for-byte identical to [`crate::SlabCodec::compress_into`] over the
-/// same word sequence once [`BitPackStream::finish`] has written the last
-/// (short) group:
+/// Byte-for-byte identical to [`crate::compress_words`] with that codec
+/// over the same word sequence once [`BitPackStream::finish`] has written
+/// the last (short) group:
 ///
 /// ```
-/// use mojave_codec::{BitPack, BitPackStream, SlabCodec};
+/// use mojave_codec::{compress_words, BitPackStream, CodecId};
 ///
 /// let words: Vec<u64> = (0..70).map(|i| i * i).collect();
 /// let mut staged = Vec::new();
-/// BitPack.compress_into(&words, &mut staged);
+/// compress_words(CodecId::BitPack, &words, &mut staged);
 ///
 /// let mut streamed = Vec::new();
 /// let mut stream = BitPackStream::new();

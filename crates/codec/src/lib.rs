@@ -31,7 +31,7 @@
 //! [`CodecId::Raw`] is the identity codec: always available, always
 //! lossless, `memcpy` both ways.
 //!
-//! Every codec implements [`SlabCodec::compress_into`];
+//! [`Compressor::compress_words`] encodes a slab with any codec;
 //! [`VarintStream`] and [`BitPackStream`] encode a slab in pieces for
 //! callers that never stage it, and one pull-based [`WordDecoder`] per
 //! codec decodes in pieces of the caller's choosing, so no side ever has
@@ -292,38 +292,17 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// A slab compression pass: a lossless transform of a `u64` slab to bytes.
-/// Its inverse is the [`WordDecoder`] of the same [`SlabCodec::id`].
-///
-/// Implementations are stateless; `compress_into` appends to a
-/// caller-owned buffer so repeated use amortises allocation.
-pub trait SlabCodec {
-    /// The wire id this codec is tagged with.
-    fn id(&self) -> CodecId;
-
-    /// Append the compressed encoding of `words` to `out`.
-    fn compress_into(&self, words: &[u64], out: &mut Vec<u8>);
-}
-
 // ---------------------------------------------------------------------------
 // Raw
 // ---------------------------------------------------------------------------
 
-/// The identity codec: 8 little-endian bytes per word.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Raw;
-
-impl SlabCodec for Raw {
-    fn id(&self) -> CodecId {
-        CodecId::Raw
-    }
-
-    fn compress_into(&self, words: &[u64], out: &mut Vec<u8>) {
-        let start = out.len();
-        out.resize(start + words.len() * 8, 0);
-        for (chunk, word) in out[start..].chunks_exact_mut(8).zip(words) {
-            chunk.copy_from_slice(&word.to_le_bytes());
-        }
+/// Append [`CodecId::Raw`]'s encoding of `words`: 8 little-endian bytes
+/// per word.
+fn compress_raw(words: &[u64], out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + words.len() * 8, 0);
+    for (chunk, word) in out[start..].chunks_exact_mut(8).zip(words) {
+        chunk.copy_from_slice(&word.to_le_bytes());
     }
 }
 
@@ -338,17 +317,6 @@ fn slab_bytes(word_count: usize, context: &'static str) -> Result<usize, CodecEr
 // ---------------------------------------------------------------------------
 // Varint (delta + zig-zag + LEB128)
 // ---------------------------------------------------------------------------
-
-/// Delta filter + zig-zag + LEB128.
-///
-/// Word `i` is encoded as the zig-zagged varint of
-/// `words[i].wrapping_sub(words[i-1])` (the first word deltas against 0).
-/// Small integers, pointer indices and runs of equal values all produce
-/// single-byte deltas; the worst case (random 64-bit values) costs 10
-/// bytes per word, which is why [`choose`] trial-compresses before
-/// committing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Varint;
 
 #[inline]
 pub(crate) fn push_uvarint(out: &mut Vec<u8>, mut v: u64) {
@@ -397,37 +365,40 @@ fn unzigzag(zz: u64) -> i64 {
     ((zz >> 1) as i64) ^ -((zz & 1) as i64)
 }
 
-impl SlabCodec for Varint {
-    fn id(&self) -> CodecId {
-        CodecId::Varint
-    }
-
-    fn compress_into(&self, words: &[u64], out: &mut Vec<u8>) {
-        // Small deltas dominate real slabs; reserving ~2 bytes per word
-        // keeps the hot loop free of reallocation without over-committing.
-        out.reserve(words.len() * 2);
-        let mut prev = 0u64;
-        for &word in words {
-            push_uvarint(out, zigzag(word.wrapping_sub(prev) as i64));
-            prev = word;
-        }
+/// Append [`CodecId::Varint`]'s encoding of `words`: delta filter +
+/// zig-zag + LEB128.
+///
+/// Word `i` is encoded as the zig-zagged varint of
+/// `words[i].wrapping_sub(words[i-1])` (the first word deltas against 0).
+/// Small integers, pointer indices and runs of equal values all produce
+/// single-byte deltas; the worst case (random 64-bit values) costs 10
+/// bytes per word, which is why [`choose`] trial-compresses before
+/// committing.
+fn compress_varint(words: &[u64], out: &mut Vec<u8>) {
+    // Small deltas dominate real slabs; reserving ~2 bytes per word keeps
+    // the hot loop free of reallocation without over-committing.
+    out.reserve(words.len() * 2);
+    let mut prev = 0u64;
+    for &word in words {
+        push_uvarint(out, zigzag(word.wrapping_sub(prev) as i64));
+        prev = word;
     }
 }
 
-/// Streaming encode side of [`Varint`], for callers that produce words
-/// incrementally and don't want to stage the whole `u64` slab first (the
-/// heap's slab encoder feeds block payloads straight through this while
-/// staging word tags, halving its memory traffic).
+/// Streaming encode side of [`CodecId::Varint`], for callers that produce
+/// words incrementally and don't want to stage the whole `u64` slab first
+/// (the heap's slab encoder feeds block payloads straight through this
+/// while staging word tags, halving its memory traffic).
 ///
-/// Byte-for-byte identical to [`Varint::compress_into`] over the same
-/// word sequence:
+/// Byte-for-byte identical to [`compress_words`] with that codec over the
+/// same word sequence:
 ///
 /// ```
-/// use mojave_codec::{SlabCodec, Varint, VarintStream};
+/// use mojave_codec::{compress_words, CodecId, VarintStream};
 ///
 /// let words = [5u64, 6, 7, 5];
 /// let mut staged = Vec::new();
-/// Varint.compress_into(&words, &mut staged);
+/// compress_words(CodecId::Varint, &words, &mut staged);
 ///
 /// let mut streamed = Vec::new();
 /// let mut stream = VarintStream::new();
@@ -453,73 +424,6 @@ impl VarintStream {
     pub fn push(&mut self, word: u64, out: &mut Vec<u8>) {
         push_uvarint(out, zigzag(word.wrapping_sub(self.prev) as i64));
         self.prev = word;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Lz
-// ---------------------------------------------------------------------------
-
-/// LZ match/copy pass over the slab's little-endian bytes.
-///
-/// See [`compress_lz_bytes`] / [`decompress_lz_bytes`] for the token
-/// format; as a word codec it stages the raw slab bytes and compresses
-/// those, which wins on repetitive payloads the delta filter cannot fold
-/// (e.g. repeated float patterns).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Lz;
-
-impl SlabCodec for Lz {
-    fn id(&self) -> CodecId {
-        CodecId::Lz
-    }
-
-    fn compress_into(&self, words: &[u64], out: &mut Vec<u8>) {
-        Compressor::new().compress_words(CodecId::Lz, words, out);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// VarintLz
-// ---------------------------------------------------------------------------
-
-/// The composition that wins on checkpoint heaps: the varint delta filter
-/// first (structure → byte-level redundancy), the LZ pass second (fold the
-/// redundancy).  A slab of near-identical small-int blocks compresses to a
-/// few bytes per block.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VarintLz;
-
-impl SlabCodec for VarintLz {
-    fn id(&self) -> CodecId {
-        CodecId::VarintLz
-    }
-
-    fn compress_into(&self, words: &[u64], out: &mut Vec<u8>) {
-        Compressor::new().compress_words(CodecId::VarintLz, words, out);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// BitPack
-// ---------------------------------------------------------------------------
-
-/// Frame-of-reference bit packing: the delta + zig-zag filter, restarted
-/// every 32 words, with each group's values packed at the width of its
-/// largest.  Decodes in fixed-trip `u64` loops, and costs at most 8 bytes
-/// plus one width byte per group for words no filter helps (random 64-bit
-/// values), where [`Varint`] costs 10.  `docs/WIRE_FORMAT.md` specifies
-/// the group layout; [`BitPackStream`] is the streaming encoder.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BitPack;
-
-impl SlabCodec for BitPack {
-    fn id(&self) -> CodecId {
-        CodecId::BitPack
-    }
-
-    fn compress_into(&self, words: &[u64], out: &mut Vec<u8>) {
-        bitpack::compress(words, out);
     }
 }
 
@@ -579,15 +483,15 @@ impl Compressor {
     /// Append `words` compressed with the named codec to `out`.
     pub fn compress_words(&mut self, id: CodecId, words: &[u64], out: &mut Vec<u8>) {
         match id {
-            CodecId::Raw => Raw.compress_into(words, out),
-            CodecId::Varint => Varint.compress_into(words, out),
-            CodecId::BitPack => BitPack.compress_into(words, out),
+            CodecId::Raw => compress_raw(words, out),
+            CodecId::Varint => compress_varint(words, out),
+            CodecId::BitPack => bitpack::compress(words, out),
             CodecId::Lz | CodecId::VarintLz => {
                 self.staged.clear();
                 if id == CodecId::Lz {
-                    Raw.compress_into(words, &mut self.staged);
+                    compress_raw(words, &mut self.staged);
                 } else {
-                    Varint.compress_into(words, &mut self.staged);
+                    compress_varint(words, &mut self.staged);
                 }
                 lz::compress_with(&mut self.table, &self.staged, out);
             }
@@ -631,7 +535,7 @@ impl Compressor {
         let mut won = std::mem::take(&mut self.words_won.payload);
         if allowed.contains(CodecId::Varint) || allowed.contains(CodecId::VarintLz) {
             self.staged.clear();
-            Varint.compress_into(sample, &mut self.staged);
+            compress_varint(sample, &mut self.staged);
         }
         for candidate in [
             CodecId::BitPack,
@@ -660,7 +564,7 @@ impl Compressor {
                 }
                 CodecId::Lz => {
                     self.staged.clear();
-                    Raw.compress_into(sample, &mut self.staged);
+                    compress_raw(sample, &mut self.staged);
                     lz::compress_within(&mut self.table, &self.staged, limit, &mut trial)
                 }
                 CodecId::Raw => unreachable!("Raw is the starting best, not a trial"),
@@ -1182,7 +1086,7 @@ mod tests {
     fn varint_known_encoding() {
         // Deltas: 5, +1, +1, -2 → zigzag 10, 2, 2, 3.
         let mut out = Vec::new();
-        Varint.compress_into(&[5, 6, 7, 5], &mut out);
+        compress_words(CodecId::Varint, &[5, 6, 7, 5], &mut out);
         assert_eq!(out, vec![10, 2, 2, 3]);
     }
 
@@ -1203,7 +1107,7 @@ mod tests {
     fn bitpack_known_encoding() {
         let (words, bytes) = bitpack_example();
         let mut out = Vec::new();
-        BitPack.compress_into(&words, &mut out);
+        compress_words(CodecId::BitPack, &words, &mut out);
         assert_eq!(out, bytes);
         // The second group starts at 1 + 4·4 = 17 and decodes alone.
         let mut second = Vec::new();

@@ -3,9 +3,9 @@
 //! Two phases, exactly as the paper describes:
 //!
 //! * a **minor** collection that is fast and eliminates blocks with short
-//!   live ranges — only young-generation blocks are candidates; old blocks
-//!   that may point into the young generation are found through the
-//!   remembered set maintained by the store write barrier;
+//!   live ranges — only young-generation blocks are candidates.  It never
+//!   frees an old block, so everything an old block references is live:
+//!   every old block seeds its mark, and a store records nothing;
 //! * a **major** collection that marks from the full root set, sweeps the
 //!   entire heap and **compacts** it with a sliding pass that preserves
 //!   allocation order (and therefore temporal locality, the paper's argument
@@ -74,10 +74,10 @@ impl Heap {
     /// Set the mark bit of every block reachable from `roots`, from the
     /// speculation roots — the preserved originals (reachable only through
     /// checkpoint records) and the current clones and allocations the table
-    /// points at — and, for a minor collection, from the `remembered` old
-    /// blocks.  A slot is pushed once per reference and marked when popped,
-    /// so each block's words are walked once, in place.
-    fn mark(&mut self, roots: &[Word], remembered: bool) {
+    /// points at — and, for a `minor` collection, from every old block.  A
+    /// slot is pushed once per reference and marked when popped, so each
+    /// block's words are walked once, in place.
+    fn mark(&mut self, roots: &[Word], minor: bool) {
         let mut work = std::mem::take(&mut self.gc_work);
         let table = &self.table;
         work.extend(roots.iter().filter_map(|w| table.lookup(w.as_ptr()?)));
@@ -88,8 +88,10 @@ impl Heap {
             }
             work.extend(level.allocated.iter().filter_map(|ptr| table.lookup(*ptr)));
         }
-        if remembered {
-            work.extend(self.remembered.iter().copied());
+        if minor {
+            work.extend(self.blocks.iter().enumerate().filter_map(|(slot, block)| {
+                (block.as_ref()?.header.generation == Generation::Old).then_some(slot)
+            }));
         }
         while let Some(slot) = work.pop() {
             let Some(Some(block)) = self.blocks.get_mut(slot) else {
@@ -137,9 +139,9 @@ impl Heap {
 
     /// Minor collection: collect unreachable *young* blocks.
     ///
-    /// Old blocks are conservatively assumed live; pointers from old blocks
-    /// into the young generation are covered by the remembered set, whose
-    /// blocks are traced as extra roots.
+    /// Old blocks are conservatively assumed live, so every one of them is
+    /// traced as an extra root: a young block an old one references
+    /// survives however the reference was stored.
     pub fn gc_minor(&mut self, roots: &[Word]) {
         self.mark(roots, true);
         let freed = self.sweep(false);
@@ -167,8 +169,8 @@ impl Heap {
     }
 
     /// Sliding compaction: move every live block to the lowest free slot,
-    /// preserving order (temporal locality), and rewrite the pointer table,
-    /// speculation records and remembered set.
+    /// preserving order (temporal locality), and rewrite the pointer table
+    /// and speculation records.
     ///
     /// Under speculation a table entry may point at a clone while the
     /// original sits elsewhere, so references are rewritten by old slot
@@ -201,7 +203,6 @@ impl Heap {
                     *slot = new_slot(*slot);
                 }
             }
-            self.remembered = self.remembered.iter().map(|&slot| new_slot(slot)).collect();
         }
         remap.clear();
         self.gc_work = remap;
@@ -306,7 +307,7 @@ mod tests {
     }
 
     #[test]
-    fn remembered_set_keeps_young_blocks_referenced_from_old_ones() {
+    fn old_blocks_keep_young_blocks_they_reference() {
         let mut heap = small_heap();
         let holder = heap.alloc_tuple(vec![Word::Unit]).unwrap();
         // Promote `holder` to the old generation.
@@ -314,9 +315,30 @@ mod tests {
         // Allocate a young block referenced only from the old block.
         let young = heap.alloc_array(4, Word::Int(9)).unwrap();
         heap.store(holder, 0, Word::Ptr(young)).unwrap();
-        // No direct root for `young`: only the remembered set keeps it alive.
+        // No direct root for `young`: tracing the old `holder` keeps it.
         heap.gc_minor(&[Word::Ptr(holder)]);
         assert_eq!(heap.load(young, 0).unwrap(), Word::Int(9));
+    }
+
+    /// A store inside a level clones the old holder into a new slot, and
+    /// the commit discards the original: the clone, not the original, is
+    /// what references the young block from then on.
+    #[test]
+    fn a_committed_clone_keeps_the_young_block_it_references() {
+        let mut heap = small_heap();
+        let holder = heap.alloc_tuple(vec![Word::Unit, Word::Unit]).unwrap();
+        heap.gc_minor(&[Word::Ptr(holder)]);
+        let young = heap.alloc_array(4, Word::Int(9)).unwrap();
+        heap.store(holder, 0, Word::Ptr(young)).unwrap();
+        let level = heap.spec_enter();
+        heap.store(holder, 1, Word::Int(1)).unwrap();
+        heap.spec_commit(level).unwrap();
+        // No root at all: `holder` survives as an old block.
+        heap.gc_minor(&[]);
+        assert_eq!(heap.load(holder, 0).unwrap(), Word::Ptr(young));
+        assert_eq!(heap.load(young, 0).unwrap(), Word::Int(9));
+        let next = heap.alloc_array(1, Word::Int(-1)).unwrap();
+        assert_ne!(next, young, "the young block's index was reused");
     }
 
     #[test]
@@ -372,8 +394,10 @@ mod tests {
     /// The old collector's reachability, kept literally as the oracle: a
     /// set of marked slots grown from a worklist, with each block's
     /// references collected — from every element it reads back, whatever
-    /// its stored form — before they are followed.  Returns the blocks a
-    /// collection must free, as `(slot, index)` in slot order.
+    /// its stored form — before they are followed.  A minor collection
+    /// never frees an old block, so it seeds from every one of them.
+    /// Returns the blocks a collection must free, as `(slot, index)` in
+    /// slot order.
     fn reference_dead(heap: &Heap, roots: &[Word], minor: bool) -> Vec<(usize, PtrIdx)> {
         let table = &heap.table;
         let mut seeds: Vec<usize> = roots
@@ -388,11 +412,9 @@ mod tests {
             seeds.extend(level.allocated.iter().filter_map(|ptr| table.lookup(*ptr)));
         }
         if minor {
-            seeds.extend(
-                heap.remembered
-                    .iter()
-                    .filter(|s| heap.blocks[**s].is_some()),
-            );
+            seeds.extend(heap.blocks.iter().enumerate().filter_map(|(slot, block)| {
+                (block.as_ref()?.header.generation == Generation::Old).then_some(slot)
+            }));
         }
         let mut marked = BTreeSet::new();
         let mut work: Vec<usize> = seeds.into_iter().filter(|s| marked.insert(*s)).collect();
@@ -427,8 +449,8 @@ mod tests {
     /// freed, the order their indices return to the pointer table (read back
     /// by allocating: the free list hands out the last index freed first),
     /// no mark bit left set, and — for a major collection — compaction to
-    /// the rank of each surviving slot in the table, the speculation
-    /// records and the remembered set.
+    /// the rank of each surviving slot in the table and the speculation
+    /// records.
     fn checked_gc(heap: &mut Heap, roots: &[Word], major: bool) {
         let dead = reference_dead(heap, roots, !major);
         let dead_slots: BTreeSet<usize> = dead.iter().map(|(slot, _)| *slot).collect();
@@ -445,7 +467,6 @@ mod tests {
             .iter()
             .map(|level| level.saved.iter().map(|(p, s)| (*p, *s)).collect())
             .collect();
-        let remembered: BTreeSet<usize> = heap.remembered.iter().copied().collect();
         let collected = heap.stats.blocks_collected;
 
         if major {
@@ -481,27 +502,27 @@ mod tests {
             let got: Vec<(PtrIdx, usize)> = level.saved.iter().map(|(p, s)| (*p, *s)).collect();
             assert_eq!(got, want);
         }
-        let want: BTreeSet<usize> = remembered
-            .into_iter()
-            .filter(|slot| !dead_slots.contains(slot))
-            .map(new_slot)
-            .collect();
-        assert_eq!(
-            heap.remembered.iter().copied().collect::<BTreeSet<_>>(),
-            want
-        );
     }
 
     /// Apply one generated step to `heap`; `handles` are every index ever
-    /// allocated (stale ones make stores fail, which is fine).  Pointer
-    /// stores get three of the thirteen ops, so open levels hold preserved
-    /// originals and promoted blocks land in the remembered set.  Arrays
-    /// start as `Int` or `Float` columns (the collector never reads them)
-    /// or as pointer arrays; a pointer store into a column converts it,
-    /// and op 12 does so to a column a minor collection has just promoted,
-    /// which puts the converted block in the remembered set.
+    /// allocated, and operands are picked among the live ones: a stale
+    /// pointer whose index is reused would be an old-to-young edge no
+    /// program can store.  Pointer stores get three of the fourteen ops,
+    /// so open levels hold preserved originals and promoted blocks point
+    /// at young ones.  Arrays start as `Int` or `Float` columns (the
+    /// collector never reads them) or as pointer arrays; a pointer store
+    /// into a column converts it, and op 12 does so to a column a minor
+    /// collection has just promoted.  Op 13 stores a young pointer into a
+    /// promoted block, then commits a level that cloned the block, so the
+    /// clone in a new slot is what holds the pointer.
     fn step(heap: &mut Heap, handles: &mut Vec<PtrIdx>, (op, a, b, x): (u8, usize, usize, u64)) {
-        let handle = |i: usize| handles.get(i % handles.len().max(1)).copied();
+        let live: Vec<PtrIdx> = handles
+            .iter()
+            .filter(|p| heap.table.is_valid(**p))
+            .copied()
+            .collect();
+        let handle = |i: usize| live.get(i % live.len().max(1)).copied();
+        let all: Vec<Word> = handles.iter().map(|p| Word::Ptr(*p)).collect();
         match op {
             0 => handles.push(
                 heap.alloc_array((x % 5 + 1) as i64, Word::Int(x as i64))
@@ -545,18 +566,31 @@ mod tests {
                     let words = heap.block(*p).ok().and_then(|b| b.as_words());
                     words.is_some_and(|w| w.column_tag().is_some())
                 };
-                let columns: Vec<PtrIdx> = handles.iter().filter(|p| column(p)).copied().collect();
+                let columns: Vec<PtrIdx> = live.iter().filter(|p| column(p)).copied().collect();
                 if let (Some(&from), Some(to)) = (columns.get(a % columns.len().max(1)), handle(b))
                 {
-                    let all: Vec<Word> = handles.iter().map(|p| Word::Ptr(*p)).collect();
                     checked_gc(heap, &all, false);
                     let converted = heap.stats().column_conversions;
                     heap.store(from, 0, Word::Ptr(to)).unwrap();
                     assert_eq!(heap.stats().column_conversions, converted + 1);
-                    let slot = heap.table.lookup(from).expect("stored into");
-                    let old =
-                        heap.blocks[slot].as_ref().unwrap().header.generation == Generation::Old;
-                    assert_eq!(heap.remembered.contains(&slot), old);
+                }
+            }
+            13 => {
+                let pair = |p: &PtrIdx| {
+                    let words = heap.block(*p).ok().and_then(|b| b.as_words());
+                    words.is_some_and(|w| w.len() >= 2)
+                };
+                let holders: Vec<PtrIdx> = live.iter().filter(|p| pair(p)).copied().collect();
+                if let Some(&holder) = holders.get(a % holders.len().max(1)) {
+                    checked_gc(heap, &all, false);
+                    let young = heap
+                        .alloc_array((x % 5 + 1) as i64, Word::Int(x as i64))
+                        .unwrap();
+                    handles.push(young);
+                    heap.store(holder, 0, Word::Ptr(young)).unwrap();
+                    let level = heap.spec_enter();
+                    heap.store(holder, 1, Word::Int(x as i64)).unwrap();
+                    heap.spec_commit(level).unwrap();
                 }
             }
             _ => {}
@@ -574,15 +608,15 @@ mod tests {
     }
 
     proptest! {
-        /// On random heaps with open speculation levels, remembered-set
-        /// entries, promoted blocks, free slots, numeric columns, pointer
-        /// arrays and converted columns, every minor and major collection
+        /// On random heaps with open speculation levels, committed clones
+        /// of promoted blocks, free slots, numeric columns, pointer arrays
+        /// and converted columns, every minor and major collection
         /// frees exactly what the old set-based reachability frees, in the
         /// same order, leaves no mark bit set and compacts to the same
         /// slots.
         #[test]
         fn collections_match_the_set_based_reference(
-            steps in proptest::collection::vec((0u8..13, 0usize..48, 0usize..48, any::<u64>()), 1..48),
+            steps in proptest::collection::vec((0u8..14, 0usize..48, 0usize..48, any::<u64>()), 1..48),
             mask in any::<u64>(),
         ) {
             let mut heap = Heap::new();

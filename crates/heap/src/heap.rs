@@ -8,7 +8,7 @@ use crate::error::HeapError;
 use crate::pointer_table::{PointerTable, PtrIdx};
 use crate::stats::HeapStats;
 use crate::word::Word;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Per-block bookkeeping overhead in bytes: the header (index, kind,
 /// generation, mark) plus the pointer-table entry.  The paper reports "in
@@ -51,10 +51,6 @@ pub struct Heap {
     pub(crate) free_slots: Vec<usize>,
     /// The pointer table.
     pub(crate) table: PointerTable,
-    /// Slots of old-generation blocks that may contain pointers to young
-    /// blocks (the minor-collection remembered set, maintained by the write
-    /// barrier in [`Heap::store`]).
-    pub(crate) remembered: HashSet<usize>,
     /// Open speculation levels, oldest first (level 1 is index 0).
     pub(crate) spec_levels: Vec<SpecLevelRecord>,
     /// Configuration.
@@ -338,7 +334,8 @@ impl Heap {
     }
 
     /// Write a word into a word-addressed block, performing copy-on-write if
-    /// a speculation is open and maintaining the minor-GC write barrier.
+    /// a speculation is open.  A store tells the collector nothing: a minor
+    /// collection traces from every old block ([`Heap::gc_minor`]).
     ///
     /// The common store — an owned payload the open level (if any) already
     /// owns, and for a numeric column a value of its tag (8 bytes after
@@ -351,14 +348,11 @@ impl Heap {
         let block = self
             .table
             .lookup(ptr)
-            .and_then(|slot| Some((slot, self.blocks.get_mut(slot)?.as_mut()?)));
-        if let Some((
-            slot,
-            Block {
-                header,
-                data: BlockData::Words(words),
-            },
-        )) = block
+            .and_then(|slot| self.blocks.get_mut(slot)?.as_mut());
+        if let Some(Block {
+            header,
+            data: BlockData::Words(words),
+        }) = block
         {
             let i = usize::try_from(index)
                 .ok()
@@ -378,9 +372,6 @@ impl Heap {
                 if let Some(word) = i.and_then(|i| words.get_mut(i)) {
                     *word = value;
                     list_dirty(&mut self.dirty, self.clean_epoch, header);
-                    if header.generation == Generation::Old && value.is_ptr() {
-                        self.remembered.insert(slot);
-                    }
                     return Ok(());
                 }
             }
@@ -401,15 +392,10 @@ impl Heap {
         let Some(slot) = slot else {
             return Err(self.word_access_error(ptr, index, true));
         };
-        let (block, slot) = self.writable_block(ptr, slot);
-        let BlockData::Words(words) = &mut block.data else {
+        let BlockData::Words(words) = &mut self.writable_block(ptr, slot).data else {
             unreachable!("validated as a word block")
         };
         let converted = words.set(index as usize, value);
-        // Write barrier: an old block now (possibly) references a young one.
-        if block.header.generation == Generation::Old && value.is_ptr() {
-            self.remembered.insert(slot);
-        }
         self.stats.column_conversions += u64::from(converted);
         Ok(())
     }
@@ -491,7 +477,7 @@ impl Heap {
     ) -> Result<(), HeapError> {
         let off = self.check_raw_access(ptr, offset, width, true)?;
         let slot = self.slot_of(ptr)?;
-        let bytes = self.writable_block(ptr, slot).0.data.bytes_mut();
+        let bytes = self.writable_block(ptr, slot).data.bytes_mut();
         let le = value.to_le_bytes();
         bytes[off..off + width as usize].copy_from_slice(&le[..width as usize]);
         Ok(())
@@ -532,7 +518,7 @@ impl Heap {
             }
         }
         let slot = self.slot_of(dst)?;
-        self.writable_block(dst, slot).0.data.bytes_mut()[..len].copy_from_slice(&data);
+        self.writable_block(dst, slot).data.bytes_mut()[..len].copy_from_slice(&data);
         Ok(())
     }
 
@@ -554,8 +540,8 @@ impl Heap {
     // ------------------------------------------------------------------
 
     /// The block a validated write through `ptr` (now at `slot`) may
-    /// mutate, and its slot: a fresh copy-on-write clone if a level is open
-    /// and the block predates it, the block itself otherwise.
+    /// mutate: a fresh copy-on-write clone if a level is open and the block
+    /// predates it, the block itself otherwise.
     ///
     /// A block needs a clone iff `stamp < top.enter_epoch` — the same
     /// blocks the top level's record neither preserves nor allocated, under
@@ -565,7 +551,7 @@ impl Heap {
     /// copy the caller's write is about to pay because the payload is
     /// shared with a clone or a live [`crate::HeapSnapshot`].
     #[inline]
-    fn writable_block(&mut self, ptr: PtrIdx, slot: usize) -> (&mut Block, usize) {
+    fn writable_block(&mut self, ptr: PtrIdx, slot: usize) -> &mut Block {
         let enter_epoch = self.spec_levels.last().map_or(0, |top| top.enter_epoch);
         let slot = match &self.blocks[slot] {
             Some(block) if block.header.stamp < enter_epoch => self.cow_clone(ptr, slot),
@@ -579,7 +565,7 @@ impl Heap {
             self.stats.shared_payload_copies += 1;
             self.stats.shared_payload_bytes += block.data.byte_size() as u64;
         }
-        (block, slot)
+        block
     }
 
     /// Clone-before-write (paper §4.3).  The *original* block stays at
@@ -709,7 +695,6 @@ impl Heap {
         if let Some(block) = self.blocks[slot].take() {
             self.live_bytes = self.live_bytes.saturating_sub(block.byte_size());
             self.free_slots.push(slot);
-            self.remembered.remove(&slot);
         }
     }
 

@@ -382,6 +382,16 @@ impl Pair {
                         }
                     }
                 }
+                // Whatever the model still holds, the collector kept.
+                for (holder, (data, _)) in &self.model.view {
+                    let BlockData::Words(words) = data else {
+                        continue;
+                    };
+                    for ptr in words.iter().filter_map(|w| w.as_ptr()) {
+                        let valid = self.heap.pointer_table().is_valid(ptr);
+                        assert!(valid, "{holder} holds dangling {ptr}");
+                    }
+                }
             }
             Op::MarkClean => {
                 self.heap.mark_clean();
@@ -484,6 +494,40 @@ fn mark_clean_inside_a_level_then_rollback_relists_the_original() {
     ]);
     assert_eq!(shipped(&pair.heap), (vec![PtrIdx(0)], vec![]));
     assert_eq!(pair.heap.load(PtrIdx(0), 0).unwrap(), Word::Int(1));
+}
+
+/// A store inside a level clones the promoted #0 into a new slot and the
+/// commit discards the original, so the clone alone holds #0's pointer to
+/// the young #3 when a minor collection runs without rooting either.
+#[test]
+fn minor_gc_after_a_commit_keeps_what_the_committed_clone_references() {
+    let pair = run(&[
+        Op::AllocArray(2),
+        Op::Gc {
+            major: false,
+            skip: 1,
+        }, // #0 is rooted and promoted
+        Op::AllocArray(2),
+        Op::AllocArray(2),
+        Op::AllocArray(2),
+        Op::Store {
+            target: 0,
+            index: 0,
+            val: 3,
+        }, // #0[0] = Ptr(#3)
+        Op::Enter,
+        Op::Store {
+            target: 0,
+            index: 1,
+            val: 1,
+        }, // cloned
+        Op::Commit(0),
+        Op::Gc {
+            major: false,
+            skip: 0,
+        }, // roots #1 and #2 only
+    ]);
+    assert_eq!(pair.heap.load(PtrIdx(3), 0).unwrap(), Word::Int(0));
 }
 
 /// An index the collector frees inside a level is reallocated there: the
