@@ -13,7 +13,9 @@
 //!   that holds a few words fails with the codec's precise error within
 //!   the same 128 MiB, and within its tag slab plus the column it claims.
 //! * One foreign tag in a `Float` run makes a tagged block, whose words
-//!   are checked like any other.
+//!   are checked like any other: an invalid `(tag, payload)` pair
+//!   anywhere in the run, past its first 256 words or at its end, is the
+//!   same precise error.
 //!
 //! The counters are process-wide, so the tests take turns.
 
@@ -205,36 +207,43 @@ fn a_forged_all_int_run_fails_precisely_within_its_tags_and_column() {
 
 #[test]
 fn a_foreign_tag_in_a_float_run_decodes_tagged_and_is_checked() {
-    const LEN: usize = 40;
+    // The slab decoder checks a run 256 words at a time: word 256 opens
+    // the second chunk, and word 299 ends the run.
+    const LEN: usize = 300;
     const AT: usize = 17;
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
-    let float_run = |foreign: u8, payload: u64| {
+    let float_run = |at: usize, foreign: u8, payload: u64| {
         let mut tags = [2u8; LEN];
-        tags[AT] = foreign;
+        tags[at] = foreign;
         let mut words: Vec<u64> = (0..LEN).map(|i| (i as f64).to_bits()).collect();
-        words[AT] = payload;
+        words[at] = payload;
         let raw: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         one_array(LEN, (CodecId::Raw, &tags), (CodecId::Raw, &raw))
     };
     let ptr = PtrIdx(0);
     let form = |heap: &Heap| heap.block(ptr).unwrap().as_words().unwrap().column_tag();
 
-    let floats = decode(&float_run(2, 0.25f64.to_bits())).unwrap();
+    let floats = decode(&float_run(AT, 2, 0.25f64.to_bits())).unwrap();
     assert_eq!(form(&floats), Some(Numeric::Float));
     assert_eq!(floats.load(ptr, AT as i64).unwrap(), Word::Float(0.25));
 
-    let mixed = decode(&float_run(1, 7)).unwrap();
+    let mixed = decode(&float_run(AT, 1, 7)).unwrap();
     assert_eq!(form(&mixed), None);
     assert_eq!(mixed.load(ptr, AT as i64).unwrap(), Word::Int(7));
     assert_eq!(mixed.load(ptr, AT as i64 + 1).unwrap(), Word::Float(18.0));
 
     let bad = |context, tag| Err(WireError::BadTag { context, tag });
-    assert_eq!(
-        decode(&float_run(4, 0xD800)).map(|_| ()),
-        bad("Word::Char payload", 0xD800)
-    );
-    assert_eq!(
-        decode(&float_run(3, 2)).map(|_| ()),
-        bad("Word::Bool payload", 2)
-    );
+    let beyond_u32 = 1u64 << 32;
+    for at in [AT, 256, LEN - 1] {
+        for (tag, payload, error) in [
+            (4, 0xD800, bad("Word::Char payload", 0xD800)),
+            (3, 2, bad("Word::Bool payload", 2)),
+            (7, 0, bad("Word tag", 7)),
+            (5, beyond_u32, bad("Word::Ptr payload", beyond_u32)),
+            (6, u64::MAX, bad("Word::Fun payload", u64::MAX)),
+        ] {
+            let got = decode(&float_run(at, tag, payload)).map(|_| ());
+            assert_eq!(got, error, "tag {tag} at word {at}");
+        }
+    }
 }

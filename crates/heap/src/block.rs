@@ -381,7 +381,7 @@ impl BlockData {
     }
 
     /// Whether the payload is held by its block alone and was not shared
-    /// since it was last written ([`Payload::Owned`]).
+    /// since it was last written.
     pub fn is_owned(&self) -> bool {
         match self {
             BlockData::Words(w) => w.is_owned(),

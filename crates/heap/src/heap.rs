@@ -789,14 +789,13 @@ impl Heap {
     ///
     /// This is the zero-pause half of the asynchronous checkpoint pipeline
     /// (paper §4.3's copy-on-write machinery turned outward): the freeze
-    /// shares each block's payload in place ([`crate::Payload`]) instead
-    /// of copying bytes, paying one `Arc` allocation per block whose
-    /// payload was still owned.  The mutator resumes immediately; the
-    /// first subsequent write to each block pays that block's copy lazily
-    /// while the snapshot still holds it
-    /// ([`HeapStats::shared_payload_copies`] counts them), exactly like
-    /// the first write inside a speculation level, and takes the payload
-    /// back without a copy once the snapshot is gone.
+    /// shares each block's payload in place instead of copying bytes,
+    /// paying one `Arc` allocation per block whose payload was still
+    /// owned.  The mutator resumes immediately; the first subsequent write
+    /// to each block pays that block's copy lazily while the snapshot
+    /// still holds it ([`HeapStats::shared_payload_copies`] counts them),
+    /// exactly like the first write inside a speculation level, and takes
+    /// the payload back without a copy once the snapshot is gone.
     ///
     /// The snapshot also captures the dirty/freed tracking state, so it
     /// encodes the delta of the freeze point as well as the full image.

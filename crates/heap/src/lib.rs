@@ -79,7 +79,7 @@ mod snapshot;
 mod stats;
 mod word;
 
-pub use block::{Block, BlockData, BlockHeader, BlockKind, Generation, Numeric, Payload, Words};
+pub use block::{Block, BlockData, BlockHeader, BlockKind, Generation, Numeric, Words};
 pub use cow::SpecLevelRecord;
 pub use error::HeapError;
 pub use gc::GcKind;

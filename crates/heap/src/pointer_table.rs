@@ -188,13 +188,6 @@ impl PointerTable {
                 Entry::Free { .. } => None,
             })
     }
-
-    /// Bytes of overhead attributable to the table itself (used by the
-    /// per-block overhead accounting the paper reports: "the overhead is in
-    /// excess of 12 bytes per block, including the pointer table").
-    pub fn overhead_bytes(&self) -> usize {
-        self.entries.len() * std::mem::size_of::<usize>()
-    }
 }
 
 #[cfg(test)]

@@ -2,13 +2,13 @@
 //!
 //! [`Heap::freeze`](crate::Heap::freeze) captures the program-visible heap
 //! state as an owned [`HeapSnapshot`] in O(pointer-table) time: it shares
-//! each block's payload in place ([`crate::Payload`]: a block that still
-//! owned its `Vec` wraps it in an `Arc`, one allocation and no copy) and
-//! records a second reference.  The mutator's first subsequent write to
-//! each block copies it while the snapshot still holds it, and takes the
-//! payload back without a copy once the snapshot is dropped — the same
-//! copy-on-write discipline speculation levels use (paper §4.3), opened
-//! outward so a *checkpoint* no longer stops the world.  Between freezes a
+//! each block's payload in place (a block that still owned its `Vec`
+//! wraps it in an `Arc`, one allocation and no copy) and records a second
+//! reference.  The mutator's first subsequent write to each block copies
+//! it while the snapshot still holds it, and takes the payload back
+//! without a copy once the snapshot is dropped — the same copy-on-write
+//! discipline speculation levels use (paper §4.3), opened outward so a
+//! *checkpoint* no longer stops the world.  Between freezes a
 //! store writes an owned payload in place and pays no atomic.
 //!
 //! Every heap image is encoded from a snapshot

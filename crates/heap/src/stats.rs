@@ -20,10 +20,10 @@ pub struct HeapStats {
     /// Copy-on-write clones made on behalf of open speculations.
     pub cow_clones: u64,
     /// Bytes *logically preserved* by those clones.  The clone shares the
-    /// original's payload ([`crate::Payload`]) rather than copying it; the
-    /// physical copy is deferred to the first write of a still-shared
-    /// payload and recorded in [`HeapStats::shared_payload_bytes`] — do
-    /// not sum the two counters as if they were independent copies.
+    /// original's payload rather than copying it; the physical copy is
+    /// deferred to the first write of a still-shared payload and recorded
+    /// in [`HeapStats::shared_payload_bytes`] — do not sum the two
+    /// counters as if they were independent copies.
     pub cow_bytes: u64,
     /// Speculation levels entered.
     pub speculations_entered: u64,

@@ -14,7 +14,7 @@
 //! indices the collector freed from the heap itself, and applies the
 //! bookkeeping rule for a free to each.
 
-use mojave_heap::{BlockData, BlockKind, Heap, HeapSnapshot, ImageKind, PtrIdx, Word};
+use mojave_heap::{BlockKind, Heap, HeapSnapshot, ImageKind, PtrIdx, Word};
 use mojave_wire::{CodecSet, WireCodec, WireReader, WireWriter};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -84,22 +84,39 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// A payload's identity, for reference counting.
 type Payload = u64;
 
+/// A block's program-visible content as the model keeps it: its own words
+/// or bytes, never the heap's stored form.
+#[derive(Debug, Clone, PartialEq)]
+enum Content {
+    Words(Vec<Word>),
+    Bytes(Vec<u8>),
+}
+
+impl Content {
+    fn len(&self) -> usize {
+        match self {
+            Content::Words(words) => words.len(),
+            Content::Bytes(bytes) => bytes.len(),
+        }
+    }
+}
+
 /// What one open level remembers, as sets.
 #[derive(Debug, Default)]
 struct ModelLevel {
     /// Content and payload of each block at its first write in this level.
-    saved: BTreeMap<PtrIdx, (BlockData, Payload)>,
+    saved: BTreeMap<PtrIdx, (Content, Payload)>,
     allocated: HashSet<PtrIdx>,
     /// The program-visible state at `spec_enter`, less what a collection
     /// has freed since (unreachable blocks do not come back).
-    view_at_enter: HashMap<u32, BlockData>,
+    view_at_enter: HashMap<u32, Content>,
 }
 
 /// The reference model: today's rule, kept as sets.
 #[derive(Debug, Default)]
 struct Model {
     /// Program-visible content and current payload per live index.
-    view: BTreeMap<PtrIdx, (BlockData, Payload)>,
+    view: BTreeMap<PtrIdx, (Content, Payload)>,
     levels: Vec<ModelLevel>,
     tracking: bool,
     dirty: BTreeSet<PtrIdx>,
@@ -124,7 +141,7 @@ impl Model {
         *self.refs.get_mut(&payload).expect("known payload") -= 1;
     }
 
-    fn alloc(&mut self, ptr: PtrIdx, data: BlockData) {
+    fn alloc(&mut self, ptr: PtrIdx, data: Content) {
         let payload = self.fresh_payload();
         self.view.insert(ptr, (data, payload));
         if self.tracking {
@@ -139,7 +156,7 @@ impl Model {
     /// A mutation of `ptr`: clone first iff a level is open and its record
     /// neither preserves nor allocated the block; then the write un-shares
     /// the payload if anything else still holds it.
-    fn write(&mut self, ptr: PtrIdx, mutate: impl FnOnce(&mut BlockData)) {
+    fn write(&mut self, ptr: PtrIdx, mutate: impl FnOnce(&mut Content)) {
         let (data, payload) = self.view[&ptr].clone();
         if let Some(top) = self.levels.last_mut() {
             if !top.saved.contains_key(&ptr) && !top.allocated.contains(&ptr) {
@@ -171,7 +188,7 @@ impl Model {
         }
     }
 
-    fn enter(&mut self, view_at_enter: HashMap<u32, BlockData>) {
+    fn enter(&mut self, view_at_enter: HashMap<u32, Content>) {
         self.levels.push(ModelLevel {
             view_at_enter,
             ..ModelLevel::default()
@@ -196,7 +213,7 @@ impl Model {
     }
 
     /// Returns the state the heap must now show: the one at `spec_enter`.
-    fn rollback(&mut self, level: usize) -> HashMap<u32, BlockData> {
+    fn rollback(&mut self, level: usize) -> HashMap<u32, Content> {
         let mut restored = HashMap::new();
         while self.levels.len() >= level {
             let record = self.levels.pop().expect("level count checked");
@@ -221,7 +238,7 @@ impl Model {
         self.freed.clear();
     }
 
-    fn program_view(&self) -> HashMap<u32, BlockData> {
+    fn program_view(&self) -> HashMap<u32, Content> {
         self.view
             .iter()
             .map(|(ptr, (data, _))| (ptr.0, data.clone()))
@@ -277,25 +294,28 @@ fn shipped(heap: &Heap) -> (Vec<PtrIdx>, Vec<PtrIdx>) {
     (dirty, freed)
 }
 
-/// Deep copy: fresh payloads, so holding the result shares nothing with
-/// the heap (a plain `snapshot()` clone would, and move the counters).
-fn detached(snapshot: HashMap<u32, BlockData>) -> HashMap<u32, BlockData> {
-    snapshot
-        .into_iter()
-        .map(|(idx, data)| {
-            let copy = match &data {
-                BlockData::Words(w) => BlockData::words(w.to_vec()),
-                BlockData::Bytes(b) => BlockData::bytes(b.to_vec()),
+/// The heap's program-visible state, read out into the model's own form:
+/// each word block through `as_words().iter()`, each byte block copied.
+/// Holding the result shares nothing with the heap (a `snapshot()` clone
+/// would, and move the counters).
+fn detached(heap: &Heap) -> HashMap<u32, Content> {
+    heap.pointer_table()
+        .iter_used()
+        .map(|(ptr, _)| {
+            let block = heap.block(ptr).unwrap();
+            let content = match block.as_words() {
+                Some(words) => Content::Words(words.iter().collect()),
+                None => Content::Bytes(block.as_bytes().unwrap().to_vec()),
             };
-            (idx, copy)
+            (ptr.0, content)
         })
         .collect()
 }
 
 impl Pair {
     fn live(&self, words: bool) -> Vec<PtrIdx> {
-        let of_kind = |(ptr, (data, _)): (&PtrIdx, &(BlockData, Payload))| {
-            (matches!(data, BlockData::Words(_)) == words).then_some(*ptr)
+        let of_kind = |(ptr, (data, _)): (&PtrIdx, &(Content, Payload))| {
+            (matches!(data, Content::Words(_)) == words).then_some(*ptr)
         };
         self.model.view.iter().filter_map(of_kind).collect()
     }
@@ -306,12 +326,12 @@ impl Pair {
             Op::AllocArray(len) => {
                 let ptr = self.heap.alloc_array(len, Word::Int(0)).unwrap();
                 let words = vec![Word::Int(0); len as usize];
-                self.model.alloc(ptr, BlockData::words(words));
+                self.model.alloc(ptr, Content::Words(words));
             }
             Op::AllocRaw(size) => {
                 let ptr = self.heap.alloc_raw(size).unwrap();
                 self.model
-                    .alloc(ptr, BlockData::bytes(vec![0; size as usize]));
+                    .alloc(ptr, Content::Bytes(vec![0; size as usize]));
             }
             Op::Store { target, index, val } if !arrays.is_empty() => {
                 let ptr = arrays[target % arrays.len()];
@@ -322,14 +342,17 @@ impl Pair {
                     Word::Int(val)
                 };
                 self.heap.store(ptr, index as i64, value).unwrap();
-                self.model
-                    .write(ptr, |data| data.words_mut()[index] = value);
+                self.model.write(ptr, |data| match data {
+                    Content::Words(words) => words[index] = value,
+                    Content::Bytes(_) => unreachable!("a word block"),
+                });
             }
             Op::StoreRaw { target, val } if !raws.is_empty() => {
                 let ptr = raws[target % raws.len()];
                 self.heap.store_raw(ptr, 0, 8, val).unwrap();
-                self.model.write(ptr, |data| {
-                    data.bytes_mut()[..8].copy_from_slice(&val.to_le_bytes())
+                self.model.write(ptr, |data| match data {
+                    Content::Bytes(bytes) => bytes[..8].copy_from_slice(&val.to_le_bytes()),
+                    Content::Words(_) => unreachable!("a raw block"),
                 });
             }
             Op::CopyRaw { src, dst } if !raws.is_empty() => {
@@ -337,15 +360,17 @@ impl Pair {
                 self.heap.copy_raw(src, dst, 8).unwrap();
                 let head = self.model.view[&src].0.clone();
                 let head = match &head {
-                    BlockData::Bytes(b) => b[..8].to_vec(),
-                    BlockData::Words(_) => unreachable!("raw block"),
+                    Content::Bytes(b) => b[..8].to_vec(),
+                    Content::Words(_) => unreachable!("raw block"),
                 };
-                self.model
-                    .write(dst, |data| data.bytes_mut()[..8].copy_from_slice(&head));
+                self.model.write(dst, |data| match data {
+                    Content::Bytes(bytes) => bytes[..8].copy_from_slice(&head),
+                    Content::Words(_) => unreachable!("a raw block"),
+                });
             }
             Op::Enter => {
                 let level = self.heap.spec_enter();
-                self.model.enter(detached(self.heap.snapshot()));
+                self.model.enter(detached(&self.heap));
                 assert_eq!(level, self.model.levels.len());
             }
             Op::Commit(level) if !self.model.levels.is_empty() => {
@@ -357,7 +382,7 @@ impl Pair {
                 let level = 1 + level % self.model.levels.len();
                 self.heap.spec_rollback(level).unwrap();
                 let at_enter = self.model.rollback(level);
-                assert_eq!(self.heap.snapshot(), at_enter, "rollback is exact");
+                assert_eq!(detached(&self.heap), at_enter, "rollback is exact");
             }
             Op::Gc { major, skip } => {
                 let roots: Vec<Word> = self
@@ -384,7 +409,7 @@ impl Pair {
                 }
                 // Whatever the model still holds, the collector kept.
                 for (holder, (data, _)) in &self.model.view {
-                    let BlockData::Words(words) = data else {
+                    let Content::Words(words) = data else {
                         continue;
                     };
                     for ptr in words.iter().filter_map(|w| w.as_ptr()) {
@@ -434,7 +459,7 @@ impl Pair {
 
     fn check(&self) {
         let (heap, model) = (&self.heap, &self.model);
-        assert_eq!(heap.snapshot(), model.program_view());
+        assert_eq!(detached(heap), model.program_view());
         assert_eq!(heap.stats().cow_clones, model.cow_clones);
         assert_eq!(
             heap.stats().shared_payload_copies,
