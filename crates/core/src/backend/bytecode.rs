@@ -236,6 +236,78 @@ pub enum Instr {
     },
 }
 
+impl Instr {
+    /// Call `f` with every register this instruction reads.
+    pub(crate) fn reads(&self, mut f: impl FnMut(Reg)) {
+        use Instr as I;
+        match self {
+            I::Const { .. } | I::FunRef { .. } | I::Jump { .. } => {}
+            I::Move { src, .. } | I::Unop { src, .. } => f(*src),
+            I::Binop { lhs, rhs, .. } => [*lhs, *rhs].into_iter().for_each(f),
+            I::Alloc { len, init, .. } => [*len, *init].into_iter().for_each(f),
+            I::AllocRaw { size, .. } => f(*size),
+            I::Tuple { args, .. } | I::Ext { args, .. } | I::TailCallDirect { args, .. } => {
+                args.iter().copied().for_each(f)
+            }
+            I::Closure { captured, .. } => captured.iter().copied().for_each(f),
+            I::Load { ptr, index, .. } => [*ptr, *index].into_iter().for_each(f),
+            I::Store { ptr, index, value } => [*ptr, *index, *value].into_iter().for_each(f),
+            I::LoadRaw { ptr, offset, .. } => [*ptr, *offset].into_iter().for_each(f),
+            I::StoreRaw {
+                ptr, offset, value, ..
+            } => [*ptr, *offset, *value].into_iter().for_each(f),
+            I::Len { ptr, .. } => f(*ptr),
+            I::JumpIfFalse { cond, .. } => f(*cond),
+            I::TailCall { target, args } => {
+                f(*target);
+                args.iter().copied().for_each(f)
+            }
+            I::Halt { value } => f(*value),
+            I::Migrate {
+                target, fun, args, ..
+            } => {
+                f(*target);
+                f(*fun);
+                args.iter().copied().for_each(f)
+            }
+            I::Speculate { fun, args } => {
+                f(*fun);
+                args.iter().copied().for_each(f)
+            }
+            I::Commit { level, fun, args } => {
+                f(*level);
+                f(*fun);
+                args.iter().copied().for_each(f)
+            }
+            I::Rollback { level, code } => {
+                f(*level);
+                f(*code)
+            }
+        }
+    }
+
+    /// The register this instruction writes, if any.
+    pub(crate) fn writes(&self) -> Option<Reg> {
+        use Instr as I;
+        match *self {
+            I::Const { dst, .. }
+            | I::FunRef { dst, .. }
+            | I::Move { dst, .. }
+            | I::Unop { dst, .. }
+            | I::Binop { dst, .. }
+            | I::Alloc { dst, .. }
+            | I::AllocRaw { dst, .. }
+            | I::Tuple { dst, .. }
+            | I::Closure { dst, .. }
+            | I::Load { dst, .. }
+            | I::LoadRaw { dst, .. }
+            | I::Len { dst, .. }
+            | I::Ext { dst, .. } => Some(dst),
+            _ => None,
+        }
+    }
+}
+
 /// A compiled function.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BcFun {

@@ -24,20 +24,28 @@
 //! step budget cannot cover both, the VM runs only the first and stops at
 //! the second as it always did (see `Process::vm_loop`).
 //!
-//! **Load forwarding.**  Lowering keeps locals in heap frames, so a loop
-//! body reads the same frame slot many times.  One forward pass over each
-//! straight-line run records which register holds the word at
-//! `(pointer register, constant Int index)`, and a `Load` whose word is
-//! already in a register becomes a copy: a lone `Load` an [`Op::Move`], a
-//! fused `Const`-`Load` pair an [`Op::ConstMove`].  The pass forgets
-//! everything at every jump target, after every `Jump`, and at every
-//! `Store` and every instruction the VM runs as [`Op::Instr`] (allocation,
-//! `StoreRaw`, `Ext`, calls, effects); it forgets one record when its
-//! pointer or value register is written.  So the earlier identical load
-//! succeeded and nothing since could change that block's words, length or
-//! liveness: the replaced load would read the same word and cannot trap.
-//! It still charges its step, so step counts, traps and budgets are those
-//! of the instruction stream.
+//! **Calls reset only what can be observed.**  A call writes its arguments
+//! into registers `0..nparams` and `Unit` into the function's *reset list*
+//! ([`ExecFun::reset`]); every other register keeps whatever the previous
+//! activation left there.  The list is a forward must-analysis of the
+//! registers *definitely written* since entry (definite assignment, as the
+//! JVM verifier does it), computed once here and never serialised.  A
+//! register `r >= nparams` is on it if some instruction reads `r`, or some
+//! *collection point* is reached, where `r` may not have been written.  The
+//! collection points are every instruction that can allocate or snapshot —
+//! `Alloc`, `AllocRaw`, `Tuple`, `Closure`, a string `Const`, `Ext`,
+//! `Migrate`, `Speculate`, `Commit`, `Rollback` — because a collection
+//! takes the whole register file as roots.  So no stale value is ever read
+//! or scanned, every collection sees the roots a full reset would give it,
+//! and a hostile binary that reads a register it never wrote still reads
+//! `Unit`.  Under `debug_assertions` (poison mode) the VM fills every
+//! register the list leaves stale with an invalid pointer and asserts at
+//! each collection point that none is left in the file.
+//!
+//! **Self tail calls are jumps.**  A `TailCallDirect` to the running
+//! function whose arguments are exactly its parameters in order (every
+//! lowered loop calls itself with `(frame, retk)`) becomes [`Op::Recur`]:
+//! apply the reset list and go to pc 0.  It charges its one step.
 
 use super::bytecode::{BcFun, BytecodeProgram, Const, Instr, Reg};
 use mojave_fir::Binop;
@@ -104,13 +112,6 @@ pub(crate) enum Op {
         lhs: Reg,
         rhs: Reg,
     },
-    /// `Const { dst: konst }` then a `Load` (reading `konst`) whose word
-    /// register `src` already holds: the load is a copy.
-    ConstMove {
-        konst: Reg,
-        dst: Reg,
-        src: Reg,
-    },
     /// A comparison `Binop` into `dst`, then `JumpIfFalse { cond: dst }`.
     CompareBranch {
         dst: Reg,
@@ -119,6 +120,9 @@ pub(crate) enum Op {
         rhs: Reg,
         target: usize,
     },
+    /// A `TailCallDirect` of the running function with its own parameters
+    /// as arguments: reset, then jump to pc 0.
+    Recur,
 }
 
 // The loop streams through ops: keep them well under an `Instr` (56 bytes).
@@ -131,6 +135,8 @@ pub(crate) struct ExecFun {
     pub(crate) ops: Box<[Op]>,
     /// The value of the scalar `Const` at each pc; `Unit` elsewhere.
     pub(crate) consts: Box<[Word]>,
+    /// The registers a call writes `Unit` into, ascending (module docs).
+    pub(crate) reset: Box<[Reg]>,
 }
 
 /// A verified program and the execution form the VM runs it in.
@@ -138,14 +144,24 @@ pub(crate) struct ExecFun {
 pub(crate) struct Executable {
     program: BytecodeProgram,
     funs: Vec<ExecFun>,
+    /// The largest `nregs` of any function: the register file's size.
+    file_len: usize,
 }
 
 impl Executable {
     /// Lower `program`, which must already have passed
     /// [`BytecodeProgram::verify`].
     pub(crate) fn new(program: BytecodeProgram) -> Self {
-        let funs = program.funs.iter().map(|f| lower(&f.code)).collect();
-        Executable { program, funs }
+        let funs = (0..)
+            .zip(&program.funs)
+            .map(|(id, f)| lower(id, f))
+            .collect();
+        let file_len = program.funs.iter().map(|f| f.nregs as usize).max();
+        Executable {
+            funs,
+            file_len: file_len.unwrap_or(0),
+            program,
+        }
     }
 
     /// The bytecode this form was lowered from (what images ship).
@@ -158,9 +174,16 @@ impl Executable {
         let id = id as usize;
         Some((self.program.funs.get(id)?, self.funs.get(id)?))
     }
+
+    /// Registers the VM's file needs: every function's fit.
+    pub(crate) fn file_len(&self) -> usize {
+        self.file_len
+    }
 }
 
-fn lower(code: &[Instr]) -> ExecFun {
+/// Function `id`'s execution form.
+fn lower(id: u32, fun: &BcFun) -> ExecFun {
+    let code = &fun.code;
     let consts = code
         .iter()
         .map(|instr| match instr {
@@ -174,16 +197,19 @@ fn lower(code: &[Instr]) -> ExecFun {
             _ => Word::Unit,
         })
         .collect();
-    let copies = forwarded_loads(code);
-    let ops = (0..code.len()).map(|pc| op(code, &copies, pc)).collect();
-    ExecFun { ops, consts }
+    let ops = (0..code.len()).map(|pc| op(id, fun, pc)).collect();
+    ExecFun {
+        ops,
+        consts,
+        reset: reset_list(fun),
+    }
 }
 
-/// The op for the instruction at `pc`, fused with the next where the two
-/// are one of the pairs the module docs name; `copies` is
-/// [`forwarded_loads`]`(code)`.
-fn op(code: &[Instr], copies: &[Option<Reg>], pc: usize) -> Op {
+/// The op for the instruction at `pc` of function `id`, fused with the next
+/// where the two are one of the pairs the module docs name.
+fn op(id: u32, fun: &BcFun, pc: usize) -> Op {
     use Instr as I;
+    let code = &fun.code;
     match (&code[pc], code.get(pc + 1)) {
         (
             I::Const {
@@ -195,14 +221,11 @@ fn op(code: &[Instr], copies: &[Option<Reg>], pc: usize) -> Op {
         (&I::Const { dst: konst, .. }, Some(&I::Load { dst, ptr, index }))
             if konst == ptr || konst == index =>
         {
-            match copies[pc + 1] {
-                Some(src) => Op::ConstMove { konst, dst, src },
-                None => Op::ConstLoad {
-                    konst,
-                    dst,
-                    ptr,
-                    index,
-                },
+            Op::ConstLoad {
+                konst,
+                dst,
+                ptr,
+                index,
             }
         }
         (&I::Const { dst: konst, .. }, Some(&I::Store { ptr, index, value }))
@@ -240,109 +263,125 @@ fn op(code: &[Instr], copies: &[Option<Reg>], pc: usize) -> Op {
         }
         (&I::Binop { dst, op, lhs, rhs }, _) => Op::Binop { dst, op, lhs, rhs },
         (&I::Move { dst, src }, _) => Op::Move { dst, src },
-        (&I::Load { dst, ptr, index }, _) => match copies[pc] {
-            Some(src) => Op::Move { dst, src },
-            None => Op::Load { dst, ptr, index },
-        },
+        (&I::Load { dst, ptr, index }, _) => Op::Load { dst, ptr, index },
         (&I::Store { ptr, index, value }, _) => Op::Store { ptr, index, value },
         (&I::JumpIfFalse { cond, target }, _) => Op::JumpIfFalse { cond, target },
         (&I::Jump { target }, _) => Op::Jump { target },
+        (I::TailCallDirect { fun: callee, args }, _)
+            if *callee == id && args.iter().copied().eq(0..fun.nparams) =>
+        {
+            Op::Recur
+        }
         _ => Op::Instr,
     }
 }
 
-/// For each pc, the register that already holds the word the `Load` there
-/// reads, where the forwarding rules in the module docs find one.
-fn forwarded_loads(code: &[Instr]) -> Vec<Option<Reg>> {
-    let mut is_target = vec![false; code.len()];
+/// Function `fun`'s reset list: the registers `r >= nparams` that some
+/// instruction reads, or some collection point reaches, where `r` may not
+/// have been written since entry.
+///
+/// One forward pass in pc order.  `written` is the must-set at the current
+/// pc; `trail` lists what it gained since entry, in order, so a branch can
+/// be undone.  A forward branch pushes its target and the trail length; a
+/// pc entered only from the branch on top of that stack (the compiler's
+/// `if`/`else`: the then-code ends in a terminator) restores the set the
+/// branch saw.  Any other join — a fall-through meeting a jump, several
+/// jumps, a backward jump, unreachable code — drops back to the
+/// parameters alone, which only ever adds registers to the list.
+fn reset_list(fun: &BcFun) -> Box<[Reg]> {
+    let (nregs, nparams) = (fun.nregs as usize, fun.nparams as usize);
+    let code = &fun.code;
+    let mut jumps_in = vec![0u8; code.len()];
     for instr in code {
         if let Instr::Jump { target } | Instr::JumpIfFalse { target, .. } = *instr {
-            is_target[target] = true;
+            jumps_in[target] = jumps_in[target].saturating_add(1);
         }
     }
-    let mut known = Known::default();
-    code.iter()
-        .zip(is_target)
-        .map(|(instr, is_target)| {
-            if is_target {
-                known.forget_all();
+    let words = nregs.div_ceil(64);
+    let mut written = vec![0u64; words];
+    let mut reset = vec![0u64; words];
+    let has = |bits: &[u64], r: usize| bits[r / 64] >> (r % 64) & 1 == 1;
+    for r in 0..nparams {
+        written[r / 64] |= 1 << (r % 64);
+    }
+    let mut trail: Vec<usize> = Vec::new();
+    let mut branches: Vec<(usize, usize)> = Vec::new();
+    let mut falls_in = true;
+    for (pc, instr) in code.iter().enumerate() {
+        let restore = match (falls_in, jumps_in[pc]) {
+            (true, 0) => None,
+            (false, 1) if branches.last().is_some_and(|&(target, _)| target == pc) => {
+                branches.pop().map(|(_, len)| len)
             }
-            known.step(instr)
-        })
+            _ => {
+                branches.clear();
+                Some(0)
+            }
+        };
+        if let Some(len) = restore {
+            for r in trail.drain(len..) {
+                written[r / 64] &= !(1 << (r % 64));
+            }
+        }
+        instr.reads(|r| {
+            if !has(&written, r as usize) {
+                reset[r as usize / 64] |= 1 << (r % 64);
+            }
+        });
+        if is_collection_point(instr) {
+            for (reset, written) in reset.iter_mut().zip(&written) {
+                *reset |= !written;
+            }
+        }
+        if let Some(dst) = instr.writes().map(|r| r as usize) {
+            if !has(&written, dst) {
+                written[dst / 64] |= 1 << (dst % 64);
+                trail.push(dst);
+            }
+        }
+        match *instr {
+            Instr::Jump { target } | Instr::JumpIfFalse { target, .. } if target > pc => {
+                branches.push((target, trail.len()))
+            }
+            _ => {}
+        }
+        falls_in = !matches!(
+            instr,
+            Instr::Jump { .. }
+                | Instr::TailCall { .. }
+                | Instr::TailCallDirect { .. }
+                | Instr::Halt { .. }
+                | Instr::Migrate { .. }
+                | Instr::Speculate { .. }
+                | Instr::Commit { .. }
+                | Instr::Rollback { .. }
+        );
+    }
+    (nparams..nregs)
+        .filter(|&r| has(&reset, r))
+        .map(|r| r as Reg)
         .collect()
 }
 
-/// What the forwarding pass knows at one pc of a straight-line run.
-#[derive(Default)]
-struct Known {
-    /// `(reg, v)`: register `reg` was last written by `Const::Int(v)`.
-    ints: Vec<(Reg, i64)>,
-    /// `(ptr, index, value)`: register `value` holds word `index` of the
-    /// block register `ptr` points at.
-    words: Vec<(Reg, i64, Reg)>,
-}
-
-impl Known {
-    fn forget_all(&mut self) {
-        self.ints.clear();
-        self.words.clear();
-    }
-
-    /// Register `reg` is about to be overwritten.
-    fn written(&mut self, reg: Reg) {
-        self.ints.retain(|&(r, _)| r != reg);
-        self.words
-            .retain(|&(ptr, _, value)| ptr != reg && value != reg);
-    }
-
-    /// The constant register `reg` holds, if it is a known `Int`.
-    fn int_in(&self, reg: Reg) -> Option<i64> {
-        self.ints.iter().find(|&&(r, _)| r == reg).map(|&(_, v)| v)
-    }
-
-    /// The register holding word `index` of the block `ptr` points at.
-    fn holder(&self, ptr: Reg, index: i64) -> Option<Reg> {
-        self.words
-            .iter()
-            .find(|&&(p, i, _)| (p, i) == (ptr, index))
-            .map(|&(_, _, value)| value)
-    }
-
-    /// Move past `instr`, returning the register that already holds the
-    /// word it loads, if it is a `Load` and one does.
-    fn step(&mut self, instr: &Instr) -> Option<Reg> {
-        match *instr {
-            Instr::Const {
-                dst,
-                value: Const::Int(v),
-            } => {
-                self.written(dst);
-                self.ints.push((dst, v));
-            }
-            Instr::Const {
+/// Whether `instr` can allocate or snapshot, and so (now or once every
+/// allocation collects) takes the whole register file as roots.
+fn is_collection_point(instr: &Instr) -> bool {
+    matches!(
+        instr,
+        Instr::Alloc { .. }
+            | Instr::AllocRaw { .. }
+            | Instr::Tuple { .. }
+            | Instr::Closure { .. }
+            | Instr::Const {
                 value: Const::Str(_),
                 ..
-            } => self.forget_all(),
-            Instr::Const { dst, .. } | Instr::Move { dst, .. } | Instr::Binop { dst, .. } => {
-                self.written(dst)
             }
-            Instr::Load { dst, ptr, index } => {
-                let index = self.int_in(index);
-                let held = index.and_then(|index| self.holder(ptr, index));
-                self.written(dst);
-                if let Some(index) = index.filter(|_| dst != ptr) {
-                    if self.holder(ptr, index).is_none() {
-                        self.words.push((ptr, index, dst));
-                    }
-                }
-                return held;
-            }
-            Instr::JumpIfFalse { .. } => {}
-            // `Jump`, `Store`, and everything the VM runs as `Op::Instr`.
-            _ => self.forget_all(),
-        }
-        None
-    }
+            | Instr::Ext { .. }
+            | Instr::Migrate { .. }
+            | Instr::Speculate { .. }
+            | Instr::Commit { .. }
+            | Instr::Rollback { .. }
+    )
 }
 
 /// The operators whose result is always a `Bool`.
@@ -357,10 +396,12 @@ mod tests {
     use crate::backend::compile_program;
 
     /// The grid worker's Jacobi loop (the `grid_compute` benchmark's
-    /// configuration) reads five frame slots 23 times per cell; every
-    /// repeat read is the second half of a `Const`-`Load` pair.
+    /// configuration) as the optimiser leaves it: between two effect points
+    /// no frame slot is loaded twice, the loop is 46 instructions with 10
+    /// loads (84 and 27 unoptimised), and its self call is a jump that
+    /// resets nothing.
     #[test]
-    fn the_grid_jacobi_loop_forwards_its_repeated_frame_loads() {
+    fn the_optimised_grid_jacobi_loop_loads_each_frame_slot_once_per_effect() {
         let config = mojave_grid::GridConfig {
             workers: 2,
             rows_per_worker: 32,
@@ -371,20 +412,168 @@ mod tests {
         let source = mojave_grid::worker_source(&config);
         let program = compile_program(&mojave_lang::compile_source(&source).unwrap()).unwrap();
         program.verify().unwrap();
-        let fun = program
-            .funs
-            .iter()
-            .find(|f| f.name == "main__loop26")
+        let (id, fun) = (0..)
+            .zip(&program.funs)
+            .find(|(_, f)| f.name == "main__loop26")
             .unwrap();
+        let mut targets = vec![false; fun.code.len()];
+        for instr in &fun.code {
+            if let Instr::Jump { target } | Instr::JumpIfFalse { target, .. } = *instr {
+                targets[target] = true;
+            }
+        }
+        let mut seen: Vec<(Reg, i64)> = Vec::new();
+        for (pc, instr) in fun.code.iter().enumerate() {
+            if targets[pc] {
+                seen.clear();
+            }
+            match *instr {
+                Instr::Load { ptr, index, .. } => {
+                    let slot = match fun.code[..pc].last() {
+                        Some(&Instr::Const {
+                            dst,
+                            value: Const::Int(slot),
+                        }) if dst == index => slot,
+                        _ => continue,
+                    };
+                    assert!(
+                        !seen.contains(&(ptr, slot)),
+                        "frame slot {slot} loaded twice @{pc}"
+                    );
+                    seen.push((ptr, slot));
+                }
+                Instr::Store { .. } | Instr::StoreRaw { .. } | Instr::Ext { .. } => seen.clear(),
+                _ => {}
+            }
+        }
         let loads = fun.code.iter().filter(|i| matches!(i, Instr::Load { .. }));
-        assert_eq!(loads.count(), 27);
-        let copies = forwarded_loads(&fun.code);
-        assert_eq!(copies.iter().flatten().count(), 17);
-        let exec = lower(&fun.code);
-        let fused = exec
-            .ops
-            .iter()
-            .filter(|op| matches!(op, Op::ConstMove { .. }));
-        assert_eq!(fused.count(), 17);
+        assert_eq!(loads.count(), 10);
+        assert_eq!(fun.code.len(), 46);
+        let exec = lower(id, fun);
+        assert!(exec.reset.is_empty());
+        assert_eq!(
+            exec.ops.iter().filter(|op| matches!(op, Op::Recur)).count(),
+            1
+        );
+    }
+
+    fn fun(nparams: u32, nregs: u32, code: Vec<Instr>) -> BcFun {
+        BcFun {
+            name: "f".into(),
+            nregs,
+            nparams,
+            code,
+        }
+    }
+
+    fn konst(dst: Reg, v: i64) -> Instr {
+        Instr::Const {
+            dst,
+            value: Const::Int(v),
+        }
+    }
+
+    #[test]
+    fn a_register_read_before_it_is_written_is_reset() {
+        // r2 is read before anything writes it; r3 is written first.
+        let f = fun(
+            1,
+            4,
+            vec![
+                konst(3, 1),
+                Instr::Binop {
+                    dst: 1,
+                    op: Binop::Add,
+                    lhs: 2,
+                    rhs: 3,
+                },
+                Instr::Halt { value: 0 },
+            ],
+        );
+        assert_eq!(&*reset_list(&f), &[2]);
+    }
+
+    #[test]
+    fn a_collection_point_resets_every_register_not_yet_written() {
+        // The allocation roots the whole file: r3 and r4 are unwritten there
+        // (r4 only later), r1 and r2 are written.
+        let f = fun(
+            1,
+            5,
+            vec![
+                konst(1, 0),
+                konst(2, 4),
+                Instr::Alloc {
+                    dst: 3,
+                    len: 2,
+                    init: 0,
+                },
+                konst(4, 0),
+                Instr::Halt { value: 4 },
+            ],
+        );
+        assert_eq!(&*reset_list(&f), &[3, 4]);
+    }
+
+    #[test]
+    fn each_branch_sees_only_what_its_path_wrote() {
+        // then: writes r2, halts.  else (pc 4): reads r2, which only the
+        // then-branch wrote, and r1, which both paths wrote.
+        let f = fun(
+            1,
+            3,
+            vec![
+                Instr::Const {
+                    dst: 1,
+                    value: Const::Bool(true),
+                },
+                Instr::JumpIfFalse { cond: 1, target: 4 },
+                konst(2, 7),
+                Instr::Halt { value: 2 },
+                Instr::Move { dst: 1, src: 2 },
+                Instr::Halt { value: 1 },
+            ],
+        );
+        assert_eq!(&*reset_list(&f), &[2]);
+    }
+
+    #[test]
+    fn a_join_or_a_backward_jump_falls_back_to_the_parameters() {
+        // pc 1 is both fallen into and jumped to from pc 2: r1, written at
+        // pc 0, is no longer known to be written there.
+        let f = fun(
+            1,
+            2,
+            vec![
+                konst(1, 0),
+                Instr::Move { dst: 1, src: 1 },
+                Instr::JumpIfFalse { cond: 0, target: 1 },
+                Instr::Halt { value: 1 },
+            ],
+        );
+        assert_eq!(&*reset_list(&f), &[1]);
+    }
+
+    #[test]
+    fn a_self_call_with_its_own_parameters_is_a_jump() {
+        let f = fun(
+            2,
+            2,
+            vec![Instr::TailCallDirect {
+                fun: 0,
+                args: vec![0, 1],
+            }],
+        );
+        assert!(matches!(lower(0, &f).ops[0], Op::Recur));
+        assert!(matches!(lower(1, &f).ops[0], Op::Instr));
+        let swapped = fun(
+            2,
+            2,
+            vec![Instr::TailCallDirect {
+                fun: 0,
+                args: vec![1, 0],
+            }],
+        );
+        assert!(matches!(lower(0, &swapped).ops[0], Op::Instr));
     }
 }

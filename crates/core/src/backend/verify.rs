@@ -6,7 +6,7 @@
 //! invariants that loop relies on; `compile_program` output satisfies them by
 //! construction.
 
-use super::bytecode::{BytecodeProgram, Instr, Reg};
+use super::bytecode::{BytecodeProgram, Instr};
 use std::fmt;
 
 /// Why [`BytecodeProgram::verify`] rejected a program.
@@ -68,66 +68,31 @@ impl BytecodeProgram {
                 _ => return Err(fail(ninstrs, "code does not end in a terminator".into())),
             }
             for (at, instr) in f.code.iter().enumerate() {
-                let regs = |fixed: &[Reg], list: &[Reg]| match fixed
-                    .iter()
-                    .chain(list)
-                    .find(|r| **r as usize >= nregs)
-                {
-                    Some(r) => Err(fail(at, format!("register r{r} >= nregs {nregs}"))),
-                    None => Ok(()),
-                };
+                let mut out_of_range = instr.writes().filter(|r| *r as usize >= nregs);
+                instr.reads(|r| {
+                    if r as usize >= nregs {
+                        out_of_range.get_or_insert(r);
+                    }
+                });
+                if let Some(r) = out_of_range {
+                    return Err(fail(at, format!("register r{r} >= nregs {nregs}")));
+                }
                 let fun = |fun: u32| {
                     self.funs
                         .get(fun as usize)
                         .ok_or_else(|| fail(at, format!("function f{fun} does not exist")))
                 };
-                let jump = |target: usize| {
-                    if target < ninstrs {
-                        Ok(())
-                    } else {
-                        Err(fail(at, format!("jump target {target} >= {ninstrs}")))
+                match *instr {
+                    Instr::FunRef { fun: id, .. } | Instr::Closure { fun: id, .. } => {
+                        fun(id)?;
                     }
-                };
-                match instr {
-                    Instr::Const { dst, .. } => regs(&[*dst], &[])?,
-                    Instr::FunRef { dst, fun: id } => {
-                        fun(*id)?;
-                        regs(&[*dst], &[])?
+                    Instr::Jump { target } | Instr::JumpIfFalse { target, .. }
+                        if target >= ninstrs =>
+                    {
+                        return Err(fail(at, format!("jump target {target} >= {ninstrs}")));
                     }
-                    Instr::Move { dst, src } | Instr::Unop { dst, src, .. } => {
-                        regs(&[*dst, *src], &[])?
-                    }
-                    Instr::Binop { dst, lhs, rhs, .. } => regs(&[*dst, *lhs, *rhs], &[])?,
-                    Instr::Alloc { dst, len, init } => regs(&[*dst, *len, *init], &[])?,
-                    Instr::AllocRaw { dst, size } => regs(&[*dst, *size], &[])?,
-                    Instr::Tuple { dst, args } | Instr::Ext { dst, args, .. } => {
-                        regs(&[*dst], args)?
-                    }
-                    Instr::Closure {
-                        dst,
-                        fun: id,
-                        captured,
-                    } => {
-                        fun(*id)?;
-                        regs(&[*dst], captured)?
-                    }
-                    Instr::Load { dst, ptr, index } => regs(&[*dst, *ptr, *index], &[])?,
-                    Instr::Store { ptr, index, value } => regs(&[*ptr, *index, *value], &[])?,
-                    Instr::LoadRaw {
-                        dst, ptr, offset, ..
-                    } => regs(&[*dst, *ptr, *offset], &[])?,
-                    Instr::StoreRaw {
-                        ptr, offset, value, ..
-                    } => regs(&[*ptr, *offset, *value], &[])?,
-                    Instr::Len { dst, ptr } => regs(&[*dst, *ptr], &[])?,
-                    Instr::JumpIfFalse { cond, target } => {
-                        jump(*target)?;
-                        regs(&[*cond], &[])?
-                    }
-                    Instr::Jump { target } => jump(*target)?,
-                    Instr::TailCall { target, args } => regs(&[*target], args)?,
-                    Instr::TailCallDirect { fun: id, args } => {
-                        let callee = fun(*id)?;
+                    Instr::TailCallDirect { fun: id, ref args } => {
+                        let callee = fun(id)?;
                         if args.len() != callee.nparams as usize {
                             return Err(fail(
                                 at,
@@ -138,15 +103,8 @@ impl BytecodeProgram {
                                 ),
                             ));
                         }
-                        regs(&[], args)?
                     }
-                    Instr::Halt { value } => regs(&[*value], &[])?,
-                    Instr::Migrate {
-                        target, fun, args, ..
-                    } => regs(&[*target, *fun], args)?,
-                    Instr::Speculate { fun, args } => regs(&[*fun], args)?,
-                    Instr::Commit { level, fun, args } => regs(&[*level, *fun], args)?,
-                    Instr::Rollback { level, code } => regs(&[*level, *code], &[])?,
+                    _ => {}
                 }
             }
         }

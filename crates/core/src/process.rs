@@ -23,6 +23,10 @@ use std::mem::take;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
+/// What poison mode (`debug_assertions`) fills the registers a call leaves
+/// stale with: a pointer no heap hands out.
+const STALE: Word = Word::Ptr(mojave_heap::PtrIdx(u32::MAX));
+
 /// Configuration of a [`Process`].
 #[derive(Debug, Clone)]
 pub struct ProcessConfig {
@@ -888,8 +892,11 @@ impl Process {
     /// Run the collection that is due, if one is; only then build the root
     /// set: `live` (the mutator's registers), speculation roots, externals'
     /// roots.  Out of line: the VM's dispatch loop keeps only the call.
+    /// Every allocation is a collection point, so in poison mode `live`
+    /// must hold no stale register, due or not.
     #[inline(never)]
     fn collect_if_due(&mut self, live: &[Word]) {
+        Self::no_stale_roots(live);
         if self.heap.gc_due().is_some() {
             let roots = self.gc_roots(live.iter().copied());
             self.heap.maybe_gc(&roots);
@@ -1390,18 +1397,23 @@ impl Process {
         let gather = |file: &[Word], rs: &[Reg]| -> Vec<Word> {
             rs.iter().map(|r| file[*r as usize]).collect()
         };
+        if regs.len() < exe.file_len() {
+            regs.resize(exe.file_len(), Word::Unit);
+        }
         'call: loop {
             let Some((fun, exec)) = exe.fun(fun_id) else {
                 return Err(RuntimeError::UnknownFunction(fun_id));
             };
-            Self::check_arity(fun_id, "vm call", fun.nparams as usize, staged.len())?;
-            // A call replaces the whole register file: the arguments, then
-            // `Unit` up to `nregs` (>= the arity, by verification).  The file
-            // is the GC root set; a stale pointer would keep a dead block alive.
-            regs.clear();
-            regs.extend_from_slice(staged);
-            regs.resize(fun.nregs as usize, Word::Unit);
-            let file = regs.as_mut_slice();
+            let nparams = fun.nparams as usize;
+            Self::check_arity(fun_id, "vm call", nparams, staged.len())?;
+            // A call writes the arguments and resets the registers on the
+            // function's reset list; the rest stay stale, and nothing reads
+            // or scans them before writing them (`exec.rs`).  The file is
+            // `regs[..nregs]` (>= the arity, by verification) and is the GC
+            // root set.
+            let file = &mut regs[..fun.nregs as usize];
+            file[..nparams].copy_from_slice(staged);
+            Self::enter(file, nparams, &exec.reset);
             let (code, ops, consts) = (fun.code.as_slice(), &*exec.ops, &*exec.consts);
             let mut pc = 0usize;
             // The second half of a fused op: charge its step and move past
@@ -1448,11 +1460,6 @@ impl Process {
                         second_half!();
                         self.vm_load(file, dst, ptr, index)?
                     }
-                    Op::ConstMove { konst, dst, src } => {
-                        file[konst as usize] = consts[at];
-                        second_half!();
-                        file[dst as usize] = file[src as usize]
-                    }
                     Op::ConstStore {
                         konst,
                         ptr,
@@ -1489,11 +1496,18 @@ impl Process {
                             pc = target;
                         }
                     }
+                    Op::Recur => {
+                        Self::enter(file, nparams, &exec.reset);
+                        pc = 0;
+                    }
                     Op::Instr => match &code[at] {
                         Instr::Const {
                             dst,
                             value: Const::Str(s),
-                        } => file[*dst as usize] = Word::Ptr(self.heap.alloc_str(s)?),
+                        } => {
+                            Self::no_stale_roots(file);
+                            file[*dst as usize] = Word::Ptr(self.heap.alloc_str(s)?)
+                        }
                         Instr::FunRef { dst, fun } => file[*dst as usize] = Word::Fun(*fun),
                         Instr::Unop { dst, op, src } => {
                             file[*dst as usize] = self.eval_unop(*op, file[*src as usize])?
@@ -1545,6 +1559,7 @@ impl Process {
                             file[*dst as usize] = Word::Int(self.heap.block_len(p)? as i64);
                         }
                         Instr::Ext { dst, name, args } => {
+                            Self::no_stale_roots(file);
                             staged.clear();
                             staged.extend(args.iter().map(|r| file[*r as usize]));
                             file[*dst as usize] = self.call_extern(name, staged)?;
@@ -1572,32 +1587,36 @@ impl Process {
                             fun,
                             args,
                         } => {
+                            Self::no_stale_roots(file);
                             return Ok(Transfer::Migrate {
                                 label: *label,
                                 target: self
                                     .word_as_str(file[*target as usize], "migrate target")?,
                                 fun: file[*fun as usize],
                                 args: gather(file, args),
-                            })
+                            });
                         }
                         Instr::Speculate { fun, args } => {
+                            Self::no_stale_roots(file);
                             return Ok(Transfer::Speculate {
                                 fun: file[*fun as usize],
                                 args: gather(file, args),
-                            })
+                            });
                         }
                         Instr::Commit { level, fun, args } => {
+                            Self::no_stale_roots(file);
                             return Ok(Transfer::Commit {
                                 level: Self::word_as_int(file[*level as usize], "commit level")?,
                                 fun: file[*fun as usize],
                                 args: gather(file, args),
-                            })
+                            });
                         }
                         Instr::Rollback { level, code } => {
+                            Self::no_stale_roots(file);
                             return Ok(Transfer::Rollback {
                                 level: Self::word_as_int(file[*level as usize], "rollback level")?,
                                 code: Self::word_as_int(file[*code as usize], "rollback code")?,
-                            })
+                            });
                         }
                         Instr::Const { .. }
                         | Instr::Move { .. }
@@ -1610,6 +1629,31 @@ impl Process {
                 }
             }
         }
+    }
+
+    /// Enter a function whose arguments are in `file[..nparams]`: `Unit`
+    /// into every register on its reset list.  In poison mode
+    /// (`debug_assertions`) every other register is first filled with
+    /// [`STALE`], which [`Process::no_stale_roots`] and any read would
+    /// catch.
+    #[inline(always)]
+    fn enter(file: &mut [Word], nparams: usize, reset: &[Reg]) {
+        if cfg!(debug_assertions) {
+            file[nparams..].fill(STALE);
+        }
+        for &r in reset {
+            file[r as usize] = Word::Unit;
+        }
+    }
+
+    /// At a collection point, where the whole file is the root set: in
+    /// poison mode, assert that the reset list left no stale register.
+    #[inline(always)]
+    fn no_stale_roots(file: &[Word]) {
+        debug_assert!(
+            !file.contains(&STALE),
+            "a stale register reaches a collection point"
+        );
     }
 
     /// A `Load`, plain or the second half of a fused op.

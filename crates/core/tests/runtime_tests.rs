@@ -925,14 +925,16 @@ fn run_as_continuation(
     (outcome, p.stats().steps)
 }
 
-/// Hand-written code around load forwarding: the VM copies a register
-/// instead of loading a word an earlier load of the same pointer register
-/// and constant index already read, within one straight-line run with no
+/// Hand-written code around repeated loads: a load of the same pointer
+/// register and constant index as an earlier one, with and without a
 /// store, allocation, external call, jump target or rewrite of either
-/// register in between.  Each case runs as the resumed continuation
-/// (`r0 = 123`); the ones that must not forward read a different word (or
-/// trap) where a wrong copy would not.  The step budget of 1000 turns a
-/// wrong copy that loops into a quick failure.
+/// register in between.  The VM loads every word it is asked to (repeated
+/// frame loads are removed in the FIR, by `mojave_fir::optimize`), and
+/// these cases pin that nothing in the execution form reuses a stale
+/// word.  Each case runs as the resumed continuation (`r0 = 123`); the
+/// ones where a reused word would be wrong read a different word (or trap)
+/// instead.  The step budget of 1000 turns a wrong copy that loops into a
+/// quick failure.
 #[test]
 fn hand_written_bytecode_around_forwarded_loads() {
     use mojave_core::backend::{Const, Instr};
@@ -1285,4 +1287,58 @@ fn externals_can_be_swapped() {
         .with_externals(Box::new(DefaultExternals::new(1)));
     p.run().unwrap();
     assert_eq!(p.output(), &["custom".to_owned()]);
+}
+
+/// The FIR optimiser changes code, not data.  The single-node grid worker,
+/// compiled with and without it and run under a tiny heap (so collections
+/// happen mid-run), stores the same checkpoints with byte-identical heap
+/// payloads, collects as often and exits the same, in fewer steps.
+#[test]
+fn the_optimiser_leaves_every_checkpoint_heap_alone() {
+    let source = mojave_grid::worker_source(&mojave_grid::GridConfig {
+        workers: 1,
+        rows_per_worker: 6,
+        cols: 12,
+        timesteps: 6,
+        checkpoint_interval: 2,
+    });
+    let run = |program: Program| {
+        let store = CheckpointStore::new();
+        let config = ProcessConfig {
+            heap: HeapConfig {
+                minor_threshold_bytes: 256,
+                major_threshold_bytes: 4 * 1024,
+                ..HeapConfig::default()
+            },
+            ..config(BackendKind::Bytecode)
+        };
+        let mut p = Process::new(program, config)
+            .expect("program verifies")
+            .with_sink(Box::new(InMemorySink::with_store(store.clone())));
+        let outcome = p.run().expect("program runs");
+        let heaps: Vec<(String, Option<u64>)> = store
+            .names()
+            .into_iter()
+            .map(|name| {
+                let heap = store.heap_fingerprint(&name);
+                (name, heap)
+            })
+            .collect();
+        let heap = p.heap().stats();
+        let collections = (heap.minor_collections, heap.major_collections);
+        (outcome, heaps, collections, p.stats().steps)
+    };
+    let (exit, heaps, collections, steps) = run(mojave_lang::lower_source(&source).unwrap());
+    let optimised = run(mojave_lang::compile_source(&source).unwrap());
+    assert_eq!(heaps.len(), 3, "{heaps:?}");
+    assert!(collections.0 > 0, "the tiny heap collects: {collections:?}");
+    assert_eq!(
+        (&optimised.0, &optimised.1, optimised.2),
+        (&exit, &heaps, collections)
+    );
+    assert!(
+        optimised.3 < steps,
+        "{} steps, unoptimised {steps}",
+        optimised.3
+    );
 }

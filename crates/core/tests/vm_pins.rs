@@ -440,8 +440,10 @@ fn programs() -> Vec<(String, String)> {
     programs
 }
 
+/// The unoptimised lowering: the table pins the instruction streams it
+/// emits, and the optimiser would change them.
 fn compile(name: &str, source: &str) -> Program {
-    mojave_lang::compile_source(source).unwrap_or_else(|e| panic!("{name} must compile: {e}"))
+    mojave_lang::lower_source(source).unwrap_or_else(|e| panic!("{name} must compile: {e}"))
 }
 
 #[test]

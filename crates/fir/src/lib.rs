@@ -30,6 +30,9 @@
 //!   *again* by the migration server on every inbound image — this is the
 //!   paper's safety argument for migration across untrusted networks),
 //! * [`fn@validate`] — structural well-formedness checks,
+//! * [`fn@optimize`] — scoped value numbering, copy propagation, trap-free
+//!   constant folding and dead-let elimination over each function, the one
+//!   FIR-to-FIR pass (the MojaveC front end runs it last),
 //! * [`display`] — a stable pretty-printer,
 //! * [`wire`] — canonical serialisation used by migration and checkpoints.
 
@@ -41,6 +44,7 @@ pub mod builder;
 pub mod display;
 pub mod expr;
 pub mod externs;
+pub mod optimize;
 pub mod program;
 pub mod typecheck;
 pub mod types;
@@ -51,6 +55,7 @@ pub use atom::{Atom, FunId, Label, VarId};
 pub use builder::{FunBuilder, ProgramBuilder};
 pub use expr::{Binop, Expr, MigrateProtocol, Unop};
 pub use externs::{ExternEnv, ExternSig};
+pub use optimize::optimize;
 pub use program::{FunDef, Program};
 pub use typecheck::{typecheck, TypeError};
 pub use types::Ty;

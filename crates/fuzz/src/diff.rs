@@ -1,6 +1,6 @@
-//! Four-way differential execution harness.
+//! Five-way differential execution harness.
 //!
-//! One generated program, four executions of the full stack:
+//! One generated program, five executions of the full stack:
 //!
 //! * **(a) plain interpret** — the FIR interpreter is the reference
 //!   semantics (plus a plain bytecode run to anchor the stats invariants);
@@ -17,7 +17,13 @@
 //!   resume in a fresh process, repeat until the program exits;
 //! * **(d) async pipeline** — `async_checkpoints` + delta checkpoints
 //!   behind a [`mojave_runtime::AsyncSink`] with `drain_after_submit` barriers, then
-//!   resurrect the last async-written checkpoint as well.
+//!   resurrect the last async-written checkpoint as well;
+//! * **(e) optimiser** — the same source through the unoptimised lowering
+//!   ([`mojave_lang::lower_source`]) and through `compile_source`, which
+//!   every other mode runs: both give the same exit value or trap, printed
+//!   output, `StatsView` and stored checkpoints (names and heap payload
+//!   fingerprints: the optimiser changes code, never data), and the
+//!   optimised run takes no more steps.
 //!
 //! All modes must agree on the exit value — which, thanks to the
 //! generator's digest epilogue, *is* the final heap digest — and on the
@@ -130,7 +136,66 @@ fn check_with(source: &str, tape: &[u32]) -> Result<(), String> {
     // (d) async checkpoint pipeline with drain barriers.
     check_async_pipeline(&program, &reference, &bytecode)?;
 
+    // (e) the optimiser against the lowering it optimised.
+    check_optimiser(source, &program)
+}
+
+/// What one bytecode run did, traps included.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    /// The exit value, or the trap as it prints.
+    outcome: Result<i64, String>,
+    output: Vec<String>,
+    view: StatsView,
+    /// Every stored checkpoint's name and heap payload fingerprint.
+    heaps: Vec<(String, Option<u64>)>,
+}
+
+/// Mode (e): `optimised` is `compile_source(source)`; the reference is the
+/// lowering before the optimiser ran.
+fn check_optimiser(source: &str, optimised: &Program) -> Result<(), String> {
+    let lowered = mojave_lang::lower_source(source)
+        .map_err(|e| format!("optimiser: the reference lowering failed: {e}"))?;
+    let (reference, reference_steps) = run_observed(&lowered)?;
+    let (observed, steps) = run_observed(optimised)?;
+    if observed != reference {
+        return Err(format!(
+            "optimised run {observed:?} != unoptimised run {reference:?}"
+        ));
+    }
+    if steps > reference_steps {
+        return Err(format!(
+            "optimised run took {steps} steps, unoptimised {reference_steps}"
+        ));
+    }
     Ok(())
+}
+
+fn run_observed(program: &Program) -> Result<(Observed, u64), String> {
+    let store = CheckpointStore::new();
+    let mut p = Process::new(program.clone(), base_config(BackendKind::Bytecode, true))
+        .map_err(|e| format!("optimiser: process setup failed: {e}"))?
+        .with_sink(Box::new(InMemorySink::with_store(store.clone())));
+    let outcome = match p.run() {
+        Ok(RunOutcome::Exit(v)) => Ok(v),
+        Ok(other) => return Err(format!("optimiser: unexpected outcome {other:?}")),
+        Err(e) => Err(e.to_string()),
+    };
+    let stats = p.stats();
+    let observed = Observed {
+        outcome,
+        output: p.output().to_vec(),
+        view: StatsView::of(&stats),
+        heaps: store
+            .names()
+            .into_iter()
+            .map(|name| {
+                let heap = store.heap_fingerprint(&name);
+                (name, heap)
+            })
+            .collect(),
+    };
+    Ok((observed, stats.steps))
 }
 
 struct ModeResult {

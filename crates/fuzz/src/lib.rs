@@ -1,7 +1,7 @@
 //! # mojave-fuzz
 //!
 //! Adversarial testing for the Mojave stack: a seeded MojaveC program
-//! generator whose output is run four ways through the full
+//! generator whose output is run five ways through the full
 //! lang → fir → bytecode → heap → wire pipeline (the *differential
 //! oracle*), plus a hostile-input mutation harness for the wire decoder.
 //!
@@ -17,8 +17,9 @@
 //!   value;
 //! * [`diff`] runs one program as (a) a plain interpreter reference,
 //!   (b) a kill-and-resurrect from the checkpoint store, (c) a chain of
-//!   `MigrationImage` encode/decode hops under every negotiated codec and
-//!   (d) an async-pipeline run behind drain barriers — and asserts every
+//!   `MigrationImage` encode/decode hops under every negotiated codec,
+//!   (d) an async-pipeline run behind drain barriers and (e) the
+//!   unoptimised lowering against the optimised one — and asserts every
 //!   mode agrees on the exit value (which *is* the heap digest) and on the
 //!   `ProcessStats` invariants;
 //! * [`mutate`] grows a corpus of golden v1/v4/v5 wire images plus freshly

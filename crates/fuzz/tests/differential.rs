@@ -1,11 +1,16 @@
 //! Differential sweep driver: generate programs from random decision
-//! tapes and run each through the four-way oracle in `mojave_fuzz::diff`.
+//! tapes and run each through the five-way oracle in `mojave_fuzz::diff`.
 //!
 //! * `differential_smoke_slice` — 25 programs, always; the tier-1 gate.
 //! * `differential_sweep` — `MOJAVE_FUZZ_PROGRAMS` programs (default 200;
 //!   the nightly CI job sets 500).
 //! * `compiled_programs_pass_the_bytecode_verifier` — the same program
 //!   count through `compile_program` + `BytecodeProgram::verify` only.
+//! * `the_optimiser_is_idempotent_and_keeps_programs_well_formed` — the
+//!   same program count through `mojave_fir::optimize` twice.
+//! * `the_optimiser_leg_reloads_after_a_store_through_an_alias` — one fixed
+//!   program through every mode, for the aliasing the generator rarely
+//!   writes.
 //!
 //! Failures shrink through the vendored proptest shrinker: a decision
 //! tape is a `Vec<u32>`, truncating or zeroing it yields a strictly
@@ -26,7 +31,7 @@ fn programs_from_env(default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// `true` iff the tape's program passes the four-way oracle (panics count
+/// `true` iff the tape's program passes the five-way oracle (panics count
 /// as failures so they shrink like ordinary mismatches).
 fn tape_passes(tape: &[u32]) -> bool {
     catch_unwind(AssertUnwindSafe(|| check_tape(tape).is_ok())).unwrap_or(false)
@@ -99,6 +104,62 @@ fn compiled_programs_pass_the_bytecode_verifier() {
              minimal tape: {minimal:?}\n--- generated program ---\n{source}"
         );
     }
+}
+
+/// `optimize` of the unoptimised lowering validates and type-checks, and
+/// optimising its output again changes nothing.
+#[test]
+fn the_optimiser_is_idempotent_and_keeps_programs_well_formed() {
+    let strategy = collection::vec(0u32..1_000_000u32, 0..MAX_TAPE);
+    let check = |tape: &Vec<u32>| -> Result<(), String> {
+        let lowered = mojave_lang::lower_source(&generate_program(tape)).expect("compiles");
+        let once = mojave_fir::optimize(lowered);
+        mojave_fir::validate(&once).map_err(|e| e.to_string())?;
+        mojave_fir::typecheck(&once, &mojave_fir::ExternEnv::standard())
+            .map_err(|e| e.to_string())?;
+        if mojave_fir::optimize(once.clone()) != once {
+            return Err("a second optimisation changed the program".to_owned());
+        }
+        Ok(())
+    };
+    let cases = programs_from_env(200);
+    let failure = find_failure(&strategy, "optimiser-idempotent", cases, |t| {
+        check(t).is_ok()
+    });
+    if let Some((case, minimal)) = failure {
+        panic!(
+            "optimiser property failed: case {case}, {:?}\n\
+             minimal tape: {minimal:?}\n--- generated program ---\n{}",
+            check(&minimal),
+            generate_program(&minimal)
+        );
+    }
+}
+
+/// A store through one variable into a block another variable also points
+/// at must make the optimiser reload through the other: the generator
+/// rarely aliases arrays, so this fixed program holds the optimiser leg
+/// to its store rule (without it, `a[i]` would reuse the first load's 0).
+#[test]
+fn the_optimiser_leg_reloads_after_a_store_through_an_alias() {
+    let source = r#"
+        int main() {
+            int[] a = alloc_int(4);
+            int[] b = a;
+            int i = 1;
+            int x = a[i];
+            b[1] = 42;
+            int y = a[i];
+            return x + y;
+        }
+    "#;
+    mojave_fuzz::check_source(source).expect("every mode agrees");
+    let program = mojave_lang::compile_source(source).expect("compiles");
+    let mut process = mojave_core::Process::from_program(program);
+    assert_eq!(
+        process.run().expect("runs"),
+        mojave_core::RunOutcome::Exit(42)
+    );
 }
 
 /// The oracle must also *fail* when semantics genuinely differ: feed it a

@@ -21,8 +21,11 @@
 //!   `length`, `peek`, `poke`).
 //!
 //! Compilation pipeline: [`lexer`] → [`parser`] → [`lower`] (CPS conversion
-//! into `mojave_fir::Program`), after which the FIR type checker runs as a
-//! final verification.  Loops become recursive FIR functions; source-level
+//! into `mojave_fir::Program`) → `mojave_fir::validate` and
+//! `mojave_fir::typecheck` → `mojave_fir::optimize`, which removes the
+//! repeated frame loads and index arithmetic the lowering emits
+//! ([`compile_source`]; [`lower_source`] stops before the optimiser).
+//! Loops become recursive FIR functions; source-level
 //! mutable locals live in a per-activation *frame* block in the heap, which
 //! is what makes speculation rollback restore local variables and not just
 //! arrays (the paper's "entire process state, including all variable and
@@ -52,11 +55,22 @@ pub mod token;
 
 pub use error::{CompileError, SourcePos};
 
-/// Compile MojaveC source text into an FIR program.
+/// Compile MojaveC source text into an FIR program: lower, validate, type
+/// check, then [`mojave_fir::optimize()`].
 ///
-/// The result has already been structurally validated and type-checked
-/// against the standard external environment.
+/// The result has been structurally validated and type-checked against the
+/// standard external environment before optimisation, and the optimiser
+/// keeps both properties.  Every caller — the grid worker, `mcc`, the
+/// benchmark's plain and traced runs — gets the same program.
 pub fn compile_source(source: &str) -> Result<mojave_fir::Program, CompileError> {
+    lower_source(source).map(mojave_fir::optimize)
+}
+
+/// Compile MojaveC source text without the optimiser: the lowering as
+/// written, validated and type-checked.  It is the reference the optimiser
+/// is checked against, and what tests that pin instruction-level figures of
+/// the lowering compile with.
+pub fn lower_source(source: &str) -> Result<mojave_fir::Program, CompileError> {
     let tokens = lexer::lex(source)?;
     let ast = parser::parse(&tokens)?;
     let program = lower::lower_program(&ast)?;
