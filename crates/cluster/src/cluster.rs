@@ -36,6 +36,7 @@
 //!   the host clock.
 
 use crate::network::NetworkModel;
+use mojave_core::rng::SplitMix64;
 use mojave_core::{
     CheckpointStore, PackedProcess, Process, ProcessConfig, RunOutcome, RuntimeError,
 };
@@ -148,15 +149,6 @@ pub enum RecvOutcome {
     /// stalled `(to, from, tag)` edge instead of returning a
     /// scheduling-dependent value the program could act on.
     Timeout,
-}
-
-/// SplitMix64: the statelessly seeded mixer behind per-node seeds and
-/// virtual-clock ticks.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A node's mailbox: the latest payload per `(from, tag)`, plus — in
@@ -293,7 +285,8 @@ impl Cluster {
     /// to a fixed node-indexed seed, as before.
     pub fn node_seed(&self, node: usize) -> u64 {
         if self.is_deterministic() {
-            splitmix64(self.inner.config.seed ^ (node as u64).wrapping_mul(0x9E37_79B9))
+            SplitMix64::new(self.inner.config.seed ^ (node as u64).wrapping_mul(0x9E37_79B9))
+                .next_u64()
         } else {
             0xC1u64.wrapping_mul(node as u64 + 1)
         }
@@ -602,7 +595,8 @@ impl Cluster {
     /// from the cluster seed and the node id, standing in for the varying
     /// per-operation latencies a wall clock would show — but replayable.
     pub fn tick_virtual_clock(&self, node: usize) -> u64 {
-        let tick_us = 1 + (splitmix64(self.inner.config.seed ^ ((node as u64) << 32)) % 8);
+        let tick_us =
+            1 + (SplitMix64::new(self.inner.config.seed ^ ((node as u64) << 32)).next_u64() % 8);
         self.advance_virtual_clock(node, tick_us * 1_000);
         self.virtual_time_us(node)
     }

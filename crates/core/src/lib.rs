@@ -11,7 +11,8 @@
 //! * **speculative execution** (`speculate` / `commit` / `rollback`):
 //!   nested, copy-on-write-backed speculation levels whose rollback restores
 //!   the entire process state and re-enters the saved continuation — see
-//!   [`speculate`] and the heap-side machinery in `mojave-heap`.
+//!   [`Process`], which keeps each level's continuation, and the
+//!   copy-on-write records in `mojave-heap`.
 //!
 //! Execution itself is available through two back-ends, mirroring the
 //! paper's native-code and simulated-RISC runtimes:
@@ -52,7 +53,6 @@ pub mod machine;
 pub mod migrate;
 pub mod process;
 pub mod rng;
-pub mod speculate;
 
 pub use backend::{BackendKind, BytecodeProgram};
 pub use error::RuntimeError;
@@ -63,4 +63,3 @@ pub use migrate::{
     MigrationSink, PackedProcess, PipelineStats, SnapshotPack, StoreStats,
 };
 pub use process::{Process, ProcessConfig, ProcessStats, RunOutcome};
-pub use speculate::SpeculationManager;

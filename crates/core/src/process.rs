@@ -11,7 +11,6 @@ use crate::migrate::{
     CodeSection, DeliveryOutcome, InMemorySink, MigrationImage, MigrationSink, PackedCode,
     SnapshotPack,
 };
-use crate::speculate::SpeculationManager;
 use mojave_fir::{
     typecheck, validate, Atom, Binop, Expr, ExternEnv, FunId, MigrateProtocol, Program, Unop, VarId,
 };
@@ -192,7 +191,12 @@ pub struct Process {
     vm_regs: Vec<Word>,
     vm_args: Vec<Word>,
     heap: Heap,
-    spec: SpeculationManager,
+    /// The continuation of every open speculation level, oldest first:
+    /// entry `l - 1` is what `speculate` captured for heap level `l` (the
+    /// function and its arguments less the leading rollback code), so a
+    /// rollback to `l` can re-enter it (paper §4.3).  The heap holds the
+    /// levels' copy-on-write records; this stack is always as deep.
+    spec_conts: Vec<(Word, Vec<Word>)>,
     externals: Box<dyn Externals>,
     sink: Box<dyn MigrationSink>,
     config: ProcessConfig,
@@ -200,7 +204,6 @@ pub struct Process {
     /// The next continuation to run (entry point, or the resume point of an
     /// unpacked image).
     pending: Option<(Word, Vec<Word>)>,
-    extern_env: ExternEnv,
     /// Name and heap-payload fingerprint slot of the last *full*
     /// checkpoint whose delivery answered `Stored` — the base candidate for
     /// delta checkpoints.  [`SnapshotPack::into_image`] fills the slot: at
@@ -257,10 +260,9 @@ impl Process {
 
     /// Create a process from an FIR program.
     pub fn new(program: Program, config: ProcessConfig) -> Result<Self, RuntimeError> {
-        let extern_env = ExternEnv::standard();
         if config.verify {
             validate(&program)?;
-            typecheck(&program, &extern_env)?;
+            typecheck(&program, &ExternEnv::standard())?;
         }
         let bytecode = match config.backend {
             BackendKind::Bytecode => Some(compile_verified(&program)?),
@@ -273,13 +275,12 @@ impl Process {
             vm_regs: Vec::new(),
             vm_args: Vec::new(),
             heap: Heap::with_config(config.heap),
-            spec: SpeculationManager::new(),
+            spec_conts: Vec::new(),
             externals: Box::new(DefaultExternals::default()),
             sink: Box::new(InMemorySink::new()),
             config,
             stats: ProcessStats::default(),
             pending: Some((entry, Vec::new())),
-            extern_env,
             checkpoint_base: None,
             deltas_since_full: 0,
             encode_ns_reported: 0,
@@ -292,12 +293,11 @@ impl Process {
     /// (paper §4.2.2: the FIR is type-checked and recompiled before
     /// execution resumes).
     pub fn from_image(image: MigrationImage, config: ProcessConfig) -> Result<Self, RuntimeError> {
-        let extern_env = ExternEnv::standard();
         let (program, bytecode) = match &**image.inline_code()? {
             PackedCode::Fir(program) => {
                 // The safety step: verify before running foreign code.
                 validate(program)?;
-                typecheck(program, &extern_env)?;
+                typecheck(program, &ExternEnv::standard())?;
                 let bytecode = match config.backend {
                     BackendKind::Bytecode => Some(compile_verified(program)?),
                     BackendKind::Interp => None,
@@ -345,13 +345,12 @@ impl Process {
             vm_regs: Vec::new(),
             vm_args: Vec::new(),
             heap,
-            spec: SpeculationManager::new(),
+            spec_conts: Vec::new(),
             externals: Box::new(DefaultExternals::default()),
             sink: Box::new(InMemorySink::new()),
             config,
             stats: ProcessStats::default(),
             pending: Some((image.resume_fun, args)),
-            extern_env,
             checkpoint_base: None,
             deltas_since_full: 0,
             encode_ns_reported: 0,
@@ -369,13 +368,6 @@ impl Process {
     /// Replace the migration sink (builder style).
     pub fn with_sink(mut self, sink: Box<dyn MigrationSink>) -> Self {
         self.sink = sink;
-        self
-    }
-
-    /// Register additional external signatures (for programs using
-    /// cluster-provided externals beyond the standard set).
-    pub fn with_extern_env(mut self, env: ExternEnv) -> Self {
-        self.extern_env = env;
         self
     }
 
@@ -517,8 +509,8 @@ impl Process {
                 Transfer::Halt(v) => return Ok(RunOutcome::Exit(v)),
                 Transfer::Speculate { fun: f, args: a } => {
                     let level = self.heap.spec_enter();
-                    let mgr_level = self.spec.enter(f, a.clone());
-                    debug_assert_eq!(level, mgr_level);
+                    self.spec_conts.push((f, a.clone()));
+                    debug_assert_eq!(self.spec_conts.len(), self.heap.spec_depth());
                     self.stats.speculations += 1;
                     let mut full = Vec::with_capacity(a.len() + 1);
                     // On entry the code parameter is the (positive) level id,
@@ -535,7 +527,9 @@ impl Process {
                 } => {
                     let lvl = self.valid_level(level)?;
                     self.heap.spec_commit(lvl)?;
-                    self.spec.commit(lvl);
+                    // Younger levels renumber down by one, as in the heap.
+                    self.spec_conts.remove(lvl - 1);
+                    debug_assert_eq!(self.spec_conts.len(), self.heap.spec_depth());
                     self.stats.commits += 1;
                     fun = f;
                     args = a;
@@ -543,20 +537,17 @@ impl Process {
                 Transfer::Rollback { level, code } => {
                     let lvl = self.valid_level(level)?;
                     self.heap.spec_rollback(lvl)?;
-                    let Some(entry) = self.spec.rollback(lvl) else {
-                        let open = self.spec.depth();
-                        return Err(RuntimeError::BadSpeculationLevel { level, open });
-                    };
                     self.stats.rollbacks += 1;
                     // Retry semantics: the level is immediately re-entered and
-                    // the saved continuation called with the new code.
-                    let new_level = self.heap.spec_enter();
-                    let mgr_level = self.spec.reenter(entry.clone());
-                    debug_assert_eq!(new_level, mgr_level);
-                    let mut full = Vec::with_capacity(entry.args.len() + 1);
+                    // its saved continuation called with the new code.
+                    self.heap.spec_enter();
+                    self.spec_conts.truncate(lvl);
+                    debug_assert_eq!(self.spec_conts.len(), self.heap.spec_depth());
+                    let (f, a) = &self.spec_conts[lvl - 1];
+                    let mut full = Vec::with_capacity(a.len() + 1);
                     full.push(Word::Int(code));
-                    full.extend(entry.args.iter().copied());
-                    fun = entry.fun;
+                    full.extend(a.iter().copied());
+                    fun = *f;
                     args = full;
                 }
                 Transfer::Migrate {
@@ -788,7 +779,10 @@ impl Process {
     /// externals' roots.
     fn gc_roots(&self, live: impl Iterator<Item = Word>) -> Vec<Word> {
         let mut roots: Vec<Word> = live.collect();
-        roots.extend(self.spec.roots());
+        for (fun, args) in &self.spec_conts {
+            roots.push(*fun);
+            roots.extend(args.iter().copied());
+        }
         roots.extend(self.externals.roots());
         roots
     }

@@ -294,6 +294,84 @@ fn nested_speculation_levels() {
     assert_eq!(outcome, RunOutcome::Exit(60));
 }
 
+/// A speculation's saved continuation is a collection root: the array
+/// passed to `speculate` is held by nothing else while the level runs.
+///
+/// ```c
+/// int main() {
+///     arr = alloc(4, 41);
+///     id = speculate();       // continuation: body(c, arr)
+///     if (id > 0) churn(id, 0);  // tail call: arr is in no register
+///     return arr[0] + 1;      // re-entry after the rollback
+/// }
+/// void churn(int id, int i) {
+///     alloc(16, i);           // brings collections due
+///     if (i >= 400) abort(id); else churn(id, i + 1);
+/// }
+/// ```
+#[test]
+fn a_saved_continuation_keeps_its_arguments_alive_across_collections() {
+    let mut pb = ProgramBuilder::new();
+    let (body_fn, params) = pb.declare("body", &[("c", Ty::Int), ("arr", Ty::ptr(Ty::Int))]);
+    let (churn, cparams) = pb.declare("churn", &[("c", Ty::Int), ("i", Ty::Int)]);
+    {
+        let (c, i) = (cparams[0], cparams[1]);
+        let mut b = pb.block();
+        b.alloc("garbage", Ty::Int, Atom::Int(16), i);
+        let done = b.binop("done", Binop::Ge, i, Atom::Int(400));
+        let next = b.binop("next", Binop::Add, i, Atom::Int(1));
+        let body = b.finish(term::branch(
+            done,
+            term::rollback(c, Atom::Int(0)),
+            term::call(churn, vec![Atom::Var(c), Atom::Var(next)]),
+        ));
+        pb.define(churn, body);
+    }
+    {
+        let (c, arr) = (params[0], params[1]);
+        let mut after = pb.block();
+        let v = after.load("v", Ty::Int, arr, Atom::Int(0));
+        let out = after.binop("out", Binop::Add, v, Atom::Int(1));
+        let reentered = after.finish(term::halt(out));
+        let mut b = pb.block();
+        let entered = b.binop("entered", Binop::Gt, c, Atom::Int(0));
+        let body = b.finish(term::branch(
+            entered,
+            term::call(churn, vec![Atom::Var(c), Atom::Int(0)]),
+            reentered,
+        ));
+        pb.define(body_fn, body);
+    }
+    let (main, _) = pb.declare("main", &[]);
+    {
+        let mut b = pb.block();
+        let arr = b.alloc("arr", Ty::Int, Atom::Int(4), Atom::Int(41));
+        let body = b.finish(term::speculate(body_fn, vec![Atom::Var(arr)]));
+        pb.define(main, body);
+    }
+    pb.set_entry(main);
+    let program = pb.finish();
+
+    for backend in [BackendKind::Interp, BackendKind::Bytecode] {
+        let config = ProcessConfig {
+            heap: HeapConfig {
+                minor_threshold_bytes: 1024,
+                major_threshold_bytes: 4096,
+                ..HeapConfig::default()
+            },
+            ..config(backend)
+        };
+        let mut p = Process::new(program.clone(), config).unwrap();
+        assert_eq!(p.run().unwrap(), RunOutcome::Exit(42), "{backend:?}");
+        let heap = p.heap().stats();
+        assert!(
+            heap.minor_collections + heap.major_collections > 0,
+            "{backend:?}: no collection ran inside the level"
+        );
+        assert_eq!(p.stats().rollbacks, 1);
+    }
+}
+
 /// Checkpoint → continue → halt, then resume the checkpoint image and check
 /// it recomputes the same tail of the computation.
 #[test]

@@ -65,14 +65,6 @@ pub enum Atom {
 }
 
 impl Atom {
-    /// The variable referenced by this atom, if it is a variable.
-    pub fn as_var(&self) -> Option<VarId> {
-        match self {
-            Atom::Var(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Whether this atom is a compile-time constant (not a variable).
     pub fn is_const(&self) -> bool {
         !matches!(self, Atom::Var(_))

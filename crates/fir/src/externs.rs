@@ -27,11 +27,6 @@ pub struct ExternEnv {
 }
 
 impl ExternEnv {
-    /// An environment with no externals (programs may only compute).
-    pub fn empty() -> Self {
-        ExternEnv::default()
-    }
-
     /// The standard external interface provided by the Mojave runtime.
     ///
     /// | group | functions |
@@ -190,7 +185,7 @@ mod tests {
 
     #[test]
     fn register_overrides() {
-        let mut env = ExternEnv::empty();
+        let mut env = ExternEnv::default();
         assert!(env.lookup("print_int").is_none());
         env.register(ExternSig {
             name: "print_int",

@@ -52,11 +52,6 @@ impl Ty {
         Ty::Ptr(Box::new(elem))
     }
 
-    /// Whether the type is a numeric scalar (int or float).
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, Ty::Int | Ty::Float)
-    }
-
     /// Whether a value of this type lives (directly) in the heap and is thus
     /// affected by garbage collection, copy-on-write and migration
     /// relocation.

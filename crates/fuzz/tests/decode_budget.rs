@@ -17,7 +17,8 @@
 //!   anywhere in the run, past its first 256 words or at its end, is the
 //!   same precise error.
 //!
-//! The counters are process-wide, so the tests take turns.
+//! The allocator counts per thread, so each window sees only its own
+//! test's allocations, whatever runs beside it.
 
 use mojave_fuzz::cap_alloc::CapAlloc;
 use mojave_fuzz::mutate::SplitMix64;
@@ -25,24 +26,10 @@ use mojave_heap::{BlockKind, Heap, HeapConfig, ImageCodec, ImageKind, Numeric, P
 use mojave_wire::{
     compress_bytes, CodecError, CodecId, CodecSet, WireCodec, WireError, WireReader, WireWriter,
 };
-use std::sync::Mutex;
+use std::sync::{Arc, Barrier};
 
 #[global_allocator]
-static ALLOC: CapAlloc = CapAlloc::new();
-
-/// One measurement at a time: the allocator's counters are shared.
-static TURN: Mutex<()> = Mutex::new(());
-
-/// Run `f` and return its result with the peak bytes it had allocated
-/// at once, and the bytes it left allocated.
-fn measured<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
-    let baseline = ALLOC.live();
-    ALLOC.reset_peak();
-    let out = f();
-    let peak = ALLOC.peak().saturating_sub(baseline);
-    let kept = ALLOC.live().saturating_sub(baseline);
-    (out, peak, kept)
-}
+static ALLOC: CapAlloc = CapAlloc;
 
 /// A v5 full-image heap payload: a table of `capacity` entries holding one
 /// empty array at each of `used`, with every slab frame Raw.
@@ -64,9 +51,35 @@ fn sparse_image(capacity: u64, used: &[u64]) -> Vec<u8> {
 }
 
 #[test]
+fn a_window_does_not_count_another_threads_allocations() {
+    const HELD: usize = 8 << 20;
+    // The other thread allocates inside the window and holds the memory
+    // past its end; the barriers themselves allocate nothing.
+    let allocated = Arc::new(Barrier::new(2));
+    let released = Arc::new(Barrier::new(2));
+    let other = {
+        let (allocated, released) = (allocated.clone(), released.clone());
+        std::thread::spawn(move || {
+            allocated.wait();
+            let held = vec![1u8; HELD];
+            allocated.wait();
+            released.wait();
+            held.len()
+        })
+    };
+    let ((), peak, kept) = ALLOC.measure(|| {
+        allocated.wait();
+        allocated.wait();
+    });
+    released.wait();
+    assert_eq!(other.join().unwrap(), HELD);
+    assert_eq!(kept, 0);
+    assert!(peak < HELD, "{peak} bytes at peak");
+}
+
+#[test]
 fn declared_table_capacity_decodes_or_fails_within_128_mib() {
     const BUDGET: usize = 128 << 20;
-    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     assert_eq!(sparse_image(1 << 24, &[]).len(), 17);
     for log in 16..=24u32 {
         let capacity = 1u64 << log;
@@ -74,7 +87,7 @@ fn declared_table_capacity_decodes_or_fails_within_128_mib() {
         // (every entry below it a hole).
         for used in [vec![], vec![capacity - 1]] {
             let image = sparse_image(capacity, &used);
-            let (result, peak, _) = measured(|| {
+            let (result, peak, _) = ALLOC.measure(|| {
                 Heap::decode_image(
                     &mut WireReader::new(&image),
                     ImageCodec::Slab,
@@ -96,7 +109,6 @@ fn declared_table_capacity_decodes_or_fails_within_128_mib() {
 #[test]
 fn migrate_cold_shaped_image_decodes_within_its_blocks_and_tags() {
     const BLOCK_WORDS: usize = 64;
-    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let mut heap = Heap::new();
     let mut rng = SplitMix64::new(12);
     let mut words = 0usize;
@@ -119,7 +131,7 @@ fn migrate_cold_shaped_image_decodes_within_its_blocks_and_tags() {
         .encode(&mut w, CodecSet::all());
     let image = w.into_bytes();
 
-    let (decoded, peak, kept) = measured(|| {
+    let (decoded, peak, kept) = ALLOC.measure(|| {
         Heap::decode_image(
             &mut WireReader::new(&image),
             ImageCodec::Slab,
@@ -171,7 +183,6 @@ fn decode(image: &[u8]) -> Result<Heap, WireError> {
 fn a_forged_all_int_run_fails_precisely_within_its_tags_and_column() {
     const BUDGET: usize = 128 << 20;
     const WORDS: usize = 1 << 22;
-    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     // Four million `Int` tags in a few bytes of LZ.
     let mut tags = Vec::new();
     compress_bytes(CodecId::Lz, &vec![1u8; WORDS], &mut tags);
@@ -193,7 +204,7 @@ fn a_forged_all_int_run_fails_precisely_within_its_tags_and_column() {
     ] {
         let image = one_array(WORDS, (CodecId::Lz, &tags), (codec, &payload));
         assert!(image.len() < 256, "{} bytes", image.len());
-        let (result, peak, kept) = measured(|| decode(&image).map(|_| ()));
+        let (result, peak, kept) = ALLOC.measure(|| decode(&image).map(|_| ()));
         assert_eq!(result, Err(WireError::Codec(error)), "{codec}");
         assert_eq!(kept, 0, "{codec}");
         // One byte a word of tag slab, eight of column, nothing more.
@@ -211,7 +222,6 @@ fn a_foreign_tag_in_a_float_run_decodes_tagged_and_is_checked() {
     // the second chunk, and word 299 ends the run.
     const LEN: usize = 300;
     const AT: usize = 17;
-    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let float_run = |at: usize, foreign: u8, payload: u64| {
         let mut tags = [2u8; LEN];
         tags[at] = foreign;

@@ -19,7 +19,7 @@ use mojave_fuzz::mutate::{corpus, exercise_decoder, mutate, MutationKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 #[global_allocator]
-static ALLOC: CapAlloc = CapAlloc::new();
+static ALLOC: CapAlloc = CapAlloc;
 
 /// Generous per-mutation allocation cap: pristine images are a few KiB,
 /// so a quarter GiB of headroom only trips on genuinely unbounded
@@ -49,10 +49,8 @@ fn mutated_wire_images_fail_precisely_never_panic() {
             continue; // the rare no-op flip
         }
 
-        ALLOC.reset_peak();
-        let baseline = ALLOC.live();
-        let outcome = catch_unwind(AssertUnwindSafe(|| exercise_decoder(&mutant)));
-        let peak_delta = ALLOC.peak().saturating_sub(baseline);
+        let (outcome, peak_delta, _) =
+            ALLOC.measure(|| catch_unwind(AssertUnwindSafe(|| exercise_decoder(&mutant))));
 
         let verdict = match outcome {
             Err(_) => panic!(

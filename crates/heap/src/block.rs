@@ -389,19 +389,6 @@ impl BlockData {
         }
     }
 
-    /// Mutable access to a word payload in its tagged form, converting a
-    /// column and un-sharing the payload first as needed.
-    ///
-    /// # Panics
-    /// Panics if the payload is byte-addressed; callers validate the block
-    /// kind before mutating.
-    pub fn words_mut(&mut self) -> &mut Vec<Word> {
-        match self {
-            BlockData::Words(w) => w.tagged_mut(),
-            BlockData::Bytes(_) => unreachable!("validated as a word block"),
-        }
-    }
-
     /// Mutable access to a byte payload, un-sharing it first if a clone or
     /// snapshot still references it.
     ///

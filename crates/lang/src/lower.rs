@@ -37,7 +37,7 @@
 use crate::ast::{BinOp, CType, Expr as CExpr, FunDecl, Stmt, UnOp, Unit};
 use crate::error::{CompileError, SourcePos};
 use mojave_fir::builder::ProgramBuilder;
-use mojave_fir::{Atom, Binop, Expr, FunId, Program, Ty, Unop, VarId};
+use mojave_fir::{Atom, Binop, Expr, ExternEnv, FunId, Program, Ty, Unop, VarId};
 use std::collections::HashMap;
 
 /// Lower a parsed translation unit to an FIR program.
@@ -99,7 +99,7 @@ enum NextCont {
 struct Lowerer {
     pb: ProgramBuilder,
     user: HashMap<String, (FunId, Sig)>,
-    externs: HashMap<&'static str, Sig>,
+    externs: ExternEnv,
     hoist_counter: u32,
     rename_counter: u32,
 }
@@ -123,31 +123,20 @@ fn retk_ty() -> Ty {
     Ty::Closure(vec![Ty::Any])
 }
 
-fn extern_sigs() -> HashMap<&'static str, Sig> {
-    use CType::*;
-    let mut m = HashMap::new();
-    let mut add = |name: &'static str, params: Vec<CType>, ret: CType| {
-        m.insert(name, Sig { params, ret });
-    };
-    add("print_int", vec![Int], Void);
-    add("print_float", vec![Float], Void);
-    add("print_str", vec![Str], Void);
-    add("print_char", vec![Char], Void);
-    add("clock_us", vec![], Int);
-    add("rand_int", vec![Int], Int);
-    add("int_to_str", vec![Int], Str);
-    add("str_concat", vec![Str, Str], Str);
-    add("str_len", vec![Str], Int);
-    add("obj_create", vec![Int], Int);
-    add("obj_read", vec![Int, Buffer, Int], Int);
-    add("obj_write", vec![Int, Buffer, Int], Int);
-    add("obj_set_fail_rate", vec![Int], Void);
-    add("msg_send", vec![Int, Int, Array(Box::new(Float))], Int);
-    add("msg_recv", vec![Int, Int, Array(Box::new(Float))], Int);
-    add("node_id", vec![], Int);
-    add("num_nodes", vec![], Int);
-    add("inject_failure", vec![Int], Void);
-    m
+/// The source type of an extern's FIR result type: the inverse of
+/// [`fir_ty`] over the types [`ExternEnv::standard`] returns.
+fn c_ty(ty: &Ty) -> CType {
+    match ty {
+        Ty::Int => CType::Int,
+        Ty::Float => CType::Float,
+        Ty::Bool => CType::Bool,
+        Ty::Char => CType::Char,
+        Ty::Str => CType::Str,
+        Ty::Unit => CType::Void,
+        Ty::Raw => CType::Buffer,
+        Ty::Ptr(elem) => CType::Array(Box::new(c_ty(elem))),
+        Ty::Fun(_) | Ty::Closure(_) | Ty::Any => unreachable!("no extern returns {ty}"),
+    }
 }
 
 const BUILTINS: &[&str] = &[
@@ -170,11 +159,10 @@ const BUILTINS: &[&str] = &[
 
 impl Lowerer {
     fn new(unit: &Unit) -> Result<Self, CompileError> {
-        let externs = extern_sigs();
         let mut lowerer = Lowerer {
             pb: ProgramBuilder::new(),
             user: HashMap::new(),
-            externs,
+            externs: ExternEnv::standard(),
             hoist_counter: 0,
             rename_counter: 0,
         };
@@ -187,8 +175,7 @@ impl Lowerer {
                     format!("function `{}` is defined more than once", f.name),
                 ));
             }
-            if lowerer.externs.contains_key(f.name.as_str()) || BUILTINS.contains(&f.name.as_str())
-            {
+            if lowerer.externs.lookup(&f.name).is_some() || BUILTINS.contains(&f.name.as_str()) {
                 return Err(CompileError::at(
                     f.pos,
                     format!("`{}` is a reserved runtime function name", f.name),
@@ -263,7 +250,7 @@ impl Lowerer {
     fn callee_kind(&self, name: &str) -> Option<Callee> {
         if self.user.contains_key(name) {
             Some(Callee::User)
-        } else if self.externs.contains_key(name) {
+        } else if self.externs.lookup(name).is_some() {
             Some(Callee::Extern)
         } else if BUILTINS.contains(&name) {
             Some(Callee::Builtin)
@@ -995,15 +982,16 @@ impl Lowerer {
                 Ok((Atom::Unit, CType::Void))
             }
             _ => {
-                if let Some(sig) = self.externs.get(name).cloned() {
+                if let Some(sig) = self.externs.lookup(name) {
                     check_arity(sig.params.len())?;
+                    let ret = c_ty(&sig.ret);
                     let mut atoms = Vec::with_capacity(args.len());
                     for a in args {
                         atoms.push(self.lower_value(st, a, frame, pre)?.0);
                     }
                     let dst = self.pb.tmp();
-                    pre.push(Pre::Ext(dst, fir_ty(&sig.ret), name.to_owned(), atoms));
-                    Ok((Atom::Var(dst), sig.ret))
+                    pre.push(Pre::Ext(dst, fir_ty(&ret), name.to_owned(), atoms));
+                    Ok((Atom::Var(dst), ret))
                 } else if self.user.contains_key(name) || name == "speculate" {
                     Err(CompileError::at(
                         pos,

@@ -1,4 +1,4 @@
-//! Exporters: human text, JSON-lines, and Chrome trace-event JSON
+//! Exporters: human text and Chrome trace-event JSON
 //! (loadable in Perfetto / `chrome://tracing`), plus a dependency-free
 //! validator for the Chrome format.
 
@@ -7,25 +7,6 @@ use std::fmt::Write as _;
 
 use crate::event::{Event, EventKind};
 
-/// Escape a string for embedding in a JSON string literal.
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Human-readable export: one aligned line per event.
 pub fn export_text(events: &[Event]) -> String {
     let mut out = String::new();
@@ -33,23 +14,6 @@ pub fn export_text(events: &[Event]) -> String {
         let _ = writeln!(
             out,
             "[{:>12} us] node {:>3}  {:<16} a={} b={}",
-            event.ts_us,
-            event.node,
-            event.kind.name(),
-            event.a,
-            event.b
-        );
-    }
-    out
-}
-
-/// JSON-lines export: one object per event, stable key order.
-pub fn export_jsonl(events: &[Event]) -> String {
-    let mut out = String::new();
-    for event in events {
-        let _ = writeln!(
-            out,
-            "{{\"ts_us\":{},\"node\":{},\"kind\":\"{}\",\"a\":{},\"b\":{}}}",
             event.ts_us,
             event.node,
             event.kind.name(),
@@ -462,12 +426,9 @@ mod tests {
     }
 
     #[test]
-    fn text_and_jsonl_have_one_line_per_event() {
+    fn text_has_one_line_per_event() {
         let events = sample_events();
         assert_eq!(export_text(&events).lines().count(), events.len());
-        let jsonl = export_jsonl(&events);
-        assert_eq!(jsonl.lines().count(), events.len());
-        assert!(jsonl.contains("\"kind\":\"Freeze\""));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The observability layer: a **flight recorder** (fixed-capacity ring
 //! buffer of typed runtime events), a **metrics registry** (counters and
-//! power-of-two-bucket histograms) and **exporters** (human text,
-//! JSON-lines, Chrome trace-event JSON).
+//! power-of-two-bucket histograms) and **exporters** (human text and
+//! Chrome trace-event JSON).
 //!
 //! The crate is deliberately dependency-free and knows nothing about
 //! heaps, processes or clusters — the runtime layers push events and
@@ -25,7 +25,7 @@
 //! 3. **One export surface.**  The scattered per-layer stats structs
 //!    (`HeapStats`, `ProcessStats`, `PipelineStats`, `NodeStats`) all
 //!    fold into a [`MetricsRegistry`]; snapshots merge across nodes and
-//!    export uniformly ([`MetricsSnapshot::to_text`], JSON-lines,
+//!    export uniformly ([`MetricsSnapshot::to_text`], and
 //!    [`export_chrome_trace`] for spans).
 //!
 //! ```
@@ -52,9 +52,7 @@ mod report;
 
 pub use clock::{ClockSource, FixedClock, WallClock};
 pub use event::{Event, EventKind};
-pub use export::{
-    export_chrome_trace, export_jsonl, export_text, validate_chrome_trace, ChromeTraceSummary,
-};
+pub use export::{export_chrome_trace, export_text, validate_chrome_trace, ChromeTraceSummary};
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot, HISTOGRAM_BUCKETS};
 pub use recorder::{Level, Recorder, DEFAULT_RING_CAPACITY};
 pub use report::NodeObs;

@@ -196,33 +196,6 @@ impl MetricsSnapshot {
         out
     }
 
-    /// JSON-lines export: one `{"metric":...,"value":...}` object per
-    /// counter and one `{"metric":...,"count":...}` object per histogram.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in &self.counters {
-            let _ = writeln!(
-                out,
-                "{{\"metric\":\"{}\",\"value\":{value}}}",
-                crate::export::escape_json(name)
-            );
-        }
-        for (name, hist) in &self.histograms {
-            let _ = writeln!(
-                out,
-                "{{\"metric\":\"{}\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p99\":{}}}",
-                crate::export::escape_json(name),
-                hist.count(),
-                hist.sum(),
-                hist.min(),
-                hist.max(),
-                hist.quantile_bound(0.50),
-                hist.quantile_bound(0.99),
-            );
-        }
-        out
-    }
-
     /// Append the canonical little-endian encoding (the metrics half of
     /// an obs scrape frame; layout in `docs/WIRE_FORMAT.md`).
     pub fn encode(&self, out: &mut Vec<u8>) {
@@ -423,7 +396,7 @@ mod tests {
     }
 
     #[test]
-    fn text_and_jsonl_exports_are_stable() {
+    fn text_export_is_stable() {
         let registry = MetricsRegistry::new();
         registry.counter_add("b.second", 2);
         registry.counter_add("a.first", 1);
@@ -432,8 +405,7 @@ mod tests {
         let text = snap.to_text();
         // BTreeMap ordering: deterministic, sorted by name.
         assert!(text.find("a.first").unwrap() < text.find("b.second").unwrap());
-        let jsonl = snap.to_jsonl();
-        assert_eq!(jsonl.lines().count(), 3);
-        assert!(jsonl.contains("\"metric\":\"lat\""));
+        assert_eq!(text.lines().count(), 3);
+        assert!(text.contains("lat"));
     }
 }
