@@ -14,9 +14,9 @@ use mojave_wire::FrameError;
 ///
 /// `msg_send(dest, tag, data)` and `msg_recv(src, tag, buf)` move `float[]`
 /// payloads through the cluster mailboxes; `msg_recv` returns [`MSG_ROLL`]
-/// when the peer has failed or nothing arrives in time — the signal the grid
-/// main loop reacts to by rolling back its speculation.  All other externals
-/// delegate to [`DefaultExternals`].
+/// when the peer has failed — the signal the grid main loop reacts to by
+/// rolling back its speculation.  All other externals delegate to
+/// [`DefaultExternals`].
 ///
 /// Every call starts with exactly one [`ClusterOps::tick`].  Failure
 /// injection: once the cluster marks this node failed, the *next* external
@@ -24,10 +24,10 @@ use mojave_wire::FrameError;
 /// moral equivalent of the machine going down.  Message send/receive and
 /// failure events flow into the flight recorder.
 ///
-/// In the cluster's deterministic simulation mode the RNG seed is derived
-/// from the cluster seed, the tick advances the node's seeded virtual
-/// clock, and `clock_us` reads that virtual clock instead of the host's —
-/// so a run's observable behaviour is a pure function of the seed.
+/// The RNG seed is derived from the cluster seed, the tick advances the
+/// node's seeded virtual clock, and `clock_us` reads that virtual clock
+/// instead of the host's — so a run's observable behaviour is a pure
+/// function of the seed.
 #[derive(Debug)]
 pub struct NodeExternals<C> {
     ops: C,
@@ -109,7 +109,7 @@ impl<C: ClusterOps> Externals for NodeExternals<C> {
                 self.recorder.record(EventKind::Failure, epoch, 1);
                 return Err(self.killed());
             }
-            Tick::Alive(now_us) if name == "clock_us" && self.ops.welcome().deterministic => {
+            Tick::Alive(now_us) if name == "clock_us" => {
                 return Ok(Word::Int(now_us as i64));
             }
             Tick::Alive(_) => {}
@@ -152,7 +152,7 @@ impl<C: ClusterOps> Externals for NodeExternals<C> {
                             .record(EventKind::Recv, src as u64, data.len() as u64);
                         Ok(Word::Int(MSG_OK))
                     }
-                    RecvOutcome::PeerFailed | RecvOutcome::Timeout => {
+                    RecvOutcome::PeerFailed => {
                         self.recorder.record(EventKind::Recv, src as u64, u64::MAX);
                         Ok(Word::Int(MSG_ROLL))
                     }
@@ -175,12 +175,9 @@ impl<C: ClusterOps> Externals for NodeExternals<C> {
 mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
-    use std::time::Duration;
 
     fn small_cluster() -> Cluster {
-        let mut config = ClusterConfig::new(2);
-        config.recv_timeout = Duration::from_millis(50);
-        Cluster::new(config)
+        Cluster::new(ClusterConfig::new(2))
     }
 
     #[test]
@@ -276,24 +273,6 @@ mod tests {
                 &mut heap
             )
             .is_err());
-    }
-
-    #[test]
-    fn timeouts_report_msg_roll() {
-        let cluster = small_cluster();
-        let mut receiver = ClusterExternals::new(cluster, 1);
-        let mut heap = Heap::new();
-        let buf = heap.alloc_array(1, Word::Float(0.0)).unwrap();
-        let status = receiver
-            .call(
-                ExtCall {
-                    name: "msg_recv",
-                    args: &[Word::Int(0), Word::Int(3), Word::Ptr(buf)],
-                },
-                &mut heap,
-            )
-            .unwrap();
-        assert_eq!(status, Word::Int(MSG_ROLL));
     }
 
     #[test]

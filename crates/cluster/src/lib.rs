@@ -14,10 +14,10 @@
 //! * [`Cluster`] — shared state, **sharded per node**: each node owns its
 //!   mailbox + condvar, inbound daemon queue and atomic traffic counters,
 //!   so disjoint node pairs never contend on a lock; the checkpoint store,
-//!   failure epochs and per-node architecture tags ride alongside.  With
-//!   [`ClusterConfig::deterministic`] the cluster runs in a seeded
-//!   virtual-time mode in which whole runs (failure injection included)
-//!   replay bit-identically from the seed.
+//!   failure epochs and per-node architecture tags ride alongside.  The
+//!   cluster is a seeded virtual-time simulation: whole runs (failure
+//!   injection included) replay bit-identically from
+//!   [`ClusterConfig::seed`].
 //! * [`ClusterOps`] — the per-node seam between a worker and its cluster:
 //!   identity plus the six operations `tick`/`send`/`recv`/`fail`/
 //!   `deliver`/`has_base`.  [`LocalNode`] runs them on the shared

@@ -5,9 +5,8 @@ use std::time::Duration;
 /// A simple latency + bandwidth model of the cluster interconnect.
 ///
 /// The paper's cluster used 100 Mbps Ethernet; the default model matches it.
-/// The model is used two ways: the cluster can *account* simulated transfer
-/// time (for the experiment reports) and optionally *impose* it by sleeping
-/// (disabled by default so tests stay fast).
+/// The cluster advances a sender's virtual clock by the modelled transfer
+/// time of each send; nothing ever sleeps for it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     /// Link bandwidth in megabits per second.
@@ -31,14 +30,6 @@ impl NetworkModel {
     /// A model of the paper's 100 Mbps cluster network.
     pub fn paper_testbed() -> Self {
         NetworkModel::default()
-    }
-
-    /// An effectively infinite network, for isolating computation costs.
-    pub fn infinite() -> Self {
-        NetworkModel {
-            bandwidth_mbps: f64::INFINITY,
-            latency_us: 0,
-        }
     }
 
     /// Time to move `bytes` across one link.
@@ -75,12 +66,6 @@ mod tests {
         let t = net.transfer_time(64);
         assert!(t >= Duration::from_micros(200));
         assert!(t < Duration::from_micros(300));
-    }
-
-    #[test]
-    fn infinite_network_is_free() {
-        let net = NetworkModel::infinite();
-        assert_eq!(net.transfer_time(1 << 30), Duration::ZERO);
     }
 
     #[test]

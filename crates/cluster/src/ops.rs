@@ -19,9 +19,8 @@ use std::sync::Arc;
 /// What the probe at the head of every external call reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tick {
-    /// The node is alive.  In deterministic mode the probe advanced its
-    /// seeded virtual clock by one tick, to this many microseconds;
-    /// otherwise 0.
+    /// The node is alive, and the probe advanced its seeded virtual clock
+    /// by one tick, to this many microseconds.
     Alive(u64),
     /// The node has been marked failed, at this (odd) failure epoch; its
     /// processes must die.
@@ -37,7 +36,7 @@ pub trait ClusterOps: std::fmt::Debug + Send + 'static {
     /// This node's id.
     fn node(&self) -> usize;
     /// What this node learned about its cluster on joining it — size,
-    /// determinism, its RNG seed and architecture, the slab codecs the
+    /// its RNG seed and architecture, the slab codecs the
     /// receiving side of [`ClusterOps::deliver`] decodes — in the shape of
     /// the transport's handshake reply, which is where a node process gets
     /// it from (and which the hub fills from [`LocalNode`]'s).
@@ -48,12 +47,12 @@ pub trait ClusterOps: std::fmt::Debug + Send + 'static {
     /// reconnects) into the worker's flight recorder.
     fn attach_recorder(&self, _recorder: &Recorder) {}
 
-    /// The per-external-call probe: failure check, then (deterministic
-    /// mode) exactly one virtual-clock tick.
+    /// The per-external-call probe: failure check, then exactly one
+    /// virtual-clock tick.
     fn tick(&self) -> Result<Tick, FrameError>;
     /// `msg_send`: put a tagged float payload in `dest`'s mailbox.
     fn send(&self, dest: usize, tag: i64, data: Vec<f64>) -> Result<(), FrameError>;
-    /// `msg_recv`: block until data from `src`, its failure, or a timeout.
+    /// `msg_recv`: block until data from `src` or its failure.
     fn recv(&self, src: usize, tag: i64) -> Result<RecvOutcome, FrameError>;
     /// `inject_failure`: mark this node failed; returns the failure epoch.
     fn fail(&self) -> Result<u64, FrameError>;
@@ -85,7 +84,6 @@ impl LocalNode {
             transport_version: TRANSPORT_VERSION,
             format_version: FORMAT_VERSION,
             num_nodes: cluster.num_nodes() as u32,
-            deterministic: cluster.is_deterministic(),
             node_seed: cluster.node_seed(node),
             arch: cluster.arch(node),
             // Every in-tree daemon decodes every slab codec, so cluster
@@ -124,12 +122,10 @@ impl ClusterOps for LocalNode {
         let epoch = self.cluster.failure_epoch(self.node);
         Ok(if epoch % 2 == 1 {
             Tick::Failed(epoch)
-        } else if self.welcome.deterministic {
+        } else {
             // Virtual time: every external call costs a seeded per-node
             // tick, so `clock_us` readings replay exactly from the seed.
             Tick::Alive(self.cluster.tick_virtual_clock(self.node))
-        } else {
-            Tick::Alive(0)
         })
     }
 
@@ -138,9 +134,6 @@ impl ClusterOps for LocalNode {
         Ok(())
     }
 
-    /// Deterministic mode has no receive timeouts: `Cluster::recv` panics
-    /// with a deadlock diagnostic before ever returning `Timeout` there,
-    /// so a `Timeout` is always a genuine wall-clock expiry.
     fn recv(&self, src: usize, tag: i64) -> Result<RecvOutcome, FrameError> {
         Ok(self.cluster.recv(self.node, src, tag))
     }
@@ -164,10 +157,9 @@ impl ClusterOps for LocalNode {
                 self.cluster
                     .send(self.node, self.node, -1, vec![bytes.len() as f64]);
                 self.cluster.store().put(target, bytes);
-                // Checkpoint-event hook: wakes coordinators blocked on
-                // "node has written k checkpoints" and fires any scheduled
-                // failure injection synchronously in this thread (the
-                // deterministic-mode replay guarantee).
+                // Checkpoint-event hook: fires any scheduled failure
+                // injection synchronously in this thread (the replay
+                // guarantee).
                 self.cluster.note_checkpoint(self.node);
                 DeliveryOutcome::Stored
             }

@@ -283,7 +283,6 @@ fn write_outcome(w: &mut WireWriter, outcome: &DeliveryOutcome) {
     match outcome {
         DeliveryOutcome::Stored => w.write_u8(0),
         DeliveryOutcome::Migrated => w.write_u8(1),
-        DeliveryOutcome::Superseded => w.write_u8(2),
         DeliveryOutcome::Failed(msg) => {
             w.write_u8(3);
             w.write_str(msg);
@@ -296,10 +295,21 @@ fn decode_outcome(payload: &[u8]) -> Result<DeliveryOutcome, WireError> {
     match r.read_u8()? {
         0 => Ok(DeliveryOutcome::Stored),
         1 => Ok(DeliveryOutcome::Migrated),
-        2 => Ok(DeliveryOutcome::Superseded),
         3 => Ok(DeliveryOutcome::Failed(r.read_str()?.to_owned())),
         tag => Err(WireError::BadTag {
             context: "DeliveryOutcome",
+            tag: tag as u64,
+        }),
+    }
+}
+
+fn decode_recv_reply(payload: &[u8]) -> Result<RecvOutcome, WireError> {
+    let mut r = WireReader::new(payload);
+    match r.read_u8()? {
+        0 => Ok(RecvOutcome::Data(read_floats(&mut r)?)),
+        1 => Ok(RecvOutcome::PeerFailed),
+        tag => Err(WireError::BadTag {
+            context: "RecvReply",
             tag: tag as u64,
         }),
     }
@@ -667,7 +677,6 @@ fn serve_request(
                     write_floats(&mut w, &data);
                 }
                 RecvOutcome::PeerFailed => w.write_u8(1),
-                RecvOutcome::Timeout => w.write_u8(2),
             }
             FrameKind::RecvReply
         }
@@ -835,8 +844,7 @@ impl RemoteCluster {
         &self.shared.traffic
     }
 
-    /// The handshake result: cluster shape, determinism, seed, arch,
-    /// negotiated codecs.
+    /// The handshake result: cluster shape, seed, arch, negotiated codecs.
     pub fn welcome(&self) -> &Welcome {
         &self.shared.welcome
     }
@@ -1020,16 +1028,7 @@ impl ClusterOps for RemoteCluster {
         w.write_u32(src as u32);
         w.write_i64(tag);
         let reply = self.rpc(FrameKind::Recv, &w.into_bytes(), FrameKind::RecvReply)?;
-        let mut r = WireReader::new(&reply);
-        match r.read_u8()? {
-            0 => Ok(RecvOutcome::Data(read_floats(&mut r)?)),
-            1 => Ok(RecvOutcome::PeerFailed),
-            2 => Ok(RecvOutcome::Timeout),
-            tag => Err(FrameError::Wire(WireError::BadTag {
-                context: "RecvReply",
-                tag: tag as u64,
-            })),
-        }
+        Ok(decode_recv_reply(&reply)?)
     }
 
     fn fail(&self) -> Result<u64, FrameError> {
@@ -1073,7 +1072,6 @@ mod tests {
         let remote = RemoteCluster::connect(&addr, 2, CodecSet::all()).expect("connect");
         let welcome = remote.welcome();
         assert_eq!(welcome.num_nodes, 3);
-        assert!(welcome.deterministic);
         assert_eq!(welcome.node_seed, server.cluster().node_seed(2));
         assert_eq!(welcome.codec_bits, CodecSet::all().bits());
         let negotiated = server.negotiated_codecs();
@@ -1085,6 +1083,24 @@ mod tests {
         assert_eq!(
             CodecSet::from_bits(narrow.welcome().codec_bits),
             CodecSet::only(mojave_wire::CodecId::Lz)
+        );
+    }
+
+    /// Byte 2 of a `RecvReply` (a receive timeout) and of a `DeliverAck`
+    /// (a coalesced checkpoint) name outcomes that no longer exist: each
+    /// decodes to a precise bad tag, never to a value.
+    #[test]
+    fn retired_reply_bytes_are_bad_tags() {
+        let bad_tag = |context| WireError::BadTag { context, tag: 2 };
+        assert_eq!(decode_recv_reply(&[2]), Err(bad_tag("RecvReply")));
+        assert_eq!(decode_outcome(&[2]), Err(bad_tag("DeliveryOutcome")));
+        // The bytes around it still decode.
+        assert_eq!(decode_recv_reply(&[1]), Ok(RecvOutcome::PeerFailed));
+        let mut w = WireWriter::new();
+        write_outcome(&mut w, &DeliveryOutcome::Failed("full".into()));
+        assert_eq!(
+            decode_outcome(&w.into_bytes()),
+            Ok(DeliveryOutcome::Failed("full".into()))
         );
     }
 

@@ -765,15 +765,6 @@ pub enum DeliveryOutcome {
     Migrated,
     /// The image was durably stored (checkpoint/suspend file written).
     Stored,
-    /// The checkpoint was **coalesced away by a newer one** before it was
-    /// ever encoded (the `CoalesceLatest` backpressure policy).  Not a
-    /// failure: the sink is healthy and a strictly newer checkpoint of the
-    /// same process covers this one's state.  Distinguishing this from
-    /// [`DeliveryOutcome::Failed`] matters to async-delta fallback logic —
-    /// a real sink error means the delta chain may be broken and full
-    /// images are the safe response, while a superseded delta calls for no
-    /// fallback at all.
-    Superseded,
     /// Delivery failed; the process continues on the source machine
     /// (paper: "if migration fails for any reason, the process will continue
     /// to execute on the original machine").
@@ -782,12 +773,11 @@ pub enum DeliveryOutcome {
 
 impl DeliveryOutcome {
     /// Stable numeric code used in flight-recorder event payloads
-    /// (0 stored, 1 migrated, 2 superseded, 3 failed).
+    /// (0 stored, 1 migrated, 3 failed; 2 is retired).
     pub fn obs_code(&self) -> u64 {
         match self {
             DeliveryOutcome::Stored => 0,
             DeliveryOutcome::Migrated => 1,
-            DeliveryOutcome::Superseded => 2,
             DeliveryOutcome::Failed(_) => 3,
         }
     }
@@ -843,11 +833,6 @@ pub struct SnapshotPack {
 }
 
 impl SnapshotPack {
-    /// Whether this pack will encode an incremental delta image.
-    pub fn is_delta(&self) -> bool {
-        self.delta_base.is_some()
-    }
-
     /// Run the encode: serialise the frozen heap (full or delta) in the
     /// negotiated codecs and assemble the [`MigrationImage`].  Fills
     /// [`SnapshotPack::fingerprint_slot`] for full images.  This is the
@@ -882,9 +867,8 @@ impl SnapshotPack {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Nanoseconds the **mutator** was blocked across all submissions:
-    /// heap freezes plus any time spent waiting on a full queue under the
-    /// `Block` backpressure policy.  The number the zero-pause design
-    /// minimises.
+    /// heap freezes plus any time spent waiting on a full queue.  The
+    /// number the zero-pause design minimises.
     pub pause_ns: u64,
     /// Nanoseconds pipeline workers spent encoding images off-thread —
     /// the cost that used to be part of the mutator's pause.  Summed
@@ -908,10 +892,8 @@ pub struct PipelineStats {
     pub submitted: u64,
     /// Checkpoints fully encoded and delivered (or failed trying),
     /// counted in submit order — deliveries never overtake each other.
+    /// After a drain it equals `submitted`: the pipeline drops nothing.
     pub completed: u64,
-    /// Queued checkpoints replaced by a newer one under the
-    /// `CoalesceLatest` backpressure policy (never encoded or stored).
-    pub coalesced: u64,
     /// Deliveries that failed (encode error or sink failure).
     pub failed: u64,
 }

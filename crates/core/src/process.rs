@@ -417,7 +417,6 @@ impl Process {
         if let Some(p) = self.sink.pipeline_stats() {
             registry.counter_set("pipeline.submitted", p.submitted);
             registry.counter_set("pipeline.completed", p.completed);
-            registry.counter_set("pipeline.coalesced", p.coalesced);
             registry.counter_set("pipeline.failed", p.failed);
             registry.counter_set("pipeline.queue_depth_max", p.queue_depth_max as u64);
             registry.counter_set("pipeline.bytes_raw", p.bytes_raw);
@@ -671,16 +670,6 @@ impl Process {
                                 self.stats.delta_checkpoints += 1;
                                 self.deltas_since_full += 1;
                             }
-                            fun = f;
-                            args = a;
-                        }
-                        (MigrateProtocol::Checkpoint, DeliveryOutcome::Superseded) => {
-                            // Coalesced away by a newer checkpoint under
-                            // backpressure: not a failure, and not a reason
-                            // to fall back to full images — the sink is
-                            // healthy and a strictly newer checkpoint
-                            // covers this state.  The delta base and chain
-                            // position stay exactly as they were.
                             fun = f;
                             args = a;
                         }

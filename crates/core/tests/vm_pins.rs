@@ -23,12 +23,13 @@
 //! instruction pairs, which must charge the steps of the instructions they
 //! stand for and stop between the two halves where the budget says so.
 
+use mojave_core::rng::SplitMix64;
 use mojave_core::{
     CheckpointStore, DeliveryOutcome, InMemorySink, MigrationImage, MigrationSink, Process,
     ProcessConfig, RunOutcome,
 };
 use mojave_fir::{MigrateProtocol, Program};
-use mojave_fuzz::mutate::SplitMix64;
+use mojave_fuzz::mutate::below;
 use mojave_heap::HeapConfig;
 use mojave_wire::{fingerprint, CodecSet};
 use std::sync::{Arc, Mutex};
@@ -255,7 +256,7 @@ fn run(program: &Program, binary_migration: bool, accept_migrations: bool) -> (T
 fn fuzz_program(seed: u64) -> String {
     let mut rng = SplitMix64::new(seed);
     let tape: Vec<u32> = (0..mojave_fuzz::MAX_TAPE)
-        .map(|_| rng.below(1_000_000) as u32)
+        .map(|_| below(&mut rng, 1_000_000) as u32)
         .collect();
     mojave_fuzz::generate_program(&tape)
 }

@@ -30,7 +30,8 @@
 //! [`ProcessStats`] invariants listed in the private `StatsView` helper.
 
 use crate::gen::generate_program;
-use crate::mutate::SplitMix64;
+use crate::mutate::below;
+use mojave_core::rng::SplitMix64;
 use mojave_core::{
     BackendKind, CheckpointStore, DeliveryOutcome, InMemorySink, MigrationImage, MigrationSink,
     Process, ProcessConfig, ProcessStats, RunOutcome, RuntimeError,
@@ -336,7 +337,7 @@ fn check_kill_and_resurrect(
     if bytecode.steps <= BUDGET_SWEEP_MAX_STEPS && seed % BUDGET_SWEEP_ONE_IN == 0 {
         let mut rng = SplitMix64::new(seed);
         for _ in 0..BUDGET_SWEEP_SAMPLES {
-            let kill = 1 + rng.below(bytecode.steps - 1);
+            let kill = 1 + below(&mut rng, bytecode.steps - 1);
             // Raw images: what the sweep varies is the kill point, and
             // trying every codec on every checkpoint would dominate it.
             kill_and_resurrect(

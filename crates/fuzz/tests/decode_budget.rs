@@ -20,8 +20,8 @@
 //! The allocator counts per thread, so each window sees only its own
 //! test's allocations, whatever runs beside it.
 
+use mojave_core::rng::SplitMix64;
 use mojave_fuzz::cap_alloc::CapAlloc;
-use mojave_fuzz::mutate::SplitMix64;
 use mojave_heap::{BlockKind, Heap, HeapConfig, ImageCodec, ImageKind, Numeric, PtrIdx, Word};
 use mojave_wire::{
     compress_bytes, CodecError, CodecId, CodecSet, WireCodec, WireError, WireReader, WireWriter,

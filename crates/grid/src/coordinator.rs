@@ -219,26 +219,24 @@ impl fmt::Display for GridError {
 
 impl std::error::Error for GridError {}
 
-/// Per-run knobs orthogonal to the grid shape: deterministic seeding,
+/// Per-run knobs orthogonal to the grid shape: the simulation seed,
 /// checkpoint codec, and the asynchronous checkpoint pipeline.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GridOptions {
-    /// `Some(seed)` runs the cluster in deterministic simulation mode
-    /// ([`ClusterConfig::deterministic`]): seeded virtual time, no
-    /// wall-clock receive timeouts, and failure injection fired
-    /// synchronously inside the victim's `after_checkpoints`-th checkpoint
-    /// delivery, so the whole run replays bit-identically from the seed.
-    /// `None` uses wall-clock mode.
+    /// The seed of the cluster simulation ([`ClusterConfig::deterministic`]):
+    /// seeded virtual time, no wall-clock receive timeouts, and failure
+    /// injection fired synchronously inside the victim's
+    /// `after_checkpoints`-th checkpoint delivery, so the whole run replays
+    /// bit-identically from the seed.  `None` is seed 0.
     pub seed: Option<u64>,
     /// Slab-compression codec for worker checkpoints: `None` auto-chooses
     /// per slab, `Some(CodecId::Raw)` disables compression.  The codec only
     /// changes checkpoint *bytes*, never control flow.
     pub heap_codec: Option<CodecId>,
     /// Route worker checkpoints through the asynchronous pipeline
-    /// (`mojave-runtime`).  In deterministic mode the pipeline runs with
-    /// drain barriers, so the replay digest is identical to the
-    /// synchronous run's; in wall-clock mode checkpoints overlap the
-    /// computation and the mutator pause shrinks to the heap freeze.
+    /// (`mojave-runtime`).  The pipeline runs with drain barriers, so the
+    /// replay digest is identical to the synchronous run's: the encode
+    /// moves off the mutator thread, the mutator still waits for it.
     pub async_checkpoints: bool,
     /// Observability level workers run their flight recorders at.
     /// [`Level::Off`] (the default) compiles down to one relaxed atomic
@@ -300,26 +298,15 @@ fn drive(
     mut launch: impl FnMut(usize, Option<Resume>) -> Result<(), GridError>,
     mut reports: impl FnMut(Duration) -> Option<NodeStats>,
 ) -> Result<GridReport, GridError> {
-    // Deterministic mode arms the failure *before* any worker runs: the
-    // victim is then marked failed inside its own k-th checkpoint delivery,
-    // independent of scheduling.
-    if let Some(plan) = failure.filter(|_| cluster.is_deterministic()) {
+    // Arm the failure *before* any worker runs: the victim is then marked
+    // failed inside its own k-th checkpoint delivery, independent of
+    // scheduling.
+    if let Some(plan) = failure {
         cluster.schedule_failure(plan.victim, plan.after_checkpoints as u64);
     }
     let start = Instant::now();
     for worker in 0..config.workers {
         launch(worker, None)?;
-    }
-    // Wall-clock failure injection: block on the cluster's checkpoint
-    // events (no sleep-polling) until the victim has written enough
-    // checkpoints, then mark its node failed.
-    if let Some(plan) = failure.filter(|_| !cluster.is_deterministic()) {
-        cluster.wait_for_node_checkpoints(
-            plan.victim,
-            plan.after_checkpoints as u64,
-            Duration::from_secs(60),
-        );
-        cluster.fail_node(plan.victim);
     }
 
     let mut report = GridReport {
@@ -382,14 +369,10 @@ pub fn run_grid_with(
     failure: Option<FailurePlan>,
     options: GridOptions,
 ) -> Result<GridReport, GridError> {
-    let cluster = match options.seed {
-        Some(seed) => Cluster::new(ClusterConfig::deterministic(config.workers, seed)),
-        None => {
-            let mut cluster_config = ClusterConfig::new(config.workers);
-            cluster_config.recv_timeout = Duration::from_millis(1_500);
-            Cluster::new(cluster_config)
-        }
-    };
+    let cluster = Cluster::new(ClusterConfig::deterministic(
+        config.workers,
+        options.seed.unwrap_or(0),
+    ));
     let job = Arc::new(job_spec(config, options));
     let (tx, rx) = mpsc::channel();
     let mut node_obs = Vec::new();
@@ -418,15 +401,15 @@ pub fn run_grid_with(
 
 /// Run the grid computation across **real node processes** over the
 /// socket transport: the caller binds a [`ClusterServer`] (owning the
-/// deterministic or wall-clock cluster) and supplies a closure that
-/// spawns one OS process per worker — normally `mcc node <addr> <id>`.
+/// seeded cluster) and supplies a closure that spawns one OS process per
+/// worker — normally `mcc node <addr> <id>`.
 ///
 /// The server hands every node the same job [`run_grid_with`]'s threads
 /// run, and the same loop collects the reports, resurrects a failed victim
 /// (here by arming its latest checkpoint as a resume image and respawning
 /// it) and assembles the [`GridReport`] from the same hub-side state — so
-/// for a deterministic cluster the [`GridReport::replay_digest`] matches
-/// the in-process run's.  That is the transport's correctness oracle.
+/// the [`GridReport::replay_digest`] matches the in-process run's at the
+/// same seed.  That is the transport's correctness oracle.
 pub fn run_grid_served(
     server: &ClusterServer,
     config: &GridConfig,
@@ -733,8 +716,8 @@ mod tests {
 
     #[test]
     fn no_sleep_polling_in_the_join_path() {
-        // The coordinator blocks on cluster checkpoint events; the 5 ms
-        // sleep-poll loop must never come back.
+        // The coordinator blocks on worker reports; the 5 ms sleep-poll
+        // loop must never come back.
         let source = include_str!("coordinator.rs");
         let needle: String = ["thread::", "sleep"].concat();
         assert!(

@@ -33,8 +33,8 @@ pub fn run_worker<C: ClusterOps>(
 ) -> (NodeStats, Option<NodeObs>) {
     let level = Level::from_u8(job.obs_level);
     // The node's identity, the job's level, and the node's clock — in
-    // deterministic in-process runs the cluster's seeded virtual clock, so
-    // event timestamps replay exactly.
+    // in-process runs the cluster's seeded virtual clock, so event
+    // timestamps replay exactly.
     let recorder = Recorder::with_clock(ops.node() as u32, level, ops.clock_source());
     ops.attach_recorder(&recorder);
     sink_ops.attach_recorder(&recorder);
@@ -70,16 +70,15 @@ pub fn run_worker<C: ClusterOps>(
     };
     let sink = NodeSink(sink_ops);
     let sink: Box<dyn MigrationSink> = if job.async_checkpoints {
-        // In the cluster's deterministic mode the pipeline runs with the
-        // **drain barrier**: every checkpoint's side effects (store write,
-        // network accounting, scheduled failure injection) land at exactly
-        // the point in the worker's execution the synchronous path would
-        // produce them, which is what makes replay digests identical with
-        // the pipeline on or off.
+        // The pipeline runs with the **drain barrier**: every checkpoint's
+        // side effects (store write, network accounting, scheduled failure
+        // injection) land at exactly the point in the worker's execution
+        // the synchronous path would produce them, which is what makes
+        // replay digests identical with the pipeline on or off.
         let pipeline = AsyncSink::new(
             Box::new(sink),
             PipelineConfig {
-                drain_after_submit: ops.welcome().deterministic,
+                drain_after_submit: true,
                 ..PipelineConfig::default()
             },
         );

@@ -14,7 +14,7 @@ pub enum EventKind {
     CheckpointBegin = 1,
     /// The checkpoint's mutator-side work finished (span close).  `a` =
     /// migrate label, `b` = delivery outcome code (0 stored, 1 migrated,
-    /// 2 superseded, 3 failed).
+    /// 3 failed).
     CheckpointEnd = 2,
     /// A zero-pause heap freeze (`Heap::freeze`), one per pack,
     /// synchronous or asynchronous.  `a` = live blocks captured, `b` =

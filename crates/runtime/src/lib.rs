@@ -21,9 +21,8 @@
 //!    slots, since an encode reads only its own frozen snapshot — and
 //!    the [`mojave_core::MigrationSink`] deliveries then pass a turnstile
 //!    one at a time, in submit order, so a full image is always stored
-//!    before the deltas that pin it.  The queue is bounded, with an
-//!    explicit [`BackpressurePolicy`] (block, or coalesce superseded
-//!    deltas).
+//!    before the deltas that pin it.  The queue is bounded: a submit to a
+//!    full queue blocks the mutator, so no checkpoint is ever dropped.
 //!
 //! [`AsyncSink`] packages the pipeline as a [`mojave_core::MigrationSink`]
 //! adapter around any inner sink; a process opts in with
@@ -63,5 +62,5 @@
 mod pipeline;
 mod sink;
 
-pub use pipeline::{BackpressurePolicy, CheckpointPipeline, PipelineConfig};
+pub use pipeline::{CheckpointPipeline, PipelineConfig};
 pub use sink::AsyncSink;

@@ -23,28 +23,6 @@ pub(crate) fn lock_sink(sink: &SharedSink) -> MutexGuard<'_, Box<dyn MigrationSi
     sink.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// What `submit` does when the bounded queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackpressurePolicy {
-    /// Block the mutator until a worker frees a slot.  Never loses a
-    /// checkpoint; the pause ends when the first busy worker finishes the
-    /// job it holds and takes the next one off the queue.
-    #[default]
-    Block,
-    /// Replace the newest **queued delta** with the incoming checkpoint
-    /// and account it in [`PipelineStats::coalesced`].
-    ///
-    /// Dropping a queued-but-unstarted *delta* is always safe: deltas are
-    /// cumulative since their full base, so any newer checkpoint of the
-    /// same process strictly supersedes an older queued delta, and
-    /// nothing ever resolves against a delta (only against full images).
-    /// Queued **full** images are never dropped — a full may be the
-    /// pinned base of deltas submitted after it, and in-order delivery is
-    /// what guarantees the base is stored before those deltas.  When the
-    /// queue holds only fulls, the policy falls back to blocking.
-    CoalesceLatest,
-}
-
 /// Configuration of a [`CheckpointPipeline`].
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
@@ -52,17 +30,16 @@ pub struct PipelineConfig {
     /// accepted but not yet picked up.  Each of the
     /// `min(available cores, queue_capacity)` workers holds one more while
     /// it encodes, so `queue_capacity + workers` frozen snapshots is the
-    /// most the pipeline ever keeps alive.
+    /// most the pipeline ever keeps alive.  A submit to a full queue
+    /// blocks the mutator until a worker takes a job off it, so no
+    /// checkpoint is ever dropped.
     pub queue_capacity: usize,
-    /// What to do when the queue is full.
-    pub backpressure: BackpressurePolicy,
     /// Drain the pipeline inside every deferred delivery, making the
     /// asynchronous path a **barrier**: the submission returns only after
     /// its checkpoint is durably delivered, and the returned outcome is
     /// the real one instead of the optimistic `Stored`.
     ///
-    /// This is the determinism switch: with it, a deterministic-mode grid
-    /// replay interleaves checkpoint side effects (store writes, network
+    /// This is the determinism switch: with it, a grid replay interleaves checkpoint side effects (store writes, network
     /// accounting, failure injection) at exactly the points the
     /// synchronous path would, so replay digests are identical with the
     /// pipeline on or off.  It deliberately gives back the pause benefit
@@ -74,7 +51,6 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
             queue_capacity: 4,
-            backpressure: BackpressurePolicy::default(),
             drain_after_submit: false,
         }
     }
@@ -308,9 +284,9 @@ impl CheckpointPipeline {
         }
     }
 
-    /// Queue a checkpoint for deferred encode + delivery, applying the
-    /// configured backpressure policy when the queue is full.  Returns
-    /// the slot a worker fills with the real [`DeliveryOutcome`].
+    /// Queue a checkpoint for deferred encode + delivery, blocking while
+    /// the queue is full.  Returns the slot a worker fills with the real
+    /// [`DeliveryOutcome`].
     ///
     /// The mutator-side cost of the whole submission — the heap freeze
     /// recorded in the pack plus any blocking on a full queue — is
@@ -332,35 +308,14 @@ impl CheckpointPipeline {
         let mut state = self.shared.lock();
         state.stats.submitted += 1;
         state.stats.pause_ns += job.pack.freeze_ns;
-        let mut job = Some(job);
-        loop {
-            if state.queue.len() < self.config.queue_capacity {
-                state
-                    .queue
-                    .push_back(job.take().expect("job still pending"));
-                break;
-            }
-            if self.config.backpressure == BackpressurePolicy::CoalesceLatest
-                && state.queue.back().is_some_and(|old| old.pack.is_delta())
-            {
-                let superseded = state.queue.pop_back().expect("checked non-empty");
-                // Not a failure: the incoming checkpoint strictly covers
-                // the dropped delta's state, and the sink never saw it.
-                // Waiters distinguish this from a sink error, which would
-                // call for a full-image fallback.
-                let _ = superseded.outcome.set(DeliveryOutcome::Superseded);
-                state.stats.coalesced += 1;
-                state
-                    .queue
-                    .push_back(job.take().expect("job still pending"));
-                break;
-            }
+        while state.queue.len() >= self.config.queue_capacity {
             state = self
                 .shared
                 .space_ready
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
+        state.queue.push_back(job);
         state.stats.queue_depth = state.queue.len();
         state.stats.queue_depth_max = state.stats.queue_depth_max.max(state.queue.len());
         state.stats.pause_ns += submit_start.elapsed().as_nanos() as u64;
@@ -547,10 +502,9 @@ mod tests {
         }
     }
 
-    fn config(queue_capacity: usize, backpressure: BackpressurePolicy) -> PipelineConfig {
+    fn config(queue_capacity: usize) -> PipelineConfig {
         PipelineConfig {
             queue_capacity,
-            backpressure,
             drain_after_submit: false,
         }
     }
@@ -616,11 +570,7 @@ mod tests {
     fn worker_count_is_derived_from_cores_and_capacity() {
         let workers = |queue_capacity, cores| {
             let (probe, _) = Probe::new(&CheckpointStore::new());
-            let pipeline = CheckpointPipeline::spawn(
-                probe.shared(),
-                config(queue_capacity, BackpressurePolicy::Block),
-                cores,
-            );
+            let pipeline = CheckpointPipeline::spawn(probe.shared(), config(queue_capacity), cores);
             pipeline.workers.len()
         };
         assert_eq!(workers(1, 8), 1, "a capacity-1 pipeline is strictly serial");
@@ -637,8 +587,7 @@ mod tests {
     fn deliveries_and_events_keep_submit_order_when_later_encodes_finish_first() {
         let store = CheckpointStore::new();
         let (probe, seen) = Probe::new(&store);
-        let pipeline =
-            CheckpointPipeline::spawn(probe.shared(), config(4, BackpressurePolicy::Block), 3);
+        let pipeline = CheckpointPipeline::spawn(probe.shared(), config(4), 3);
         let recorder = Recorder::new(0, mojave_obs::Level::Trace);
         pipeline.set_recorder(recorder.clone());
 
@@ -682,8 +631,7 @@ mod tests {
     fn a_full_is_stored_before_the_deltas_that_pin_it() {
         let store = CheckpointStore::new();
         let (probe, seen) = Probe::new(&store);
-        let pipeline =
-            CheckpointPipeline::spawn(probe.shared(), config(4, BackpressurePolicy::Block), 3);
+        let pipeline = CheckpointPipeline::spawn(probe.shared(), config(4), 3);
 
         let mut process = process_with_heap(64, 2048, 21);
         let mut names = Vec::new();
@@ -701,7 +649,7 @@ mod tests {
             for d in 0..2 {
                 touch(&mut process, d);
                 let delta = pack(&mut process, Some((&base, fingerprint)));
-                assert!(delta.is_delta());
+                assert!(delta.delta_base.is_some());
                 let name = format!("delta-{chain}-{d}");
                 pipeline.submit(MigrateProtocol::Checkpoint, &name, delta);
                 names.push(name);
@@ -719,55 +667,6 @@ mod tests {
         }
     }
 
-    /// (iii) `CoalesceLatest` with two workers drops queued deltas only.
-    #[test]
-    fn coalescing_with_two_workers_never_drops_a_full() {
-        let store = CheckpointStore::new();
-        let (mut probe, _) = Probe::new(&store);
-        probe.jitter = Some(SplitMix64::new(3));
-        let pipeline = CheckpointPipeline::spawn(
-            probe.shared(),
-            config(2, BackpressurePolicy::CoalesceLatest),
-            2,
-        );
-        assert_eq!(pipeline.workers.len(), 2);
-
-        let mut process = process_with_heap(4, 64, 5);
-        let mut fulls = Vec::new();
-        let mut outcomes = Vec::new();
-        for i in 0..60i64 {
-            let (name, pack) = if i % 5 == 0 {
-                let pack = pack(&mut process, None);
-                process.heap_mut().mark_clean();
-                fulls.push(format!("full-{i}"));
-                (format!("full-{i}"), pack)
-            } else {
-                touch(&mut process, i);
-                (
-                    format!("delta-{i}"),
-                    pack(&mut process, Some(("full", 0xFEED))),
-                )
-            };
-            outcomes.push(pipeline.submit(MigrateProtocol::Checkpoint, &name, pack));
-        }
-        pipeline.drain();
-
-        let stats = pipeline.stats();
-        assert_eq!(stats.submitted, 60);
-        assert_eq!(stats.completed + stats.coalesced, 60);
-        assert_eq!(stats.failed, 0);
-        assert!(stats.queue_depth_max <= 2);
-        for name in &fulls {
-            assert!(store.contains(name), "`{name}` was dropped");
-        }
-        let superseded = outcomes
-            .iter()
-            .filter(|slot| matches!(slot.get(), Some(DeliveryOutcome::Superseded)))
-            .count();
-        assert_eq!(superseded as u64, stats.coalesced);
-        assert_eq!(store.len() as u64, stats.completed);
-    }
-
     /// Run one seeded schedule of 200 submissions — fulls and deltas under
     /// seven rotating names, so what the store ends up holding depends on
     /// delivery order — through a pipeline with `cores` workers and a
@@ -776,8 +675,7 @@ mod tests {
         let store = CheckpointStore::new();
         let (mut probe, _) = Probe::new(&store);
         probe.jitter = Some(SplitMix64::new(0xC0FFEE ^ cores as u64));
-        let pipeline =
-            CheckpointPipeline::spawn(probe.shared(), config(4, BackpressurePolicy::Block), cores);
+        let pipeline = CheckpointPipeline::spawn(probe.shared(), config(4), cores);
         let mut process = process_with_heap(6, 96, 11);
         let mut rng = SplitMix64::new(99);
         process.heap_mut().mark_clean();
@@ -806,7 +704,7 @@ mod tests {
             .collect()
     }
 
-    /// (iv) The store a multi-worker pipeline leaves behind is the store a
+    /// (iii) The store a multi-worker pipeline leaves behind is the store a
     /// one-worker pipeline leaves behind, byte for byte.
     #[test]
     fn store_contents_do_not_depend_on_the_worker_count() {
@@ -824,11 +722,7 @@ mod tests {
             let (mut probe, seen) = Probe::new(&store);
             probe.panic_on = Some(3);
             let sink = probe.shared();
-            let pipeline = CheckpointPipeline::spawn(
-                Arc::clone(&sink),
-                config(4, BackpressurePolicy::Block),
-                cores,
-            );
+            let pipeline = CheckpointPipeline::spawn(Arc::clone(&sink), config(4), cores);
             let mut process = process_with_heap(4, 64, 13);
             let outcomes: Vec<_> = (0..8)
                 .map(|i| {

@@ -32,8 +32,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// bump changes how bytes move, not what they decode to.
 ///
 /// v2 added the observability scrape messages ([`FrameKind::ObsPush`]
-/// through [`FrameKind::ObsReply`]).
-pub const TRANSPORT_VERSION: u32 = 2;
+/// through [`FrameKind::ObsReply`]).  v3 dropped the `Welcome`'s
+/// determinism byte and the timeout and coalesced reply values: every
+/// cluster is a seeded simulation, receives never time out and every
+/// checkpoint is delivered.
+pub const TRANSPORT_VERSION: u32 = 3;
 
 /// Upper bound on a single frame's payload (1 GiB).  A frame carries at
 /// most one wire image plus small metadata; anything larger is corruption
@@ -438,8 +441,6 @@ pub struct Welcome {
     pub format_version: u32,
     /// Total nodes in the cluster.
     pub num_nodes: u32,
-    /// Whether the cluster runs in deterministic simulation mode.
-    pub deterministic: bool,
     /// Per-node RNG seed for the connected node.
     pub node_seed: u64,
     /// Architecture tag the node must emulate.
@@ -457,7 +458,6 @@ impl Welcome {
         w.write_u32(self.transport_version);
         w.write_u32(self.format_version);
         w.write_u32(self.num_nodes);
-        w.write_bool(self.deterministic);
         w.write_u64(self.node_seed);
         w.write_str(&self.arch);
         w.write_u8(self.codec_bits);
@@ -475,7 +475,6 @@ impl Welcome {
             transport_version: r.read_u32()?,
             format_version: r.read_u32()?,
             num_nodes: r.read_u32()?,
-            deterministic: r.read_bool()?,
             node_seed: r.read_u64()?,
             arch: r.read_str()?.to_owned(),
             codec_bits: r.read_u8()?,
@@ -573,7 +572,6 @@ mod tests {
             transport_version: TRANSPORT_VERSION,
             format_version: FORMAT_VERSION,
             num_nodes: 4,
-            deterministic: true,
             node_seed: 0xDEAD_BEEF_F00D,
             arch: "risc-sim".to_owned(),
             codec_bits: 0b0101,
