@@ -73,10 +73,9 @@ impl ClusterConfig {
     /// The alternation is deliberate — it makes every default multi-node
     /// test a *heterogeneous* migration test, exercising the paper's claim
     /// that the canonical image format needs no translation between
-    /// machines.  It is not free, though: FIR images are recompiled for the
-    /// destination architecture and binary migration is refused across the
-    /// boundary.  Benchmarks and experiments that want architecture effects
-    /// out of the picture should use [`ClusterConfig::homogeneous`].
+    /// machines.  The tags are header labels: an image records the tag of
+    /// the node that packed it, every receiver recompiles the FIR it
+    /// carries whatever the tags, and nothing is refused across them.
     ///
     /// The seed is 0; [`ClusterConfig::deterministic`] picks another.
     pub fn new(nodes: usize) -> Self {
@@ -97,11 +96,9 @@ impl ClusterConfig {
         }
     }
 
-    /// A cluster whose nodes all share one architecture tag, opting out of
-    /// the cross-architecture translation noise that
-    /// [`ClusterConfig::new`]'s alternating tags introduce (binary
-    /// migration works between any pair of nodes, and recompilation costs
-    /// are uniform).
+    /// A cluster whose nodes all share one architecture tag.  The tags are
+    /// header labels (see [`ClusterConfig::new`]), so this changes only the
+    /// label images and node welcomes carry, never what runs.
     pub fn homogeneous(nodes: usize, arch: &str) -> Self {
         ClusterConfig {
             archs: vec![arch.to_owned(); nodes],

@@ -195,7 +195,7 @@ mod tests {
         assert_eq!(*results[0].as_ref().unwrap(), RunOutcome::Exit(78));
 
         let other_code = MigrationImage {
-            code: mojave_core::migrate::PackedCode::Fir(dummy_program()).into(),
+            code: dummy_program().into(),
             ..base
         };
         cluster.store().put("base", other_code.to_bytes());

@@ -10,14 +10,13 @@
 //!   register-machine instruction stream ([`BytecodeProgram`]) which the
 //!   process then executes.  This elaboration step is the stand-in for
 //!   native code generation: it is what the migration server re-runs when a
-//!   process arrives as FIR, and it is what "binary migration" skips by
-//!   shipping the already-compiled program.
+//!   process arrives as FIR.  Compiled code never travels.
 //!
-//! The instruction stream ([`Instr`]) is the form that is shipped and
-//! verified.  The VM runs a form derived from it once per process, after
-//! verification (`exec`): the same pcs, compact ops, and the constant and
+//! The instruction stream ([`Instr`]) is the form the compiler emits and
+//! the verifier checks.  The VM runs a form derived from it once per
+//! process (`exec`): the same pcs, compact ops, and the constant and
 //! compare-and-branch pairs the compiler emits fused into one op each at
-//! the canonical two steps.  That form is never serialised.
+//! the canonical two steps.
 
 mod bytecode;
 mod compile;

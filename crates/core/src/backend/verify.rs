@@ -1,10 +1,12 @@
-//! The load-time bytecode verifier.
+//! The bytecode verifier: the oracle on compiler output.
 //!
-//! A `PackedCode::Binary` image carries compiled code from an untrusted
-//! source, and the VM loop indexes registers, code and the function table
-//! without re-checking.  [`BytecodeProgram::verify`] establishes, once, the
-//! invariants that loop relies on; `compile_program` output satisfies them by
-//! construction.
+//! The VM loop indexes registers, code and the function table without
+//! re-checking.  [`BytecodeProgram::verify`] states the invariants that loop
+//! relies on.  No bytecode arrives from outside a process — images carry
+//! FIR, which the receiver recompiles — so the only input is
+//! `compile_program` output, which satisfies them by construction: debug
+//! builds assert it in `compile_verified`, and the fuzz crate's
+//! `compiled_programs_pass_the_bytecode_verifier` property checks it.
 
 use super::bytecode::{BytecodeProgram, Instr};
 use std::fmt;

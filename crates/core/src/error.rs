@@ -74,8 +74,9 @@ pub enum RuntimeError {
         /// The configured budget.
         budget: u64,
     },
-    /// The destination rejected a migration image (type check failure,
-    /// version mismatch, architecture mismatch for binary images …).
+    /// The destination rejected a migration image (an unresolved delta, a
+    /// migrate-env pointer at the wrong block, a program that does not
+    /// compile …).
     MigrationRejected(String),
 }
 

@@ -3,13 +3,11 @@
 //! The paper's cluster is heterogeneous: the FIR is machine-independent and
 //! the runtime recompiles it for whatever architecture receives a migrated
 //! process.  In this reproduction a [`Machine`] is a *simulated* architecture
-//! tag attached to each node; it matters in two places:
-//!
-//! * FIR migration images record the source architecture (for logs and for
-//!   tests that prove heterogeneous migration needs no heap translation);
-//! * **binary** migration images are only accepted by a machine with the
-//!   same architecture tag — shipping compiled code across architectures is
-//!   exactly what the paper's FIR-based migration avoids.
+//! tag attached to each node.  The tag is a header label: every image
+//! records the architecture that packed it (for logs, and for tests that
+//! prove heterogeneous migration needs no heap translation), and nothing
+//! is refused across tags — images carry only FIR, which every machine
+//! type-checks and recompiles.
 
 use std::fmt;
 
@@ -44,11 +42,6 @@ impl Machine {
     pub fn arch(&self) -> &str {
         &self.arch
     }
-
-    /// Whether binary (already-compiled) images from `other` can run here.
-    pub fn binary_compatible(&self, other: &Machine) -> bool {
-        self.arch == other.arch
-    }
 }
 
 impl Default for Machine {
@@ -66,13 +59,6 @@ impl fmt::Display for Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn binary_compatibility_is_same_arch_only() {
-        assert!(Machine::ia32().binary_compatible(&Machine::ia32()));
-        assert!(!Machine::ia32().binary_compatible(&Machine::risc()));
-        assert!(Machine::new("ia32-sim").binary_compatible(&Machine::default()));
-    }
 
     #[test]
     fn display_is_the_arch() {

@@ -6,11 +6,11 @@
 //! * **pack** — capture the entire process state.  [`crate::Process::pack`]
 //!   garbage-collects, stores the live variables into a fresh
 //!   `migrate_env` block, freezes the heap into a [`SnapshotPack`] and
-//!   encodes it at once into a [`MigrationImage`] holding the code (FIR,
-//!   or compiled bytecode for *binary* migration; a delta checkpoint names
-//!   its base's code instead), the pointer table, the heap blocks and the
-//!   resume continuation.  An asynchronous checkpoint skips the collection
-//!   and defers the same encode to the sink.
+//!   encodes it at once into a [`MigrationImage`] holding the code (FIR;
+//!   a delta checkpoint names its base's code instead), the pointer table,
+//!   the heap blocks and the resume continuation.  An asynchronous
+//!   checkpoint skips the collection and defers the same encode to the
+//!   sink.
 //! * **transmit** — hand the image to a [`MigrationSink`].  A standalone
 //!   process uses [`InMemorySink`] (checkpoint files in a
 //!   [`CheckpointStore`]); the cluster crate provides a sink that routes
@@ -22,7 +22,6 @@
 //!   local backend, rebuilds the heap and resumes at the saved
 //!   continuation.
 
-use crate::backend::BytecodeProgram;
 use crate::error::RuntimeError;
 use mojave_fir::{MigrateProtocol, Program};
 use mojave_heap::{
@@ -37,65 +36,24 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-/// The code section of a migration image.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PackedCode {
-    /// The machine-independent FIR — the normal case.  The destination
-    /// type-checks and recompiles it (paper §4.2.2: "MCC never migrates the
-    /// actual executable text").
-    Fir(Program),
-    /// Already-compiled bytecode — "binary" migration.  Cheaper to resume
-    /// (no recompilation) but only accepted by a machine with the same
-    /// architecture tag, and unverifiable by the destination.
-    Binary {
-        /// Architecture the code was compiled for.
-        arch: String,
-        /// The compiled program.
-        bytecode: BytecodeProgram,
-    },
-}
-
-impl PackedCode {
-    /// Whether this is a binary (pre-compiled) image.
-    pub fn is_binary(&self) -> bool {
-        matches!(self, PackedCode::Binary { .. })
-    }
-
-    /// The tag of the image section this code travels in.
-    fn section_tag(&self) -> SectionTag {
-        match self {
-            PackedCode::Fir(_) => SectionTag::FirProgram,
-            PackedCode::Binary { .. } => SectionTag::Bytecode,
-        }
-    }
-
-    /// Write that section's body: what follows its tag (and, in the framed
-    /// layout, its length).
-    fn encode_body(&self, w: &mut WireWriter) {
-        match self {
-            PackedCode::Fir(program) => program.encode(w),
-            PackedCode::Binary { arch, bytecode } => {
-                w.write_str(arch);
-                bytecode.encode(w);
-            }
-        }
-    }
-}
-
-/// The code section as an image carries it: one immutable [`PackedCode`],
+/// The code section as an image carries it: one immutable FIR [`Program`],
 /// shared by every image a process packs, together with the body of the
 /// framed section it encodes to and that section's fingerprint — each
 /// produced by the first image that needs it, reused by every later one.
 ///
+/// The code is always the machine-independent FIR: the destination
+/// type-checks and recompiles it (paper §4.2.2: "MCC never migrates the
+/// actual executable text").
+///
 /// There is no mutable access: changed code is a new `CodeSection`
-/// (`PackedCode::into`) with nothing cached, so the cached bytes are the
+/// (`Program::into`) with nothing cached, so the cached bytes are the
 /// encoding of this code by construction.  Equality compares the code only.
 #[derive(Debug, Clone)]
 pub struct CodeSection(Arc<EncodedCode>);
 
 #[derive(Debug)]
 struct EncodedCode {
-    code: PackedCode,
+    program: Program,
     body: OnceLock<Vec<u8>>,
     fingerprint: OnceLock<u64>,
 }
@@ -110,25 +68,25 @@ impl CodeSection {
     fn body(&self) -> &[u8] {
         self.0.body.get_or_init(|| {
             let mut w = WireWriter::new();
-            self.encode_body(&mut w);
+            self.0.program.encode(&mut w);
             w.into_bytes()
         })
     }
 
     /// [`mojave_wire::fingerprint`] of the section's tag byte followed by
     /// its body — what a delta's [`ImageCode::Base`] names its base's code
-    /// by, so FIR and bytecode of one program never match.  Computed once.
+    /// by.  Computed once.
     pub fn fingerprint(&self) -> u64 {
         *self.0.fingerprint.get_or_init(|| {
-            mojave_wire::fingerprint_parts(&[&[self.section_tag() as u8], self.body()])
+            mojave_wire::fingerprint_parts(&[&[SectionTag::FirProgram as u8], self.body()])
         })
     }
 }
 
-impl From<PackedCode> for CodeSection {
-    fn from(code: PackedCode) -> Self {
+impl From<Program> for CodeSection {
+    fn from(program: Program) -> Self {
         CodeSection(Arc::new(EncodedCode {
-            code,
+            program,
             body: OnceLock::new(),
             fingerprint: OnceLock::new(),
         }))
@@ -136,9 +94,9 @@ impl From<PackedCode> for CodeSection {
 }
 
 impl std::ops::Deref for CodeSection {
-    type Target = PackedCode;
-    fn deref(&self) -> &PackedCode {
-        &self.0.code
+    type Target = Program;
+    fn deref(&self) -> &Program {
+        &self.0.program
     }
 }
 
@@ -185,12 +143,6 @@ impl ImageCode {
         }
     }
 
-    /// Whether the image carries binary (pre-compiled) code; `false` for a
-    /// reference to the base's code, whatever kind that is.
-    pub fn is_binary(&self) -> bool {
-        self.inline().is_some_and(|code| code.is_binary())
-    }
-
     /// What a freshly packed image carries: the code itself in a full
     /// image, a reference to the base's code in a delta (whose base this
     /// process packed, with this very code section).
@@ -213,9 +165,9 @@ impl ImageCode {
     }
 }
 
-impl From<PackedCode> for ImageCode {
-    fn from(code: PackedCode) -> Self {
-        ImageCode::Inline(code.into())
+impl From<Program> for ImageCode {
+    fn from(program: Program) -> Self {
+        ImageCode::Inline(program.into())
     }
 }
 
@@ -423,7 +375,7 @@ impl MigrationImage {
         let mut w = WireWriter::with_capacity(self.code.body_len() + self.heap_image.len() + 1024);
         w.write_header_versioned(&self.source_arch, version);
         match &self.code {
-            ImageCode::Inline(code) => section(&mut w, framed, code.section_tag(), |w| {
+            ImageCode::Inline(code) => section(&mut w, framed, SectionTag::FirProgram, |w| {
                 w.write_raw(code.body())
             }),
             ImageCode::Base { fingerprint } => section(&mut w, framed, SectionTag::CodeRef, |w| {
@@ -475,20 +427,8 @@ impl MigrationImage {
         format_version: u32,
         source_arch: String,
     ) -> Result<Self, WireError> {
-        let tag = r.read_u8()?;
-        let code = match SectionTag::from_u8(tag) {
-            Some(SectionTag::FirProgram) => PackedCode::Fir(Program::decode(r)?),
-            Some(SectionTag::Bytecode) => PackedCode::Binary {
-                arch: r.read_str()?.to_owned(),
-                bytecode: BytecodeProgram::decode(r)?,
-            },
-            _ => {
-                return Err(WireError::SectionMismatch {
-                    expected: "FirProgram or Bytecode",
-                    found: tag,
-                })
-            }
-        };
+        r.expect_section(SectionTag::FirProgram)?;
+        let code = Program::decode(r)?;
         r.expect_section(SectionTag::HeapBlocks)?;
         let heap_image = HeapImage::Full(r.read_bytes()?.to_vec());
         r.expect_section(SectionTag::MigrateEnv)?;
@@ -517,18 +457,13 @@ impl MigrationImage {
     ) -> Result<Self, WireError> {
         let mut code_section = r.read_framed()?;
         let code = match code_section.tag() {
-            SectionTag::FirProgram => PackedCode::Fir(Program::decode(&mut code_section)?).into(),
-            SectionTag::Bytecode => PackedCode::Binary {
-                arch: code_section.read_str()?.to_owned(),
-                bytecode: BytecodeProgram::decode(&mut code_section)?,
-            }
-            .into(),
+            SectionTag::FirProgram => Program::decode(&mut code_section)?.into(),
             SectionTag::CodeRef => ImageCode::Base {
                 fingerprint: code_section.read_u64()?,
             },
             other => {
                 return Err(WireError::SectionMismatch {
-                    expected: "FirProgram, Bytecode or CodeRef",
+                    expected: "FirProgram or CodeRef",
                     found: other as u8,
                 })
             }
@@ -554,7 +489,7 @@ impl MigrationImage {
         if code.inline().is_none() && !heap_image.is_delta() {
             // Only a delta has a base whose code it can name.
             return Err(WireError::SectionMismatch {
-                expected: "FirProgram or Bytecode (a full image carries its code)",
+                expected: "FirProgram (a full image carries its code)",
                 found: SectionTag::CodeRef as u8,
             });
         }
@@ -800,7 +735,7 @@ pub struct SnapshotPack {
     pub codecs: CodecSet,
     /// Architecture tag of the packing machine.
     pub source_arch: String,
-    /// The code section (FIR or compiled bytecode), shared with the
+    /// The FIR code section, shared with the
     /// process and with every image it packs: neither the freeze nor
     /// [`SnapshotPack::into_image`] clones the program, and a delta
     /// carries only its fingerprint.
@@ -1328,7 +1263,7 @@ mod tests {
         MigrationImage {
             format_version: FORMAT_VERSION,
             source_arch: "ia32-sim".into(),
-            code: PackedCode::Fir(program).into(),
+            code: program.into(),
             heap_image: payload(&mut heap, None),
             migrate_env: env,
             resume_fun: Word::Fun(0),
@@ -1385,62 +1320,38 @@ mod tests {
     }
 
     /// The code section is encoded once per [`CodeSection`] and spliced from
-    /// then on.  For FIR and binary code, the bytes with the cached body
-    /// equal the bytes without it, and both hold exactly the frame a writer
-    /// encoding in place produces.
+    /// then on.  The bytes with the cached body equal the bytes without it,
+    /// and both hold exactly the frame a writer encoding in place produces.
     #[test]
     fn cached_code_section_splices_the_bytes_encoding_in_place_writes() {
-        let fir = tiny_image();
-        let PackedCode::Fir(program) = PackedCode::clone(fir.code.inline().unwrap()) else {
-            unreachable!("tiny_image packs FIR");
-        };
-        let binary = MigrationImage {
-            code: PackedCode::Binary {
-                arch: "ia32-sim".into(),
-                bytecode: crate::backend::compile_program(&program).unwrap(),
-            }
-            .into(),
-            ..fir.clone()
-        };
-        for image in [fir, binary] {
-            // What the writer produced before there was a cache.
-            let mut in_place = WireWriter::new();
-            in_place.write_header_versioned(&image.source_arch, FORMAT_VERSION);
-            let header_len = in_place.len();
-            let code = image.code.inline().unwrap();
-            match &**code {
-                PackedCode::Fir(program) => {
-                    let mut s = in_place.begin_section(SectionTag::FirProgram);
-                    program.encode(&mut s);
-                }
-                PackedCode::Binary { arch, bytecode } => {
-                    let mut s = in_place.begin_section(SectionTag::Bytecode);
-                    s.write_str(arch);
-                    bytecode.encode(&mut s);
-                }
-            }
-            let in_place = in_place.into_bytes();
-            assert!(in_place.len() > header_len + 5);
+        let image = tiny_image();
+        // What the writer produced before there was a cache.
+        let mut in_place = WireWriter::new();
+        in_place.write_header_versioned(&image.source_arch, FORMAT_VERSION);
+        let header_len = in_place.len();
+        let code = image.code.inline().unwrap();
+        code.encode(&mut in_place.begin_section(SectionTag::FirProgram));
+        let in_place = in_place.into_bytes();
+        assert!(in_place.len() > header_len + 5);
 
-            let uncached = MigrationImage {
-                code: PackedCode::clone(code).into(),
-                ..image.clone()
-            };
-            let first = image.to_bytes(); // encodes the body
-            let second = image.to_bytes(); // splices it
-            assert_eq!(first, second);
-            assert_eq!(first, uncached.to_bytes());
-            assert_eq!(first[..in_place.len()], in_place[..]);
+        let uncached = MigrationImage {
+            code: Program::clone(code).into(),
+            ..image.clone()
+        };
+        let first = image.to_bytes(); // encodes the body
+        let second = image.to_bytes(); // splices it
+        assert_eq!(first, second);
+        assert_eq!(first, uncached.to_bytes());
+        assert_eq!(first[..in_place.len()], in_place[..]);
 
-            let back = MigrationImage::from_bytes(&first).unwrap();
-            assert_eq!(back, image);
-            assert_eq!(back.to_bytes(), first);
-            assert!(!CodeSection::ptr_eq(back.code.inline().unwrap(), code));
-            assert!(CodeSection::ptr_eq(
-                image.clone().code.inline().unwrap(),
-                code
-            ));
-        }
+        let back = MigrationImage::from_bytes(&first).unwrap();
+        assert_eq!(back, image);
+        assert_eq!(back.to_bytes(), first);
+        assert!(!CodeSection::ptr_eq(back.code.inline().unwrap(), code));
+        assert!(CodeSection::ptr_eq(
+            image.clone().code.inline().unwrap(),
+            code
+        ));
     }
 
     /// `byte_size` counts what `to_bytes` writes, in every layout, from

@@ -8,8 +8,7 @@ use crate::error::RuntimeError;
 use crate::externals::{DefaultExternals, ExtCall, Externals};
 use crate::machine::Machine;
 use crate::migrate::{
-    CodeSection, DeliveryOutcome, InMemorySink, MigrationImage, MigrationSink, PackedCode,
-    SnapshotPack,
+    CodeSection, DeliveryOutcome, InMemorySink, MigrationImage, MigrationSink, SnapshotPack,
 };
 use mojave_fir::{
     typecheck, validate, Atom, Binop, Expr, ExternEnv, FunId, MigrateProtocol, Program, Unop, VarId,
@@ -38,10 +37,6 @@ pub struct ProcessConfig {
     pub step_budget: Option<u64>,
     /// The (simulated) machine this process runs on.
     pub machine: Machine,
-    /// Whether `migrate` packs FIR (`false`, the default — the safe,
-    /// architecture-independent protocol) or compiled bytecode (`true`,
-    /// "binary" migration).
-    pub binary_migration: bool,
     /// Run the FIR type checker and validator at construction time.
     pub verify: bool,
     /// Emit incremental (delta) checkpoint images when a base checkpoint is
@@ -94,7 +89,6 @@ impl Default for ProcessConfig {
             heap: HeapConfig::default(),
             step_budget: None,
             machine: Machine::default(),
-            binary_migration: false,
             verify: true,
             delta_checkpoints: false,
             max_delta_chain: 8,
@@ -182,7 +176,10 @@ enum Transfer {
 
 /// A running Mojave process.
 pub struct Process {
-    program: Option<Program>,
+    /// The FIR program, as the code section every pack ships.  The code is
+    /// immutable for the process lifetime, so the section's encoding is
+    /// paid once; every later image shares it.
+    code: CodeSection,
     /// The compiled code in the form the VM runs it; shared so the VM loop
     /// can hold the code while it mutates the process.
     bytecode: Option<Arc<Executable>>,
@@ -217,10 +214,6 @@ pub struct Process {
     /// [`ProcessStats::checkpoint_encode_ns`], so repeated flushes add
     /// only the delta.
     encode_ns_reported: u64,
-    /// The code section every pack ships.  The code is immutable for the
-    /// process lifetime, so the (potentially large) program clone and the
-    /// section's encoding are paid once; every later image shares both.
-    packed_code_cache: Option<CodeSection>,
     /// Flight recorder for checkpoint/deliver events (shared with the
     /// heap's recorder when set through [`Process::with_recorder`]).
     recorder: Recorder,
@@ -270,7 +263,7 @@ impl Process {
         };
         let entry = Word::Fun(program.entry.0);
         Ok(Process {
-            program: Some(program),
+            code: program.into(),
             bytecode,
             vm_regs: Vec::new(),
             vm_args: Vec::new(),
@@ -284,7 +277,6 @@ impl Process {
             checkpoint_base: None,
             deltas_since_full: 0,
             encode_ns_reported: 0,
-            packed_code_cache: None,
             recorder: Recorder::disabled(),
         })
     }
@@ -293,39 +285,13 @@ impl Process {
     /// (paper §4.2.2: the FIR is type-checked and recompiled before
     /// execution resumes).
     pub fn from_image(image: MigrationImage, config: ProcessConfig) -> Result<Self, RuntimeError> {
-        let (program, bytecode) = match &**image.inline_code()? {
-            PackedCode::Fir(program) => {
-                // The safety step: verify before running foreign code.
-                validate(program)?;
-                typecheck(program, &ExternEnv::standard())?;
-                let bytecode = match config.backend {
-                    BackendKind::Bytecode => Some(compile_verified(program)?),
-                    BackendKind::Interp => None,
-                };
-                (Some(program.clone()), bytecode)
-            }
-            PackedCode::Binary { arch, bytecode } => {
-                if !config
-                    .machine
-                    .binary_compatible(&Machine::new(arch.clone()))
-                {
-                    return Err(RuntimeError::MigrationRejected(format!(
-                        "binary image for `{arch}` cannot run on `{}`",
-                        config.machine
-                    )));
-                }
-                if config.backend == BackendKind::Interp {
-                    return Err(RuntimeError::MigrationRejected(
-                        "the interpreter backend needs FIR, but the image is binary".into(),
-                    ));
-                }
-                // Foreign compiled code: check what the VM loop indexes by.
-                bytecode
-                    .verify()
-                    .map_err(|e| RuntimeError::MigrationRejected(format!("bad bytecode: {e}")))?;
-                let bytecode = Executable::new(BytecodeProgram::clone(bytecode));
-                (None, Some(Arc::new(bytecode)))
-            }
+        let code = image.inline_code()?.clone();
+        // The safety step: verify before running foreign code.
+        validate(&code)?;
+        typecheck(&code, &ExternEnv::standard())?;
+        let bytecode = match config.backend {
+            BackendKind::Bytecode => Some(compile_verified(&code)?),
+            BackendKind::Interp => None,
         };
         let heap = image.decode_heap(config.heap)?;
         // Recover the live variables from the migrate environment.
@@ -340,7 +306,7 @@ impl Process {
             args.push(heap.load(image.migrate_env, i as i64)?);
         }
         Ok(Process {
-            program,
+            code,
             bytecode,
             vm_regs: Vec::new(),
             vm_args: Vec::new(),
@@ -354,7 +320,6 @@ impl Process {
             checkpoint_base: None,
             deltas_since_full: 0,
             encode_ns_reported: 0,
-            packed_code_cache: None,
             recorder: Recorder::disabled(),
         })
     }
@@ -441,10 +406,9 @@ impl Process {
         &mut self.heap
     }
 
-    /// The FIR program, if this process still carries one (binary-resumed
-    /// processes do not).
-    pub fn program(&self) -> Option<&Program> {
-        self.program.as_ref()
+    /// The FIR program.
+    pub fn program(&self) -> &Program {
+        &self.code
     }
 
     /// The compiled bytecode, if the bytecode backend is in use.
@@ -494,7 +458,7 @@ impl Process {
         let (mut fun, mut args) = self
             .pending
             .take()
-            .unwrap_or((Word::Fun(self.entry_id()?), Vec::new()));
+            .unwrap_or((Word::Fun(self.code.entry.0), Vec::new()));
         loop {
             let transfer = match self.config.backend {
                 BackendKind::Interp => self.interp_call(fun, args)?,
@@ -693,18 +657,6 @@ impl Process {
         }
     }
 
-    fn entry_id(&self) -> Result<u32, RuntimeError> {
-        if let Some(program) = &self.program {
-            Ok(program.entry.0)
-        } else if let Some(bc) = &self.bytecode {
-            Ok(bc.program().entry)
-        } else {
-            Err(RuntimeError::MigrationRejected(
-                "process has neither FIR nor bytecode".into(),
-            ))
-        }
-    }
-
     fn valid_level(&self, level: i64) -> Result<usize, RuntimeError> {
         let depth = self.heap.spec_depth();
         if level >= 1 && level as usize <= depth {
@@ -776,41 +728,6 @@ impl Process {
         roots
     }
 
-    /// The code section a pack ships: the FIR program, or compiled
-    /// bytecode under [`ProcessConfig::binary_migration`] — built by the
-    /// first pack of any kind and shared from then on.
-    fn packed_code(&mut self) -> Result<CodeSection, RuntimeError> {
-        if let Some(code) = &self.packed_code_cache {
-            return Ok(code.clone());
-        }
-        let code = CodeSection::from(if self.config.binary_migration {
-            let bytecode = match &self.bytecode {
-                Some(bc) => BytecodeProgram::clone(bc.program()),
-                None => {
-                    let program = self
-                        .program
-                        .as_ref()
-                        .ok_or_else(|| RuntimeError::MigrationRejected("no code to pack".into()))?;
-                    compile_program(program)
-                        .map_err(|e| RuntimeError::MigrationRejected(e.to_string()))?
-                }
-            };
-            PackedCode::Binary {
-                arch: self.config.machine.arch().to_owned(),
-                bytecode,
-            }
-        } else {
-            let program = self.program.as_ref().ok_or_else(|| {
-                RuntimeError::MigrationRejected(
-                    "FIR migration requested but this process only carries bytecode".into(),
-                )
-            })?;
-            PackedCode::Fir(program.clone())
-        });
-        self.packed_code_cache = Some(code.clone());
-        Ok(code)
-    }
-
     /// Capture the process state as a [`SnapshotPack`] whose heap half is
     /// a **zero-pause** [`mojave_heap::HeapSnapshot`] — an O(pointer-table)
     /// copy-on-write freeze.  The expensive encode is left to
@@ -839,7 +756,7 @@ impl Process {
         }
         let migrate_env = self.heap.alloc_migrate_env(args.to_vec())?;
         let codecs = negotiate_codecs(self.sink.accepted_codecs(), self.config.heap_codec);
-        let code = self.packed_code()?;
+        let code = self.code.clone();
         let freeze_start = Instant::now();
         let heap = self.heap.freeze();
         let freeze_ns = freeze_start.elapsed().as_nanos() as u64;
@@ -925,7 +842,7 @@ impl Process {
     }
 
     // The evaluation helpers below run once per instruction, so they follow
-    // the trap-free rule ("Execution: verify once, run fast" in
+    // the trap-free rule ("Execution: verified by construction, run fast" in
     // `docs/ARCHITECTURE.md`): the success path computes a small value, and
     // the `RuntimeError` of a trap is built by a `#[cold]` function from the
     // same operands — never constructed, moved or dropped otherwise.
@@ -1080,10 +997,7 @@ impl Process {
         let mut full_args = Vec::with_capacity(args.len() + 1);
         let fun_id = self.stage_callee(target, &mut full_args)?;
         full_args.extend(args);
-        let program = self.program.as_ref().ok_or_else(|| {
-            RuntimeError::MigrationRejected("interpreter backend requires the FIR program".into())
-        })?;
-        let Some(fun) = program.fun(FunId(fun_id)) else {
+        let Some(fun) = self.code.fun(FunId(fun_id)) else {
             return Err(RuntimeError::UnknownFunction(fun_id));
         };
         Self::check_arity(fun_id, "interp call", fun.params.len(), full_args.len())?;
@@ -1667,5 +1581,507 @@ impl Process {
         let i = Self::word_as_int(file[index as usize], "store index")?;
         self.heap.store(p, i, file[value as usize])?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::BcFun;
+    use mojave_fir::builder::{term, ProgramBuilder};
+    use mojave_fir::Ty;
+
+    /// Run hand-written `code` on the bytecode VM as the resumed
+    /// continuation `after(r0 = 123)` — function 0, one register per
+    /// instruction besides, its `migrate_env` block at pointer 0 as in an
+    /// unpacked image — with `step_budget`: the outcome and the steps taken.
+    fn run_as_continuation(
+        code: Vec<Instr>,
+        step_budget: Option<u64>,
+    ) -> (Result<RunOutcome, RuntimeError>, u64) {
+        let mut pb = ProgramBuilder::new();
+        let (after, params) = pb.declare("after", &[("x", Ty::Int)]);
+        pb.define(after, term::halt(params[0]));
+        let (main, _) = pb.declare("main", &[]);
+        pb.define(main, term::halt(0));
+        pb.set_entry(main);
+        let config = ProcessConfig {
+            step_budget,
+            ..ProcessConfig::default()
+        };
+        let mut p = Process::new(pb.finish(), config).expect("the program verifies");
+        let bytecode = BytecodeProgram {
+            funs: vec![BcFun {
+                name: "after".into(),
+                nregs: 1 + code.len() as u32,
+                nparams: 1,
+                code,
+            }],
+            entry: 0,
+        };
+        bytecode.verify().expect("the code verifies");
+        p.bytecode = Some(Arc::new(Executable::new(bytecode)));
+        let args = vec![Word::Int(123)];
+        p.heap.alloc_migrate_env(args.clone()).unwrap();
+        p.pending = Some((Word::Fun(0), args));
+        let outcome = p.run();
+        (outcome, p.stats().steps)
+    }
+
+    /// Hand-written code of shapes the compiler never emits, around the
+    /// instruction pairs the VM runs fused (a scalar `Const` feeding the next
+    /// `Load`, `Store` or `Binop`; a comparison feeding the next
+    /// `JumpIfFalse`).  Each runs as the resumed continuation, `r0 = 123`,
+    /// and must end with the hand-computed outcome and step count.
+    #[test]
+    fn hand_written_bytecode_around_fusible_pairs() {
+        use mojave_heap::HeapError;
+        use Instr::{Alloc, Halt, Jump, JumpIfFalse, Load, Store};
+
+        let int = |dst, v| Instr::Const {
+            dst,
+            value: Const::Int(v),
+        };
+        let binop = |dst, op, lhs, rhs| Instr::Binop { dst, op, lhs, rhs };
+        let exhausted = |budget| Err(RuntimeError::StepBudgetExhausted { budget });
+        let mismatch = RuntimeError::KindMismatch {
+            expected: "matching numeric operands",
+            found: "mismatched operands",
+            context: "binary operator",
+        };
+        // Three pairs back to back: `Const`-`Add` (124), compare-and-branch
+        // (123 < 124, so the branch falls through), `Const`-`Sub` (200 - 124).
+        let pairs = || {
+            vec![
+                int(1, 1),
+                binop(2, Binop::Add, 0, 1),
+                binop(3, Binop::Lt, 0, 2),
+                JumpIfFalse { cond: 3, target: 6 },
+                int(4, 200),
+                binop(5, Binop::Sub, 4, 2),
+                Halt { value: 5 },
+            ]
+        };
+        type Expected = (Result<RunOutcome, RuntimeError>, u64);
+        let cases: Vec<(&str, Vec<Instr>, Option<u64>, Expected)> = vec![
+            (
+                "a jump into the second half of a Const-Binop pair",
+                vec![
+                    int(2, 5),
+                    Jump { target: 3 },
+                    int(2, 1000),
+                    binop(3, Binop::Add, 0, 2),
+                    Halt { value: 3 },
+                ],
+                None,
+                (Ok(RunOutcome::Exit(128)), 4),
+            ),
+            (
+                "a jump into the branch of a compare-and-branch pair",
+                vec![
+                    int(1, 7),
+                    Jump { target: 3 },
+                    binop(2, Binop::Lt, 0, 1),
+                    JumpIfFalse { cond: 2, target: 0 },
+                    Halt { value: 0 },
+                ],
+                None,
+                (
+                    Err(RuntimeError::KindMismatch {
+                        expected: "bool",
+                        found: "unit",
+                        context: "branch condition",
+                    }),
+                    3,
+                ),
+            ),
+            (
+                "a fused Const register read again later",
+                vec![
+                    int(1, 10),
+                    binop(2, Binop::Mul, 0, 1),
+                    binop(3, Binop::Add, 2, 1),
+                    int(4, 0),
+                    Store {
+                        ptr: 5,
+                        index: 4,
+                        value: 1,
+                    },
+                    Halt { value: 3 },
+                ],
+                None,
+                // r5 is still `Unit`: the store traps after both halves ran.
+                (
+                    Err(RuntimeError::KindMismatch {
+                        expected: "ptr",
+                        found: "unit",
+                        context: "store pointer",
+                    }),
+                    5,
+                ),
+            ),
+            (
+                "a fused Const register read again by the next instruction",
+                vec![
+                    int(1, 10),
+                    binop(2, Binop::Mul, 0, 1),
+                    binop(3, Binop::Add, 2, 1),
+                    Halt { value: 3 },
+                ],
+                None,
+                (Ok(RunOutcome::Exit(1240)), 4),
+            ),
+            (
+                "Const dst equal to the Binop's dst",
+                vec![int(1, 1), binop(1, Binop::Sub, 0, 1), Halt { value: 1 }],
+                None,
+                (Ok(RunOutcome::Exit(122)), 3),
+            ),
+            (
+                "Const dst equal to the Load's dst, and a Store's index and value",
+                vec![
+                    int(1, 3),
+                    Alloc {
+                        dst: 2,
+                        len: 1,
+                        init: 0,
+                    },
+                    int(3, 2),
+                    Store {
+                        ptr: 2,
+                        index: 3,
+                        value: 3,
+                    },
+                    int(3, 2),
+                    Load {
+                        dst: 3,
+                        ptr: 2,
+                        index: 3,
+                    },
+                    binop(4, Binop::Add, 3, 1),
+                    Halt { value: 4 },
+                ],
+                None,
+                (Ok(RunOutcome::Exit(5)), 8),
+            ),
+            (
+                "a Const-Load pair whose Load traps",
+                vec![
+                    int(1, 1),
+                    Alloc {
+                        dst: 2,
+                        len: 1,
+                        init: 0,
+                    },
+                    int(3, 1),
+                    Load {
+                        dst: 4,
+                        ptr: 2,
+                        index: 3,
+                    },
+                    Halt { value: 4 },
+                ],
+                None,
+                (
+                    Err(RuntimeError::Heap(HeapError::OutOfBounds {
+                        ptr: mojave_heap::PtrIdx(1),
+                        index: 1,
+                        len: 1,
+                    })),
+                    4,
+                ),
+            ),
+            (
+                "a Const-Binop pair whose Binop traps",
+                vec![
+                    Instr::Const {
+                        dst: 1,
+                        value: Const::Bool(true),
+                    },
+                    binop(2, Binop::Lt, 0, 1),
+                    JumpIfFalse { cond: 2, target: 3 },
+                    Halt { value: 0 },
+                ],
+                None,
+                (Err(mismatch.clone()), 2),
+            ),
+            (
+                "a compare-and-branch pair whose comparison traps",
+                vec![
+                    Instr::Const {
+                        dst: 1,
+                        value: Const::Bool(true),
+                    },
+                    Instr::Move { dst: 2, src: 1 },
+                    binop(3, Binop::Lt, 0, 2),
+                    JumpIfFalse { cond: 3, target: 4 },
+                    Halt { value: 0 },
+                ],
+                None,
+                (Err(mismatch), 3),
+            ),
+            (
+                "the pairs, unbudgeted",
+                pairs(),
+                None,
+                (Ok(RunOutcome::Exit(76)), 7),
+            ),
+            ("a budget of 1", pairs(), Some(1), (exhausted(1), 2)),
+            ("a budget of 2", pairs(), Some(2), (exhausted(2), 3)),
+            ("a budget of 3", pairs(), Some(3), (exhausted(3), 4)),
+            ("a budget of 4", pairs(), Some(4), (exhausted(4), 5)),
+            ("a budget of 5", pairs(), Some(5), (exhausted(5), 6)),
+            ("a budget of 6", pairs(), Some(6), (exhausted(6), 7)),
+            (
+                "a budget of 7",
+                pairs(),
+                Some(7),
+                (Ok(RunOutcome::Exit(76)), 7),
+            ),
+        ];
+        for (name, code, step_budget, expected) in cases {
+            assert_eq!(run_as_continuation(code, step_budget), expected, "{name}");
+        }
+    }
+
+    /// Hand-written code around repeated loads: a load of the same pointer
+    /// register and constant index as an earlier one, with and without a
+    /// store, allocation, external call, jump target or rewrite of either
+    /// register in between.  The VM loads every word it is asked to (repeated
+    /// frame loads are removed in the FIR, by `mojave_fir::optimize`), and
+    /// these cases pin that nothing in the execution form reuses a stale
+    /// word.  Each case runs as the resumed continuation (`r0 = 123`); the
+    /// ones where a reused word would be wrong read a different word (or trap)
+    /// instead.  The step budget of 1000 turns a wrong copy that loops into a
+    /// quick failure.
+    #[test]
+    fn hand_written_bytecode_around_forwarded_loads() {
+        use mojave_heap::{HeapError, PtrIdx};
+        use Instr::{Alloc, Halt, Jump, JumpIfFalse, Load, Move, Store};
+
+        let int = |dst, v| Instr::Const {
+            dst,
+            value: Const::Int(v),
+        };
+        let binop = |dst, op, lhs, rhs| Instr::Binop { dst, op, lhs, rhs };
+        let load = |dst, ptr, index| Load { dst, ptr, index };
+        // r2 = a two-word block of 123s.
+        let block = || {
+            vec![
+                int(1, 2),
+                Alloc {
+                    dst: 2,
+                    len: 1,
+                    init: 0,
+                },
+            ]
+        };
+        // r2 = [123, 1].
+        let stored = || {
+            let mut code = block();
+            code.extend([
+                int(3, 1),
+                Store {
+                    ptr: 2,
+                    index: 3,
+                    value: 3,
+                },
+            ]);
+            code
+        };
+        let with = |mut prefix: Vec<Instr>, rest: Vec<Instr>| {
+            prefix.extend(rest);
+            prefix
+        };
+        let exit = |v| Ok(RunOutcome::Exit(v));
+        type Expected = (Result<RunOutcome, RuntimeError>, u64);
+        let cases: Vec<(&str, Vec<Instr>, Expected)> = vec![
+            (
+                "a forwarded load",
+                with(
+                    stored(),
+                    vec![
+                        int(4, 1),
+                        load(5, 2, 4),
+                        int(6, 1),
+                        load(7, 2, 6),
+                        binop(8, Binop::Add, 5, 7),
+                        binop(9, Binop::Add, 8, 0),
+                        Halt { value: 9 },
+                    ],
+                ),
+                (exit(125), 11),
+            ),
+            (
+                "after a Store through another register to the same block",
+                with(
+                    block(),
+                    vec![
+                        Move { dst: 3, src: 2 },
+                        int(4, 1),
+                        load(5, 2, 4),
+                        int(6, 7),
+                        Store {
+                            ptr: 3,
+                            index: 4,
+                            value: 6,
+                        },
+                        int(7, 1),
+                        load(8, 2, 7),
+                        binop(9, Binop::Add, 5, 8),
+                        Halt { value: 9 },
+                    ],
+                ),
+                (exit(130), 11),
+            ),
+            (
+                "after an Ext that rewrites the earlier value register",
+                with(
+                    block(),
+                    vec![
+                        int(3, 0),
+                        load(4, 2, 3),
+                        Instr::Ext {
+                            dst: 4,
+                            name: "node_id".into(),
+                            args: vec![],
+                        },
+                        int(5, 0),
+                        load(6, 2, 5),
+                        binop(7, Binop::Add, 4, 6),
+                        Halt { value: 7 },
+                    ],
+                ),
+                (exit(123), 9),
+            ),
+            (
+                "a lone load at a jump target",
+                with(
+                    stored(),
+                    vec![
+                        int(4, 0),
+                        load(5, 2, 4),
+                        // pc 6: entered again from pc 11 with r4 = 1.
+                        load(6, 2, 4),
+                        binop(7, Binop::Lt, 6, 0),
+                        JumpIfFalse {
+                            cond: 7,
+                            target: 10,
+                        },
+                        Halt { value: 6 },
+                        int(4, 1),
+                        Jump { target: 6 },
+                    ],
+                ),
+                (exit(1), 15),
+            ),
+            (
+                "a jump into the second half of a would-be ConstMove",
+                with(
+                    block(),
+                    vec![
+                        int(4, 0),
+                        load(5, 2, 4),
+                        int(6, 0),
+                        // pc 5: entered again from pc 10 with r6 = 2, out of bounds.
+                        load(7, 2, 6),
+                        binop(8, Binop::Lt, 7, 0),
+                        JumpIfFalse { cond: 8, target: 9 },
+                        Halt { value: 7 },
+                        int(6, 2),
+                        Jump { target: 5 },
+                    ],
+                ),
+                (
+                    Err(RuntimeError::Heap(HeapError::OutOfBounds {
+                        ptr: PtrIdx(1),
+                        index: 2,
+                        len: 2,
+                    })),
+                    11,
+                ),
+            ),
+            (
+                "after the pointer register is rewritten",
+                with(
+                    block(),
+                    vec![
+                        Alloc {
+                            dst: 3,
+                            len: 1,
+                            init: 1,
+                        },
+                        int(4, 0),
+                        load(5, 2, 4),
+                        Move { dst: 2, src: 3 },
+                        int(6, 0),
+                        load(7, 2, 6),
+                        Halt { value: 7 },
+                    ],
+                ),
+                (exit(2), 9),
+            ),
+            (
+                "after the earlier value register is rewritten",
+                with(
+                    block(),
+                    vec![
+                        int(3, 0),
+                        load(4, 2, 3),
+                        binop(4, Binop::Add, 4, 1),
+                        int(5, 0),
+                        load(6, 2, 5),
+                        binop(7, Binop::Sub, 4, 6),
+                        Halt { value: 7 },
+                    ],
+                ),
+                (exit(2), 9),
+            ),
+            (
+                "after the index register is reloaded with a different Const",
+                with(
+                    stored(),
+                    vec![
+                        int(4, 0),
+                        load(5, 2, 4),
+                        int(4, 1),
+                        load(6, 2, 4),
+                        Halt { value: 6 },
+                    ],
+                ),
+                (exit(1), 9),
+            ),
+        ];
+        for (name, code, expected) in cases {
+            assert_eq!(run_as_continuation(code, Some(1000)), expected, "{name}");
+        }
+
+        // Two back-to-back ConstMove pairs after a ConstLoad: every budget
+        // stops where the instruction stream would have.
+        let pairs = with(
+            block(),
+            vec![
+                int(3, 0),
+                load(4, 2, 3),
+                int(5, 0),
+                load(6, 2, 5),
+                int(7, 0),
+                load(8, 2, 7),
+                binop(9, Binop::Add, 6, 8),
+                Halt { value: 9 },
+            ],
+        );
+        assert_eq!(run_as_continuation(pairs.clone(), None), (exit(246), 10));
+        for budget in 1..=10 {
+            let expected = match budget {
+                10 => (exit(246), 10),
+                _ => (
+                    Err(RuntimeError::StepBudgetExhausted { budget }),
+                    budget + 1,
+                ),
+            };
+            let got = run_as_continuation(pairs.clone(), Some(budget));
+            assert_eq!(got, expected, "a budget of {budget}");
+        }
     }
 }

@@ -579,42 +579,36 @@ fn failed_migrate_continues_locally() {
 }
 
 /// The code is immutable for a process's lifetime: every pack path ships
-/// one shared section (cloned, encoded and fingerprinted once), FIR or
-/// binary — a delta by reference to it — and the images still decode to
-/// equal, separately owned code.
+/// one shared FIR section (encoded and fingerprinted once) — a delta by
+/// reference to it — and the images still decode to equal, separately
+/// owned code.
 #[test]
 fn every_pack_path_shares_one_code_section() {
     use mojave_core::migrate::CodeSection;
     use mojave_core::{ImageCode, MigrationImage};
     use mojave_heap::Word;
 
-    for binary_migration in [false, true] {
-        let cfg = ProcessConfig {
-            binary_migration,
-            ..config(BackendKind::Bytecode)
-        };
-        let mut p = Process::new(loop_program(3), cfg).unwrap();
-        let entry = Word::Fun(0);
-        let full = p.pack(0, entry, &[]).unwrap();
-        p.heap_mut().mark_clean();
-        let delta = p
-            .pack_delta(1, entry, &[], "base", full.heap_image.fingerprint())
-            .unwrap();
-        let frozen = p.pack_snapshot(2, entry, &[], None).unwrap();
-        let deferred = frozen.into_image().unwrap();
-        assert_eq!(full.code.is_binary(), binary_migration);
-        let code = full.code.inline().expect("a full image carries its code");
-        assert!(CodeSection::ptr_eq(code, deferred.code.inline().unwrap()));
-        assert_eq!(
-            delta.code,
-            ImageCode::Base {
-                fingerprint: code.fingerprint()
-            }
-        );
-        let received = MigrationImage::from_bytes(&deferred.to_bytes()).unwrap();
-        assert_eq!(received.code, full.code);
-        assert!(!CodeSection::ptr_eq(received.code.inline().unwrap(), code));
-    }
+    let mut p = Process::new(loop_program(3), config(BackendKind::Bytecode)).unwrap();
+    let entry = Word::Fun(0);
+    let full = p.pack(0, entry, &[]).unwrap();
+    p.heap_mut().mark_clean();
+    let delta = p
+        .pack_delta(1, entry, &[], "base", full.heap_image.fingerprint())
+        .unwrap();
+    let frozen = p.pack_snapshot(2, entry, &[], None).unwrap();
+    let deferred = frozen.into_image().unwrap();
+    let code = full.code.inline().expect("a full image carries its code");
+    assert_eq!(**code, *p.program());
+    assert!(CodeSection::ptr_eq(code, deferred.code.inline().unwrap()));
+    assert_eq!(
+        delta.code,
+        ImageCode::Base {
+            fingerprint: code.fingerprint()
+        }
+    );
+    let received = MigrationImage::from_bytes(&deferred.to_bytes()).unwrap();
+    assert_eq!(received.code, full.code);
+    assert!(!CodeSection::ptr_eq(received.code.inline().unwrap(), code));
 }
 
 /// A synchronous pack is the paper's collection, one freeze and an encode
@@ -667,583 +661,6 @@ fn a_synchronous_pack_freezes_once_and_leaves_every_payload_to_the_heap() {
         after.shared_payload_copies,
         "no store after a synchronous pack copies a payload"
     );
-}
-
-/// A binary (`suspend://bin`) image of `main() { migrate → after(123) }`.
-fn binary_image() -> mojave_core::MigrationImage {
-    let mut pb = ProgramBuilder::new();
-    let (after, aparams) = pb.declare("after", &[("x", Ty::Int)]);
-    pb.define(after, term::halt(aparams[0]));
-    let (main, _) = pb.declare("main", &[]);
-    let label = pb.label();
-    pb.define(
-        main,
-        term::migrate(
-            label,
-            Atom::Str("suspend://bin".into()),
-            after,
-            vec![Atom::Int(123)],
-        ),
-    );
-    pb.set_entry(main);
-
-    let store = CheckpointStore::new();
-    let sink = InMemorySink::with_store(store.clone());
-    let cfg = ProcessConfig {
-        binary_migration: true,
-        ..config(BackendKind::Bytecode)
-    };
-    let mut p = Process::new(pb.finish(), cfg)
-        .unwrap()
-        .with_sink(Box::new(sink));
-    p.run().unwrap();
-
-    let image = store.load("bin").unwrap();
-    assert!(image.code.is_binary());
-    image
-}
-
-#[test]
-fn binary_migration_images_check_architecture() {
-    let image = binary_image();
-
-    // Same architecture: resumes fine, no FIR needed.
-    let mut ok = Process::from_image(image.clone(), config(BackendKind::Bytecode)).unwrap();
-    assert_eq!(ok.run().unwrap(), RunOutcome::Exit(123));
-
-    // Different architecture: rejected — this is exactly why the paper ships
-    // FIR rather than executable text.
-    let risc = ProcessConfig {
-        machine: mojave_core::Machine::risc(),
-        ..config(BackendKind::Bytecode)
-    };
-    assert!(Process::from_image(image, risc).is_err());
-}
-
-/// [`binary_image`] with its compiled code edited by `splice`: the image
-/// resumes in function 0 (`after`, one parameter) with `r0 = 123`.
-fn spliced_binary_image(
-    splice: impl FnOnce(&mut mojave_core::BytecodeProgram),
-) -> mojave_core::MigrationImage {
-    use mojave_core::migrate::PackedCode;
-    let mut image = binary_image();
-    let PackedCode::Binary { arch, mut bytecode } = PackedCode::clone(image.code.inline().unwrap())
-    else {
-        unreachable!("binary_image() packs bytecode");
-    };
-    splice(&mut bytecode);
-    image.code = PackedCode::Binary { arch, bytecode }.into();
-    image
-}
-
-#[test]
-fn binary_images_are_verified_before_they_run() {
-    use mojave_core::backend::Instr;
-    use mojave_core::RuntimeError;
-
-    // A hostile register count must be refused before it sizes anything,
-    // and a register operand the VM would index out of bounds before it runs.
-    type Breakage = fn(&mut mojave_core::BytecodeProgram);
-    let breakages: [(&str, Breakage); 2] = [
-        ("registers for", |bc| bc.funs[0].nregs = u32::MAX),
-        ("register r40", |bc| {
-            bc.funs[0].code[0] = Instr::Halt { value: 40 }
-        }),
-    ];
-    for (expected, breakage) in breakages {
-        let image = spliced_binary_image(breakage);
-        match Process::from_image(image, config(BackendKind::Bytecode)) {
-            Err(RuntimeError::MigrationRejected(msg)) => {
-                assert!(msg.contains("bad bytecode"), "{msg}");
-                assert!(msg.contains(expected), "{msg}");
-            }
-            other => panic!("expected a verifier rejection, got {other:?}"),
-        }
-    }
-}
-
-/// Hand-written code of shapes the compiler never emits but a foreign
-/// binary image may carry, around the instruction pairs the VM runs fused
-/// (a scalar `Const` feeding the next `Load`, `Store` or `Binop`; a
-/// comparison feeding the next `JumpIfFalse`).  Each runs as the resumed
-/// continuation, `r0 = 123`, and must end with the hand-computed outcome
-/// and step count.
-#[test]
-fn hand_written_bytecode_around_fusible_pairs() {
-    use mojave_core::backend::{Const, Instr};
-    use mojave_core::RuntimeError;
-    use mojave_heap::HeapError;
-    use Instr::{Alloc, Halt, Jump, JumpIfFalse, Load, Store};
-
-    let int = |dst, v| Instr::Const {
-        dst,
-        value: Const::Int(v),
-    };
-    let binop = |dst, op, lhs, rhs| Instr::Binop { dst, op, lhs, rhs };
-    let exhausted = |budget| Err(RuntimeError::StepBudgetExhausted { budget });
-    let mismatch = RuntimeError::KindMismatch {
-        expected: "matching numeric operands",
-        found: "mismatched operands",
-        context: "binary operator",
-    };
-    // Three pairs back to back: `Const`-`Add` (124), compare-and-branch
-    // (123 < 124, so the branch falls through), `Const`-`Sub` (200 - 124).
-    let pairs = || {
-        vec![
-            int(1, 1),
-            binop(2, Binop::Add, 0, 1),
-            binop(3, Binop::Lt, 0, 2),
-            JumpIfFalse { cond: 3, target: 6 },
-            int(4, 200),
-            binop(5, Binop::Sub, 4, 2),
-            Halt { value: 5 },
-        ]
-    };
-    type Expected = (Result<RunOutcome, RuntimeError>, u64);
-    let cases: Vec<(&str, Vec<Instr>, Option<u64>, Expected)> = vec![
-        (
-            "a jump into the second half of a Const-Binop pair",
-            vec![
-                int(2, 5),
-                Jump { target: 3 },
-                int(2, 1000),
-                binop(3, Binop::Add, 0, 2),
-                Halt { value: 3 },
-            ],
-            None,
-            (Ok(RunOutcome::Exit(128)), 4),
-        ),
-        (
-            "a jump into the branch of a compare-and-branch pair",
-            vec![
-                int(1, 7),
-                Jump { target: 3 },
-                binop(2, Binop::Lt, 0, 1),
-                JumpIfFalse { cond: 2, target: 0 },
-                Halt { value: 0 },
-            ],
-            None,
-            (
-                Err(RuntimeError::KindMismatch {
-                    expected: "bool",
-                    found: "unit",
-                    context: "branch condition",
-                }),
-                3,
-            ),
-        ),
-        (
-            "a fused Const register read again later",
-            vec![
-                int(1, 10),
-                binop(2, Binop::Mul, 0, 1),
-                binop(3, Binop::Add, 2, 1),
-                int(4, 0),
-                Store {
-                    ptr: 5,
-                    index: 4,
-                    value: 1,
-                },
-                Halt { value: 3 },
-            ],
-            None,
-            // r5 is still `Unit`: the store traps after both halves ran.
-            (
-                Err(RuntimeError::KindMismatch {
-                    expected: "ptr",
-                    found: "unit",
-                    context: "store pointer",
-                }),
-                5,
-            ),
-        ),
-        (
-            "a fused Const register read again by the next instruction",
-            vec![
-                int(1, 10),
-                binop(2, Binop::Mul, 0, 1),
-                binop(3, Binop::Add, 2, 1),
-                Halt { value: 3 },
-            ],
-            None,
-            (Ok(RunOutcome::Exit(1240)), 4),
-        ),
-        (
-            "Const dst equal to the Binop's dst",
-            vec![int(1, 1), binop(1, Binop::Sub, 0, 1), Halt { value: 1 }],
-            None,
-            (Ok(RunOutcome::Exit(122)), 3),
-        ),
-        (
-            "Const dst equal to the Load's dst, and a Store's index and value",
-            vec![
-                int(1, 3),
-                Alloc {
-                    dst: 2,
-                    len: 1,
-                    init: 0,
-                },
-                int(3, 2),
-                Store {
-                    ptr: 2,
-                    index: 3,
-                    value: 3,
-                },
-                int(3, 2),
-                Load {
-                    dst: 3,
-                    ptr: 2,
-                    index: 3,
-                },
-                binop(4, Binop::Add, 3, 1),
-                Halt { value: 4 },
-            ],
-            None,
-            (Ok(RunOutcome::Exit(5)), 8),
-        ),
-        (
-            "a Const-Load pair whose Load traps",
-            vec![
-                int(1, 1),
-                Alloc {
-                    dst: 2,
-                    len: 1,
-                    init: 0,
-                },
-                int(3, 1),
-                Load {
-                    dst: 4,
-                    ptr: 2,
-                    index: 3,
-                },
-                Halt { value: 4 },
-            ],
-            None,
-            (
-                Err(RuntimeError::Heap(HeapError::OutOfBounds {
-                    ptr: mojave_heap::PtrIdx(1),
-                    index: 1,
-                    len: 1,
-                })),
-                4,
-            ),
-        ),
-        (
-            "a Const-Binop pair whose Binop traps",
-            vec![
-                Instr::Const {
-                    dst: 1,
-                    value: Const::Bool(true),
-                },
-                binop(2, Binop::Lt, 0, 1),
-                JumpIfFalse { cond: 2, target: 3 },
-                Halt { value: 0 },
-            ],
-            None,
-            (Err(mismatch.clone()), 2),
-        ),
-        (
-            "a compare-and-branch pair whose comparison traps",
-            vec![
-                Instr::Const {
-                    dst: 1,
-                    value: Const::Bool(true),
-                },
-                Instr::Move { dst: 2, src: 1 },
-                binop(3, Binop::Lt, 0, 2),
-                JumpIfFalse { cond: 3, target: 4 },
-                Halt { value: 0 },
-            ],
-            None,
-            (Err(mismatch), 3),
-        ),
-        (
-            "the pairs, unbudgeted",
-            pairs(),
-            None,
-            (Ok(RunOutcome::Exit(76)), 7),
-        ),
-        ("a budget of 1", pairs(), Some(1), (exhausted(1), 2)),
-        ("a budget of 2", pairs(), Some(2), (exhausted(2), 3)),
-        ("a budget of 3", pairs(), Some(3), (exhausted(3), 4)),
-        ("a budget of 4", pairs(), Some(4), (exhausted(4), 5)),
-        ("a budget of 5", pairs(), Some(5), (exhausted(5), 6)),
-        ("a budget of 6", pairs(), Some(6), (exhausted(6), 7)),
-        (
-            "a budget of 7",
-            pairs(),
-            Some(7),
-            (Ok(RunOutcome::Exit(76)), 7),
-        ),
-    ];
-    for (name, code, step_budget, expected) in cases {
-        assert_eq!(run_as_continuation(code, step_budget), expected, "{name}");
-    }
-}
-
-/// Run `code` as the resumed continuation of [`spliced_binary_image`]
-/// (`r0 = 123`, one register per instruction besides), on the bytecode VM
-/// with `step_budget`: the outcome and the steps taken.
-fn run_as_continuation(
-    code: Vec<mojave_core::backend::Instr>,
-    step_budget: Option<u64>,
-) -> (Result<RunOutcome, mojave_core::RuntimeError>, u64) {
-    let image = spliced_binary_image(|bc| {
-        let after = &mut bc.funs[0];
-        assert_eq!(after.nparams, 1);
-        after.nregs = 1 + code.len() as u32;
-        after.code = code;
-    });
-    let config = ProcessConfig {
-        step_budget,
-        ..config(BackendKind::Bytecode)
-    };
-    let mut p = Process::from_image(image, config).expect("the code verifies");
-    let outcome = p.run();
-    (outcome, p.stats().steps)
-}
-
-/// Hand-written code around repeated loads: a load of the same pointer
-/// register and constant index as an earlier one, with and without a
-/// store, allocation, external call, jump target or rewrite of either
-/// register in between.  The VM loads every word it is asked to (repeated
-/// frame loads are removed in the FIR, by `mojave_fir::optimize`), and
-/// these cases pin that nothing in the execution form reuses a stale
-/// word.  Each case runs as the resumed continuation (`r0 = 123`); the
-/// ones where a reused word would be wrong read a different word (or trap)
-/// instead.  The step budget of 1000 turns a wrong copy that loops into a
-/// quick failure.
-#[test]
-fn hand_written_bytecode_around_forwarded_loads() {
-    use mojave_core::backend::{Const, Instr};
-    use mojave_core::RuntimeError;
-    use mojave_heap::{HeapError, PtrIdx};
-    use Instr::{Alloc, Halt, Jump, JumpIfFalse, Load, Move, Store};
-
-    let int = |dst, v| Instr::Const {
-        dst,
-        value: Const::Int(v),
-    };
-    let binop = |dst, op, lhs, rhs| Instr::Binop { dst, op, lhs, rhs };
-    let load = |dst, ptr, index| Load { dst, ptr, index };
-    // r2 = a two-word block of 123s.
-    let block = || {
-        vec![
-            int(1, 2),
-            Alloc {
-                dst: 2,
-                len: 1,
-                init: 0,
-            },
-        ]
-    };
-    // r2 = [123, 1].
-    let stored = || {
-        let mut code = block();
-        code.extend([
-            int(3, 1),
-            Store {
-                ptr: 2,
-                index: 3,
-                value: 3,
-            },
-        ]);
-        code
-    };
-    let with = |mut prefix: Vec<Instr>, rest: Vec<Instr>| {
-        prefix.extend(rest);
-        prefix
-    };
-    let exit = |v| Ok(RunOutcome::Exit(v));
-    type Expected = (Result<RunOutcome, RuntimeError>, u64);
-    let cases: Vec<(&str, Vec<Instr>, Expected)> = vec![
-        (
-            "a forwarded load",
-            with(
-                stored(),
-                vec![
-                    int(4, 1),
-                    load(5, 2, 4),
-                    int(6, 1),
-                    load(7, 2, 6),
-                    binop(8, Binop::Add, 5, 7),
-                    binop(9, Binop::Add, 8, 0),
-                    Halt { value: 9 },
-                ],
-            ),
-            (exit(125), 11),
-        ),
-        (
-            "after a Store through another register to the same block",
-            with(
-                block(),
-                vec![
-                    Move { dst: 3, src: 2 },
-                    int(4, 1),
-                    load(5, 2, 4),
-                    int(6, 7),
-                    Store {
-                        ptr: 3,
-                        index: 4,
-                        value: 6,
-                    },
-                    int(7, 1),
-                    load(8, 2, 7),
-                    binop(9, Binop::Add, 5, 8),
-                    Halt { value: 9 },
-                ],
-            ),
-            (exit(130), 11),
-        ),
-        (
-            "after an Ext that rewrites the earlier value register",
-            with(
-                block(),
-                vec![
-                    int(3, 0),
-                    load(4, 2, 3),
-                    Instr::Ext {
-                        dst: 4,
-                        name: "node_id".into(),
-                        args: vec![],
-                    },
-                    int(5, 0),
-                    load(6, 2, 5),
-                    binop(7, Binop::Add, 4, 6),
-                    Halt { value: 7 },
-                ],
-            ),
-            (exit(123), 9),
-        ),
-        (
-            "a lone load at a jump target",
-            with(
-                stored(),
-                vec![
-                    int(4, 0),
-                    load(5, 2, 4),
-                    // pc 6: entered again from pc 11 with r4 = 1.
-                    load(6, 2, 4),
-                    binop(7, Binop::Lt, 6, 0),
-                    JumpIfFalse {
-                        cond: 7,
-                        target: 10,
-                    },
-                    Halt { value: 6 },
-                    int(4, 1),
-                    Jump { target: 6 },
-                ],
-            ),
-            (exit(1), 15),
-        ),
-        (
-            "a jump into the second half of a would-be ConstMove",
-            with(
-                block(),
-                vec![
-                    int(4, 0),
-                    load(5, 2, 4),
-                    int(6, 0),
-                    // pc 5: entered again from pc 10 with r6 = 2, out of bounds.
-                    load(7, 2, 6),
-                    binop(8, Binop::Lt, 7, 0),
-                    JumpIfFalse { cond: 8, target: 9 },
-                    Halt { value: 7 },
-                    int(6, 2),
-                    Jump { target: 5 },
-                ],
-            ),
-            (
-                Err(RuntimeError::Heap(HeapError::OutOfBounds {
-                    ptr: PtrIdx(1),
-                    index: 2,
-                    len: 2,
-                })),
-                11,
-            ),
-        ),
-        (
-            "after the pointer register is rewritten",
-            with(
-                block(),
-                vec![
-                    Alloc {
-                        dst: 3,
-                        len: 1,
-                        init: 1,
-                    },
-                    int(4, 0),
-                    load(5, 2, 4),
-                    Move { dst: 2, src: 3 },
-                    int(6, 0),
-                    load(7, 2, 6),
-                    Halt { value: 7 },
-                ],
-            ),
-            (exit(2), 9),
-        ),
-        (
-            "after the earlier value register is rewritten",
-            with(
-                block(),
-                vec![
-                    int(3, 0),
-                    load(4, 2, 3),
-                    binop(4, Binop::Add, 4, 1),
-                    int(5, 0),
-                    load(6, 2, 5),
-                    binop(7, Binop::Sub, 4, 6),
-                    Halt { value: 7 },
-                ],
-            ),
-            (exit(2), 9),
-        ),
-        (
-            "after the index register is reloaded with a different Const",
-            with(
-                stored(),
-                vec![
-                    int(4, 0),
-                    load(5, 2, 4),
-                    int(4, 1),
-                    load(6, 2, 4),
-                    Halt { value: 6 },
-                ],
-            ),
-            (exit(1), 9),
-        ),
-    ];
-    for (name, code, expected) in cases {
-        assert_eq!(run_as_continuation(code, Some(1000)), expected, "{name}");
-    }
-
-    // Two back-to-back ConstMove pairs after a ConstLoad: every budget
-    // stops where the instruction stream would have.
-    let pairs = with(
-        block(),
-        vec![
-            int(3, 0),
-            load(4, 2, 3),
-            int(5, 0),
-            load(6, 2, 5),
-            int(7, 0),
-            load(8, 2, 7),
-            binop(9, Binop::Add, 6, 8),
-            Halt { value: 9 },
-        ],
-    );
-    assert_eq!(run_as_continuation(pairs.clone(), None), (exit(246), 10));
-    for budget in 1..=10 {
-        let expected = match budget {
-            10 => (exit(246), 10),
-            _ => (
-                Err(RuntimeError::StepBudgetExhausted { budget }),
-                budget + 1,
-            ),
-        };
-        let got = run_as_continuation(pairs.clone(), Some(budget));
-        assert_eq!(got, expected, "a budget of {budget}");
-    }
 }
 
 #[test]

@@ -6,8 +6,8 @@
 //! (`word_as_*`, `eval_unop`/`eval_binop`, `Heap::load`/`Heap::store`), and
 //! the rewrite must not move any of them, under the bytecode VM or the
 //! interpreter.  The programs are ill-typed on purpose, so they run with
-//! `verify: false`: these checks are what stands between an unverified
-//! binary image and the heap.
+//! `verify: false`: these checks are what stands between ill-typed code
+//! and the heap.
 //!
 //! Every row also pins the steps the bytecode VM charged up to and including
 //! the trapping instruction, recorded before the VM ran fused instruction

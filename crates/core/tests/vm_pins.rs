@@ -12,9 +12,9 @@
 //! image byte).
 //!
 //! Each program is also run as a chain of real migrations — every
-//! `migrate(…)` site ships the image through bytes and resumes in a fresh
-//! process — once with FIR images and once with binary (bytecode) images;
-//! both chains must reach the plain run's totals.
+//! `migrate(…)` site ships the FIR image through bytes and resumes in a
+//! fresh process, which recompiles it; the chain must reach the plain
+//! run's totals.
 //!
 //! A second table pins what a step budget stops: for five of the programs,
 //! every budget (or every 101st, for the long ones) is run to its outcome,
@@ -186,9 +186,8 @@ impl MigrationSink for CaptureSink {
     }
 }
 
-fn config(binary_migration: bool) -> ProcessConfig {
+fn config() -> ProcessConfig {
     ProcessConfig {
-        binary_migration,
         step_budget: Some(10_000_000),
         heap: HeapConfig {
             minor_threshold_bytes: 256,
@@ -202,8 +201,8 @@ fn config(binary_migration: bool) -> ProcessConfig {
 /// Run `program` to its exit, resuming through bytes at every accepted
 /// migration.  Returns the totals over all segments and the fingerprint of
 /// every image the run delivered, in order, and the collections it ran.
-fn run(program: &Program, binary_migration: bool, accept_migrations: bool) -> (Totals, u64, u64) {
-    let config = config(binary_migration);
+fn run(program: &Program, accept_migrations: bool) -> (Totals, u64, u64) {
+    let config = config();
     let migrated = Arc::new(Mutex::new(None));
     let images = Arc::new(Mutex::new(Vec::new()));
     let sink = || {
@@ -242,7 +241,6 @@ fn run(program: &Program, binary_migration: bool, accept_migrations: bool) -> (T
                     .take()
                     .expect("a migration was captured");
                 let image = MigrationImage::from_bytes(&bytes).expect("image decodes");
-                assert_eq!(image.code.is_binary(), binary_migration);
                 p = Process::from_image(image, config.clone())
                     .expect("image resumes")
                     .with_sink(sink());
@@ -262,14 +260,14 @@ fn fuzz_program(seed: u64) -> String {
 }
 
 /// `(program, steps, exit, printed lines, output fingerprint, collections,
-/// FIR-chain image fingerprint, binary-chain image fingerprint)`.
-type Pin = (&'static str, u64, i64, usize, u64, u64, u64, u64);
+/// FIR-chain image fingerprint)`.
+type Pin = (&'static str, u64, i64, usize, u64, u64, u64);
 
-/// Recorded on commit e849cc9 (the parent of the VM rewrite).  The two
-/// image-fingerprint columns were re-recorded when the `BitPack` word
-/// codec joined the per-slab choice (it wins some payload slabs, which
-/// changes image bytes by design); steps, exit, output and collections are
-/// the original recording.
+/// Recorded on commit e849cc9 (the parent of the VM rewrite).  The
+/// image-fingerprint column was re-recorded when the `BitPack` word codec
+/// joined the per-slab choice (it wins some payload slabs, which changes
+/// image bytes by design); steps, exit, output and collections are the
+/// original recording.
 const PINS: &[Pin] = &[
     (
         "quickstart",
@@ -279,7 +277,6 @@ const PINS: &[Pin] = &[
         2_976_469_528_843_563_422,
         1,
         16_030_706_101_639_846_405,
-        13_887_575_591_652_381_274,
     ),
     (
         "migration_cluster",
@@ -289,7 +286,6 @@ const PINS: &[Pin] = &[
         12_787_247_889_636_298_287,
         1,
         11_890_817_753_576_504_112,
-        14_047_552_945_533_481_625,
     ),
     (
         "buffer_overflow_rx",
@@ -298,7 +294,6 @@ const PINS: &[Pin] = &[
         4,
         11_955_521_012_289_885_696,
         1,
-        14_695_981_039_346_656_037,
         14_695_981_039_346_656_037,
     ),
     (
@@ -309,7 +304,6 @@ const PINS: &[Pin] = &[
         14_695_981_039_346_656_037,
         1,
         21_038_026_483_471_500,
-        6_626_132_588_056_879_120,
     ),
     (
         "churn",
@@ -319,7 +313,6 @@ const PINS: &[Pin] = &[
         9_711_047_249_202_521_300,
         29,
         3_872_680_820_842_325_040,
-        862_632_781_602_135_669,
     ),
     (
         "fuzz-1",
@@ -329,7 +322,6 @@ const PINS: &[Pin] = &[
         574_368_414_772_627_185,
         5,
         1_806_412_789_477_118_379,
-        2_311_964_671_540_520_273,
     ),
     (
         "fuzz-2",
@@ -339,7 +331,6 @@ const PINS: &[Pin] = &[
         14_695_981_039_346_656_037,
         4,
         2_890_449_734_312_919_549,
-        13_065_127_089_062_108_632,
     ),
     (
         "fuzz-3",
@@ -349,7 +340,6 @@ const PINS: &[Pin] = &[
         12_638_136_623_020_744_290,
         3,
         3_779_944_649_852_898_942,
-        2_725_089_723_764_430_966,
     ),
     (
         "fuzz-4",
@@ -359,7 +349,6 @@ const PINS: &[Pin] = &[
         12_638_135_523_509_116_079,
         5,
         5_251_434_918_335_433_310,
-        9_837_025_090_362_055_249,
     ),
     (
         "fuzz-5",
@@ -369,7 +358,6 @@ const PINS: &[Pin] = &[
         17_314_319_034_295_629_427,
         3,
         16_025_331_644_024_422_057,
-        11_629_793_090_801_477_510,
     ),
     (
         "fuzz-6",
@@ -379,7 +367,6 @@ const PINS: &[Pin] = &[
         14_695_981_039_346_656_037,
         7,
         6_739_671_213_128_543_268,
-        12_370_190_070_398_562_265,
     ),
     (
         "fuzz-7",
@@ -389,7 +376,6 @@ const PINS: &[Pin] = &[
         14_695_981_039_346_656_037,
         5,
         3_050_396_787_282_437_730,
-        12_204_392_374_153_691_541,
     ),
     (
         "fuzz-8",
@@ -399,7 +385,6 @@ const PINS: &[Pin] = &[
         14_695_981_039_346_656_037,
         7,
         11_336_161_342_985_370_257,
-        9_829_569_517_867_429_055,
     ),
     (
         "fuzz-9",
@@ -409,7 +394,6 @@ const PINS: &[Pin] = &[
         14_695_981_039_346_656_037,
         6,
         17_018_905_420_450_783_047,
-        14_176_858_880_649_322_469,
     ),
     (
         "fuzz-10",
@@ -419,7 +403,6 @@ const PINS: &[Pin] = &[
         12_638_130_025_950_975_024,
         5,
         5_859_863_250_364_113_160,
-        13_254_540_931_832_968_931,
     ),
 ];
 
@@ -452,11 +435,9 @@ fn bytecode_vm_steps_exit_output_and_images_are_pinned() {
     let mut actual = Vec::new();
     for (name, source) in &programs() {
         let program = compile(name, source);
-        let (plain, _, collections) = run(&program, false, false);
-        let (fir, fir_images, _) = run(&program, false, true);
-        let (binary, binary_images, _) = run(&program, true, true);
+        let (plain, _, collections) = run(&program, false);
+        let (fir, fir_images, _) = run(&program, true);
         assert_eq!(fir, plain, "{name}: FIR-migrated chain totals");
-        assert_eq!(binary, plain, "{name}: binary-migrated chain totals");
         let out = plain.output.join("\n");
         actual.push((
             name.clone(),
@@ -466,13 +447,12 @@ fn bytecode_vm_steps_exit_output_and_images_are_pinned() {
             fingerprint(out.as_bytes()),
             collections,
             fir_images,
-            binary_images,
         ));
     }
 
     let expected: Vec<_> = PINS
         .iter()
-        .map(|&(n, s, e, l, o, c, f, b)| (n.to_owned(), s, e, l, o, c, f, b))
+        .map(|&(n, s, e, l, o, c, f)| (n.to_owned(), s, e, l, o, c, f))
         .collect();
     assert_eq!(
         actual, expected,
@@ -506,7 +486,7 @@ fn step_budgets_stop_the_vm_where_they_always_did() {
         for budget in (1..=steps).step_by(stride) {
             let config = ProcessConfig {
                 step_budget: Some(budget),
-                ..config(false)
+                ..config()
             };
             let mut p = Process::new(program.clone(), config)
                 .expect("program verifies")

@@ -7,7 +7,6 @@
 //! not go through `MigrationImage::to_bytes`, so it pins the *layout*, not
 //! whatever the current encoder happens to produce.
 
-use mojave_core::migrate::PackedCode;
 use mojave_core::{
     CheckpointStore, HeapImage, ImageCode, MigrationImage, Process, ProcessConfig, RunOutcome,
     RuntimeError,
@@ -637,33 +636,24 @@ fn a_base_overwritten_by_a_different_program_with_an_identical_heap_is_rejected(
     let (after, _) = pb.declare("after", &[("x", mojave_fir::Ty::Int)]);
     pb.define(after, term::halt(7)); // not the program the delta resumes
     pb.set_entry(main);
-    let other_fir = PackedCode::Fir(pb.finish());
-    // The same program as bytecode is other code too: the fingerprint
-    // covers the section tag.
-    let same_as_binary = PackedCode::Binary {
-        arch: "ia32-sim".into(),
-        bytecode: mojave_core::backend::compile_program(&fixture_program()).unwrap(),
+    let overwritten = MigrationImage {
+        code: pb.finish().into(),
+        ..base.clone()
     };
-    for code in [other_fir, same_as_binary] {
-        let overwritten = MigrationImage {
-            code: code.into(),
-            ..base.clone()
-        };
-        // The heap check alone would accept this base.
-        assert_eq!(
-            overwritten.heap_image.fingerprint(),
-            base.heap_image.fingerprint()
-        );
-        let store = CheckpointStore::new();
-        store.put("v5-ck", overwritten.to_bytes());
-        store.put("v5-ck-ref", golden_v5_ref_delta_image_bytes());
-        match store.load("v5-ck-ref") {
-            Err(RuntimeError::MigrationRejected(msg)) => assert!(
-                msg.contains("base checkpoint `v5-ck` does not carry the code"),
-                "{msg}"
-            ),
-            other => panic!("expected a code mismatch, got {other:?}"),
-        }
+    // The heap check alone would accept this base.
+    assert_eq!(
+        overwritten.heap_image.fingerprint(),
+        base.heap_image.fingerprint()
+    );
+    let store = CheckpointStore::new();
+    store.put("v5-ck", overwritten.to_bytes());
+    store.put("v5-ck-ref", golden_v5_ref_delta_image_bytes());
+    match store.load("v5-ck-ref") {
+        Err(RuntimeError::MigrationRejected(msg)) => assert!(
+            msg.contains("base checkpoint `v5-ck` does not carry the code"),
+            "{msg}"
+        ),
+        other => panic!("expected a code mismatch, got {other:?}"),
     }
 }
 
@@ -691,7 +681,7 @@ fn a_code_reference_outside_a_delta_or_cut_short_is_a_precise_error() {
     assert_eq!(
         MigrationImage::from_bytes(&image(&fingerprint)).unwrap_err(),
         WireError::SectionMismatch {
-            expected: "FirProgram or Bytecode (a full image carries its code)",
+            expected: "FirProgram (a full image carries its code)",
             found: SectionTag::CodeRef as u8,
         }
     );
@@ -713,6 +703,55 @@ fn a_code_reference_outside_a_delta_or_cut_short_is_a_precise_error() {
         MigrationImage::from_bytes(&v1).unwrap_err(),
         WireError::SectionMismatch { found: 0x0B, .. }
     ));
+}
+
+/// The retired `Bytecode` code section (tag 0x08): what a binary-migration
+/// image carried before compiled code stopped travelling.  A v1 image (bare
+/// tag) and a v5 image (framed) whose code section is tagged 0x08 and holds
+/// a plausible body — an architecture string, then one function `after`
+/// (one register, one parameter, `Halt r0`) and entry 0 — are rejected at
+/// the code section, naming the tag.  The rest of each image is its golden
+/// fixture's.
+#[test]
+fn images_with_a_retired_bytecode_section_are_rejected_precisely() {
+    let mut body = WireWriter::new();
+    body.write_str("ia32-sim");
+    body.write_uvarint(1); // one function
+    body.write_str("after");
+    body.write_uvarint(1); // nregs
+    body.write_uvarint(1); // nparams
+    body.write_uvarint(1); // one instruction
+    body.write_u8(19); // Halt
+    body.write_uvarint(0); // r0
+    body.write_uvarint(0); // entry
+    let body = body.into_bytes();
+
+    let mut header = WireWriter::new();
+    header.write_header_versioned("ia32-sim", MIN_SUPPORTED_VERSION);
+    let header_len = header.len();
+    let program_len = mojave_wire::to_bytes(&fixture_program()).len();
+
+    let v1 = golden_v1_image_bytes();
+    let mut retired_v1 = v1[..header_len].to_vec();
+    retired_v1.push(SectionTag::Bytecode as u8);
+    retired_v1.extend_from_slice(&body);
+    retired_v1.extend_from_slice(&v1[header_len + 1 + program_len..]);
+
+    let v5 = golden_v5_image_bytes();
+    let mut retired_v5 = WireWriter::new();
+    retired_v5.write_header_versioned("ia32-sim", 5);
+    retired_v5
+        .begin_section(SectionTag::Bytecode)
+        .write_raw(&body);
+    let mut retired_v5 = retired_v5.into_bytes();
+    retired_v5.extend_from_slice(&v5[header_len + 5 + program_len..]);
+
+    for (layout, bytes) in [("v1", retired_v1), ("v5", retired_v5)] {
+        match MigrationImage::from_bytes(&bytes) {
+            Err(WireError::SectionMismatch { found, .. }) => assert_eq!(found, 0x08, "{layout}"),
+            other => panic!("{layout}: expected a SectionMismatch on tag 0x08, got {other:?}"),
+        }
+    }
 }
 
 /// A sink that advertises a fixed codec set.

@@ -4,9 +4,9 @@
 //! v1 (unframed, per-word blocks), v4 (framed, batched slabs, full and
 //! delta) and v5 (framed, codec-tagged slabs, full, delta with inline code
 //! and delta naming its base's code by a `CodeRef`) — with **freshly
-//! packed** images from real processes (v5 full, v5 delta, v5 with
-//! `BitPack` word frames and a binary-code image), so mutations land on
-//! every decode path the runtime has.
+//! packed** images from real processes (v5 full, v5 delta and v5 with
+//! `BitPack` word frames), so mutations land on every decode path the
+//! runtime has.
 //!
 //! [`mutate`] applies one seeded mutation: byte flips, a truncation, or a
 //! length-field inflation (0xFF splats that turn frame lengths into
@@ -14,16 +14,17 @@
 //! mutant: `MigrationImage::from_bytes` either succeeds or returns a
 //! precise [`WireError`](mojave_wire::WireError) — never a panic — and a
 //! successfully parsed mutant can be heap-decoded and re-encoded without
-//! panicking either.  A parsed mutant that carries **binary code** goes
-//! further: it is resumed (`Process::from_image`, which runs the bytecode
-//! verifier) and run under a short step budget — the outcome must be a
-//! clean run or a precise [`RuntimeError`](mojave_core::RuntimeError).
+//! panicking either.  A parsed **full** mutant — one that carries its FIR,
+//! the one form of code an image can carry — goes further: it is resumed
+//! (`Process::from_image`, which validates and type-checks the FIR before
+//! recompiling it) and run under a short step budget — the outcome must be
+//! a clean run or a precise [`RuntimeError`](mojave_core::RuntimeError).
 //! Truncations must always fail: every layout ends with either a required
 //! section or a trailing-bytes check.
 
 use mojave_core::rng::SplitMix64;
 use mojave_core::{
-    BackendKind, CheckpointStore, InMemorySink, MigrationImage, Process, ProcessConfig, RunOutcome,
+    CheckpointStore, InMemorySink, MigrationImage, Process, ProcessConfig, RunOutcome,
 };
 use mojave_fir::builder::{term, ProgramBuilder};
 use mojave_fir::Program;
@@ -312,13 +313,6 @@ pub fn corpus() -> Vec<(String, Vec<u8>)> {
     }) {
         entries.push((format!("packed-bitpack-{name}"), bytes));
     }
-    for (name, bytes) in packed(ProcessConfig {
-        binary_migration: true,
-        backend: BackendKind::Bytecode,
-        ..ProcessConfig::default()
-    }) {
-        entries.push((format!("packed-binary-{name}"), bytes));
-    }
     entries
 }
 
@@ -373,14 +367,14 @@ pub fn mutate(bytes: &[u8], seed: u64) -> (Vec<u8>, MutationKind) {
     }
 }
 
-/// Step budget for resuming a binary mutant: the pristine fixture runs for
+/// Step budget for resuming a full mutant: the pristine fixture runs for
 /// a few hundred steps, so this reaches every instruction a mutation can
 /// have touched while bounding a mutant that loops.
 const RESUME_BUDGET: u64 = 20_000;
 
 /// Decode a (possibly mutated) image the way the runtime would: parse,
-/// then heap-decode and re-encode on success; an image carrying binary
-/// code is also resumed and run for up to `RESUME_BUDGET` steps.
+/// then heap-decode and re-encode on success; a full image (it carries its
+/// FIR) is also resumed and run for up to `RESUME_BUDGET` steps.
 /// Returns a description of the outcome (`"rejected"`, `"parsed"` or
 /// `"resumed"`); panics inside are the harness's job to catch.
 pub fn exercise_decoder(bytes: &[u8]) -> Result<&'static str, String> {
@@ -399,12 +393,12 @@ pub fn exercise_decoder(bytes: &[u8]) -> Result<&'static str, String> {
             // and re-encode.
             let _ = image.decode_heap(mojave_heap::HeapConfig::default());
             let _ = image.to_bytes();
-            if !image.code.is_binary() {
+            if image.heap_image.is_delta() {
                 return Ok("parsed");
             }
-            // Binary code is the one section a receiver cannot re-derive:
-            // it runs what the verifier lets through.  The receiver's own
-            // allocation limit keeps a mutated length constant honest.
+            // The receiver runs whatever FIR passes validation and the
+            // type checker, on whatever heap decodes.  Its own allocation
+            // limit keeps a mutated length constant honest.
             let config = ProcessConfig {
                 step_budget: Some(RESUME_BUDGET),
                 heap: mojave_heap::HeapConfig {
@@ -439,6 +433,21 @@ mod tests {
                     .unwrap_or_else(|e| panic!("pristine {name} heap must decode: {e}"));
             }
             assert_eq!(image.to_bytes(), bytes, "{name} re-encodes byte-faithfully");
+        }
+    }
+
+    /// Every pristine full entry carries its FIR and resumes through the
+    /// decoder's resume leg; a delta has no base to resolve and only
+    /// parses.
+    #[test]
+    fn every_pristine_full_entry_resumes() {
+        for (name, bytes) in corpus() {
+            let delta = MigrationImage::from_bytes(&bytes)
+                .expect("pristine entry decodes")
+                .heap_image
+                .is_delta();
+            let want = if delta { "parsed" } else { "resumed" };
+            assert_eq!(exercise_decoder(&bytes), Ok(want), "{name}");
         }
     }
 

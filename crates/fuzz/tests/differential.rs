@@ -81,8 +81,8 @@ fn differential_sweep() {
     sweep("differential-sweep", programs_from_env(200));
 }
 
-/// The VM loop runs compiler output without the load-time verifier having
-/// seen it (only binary images are verified, and debug builds assert it), so
+/// The VM loop runs compiler output unchecked — no bytecode arrives from
+/// outside a process, and only debug builds assert that it verifies — so
 /// "whatever `compile_program` emits verifies" is a property of its own.
 #[test]
 fn compiled_programs_pass_the_bytecode_verifier() {

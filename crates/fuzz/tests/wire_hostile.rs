@@ -7,10 +7,11 @@
 //! `mojave_fuzz::cap_alloc::CapAlloc` as the global allocator and asserts
 //! a high-water mark per mutation.  A length-field inflated to ~4 GiB must
 //! be rejected by `MAX_REASONABLE_LEN`-style guards *before* the decoder
-//! reserves memory for it.  Mutants that parse and carry binary code are
-//! resumed and run under a step budget inside the same panic and
-//! allocation guards, so a hostile `nregs`, register index, jump target or
-//! function id must be stopped by the bytecode verifier.
+//! reserves memory for it.  Full mutants that parse — they carry their
+//! FIR — are resumed and run under a step budget inside the same panic and
+//! allocation guards, so a hostile function, type, resume continuation or
+//! heap word must be stopped by FIR validation, the type checker or a
+//! precise runtime error.
 //!
 //! `MOJAVE_FUZZ_MUTATIONS` scales the sweep (default 1000; nightly 2000).
 
@@ -87,11 +88,11 @@ fn mutated_wire_images_fail_precisely_never_panic() {
         "suspiciously few rejections ({rejected} of {total}, {parsed} parsed) — \
          is the mutator hitting the image at all?"
     );
-    // …and the resume path: the corpus holds binary-code images, and some
-    // of their mutants survive the parser.
+    // …and the resume path: the corpus holds full FIR images, and some of
+    // their mutants survive the parser.
     assert!(
         total < 1000 || resumed > 0,
-        "no binary mutant was resumed in {total} mutations"
+        "no FIR mutant was resumed in {total} mutations"
     );
     eprintln!("{total} mutations: {rejected} rejected, {parsed} parsed, {resumed} resumed");
 }

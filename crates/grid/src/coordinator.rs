@@ -10,8 +10,10 @@ use mojave_cluster::{
 };
 use mojave_obs::{Level, NodeObs};
 use mojave_wire::CodecId;
+use std::cell::RefCell;
 use std::fmt;
 use std::fmt::Write as _;
+use std::process::Child;
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -288,15 +290,15 @@ const REPORT_DEADLINE: Duration = Duration::from_secs(120);
 ///
 /// `launch(worker, resume)` starts a worker from `main`, or (resurrection)
 /// from a checkpoint; `reports(deadline)` yields the next finished worker's
-/// report, or `None` after `deadline`.  The caller fills in
-/// [`GridReport::node_obs`].
+/// report, `None` after `deadline`, or an error when a worker is known to
+/// be gone without one.  The caller fills in [`GridReport::node_obs`].
 fn drive(
     cluster: &Cluster,
     config: &GridConfig,
     failure: Option<FailurePlan>,
     deadline: Duration,
     mut launch: impl FnMut(usize, Option<Resume>) -> Result<(), GridError>,
-    mut reports: impl FnMut(Duration) -> Option<NodeStats>,
+    mut reports: impl FnMut(Duration) -> Result<Option<NodeStats>, GridError>,
 ) -> Result<GridReport, GridError> {
     // Arm the failure *before* any worker runs: the victim is then marked
     // failed inside its own k-th checkpoint delivery, independent of
@@ -316,7 +318,7 @@ fn drive(
     };
     let mut finished = 0;
     while finished < config.workers {
-        let stats = reports(deadline).ok_or_else(|| {
+        let stats = reports(deadline)?.ok_or_else(|| {
             GridError::Transport(format!("workers did not report within {deadline:?}"))
         })?;
         let worker = stats.node as usize;
@@ -385,9 +387,10 @@ pub fn run_grid_with(
         Ok(())
     };
     let reports = |deadline| {
-        let (stats, obs): (NodeStats, Option<NodeObs>) = rx.recv_timeout(deadline).ok()?;
-        node_obs.extend(obs);
-        Some(stats)
+        Ok(rx.recv_timeout(deadline).ok().map(|(stats, obs)| {
+            node_obs.extend(obs);
+            stats
+        }))
     };
     let mut report = drive(&cluster, config, failure, REPORT_DEADLINE, launch, reports)?;
     // Arrival order across nodes depends on thread scheduling; a stable
@@ -410,6 +413,12 @@ pub fn run_grid_with(
 /// it) and assembles the [`GridReport`] from the same hub-side state — so
 /// the [`GridReport::replay_digest`] matches the in-process run's at the
 /// same seed.  That is the transport's correctness oracle.
+///
+/// While it waits for reports it watches the node processes: one that
+/// exits with a failure status before reporting (`mcc node` does when it
+/// cannot join) fails the run at once.  No node process outlives the call:
+/// on success every node has exited, and on an error the ones still
+/// running are killed and reaped.
 pub fn run_grid_served(
     server: &ClusterServer,
     config: &GridConfig,
@@ -426,7 +435,7 @@ pub fn run_grid_served(
         )));
     }
     server.set_job(job_spec(config, options));
-    let mut children = Vec::new();
+    let nodes = RefCell::new(NodeProcesses(Vec::new()));
     let launch = |worker, resume| {
         // The resurrection daemon, process edition: arm the checkpoint as
         // the node's resume image, then respawn it.
@@ -435,16 +444,55 @@ pub fn run_grid_served(
         }
         let child = spawn(worker)
             .map_err(|e| GridError::Transport(format!("cannot spawn node {worker}: {e}")))?;
-        children.push(child);
+        nodes.borrow_mut().0.push((worker, child));
         Ok(())
     };
-    let reports = |deadline| server.next_stats(deadline);
+    let reports = |deadline: Duration| {
+        let start = Instant::now();
+        loop {
+            let slice = deadline.saturating_sub(start.elapsed()).min(WATCH_SLICE);
+            if let Some(stats) = server.next_stats(slice) {
+                return Ok(Some(stats));
+            }
+            // A node reports before it exits, and exits successfully once
+            // it has reported.
+            for (worker, child) in &mut nodes.borrow_mut().0 {
+                if let Ok(Some(status)) = child.try_wait() {
+                    if !status.success() {
+                        return Err(GridError::Transport(format!(
+                            "node {worker} exited before the run completed ({status})"
+                        )));
+                    }
+                }
+            }
+            if start.elapsed() >= deadline {
+                return Ok(None);
+            }
+        }
+    };
     let mut report = drive(&cluster, config, failure, REPORT_DEADLINE, launch, reports)?;
-    for mut child in children {
+    for (_, child) in &mut nodes.borrow_mut().0 {
         let _ = child.wait();
     }
     report.node_obs = server.obs_reports();
     Ok(report)
+}
+
+/// How long a served run waits for a report before it looks at its node
+/// processes again.
+const WATCH_SLICE: Duration = Duration::from_millis(50);
+
+/// The node processes of a served run, by worker.  Dropping it kills and
+/// reaps every one still running.
+struct NodeProcesses(Vec<(usize, Child)>);
+
+impl Drop for NodeProcesses {
+    fn drop(&mut self) {
+        for (_, child) in &mut self.0 {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -760,7 +808,7 @@ mod tests {
                 launched += 1;
                 Ok(())
             },
-            |wait| reports.recv_timeout(wait).ok(),
+            |wait| Ok(reports.recv_timeout(wait).ok()),
         )
         .expect_err("nobody reports");
         assert_eq!(launched, config.workers);

@@ -22,7 +22,6 @@
 //! resumed later with `mcc resume`.
 
 use mojave_cluster::{NodeStats, RemoteCluster};
-use mojave_core::migrate::PackedCode;
 use mojave_core::{
     BackendKind, DeliveryOutcome, MigrationImage, MigrationSink, Process, ProcessConfig, RunOutcome,
 };
@@ -379,18 +378,12 @@ fn main() -> ExitCode {
                     }
                     println!("resume label        : L{}", image.label);
                     println!("open speculations   : {}", image.open_speculations);
-                    match image.code.inline().map(|code| &**code) {
-                        Some(PackedCode::Fir(p)) => {
+                    match image.code.inline() {
+                        Some(p) => {
                             println!(
                                 "code                : FIR, {} functions, {} nodes",
                                 p.funs.len(),
                                 p.size()
-                            );
-                        }
-                        Some(PackedCode::Binary { arch, bytecode }) => {
-                            println!(
-                                "code                : bytecode for {arch}, {} instructions",
-                                bytecode.instruction_count()
                             );
                         }
                         None => println!(

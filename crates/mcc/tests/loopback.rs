@@ -6,13 +6,13 @@
 
 use mojave_cluster::{Cluster, ClusterConfig, ClusterServer, JobSpec};
 use mojave_grid::{
-    run_grid_served, run_grid_with, FailurePlan, GridConfig, GridOptions, GridReport,
+    run_grid_served, run_grid_with, FailurePlan, GridConfig, GridError, GridOptions, GridReport,
 };
 use mojave_obs::{validate_chrome_trace, EventKind, Level};
 use mojave_wire::CodecSet;
 use std::collections::BTreeMap;
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn spawn_node(addr: &str, node: usize) -> std::io::Result<Child> {
     Command::new(env!("CARGO_BIN_EXE_mcc"))
@@ -213,6 +213,50 @@ fn loopback_failure_injection_resurrects_across_processes() {
 
     let in_process = run_grid_with(&config, failure, seeded(seed)).expect("in-process run");
     assert_eq!(served.replay_digest(), in_process.replay_digest());
+}
+
+/// A node process that exits before it reports — here one that fails the
+/// way `mcc node` does when it cannot join — fails a served run at once,
+/// naming the node and its status, and no node process outlives the run:
+/// the real nodes, blocked on their missing neighbour, are killed.
+#[cfg(unix)]
+#[test]
+fn a_node_that_exits_early_fails_the_served_run_at_once_and_leaves_no_node_running() {
+    let config = small_grid(3);
+    let cluster = Cluster::new(ClusterConfig::deterministic(config.workers, 7));
+    let server = ClusterServer::bind(cluster, "127.0.0.1:0").expect("bind loopback");
+    let addr = server.local_addr().to_string();
+    let mut pids = Vec::new();
+    let start = Instant::now();
+    let err = run_grid_served(&server, &config, None, GridOptions::default(), |node| {
+        let child = if node == 1 {
+            Command::new("sh").args(["-c", "exit 3"]).spawn()
+        } else {
+            spawn_node(&addr, node)
+        }?;
+        pids.push(child.id());
+        Ok(child)
+    })
+    .expect_err("node 1 never joins");
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(10),
+        "failed after {elapsed:?}"
+    );
+    assert!(
+        matches!(&err, GridError::Transport(m) if m.contains("node 1 exited") && m.contains('3')),
+        "got {err}"
+    );
+    assert_eq!(pids.len(), config.workers);
+    for pid in pids {
+        let alive = Command::new("kill")
+            .args(["-0", &pid.to_string()])
+            .stderr(Stdio::null())
+            .status()
+            .expect("kill runs")
+            .success();
+        assert!(!alive, "node process {pid} still runs");
+    }
 }
 
 #[test]

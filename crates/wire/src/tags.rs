@@ -44,7 +44,8 @@ pub enum SectionTag {
     MigrateEnv = 0x06,
     /// Resume metadata (migration label, protocol, target string).
     Resume = 0x07,
-    /// Compiled bytecode image (only present in binary-migration images).
+    /// Retired: compiled bytecode, which images no longer carry.  Kept so
+    /// the byte is never reused and a decoder's rejection can name it.
     Bytecode = 0x08,
     /// Speculation-state summary (open levels, for diagnostics only).
     Speculation = 0x09,

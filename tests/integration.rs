@@ -221,11 +221,10 @@ fn speculative_transfer_beats_manual_recovery() {
     );
 }
 
-/// Binary migration is faster to resume but refuses to cross architectures;
-/// FIR migration works everywhere.  (The quantitative comparison is in the
-/// benchmark harness; this checks the functional behaviour.)
+/// FIR migration works everywhere: a suspended image resumes on its own
+/// architecture and on another.
 #[test]
-fn binary_vs_fir_migration_behaviour() {
+fn fir_migration_resumes_on_any_architecture() {
     let source = r#"
         int main() {
             suspend("stopped");
@@ -235,35 +234,20 @@ fn binary_vs_fir_migration_behaviour() {
     let program = compile_source(source).unwrap();
     let store = mojave::core::CheckpointStore::new();
 
-    for (binary, arch_ok) in [(false, true), (true, true), (true, false)] {
+    for machine in [mojave::core::Machine::ia32(), mojave::core::Machine::risc()] {
         let sink = mojave::core::InMemorySink::with_store(store.clone());
-        let config = ProcessConfig {
-            binary_migration: binary,
-            ..ProcessConfig::default()
-        };
-        let mut p = Process::new(program.clone(), config)
+        let mut p = Process::new(program.clone(), ProcessConfig::default())
             .unwrap()
             .with_sink(Box::new(sink));
         assert!(matches!(p.run().unwrap(), RunOutcome::Suspended { .. }));
         let image = store.load("stopped").unwrap();
-        assert_eq!(image.code.is_binary(), binary);
+        assert!(image.code.inline().is_some());
 
         let dest = ProcessConfig {
-            machine: if arch_ok {
-                mojave::core::Machine::ia32()
-            } else {
-                mojave::core::Machine::risc()
-            },
+            machine,
             ..ProcessConfig::default()
         };
-        let resumed = Process::from_image(image, dest);
-        if binary && !arch_ok {
-            assert!(
-                resumed.is_err(),
-                "binary images must not cross architectures"
-            );
-        } else {
-            assert_eq!(resumed.unwrap().run().unwrap(), RunOutcome::Exit(99));
-        }
+        let mut resumed = Process::from_image(image, dest).unwrap();
+        assert_eq!(resumed.run().unwrap(), RunOutcome::Exit(99));
     }
 }
