@@ -151,12 +151,11 @@ impl ClusterOps for LocalNode {
     ) -> Result<DeliveryOutcome, FrameError> {
         Ok(match protocol {
             MigrateProtocol::Checkpoint | MigrateProtocol::Suspend => {
-                let bytes = image.to_bytes();
                 // Writing to the reliable store crosses the network too; the
                 // cluster accounts it as a message to the storage server.
                 self.cluster
-                    .send(self.node, self.node, -1, vec![bytes.len() as f64]);
-                self.cluster.store().put(target, bytes);
+                    .send(self.node, self.node, -1, vec![image.byte_size() as f64]);
+                self.cluster.store().put_image(target, image);
                 // Checkpoint-event hook: fires any scheduled failure
                 // injection synchronously in this thread (the replay
                 // guarantee).

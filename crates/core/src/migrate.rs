@@ -32,7 +32,7 @@ use mojave_wire::{
     uvarint_len, CodecSet, SectionTag, WireCodec, WireError, WireReader, WireWriter,
     FORMAT_VERSION, MIN_SUPPORTED_VERSION,
 };
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
@@ -371,10 +371,17 @@ impl MigrationImage {
     /// (tag + u32 length + body), so decoders can slice or skip sections
     /// without parsing them.
     pub fn to_bytes(&self) -> Vec<u8> {
+        self.write(&self.code)
+    }
+
+    /// Serialise the image as [`MigrationImage::to_bytes`] does, with
+    /// `code` in the code section's place: the image's own code, or — in
+    /// a [`CheckpointStore`] that holds it — a reference to it.
+    fn write(&self, code: &ImageCode) -> Vec<u8> {
         let (version, framed) = self.layout();
-        let mut w = WireWriter::with_capacity(self.code.body_len() + self.heap_image.len() + 1024);
+        let mut w = WireWriter::with_capacity(code.body_len() + self.heap_image.len() + 1024);
         w.write_header_versioned(&self.source_arch, version);
-        match &self.code {
+        match code {
             ImageCode::Inline(code) => section(&mut w, framed, SectionTag::FirProgram, |w| {
                 w.write_raw(code.body())
             }),
@@ -407,12 +414,20 @@ impl MigrationImage {
     /// Both the current framed layout and the legacy v1 layout decode; the
     /// header version selects the parser.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
+        Self::parse(bytes, None)
+    }
+
+    /// Decode an image as [`MigrationImage::from_bytes`] does, except that
+    /// a full image's [`SectionTag::CodeRef`] naming `held` — code a
+    /// [`CheckpointStore`] keeps once for every image that names it —
+    /// binds to it instead of being a [`WireError::SectionMismatch`].
+    fn parse(bytes: &[u8], held: Option<&CodeSection>) -> Result<Self, WireError> {
         let mut r = WireReader::new(bytes);
         let header = r.read_header()?;
         let image = if header.version <= MIN_SUPPORTED_VERSION {
             Self::from_bytes_v1(&mut r, header.version, header.source_arch)?
         } else {
-            Self::from_bytes_v2(&mut r, header.version, header.source_arch)?
+            Self::from_bytes_v2(&mut r, header.version, header.source_arch, held)?
         };
         if !r.is_empty() {
             return Err(WireError::TrailingBytes {
@@ -454,9 +469,10 @@ impl MigrationImage {
         r: &mut WireReader<'_>,
         format_version: u32,
         source_arch: String,
+        held: Option<&CodeSection>,
     ) -> Result<Self, WireError> {
         let mut code_section = r.read_framed()?;
-        let code = match code_section.tag() {
+        let mut code = match code_section.tag() {
             SectionTag::FirProgram => Program::decode(&mut code_section)?.into(),
             SectionTag::CodeRef => ImageCode::Base {
                 fingerprint: code_section.read_u64()?,
@@ -487,11 +503,17 @@ impl MigrationImage {
         };
         heap_section.finish()?;
         if code.inline().is_none() && !heap_image.is_delta() {
-            // Only a delta has a base whose code it can name.
-            return Err(WireError::SectionMismatch {
-                expected: "FirProgram (a full image carries its code)",
-                found: SectionTag::CodeRef as u8,
-            });
+            // Only a delta has a base whose code it can name; a full image
+            // names code only inside the store that holds it.
+            match held.filter(|held| held.fingerprint() == code.fingerprint()) {
+                Some(held) => code = ImageCode::Inline(held.clone()),
+                None => {
+                    return Err(WireError::SectionMismatch {
+                        expected: "FirProgram (a full image carries its code)",
+                        found: SectionTag::CodeRef as u8,
+                    })
+                }
+            }
         }
 
         let mut env = r.expect_framed(SectionTag::MigrateEnv)?;
@@ -906,15 +928,20 @@ pub trait MigrationSink {
 pub struct StoreStats {
     /// Number of images currently stored.
     pub images: usize,
+    /// Number of distinct code sections (programs) the store holds, each
+    /// once for every stored image that names it.
+    pub code_sections: usize,
     /// Total size with every compressed frame expanded to its raw length.
     pub raw_bytes: u64,
-    /// Total size actually stored.
+    /// Total size actually stored: every image's stored bytes plus each
+    /// held code section's framed bytes, counted once.
     pub stored_bytes: u64,
-    /// Cumulative nanoseconds spent in [`CheckpointStore::put`] — the
-    /// store-side ingest cost (frame-header accounting plus the map
-    /// insert), over the store's lifetime (not reduced by `remove`).
-    /// Together with [`PipelineStats`]' pause/encode split this completes
-    /// the checkpoint time accounting end to end.
+    /// Cumulative nanoseconds spent in [`CheckpointStore::put`] and
+    /// [`CheckpointStore::put_image`] — the store-side ingest cost
+    /// (frame-header accounting plus the map insert), over the store's
+    /// lifetime (not reduced by `remove`).  Together with
+    /// [`PipelineStats`]' pause/encode split this completes the checkpoint
+    /// time accounting end to end.
     pub put_ns: u64,
 }
 
@@ -942,8 +969,10 @@ struct Entry {
     /// `Arc<Vec<u8>>`, not an `Arc<[u8]>`: `put` moves the caller's buffer
     /// in instead of copying it.
     bytes: Arc<Vec<u8>>,
-    /// `(raw, stored)` wire sizes, so [`CheckpointStore::stats`] is a
-    /// cheap sum.
+    /// The code this entry names in the store's code table.
+    code: EntryCode,
+    /// `(raw, stored)` wire sizes of `bytes`, so [`CheckpointStore::stats`]
+    /// is a cheap sum.
     sizes: (u64, u64),
     /// The heap-payload fingerprint, computed on first ask — keeps
     /// delta-base negotiation O(1) per checkpoint instead of hashing the
@@ -952,21 +981,106 @@ struct Entry {
     fingerprint: Option<u64>,
 }
 
+/// How a stored entry relates to the store's code table.
+#[derive(Debug, Clone, Copy)]
+enum EntryCode {
+    /// Nothing held: the bytes of a raw [`CheckpointStore::put`], a v1
+    /// image, or a delta whose code the store does not hold.
+    Own,
+    /// A delta whose `CodeRef` names code the store holds; the entry keeps
+    /// a reference on it.
+    Names(u64),
+    /// A full image whose code the store holds: its bytes carry a 13-byte
+    /// [`SectionTag::CodeRef`] section in the program's place.
+    Shared(u64),
+}
+
+/// A code section the store holds once, with the number of entries that
+/// hold a reference on it.
+#[derive(Debug)]
+struct HeldCode {
+    section: CodeSection,
+    refs: usize,
+}
+
 #[derive(Debug, Default)]
 struct StoreInner {
-    images: HashMap<String, Entry>,
+    /// Sorted by name, so [`CheckpointStore::names`] needs no sort.
+    images: BTreeMap<String, Entry>,
+    /// Every program a stored image names, by
+    /// [`CodeSection::fingerprint`]: dropped with the last entry naming it.
+    codes: BTreeMap<u64, HeldCode>,
     /// Bumped by every `put`/`remove`; fingerprints computed outside the
     /// lock are only cached if no write landed in between, so a concurrent
     /// overwrite can never pin a stale entry.
     generation: u64,
-    /// Cumulative time spent in `put` (see [`StoreStats::put_ns`]).
+    /// Cumulative time spent in `put` and `put_image` (see
+    /// [`StoreStats::put_ns`]).
     put_ns: u64,
+}
+
+impl StoreInner {
+    /// Take a reference on `code`, keeping the section (shared, not
+    /// copied) if this is the first entry to name it.
+    fn hold(&mut self, code: &CodeSection) -> EntryCode {
+        let fingerprint = code.fingerprint();
+        self.codes
+            .entry(fingerprint)
+            .or_insert_with(|| HeldCode {
+                section: code.clone(),
+                refs: 0,
+            })
+            .refs += 1;
+        EntryCode::Shared(fingerprint)
+    }
+
+    /// Take a reference on the code `fingerprint` names, if it is held.
+    fn name(&mut self, fingerprint: u64) -> EntryCode {
+        match self.codes.get_mut(&fingerprint) {
+            Some(held) => {
+                held.refs += 1;
+                EntryCode::Names(fingerprint)
+            }
+            None => EntryCode::Own,
+        }
+    }
+
+    /// Drop `code`'s reference, and the section with its last one.
+    fn release(&mut self, code: EntryCode) {
+        let (EntryCode::Names(fingerprint) | EntryCode::Shared(fingerprint)) = code else {
+            return;
+        };
+        if let Some(held) = self.codes.get_mut(&fingerprint) {
+            held.refs -= 1;
+            if held.refs == 0 {
+                self.codes.remove(&fingerprint);
+            }
+        }
+    }
+
+    /// Store (replace) `name`'s entry, releasing the code of the one it
+    /// replaces.
+    fn insert(&mut self, name: &str, entry: Entry, start: Instant) {
+        self.generation += 1;
+        if let Some(old) = self.images.insert(name.to_owned(), entry) {
+            self.release(old.code);
+        }
+        self.put_ns += start.elapsed().as_nanos() as u64;
+    }
 }
 
 /// A named store of checkpoint images — the stand-in for the paper's
 /// "reliable and distributed storage medium" (their cluster used an NFS
 /// mount).  Cloning shares the underlying store, so tests and the cluster's
 /// resurrection daemon can read what processes wrote.
+///
+/// Code is stored once.  Every full image handed to
+/// [`CheckpointStore::put_image`] is kept with a 13-byte reference in
+/// place of its program, and the store keeps each distinct program once,
+/// keyed by [`CodeSection::fingerprint`], for as long as an entry names
+/// it.  No such reference leaves the store: [`CheckpointStore::get`]
+/// returns the bytes [`MigrationImage::to_bytes`] wrote, and
+/// [`CheckpointStore::load_raw`] the image with its code inline.
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointStore {
     inner: Arc<Mutex<StoreInner>>,
@@ -982,16 +1096,31 @@ impl CheckpointStore {
         self.inner.lock().expect("checkpoint store lock")
     }
 
-    /// The named image's shared bytes: readers copy or parse them after
-    /// the lock is released.
-    fn shared(&self, name: &str) -> Option<Arc<Vec<u8>>> {
-        self.lock()
-            .images
-            .get(name)
-            .map(|entry| Arc::clone(&entry.bytes))
+    /// The named entry's shared bytes and, for a full image stored by
+    /// reference, the code they name: readers copy or parse them after the
+    /// lock is released.  Absent code (which the reference counts rule
+    /// out) is a rejection, never a wrong program.
+    fn shared(&self, name: &str) -> Result<(Arc<Vec<u8>>, Option<CodeSection>), RuntimeError> {
+        let inner = self.lock();
+        let entry = inner.images.get(name).ok_or_else(|| {
+            RuntimeError::MigrationRejected(format!("no checkpoint named `{name}`"))
+        })?;
+        let code = match entry.code {
+            EntryCode::Shared(fingerprint) => {
+                let held = inner.codes.get(&fingerprint).ok_or_else(|| {
+                    RuntimeError::MigrationRejected(format!(
+                        "checkpoint `{name}` names code {fingerprint:#018x} \
+                         that the store does not hold"
+                    ))
+                })?;
+                Some(held.section.clone())
+            }
+            EntryCode::Own | EntryCode::Names(_) => None,
+        };
+        Ok((Arc::clone(&entry.bytes), code))
     }
 
-    /// Atomically store (replace) a named image.
+    /// Atomically store (replace) a named blob, verbatim.
     pub fn put(&self, name: &str, bytes: Vec<u8>) {
         let start = Instant::now();
         // Every byte counts toward `stored`; the heap payload's compressed
@@ -1004,18 +1133,62 @@ impl CheckpointStore {
         });
         let entry = Entry {
             bytes: Arc::new(bytes),
+            code: EntryCode::Own,
             sizes,
             fingerprint: None,
         };
-        let mut inner = self.lock();
-        inner.generation += 1;
-        inner.images.insert(name.to_owned(), entry);
-        inner.put_ns += start.elapsed().as_nanos() as u64;
+        self.lock().insert(name, entry, start);
     }
 
-    /// Fetch a named image.
+    /// Atomically store (replace) a named image, keeping its code once.
+    ///
+    /// A framed full image is serialised once with a `CodeRef` section in
+    /// place of its program, and the store takes a reference on the
+    /// program's [`CodeSection`] (the image's own, shared, if the store
+    /// did not hold it yet).  A delta, which carries a `CodeRef` already,
+    /// takes a reference on its code if the store holds it.  A v1 image,
+    /// which cannot express a reference, is stored as it is.  Reads see no
+    /// difference from `put(name, image.to_bytes())`.
+    pub fn put_image(&self, name: &str, image: &MigrationImage) {
+        let start = Instant::now();
+        let shared = match &image.code {
+            ImageCode::Inline(code) if image.layout().1 && !image.heap_image.is_delta() => {
+                Some(code)
+            }
+            _ => None,
+        };
+        let bytes = match shared {
+            Some(code) => image.write(&ImageCode::Base {
+                fingerprint: code.fingerprint(),
+            }),
+            None => image.to_bytes(),
+        };
+        let stored = bytes.len() as u64;
+        let (raw, payload_stored) = image.heap_payload_wire_stats();
+        let mut inner = self.lock();
+        let code = match (shared, &image.code) {
+            (Some(code), _) => inner.hold(code),
+            (None, ImageCode::Base { fingerprint }) => inner.name(*fingerprint),
+            (None, ImageCode::Inline(_)) => EntryCode::Own,
+        };
+        let entry = Entry {
+            bytes: Arc::new(bytes),
+            code,
+            sizes: (stored - payload_stored + raw, stored),
+            fingerprint: None,
+        };
+        inner.insert(name, entry, start);
+    }
+
+    /// Fetch a named image: the bytes `put` stored, or the bytes
+    /// [`MigrationImage::to_bytes`] writes for an image `put_image`
+    /// stored, with its code inline.  `None` if the name is absent.
     pub fn get(&self, name: &str) -> Option<Vec<u8>> {
-        Some(self.shared(name)?.to_vec())
+        let (bytes, code) = self.shared(name).ok()?;
+        match code {
+            None => Some(bytes.to_vec()),
+            Some(code) => with_code(&bytes, &code),
+        }
     }
 
     /// Whether an image is stored under `name`.
@@ -1063,6 +1236,11 @@ impl CheckpointStore {
     /// full image.  A missing or itself-delta base is an error (the
     /// writer only deltas against full images it stored here).
     ///
+    /// A full image stored by [`CheckpointStore::put_image`] comes back
+    /// with the program the store holds for it, shared, never decoded
+    /// again; the fingerprint check a delta's code gets then sees the same
+    /// section the base was packed with.
+    ///
     /// Resolution materialises the merged heap back into image bytes that
     /// the caller typically decodes once more (`Process::from_image`) —
     /// one redundant codec round trip, accepted deliberately: loads happen
@@ -1086,17 +1264,13 @@ impl CheckpointStore {
 
     /// Load and decode a named image without resolving delta payloads.
     pub fn load_raw(&self, name: &str) -> Result<MigrationImage, RuntimeError> {
-        let bytes = self.shared(name).ok_or_else(|| {
-            RuntimeError::MigrationRejected(format!("no checkpoint named `{name}`"))
-        })?;
-        Ok(MigrationImage::from_bytes(&bytes)?)
+        let (bytes, code) = self.shared(name)?;
+        Ok(MigrationImage::parse(&bytes, code.as_ref())?)
     }
 
     /// Names of all stored images, sorted.
     pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.lock().images.keys().cloned().collect();
-        names.sort();
-        names
+        self.lock().images.keys().cloned().collect()
     }
 
     /// Number of stored images.
@@ -1109,18 +1283,25 @@ impl CheckpointStore {
         self.len() == 0
     }
 
-    /// Remove a named image, returning whether it existed.
+    /// Remove a named image, returning whether it existed.  A program no
+    /// other entry names goes with it.
     pub fn remove(&self, name: &str) -> bool {
         let mut inner = self.lock();
         inner.generation += 1;
-        inner.images.remove(name).is_some()
+        let Some(entry) = inner.images.remove(name) else {
+            return false;
+        };
+        inner.release(entry.code);
+        true
     }
 
-    /// Aggregate on-wire size accounting over the stored images.
+    /// Aggregate on-wire size accounting over the stored images and the
+    /// code they share.
     pub fn stats(&self) -> StoreStats {
         let inner = self.lock();
         let mut stats = StoreStats {
             images: inner.images.len(),
+            code_sections: inner.codes.len(),
             put_ns: inner.put_ns,
             ..StoreStats::default()
         };
@@ -1128,14 +1309,46 @@ impl CheckpointStore {
             stats.raw_bytes += raw;
             stats.stored_bytes += stored;
         }
+        for held in inner.codes.values() {
+            // Tag, u32 length, body: the section as `to_bytes` frames it.
+            let framed = (1 + 4 + held.section.body().len()) as u64;
+            stats.raw_bytes += framed;
+            stats.stored_bytes += framed;
+        }
         stats
     }
 
     /// The `(raw, stored)` wire sizes of one stored image, or `None` if
-    /// the name is absent.
+    /// the name is absent.  An image stored by reference counts its
+    /// 13-byte `CodeRef`, not the program the store shares.
     pub fn image_sizes(&self, name: &str) -> Option<(u64, u64)> {
         self.lock().images.get(name).map(|entry| entry.sizes)
     }
+
+    /// Forget the code `fingerprint` while entries still name it — what
+    /// a store that lost it would hold.
+    #[cfg(test)]
+    fn lose_code(&self, fingerprint: u64) -> bool {
+        self.lock().codes.remove(&fingerprint).is_some()
+    }
+}
+
+/// `stored`, a framed image whose code section is a `CodeRef`, with
+/// `code`'s section in that one's place: the bytes
+/// [`MigrationImage::to_bytes`] writes for the image `stored` names.
+fn with_code(stored: &[u8], code: &CodeSection) -> Option<Vec<u8>> {
+    let mut r = WireReader::new(stored);
+    r.read_header().ok()?;
+    let header = r.position();
+    r.read_framed().ok()?;
+    let rest = &stored[r.position()..];
+    let mut w = WireWriter::with_capacity(stored.len() + code.body().len());
+    w.write_raw(&stored[..header]);
+    section(&mut w, true, SectionTag::FirProgram, |w| {
+        w.write_raw(code.body())
+    });
+    w.write_raw(rest);
+    Some(w.into_bytes())
 }
 
 /// The heap section of an encoded framed image (v2 on), read zero-copy:
@@ -1223,7 +1436,7 @@ impl MigrationSink for InMemorySink {
     ) -> DeliveryOutcome {
         match protocol {
             MigrateProtocol::Checkpoint | MigrateProtocol::Suspend => {
-                self.store.put(target, image.to_bytes());
+                self.store.put_image(target, image);
                 DeliveryOutcome::Stored
             }
             MigrateProtocol::Migrate => DeliveryOutcome::Failed(
@@ -1250,12 +1463,17 @@ mod tests {
         HeapImage::encode(&heap.freeze(), CodecSet::all(), delta_base).unwrap()
     }
 
-    fn tiny_image() -> MigrationImage {
+    /// A program whose `main` halts with `code`.
+    fn halting(code: i64) -> Program {
         let mut pb = ProgramBuilder::new();
         let (main, _) = pb.declare("main", &[]);
-        pb.define(main, term::halt(0));
+        pb.define(main, term::halt(code));
         pb.set_entry(main);
-        let program = pb.finish();
+        pb.finish()
+    }
+
+    fn tiny_image() -> MigrationImage {
+        let program = halting(0);
 
         let mut heap = Heap::new();
         let env = heap.alloc_migrate_env(vec![Word::Int(5)]).unwrap();
@@ -1536,6 +1754,201 @@ mod tests {
         );
         // put_ns is lifetime accounting: it survives removals.
         assert!(stats.put_ns > 0);
+    }
+
+    /// [`tiny_image`]'s state running another program.
+    fn other_program_image() -> MigrationImage {
+        MigrationImage {
+            code: halting(1).into(),
+            ..tiny_image()
+        }
+    }
+
+    /// A delta over `base` (stored as `base_name`) that names its base's
+    /// code, as a pack writes it.
+    fn delta_over(base: &MigrationImage, base_name: &str) -> MigrationImage {
+        let mut heap = base.decode_heap(HeapConfig::default()).unwrap();
+        heap.mark_clean();
+        heap.store(base.migrate_env, 0, Word::Int(77)).unwrap();
+        let heap_image = payload(&mut heap, Some((base_name, base.heap_image.fingerprint())));
+        MigrationImage {
+            code: ImageCode::packed(base.code.inline().unwrap().clone(), &heap_image),
+            heap_image,
+            ..base.clone()
+        }
+    }
+
+    /// Framed bytes of `image`'s code section: what the store keeps once.
+    fn framed_code(image: &MigrationImage) -> u64 {
+        (1 + 4 + image.code.inline().unwrap().body().len()) as u64
+    }
+
+    #[test]
+    fn the_store_keeps_one_program_once_for_every_image_that_names_it() {
+        let store = CheckpointStore::new();
+        let image = tiny_image();
+        let full = image.to_bytes().len() as u64;
+        store.put_image("ck-0", &image);
+        store.put_image("ck-1", &image);
+
+        let stats = store.stats();
+        assert_eq!((stats.images, stats.code_sections), (2, 1));
+        let entry = store.image_sizes("ck-0").unwrap().1;
+        // The entry holds a 13-byte `CodeRef` where the program was.
+        assert_eq!(entry, full - framed_code(&image) + 13);
+        assert_eq!(stats.stored_bytes, 2 * entry + framed_code(&image));
+        assert_eq!(stats.raw_bytes, stats.stored_bytes);
+
+        // The image's own section is kept, shared, and loads come back
+        // with it inline: nothing is decoded again.
+        let loaded = store.load_raw("ck-1").unwrap();
+        assert_eq!(loaded, image);
+        assert!(CodeSection::ptr_eq(
+            loaded.code.inline().unwrap(),
+            image.code.inline().unwrap()
+        ));
+        assert_eq!(store.load("ck-0").unwrap(), image);
+    }
+
+    #[test]
+    fn a_program_goes_with_the_last_entry_that_names_it() {
+        let store = CheckpointStore::new();
+        let image = tiny_image();
+        store.put_image("ck-0", &image);
+        store.put_image("ck-1", &image);
+
+        assert!(store.remove("ck-0"));
+        let stats = store.stats();
+        assert_eq!((stats.images, stats.code_sections), (1, 1));
+        assert_eq!(store.load_raw("ck-1").unwrap(), image);
+
+        assert!(store.remove("ck-1"));
+        let stats = store.stats();
+        assert_eq!((stats.images, stats.code_sections), (0, 0));
+        assert_eq!((stats.raw_bytes, stats.stored_bytes), (0, 0));
+    }
+
+    #[test]
+    fn an_overwrite_releases_the_program_the_old_entry_named() {
+        let store = CheckpointStore::new();
+        let image = tiny_image();
+        let other = other_program_image();
+        assert_ne!(image.code.fingerprint(), other.code.fingerprint());
+
+        store.put_image("ck", &image);
+        store.put_image("ck", &image);
+        assert_eq!(store.stats().code_sections, 1);
+        store.put_image("ck", &other);
+        let stats = store.stats();
+        assert_eq!((stats.images, stats.code_sections), (1, 1));
+        assert_eq!(
+            stats.stored_bytes,
+            store.image_sizes("ck").unwrap().1 + framed_code(&other)
+        );
+        assert_eq!(store.load_raw("ck").unwrap(), other);
+
+        store.put("ck", vec![7, 8]);
+        let stats = store.stats();
+        assert_eq!((stats.images, stats.code_sections), (1, 0));
+        assert_eq!(stats.stored_bytes, 2);
+    }
+
+    #[test]
+    fn get_returns_the_bytes_to_bytes_writes_for_every_kind_of_image() {
+        let store = CheckpointStore::new();
+        let full = tiny_image();
+        let delta = delta_over(&full, "full");
+        let v1 = tiny_image_v1();
+        store.put_image("full", &full);
+        store.put_image("delta", &delta);
+        store.put_image("v1", &v1);
+
+        for (name, image) in [("full", &full), ("delta", &delta), ("v1", &v1)] {
+            assert_eq!(store.get(name).unwrap(), image.to_bytes(), "{name}");
+            assert_eq!(&store.load_raw(name).unwrap(), image, "{name}");
+        }
+        // The delta and the full image share one program; the v1 image,
+        // which cannot name code, keeps its own.
+        assert_eq!(store.stats().code_sections, 1);
+        assert_eq!(
+            store.image_sizes("v1").unwrap().1,
+            v1.to_bytes().len() as u64
+        );
+        let loaded = store.load("delta").unwrap();
+        let heap = loaded.decode_heap(HeapConfig::default()).unwrap();
+        assert_eq!(heap.load(full.migrate_env, 0).unwrap(), Word::Int(77));
+    }
+
+    #[test]
+    fn a_delta_whose_base_now_runs_another_program_is_still_rejected() {
+        let store = CheckpointStore::new();
+        let base = tiny_image();
+        store.put_image("ck-0", &base);
+        store.put_image("ck-1", &delta_over(&base, "ck-0"));
+        assert!(store.load("ck-1").is_ok());
+
+        // Same heap, another program: the heap fingerprint matches, the
+        // code fingerprint does not.  The delta still holds its own
+        // program, and resolution still refuses to pair it with the wrong
+        // one.
+        store.put_image("ck-0", &other_program_image());
+        assert_eq!(store.stats().code_sections, 2);
+        match store.load("ck-1") {
+            Err(RuntimeError::MigrationRejected(msg)) => {
+                assert!(msg.contains("does not carry the code"), "{msg}")
+            }
+            other => panic!("expected a precise rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_entry_whose_program_was_lost_is_rejected_not_misread() {
+        let store = CheckpointStore::new();
+        let image = tiny_image();
+        store.put_image("ck-0", &image);
+        store.put_image("ck-1", &delta_over(&image, "ck-0"));
+        assert!(store.lose_code(image.code.fingerprint()));
+
+        for name in ["ck-0", "ck-1"] {
+            match store.load(name) {
+                Err(RuntimeError::MigrationRejected(msg)) => {
+                    assert!(msg.contains("ck-0"), "{name}: {msg}")
+                }
+                other => panic!("{name}: expected a rejection, got {other:?}"),
+            }
+        }
+        assert!(matches!(
+            store.load_raw("ck-0"),
+            Err(RuntimeError::MigrationRejected(msg)) if msg.contains("does not hold")
+        ));
+        assert_eq!(store.get("ck-0"), None);
+        assert!(store.remove("ck-0"));
+        assert!(store.remove("ck-1"));
+        let stats = store.stats();
+        assert_eq!((stats.images, stats.code_sections), (0, 0));
+        assert_eq!(stats.stored_bytes, 0);
+    }
+
+    #[test]
+    fn a_full_image_naming_its_code_is_a_section_mismatch_outside_a_store() {
+        let image = tiny_image();
+        let store = CheckpointStore::new();
+        store.put_image("ck", &image);
+        let stored = store.lock().images["ck"].bytes.to_vec();
+        assert_eq!(
+            stored,
+            image.write(&ImageCode::Base {
+                fingerprint: image.code.fingerprint()
+            })
+        );
+        assert!(matches!(
+            MigrationImage::from_bytes(&stored),
+            Err(WireError::SectionMismatch { found, .. }) if found == SectionTag::CodeRef as u8
+        ));
+        // A raw `put` of those bytes is a blob, not a reference.
+        store.put("blob", stored);
+        assert!(store.load_raw("blob").is_err());
+        assert_eq!(store.stats().code_sections, 1);
     }
 
     #[test]

@@ -375,6 +375,16 @@ pub fn run_grid_with(
         config.workers,
         options.seed.unwrap_or(0),
     ));
+    run_grid_on(&cluster, config, failure, options)
+}
+
+/// [`run_grid_with`] on `cluster`, whose store the caller can then read.
+fn run_grid_on(
+    cluster: &Cluster,
+    config: &GridConfig,
+    failure: Option<FailurePlan>,
+    options: GridOptions,
+) -> Result<GridReport, GridError> {
     let job = Arc::new(job_spec(config, options));
     let (tx, rx) = mpsc::channel();
     let mut node_obs = Vec::new();
@@ -392,7 +402,7 @@ pub fn run_grid_with(
             stats
         }))
     };
-    let mut report = drive(&cluster, config, failure, REPORT_DEADLINE, launch, reports)?;
+    let mut report = drive(cluster, config, failure, REPORT_DEADLINE, launch, reports)?;
     // Arrival order across nodes depends on thread scheduling; a stable
     // sort by node id makes the report deterministic (a resurrected
     // victim's pre-failure report necessarily arrived before its
@@ -568,6 +578,58 @@ mod tests {
         // Surviving neighbours of the victim roll back exactly once each in
         // deterministic mode — no scheduling-dependent MSG_ROLL spinning.
         assert_eq!(a.rollbacks, 2);
+    }
+
+    /// `grid_recover`'s shape: a checkpoint every step, and worker 1 dies
+    /// inside its 100th checkpoint delivery.  Every full checkpoint names
+    /// the one worker program, which the store keeps once, and recovery
+    /// reads it back from there.
+    #[test]
+    fn a_recovering_run_stores_its_one_program_once() {
+        let config = GridConfig {
+            workers: 2,
+            rows_per_worker: 4,
+            cols: 8,
+            timesteps: 200,
+            checkpoint_interval: 1,
+        };
+        let failure = Some(FailurePlan {
+            victim: 1,
+            after_checkpoints: 100,
+        });
+        let cluster = Cluster::new(ClusterConfig::deterministic(config.workers, 12));
+        let report = run_grid_on(&cluster, &config, failure, seeded(12)).expect("grid run");
+        assert!(report.is_correct(), "max error {}", report.max_error());
+        assert!(report.recovered_from_failure);
+        let store = cluster.store();
+        let stats = store.stats();
+        assert_eq!(stats.code_sections, 1);
+        assert_eq!(stats.stored_bytes, report.checkpoint_stored_bytes);
+        // What the entries do not hold is the program, framed, once.  Each
+        // full image keeps a 13-byte reference in its place; a delta
+        // keeps the reference it always carried.
+        let names = store.names();
+        let entries: u64 = names.iter().map(|n| store.image_sizes(n).unwrap().1).sum();
+        let code = stats.stored_bytes - entries;
+        let mut full = 0;
+        for name in &names {
+            let inline = store.get(name).unwrap().len() as u64;
+            let kept = store.image_sizes(name).unwrap().1;
+            if store.load_raw(name).unwrap().heap_image.is_delta() {
+                assert_eq!(inline, kept, "{name}");
+            } else {
+                assert_eq!(inline - kept, code - 13, "{name}");
+                full += 1;
+            }
+        }
+        assert_eq!(full, report.checkpoints - report.delta_checkpoints);
+        // The digest this run had before the store shared code: where code
+        // is stored changes no step of the run.
+        assert_eq!(
+            report.replay_digest(),
+            "4072f07ae147ae14,4092bc1eb851eb85,recovered=true rollbacks=1 \
+             checkpoints=400 deltas=353 specs=403 msgs=801"
+        );
     }
 
     #[test]

@@ -306,6 +306,26 @@ mod tests {
         assert_eq!(heap.young_bytes(), 0);
     }
 
+    /// A copy-on-write clone keeps its original's generation, so cloning a
+    /// promoted block inside a level charges nothing young: no minor
+    /// collection falls due that could free none of it.
+    #[test]
+    fn a_clone_of_an_old_block_is_not_charged_as_young() {
+        let mut heap = small_heap();
+        let array = heap.alloc_array(1000, Word::Int(1)).unwrap();
+        heap.gc_major(&[Word::Ptr(array)]);
+        assert_eq!(
+            heap.block(array).unwrap().header.generation,
+            Generation::Old
+        );
+        let young = heap.young_bytes();
+        heap.spec_enter();
+        heap.store(array, 0, Word::Int(2)).unwrap();
+        assert_eq!(heap.stats().cow_clones, 1);
+        assert_eq!(heap.young_bytes(), young);
+        assert_eq!(heap.gc_due(), None);
+    }
+
     #[test]
     fn old_blocks_keep_young_blocks_they_reference() {
         let mut heap = small_heap();
@@ -589,7 +609,10 @@ mod tests {
                     handles.push(young);
                     heap.store(holder, 0, Word::Ptr(young)).unwrap();
                     let level = heap.spec_enter();
+                    let young_bytes = heap.young_bytes();
                     heap.store(holder, 1, Word::Int(x as i64)).unwrap();
+                    // The promoted holder's clone is old: nothing young.
+                    assert_eq!(heap.young_bytes(), young_bytes);
                     heap.spec_commit(level).unwrap();
                 }
             }

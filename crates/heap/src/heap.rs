@@ -582,11 +582,15 @@ impl Heap {
             .share();
         clone.header.stamp = self.spec_epoch;
         let size = clone.byte_size();
+        // The clone keeps the original's generation: a clone of an old
+        // block is old, and no minor collection could free it.
+        if clone.header.generation == Generation::Young {
+            self.young_bytes += size;
+        }
         let clone_slot = self.take_slot();
         self.blocks[clone_slot] = Some(clone);
         self.table.relocate(ptr, clone_slot);
         self.live_bytes += size;
-        self.young_bytes += size;
         self.stats.cow_clones += 1;
         self.stats.cow_bytes += size as u64;
         self.spec_levels

@@ -210,9 +210,20 @@ fn loopback_failure_injection_resurrects_across_processes() {
     .expect("served run recovers");
     assert!(served.is_correct(), "max error {}", served.max_error());
     assert!(served.recovered_from_failure);
+    // The hub's store keeps the one worker program once, however many
+    // full checkpoints crossed a socket carrying it.
+    let stats = server.cluster().store().stats();
+    assert_eq!(stats.code_sections, 1);
+    assert_eq!(stats.stored_bytes, served.checkpoint_stored_bytes);
 
     let in_process = run_grid_with(&config, failure, seeded(seed)).expect("in-process run");
     assert_eq!(served.replay_digest(), in_process.replay_digest());
+    // Pinned: where code is stored changes no step of either run.
+    assert_eq!(
+        served.replay_digest(),
+        "40565147ae147ae1,40773f851eb851ec,408dca28f5c28f5c,recovered=true rollbacks=2 \
+         checkpoints=9 deltas=5 specs=13 msgs=35"
+    );
 }
 
 /// A node process that exits before it reports — here one that fails the
