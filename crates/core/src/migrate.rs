@@ -174,13 +174,16 @@ impl From<Program> for ImageCode {
 /// The heap payload of a migration image: a complete encoding of the live
 /// heap, or an incremental delta against a named base checkpoint.  Every
 /// pack builds it with one payload builder, from a frozen
-/// [`HeapSnapshot`].
+/// [`HeapSnapshot`].  The payload is written once: the encoder's buffer
+/// is moved into an `Arc<Vec<u8>>` (never an `Arc<[u8]>`, which would
+/// copy it), and every clone — the image a sink was handed, the entry a
+/// [`CheckpointStore`] keeps, the image it loads — shares those bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HeapImage {
     /// Every live block with its pointer-table capacity: an
     /// [`ImageKind::Full`] image, in the layout the image's format version
     /// names (per-word in v1 images, which are read but never written).
-    Full(Vec<u8>),
+    Full(Arc<Vec<u8>>),
     /// Only the blocks dirtied since the base checkpoint plus the
     /// pointer-table fixups: an [`ImageKind::Delta`] image.
     /// Resolving requires the base image, normally via
@@ -193,7 +196,7 @@ pub enum HeapImage {
         /// name is a precise error instead of a silently wrong heap.
         base_fingerprint: u64,
         /// The encoded delta.
-        bytes: Vec<u8>,
+        bytes: Arc<Vec<u8>>,
     },
 }
 
@@ -215,12 +218,13 @@ impl HeapImage {
             Some(_) => (ImageKind::Delta, WireWriter::new()),
         };
         heap.image_records(kind)?.encode(&mut w, codecs);
+        let bytes = Arc::new(w.into_bytes());
         Ok(match delta_base {
-            None => HeapImage::Full(w.into_bytes()),
+            None => HeapImage::Full(bytes),
             Some((base, base_fingerprint)) => HeapImage::Delta {
                 base,
                 base_fingerprint,
-                bytes: w.into_bytes(),
+                bytes,
             },
         })
     }
@@ -371,17 +375,10 @@ impl MigrationImage {
     /// (tag + u32 length + body), so decoders can slice or skip sections
     /// without parsing them.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.write(&self.code)
-    }
-
-    /// Serialise the image as [`MigrationImage::to_bytes`] does, with
-    /// `code` in the code section's place: the image's own code, or — in
-    /// a [`CheckpointStore`] that holds it — a reference to it.
-    fn write(&self, code: &ImageCode) -> Vec<u8> {
         let (version, framed) = self.layout();
-        let mut w = WireWriter::with_capacity(code.body_len() + self.heap_image.len() + 1024);
+        let mut w = WireWriter::with_capacity(self.code.body_len() + self.heap_image.len() + 1024);
         w.write_header_versioned(&self.source_arch, version);
-        match code {
+        match &self.code {
             ImageCode::Inline(code) => section(&mut w, framed, SectionTag::FirProgram, |w| {
                 w.write_raw(code.body())
             }),
@@ -414,20 +411,12 @@ impl MigrationImage {
     /// Both the current framed layout and the legacy v1 layout decode; the
     /// header version selects the parser.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
-        Self::parse(bytes, None)
-    }
-
-    /// Decode an image as [`MigrationImage::from_bytes`] does, except that
-    /// a full image's [`SectionTag::CodeRef`] naming `held` — code a
-    /// [`CheckpointStore`] keeps once for every image that names it —
-    /// binds to it instead of being a [`WireError::SectionMismatch`].
-    fn parse(bytes: &[u8], held: Option<&CodeSection>) -> Result<Self, WireError> {
         let mut r = WireReader::new(bytes);
         let header = r.read_header()?;
         let image = if header.version <= MIN_SUPPORTED_VERSION {
             Self::from_bytes_v1(&mut r, header.version, header.source_arch)?
         } else {
-            Self::from_bytes_v2(&mut r, header.version, header.source_arch, held)?
+            Self::from_bytes_v2(&mut r, header.version, header.source_arch)?
         };
         if !r.is_empty() {
             return Err(WireError::TrailingBytes {
@@ -445,7 +434,7 @@ impl MigrationImage {
         r.expect_section(SectionTag::FirProgram)?;
         let code = Program::decode(r)?;
         r.expect_section(SectionTag::HeapBlocks)?;
-        let heap_image = HeapImage::Full(r.read_bytes()?.to_vec());
+        let heap_image = HeapImage::Full(r.read_bytes()?.to_vec().into());
         r.expect_section(SectionTag::MigrateEnv)?;
         let migrate_env = PtrIdx(r.read_uvarint_u32("migrate_env pointer")?);
         r.expect_section(SectionTag::Resume)?;
@@ -469,10 +458,9 @@ impl MigrationImage {
         r: &mut WireReader<'_>,
         format_version: u32,
         source_arch: String,
-        held: Option<&CodeSection>,
     ) -> Result<Self, WireError> {
         let mut code_section = r.read_framed()?;
-        let mut code = match code_section.tag() {
+        let code = match code_section.tag() {
             SectionTag::FirProgram => Program::decode(&mut code_section)?.into(),
             SectionTag::CodeRef => ImageCode::Base {
                 fingerprint: code_section.read_u64()?,
@@ -488,11 +476,11 @@ impl MigrationImage {
 
         let mut heap_section = r.read_framed()?;
         let heap_image = match heap_section.tag() {
-            SectionTag::HeapBlocks => HeapImage::Full(heap_section.read_bytes()?.to_vec()),
+            SectionTag::HeapBlocks => HeapImage::Full(heap_section.read_bytes()?.to_vec().into()),
             SectionTag::HeapDelta => HeapImage::Delta {
                 base: heap_section.read_str()?.to_owned(),
                 base_fingerprint: heap_section.read_u64()?,
-                bytes: heap_section.read_bytes()?.to_vec(),
+                bytes: heap_section.read_bytes()?.to_vec().into(),
             },
             other => {
                 return Err(WireError::SectionMismatch {
@@ -504,16 +492,12 @@ impl MigrationImage {
         heap_section.finish()?;
         if code.inline().is_none() && !heap_image.is_delta() {
             // Only a delta has a base whose code it can name; a full image
-            // names code only inside the store that holds it.
-            match held.filter(|held| held.fingerprint() == code.fingerprint()) {
-                Some(held) => code = ImageCode::Inline(held.clone()),
-                None => {
-                    return Err(WireError::SectionMismatch {
-                        expected: "FirProgram (a full image carries its code)",
-                        found: SectionTag::CodeRef as u8,
-                    })
-                }
-            }
+            // names code only inside the store that holds it, and no such
+            // reference leaves the store.
+            return Err(WireError::SectionMismatch {
+                expected: "FirProgram (a full image carries its code)",
+                found: SectionTag::CodeRef as u8,
+            });
         }
 
         let mut env = r.expect_framed(SectionTag::MigrateEnv)?;
@@ -962,36 +946,50 @@ impl StoreStats {
     }
 }
 
-/// One stored image.
+/// One stored entry.
 #[derive(Debug)]
 struct Entry {
-    /// The image, shared so readers copy or parse it outside the lock.  An
-    /// `Arc<Vec<u8>>`, not an `Arc<[u8]>`: `put` moves the caller's buffer
-    /// in instead of copying it.
-    bytes: Arc<Vec<u8>>,
+    /// What was stored.
+    stored: Stored,
     /// The code this entry names in the store's code table.
     code: EntryCode,
-    /// `(raw, stored)` wire sizes of `bytes`, so [`CheckpointStore::stats`]
-    /// is a cheap sum.
+    /// `(raw, stored)` wire sizes of the bytes a read of this entry
+    /// returns, with a program the store holds counted as its 13-byte
+    /// `CodeRef`, so [`CheckpointStore::stats`] is a cheap sum.
     sizes: (u64, u64),
     /// The heap-payload fingerprint, computed on first ask — keeps
     /// delta-base negotiation O(1) per checkpoint instead of hashing the
-    /// base image every time.  A rewrite of the name replaces the entry,
+    /// base payload every time.  A rewrite of the name replaces the entry,
     /// and with it this cache.
     fingerprint: Option<u64>,
+}
+
+/// The contents of an [`Entry`], cloned — never copied — so readers
+/// serialise, parse or hash them after the lock is released.
+#[derive(Debug, Clone)]
+enum Stored {
+    /// The bytes of a raw [`CheckpointStore::put`], verbatim.  An
+    /// `Arc<Vec<u8>>`, not an `Arc<[u8]>`: `put` moves the caller's buffer
+    /// in instead of copying it.
+    Blob(Arc<Vec<u8>>),
+    /// An image [`CheckpointStore::put_image`] stored, never serialised:
+    /// its small decoded sections, its heap payload shared with the image
+    /// that was delivered, and [`ImageCode::Base`] in the program's place
+    /// where the store holds the program.
+    Image(MigrationImage),
 }
 
 /// How a stored entry relates to the store's code table.
 #[derive(Debug, Clone, Copy)]
 enum EntryCode {
-    /// Nothing held: the bytes of a raw [`CheckpointStore::put`], a v1
-    /// image, or a delta whose code the store does not hold.
+    /// Nothing held: a raw [`CheckpointStore::put`], a v1 image, or a
+    /// delta whose code the store does not hold.
     Own,
     /// A delta whose `CodeRef` names code the store holds; the entry keeps
     /// a reference on it.
     Names(u64),
-    /// A full image whose code the store holds: its bytes carry a 13-byte
-    /// [`SectionTag::CodeRef`] section in the program's place.
+    /// A full image whose code the store holds: the entry's image names
+    /// it by [`ImageCode::Base`] in the program's place.
     Shared(u64),
 }
 
@@ -1074,13 +1072,16 @@ impl StoreInner {
 /// mount).  Cloning shares the underlying store, so tests and the cluster's
 /// resurrection daemon can read what processes wrote.
 ///
-/// Code is stored once.  Every full image handed to
-/// [`CheckpointStore::put_image`] is kept with a 13-byte reference in
-/// place of its program, and the store keeps each distinct program once,
-/// keyed by [`CodeSection::fingerprint`], for as long as an entry names
-/// it.  No such reference leaves the store: [`CheckpointStore::get`]
-/// returns the bytes [`MigrationImage::to_bytes`] wrote, and
-/// [`CheckpointStore::load_raw`] the image with its code inline.
+/// Images are stored without a copy, and code is stored once.  Every
+/// image handed to [`CheckpointStore::put_image`] is kept as the image
+/// itself, sharing the heap payload its encoder wrote ([`HeapImage`]),
+/// and a full image is kept with a reference in place of its program.
+/// The store keeps each distinct program once, keyed by
+/// [`CodeSection::fingerprint`], for as long as an entry names it.  No
+/// such reference leaves the store: [`CheckpointStore::get`] returns the
+/// bytes [`MigrationImage::to_bytes`] writes, and
+/// [`CheckpointStore::load_raw`] the image with its code inline.  Raw
+/// [`CheckpointStore::put`] blobs are kept verbatim.
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointStore {
     inner: Arc<Mutex<StoreInner>>,
@@ -1096,28 +1097,26 @@ impl CheckpointStore {
         self.inner.lock().expect("checkpoint store lock")
     }
 
-    /// The named entry's shared bytes and, for a full image stored by
-    /// reference, the code they name: readers copy or parse them after the
-    /// lock is released.  Absent code (which the reference counts rule
-    /// out) is a rejection, never a wrong program.
-    fn shared(&self, name: &str) -> Result<(Arc<Vec<u8>>, Option<CodeSection>), RuntimeError> {
+    /// The named entry's contents, with the program the store holds for
+    /// a full image bound in its `CodeRef`'s place: readers copy or parse
+    /// them after the lock is released.  Absent code (which the reference
+    /// counts rule out) is a rejection, never a wrong program.
+    fn shared(&self, name: &str) -> Result<Stored, RuntimeError> {
         let inner = self.lock();
         let entry = inner.images.get(name).ok_or_else(|| {
             RuntimeError::MigrationRejected(format!("no checkpoint named `{name}`"))
         })?;
-        let code = match entry.code {
-            EntryCode::Shared(fingerprint) => {
-                let held = inner.codes.get(&fingerprint).ok_or_else(|| {
-                    RuntimeError::MigrationRejected(format!(
-                        "checkpoint `{name}` names code {fingerprint:#018x} \
-                         that the store does not hold"
-                    ))
-                })?;
-                Some(held.section.clone())
-            }
-            EntryCode::Own | EntryCode::Names(_) => None,
-        };
-        Ok((Arc::clone(&entry.bytes), code))
+        let mut stored = entry.stored.clone();
+        if let (EntryCode::Shared(fingerprint), Stored::Image(image)) = (entry.code, &mut stored) {
+            let held = inner.codes.get(&fingerprint).ok_or_else(|| {
+                RuntimeError::MigrationRejected(format!(
+                    "checkpoint `{name}` names code {fingerprint:#018x} \
+                     that the store does not hold"
+                ))
+            })?;
+            image.code = ImageCode::Inline(held.section.clone());
+        }
+        Ok(stored)
     }
 
     /// Atomically store (replace) a named blob, verbatim.
@@ -1132,7 +1131,7 @@ impl CheckpointStore {
             (stored - payload_stored + raw, stored)
         });
         let entry = Entry {
-            bytes: Arc::new(bytes),
+            stored: Stored::Blob(Arc::new(bytes)),
             code: EntryCode::Own,
             sizes,
             fingerprint: None,
@@ -1142,12 +1141,14 @@ impl CheckpointStore {
 
     /// Atomically store (replace) a named image, keeping its code once.
     ///
-    /// A framed full image is serialised once with a `CodeRef` section in
-    /// place of its program, and the store takes a reference on the
-    /// program's [`CodeSection`] (the image's own, shared, if the store
-    /// did not hold it yet).  A delta, which carries a `CodeRef` already,
-    /// takes a reference on its code if the store holds it.  A v1 image,
-    /// which cannot express a reference, is stored as it is.  Reads see no
+    /// The entry keeps the image itself, sharing its heap payload: nothing
+    /// is serialised, and its wire sizes are counted from section lengths.
+    /// A framed full image is kept with an [`ImageCode::Base`] in place of
+    /// its program, and the store takes a reference on the program's
+    /// [`CodeSection`] (the image's own, shared, if the store did not hold
+    /// it yet).  A delta, which names its base's code already, takes a
+    /// reference on that code if the store holds it.  A v1 image, which
+    /// cannot express a reference, keeps its program.  Reads see no
     /// difference from `put(name, image.to_bytes())`.
     pub fn put_image(&self, name: &str, image: &MigrationImage) {
         let start = Instant::now();
@@ -1157,14 +1158,14 @@ impl CheckpointStore {
             }
             _ => None,
         };
-        let bytes = match shared {
-            Some(code) => image.write(&ImageCode::Base {
+        let mut kept = image.clone();
+        if let Some(code) = shared {
+            kept.code = ImageCode::Base {
                 fingerprint: code.fingerprint(),
-            }),
-            None => image.to_bytes(),
-        };
-        let stored = bytes.len() as u64;
-        let (raw, payload_stored) = image.heap_payload_wire_stats();
+            };
+        }
+        let stored = kept.byte_size() as u64;
+        let (raw, payload_stored) = kept.heap_payload_wire_stats();
         let mut inner = self.lock();
         let code = match (shared, &image.code) {
             (Some(code), _) => inner.hold(code),
@@ -1172,7 +1173,7 @@ impl CheckpointStore {
             (None, ImageCode::Inline(_)) => EntryCode::Own,
         };
         let entry = Entry {
-            bytes: Arc::new(bytes),
+            stored: Stored::Image(kept),
             code,
             sizes: (stored - payload_stored + raw, stored),
             fingerprint: None,
@@ -1184,11 +1185,10 @@ impl CheckpointStore {
     /// [`MigrationImage::to_bytes`] writes for an image `put_image`
     /// stored, with its code inline.  `None` if the name is absent.
     pub fn get(&self, name: &str) -> Option<Vec<u8>> {
-        let (bytes, code) = self.shared(name).ok()?;
-        match code {
-            None => Some(bytes.to_vec()),
-            Some(code) => with_code(&bytes, &code),
-        }
+        Some(match self.shared(name).ok()? {
+            Stored::Blob(bytes) => bytes.to_vec(),
+            Stored::Image(image) => image.to_bytes(),
+        })
     }
 
     /// Whether an image is stored under `name`.
@@ -1201,16 +1201,19 @@ impl CheckpointStore {
     /// name is rewritten; this is the sink-side half of delta-base
     /// negotiation ([`MigrationSink::has_base`]).
     pub fn heap_fingerprint(&self, name: &str) -> Option<u64> {
-        let (bytes, generation) = {
+        let (stored, generation) = {
             let inner = self.lock();
             let entry = inner.images.get(name)?;
             if let Some(cached) = entry.fingerprint {
                 return Some(cached);
             }
-            (Arc::clone(&entry.bytes), inner.generation)
+            (entry.stored.clone(), inner.generation)
         };
-        // Hash outside the lock — images can be megabytes.
-        let fingerprint = heap_payload_fingerprint(&bytes)?;
+        // Hash outside the lock — payloads can be megabytes.
+        let fingerprint = match stored {
+            Stored::Blob(bytes) => heap_payload_fingerprint(&bytes)?,
+            Stored::Image(image) => image.heap_image.fingerprint(),
+        };
         self.cache_fingerprint(name, generation, fingerprint);
         Some(fingerprint)
     }
@@ -1262,10 +1265,15 @@ impl CheckpointStore {
         }
     }
 
-    /// Load and decode a named image without resolving delta payloads.
+    /// Load a named image without resolving delta payloads: an image
+    /// [`CheckpointStore::put_image`] stored comes back as it was put,
+    /// sharing its heap payload, with nothing parsed; the bytes of a raw
+    /// `put` are decoded.
     pub fn load_raw(&self, name: &str) -> Result<MigrationImage, RuntimeError> {
-        let (bytes, code) = self.shared(name)?;
-        Ok(MigrationImage::parse(&bytes, code.as_ref())?)
+        match self.shared(name)? {
+            Stored::Blob(bytes) => Ok(MigrationImage::from_bytes(&bytes)?),
+            Stored::Image(image) => Ok(image),
+        }
     }
 
     /// Names of all stored images, sorted.
@@ -1333,29 +1341,12 @@ impl CheckpointStore {
     }
 }
 
-/// `stored`, a framed image whose code section is a `CodeRef`, with
-/// `code`'s section in that one's place: the bytes
-/// [`MigrationImage::to_bytes`] writes for the image `stored` names.
-fn with_code(stored: &[u8], code: &CodeSection) -> Option<Vec<u8>> {
-    let mut r = WireReader::new(stored);
-    r.read_header().ok()?;
-    let header = r.position();
-    r.read_framed().ok()?;
-    let rest = &stored[r.position()..];
-    let mut w = WireWriter::with_capacity(stored.len() + code.body().len());
-    w.write_raw(&stored[..header]);
-    section(&mut w, true, SectionTag::FirProgram, |w| {
-        w.write_raw(code.body())
-    });
-    w.write_raw(rest);
-    Some(w.into_bytes())
-}
-
-/// The heap section of an encoded framed image (v2 on), read zero-copy:
-/// the header's version, the heap payload and whether it is a delta.  The
-/// code section is skipped by its frame length, never decoded.  `None` for
-/// a v1 image, whose unframed sections cannot be skipped, and for bytes
-/// that do not parse as an image (the store accepts arbitrary blobs).
+/// The heap section of a raw [`CheckpointStore::put`] blob holding a
+/// framed image (v2 on), read zero-copy: the header's version, the heap
+/// payload and whether it is a delta.  The code section is skipped by its
+/// frame length, never decoded.  `None` for a v1 image, whose unframed
+/// sections cannot be skipped, and for bytes that do not parse as an
+/// image (the store accepts arbitrary blobs).
 fn heap_section(bytes: &[u8]) -> Option<(u32, &[u8], bool)> {
     let mut r = WireReader::new(bytes);
     let version = r.read_header().ok()?.version;
@@ -1390,8 +1381,9 @@ fn payload_wire_sizes(version: u32, payload: &[u8], delta: bool) -> (u64, u64) {
     }
 }
 
-/// Fingerprint an encoded image's heap payload without decoding the whole
-/// image ([`heap_section`]); v1 images fall back to a full decode.
+/// Fingerprint the heap payload of a raw blob's encoded image without
+/// decoding the whole image ([`heap_section`]); v1 images fall back to a
+/// full decode.
 /// Returns `None` for undecodable bytes.
 fn heap_payload_fingerprint(bytes: &[u8]) -> Option<u64> {
     if let Some((_, payload, _)) = heap_section(bytes) {
@@ -1496,7 +1488,7 @@ mod tests {
         let mut image = tiny_image();
         let heap = image.decode_heap(HeapConfig::default()).unwrap();
         image.format_version = MIN_SUPPORTED_VERSION;
-        image.heap_image = HeapImage::Full(v1_heap_image(&heap));
+        image.heap_image = HeapImage::Full(v1_heap_image(&heap).into());
         image
     }
 
@@ -1581,7 +1573,7 @@ mod tests {
             heap_image: HeapImage::Delta {
                 base: "ck-base".into(),
                 base_fingerprint: full.heap_image.fingerprint(),
-                bytes: vec![7; 300], // a two-byte length prefix
+                bytes: vec![7; 300].into(), // a two-byte length prefix
             },
             ..full.clone()
         };
@@ -1853,26 +1845,87 @@ mod tests {
         assert_eq!(stats.stored_bytes, 2);
     }
 
+    /// Every read of a stored entry is what a store that kept each image
+    /// as the bytes `to_bytes` writes served: `get` returns those bytes,
+    /// `load_raw` what `from_bytes` decodes from them, with a held program
+    /// bound in its reference's place.  The sizes are pinned to the
+    /// numbers that serialising store counted.
     #[test]
     fn get_returns_the_bytes_to_bytes_writes_for_every_kind_of_image() {
         let store = CheckpointStore::new();
         let full = tiny_image();
         let delta = delta_over(&full, "full");
+        // Its base's program is not in this store: the delta holds nothing.
+        let unheld = delta_over(&other_program_image(), "elsewhere");
         let v1 = tiny_image_v1();
+        let blob = other_program_image();
+        // Small ints in slab frames that compress: raw and stored differ.
+        let mut heap = Heap::new();
+        for i in 0..200 {
+            heap.alloc_array(64, Word::Int(i % 10)).unwrap();
+        }
+        let compressed = MigrationImage {
+            migrate_env: heap.alloc_migrate_env(vec![Word::Int(5)]).unwrap(),
+            heap_image: payload(&mut heap, None),
+            ..full.clone()
+        };
+        store.put_image("compressed", &compressed);
         store.put_image("full", &full);
         store.put_image("delta", &delta);
+        store.put_image("unheld", &unheld);
         store.put_image("v1", &v1);
+        store.put("blob", blob.to_bytes());
 
-        for (name, image) in [("full", &full), ("delta", &delta), ("v1", &v1)] {
-            assert_eq!(store.get(name).unwrap(), image.to_bytes(), "{name}");
-            assert_eq!(&store.load_raw(name).unwrap(), image, "{name}");
+        let names = ["compressed", "full", "delta", "unheld", "v1", "blob"];
+        for (name, image) in
+            names
+                .into_iter()
+                .zip([&compressed, &full, &delta, &unheld, &v1, &blob])
+        {
+            let bytes = image.to_bytes();
+            assert_eq!(store.get(name).unwrap(), bytes, "{name}");
+            let loaded = store.load_raw(name).unwrap();
+            assert_eq!(&loaded, image, "{name}");
+            assert_eq!(
+                loaded,
+                MigrationImage::from_bytes(&bytes).unwrap(),
+                "{name}"
+            );
+            assert_eq!(loaded.to_bytes(), bytes, "{name}");
+            assert_eq!(
+                store.heap_fingerprint(name),
+                Some(image.heap_image.fingerprint()),
+                "{name}"
+            );
         }
-        // The delta and the full image share one program; the v1 image,
-        // which cannot name code, keeps its own.
-        assert_eq!(store.stats().code_sections, 1);
+        // The full images and the delta share one program, the image's
+        // own section; the v1 image, which cannot name code, keeps its own.
+        assert!(CodeSection::ptr_eq(
+            store.load_raw("full").unwrap().code.inline().unwrap(),
+            full.code.inline().unwrap()
+        ));
+        let sizes = names.map(|name| store.image_sizes(name).unwrap());
         assert_eq!(
-            store.image_sizes("v1").unwrap().1,
-            v1.to_bytes().len() as u64
+            sizes,
+            [
+                (115_964, 786),
+                (83, 83),
+                (97, 97),
+                (102, 102),
+                (53, 53),
+                (90, 90)
+            ]
+        );
+        assert_eq!(sizes[4].1, v1.to_bytes().len() as u64);
+        let stats = store.stats();
+        assert_eq!(
+            (
+                stats.images,
+                stats.code_sections,
+                stats.raw_bytes,
+                stats.stored_bytes
+            ),
+            (6, 1, 116_409, 1_231)
         );
         let loaded = store.load("delta").unwrap();
         let heap = loaded.decode_heap(HeapConfig::default()).unwrap();
@@ -1886,6 +1939,23 @@ mod tests {
         store.put_image("ck-0", &base);
         store.put_image("ck-1", &delta_over(&base, "ck-0"));
         assert!(store.load("ck-1").is_ok());
+
+        // Same program, another heap: the heap fingerprint does not match.
+        let mut heap = base.decode_heap(HeapConfig::default()).unwrap();
+        heap.store(base.migrate_env, 0, Word::Int(-1)).unwrap();
+        let overwritten = MigrationImage {
+            heap_image: payload(&mut heap, None),
+            ..base.clone()
+        };
+        store.put_image("ck-0", &overwritten);
+        match store.load("ck-1") {
+            Err(RuntimeError::MigrationRejected(msg)) => assert_eq!(
+                msg,
+                "base checkpoint `ck-0` does not match the content this delta was \
+                 written against (it was overwritten since)"
+            ),
+            other => panic!("expected a precise rejection, got {other:?}"),
+        }
 
         // Same heap, another program: the heap fingerprint matches, the
         // code fingerprint does not.  The delta still holds its own
@@ -1909,17 +1979,23 @@ mod tests {
         store.put_image("ck-1", &delta_over(&image, "ck-0"));
         assert!(store.lose_code(image.code.fingerprint()));
 
-        for name in ["ck-0", "ck-1"] {
+        let lost = format!(
+            "checkpoint `ck-0` names code {:#018x} that the store does not hold",
+            image.code.fingerprint()
+        );
+        let unusable = format!(
+            "checkpoint `ck-1` is a delta but its base `ck-0` is unusable: \
+             migration rejected: {lost}"
+        );
+        for (name, want) in [("ck-0", &lost), ("ck-1", &unusable)] {
             match store.load(name) {
-                Err(RuntimeError::MigrationRejected(msg)) => {
-                    assert!(msg.contains("ck-0"), "{name}: {msg}")
-                }
+                Err(RuntimeError::MigrationRejected(msg)) => assert_eq!(&msg, want),
                 other => panic!("{name}: expected a rejection, got {other:?}"),
             }
         }
         assert!(matches!(
             store.load_raw("ck-0"),
-            Err(RuntimeError::MigrationRejected(msg)) if msg.contains("does not hold")
+            Err(RuntimeError::MigrationRejected(msg)) if msg == lost
         ));
         assert_eq!(store.get("ck-0"), None);
         assert!(store.remove("ck-0"));
@@ -1934,13 +2010,15 @@ mod tests {
         let image = tiny_image();
         let store = CheckpointStore::new();
         store.put_image("ck", &image);
-        let stored = store.lock().images["ck"].bytes.to_vec();
-        assert_eq!(
-            stored,
-            image.write(&ImageCode::Base {
-                fingerprint: image.code.fingerprint()
-            })
-        );
+        let stored = MigrationImage {
+            code: ImageCode::Base {
+                fingerprint: image.code.fingerprint(),
+            },
+            ..image.clone()
+        }
+        .to_bytes();
+        // The store counts the entry as those bytes, program by reference.
+        assert_eq!(store.image_sizes("ck").unwrap().1, stored.len() as u64);
         assert!(matches!(
             MigrationImage::from_bytes(&stored),
             Err(WireError::SectionMismatch { found, .. }) if found == SectionTag::CodeRef as u8
@@ -2018,20 +2096,29 @@ mod tests {
         };
         assert_ne!(old.heap_image.fingerprint(), new.heap_image.fingerprint());
 
-        store.put("base", old.to_bytes());
-        let generation = store.lock().generation;
-        let stale = heap_payload_fingerprint(&store.get("base").unwrap()).unwrap();
-        store.put("base", new.to_bytes());
-        store.cache_fingerprint("base", generation, stale);
-        assert_eq!(
-            store.heap_fingerprint("base"),
-            Some(new.heap_image.fingerprint())
-        );
+        // Raw blobs, then images the store keeps with a shared payload.
+        for as_image in [false, true] {
+            let put = |image: &MigrationImage| match as_image {
+                false => store.put("base", image.to_bytes()),
+                true => store.put_image("base", image),
+            };
+            put(&old);
+            let generation = store.lock().generation;
+            let stale = heap_payload_fingerprint(&store.get("base").unwrap()).unwrap();
+            assert_eq!(stale, old.heap_image.fingerprint());
+            put(&new);
+            store.cache_fingerprint("base", generation, stale);
+            assert_eq!(
+                store.heap_fingerprint("base"),
+                Some(new.heap_image.fingerprint()),
+                "as_image {as_image}"
+            );
 
-        // With no write in between, the value is cached and served as is.
-        let generation = store.lock().generation;
-        store.cache_fingerprint("base", generation, 42);
-        assert_eq!(store.heap_fingerprint("base"), Some(42));
+            // With no write in between, the value is cached and served as is.
+            let generation = store.lock().generation;
+            store.cache_fingerprint("base", generation, 42);
+            assert_eq!(store.heap_fingerprint("base"), Some(42));
+        }
     }
 
     #[test]

@@ -1061,7 +1061,7 @@ fn delta_with_corrupted_payload_is_rejected() {
         heap_image: HeapImage::Delta {
             base: "ck".into(),
             base_fingerprint: 0xDEAD_BEEF,
-            bytes: vec![0, 0, 0],
+            bytes: vec![0, 0, 0].into(),
         },
         ..image.clone()
     };
