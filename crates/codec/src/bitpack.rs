@@ -26,7 +26,7 @@ use crate::{unzigzag, zigzag, CodecError};
 /// Words per group.  A constant of the format, not a tuning knob: larger
 /// groups straddle a small-int run and a full-width run more often, and
 /// one wide value then widens every word of its group.
-pub(crate) const GROUP_WORDS: usize = 32;
+pub const GROUP_WORDS: usize = 32;
 
 /// One group's bit string, with one spare word so the two-word read of a
 /// value straddling a word boundary never branches.
@@ -249,6 +249,12 @@ impl BitPackStream {
             *slot = payload(item);
         }
         self.len = rest.len();
+    }
+
+    /// Whether the stream holds no words: the next word starts a group,
+    /// so bytes of whole groups may be appended to `out` as they stand.
+    pub fn at_group_start(&self) -> bool {
+        self.len == 0
     }
 
     /// Write the last, partly filled group (if any).

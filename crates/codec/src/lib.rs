@@ -65,7 +65,7 @@ mod bitpack;
 mod decode;
 mod lz;
 
-pub use bitpack::BitPackStream;
+pub use bitpack::{BitPackStream, GROUP_WORDS as BITPACK_GROUP_WORDS};
 pub use decode::WordDecoder;
 use lz::LzTable;
 use std::fmt;

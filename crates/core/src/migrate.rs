@@ -204,29 +204,32 @@ impl HeapImage {
     /// Write the payload of a full image of `heap`, or of a delta against
     /// `delta_base` (`(name, heap-payload fingerprint)`), in `codecs` — the
     /// one payload builder behind [`SnapshotPack::into_image`] (and so
-    /// every pack) and delta resolution.
+    /// every pack) and delta resolution.  Long unwritten columns are
+    /// copied from a live earlier image that holds them
+    /// ([`mojave_heap::ImageRecords::encode_shared`]); the second value is
+    /// how many payload bytes were.
     pub(crate) fn encode(
         heap: &HeapSnapshot,
         codecs: CodecSet,
         delta_base: Option<(String, u64)>,
-    ) -> Result<HeapImage, HeapError> {
-        let (kind, mut w) = match delta_base {
+    ) -> Result<(HeapImage, u64), HeapError> {
+        let (kind, w) = match delta_base {
             None => (
                 ImageKind::Full,
                 WireWriter::with_capacity(heap.live_bytes() + 256),
             ),
             Some(_) => (ImageKind::Delta, WireWriter::new()),
         };
-        heap.image_records(kind)?.encode(&mut w, codecs);
-        let bytes = Arc::new(w.into_bytes());
-        Ok(match delta_base {
+        let (bytes, reused) = heap.image_records(kind)?.encode_shared(w, codecs);
+        let image = match delta_base {
             None => HeapImage::Full(bytes),
             Some((base, base_fingerprint)) => HeapImage::Delta {
                 base,
                 base_fingerprint,
                 bytes,
             },
-        })
+        };
+        Ok((image, reused))
     }
 
     /// The tag of the image section this payload travels in.
@@ -648,7 +651,7 @@ impl MigrationImage {
             }
         };
         let mut heap = self.decode_heap_with_base(base, HeapConfig::default())?;
-        let heap_image = HeapImage::encode(&heap.freeze(), CodecSet::all(), None)?;
+        let (heap_image, _) = HeapImage::encode(&heap.freeze(), CodecSet::all(), None)?;
         Ok(MigrationImage {
             format_version: FORMAT_VERSION,
             source_arch: self.source_arch.clone(),
@@ -783,13 +786,20 @@ impl SnapshotPack {
     /// pack came from [`crate::Process::pack_snapshot`], which validates
     /// the clean point.
     pub fn into_image(self) -> Result<MigrationImage, RuntimeError> {
-        let heap_image = HeapImage::encode(&self.heap, self.codecs, self.delta_base)?;
+        self.into_image_counted().map(|(image, _)| image)
+    }
+
+    /// [`SnapshotPack::into_image`], also returning how many heap-payload
+    /// bytes were copied from earlier images instead of encoded — what
+    /// [`PipelineStats::bytes_reused`] sums.
+    pub fn into_image_counted(self) -> Result<(MigrationImage, u64), RuntimeError> {
+        let (heap_image, reused) = HeapImage::encode(&self.heap, self.codecs, self.delta_base)?;
         if let Some(slot) = &self.fingerprint_slot {
             if !heap_image.is_delta() {
                 let _ = slot.set(heap_image.fingerprint());
             }
         }
-        Ok(MigrationImage {
+        let image = MigrationImage {
             format_version: FORMAT_VERSION,
             source_arch: self.source_arch,
             code: ImageCode::packed(self.code, &heap_image),
@@ -798,7 +808,8 @@ impl SnapshotPack {
             resume_fun: self.resume_fun,
             label: self.label,
             open_speculations: self.open_speculations,
-        })
+        };
+        Ok((image, reused))
     }
 }
 
@@ -829,6 +840,10 @@ pub struct PipelineStats {
     pub bytes_raw: u64,
     /// Heap-payload bytes actually put on the wire.
     pub bytes_stored: u64,
+    /// Of `bytes_stored`, the bytes copied from an earlier image that
+    /// still held them — long columns not written since — instead of
+    /// encoded.
+    pub bytes_reused: u64,
     /// Checkpoints submitted to the pipeline.
     pub submitted: u64,
     /// Checkpoints fully encoded and delivered (or failed trying),
@@ -1452,7 +1467,9 @@ mod tests {
     /// encoded from a freeze as every pack encodes it.
     fn payload(heap: &mut Heap, delta_base: Option<(&str, u64)>) -> HeapImage {
         let delta_base = delta_base.map(|(base, fp)| (base.to_owned(), fp));
-        HeapImage::encode(&heap.freeze(), CodecSet::all(), delta_base).unwrap()
+        HeapImage::encode(&heap.freeze(), CodecSet::all(), delta_base)
+            .unwrap()
+            .0
     }
 
     /// A program whose `main` halts with `code`.

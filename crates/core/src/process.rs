@@ -386,6 +386,7 @@ impl Process {
             registry.counter_set("pipeline.queue_depth_max", p.queue_depth_max as u64);
             registry.counter_set("pipeline.bytes_raw", p.bytes_raw);
             registry.counter_set("pipeline.bytes_stored", p.bytes_stored);
+            registry.counter_set("pipeline.bytes_reused", p.bytes_reused);
             registry.counter_set("pipeline.pause_ns", p.pause_ns);
             registry.counter_set("pipeline.encode_ns", p.encode_ns);
         }

@@ -663,6 +663,59 @@ fn a_synchronous_pack_freezes_once_and_leaves_every_payload_to_the_heap() {
     );
 }
 
+/// A heap that outlives its checkpoint images keeps none of them alive:
+/// the slot a long column's shared payload carries names the image that
+/// holds its encoded groups only weakly.  The next pack copies those
+/// groups while the image lives, and the first store after a pack still
+/// takes a column back without a copy.
+#[test]
+fn a_heap_keeps_no_checkpoint_image_alive() {
+    use mojave_core::HeapImage;
+    use mojave_heap::Word;
+    use std::sync::Arc;
+
+    let mut p = Process::new(loop_program(3), config(BackendKind::Bytecode)).unwrap();
+    let heap = p.heap_mut();
+    let mut roots = Vec::new();
+    let mut x = 12345u64;
+    for _ in 0..4 {
+        let column = heap.alloc_array(2048, Word::Int(0)).unwrap();
+        for i in 0..2048 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            heap.store(column, i, Word::Int((x >> 33) as i64 % 1000))
+                .unwrap();
+        }
+        roots.push(Word::Ptr(column));
+    }
+    let store = CheckpointStore::new();
+    let first = p.pack(0, Word::Fun(0), &roots).unwrap();
+    store.put_image("ck-0", &first);
+    let HeapImage::Full(payload) = &first.heap_image else {
+        panic!("a pack writes a full image");
+    };
+    let payload = Arc::downgrade(payload);
+    let pack = p.pack_snapshot(0, Word::Fun(0), &roots, None).unwrap();
+    let (second, copied) = pack.into_image_counted().unwrap();
+    // The four columns' 64 whole groups each.
+    assert!(copied as usize * 2 > second.heap_image.len(), "{copied}");
+
+    drop((first, second, store));
+    assert!(payload.upgrade().is_none(), "no image outlives its store");
+
+    let copies = p.heap().stats().shared_payload_copies;
+    let heap = p.heap_mut();
+    for root in &roots {
+        let Word::Ptr(column) = *root else {
+            unreachable!()
+        };
+        heap.store(column, 5, Word::Int(-5)).unwrap();
+        assert!(heap.block(column).unwrap().data.is_owned());
+    }
+    assert_eq!(heap.stats().shared_payload_copies, copies);
+}
+
 #[test]
 fn heterogeneous_fir_migration_succeeds() {
     // FIR images resume on a machine with a different architecture tag.

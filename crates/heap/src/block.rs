@@ -7,7 +7,8 @@
 use crate::pointer_table::PtrIdx;
 use crate::word::Word;
 use mojave_wire::{WireCodec, WireError, WireReader, WireWriter};
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock, Weak};
 
 /// What a block holds and how the runtime is allowed to access it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,8 +74,58 @@ pub enum Payload<T> {
     /// Held by its block alone.
     Owned(Vec<T>),
     /// Shared with a clone or a snapshot, or it was and has not been
-    /// written since.
-    Shared(Arc<Vec<T>>),
+    /// written since — with the slot that says where an image holds it
+    /// encoded ([`Shared`]).
+    Shared(Arc<Shared<T>>),
+}
+
+/// A shared payload: the elements, and where an image already holds them
+/// encoded.
+///
+/// A shared payload is never written in place — a write takes the `Vec`
+/// out of it ([`Payload::to_mut`]) or copies it, and the allocation, slot
+/// included, goes with the last reference — so what the slot says can
+/// never describe older contents.  Keeping the slot here rather than in a
+/// side table keyed by address is what makes that hold: a freed
+/// allocation's address comes back, and this slot dies with its payload.
+/// The slot is boxed, so a payload that never takes part — every short
+/// block, every byte and tagged payload — pays 16 bytes for it.
+#[derive(Debug)]
+pub struct Shared<T> {
+    elems: Vec<T>,
+    encoded: OnceLock<Box<Encoded>>,
+}
+
+/// Where a live image holds a column's whole BitPack groups: the byte
+/// range of the image's heap payload they occupy, and the group phase —
+/// words of the image's payload slab before the column, mod 32 — they
+/// were cut at.  The image is held weakly, so the slot never keeps it
+/// alive; once it is gone the slot is dead, and it is never refilled.
+#[derive(Debug)]
+pub(crate) struct Encoded {
+    pub(crate) image: Weak<Vec<u8>>,
+    pub(crate) range: Range<usize>,
+    pub(crate) phase: u8,
+}
+
+impl<T> Shared<T> {
+    /// The bytes a live image holds for these elements' whole groups cut at
+    /// `phase`, and that image (keep it while the range is read).
+    pub(crate) fn encoded_at(&self, phase: u8) -> Option<(Arc<Vec<u8>>, Range<usize>)> {
+        let encoded = self.encoded.get().filter(|e| e.phase == phase)?;
+        Some((encoded.image.upgrade()?, encoded.range.clone()))
+    }
+
+    /// Whether no image has been recorded for these elements yet.
+    pub(crate) fn unencoded(&self) -> bool {
+        self.encoded.get().is_none()
+    }
+
+    /// Record where `encoded.image` holds these elements' groups, unless a
+    /// slot is already filled (by another image; it stays as it is).
+    pub(crate) fn publish(&self, encoded: Encoded) {
+        let _ = self.encoded.set(Box::new(encoded));
+    }
 }
 
 impl<T: Clone> Payload<T> {
@@ -86,13 +137,14 @@ impl<T: Clone> Payload<T> {
     }
 
     /// Mutable access: in place when owned; a shared payload is taken back
-    /// when no one else holds it and copied otherwise.
+    /// when no one else holds it and copied otherwise.  Either way the
+    /// shared allocation, and its slot, is left behind.
     #[inline]
     pub(crate) fn to_mut(&mut self) -> &mut Vec<T> {
         if let Payload::Shared(shared) = self {
             let elems = match Arc::get_mut(shared) {
-                Some(elems) => std::mem::take(elems),
-                None => shared.to_vec(),
+                Some(shared) => std::mem::take(&mut shared.elems),
+                None => shared.elems.clone(),
             };
             *self = Payload::Owned(elems);
         }
@@ -103,10 +155,13 @@ impl<T: Clone> Payload<T> {
     }
 
     /// A second reference to the payload, sharing it in place first if it
-    /// is owned (one `Arc` allocation).
+    /// is owned (one `Arc` allocation, with an empty slot).
     pub(crate) fn share(&mut self) -> Self {
         if let Payload::Owned(elems) = self {
-            *self = Payload::Shared(Arc::new(std::mem::take(elems)));
+            *self = Payload::Shared(Arc::new(Shared {
+                elems: std::mem::take(elems),
+                encoded: OnceLock::new(),
+            }));
         }
         match self {
             Payload::Shared(shared) => Payload::Shared(Arc::clone(shared)),
@@ -122,7 +177,7 @@ impl<T> std::ops::Deref for Payload<T> {
     fn deref(&self) -> &Vec<T> {
         match self {
             Payload::Owned(elems) => elems,
-            Payload::Shared(shared) => shared,
+            Payload::Shared(shared) => &shared.elems,
         }
     }
 }

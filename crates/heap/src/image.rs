@@ -15,15 +15,19 @@
 //!
 //! `docs/WIRE_FORMAT.md` specifies the bytes.
 
-use crate::block::{Block, BlockData, BlockHeader, BlockKind, Generation, Numeric, WordsView};
+use crate::block::{
+    Block, BlockData, BlockHeader, BlockKind, Encoded, Generation, Numeric, Payload, Shared, Words,
+    WordsView,
+};
 use crate::heap::{Heap, HeapConfig};
 use crate::pointer_table::{PointerTable, PtrIdx};
 use crate::word::extend_from_raw;
 use mojave_wire::{
-    CodecId, CodecSet, Compressor, FrameStats, WireCodec, WireError, WireReader, WireWriter,
-    BATCHED_VERSION, MIN_SUPPORTED_VERSION,
+    BitPackStream, CodecId, CodecSet, Compressor, FrameStats, WireCodec, WireError, WireReader,
+    WireWriter, BATCHED_VERSION, BITPACK_GROUP_WORDS, MIN_SUPPORTED_VERSION,
 };
-use std::sync::{Mutex, PoisonError};
+use std::ops::Range;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::ThreadId;
 
 /// Which block codec a heap image payload uses — implied by the image's
@@ -92,21 +96,80 @@ pub struct ImageRecords<'a> {
     pub(crate) freed: Option<&'a [PtrIdx]>,
 }
 
-impl ImageRecords<'_> {
+impl<'a> ImageRecords<'a> {
     /// Write the v5 image: table capacity, record count, the records as
     /// slab frames whose codecs are chosen within `codecs`, then (delta
-    /// images only) the freed-index fixups.  The one function that writes
-    /// heap-image bytes.
+    /// images only) the freed-index fixups.  Long shared columns whose
+    /// groups a live image already holds are copied from it (see
+    /// [`ImageRecords::encode_shared`]); this image is not recorded for
+    /// later ones.
     pub fn encode(&self, w: &mut WireWriter, codecs: CodecSet) {
+        self.encode_noting(w, codecs);
+    }
+
+    /// [`ImageRecords::encode`] into `w`, whose bytes then move, without a
+    /// copy, into the `Arc` an image keeps; each long shared column whose
+    /// groups were encoded afresh is then recorded as held by it, so a
+    /// later image of the same unwritten payload copies them instead.
+    /// Returns the bytes and how many of them were copied from earlier
+    /// images.
+    pub fn encode_shared(&self, mut w: WireWriter, codecs: CodecSet) -> (Arc<Vec<u8>>, u64) {
+        let reuse = self.encode_noting(&mut w, codecs);
+        let bytes = Arc::new(w.into_bytes());
+        let copied = reuse.copied;
+        reuse.publish(&bytes);
+        (bytes, copied)
+    }
+
+    /// The one function that writes heap-image bytes.
+    fn encode_noting(&self, w: &mut WireWriter, codecs: CodecSet) -> Reuse<'a> {
         w.write_usize(self.capacity);
         w.write_usize(self.records.len());
-        with_pooled_encoder(|encoder| encoder.encode_records(w, &self.records, codecs));
+        let reuse = with_pooled_encoder(|encoder| encoder.encode_records(w, &self.records, codecs));
         if let Some(freed) = self.freed {
             debug_assert!(freed.windows(2).all(|p| p[0] < p[1]));
             w.write_usize(freed.len());
             for ptr in freed {
                 w.write_uvarint(ptr.0 as u64);
             }
+        }
+        reuse
+    }
+}
+
+/// Whole BitPack groups a shared column must span before an encode copies
+/// them from an earlier image or records them for a later one: a constant
+/// of the format's cost, not an option.  Measured on a 2-vCPU host, a
+/// copy beats packing from one group up (≈ 45–70 ns against ≈ 65–80 ns
+/// for a one-group column), but a column packed afresh pays ≈ 25–45 ns
+/// to be noted and published, which one written before every image never
+/// earns back: ≈ 30 % of its encode at 2 groups, under 10 % at 8.  The
+/// floor also keeps small-block heaps out entirely (a 64-word block spans
+/// two groups).
+const REUSE_MIN_GROUPS: usize = 8;
+
+/// What one encode learned about reuse: the long shared columns whose
+/// groups it encoded and no image holds yet, with the byte range they took
+/// in the writer's buffer and their phase; and the bytes it copied from
+/// earlier images instead of encoding.
+#[derive(Debug, Default)]
+struct Reuse<'a> {
+    noted: Vec<(&'a Shared<u64>, Range<usize>, u8)>,
+    copied: u64,
+}
+
+impl Reuse<'_> {
+    /// Record that `image` — the buffer the ranges were noted in — holds
+    /// each noted column's groups.  One `Arc::downgrade` per column, and
+    /// a slot another image filled in the meantime stays as it is.
+    fn publish(self, image: &Arc<Vec<u8>>) {
+        for (shared, range, phase) in self.noted {
+            let image = Arc::downgrade(image);
+            shared.publish(Encoded {
+                image,
+                range,
+                phase,
+            });
         }
     }
 }
@@ -540,6 +603,13 @@ impl SlabEncoder {
     /// materialised.  A slab the choice sampled whole is compressed once:
     /// the winning trial is written as its payload.
     ///
+    /// When BitPack streams, a long shared column's whole groups are
+    /// copied from an earlier live image that holds them at the same
+    /// phase ([`pack_column`]) — the bytes packing would write — and the
+    /// columns packed afresh come back in the [`Reuse`], for
+    /// [`ImageRecords::encode_shared`] to record once the image's bytes
+    /// have their final home.
+    ///
     /// A numeric column ([`crate::Words::Int`], [`crate::Words::Float`])
     /// is read once per pass as the payload slab it already is: its tag
     /// run is a fill, and the sample and the streams take its `u64`s as
@@ -550,12 +620,12 @@ impl SlabEncoder {
     /// measured and is slower: the tag frame precedes the payload frame,
     /// so the payload then needs a side copy, which costs more than
     /// reading the blocks twice.
-    fn encode_records(
+    fn encode_records<'a>(
         &mut self,
         w: &mut WireWriter,
-        records: &[(PtrIdx, &Block)],
+        records: &[(PtrIdx, &'a Block)],
         allowed: CodecSet,
-    ) {
+    ) -> Reuse<'a> {
         // Staging exactly the codec crate's choice-sample prefix makes
         // the sampled choice identical to a choice over the full slab.
         use mojave_wire::CHOICE_SAMPLE_WORDS;
@@ -631,16 +701,7 @@ impl SlabEncoder {
                 }
             }
         };
-        let pack_payloads = |out: &mut Vec<u8>| {
-            let mut stream = mojave_wire::BitPackStream::new();
-            for words in word_blocks() {
-                match words {
-                    WordsView::Tagged(w) => stream.extend(w, payload_of, out),
-                    WordsView::Column(_, c) => stream.extend(c, |&p| p, out),
-                }
-            }
-            stream.finish(out);
-        };
+        let mut reuse = Reuse::default();
         // The byte-frame choices above keep their trials apart from this
         // one, so the word choice's winner is still the payload here.
         if let Some(won) = compressor.chosen_words().filter(|_| sampled_whole) {
@@ -649,18 +710,27 @@ impl SlabEncoder {
             });
         } else {
             match word_codec {
-                CodecId::Varint => w.write_word_frame_streamed(
-                    word_total,
-                    word_codec,
-                    word_total * 2,
-                    stream_payloads,
-                ),
-                CodecId::BitPack => w.write_word_frame_streamed(
-                    word_total,
-                    word_codec,
-                    word_total * 4,
-                    pack_payloads,
-                ),
+                CodecId::Varint => {
+                    w.write_word_frame_streamed(
+                        word_total,
+                        word_codec,
+                        word_total * 2,
+                        stream_payloads,
+                    );
+                }
+                CodecId::BitPack => {
+                    let body = w.write_word_frame_streamed(
+                        word_total,
+                        word_codec,
+                        word_total * 4,
+                        |out| pack_payloads(records, out, &mut reuse),
+                    );
+                    // The ranges were noted relative to the payload as it
+                    // was filled; it may have moved since.
+                    for (_, range, _) in &mut reuse.noted {
+                        *range = range.start + body..range.end + body;
+                    }
+                }
                 CodecId::VarintLz => {
                     varint.clear();
                     varint.reserve(word_total * 2 + 16);
@@ -684,7 +754,83 @@ impl SlabEncoder {
         }
 
         w.write_byte_frame_chosen(compressor, raw, allowed);
+        reuse
     }
+}
+
+/// Stream the payload words of `records`' word blocks into `out` as one
+/// BitPack slab, noting in `reuse` ranges relative to where `out` started.
+///
+/// A group's bytes are a function of its 32 words alone (every group
+/// restarts the delta filter), so a long shared column's whole groups are
+/// the same bytes in every image that cuts them at the same *phase* —
+/// the slab words before the column, mod 32.  [`pack_column`] copies them
+/// from a live image that holds them, and otherwise encodes them and
+/// notes where.
+fn pack_payloads<'a>(records: &[(PtrIdx, &'a Block)], out: &mut Vec<u8>, reuse: &mut Reuse<'a>) {
+    let body = out.len();
+    let mut stream = BitPackStream::new();
+    let mut streamed = 0usize;
+    for &(_, block) in records {
+        let Some(words) = block.as_words() else {
+            continue;
+        };
+        match words {
+            Words::Tagged(w) => stream.extend(w, |word| word.to_raw().1, out),
+            // A short column cannot take part whatever its phase: it
+            // streams straight away (most blocks of a small-block heap).
+            Words::Int(column) | Words::Float(column)
+                if column.len() < REUSE_MIN_GROUPS * BITPACK_GROUP_WORDS =>
+            {
+                stream.extend(column, |&payload| payload, out)
+            }
+            Words::Int(column) | Words::Float(column) => {
+                pack_column(column, streamed, &mut stream, out, body, reuse)
+            }
+        }
+        streamed += words.len();
+    }
+    stream.finish(out);
+}
+
+/// Stream one column that starts `streamed` words into the slab: the head
+/// words that finish the open group, then its whole groups — copied from
+/// the image its slot names when that image is alive and cut them at this
+/// phase, else encoded and (if no image holds them yet) noted — then the
+/// tail.  An owned column, or one spanning fewer than
+/// [`REUSE_MIN_GROUPS`] whole groups, streams as it stands.
+fn pack_column<'a>(
+    column: &'a Payload<u64>,
+    streamed: usize,
+    stream: &mut BitPackStream,
+    out: &mut Vec<u8>,
+    body: usize,
+    reuse: &mut Reuse<'a>,
+) {
+    let word = |&payload: &u64| payload;
+    let phase = streamed % BITPACK_GROUP_WORDS;
+    let head = (BITPACK_GROUP_WORDS - phase) % BITPACK_GROUP_WORDS;
+    let groups = column.len().saturating_sub(head) / BITPACK_GROUP_WORDS;
+    let shared = match column {
+        Payload::Shared(shared) if groups >= REUSE_MIN_GROUPS => shared,
+        _ => return stream.extend(column, word, out),
+    };
+    let (head, rest) = column.split_at(head);
+    let (whole, tail) = rest.split_at(groups * BITPACK_GROUP_WORDS);
+    stream.extend(head, word, out);
+    debug_assert!(stream.at_group_start());
+    let phase = phase as u8;
+    if let Some((image, range)) = shared.encoded_at(phase) {
+        reuse.copied += range.len() as u64;
+        out.extend_from_slice(&image[range]);
+    } else {
+        let start = out.len() - body;
+        stream.extend(whole, word, out);
+        if shared.unencoded() {
+            reuse.noted.push((shared, start..out.len() - body, phase));
+        }
+    }
+    stream.extend(tail, word, out);
 }
 
 #[cfg(test)]
@@ -841,6 +987,64 @@ mod tests {
         }
     }
 
+    /// `data` with every payload copied into a `Vec` of its own, in the
+    /// same stored form: nothing in it is shared, so an encode of it has
+    /// no slot to consult.
+    fn unshared(data: &BlockData) -> BlockData {
+        let own = |words: &Payload<u64>| Payload::Owned(words.to_vec());
+        match data {
+            BlockData::Words(Words::Tagged(w)) => BlockData::words(w.to_vec()),
+            BlockData::Words(Words::Int(c)) => BlockData::Words(Words::Int(own(c))),
+            BlockData::Words(Words::Float(c)) => BlockData::Words(Words::Float(own(c))),
+            BlockData::Bytes(b) => BlockData::bytes(b.to_vec()),
+        }
+    }
+
+    /// Encode `snap`'s image (a delta when asked for and possible) as a
+    /// pack does, recording it for later images, and check it byte for
+    /// byte against the reference encode of unshared copies of the same
+    /// blocks.  The image is kept in `images`; returns the bytes it copied
+    /// from earlier ones.
+    fn encode_checked(
+        snap: &crate::HeapSnapshot,
+        allowed: CodecSet,
+        delta: bool,
+        images: &mut Vec<Arc<Vec<u8>>>,
+    ) -> u64 {
+        let kind = if delta && snap.delta_capable() {
+            ImageKind::Delta
+        } else {
+            ImageKind::Full
+        };
+        let records = snap.image_records(kind).unwrap();
+        let (bytes, copied) = records.encode_shared(WireWriter::new(), allowed);
+        let copies: Vec<Block> = records
+            .records
+            .iter()
+            .map(|(_, block)| Block {
+                header: block.header,
+                data: unshared(&block.data),
+            })
+            .collect();
+        let reference = ImageRecords {
+            capacity: records.capacity,
+            records: records
+                .records
+                .iter()
+                .map(|(idx, _)| *idx)
+                .zip(&copies)
+                .collect(),
+            freed: records.freed,
+        };
+        assert_eq!(
+            *bytes,
+            encoded(&reference, allowed),
+            "{kind:?} image, {allowed:?}"
+        );
+        images.push(bytes);
+        copied
+    }
+
     /// The column a decoder must rebuild for these elements of a `kind`
     /// block, worked out word by word: an `Array` whose words all carry
     /// one numeric tag.
@@ -880,6 +1084,160 @@ mod tests {
             // Four columns, and the four `Int` arrays built or converted
             // tagged: the form decode gives follows the content alone.
             assert_eq!(columns, 8, "{allowed:?}");
+        }
+    }
+
+    /// A heap of small tuples of lengths `smalls` followed by columns of
+    /// lengths `columns` (the second one `Float`) filled from `seed`, the
+    /// even ones with small values, the odd ones with all 64 bits.
+    fn column_heap(
+        smalls: &[usize],
+        columns: &[usize],
+        seed: u64,
+    ) -> (Heap, Vec<PtrIdx>, Vec<PtrIdx>) {
+        let mut heap = Heap::new();
+        let mut x = seed | 1;
+        let smalls = smalls
+            .iter()
+            .map(|&len| heap.alloc_tuple(vec![Word::Int(7); len]).unwrap())
+            .collect();
+        let columns = columns
+            .iter()
+            .enumerate()
+            .map(|(j, &len)| {
+                let float = j == 1;
+                let init = if float {
+                    Word::Float(0.0)
+                } else {
+                    Word::Int(0)
+                };
+                let ptr = heap.alloc_array(len as i64, init).unwrap();
+                for i in 0..len as i64 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let word = match (float, j % 2) {
+                        (true, _) => Word::Float(f64::from_bits(x)),
+                        (false, 0) => Word::Int((x % 1000) as i64),
+                        (false, _) => Word::Int(x as i64),
+                    };
+                    heap.store(ptr, i, word).unwrap();
+                }
+                ptr
+            })
+            .collect();
+        (heap, smalls, columns)
+    }
+
+    proptest::proptest! {
+        /// The reuse oracle.  Through a seeded run of stores into long
+        /// columns, small blocks allocated and freed ahead of them (which
+        /// shifts their group phase), a column turned tagged by a pointer
+        /// store, speculation entered, committed and rolled back,
+        /// collections, clean points, and images encoded at once, out of
+        /// order and dropped, every image — full or delta, BitPack alone
+        /// or every codec — equals byte for byte the image the encoder
+        /// writes from unshared copies of the same blocks.  Each case ends
+        /// by showing the copy path ran: two images of an unwritten heap,
+        /// the second copying from the first.
+        #[test]
+        fn reused_groups_match_a_fresh_encode_byte_for_byte(
+            smalls in proptest::collection::vec(1usize..6, 1..4),
+            first in 2100usize..2600,
+            columns in proptest::collection::vec(200usize..1700, 1..5),
+            seed in proptest::prelude::any::<u64>(),
+            steps in proptest::collection::vec(
+                (0u8..15, 0usize..64, 0usize..4096, proptest::prelude::any::<u64>()),
+                1..40,
+            ),
+        ) {
+            // Column 0 alone outgrows the codec choice's sample, so the
+            // payload is always streamed.
+            let lengths: Vec<usize> = std::iter::once(first).chain(columns).collect();
+            let (mut heap, mut smalls, columns) = column_heap(&smalls, &lengths, seed);
+            let mut images: Vec<Arc<Vec<u8>>> = Vec::new();
+            let mut pending = Vec::new();
+            let codecs = |v: u64| {
+                if v & 1 == 0 { CodecSet::only(CodecId::BitPack) } else { CodecSet::all() }
+            };
+            for (op, a, b, v) in steps {
+                let column = columns[a % columns.len()];
+                let len = heap.block_len(column).unwrap() as i64;
+                match op {
+                    0..=2 => {
+                        for k in 0..=(v % 4) as i64 {
+                            let at = (b as i64 + k * 97) % len;
+                            let word = match heap.block(column).unwrap().as_words().unwrap().column_tag() {
+                                Some(Numeric::Float) => Word::Float(f64::from_bits(v >> k)),
+                                _ => Word::Int((v >> k) as i64 % 1000),
+                            };
+                            heap.store(column, at, word).unwrap();
+                        }
+                    }
+                    3 => smalls.push(heap.alloc_tuple(vec![Word::Int(1); 1 + b % 7]).unwrap()),
+                    4 if heap.spec_depth() == 0 && !smalls.is_empty() => {
+                        heap.free_block(smalls.swap_remove(a % smalls.len()));
+                    }
+                    // Column 0 stays a column throughout.
+                    5 if column != columns[0] => {
+                        heap.store(column, b as i64 % len, Word::Ptr(column)).unwrap();
+                    }
+                    6 if heap.spec_depth() < 3 => {
+                        heap.spec_enter();
+                    }
+                    7 if heap.spec_depth() > 0 => {
+                        heap.spec_commit(1 + a % heap.spec_depth()).unwrap();
+                    }
+                    8 if heap.spec_depth() > 0 => {
+                        heap.spec_rollback(1 + a % heap.spec_depth()).unwrap();
+                    }
+                    9 => {
+                        // Every column and all but one small block stay
+                        // rooted: the collector frees the rest.
+                        smalls.retain(|p| heap.block(*p).is_ok());
+                        smalls.sort_unstable();
+                        smalls.dedup();
+                        if !smalls.is_empty() {
+                            smalls.swap_remove(a % smalls.len());
+                        }
+                        let roots: Vec<Word> =
+                            columns.iter().chain(&smalls).map(|p| Word::Ptr(*p)).collect();
+                        if b % 2 == 0 { heap.gc_major(&roots) } else { heap.gc_minor(&roots) }
+                    }
+                    10 => heap.mark_clean(),
+                    11 => {
+                        let snap = heap.freeze();
+                        encode_checked(&snap, codecs(v), v & 2 != 0, &mut images);
+                    }
+                    12 => pending.push(heap.freeze()),
+                    13 => {
+                        while let Some(snap) = pending.pop() {
+                            encode_checked(&snap, codecs(v), v & 2 != 0, &mut images);
+                        }
+                    }
+                    14 => {
+                        let mut keep = v;
+                        images.retain(|_| {
+                            keep = keep.rotate_right(1);
+                            keep & 1 == 0
+                        });
+                    }
+                    _ => {}
+                }
+            }
+            for snap in pending.drain(..) {
+                encode_checked(&snap, CodecSet::only(CodecId::BitPack), false, &mut images);
+            }
+            // Column 0 is written, so its next freeze shares a fresh
+            // payload; the first image records its groups and the second
+            // copies them.
+            let word = heap.load(columns[0], 0).unwrap();
+            heap.store(columns[0], 0, word).unwrap();
+            let bitpack = CodecSet::only(CodecId::BitPack);
+            let first = heap.freeze();
+            encode_checked(&first, bitpack, false, &mut images);
+            let copied = encode_checked(&heap.freeze(), bitpack, false, &mut images);
+            assert!(copied > 0);
         }
     }
 }

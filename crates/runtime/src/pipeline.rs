@@ -143,8 +143,9 @@ impl Shared {
 struct Completion {
     outcome: DeliveryOutcome,
     encode_ns: u64,
-    /// `(raw, stored)` heap-payload bytes of the image, if one was encoded.
-    wire: Option<(u64, u64)>,
+    /// `(raw, stored, reused)` heap-payload bytes of the image, if one
+    /// was encoded.
+    wire: Option<(u64, u64, u64)>,
 }
 
 /// A job's place in the delivery order.  Dropping it completes the job —
@@ -175,22 +176,23 @@ impl Drop for Ticket<'_> {
         let shared = self.shared;
         shared.wait_turn(self.seq);
         if let Some(recorder) = shared.recorder.get() {
-            if let Some((raw, stored)) = wire {
+            if let Some((raw, stored, _)) = wire {
                 recorder.record(EventKind::Encode, raw, stored);
             }
             recorder.record(
                 EventKind::Deliver,
                 outcome.obs_code(),
-                wire.map_or(0, |(_, stored)| stored),
+                wire.map_or(0, |(_, stored, _)| stored),
             );
             recorder.observe("pipeline.encode_ns", encode_ns);
         }
         let mut state = shared.lock();
         state.stats.encode_ns += encode_ns;
         state.stats.completed += 1;
-        if let Some((raw, stored)) = wire {
+        if let Some((raw, stored, reused)) = wire {
             state.stats.bytes_raw += raw;
             state.stats.bytes_stored += stored;
+            state.stats.bytes_reused += reused;
         }
         if matches!(outcome, DeliveryOutcome::Failed(_)) {
             state.stats.failed += 1;
@@ -397,17 +399,17 @@ fn run_job(shared: &Shared, sink: &SharedSink, seq: u64, job: Job) {
     // The expensive half, off the mutator thread: codec choice, slab
     // staging, compression.
     let encode_start = Instant::now();
-    let encoded = job.pack.into_image();
+    let encoded = job.pack.into_image_counted();
     let encode_ns = encode_start.elapsed().as_nanos() as u64;
 
     ticket.report = Some(match encoded {
-        Ok(image) => {
-            let wire = image.heap_payload_wire_stats();
+        Ok((image, reused)) => {
+            let (raw, stored) = image.heap_payload_wire_stats();
             shared.wait_turn(seq);
             Completion {
                 outcome: lock_sink(sink).deliver(job.protocol, &job.target, &image),
                 encode_ns,
-                wire: Some(wire),
+                wire: Some((raw, stored, reused)),
             }
         }
         Err(e) => Completion {

@@ -367,3 +367,158 @@ fn failed_async_full_never_poisons_the_delta_chain() {
     }
     assert!(store.len() >= 3);
 }
+
+/// A `ckpt_stream`-shaped worker: `arrays` `int[2048]` columns (even ones
+/// small values, odd ones all 64 bits), then `rounds` full checkpoints
+/// with one word stored into each of `arrays / 4` of them, in rotation,
+/// before each one.
+fn streaming_source(arrays: usize, rounds: usize) -> String {
+    let mut src = String::from("int main() {\n    int x = 12345;\n");
+    for a in 0..arrays {
+        let value = if a % 2 == 0 { "x % 1000" } else { "x" };
+        src.push_str(&format!(
+            "    int[] a{a} = alloc_int(2048);\n    \
+             for (int i{a} = 0; i{a} < 2048; i{a} = i{a} + 1) {{ \
+             x = x * 6364136223846793005 + 1442695040888963407; a{a}[i{a}] = {value}; }}\n"
+        ));
+    }
+    src.push_str(&format!("    int k = 0;\n    while (k < {rounds}) {{\n"));
+    for g in 0..4 {
+        src.push_str(&format!("        if (k % 4 == {g}) {{\n"));
+        for a in (0..arrays).filter(|a| a % 4 == g) {
+            src.push_str(&format!("            a{a}[k] = a{a}[k + 1] + k;\n"));
+        }
+        src.push_str("        }\n");
+    }
+    src.push_str("        checkpoint(str_concat(\"ck-\", int_to_str(k)));\n");
+    src.push_str("        k = k + 1;\n    }\n    return a0[3];\n}\n");
+    src
+}
+
+/// Run [`streaming_source`] with full asynchronous checkpoints into a
+/// fresh store; the pipeline counters the process read after its final
+/// flush come back with it.
+fn run_streaming(config: PipelineConfig) -> (CheckpointStore, mojave_core::PipelineStats) {
+    /// Forwards to an [`AsyncSink`] and keeps the last counters asked of
+    /// it.
+    struct Watched(AsyncSink, Arc<Mutex<Option<mojave_core::PipelineStats>>>);
+    impl MigrationSink for Watched {
+        fn deliver(&mut self, p: MigrateProtocol, t: &str, i: &MigrationImage) -> DeliveryOutcome {
+            self.0.deliver(p, t, i)
+        }
+        fn deliver_deferred(
+            &mut self,
+            p: MigrateProtocol,
+            t: &str,
+            pack: SnapshotPack,
+        ) -> DeliveryOutcome {
+            self.0.deliver_deferred(p, t, pack)
+        }
+        fn flush(&mut self) {
+            self.0.flush();
+        }
+        fn pipeline_stats(&self) -> Option<mojave_core::PipelineStats> {
+            let stats = self.0.pipeline_stats();
+            *self.1.lock().unwrap() = stats;
+            stats
+        }
+    }
+
+    let program = mojave_lang::compile_source(&streaming_source(16, 32)).expect("compiles");
+    let store = CheckpointStore::new();
+    let seen = Arc::new(Mutex::new(None));
+    let sink = AsyncSink::new(Box::new(InMemorySink::with_store(store.clone())), config);
+    let config = ProcessConfig {
+        async_checkpoints: true,
+        delta_checkpoints: false,
+        ..ProcessConfig::default()
+    };
+    let mut process = Process::new(program, config)
+        .expect("verifies")
+        .with_sink(Box::new(Watched(sink, Arc::clone(&seen))));
+    assert!(matches!(process.run().expect("runs"), RunOutcome::Exit(_)));
+    let stats = seen.lock().unwrap().expect("the process read the counters");
+    (store, stats)
+}
+
+/// Heap-payload bytes of checkpoint `k`'s long columns (at least 8 whole
+/// BitPack groups) that checkpoint `k - 1` holds unchanged at the same
+/// group phase, summed over `k` in `1..rounds`: the bytes an encode may
+/// copy rather than write, worked out from the decoded heaps alone.
+fn eligible_bytes(store: &CheckpointStore, rounds: usize) -> u64 {
+    use mojave_heap::{Heap, HeapConfig};
+    const GROUP: usize = mojave_wire::BITPACK_GROUP_WORDS;
+    let heap = |k: usize| -> Heap {
+        let image = store.load(&format!("ck-{k}")).expect("stored");
+        image.decode_heap(HeapConfig::default()).expect("decodes")
+    };
+    // Each column's words by pointer index, with the slab words before it.
+    let columns = |heap: &Heap| {
+        let mut streamed = 0;
+        let mut out = std::collections::HashMap::new();
+        for (idx, _) in heap.pointer_table().iter_used() {
+            let Some(words) = heap.block(idx).unwrap().as_words() else {
+                continue;
+            };
+            if words.column_tag().is_some() {
+                out.insert(idx, (streamed, words.to_vec()));
+            }
+            streamed += words.len();
+        }
+        out
+    };
+    let mut eligible = 0;
+    let mut before = columns(&heap(0));
+    for k in 1..rounds {
+        let now = columns(&heap(k));
+        for (idx, column) in &now {
+            if before.get(idx) != Some(column) {
+                continue;
+            }
+            let (streamed, words) = column;
+            let head = (GROUP - streamed % GROUP) % GROUP;
+            let groups = words.len().saturating_sub(head) / GROUP;
+            if groups >= 8 {
+                let whole: Vec<u64> = words[head..head + groups * GROUP]
+                    .iter()
+                    .map(|w| w.to_raw().1)
+                    .collect();
+                let mut packed = Vec::new();
+                mojave_wire::compress_words(mojave_wire::CodecId::BitPack, &whole, &mut packed);
+                eligible += packed.len() as u64;
+            }
+        }
+        before = now;
+    }
+    eligible
+}
+
+/// Full checkpoints of a heap of long columns, most of them unwritten
+/// between two checkpoints, copy those columns' groups from the image
+/// before instead of encoding them: every eligible byte when each
+/// checkpoint is delivered before the mutator goes on, and the same image
+/// bytes either way.
+#[test]
+fn unwritten_columns_are_copied_from_the_previous_checkpoint() {
+    let (barrier, stats) = run_streaming(PipelineConfig {
+        drain_after_submit: true,
+        ..PipelineConfig::default()
+    });
+    let eligible = eligible_bytes(&barrier, 32);
+    // 12 of 16 columns unwritten between two checkpoints, for 31 of them.
+    assert!(
+        eligible * 2 > stats.bytes_stored,
+        "{eligible} of {}",
+        stats.bytes_stored
+    );
+    assert_eq!(stats.bytes_reused, eligible);
+
+    // Without the barrier two workers may both miss a column just
+    // written; the images are the same bytes.
+    let (streamed, stats) = run_streaming(PipelineConfig::default());
+    assert!(stats.bytes_reused > 0);
+    for k in 0..32 {
+        let name = format!("ck-{k}");
+        assert_eq!(streamed.get(&name), barrier.get(&name), "{name}");
+    }
+}

@@ -71,7 +71,7 @@ pub use writer::{uvarint_len, SectionWriter, WireWriter};
 pub use mojave_codec::{
     choose, choose_bytes, choose_words, compress_bytes, compress_words, decompress_bytes,
     decompress_lz_bytes, decompress_words, BitPackStream, CodecError, CodecId, CodecSet,
-    Compressor, VarintStream, WordDecoder, CHOICE_SAMPLE_WORDS,
+    Compressor, VarintStream, WordDecoder, BITPACK_GROUP_WORDS, CHOICE_SAMPLE_WORDS,
 };
 
 /// 64-bit FNV-1a fingerprint of a byte payload.

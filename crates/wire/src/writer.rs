@@ -149,7 +149,13 @@ impl WireWriter {
     /// magnitude* (lengths of 16 KiB to 2 MiB all take three bytes) for
     /// that to move nothing — a wrong guess costs one `memmove`, never a
     /// different byte on the wire.
-    pub fn write_bytes_with(&mut self, size_hint: usize, fill: impl FnOnce(&mut Vec<u8>)) {
+    ///
+    /// Returns where the region's bytes start in the buffer once written.
+    /// `fill` appends after a guessed prefix and the region moves when the
+    /// guess was wrong, so an offset `fill` noted as `out.len()` is only
+    /// right relative to its own first `out.len()`: add that relative
+    /// offset to this.
+    pub fn write_bytes_with(&mut self, size_hint: usize, fill: impl FnOnce(&mut Vec<u8>)) -> usize {
         let at = self.buf.len();
         let guess = uvarint_len(size_hint as u64);
         self.buf.resize(at + guess, 0);
@@ -170,6 +176,7 @@ impl WireWriter {
             v >>= 7;
         }
         self.buf[at + prefix - 1] &= 0x7F;
+        at + prefix
     }
 
     /// Write a codec-tagged compressed **word-slab frame** (v5 images):
@@ -213,17 +220,18 @@ impl WireWriter {
     /// [`WireWriter::write_bytes_with`] for `size_hint`): what `fill`
     /// produces must be `codec`'s valid encoding of exactly `word_count`
     /// words — e.g. a [`mojave_codec::VarintStream`] fused into the
-    /// caller's staging loop, so the slab is never materialised.
+    /// caller's staging loop, so the slab is never materialised.  Returns
+    /// where the payload starts, as [`WireWriter::write_bytes_with`] does.
     pub fn write_word_frame_streamed(
         &mut self,
         word_count: usize,
         codec: CodecId,
         size_hint: usize,
         fill: impl FnOnce(&mut Vec<u8>),
-    ) {
+    ) -> usize {
         self.write_uvarint(word_count as u64);
         self.write_u8(codec as u8);
-        self.write_bytes_with(size_hint, fill);
+        self.write_bytes_with(size_hint, fill)
     }
 
     /// Write a codec-tagged compressed **byte-slab frame** (v5 images):
@@ -429,9 +437,10 @@ mod tests {
             for hint in [0usize, 1, 200, 20_000, 3_000_000, usize::MAX] {
                 let mut got = WireWriter::new();
                 got.write_u8(0xEE);
-                got.write_bytes_with(hint, |out| out.extend_from_slice(&body));
+                let at = got.write_bytes_with(hint, |out| out.extend_from_slice(&body));
                 got.write_u8(0xFF);
                 assert_eq!(got.as_bytes(), want.as_bytes(), "len {len} hint {hint}");
+                assert_eq!(&got.as_bytes()[at..at + len], body, "len {len} hint {hint}");
             }
         }
     }
