@@ -12,7 +12,7 @@
 use crate::cluster::{Cluster, RecvOutcome};
 use mojave_core::{DeliveryOutcome, MigrationImage, PackedProcess};
 use mojave_fir::MigrateProtocol;
-use mojave_obs::{ClockSource, Recorder};
+use mojave_obs::ClockSource;
 use mojave_wire::{CodecSet, FrameError, Welcome, FORMAT_VERSION, TRANSPORT_VERSION};
 use std::sync::Arc;
 
@@ -31,7 +31,8 @@ pub enum Tick {
 /// externals and migration sink perform on shared cluster state.
 ///
 /// Operations are fallible because an implementation may sit behind a
-/// transport; the in-process [`LocalNode`] never fails.
+/// transport, where a failed operation is not retried: it means the
+/// node's connection is gone.  The in-process [`LocalNode`] never fails.
 pub trait ClusterOps: std::fmt::Debug + Send + 'static {
     /// This node's id.
     fn node(&self) -> usize;
@@ -43,9 +44,6 @@ pub trait ClusterOps: std::fmt::Debug + Send + 'static {
     fn welcome(&self) -> &Welcome;
     /// The clock this node's flight recorder stamps events with.
     fn clock_source(&self) -> Arc<dyn ClockSource>;
-    /// Let the implementation record its own events (a transport's
-    /// reconnects) into the worker's flight recorder.
-    fn attach_recorder(&self, _recorder: &Recorder) {}
 
     /// The per-external-call probe: failure check, then exactly one
     /// virtual-clock tick.
@@ -201,7 +199,7 @@ mod tests {
     use crate::{NodeExternals, NodeSink};
     use mojave_core::{ExtCall, Externals, MigrationSink, Process, ProcessConfig, RuntimeError};
     use mojave_heap::{Heap, Word};
-    use mojave_obs::{EventKind, Level};
+    use mojave_obs::{EventKind, Level, Recorder};
     use std::sync::Mutex;
 
     /// Logs every operation issued; `tick` answers from the script and

@@ -30,20 +30,14 @@
 //!
 //! Dial → [`Hello`]/[`Welcome`] handshake (transport + format version
 //! check, codec-set intersection) → request/response RPC loop →
-//! `Bye` → close.  A dropped connection reconnects with bounded retries
-//! and a fresh handshake; requests that died mid-flight are re-issued.
-//! Re-issuing gives delivery **at-least-once** semantics across a
-//! reconnect: a checkpoint whose `DeliverAck` was lost may be stored (and
-//! its `note_checkpoint` hook fired) twice on the hub.  Checkpoint writes
-//! are idempotent by name, so the store converges; only the
-//! checkpoint-*count* accounting can inflate, and only on a connection
-//! loss — which deterministic runs never produce.
+//! `Bye` → close.  A request is sent once, and a failure closes the
+//! connection: the hub never applies an operation twice.
 
 use crate::cluster::{lock, Cluster, RecvOutcome};
 use crate::ops::{ClusterOps, LocalNode, Tick};
 use mojave_core::{DeliveryOutcome, MigrationImage};
 use mojave_fir::MigrateProtocol;
-use mojave_obs::{ClockSource, NodeObs, Recorder, WallClock};
+use mojave_obs::{ClockSource, NodeObs, WallClock};
 use mojave_wire::{
     decode_error, read_frame, read_frame_counted, send_error, write_frame_counted, CodecSet,
     FrameError, FrameKind, Hello, LinkStats, Welcome, WireError, WireReader, WireWriter,
@@ -61,12 +55,6 @@ use std::time::Duration;
 /// on a connection (a peer that dials and stalls must not pin a handler
 /// thread forever).
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Reconnect attempts before a request is reported as failed.
-const RECONNECT_ATTEMPTS: u32 = 3;
-
-/// Initial dial attempts (children may briefly race server startup).
-const DIAL_ATTEMPTS: u32 = 40;
 
 // ---------------------------------------------------------------------------
 // RPC payload encodings
@@ -187,9 +175,9 @@ pub struct NodeStats {
     pub checkpoint_pause_ns: u64,
     /// `ProcessStats::checkpoint_encode_ns`.
     pub checkpoint_encode_ns: u64,
-    /// Frames this node wrote to its control connection (incl. handshake).
+    /// Frames this node wrote to its hub connection (incl. handshake).
     pub frames_sent: u64,
-    /// Frames this node read from its control connection.
+    /// Frames this node read from its hub connection.
     pub frames_received: u64,
     /// Bytes written (frame headers included).
     pub bytes_sent: u64,
@@ -345,8 +333,9 @@ struct ServerState {
     stats: VecDeque<NodeStats>,
     /// Codec set negotiated with each node's most recent connection.
     negotiated: HashMap<u32, CodecSet>,
-    /// Frame/byte counters, shared across all of a node's connections
-    /// (control + sink), so the hub sees per-node totals.
+    /// Frame/byte counters, shared across all connections opened as a
+    /// node (a resurrected node's, an observer's), so the hub sees
+    /// per-node totals.
     traffic: HashMap<u32, Arc<LinkStats>>,
     /// Every observability report pushed, kept sorted by node id with one
     /// node's reports in arrival order (a resurrected node contributes one
@@ -476,7 +465,8 @@ impl ClusterServer {
     }
 
     /// The hub-side frame/byte counters for `node`, aggregated across
-    /// every connection that node has opened (control + sink).
+    /// every connection opened as that node (its own, plus any observer's
+    /// that handshook with its id).
     pub fn traffic(&self, node: u32) -> Option<Arc<LinkStats>> {
         lock(&self.shared.state).traffic.get(&node).cloned()
     }
@@ -747,20 +737,14 @@ fn serve_request(
 // Client
 // ---------------------------------------------------------------------------
 
-struct ClientState {
-    stream: Option<TcpStream>,
-}
-
 struct ClientShared {
-    addr: String,
-    hello: Hello,
+    node: u32,
     welcome: Welcome,
-    state: Mutex<ClientState>,
+    /// The node's one connection: `None` once `bye` ran or an RPC failed.
+    stream: Mutex<Option<TcpStream>>,
     /// Client-side frame/byte counters for this connection (handshake
     /// frames included), mirroring the hub's per-node accounting.
     traffic: LinkStats,
-    /// Optional flight recorder: reconnects show up as events.
-    recorder: std::sync::OnceLock<Recorder>,
 }
 
 /// A node process's connection to the [`ClusterServer`].
@@ -768,9 +752,15 @@ struct ClientShared {
 /// Cheap to clone (shared connection).  Each RPC holds the connection
 /// lock for its full request/response round trip, so concurrent callers
 /// (a mutator thread and a checkpoint-pipeline worker) serialize — one
-/// outstanding request per connection, no response mismatching.  Callers
-/// that need genuine overlap open a second connection for the same node
-/// (as `mcc node` does for its sink when the pipeline is on).
+/// outstanding request per connection, no response mismatching.
+///
+/// A request is sent once.  A transport error, an `Error` frame or an
+/// unexpected reply closes the connection and fails that request and
+/// every later one, so the hub never applies an operation twice: a
+/// re-issued `Tick` would advance the node's virtual clock twice, a
+/// re-issued `Send` or `Deliver` would count its message twice, and a
+/// re-issued `Recv` whose lost reply was `PeerFailed` would have used up
+/// that failure's one `MSG_ROLL`.  A lost connection is a failed node.
 #[derive(Clone)]
 pub struct RemoteCluster {
     shared: Arc<ClientShared>,
@@ -779,61 +769,37 @@ pub struct RemoteCluster {
 impl std::fmt::Debug for RemoteCluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RemoteCluster")
-            .field("addr", &self.shared.addr)
-            .field("node", &self.shared.hello.node)
+            .field("node", &self.shared.node)
             .finish()
     }
 }
 
-fn dial(addr: &str, attempts: u32) -> Result<TcpStream, FrameError> {
-    let mut last = None;
-    for attempt in 0..attempts {
-        match TcpStream::connect(addr) {
-            Ok(stream) => {
-                let _ = stream.set_nodelay(true);
-                return Ok(stream);
-            }
-            Err(e) => last = Some(e),
-        }
-        thread::sleep(Duration::from_millis(25 * (attempt as u64 + 1).min(8)));
-    }
-    Err(FrameError::Io(last.unwrap_or_else(|| {
-        std::io::Error::other("no dial attempts made")
-    })))
-}
-
-fn handshake(
-    stream: &mut TcpStream,
-    hello: &Hello,
-    traffic: &LinkStats,
-) -> Result<Welcome, FrameError> {
-    write_frame_counted(stream, FrameKind::Hello, &hello.to_payload(), traffic)?;
-    match read_frame_counted(stream, traffic)? {
-        (FrameKind::Welcome, payload) => Welcome::from_payload(&payload),
-        (FrameKind::Error, payload) => Err(FrameError::Protocol(decode_error(&payload))),
-        (kind, _) => Err(FrameError::Protocol(format!(
-            "expected Welcome, got {kind}"
-        ))),
-    }
-}
-
 impl RemoteCluster {
-    /// Dial `addr` as `node` and run the handshake, advertising `codecs`.
+    /// Dial `addr` once as `node` and run the handshake, advertising
+    /// `codecs`.
     pub fn connect(addr: &str, node: u32, codecs: CodecSet) -> Result<RemoteCluster, FrameError> {
         let hello = Hello::current(node, codecs.bits(), mojave_core::Machine::DEFAULT_ARCH);
         let traffic = LinkStats::new();
-        let mut stream = dial(addr, DIAL_ATTEMPTS)?;
-        let welcome = handshake(&mut stream, &hello, &traffic)?;
+        let mut stream = TcpStream::connect(addr)?;
+        let _ = stream.set_nodelay(true);
+        write_frame_counted(&mut stream, FrameKind::Hello, &hello.to_payload(), &traffic)?;
+        let welcome = match read_frame_counted(&mut stream, &traffic)? {
+            (FrameKind::Welcome, payload) => Welcome::from_payload(&payload)?,
+            (FrameKind::Error, payload) => {
+                return Err(FrameError::Protocol(decode_error(&payload)))
+            }
+            (kind, _) => {
+                return Err(FrameError::Protocol(format!(
+                    "expected Welcome, got {kind}"
+                )))
+            }
+        };
         Ok(RemoteCluster {
             shared: Arc::new(ClientShared {
-                addr: addr.to_owned(),
-                hello,
+                node,
                 welcome,
-                state: Mutex::new(ClientState {
-                    stream: Some(stream),
-                }),
+                stream: Mutex::new(Some(stream)),
                 traffic,
-                recorder: std::sync::OnceLock::new(),
             }),
         })
     }
@@ -849,70 +815,30 @@ impl RemoteCluster {
         &self.shared.welcome
     }
 
-    /// One request/response round trip, reconnecting (with a fresh
-    /// handshake) and re-issuing on transport failure, up to
-    /// [`RECONNECT_ATTEMPTS`] times.  Protocol-level failures (an `Error`
-    /// frame, an unexpected reply kind) are never retried.
+    /// One request/response round trip, sent once.  Any failure — a
+    /// transport error, an `Error` frame, a reply of the wrong kind —
+    /// closes the connection, and every later request fails with
+    /// [`FrameError::Closed`].
     fn rpc(
         &self,
         kind: FrameKind,
         payload: &[u8],
         expect: FrameKind,
     ) -> Result<Vec<u8>, FrameError> {
-        let mut state = lock(&self.shared.state);
-        let mut last = FrameError::Closed;
-        for attempt in 0..=RECONNECT_ATTEMPTS {
-            if state.stream.is_none() {
-                if attempt > 0 {
-                    thread::sleep(Duration::from_millis(50 * attempt as u64));
-                }
-                match dial(&self.shared.addr, 1).and_then(|mut s| {
-                    handshake(&mut s, &self.shared.hello, &self.shared.traffic).map(|_| s)
-                }) {
-                    Ok(stream) => {
-                        state.stream = Some(stream);
-                        if let Some(recorder) = self.shared.recorder.get() {
-                            recorder.record(
-                                mojave_obs::EventKind::Reconnect,
-                                attempt as u64,
-                                kind as u64,
-                            );
-                        }
-                    }
-                    Err(e @ FrameError::Protocol(_)) => return Err(e),
-                    Err(e) => {
-                        last = e;
-                        continue;
-                    }
-                }
-            }
-            let stream = state.stream.as_mut().expect("stream just ensured");
-            let traffic = &self.shared.traffic;
-            let result = write_frame_counted(stream, kind, payload, traffic)
-                .and_then(|()| read_frame_counted(stream, traffic));
-            match result {
-                Ok((k, reply)) if k == expect => return Ok(reply),
-                Ok((FrameKind::Error, reply)) => {
-                    state.stream = None;
-                    return Err(FrameError::Protocol(decode_error(&reply)));
-                }
-                Ok((k, _)) => {
-                    state.stream = None;
-                    return Err(FrameError::Protocol(format!("expected {expect}, got {k}")));
-                }
-                Err(
-                    e @ (FrameError::Io(_) | FrameError::Closed | FrameError::Truncated { .. }),
-                ) => {
-                    state.stream = None;
-                    last = e;
-                }
-                Err(e) => {
-                    state.stream = None;
-                    return Err(e);
-                }
-            }
+        let mut slot = lock(&self.shared.stream);
+        let stream = slot.as_mut().ok_or(FrameError::Closed)?;
+        let traffic = &self.shared.traffic;
+        let reply = write_frame_counted(stream, kind, payload, traffic)
+            .and_then(|()| read_frame_counted(stream, traffic))
+            .and_then(|(k, reply)| match k {
+                k if k == expect => Ok(reply),
+                FrameKind::Error => Err(FrameError::Protocol(decode_error(&reply))),
+                k => Err(FrameError::Protocol(format!("expected {expect}, got {k}"))),
+            });
+        if reply.is_err() {
+            *slot = None;
         }
-        Err(last)
+        reply
     }
 
     /// The per-external-call probe (see [`ClusterOps::tick`]).
@@ -976,11 +902,9 @@ impl RemoteCluster {
 
     /// Orderly goodbye (best-effort) and connection close.
     pub fn bye(&self) {
-        let mut state = lock(&self.shared.state);
-        if let Some(stream) = state.stream.as_mut() {
-            let _ = write_frame_counted(stream, FrameKind::Bye, &[], &self.shared.traffic);
+        if let Some(mut stream) = lock(&self.shared.stream).take() {
+            let _ = write_frame_counted(&mut stream, FrameKind::Bye, &[], &self.shared.traffic);
         }
-        state.stream = None;
     }
 }
 
@@ -989,7 +913,7 @@ impl RemoteCluster {
 /// on the node's [`LocalNode`].
 impl ClusterOps for RemoteCluster {
     fn node(&self) -> usize {
-        self.shared.hello.node as usize
+        self.shared.node as usize
     }
 
     fn welcome(&self) -> &Welcome {
@@ -1001,13 +925,6 @@ impl ClusterOps for RemoteCluster {
     /// in-process simulation's contract).
     fn clock_source(&self) -> Arc<dyn ClockSource> {
         Arc::new(WallClock::new())
-    }
-
-    /// Connection losses that lead to a successful reconnect are recorded
-    /// as [`mojave_obs::EventKind::Reconnect`] events.  Only the first
-    /// recorder sticks.
-    fn attach_recorder(&self, recorder: &Recorder) {
-        let _ = self.shared.recorder.set(recorder.clone());
     }
 
     fn tick(&self) -> Result<Tick, FrameError> {

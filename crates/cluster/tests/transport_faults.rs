@@ -1,7 +1,8 @@
 //! Transport fault paths, exercised over real loopback sockets: mid-frame
-//! disconnects, short reads, handshake version/codec mismatches, and the
-//! hostile mutation corpus from `mojave-fuzz` arriving both as framed
-//! image payloads and as raw pre-handshake byte streams.
+//! disconnects, short reads, handshake version/codec mismatches, a hub
+//! that drops the connection mid-request, and the hostile mutation corpus
+//! from `mojave-fuzz` arriving both as framed image payloads and as raw
+//! pre-handshake byte streams.
 //!
 //! The contract under test: every fault produces a **precise error** —
 //! an `Error` frame, a `Failed` delivery outcome, or a closed connection
@@ -14,12 +15,15 @@ use mojave_cluster::{
 use mojave_core::DeliveryOutcome;
 use mojave_fir::MigrateProtocol;
 use mojave_wire::{
-    read_frame, write_frame, CodecSet, FrameError, FrameKind, Hello, WireWriter, FORMAT_VERSION,
-    MAGIC, TRANSPORT_VERSION,
+    read_frame, write_frame, CodecSet, FrameError, FrameKind, Hello, Welcome, WireWriter,
+    FORMAT_VERSION, MAGIC, TRANSPORT_VERSION,
 };
 use std::io::Write;
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread;
+use std::time::{Duration, Instant};
 
 /// Panics observed anywhere in this test binary — server handler threads
 /// included.  The fault sweep asserts it stays at zero.
@@ -260,4 +264,71 @@ fn hostile_corpus_over_the_socket_yields_precise_errors_and_zero_panics() {
         0,
         "hostile input must never panic a server thread"
     );
+}
+
+#[test]
+fn a_lost_connection_fails_the_request_once_and_never_reissues_it() {
+    // A fake hub that welcomes every connection it accepts, reads one
+    // request frame, counts it, and hangs up without replying.  It serves
+    // every connection until told to stop (or a deadline passes), so a
+    // client that re-dialled would be served again, and counted, rather
+    // than left hanging.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake hub");
+    let addr = listener.local_addr().expect("addr").to_string();
+    listener.set_nonblocking(true).expect("nonblocking accept");
+    let connections = Arc::new(AtomicUsize::new(0));
+    let ticks = Arc::new(AtomicUsize::new(0));
+    let stop = Arc::new(AtomicBool::new(false));
+    let hub = {
+        let (connections, ticks, stop) = (connections.clone(), ticks.clone(), stop.clone());
+        thread::spawn(move || {
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while !stop.load(Ordering::SeqCst) && Instant::now() < deadline {
+                let mut stream = match listener.accept() {
+                    Ok((stream, _)) => stream,
+                    Err(_) => {
+                        thread::sleep(Duration::from_millis(5));
+                        continue;
+                    }
+                };
+                connections.fetch_add(1, Ordering::SeqCst);
+                stream.set_nonblocking(false).expect("blocking stream");
+                let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
+                let Ok((FrameKind::Hello, _)) = read_frame(&mut stream) else {
+                    continue;
+                };
+                let welcome = Welcome {
+                    transport_version: TRANSPORT_VERSION,
+                    format_version: FORMAT_VERSION,
+                    num_nodes: 1,
+                    node_seed: 7,
+                    arch: "ia32-sim".into(),
+                    codec_bits: CodecSet::all().bits(),
+                };
+                let _ = write_frame(&mut stream, FrameKind::Welcome, &welcome.to_payload());
+                if let Ok((FrameKind::Tick, _)) = read_frame(&mut stream) {
+                    ticks.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+        })
+    };
+
+    let remote = RemoteCluster::connect(&addr, 0, CodecSet::all()).expect("handshake");
+    let first = remote.tick().expect_err("the hub hung up mid-request");
+    assert!(
+        matches!(
+            first,
+            FrameError::Closed | FrameError::Truncated { .. } | FrameError::Io(_)
+        ),
+        "a transport error, got {first:?}"
+    );
+    let started = Instant::now();
+    let second = remote.tick().expect_err("the connection is closed");
+    assert!(matches!(second, FrameError::Closed), "got {second:?}");
+    assert!(started.elapsed() < Duration::from_secs(1), "fails at once");
+
+    stop.store(true, Ordering::SeqCst);
+    hub.join().expect("fake hub");
+    assert_eq!(connections.load(Ordering::SeqCst), 1, "dialled once");
+    assert_eq!(ticks.load(Ordering::SeqCst), 1, "the Tick was sent once");
 }

@@ -392,7 +392,7 @@ fn run_grid_on(
         let node = LocalNode::new(cluster.clone(), worker);
         let (job, tx) = (Arc::clone(&job), tx.clone());
         thread::spawn(move || {
-            let _ = tx.send(run_worker(&job, resume, node.clone(), node));
+            let _ = tx.send(run_worker(&job, resume, node));
         });
         Ok(())
     };
@@ -888,7 +888,7 @@ mod tests {
             ..job_spec(&GridConfig::default(), GridOptions::default())
         };
         let node = LocalNode::new(cluster, 0);
-        let (stats, obs) = run_worker(&job, None, node.clone(), node);
+        let (stats, obs) = run_worker(&job, None, node);
         assert_eq!(stats.exit_code, None);
         assert!(obs.is_none());
         let message = stats.error.expect("reported");

@@ -2,7 +2,7 @@
 //! finished run's [`NodeStats`] (and observability report) out.
 //!
 //! The coordinator's worker threads call it with a [`LocalNode`], `mcc
-//! node` calls it with its two hub connections — so a thread and a process
+//! node` calls it with its one hub connection — so a thread and a process
 //! cannot disagree on how a worker is configured, wired or reported.
 //!
 //! [`LocalNode`]: mojave_cluster::LocalNode
@@ -18,26 +18,22 @@ use mojave_wire::CodecId;
 /// paper's model — or, with a `resume` checkpoint (the resurrection path),
 /// from there; the image carries its own code.
 ///
-/// `sink_ops` carries checkpoint deliveries.  Over a transport it must be a
-/// second connection: deliveries (which may run on a pipeline worker
-/// thread) must not queue behind a blocking `msg_recv` on `ops`.
+/// `ops` carries both the externals and the checkpoint sink (a clone of
+/// it); over a transport both share the node's one connection.
 ///
 /// The returned [`NodeStats`] leave the link counters zero (a transport's
 /// caller fills them in); the [`NodeObs`] is present when the job's
 /// observability level is above [`Level::Off`].
-pub fn run_worker<C: ClusterOps>(
+pub fn run_worker<C: ClusterOps + Clone>(
     job: &JobSpec,
     resume: Option<Resume>,
     ops: C,
-    sink_ops: C,
 ) -> (NodeStats, Option<NodeObs>) {
     let level = Level::from_u8(job.obs_level);
     // The node's identity, the job's level, and the node's clock — in
     // in-process runs the cluster's seeded virtual clock, so event
     // timestamps replay exactly.
     let recorder = Recorder::with_clock(ops.node() as u32, level, ops.clock_source());
-    ops.attach_recorder(&recorder);
-    sink_ops.attach_recorder(&recorder);
     let config = ProcessConfig {
         machine: Machine::new(ops.welcome().arch.clone()),
         step_budget: job.step_budget,
@@ -68,13 +64,16 @@ pub fn run_worker<C: ClusterOps>(
             return (report, None);
         }
     };
-    let sink = NodeSink(sink_ops);
+    let sink = NodeSink(ops.clone());
     let sink: Box<dyn MigrationSink> = if job.async_checkpoints {
         // The pipeline runs with the **drain barrier**: every checkpoint's
         // side effects (store write, network accounting, scheduled failure
         // injection) land at exactly the point in the worker's execution
         // the synchronous path would produce them, which is what makes
-        // replay digests identical with the pipeline on or off.
+        // replay digests identical with the pipeline on or off.  It is
+        // also why the sink can share the externals' connection: no
+        // delivery is in flight while the mutator makes an RPC, so a
+        // `Deliver` never queues behind a blocking `msg_recv`.
         let pipeline = AsyncSink::new(
             Box::new(sink),
             PipelineConfig {

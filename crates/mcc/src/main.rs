@@ -101,30 +101,20 @@ fn usage() -> ExitCode {
 /// `mcc node <addr> <node-id>`: the node-process half of the socket
 /// transport.  Dials the cluster server, fetches the job, hands it to the
 /// same [`run_worker`] bootstrap the in-process coordinator's threads use —
-/// with the hub connections as the worker's cluster — and reports final
+/// with the hub connection as the worker's cluster — and reports final
 /// statistics (or why it could not start) before the orderly goodbye.
 fn serve_node(addr: &str, node: u32) -> ExitCode {
-    let codecs = mojave_wire::CodecSet::all();
-    let control = match RemoteCluster::connect(addr, node, codecs) {
+    let conn = match RemoteCluster::connect(addr, node, mojave_wire::CodecSet::all()) {
         Ok(conn) => conn,
         Err(e) => {
             eprintln!("mcc: node {node} cannot join cluster at {addr}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let run = control
+    let run = conn
         .fetch_job()
         .map_err(|e| format!("cannot fetch job: {e}"))
-        .and_then(|(job, resume)| {
-            // Two connections on purpose: checkpoint deliveries (which may
-            // run on a pipeline worker thread) must not queue behind a
-            // blocking `msg_recv` RPC on the externals connection.
-            let sink_conn = RemoteCluster::connect(addr, node, codecs)
-                .map_err(|e| format!("cannot open sink connection: {e}"))?;
-            let run = run_worker(&job, resume, control.clone(), sink_conn.clone());
-            sink_conn.bye();
-            Ok(run)
-        });
+        .map(|(job, resume)| run_worker(&job, resume, conn.clone()));
     let (mut report, obs) = run.unwrap_or_else(|message| {
         eprintln!("mcc: node {node}: {message}");
         let report = NodeStats {
@@ -138,20 +128,20 @@ fn serve_node(addr: &str, node: u32) -> ExitCode {
     // coordinator treats stats as the node's last word, so by then the
     // hub must already hold this node's scrape-able report.
     if let Some(obs) = obs {
-        if let Err(e) = control.push_obs(&obs) {
+        if let Err(e) = conn.push_obs(&obs) {
             eprintln!("mcc: node {node} could not push obs report: {e}");
         }
     }
-    let link = control.link_stats();
+    let link = conn.link_stats();
     report.frames_sent = link.frames_sent();
     report.frames_received = link.frames_received();
     report.bytes_sent = link.bytes_sent();
     report.bytes_received = link.bytes_received();
-    if let Err(e) = control.report_stats(&report) {
+    if let Err(e) = conn.report_stats(&report) {
         eprintln!("mcc: node {node} could not report stats: {e}");
         return ExitCode::FAILURE;
     }
-    control.bye();
+    conn.bye();
     ExitCode::SUCCESS
 }
 

@@ -52,9 +52,8 @@ pub enum EventKind {
     /// This node was resurrected from a checkpoint.  `a` = checkpoint
     /// step resumed from.
     Resurrect = 14,
-    /// A transport connection was re-established after a drop.  `a` =
-    /// reconnect attempt number.
-    Reconnect = 15,
+    // 15 was `Reconnect`, retired with the transport's re-issue path; it
+    // stays unassigned and decodes as unknown.
     /// A slab codec was chosen for an image.  `a` = codec id (0xFF =
     /// mixed/auto), `b` = stored heap-payload bytes.
     CodecChosen = 16,
@@ -81,7 +80,6 @@ impl EventKind {
             EventKind::Recv => "Recv",
             EventKind::Failure => "Failure",
             EventKind::Resurrect => "Resurrect",
-            EventKind::Reconnect => "Reconnect",
             EventKind::CodecChosen => "CodecChosen",
             EventKind::QueueDepth => "QueueDepth",
         }
@@ -90,7 +88,7 @@ impl EventKind {
     /// Decode the wire byte.
     pub fn from_u8(byte: u8) -> Option<EventKind> {
         use EventKind::*;
-        const ALL: [EventKind; 17] = [
+        const ALL: [EventKind; 16] = [
             CheckpointBegin,
             CheckpointEnd,
             Freeze,
@@ -105,21 +103,10 @@ impl EventKind {
             Recv,
             Failure,
             Resurrect,
-            Reconnect,
             CodecChosen,
             QueueDepth,
         ];
         ALL.into_iter().find(|k| *k as u8 == byte)
-    }
-
-    /// Whether this kind opens a span ([`EventKind::CheckpointBegin`]).
-    pub fn is_span_begin(self) -> bool {
-        self == EventKind::CheckpointBegin
-    }
-
-    /// Whether this kind closes a span ([`EventKind::CheckpointEnd`]).
-    pub fn is_span_end(self) -> bool {
-        self == EventKind::CheckpointEnd
     }
 }
 
@@ -187,6 +174,7 @@ mod tests {
             }
         }
         assert_eq!(EventKind::from_u8(0), None);
+        assert_eq!(EventKind::from_u8(15), None);
         assert_eq!(EventKind::from_u8(18), None);
     }
 

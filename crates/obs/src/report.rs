@@ -1,5 +1,5 @@
 //! The per-node scrape payload: everything a node's recorder captured,
-//! packaged for shipping over the control connection.
+//! packaged for shipping over a node's hub connection.
 
 use crate::event::Event;
 use crate::metrics::MetricsSnapshot;
